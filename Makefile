@@ -69,10 +69,12 @@ serve-smoke:
 chaos-smoke:
 	$(PYTHON) scripts/chaos_smoke.py
 
-# Partition/sharded-engine smoke: cut a 16x16 mesh 4 ways and prove the
-# four-worker sharded engine's report and flit trace are byte-identical
-# to the single-process cycle engine's (scripts/shard_smoke.py asserts
-# it).  Skips itself cleanly where the fork start method is unavailable.
+# Partition/ranged-sweep smoke: the shard workers and the no-JIT vector
+# path are one loop (engines/sweep.py).  Run it in-process (shards=1, no
+# child process) and across four workers on a 16x16 mesh cut 4 ways, and
+# prove both reports and flit traces are byte-identical to the
+# single-process cycle engine's (scripts/shard_smoke.py asserts it).  The
+# four-worker leg skips itself where the fork start method is unavailable.
 shard-smoke:
 	$(PYTHON) scripts/shard_smoke.py
 

@@ -1,16 +1,22 @@
 #!/usr/bin/env python3
-"""CI smoke for the partition subsystem and the sharded parallel engine.
+"""CI smoke for the partition subsystem and the ranged interpreted sweep.
 
-Three contracts, checked end to end on a 16x16 mesh (256 nodes — big
-enough that the 4-way partition has real interior *and* boundary traffic):
+The shard workers and the vector engine's no-JIT path run one loop
+(``repro.simnoc.engines.sweep``); this smoke drives it both ways on a
+16x16 mesh (256 nodes — big enough that the 4-way partition has real
+interior *and* boundary traffic):
 
 * the greedy-edge partitioner cuts the fabric into 4 balanced,
   JSON-round-trippable shards;
-* the sharded engine — four worker processes exchanging boundary flits at
-  cycle barriers — produces a report **byte-identical** (as the full
-  dataclass repr, every statistic included) to the single-process cycle
-  engine's, at a load that keeps every boundary link busy;
-* the flit traces agree event for event, so the identity is not a lucky
+* ``shards=1`` takes the in-process route — the loop over the plan that
+  owns every node, exactly what ``engine="vector"`` runs without a
+  compiled kernel — and starts no child process;
+* ``shards=4`` — four worker processes exchanging boundary flits at cycle
+  barriers — runs the same loop per shard, at a load that keeps every
+  boundary link busy (skipped where the fork start method is missing);
+* both produce a report **byte-identical** (as the full dataclass repr,
+  every statistic included) to the single-process cycle engine's, and
+  flit traces that agree event for event, so the identity is not a lucky
   aggregate.
 
 Exits non-zero on the first violated contract.  Run via ``make
@@ -45,10 +51,6 @@ def fail(message: str) -> None:
 
 
 def main() -> None:
-    if "fork" not in multiprocessing.get_all_start_methods():
-        print("SKIP: sharded engine needs the fork start method")
-        return
-
     fabric = NoCTopology.mesh(16, 16, link_bandwidth=1600.0)
 
     spec = partition_topology(fabric, SHARDS, "greedy-edge")
@@ -72,10 +74,29 @@ def main() -> None:
         ).run()
         return repr(report), recorder.events, report
 
+    cycle_blob, cycle_events, _ = run("cycle")
+
+    solo_blob, solo_events, _ = run("sharded", shards=1)
+    if multiprocessing.active_children():
+        fail("sharded(1) started a child process; it must run in-process")
+    if solo_blob != cycle_blob:
+        fail("sharded(1) report is not byte-identical to the cycle engine's")
+    if solo_events != cycle_events:
+        fail("sharded(1) flit trace diverges from the cycle engine's")
+    print(
+        f"sharded(1) == cycle on 16x16, in-process: report "
+        f"{len(solo_blob)} bytes identical, {len(solo_events)} trace "
+        "events identical, no child process"
+    )
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        print(f"SKIP: sharded({SHARDS}) needs the fork start method")
+        print("PASS: shard smoke")
+        return
+
     sharded_blob, sharded_events, sharded_report = run(
         "sharded", shards=SHARDS, partitioner="greedy-edge"
     )
-    cycle_blob, cycle_events, _ = run("cycle")
 
     if sharded_blob != cycle_blob:
         fail("sharded report is not byte-identical to the cycle engine's")

@@ -508,7 +508,7 @@ def _run_replica_batch(
             )
             continue
         if engine != "vector":
-            # Pinned to cycle/event (or auto resolved there): the replica
+            # Pinned to cycle/event (or auto resolved to cycle): the replica
             # kernel cannot batch it, so the slot runs like a serial one.
             try:
                 report = simulator.run()

@@ -395,8 +395,9 @@ class SimOptions:
     Attributes:
         engine: registered engine name — ``"cycle"`` (cycle-accurate
             reference), ``"event"`` (event-driven, skips dead time),
-            ``"vector"`` (structure-of-arrays, fastest at high load) or
-            ``"auto"`` (picks event at low load, vector at high load).
+            ``"vector"`` (structure-of-arrays, fastest at every load) or
+            ``"auto"`` (vector for the built-in router models, cycle
+            otherwise).
             All backends are bit-consistent with ``cycle``.
         traffic: ``"trace"`` replays the mapped core graph's bandwidths;
             ``"uniform"``, ``"transpose"`` and ``"onoff"`` are synthetic

@@ -540,8 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(skips idle time), vector (structure-of-arrays; runs on a "
             "compiled numba/C kernel when one is available — see "
             "'list-engines', disable with REPRO_NO_JIT=1) or auto "
-            "(event at low load, vector at high load; the crossover "
-            "drops when a compiled kernel is available)"
+            "(vector for the built-in router models, cycle otherwise)"
         ),
     )
     p_sim.add_argument(

@@ -48,8 +48,8 @@ def run_latency_sweep(
         patterns: registered synthetic traffic patterns to compare.
         mesh: topology spec string for the fabric under test.
         measure_cycles: measurement window per point.
-        engine: simulation backend for every point (``"auto"`` picks
-            event at low load, vector at high load, per point;
+        engine: simulation backend for every point (``"auto"`` runs
+            the vector engine;
             ``"sharded"`` fans each point across shard workers — pair it
             with serial-ish executors, not ``"process"``, to avoid
             oversubscribing cores).

@@ -12,8 +12,8 @@ equivalent substrate in Python, split into two layers (``ARCHITECTURE.md``):
   cycle-accurate reference loop (``engine="cycle"``), a heap-scheduled
   event-driven engine (``engine="event"``) that skips all dead time, a
   structure-of-arrays ``engine="vector"`` that flattens the network into
-  numpy-backed flat state for saturation loads, and a load-adaptive
-  ``engine="auto"`` policy — all producing identical results.
+  numpy-backed flat state, and an ``engine="auto"`` policy (vector where
+  it can flatten, cycle otherwise) — all producing identical results.
 
 Key model parameters (:class:`SimConfig`) mirror the paper's Table 3:
 64-byte packets, a 7-cycle switch traversal, and link bandwidths swept in

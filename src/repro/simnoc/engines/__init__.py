@@ -10,23 +10,25 @@ component to touch when:
   only at cycles where they can act, and all dead time in between is
   skipped outright;
 * ``"vector"`` — structure-of-arrays time: the network is flattened into
-  preallocated flat/numpy arrays and advanced with no per-object dispatch,
-  the fastest backend at and above saturation;
-* ``"auto"`` — a policy, not a backend: resolves to ``"event"`` or
-  ``"vector"`` from the built network's offered load.
+  preallocated flat/numpy arrays and advanced with no per-object dispatch
+  (compiled when a kernel backend resolves, interpreted otherwise), the
+  fastest backend at every measured load;
+* ``"sharded"`` — the interpreted vector sweep, one worker process per
+  fabric shard;
+* ``"auto"`` — a policy, not a backend: ``"vector"`` for the router models
+  it flattens, ``"cycle"`` for custom ones.
 
 Every engine produces identical simulation results on identical inputs —
 the property suite pins the equivalence; the benches measure the gap.
 """
 
-from repro.simnoc.engines.auto import AUTO_LOAD_THRESHOLD, AutoEngine, resolve_auto_engine
+from repro.simnoc.engines.auto import AutoEngine, resolve_auto_engine
 from repro.simnoc.engines.base import Engine, get_engine, list_engines
 from repro.simnoc.engines.cycle import DEADLOCK_WINDOW, CycleEngine
 from repro.simnoc.engines.event import EventEngine
 from repro.simnoc.engines.vector import VectorEngine
 
 __all__ = [
-    "AUTO_LOAD_THRESHOLD",
     "AutoEngine",
     "CycleEngine",
     "DEADLOCK_WINDOW",

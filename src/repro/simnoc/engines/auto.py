@@ -1,20 +1,15 @@
-"""The ``auto`` engine: pick event-driven or vector time by offered load.
+"""The ``auto`` engine: the vector engine wherever it can flatten.
 
-The two fast backends win in opposite regimes.  The event engine skips
-cycles in which nothing can happen — enormous at low load, worthless near
-saturation where every cycle has work (and the heap becomes pure overhead).
-The vector engine attacks the per-cycle constant factor instead — a big win
-exactly when most cycles are busy, but it still touches every busy cycle,
-so at very low load the event engine's time-skipping dominates.
-
-``auto`` applies the obvious policy at ``run`` time, when the built network
-is in hand: sum the sources' configured offered load, normalize per node,
-and pick the vector engine once the network is expected to be busy most
-cycles.  The threshold is a wall-clock heuristic only — both candidate
-engines are bit-identical to the cycle reference (property-tested), so the
-choice can never change a single statistic, only how fast it arrives.
-The vector engine flattens just the built-in router models; for custom
-registered models ``auto`` always falls back to the event engine.
+``auto`` is a policy, not a backend.  Measured on every host class this
+repository benches (PERFORMANCE.md, "The engine ladder"), the vector
+engine — compiled, or interpreted under ``REPRO_NO_JIT=1`` — is at least
+as fast as the event engine from a near-idle network to saturation, and
+the event engine is slower than the ``cycle`` reference at every load
+above near-idle.  So there is no load threshold: ``auto`` runs ``vector``
+for the router models it flattens and the ``cycle`` reference for custom
+registered models.  Every engine is bit-identical to the cycle reference
+(property-tested), so the choice can never change a statistic, only how
+fast it arrives.
 """
 
 from __future__ import annotations
@@ -28,50 +23,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simnoc.network import Network
     from repro.simnoc.simulator import Simulator
 
-#: Mean offered load (flits/cycle per node) at or above which the network
-#: is expected to be busy most cycles, making the vector engine the faster
-#: backend.  Below it, idle-cycle skipping wins.  Calibrated against
-#: ``benchmarks/run_bench.py`` (event ~8x at 5% load, vector >=3x at 30%);
-#: the crossover sits near one flit in flight per node every ~15 cycles.
-AUTO_LOAD_THRESHOLD = 0.06
-
-#: The crossover when a compiled kernel backend is resolved
-#: (:func:`repro.simnoc.engines.jit.resolve_backend`).  The kernel tier
-#: cuts the vector engine's per-busy-cycle cost by another order of
-#: magnitude, so it overtakes event-driven time-skipping at much lighter
-#: load; only nearly-idle networks still favor the event engine.
-AUTO_LOAD_THRESHOLD_JIT = 0.02
-
-
-def offered_load_per_node(network: "Network") -> float:
-    """Mean configured offered load across the network, flits/cycle/node.
-
-    Sums each source's long-run ``offered_flits_per_cycle`` (every shipped
-    source exposes it; unknown custom sources count as zero rather than
-    guessing) and divides by the node count.
-    """
-    total = 0.0
-    for source in network.sources:
-        total += getattr(source, "offered_flits_per_cycle", 0.0)
-    return total / max(1, len(network.routers))
-
 
 def resolve_auto_engine(network: "Network") -> str:
     """The engine name ``auto`` delegates to for this built network."""
-    if network.config.effective_router_model not in SUPPORTED_ROUTER_MODELS:
-        return "event"
-    from repro.simnoc.engines.jit import resolve_backend
-
-    backend, _ = resolve_backend()
-    threshold = AUTO_LOAD_THRESHOLD if backend is None else AUTO_LOAD_THRESHOLD_JIT
-    if offered_load_per_node(network) >= threshold:
+    if network.config.effective_router_model in SUPPORTED_ROUTER_MODELS:
         return "vector"
-    return "event"
+    return "cycle"
 
 
 @register_engine("auto")
 class AutoEngine:
-    """Load-adaptive dispatcher over the event and vector engines."""
+    """Dispatcher: ``vector`` for flattenable router models, else ``cycle``."""
 
     name = "auto"
 

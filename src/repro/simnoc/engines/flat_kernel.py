@@ -4,9 +4,9 @@ A :class:`KernelProgram` is the bridge between the object model and the
 compiled kernels in :mod:`repro.simnoc.engines.kernels` (and their C
 mirror).  Building one
 
-1. reuses :class:`repro.simnoc.engines.vector._FlatState` for the wiring
+1. reuses :class:`repro.simnoc.engines.sweep._FlatState` for the wiring
    flatten (port indexing, credits, routes, freshness guards — the exact
-   arrays the interpreted loops run on), then
+   arrays the interpreted sweep runs on), then
 2. *precomputes the entire injection schedule*: every shipped traffic
    source is open-loop (its packet sequence depends only on the cycle and
    its own RNG, never on network state), so the builder replays the
@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.simnoc.engines import kernels
+from repro.simnoc.engines.sweep import _FlatState
 from repro.simnoc.trace import TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -164,9 +165,6 @@ class KernelProgram:
     )
 
     def __init__(self, sim: "Simulator", vc_mode: bool) -> None:
-        # Deferred import: vector.py imports this module's consumers.
-        from repro.simnoc.engines.vector import _FlatState
-
         self.sim = sim
         self.vc_mode = vc_mode
         state = _FlatState(sim, vc_mode=vc_mode)
@@ -182,9 +180,8 @@ class KernelProgram:
         sources = network.sources
         next_packet_id = sim.next_packet_id
         all_packets_append = sim.all_packets.append
-        # Registration inlined from _FlatState.offer_packet, minus the
-        # per-flit NI deque (the kernel reads flat flit streams instead;
-        # they are expanded vectorized below).
+        # Packet registration without a per-flit NI deque: the kernel reads
+        # flat flit streams, expanded vectorized below.
         resolve_route = state.resolve_route
         num_vcs = state.num_vcs
         pkt_objs_append = state.pkt_objs.append

@@ -1,30 +1,35 @@
 """The JIT ladder: pick the fastest available kernel backend.
 
-The vector engine's per-cycle sweep has three executable forms, tried in
-order (``resolve_backend``):
+The vector engine's per-cycle sweep has two compiled rungs, tried in order
+(``resolve_backend``), and one interpreted form below them:
 
 1. **numba** — :mod:`repro.simnoc.engines.kernels` compiled with
    ``@njit(cache=True)`` (install via ``pip install repro[jit]``);
 2. **c** — the same algorithm transliterated to C99 and compiled once
    with the system ``cc`` (:mod:`repro.simnoc.engines.ckern`), cached as a
    shared object under ``~/.cache/repro-jit``;
-3. *(fallback, not a backend)* — the interpreted structure-of-arrays
-   loops in :mod:`repro.simnoc.engines.vector`, always available.
+3. *(fallback, not a backend)* — the one interpreted sweep,
+   :mod:`repro.simnoc.engines.sweep`: the ranged structure-of-arrays loops
+   the ``sharded`` engine's workers also run, called in-process over the
+   plan that owns every node.  Always available; ``resolve_backend``
+   returns no backend and the vector engine takes this route itself.
 
 Environment switches (read on every resolution, so tests can flip them):
 
 * ``REPRO_NO_JIT=1`` disables every compiled backend — the vector engine
-  runs its interpreted loops (the A/B and fallback-rot guard; CI runs a
+  runs the interpreted sweep (the A/B and fallback-rot guard; CI runs a
   whole job this way).
 * ``REPRO_JIT=numba|c|py|off`` pins one rung.  ``py`` runs the *kernel
-  twin* — the numba source executed as plain Python — which is slower
-  than the interpreted loops and exists so the kernel algorithm itself is
-  property-testable on machines without numba or a C compiler.
+  twin* — the numba source executed as plain Python — which is 5–6x slower
+  than the interpreted sweep and slower than the ``cycle`` engine
+  (PERFORMANCE.md, "The engine ladder"); it exists only so the kernel
+  algorithm itself is property-testable on machines without numba or a C
+  compiler, which is also why the interpreted sweep is kept beside it.
 
-All three backends run the same :class:`~repro.simnoc.engines.flat_kernel.
-KernelProgram` arrays and are bit-identical to the cycle engine (reports
-and flit traces); ``tests/properties/test_engine_equivalence.py`` pins
-each rung.
+The compiled rungs and the ``py`` twin run the same
+:class:`~repro.simnoc.engines.flat_kernel.KernelProgram` arrays; every
+form is bit-identical to the cycle engine (reports and flit traces), and
+``tests/properties/test_engine_equivalence.py`` pins each rung.
 
 :func:`warmup` compiles whatever the resolved backend needs ahead of
 time, so first-request latency in the job service and benchmark medians
@@ -244,7 +249,7 @@ def resolve_backend() -> tuple[object | None, str]:
     """``(backend, reason)`` for the current environment.
 
     ``backend`` is ``None`` when every compiled rung is unavailable or
-    JIT is disabled — callers then use the interpreted vector loops.  The
+    JIT is disabled — callers then use the interpreted sweep.  The
     outcome is cached per mode, so the (one-time) compile cost is paid at
     most once per process per mode.
     """

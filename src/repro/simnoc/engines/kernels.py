@@ -8,7 +8,7 @@ statement for statement by the C kernel in :mod:`repro.simnoc.engines.ckern`;
 ``tests/properties`` pins every tier against the cycle engine.
 
 The loop structure replays the interpreted SoA loops in
-:mod:`repro.simnoc.engines.vector` — which themselves replay the cycle
+:mod:`repro.simnoc.engines.sweep` — which themselves replay the cycle
 engine's sweep discipline — with two data-structure substitutions that are
 bit-exact by construction:
 

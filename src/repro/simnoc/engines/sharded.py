@@ -1,12 +1,15 @@
 """The sharded engine: conservative parallel discrete-event over shards.
 
 The fabric is cut into shards by :mod:`repro.partition`; one worker process
-per shard advances its region of the network with the vector engine's
-interpreted structure-of-arrays loops, and boundary traffic crosses shard
-borders as per-cycle message batches.  The contract is the same as every
-other engine's: **bit-identical reports and flit traces to the single-
-process cycle engine, for any shard count** — parallelism is a wall-clock
-optimization, never an accuracy trade.
+per shard advances its region of the network with the interpreted ranged
+sweep of :mod:`repro.simnoc.engines.sweep` — the very loops the ``vector``
+engine falls back to without a compiled kernel — and boundary traffic
+crosses shard borders as per-cycle message batches.  This module is only
+the parent, the processes and the channels; one shard needs none of them
+and runs the loop in the calling process.  The contract is the same as
+every other engine's: **bit-identical reports and flit traces to the
+single-process cycle engine, for any shard count** — parallelism is a
+wall-clock optimization, never an accuracy trade.
 
 Why this is exact, in brief (ARCHITECTURE.md carries the long form):
 
@@ -57,22 +60,21 @@ objects and the unchanged ``Simulator._build_report`` does the rest.
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import queue as queue_mod
 import traceback
-from bisect import insort
-from collections import deque
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from repro.errors import SimulationError
 from repro.simnoc.engines.base import register_engine
-from repro.simnoc.engines.cycle import DEADLOCK_WINDOW
-from repro.simnoc.engines.vector import _EMPTY, _FlatState, _reject_unsupported_model
-from repro.simnoc.router import LOCAL
-from repro.simnoc.trace import TraceEvent
+from repro.simnoc.engines.sweep import (
+    _Plan,
+    merge_results,
+    replay_sources,
+    run_in_process,
+    sweep_shard,
+)
+from repro.simnoc.engines.vector import _reject_unsupported_model
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simnoc.simulator import Simulator
@@ -93,12 +95,6 @@ class ShardedEngine:
     def run(self, sim: "Simulator") -> None:
         model = sim.network.config.effective_router_model
         _reject_unsupported_model(model)
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise SimulationError(
-                "the sharded engine needs the 'fork' start method so shard "
-                "workers inherit the built network; this platform does not "
-                "support it"
-            )
         from repro.partition import partition_topology
 
         shards = getattr(sim, "shards", None)
@@ -108,101 +104,24 @@ class ShardedEngine:
             raise SimulationError(f"shards must be >= 1, got {shards}")
         partitioner = getattr(sim, "partitioner", None) or "auto"
         spec = partition_topology(sim.network.topology, shards, partitioner)
-        _run_sharded(sim, spec, vc_mode=model == "wormhole-vc")
-
-
-class _Plan:
-    """The static shape of one sharded run, derived from a PartitionSpec.
-
-    Segments are maximal runs of consecutive same-shard node ids in the
-    global (ascending) sweep order; channels connect fabric-adjacent
-    segments owned by different workers, in both directions (flits flow
-    along a link, credits flow against it).
-    """
-
-    def __init__(self, network, spec) -> None:
-        self.num_shards = spec.num_shards
-        nodes = sorted(network.routers)
-        assignment = spec.assignment
-
-        seg_nodes: list[list[int]] = []
-        seg_shard: list[int] = []
-        for node in nodes:
-            shard = assignment[node]
-            if not seg_shard or seg_shard[-1] != shard:
-                seg_shard.append(shard)
-                seg_nodes.append([])
-            seg_nodes[-1].append(node)
-        self.seg_nodes = seg_nodes
-        self.seg_shard = seg_shard
-        num_segs = len(seg_nodes)
-
-        size = max(nodes) + 1
-        seg_of = [-1] * size
-        for j, members in enumerate(seg_nodes):
-            for node in members:
-                seg_of[node] = j
-        self.seg_of = seg_of
-
-        shard_segments: list[list[int]] = [[] for _ in range(self.num_shards)]
-        for j, shard in enumerate(seg_shard):
-            shard_segments[shard].append(j)
-        self.shard_segments = shard_segments
-
-        channels: set[tuple[int, int]] = set()
-        for node in nodes:
-            router = network.routers[node]
-            for to_key in router.output_order:
-                if to_key == LOCAL:
-                    continue
-                a, b = seg_of[node], seg_of[to_key]
-                if a != b and seg_shard[a] != seg_shard[b]:
-                    # Flits cross a -> b; same-cycle credits cross b -> a.
-                    channels.add((a, b))
-                    channels.add((b, a))
-        self.channels = channels
-
-        #: Per segment j: remote lower segments whose forward batch
-        #: (tagged with the current cycle) gates j's sweep.
-        self.fwd_in: list[list[int]] = [
-            sorted(i for (i, jj) in channels if jj == j and i < j)
-            for j in range(num_segs)
-        ]
-        #: Per segment j: remote higher segments whose backward batch
-        #: (tagged with the previous cycle) is applied at cycle start.
-        self.bwd_in: list[list[int]] = [
-            sorted(i for (i, jj) in channels if jj == j and i > j)
-            for j in range(num_segs)
-        ]
-        #: Per segment j: every remote segment j sends a batch to, flushed
-        #: right after j's sweep each cycle (empty batches included — the
-        #: null messages that keep the barrier deadlock-free).
-        self.out_remote: list[list[int]] = [
-            sorted(k for (jj, k) in channels if jj == j)
-            for j in range(num_segs)
-        ]
-        #: Directed worker pairs that need a message queue.
-        self.worker_pairs = sorted(
-            {(seg_shard[i], seg_shard[j]) for (i, j) in channels}
-        )
+        vc_mode = model == "wormhole-vc"
+        if spec.num_shards == 1:
+            run_in_process(sim, vc_mode)
+            return
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise SimulationError(
+                "the sharded engine needs the 'fork' start method so shard "
+                "workers inherit the built network; this platform does not "
+                "support it (one shard runs in-process and needs no fork)"
+            )
+        _run_sharded(sim, spec, vc_mode)
 
 
 # ----------------------------------------------------------------------
 # parent side
 # ----------------------------------------------------------------------
-def _flat_out_specs(network) -> list[tuple[int, int]]:
-    """The flat output-port index -> (node, to_key) table, as workers see it."""
-    specs: list[tuple[int, int]] = []
-    for node in sorted(network.routers):
-        router = network.routers[node]
-        for key in router.output_order:
-            specs.append((node, key))
-    return specs
-
-
 def _run_sharded(sim: "Simulator", spec, vc_mode: bool) -> None:
     network = sim.network
-    config = network.config
     for node, router in network.routers.items():
         for to_key, port in router.outputs.items():
             if port.last_refill != -1:
@@ -211,13 +130,12 @@ def _run_sharded(sim: "Simulator", spec, vc_mode: bool) -> None:
                     f"(node {node} output {to_key} already ran)"
                 )
 
-    plan = _Plan(network, spec)
+    plan = _Plan(network, spec.assignment, spec.num_shards)
     ctx = multiprocessing.get_context("fork")
     num_shards = plan.num_shards
     inject_qs = [ctx.Queue() for _ in range(num_shards)]
     result_q = ctx.Queue()
     pair_qs = {pair: ctx.SimpleQueue() for pair in plan.worker_pairs}
-    trace_cap = sim.trace.max_events if sim.trace is not None else 0
 
     workers = []
     for shard in range(num_shards):
@@ -234,7 +152,6 @@ def _run_sharded(sim: "Simulator", spec, vc_mode: bool) -> None:
                 peer_in,
                 peer_out,
                 result_q,
-                trace_cap,
             ),
             daemon=True,
         )
@@ -242,7 +159,10 @@ def _run_sharded(sim: "Simulator", spec, vc_mode: bool) -> None:
         workers.append(worker)
 
     try:
-        id_to_packet = _replay_sources(sim, vc_mode, inject_qs)
+        # Injection is replayed once, here; every worker gets every spec.
+        for chunk in replay_sources(sim, vc_mode, _CHUNK):
+            for q in inject_qs:
+                q.put(chunk)
         payloads = _collect_results(workers, result_q, num_shards)
     except BaseException:
         for worker in workers:
@@ -253,68 +173,7 @@ def _run_sharded(sim: "Simulator", spec, vc_mode: bool) -> None:
         for worker in workers:
             worker.join(timeout=5.0)
 
-    _merge_results(sim, payloads, id_to_packet)
-
-
-def _replay_sources(sim: "Simulator", vc_mode: bool, inject_qs) -> dict:
-    """Consume the traffic sources exactly like the single-process engines.
-
-    Every engine pops source events in ``(next_event_cycle, index)`` heap
-    order and registers the resulting packets immediately, so replaying the
-    same discipline here yields the same packets, ids, ``measured`` flags
-    and ``all_packets`` order.  Specs are broadcast to every worker in
-    creation order — that global order is what makes packet slot numbers
-    agree across workers.
-    """
-    network = sim.network
-    config = network.config
-    measure_start = config.warmup_cycles
-    measure_end = measure_start + config.measure_cycles
-    total_cycles = config.total_cycles
-    lanes = config.num_vcs if vc_mode else 1
-    next_packet_id = sim.next_packet_id
-    all_packets_append = sim.all_packets.append
-
-    sources = network.sources
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    event_heap = [
-        (source.next_event_cycle, index) for index, source in enumerate(sources)
-    ]
-    heapq.heapify(event_heap)
-
-    id_to_packet: dict[int, object] = {}
-    chunk: list = []
-    for cycle in range(total_cycles):
-        while event_heap and event_heap[0][0] <= cycle:
-            _, index = heappop(event_heap)
-            source = sources[index]
-            for packet in source.packets_for_cycle(cycle, next_packet_id):
-                packet.measured = measure_start <= cycle < measure_end
-                packet.vc = packet.commodity_index % lanes
-                all_packets_append(packet)
-                id_to_packet[packet.packet_id] = packet
-                chunk.append(
-                    (
-                        cycle,
-                        (
-                            packet.packet_id,
-                            packet.vc,
-                            packet.src_node,
-                            tuple(packet.path),
-                            packet.num_flits,
-                        ),
-                    )
-                )
-            heappush(event_heap, (source.next_event_cycle, index))
-        if (cycle + 1) % _CHUNK == 0:
-            for q in inject_qs:
-                q.put(chunk)
-            chunk = []
-    if total_cycles % _CHUNK != 0:
-        for q in inject_qs:
-            q.put(chunk)
-    return id_to_packet
+    merge_results(sim, payloads)
 
 
 def _collect_results(workers, result_q, num_shards: int) -> dict:
@@ -351,69 +210,6 @@ def _collect_results(workers, result_q, num_shards: int) -> dict:
     return payloads
 
 
-def _merge_results(sim: "Simulator", payloads: dict, id_to_packet: dict) -> None:
-    """Patch worker observables onto the model, then let the normal report
-    builder run.
-
-    Delivered packets extend each NI in that worker's ejection order (one
-    worker owns each node, so per-interface order is exact), and the
-    interface dict itself predates the fork — the report's flatten order is
-    byte-identical to a single-process run over the same network object.
-    """
-    network = sim.network
-    out_specs = _flat_out_specs(network)
-    for shard in sorted(payloads):
-        payload = payloads[shard]
-        for pid, cycle in payload["injected"].items():
-            id_to_packet[pid].injected_cycle = cycle
-        for node, items in payload["delivered"].items():
-            interface = network.interfaces[node]
-            for pid, cycle in items:
-                packet = id_to_packet[pid]
-                packet.delivered_cycle = cycle
-                interface.delivered_packets.append(packet)
-        for p, count in payload["carried"].items():
-            node, to_key = out_specs[p]
-            network.routers[node].outputs[to_key].flits_carried = count
-        for node, (injected, ejected) in payload["ni"].items():
-            interface = network.interfaces[node]
-            interface.flits_injected += injected
-            interface.flits_ejected += ejected
-
-    # Arm the freshness guard on every port so this network cannot be
-    # silently re-run (mirrors the vector engine's writeback).
-    final = sim.network.config.total_cycles - 1
-    for router in network.routers.values():
-        for port in router.outputs.values():
-            port.last_refill = final
-
-    recorder = sim.trace
-    if recorder is not None:
-        events: list[tuple] = []
-        attempts = 0
-        for payload in payloads.values():
-            events.extend(payload["trace"])
-            attempts += payload["trace_attempts"]
-        # Within one cycle the single-process sweep emits in ascending
-        # node order, and all events of one (cycle, node) come from one
-        # worker in emission order — a stable sort on (cycle, node)
-        # reconstructs the global stream exactly.
-        events.sort(key=lambda item: (item[0], item[1]))
-        room = recorder.max_events - len(recorder.events)
-        for item in events[: max(0, room)]:
-            recorder.events.append(
-                TraceEvent(
-                    cycle=item[0],
-                    node=item[1],
-                    to_key=item[2],
-                    packet_id=item[3],
-                    flit_sequence=item[4],
-                )
-            )
-        if attempts > room:
-            recorder.truncated = True
-
-
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
@@ -426,13 +222,17 @@ def _worker_main(
     peer_in: dict,
     peer_out: dict,
     result_q,
-    trace_cap: int,
 ) -> None:
     try:
-        state = _FlatState(sim, vc_mode=vc_mode)
-        runner = _worker_run_vc if vc_mode else _worker_run_plain
-        payload = runner(
-            state, sim, plan, shard, inject_q, peer_in, peer_out, trace_cap
+        payload = sweep_shard(
+            sim,
+            vc_mode,
+            plan,
+            shard,
+            iter(inject_q.get, None),
+            _CHUNK,
+            _make_pump(peer_in, plan.seg_shard),
+            peer_out,
         )
         result_q.put(("done", shard, payload))
     except BaseException:
@@ -444,20 +244,6 @@ def _worker_main(
                     q.put(("abort",))
                 except Exception:  # noqa: BLE001 — peer may be gone already
                     pass
-
-
-def _worker_tables(state, plan: _Plan, shard: int):
-    """Ownership and wiring tables shared by both worker loops."""
-    size = len(plan.seg_of)
-    owned = bytearray(size)
-    for j in plan.shard_segments[shard]:
-        for node in plan.seg_nodes[j]:
-            owned[node] = 1
-    in_node = [0] * (len(state.in_cap))
-    for (node, _key), i in state.in_index.items():
-        in_node[i] = node
-    out_node = [spec[0] for spec in state.out_specs]
-    return owned, in_node, out_node
 
 
 def _make_pump(peer_in: dict, seg_shard: list[int]):
@@ -488,867 +274,3 @@ def _make_pump(peer_in: dict, seg_shard: list[int]):
             pending[got] = batch
 
     return pump
-
-
-def _payload(
-    plan, shard, state, pkt_ids, injected_by_slot, delivered, trace_events,
-    trace_attempts,
-):
-    """Everything the parent needs from one worker, as plain picklables."""
-    owned_nodes = [
-        node
-        for j in plan.shard_segments[shard]
-        for node in plan.seg_nodes[j]
-    ]
-    return {
-        "injected": {
-            pkt_ids[slot]: cycle for slot, cycle in injected_by_slot.items()
-        },
-        "delivered": {
-            node: state_delivered
-            for node in owned_nodes
-            if (state_delivered := delivered[node])
-        },
-        "carried": {
-            p: count for p, count in enumerate(state.carried) if count
-        },
-        "ni": {
-            node: (state.ni_injected[node], state.ni_ejected[node])
-            for node in owned_nodes
-            if state.ni_injected[node] or state.ni_ejected[node]
-        },
-        "trace": trace_events,
-        "trace_attempts": trace_attempts,
-    }
-
-
-def _worker_run_plain(
-    state: _FlatState,
-    sim,
-    plan: _Plan,
-    shard: int,
-    inject_q,
-    peer_in: dict,
-    peer_out: dict,
-    trace_cap: int,
-) -> dict:
-    """The plain-wormhole advance loop, restricted to this shard's segments.
-
-    Statement for statement this is ``_FlatState.run_plain`` with four
-    changes: source replay is replaced by the parent's spec stream; pops
-    whose credit belongs to a remote feeder stage a credit entry instead of
-    incrementing locally; pushes to a remote downstream node stage a flit
-    entry instead of appending locally; and the sweep runs one owned
-    segment at a time with channel batches exchanged at the segment
-    boundaries (forward: applied before the receiving segment's sweep this
-    cycle; backward: applied at the start of the next cycle).
-    """
-    network = sim.network
-    config = network.config
-    delay = config.router_delay
-    total_cycles = config.total_cycles
-
-    queues = state.queues
-    head_enter = state.head_enter
-    head_slot = state.head_slot
-    head_seq = state.head_seq
-    head_pos = state.head_pos
-    in_cap = state.in_cap
-    feeder = state.in_feeder
-    tokens = state.out_tokens
-    rates = state.out_rates
-    caps = state.out_caps
-    credits = state.credits
-    owner = state.owner
-    owner_pkt = state.owner_pkt
-    rr_in = state.rr_in
-    carried = state.carried
-    dest_in = state.out_dest_in
-    dest_node = state.out_dest_node
-    out_to_key = state.out_to_key
-    node_ins = state.node_ins
-    node_outs = state.node_outs
-    local_in = state.local_in
-    node_buf = state.node_buf
-    node_owned = state.node_owned
-    ni_queue = state.ni_queue
-    ni_injected = state.ni_injected
-    pkt_outs = state.pkt_outs
-    pkt_last = state.pkt_last
-    resolve_route = state.resolve_route
-
-    ni_ejected = state.ni_ejected
-    seg_of = plan.seg_of
-    seg_shard = plan.seg_shard
-    my_segs = plan.shard_segments[shard]
-    fwd_in = plan.fwd_in
-    bwd_in = plan.bwd_in
-    out_remote = plan.out_remote
-    owned, in_node, out_node = _worker_tables(state, plan, shard)
-    pump = _make_pump(peer_in, seg_shard)
-
-    pkt_ids: list[int] = []
-    injected_by_slot: dict[int, int] = {}
-    delivered: list = [[] for _ in range(len(plan.seg_of))]
-    trace_events: list[tuple] = []
-    trace_attempts = 0
-
-    np_add = np.add
-    np_minimum = np.minimum
-
-    active_routers: set[int] = set()
-    active_nis: set[int] = set()
-    buffered_total = 0
-    last_progress = 0
-    last_refill = -1
-
-    inj_pending: deque = deque()
-    inj_chunks_total = (total_cycles + _CHUNK - 1) // _CHUNK
-    inj_chunks_got = 0
-
-    cycle = 0
-    while cycle < total_cycles:
-        # (1) Packet registrations due this cycle, from the parent stream.
-        #     Registration order is the parent's creation order, so slot
-        #     numbers agree across every worker.
-        while inj_chunks_got < inj_chunks_total and (
-            inj_chunks_got * _CHUNK <= cycle
-        ):
-            inj_pending.extend(inject_q.get())
-            inj_chunks_got += 1
-        while inj_pending and inj_pending[0][0] == cycle:
-            _, (pid, vc, src, path, num_flits) = inj_pending.popleft()
-            slot = len(pkt_ids)
-            pkt_ids.append(pid)
-            pkt_outs.append(resolve_route(path, pid))
-            pkt_last.append(num_flits - 1)
-            state.pkt_vc.append(vc)
-            if owned[src]:
-                ni_queue[src].extend((slot, seq) for seq in range(num_flits))
-                active_nis.add(src)
-
-        inbound = 0
-
-        # (2) Backward batches produced by remote higher segments last
-        #     cycle become visible now (their enter cycle stays the tag).
-        if cycle > 0:
-            for j in my_segs:
-                for i in bwd_in[j]:
-                    flits, creds = pump(i, j, cycle - 1)
-                    tag = cycle - 1
-                    for di, _vc, slot, seq, pos in flits:
-                        q = queues[di]
-                        if not q:
-                            head_enter[di] = tag
-                            head_slot[di] = slot
-                            head_seq[di] = seq
-                            head_pos[di] = pos
-                        q.append((tag, slot, seq, pos))
-                        dn = in_node[di]
-                        node_buf[dn] += 1
-                        buffered_total += 1
-                        active_routers.add(dn)
-                    inbound += len(flits)
-                    if creds:
-                        for key, amount in creds.items():
-                            credits[key] += amount
-
-        # (3) NI phase — node-local state only, so running every owned
-        #     node up front matches the single-process global NI pass.
-        moved = 0
-        if active_nis:
-            drained = None
-            for node in sorted(active_nis):
-                backlog = ni_queue[node]
-                if backlog:
-                    li = local_in[node]
-                    in_queue = queues[li]
-                    if len(in_queue) < in_cap[li]:
-                        slot, seq = backlog.popleft()
-                        if seq == 0 and slot not in injected_by_slot:
-                            injected_by_slot[slot] = cycle
-                        if not in_queue:
-                            head_enter[li] = cycle
-                            head_slot[li] = slot
-                            head_seq[li] = seq
-                            head_pos[li] = 0
-                        in_queue.append((cycle, slot, seq, 0))
-                        node_buf[node] += 1
-                        buffered_total += 1
-                        ni_injected[node] += 1
-                        moved += 1
-                        active_routers.add(node)
-                if not backlog:
-                    if drained is None:
-                        drained = [node]
-                    else:
-                        drained.append(node)
-            if drained:
-                for node in drained:
-                    active_nis.discard(node)
-
-        # (4) Token refill: value-exact regardless of which cycles ran it,
-        #     because consumption of an owned port's tokens only ever
-        #     happens in this worker's sweeps (catch-up replay invariant).
-        if active_routers:
-            pending_cycles = cycle - last_refill
-            last_refill = cycle
-            if pending_cycles == 1:
-                np_add(tokens, rates, out=tokens)
-                np_minimum(tokens, caps, out=tokens)
-            else:
-                while pending_cycles > 0:
-                    np_add(tokens, rates, out=tokens)
-                    np_minimum(tokens, caps, out=tokens)
-                    pending_cycles -= 1
-                    if pending_cycles and (tokens == caps).all():
-                        break
-
-        limit = cycle - delay
-
-        # (5) Sweep owned segments in ascending order; the concatenation of
-        #     all segments (across workers) is the single-process sweep.
-        for cur_seg in my_segs:
-            for i in fwd_in[cur_seg]:
-                flits, creds = pump(i, cur_seg, cycle)
-                for di, _vc, slot, seq, pos in flits:
-                    q = queues[di]
-                    if not q:
-                        head_enter[di] = cycle
-                        head_slot[di] = slot
-                        head_seq[di] = seq
-                        head_pos[di] = pos
-                    q.append((cycle, slot, seq, pos))
-                    dn = in_node[di]
-                    node_buf[dn] += 1
-                    buffered_total += 1
-                    active_routers.add(dn)
-                inbound += len(flits)
-                if creds:
-                    for key, amount in creds.items():
-                        credits[key] += amount
-
-            out_flits: dict[int, list] = {}
-            out_credits: dict[int, dict] = {}
-            sweep = sorted(
-                node for node in active_routers if seg_of[node] == cur_seg
-            )
-            swept = set(sweep)
-            sweep_len = len(sweep)
-            spos = 0
-            while spos < sweep_len:
-                node = sweep[spos]
-                ins = node_ins[node]
-
-                requested = None
-                for i in ins:
-                    if head_enter[i] <= limit and head_seq[i] == 0:
-                        out = pkt_outs[head_slot[i]][head_pos[i]]
-                        if requested is None:
-                            requested = {out}
-                        else:
-                            requested.add(out)
-                if requested is None and node_owned[node] == 0:
-                    spos += 1
-                    continue
-                nin = len(ins)
-
-                for p in node_outs[node]:
-                    ow = owner[p]
-                    if ow < 0:
-                        if requested is None or p not in requested:
-                            continue
-                        start = rr_in[p]
-                        for offset in range(nin):
-                            j = start + offset
-                            if j >= nin:
-                                j -= nin
-                            i = ins[j]
-                            if (
-                                head_enter[i] <= limit
-                                and head_seq[i] == 0
-                                and pkt_outs[head_slot[i]][head_pos[i]] == p
-                            ):
-                                rr_in[p] = j + 1 if j + 1 < nin else 0
-                                owner[p] = i
-                                owner_pkt[p] = head_slot[i]
-                                node_owned[node] += 1
-                                ow = i
-                                break
-                        if ow < 0:
-                            continue
-
-                    my_pkt = owner_pkt[p]
-                    if (
-                        credits[p] < 1.0
-                        or head_enter[ow] > limit
-                        or head_slot[ow] != my_pkt
-                    ):
-                        continue
-                    tk = float(tokens[p])
-                    if tk < 1.0:
-                        continue
-                    advanced = 0
-                    my_queue = queues[ow]
-                    my_last = pkt_last[my_pkt]
-                    fdr = feeder[ow]
-                    di = dest_in[p]
-                    while (
-                        tk >= 1.0
-                        and credits[p] >= 1.0
-                        and head_enter[ow] <= limit
-                        and head_slot[ow] == my_pkt
-                    ):
-                        seq = head_seq[ow]
-                        pos = head_pos[ow]
-                        my_queue.popleft()
-                        if my_queue:
-                            (
-                                head_enter[ow],
-                                head_slot[ow],
-                                head_seq[ow],
-                                head_pos[ow],
-                            ) = my_queue[0]
-                        else:
-                            head_enter[ow] = _EMPTY
-                        node_buf[node] -= 1
-                        buffered_total -= 1
-                        if fdr >= 0:
-                            if owned[out_node[fdr]]:
-                                credits[fdr] += 1.0
-                            else:
-                                fs = seg_of[out_node[fdr]]
-                                batch = out_credits.get(fs)
-                                if batch is None:
-                                    batch = out_credits[fs] = {}
-                                batch[fdr] = batch.get(fdr, 0.0) + 1.0
-                        tk -= 1.0
-                        credits[p] -= 1.0
-                        carried[p] += 1
-                        advanced += 1
-                        if trace_cap:
-                            if len(trace_events) < trace_cap:
-                                trace_events.append(
-                                    (
-                                        cycle,
-                                        node,
-                                        out_to_key[p],
-                                        pkt_ids[my_pkt],
-                                        seq,
-                                    )
-                                )
-                            trace_attempts += 1
-                        if di < 0:
-                            ni_ejected[node] += 1
-                            if seq == my_last:
-                                delivered[node].append((pkt_ids[my_pkt], cycle))
-                                owner[p] = -1
-                                owner_pkt[p] = -1
-                                node_owned[node] -= 1
-                                break
-                        else:
-                            dn = dest_node[p]
-                            if owned[dn]:
-                                down_queue = queues[di]
-                                if not down_queue:
-                                    head_enter[di] = cycle
-                                    head_slot[di] = my_pkt
-                                    head_seq[di] = seq
-                                    head_pos[di] = pos + 1
-                                down_queue.append((cycle, my_pkt, seq, pos + 1))
-                                node_buf[dn] += 1
-                                buffered_total += 1
-                                active_routers.add(dn)
-                                if (
-                                    seg_of[dn] == cur_seg
-                                    and dn > node
-                                    and dn not in swept
-                                ):
-                                    insort(sweep, dn, spos + 1)
-                                    swept.add(dn)
-                                    sweep_len += 1
-                            else:
-                                ds = seg_of[dn]
-                                batch = out_flits.get(ds)
-                                if batch is None:
-                                    batch = out_flits[ds] = []
-                                batch.append((di, 0, my_pkt, seq, pos + 1))
-                            if seq == my_last:
-                                owner[p] = -1
-                                owner_pkt[p] = -1
-                                node_owned[node] -= 1
-                                break
-                    if advanced:
-                        tokens[p] = tk
-                        moved += advanced
-                        if head_enter[ow] <= limit and head_seq[ow] == 0:
-                            out = pkt_outs[head_slot[ow]][head_pos[ow]]
-                            if requested is None:
-                                requested = {out}
-                            else:
-                                requested.add(out)
-                spos += 1
-
-            for node in sweep:
-                if node_buf[node] == 0 and node_owned[node] == 0:
-                    active_routers.discard(node)
-
-            for k in out_remote[cur_seg]:
-                peer_out[seg_shard[k]].put(
-                    (
-                        cur_seg,
-                        k,
-                        cycle,
-                        out_flits.get(k, ()),
-                        out_credits.get(k, ()),
-                    )
-                )
-
-        if moved or inbound:
-            last_progress = cycle
-        elif cycle - last_progress > DEADLOCK_WINDOW and buffered_total > 0:
-            raise SimulationError(
-                f"deadlock: no flit moved since cycle {last_progress} "
-                f"with {buffered_total} flits buffered"
-            )
-        cycle += 1
-
-    return _payload(
-        plan,
-        shard,
-        state,
-        pkt_ids,
-        injected_by_slot,
-        delivered,
-        trace_events,
-        trace_attempts,
-    )
-
-
-def _worker_run_vc(
-    state: _FlatState,
-    sim,
-    plan: _Plan,
-    shard: int,
-    inject_q,
-    peer_in: dict,
-    peer_out: dict,
-    trace_cap: int,
-) -> dict:
-    """The VC-wormhole advance loop, restricted to this shard's segments.
-
-    Same four changes as :func:`_worker_run_plain`, on the ``L``-lane
-    layout of ``_FlatState.run_vc``: staged credits key the flat lane index
-    (``feeder * L + vc``) and staged flit entries carry the lane.
-    """
-    network = sim.network
-    config = network.config
-    delay = config.router_delay
-    total_cycles = config.total_cycles
-    L = state.num_vcs
-
-    queues = state.queues
-    head_enter = state.head_enter
-    head_slot = state.head_slot
-    head_seq = state.head_seq
-    head_pos = state.head_pos
-    in_cap = state.in_cap
-    feeder = state.in_feeder
-    tokens = state.out_tokens
-    rates = state.out_rates
-    caps = state.out_caps
-    credits = state.credits
-    owner = state.owner
-    owner_pkt = state.owner_pkt
-    rr_in = state.rr_in
-    vc_rr = state.vc_rr
-    port_owned = state.port_owned
-    carried = state.carried
-    dest_in = state.out_dest_in
-    dest_node = state.out_dest_node
-    out_to_key = state.out_to_key
-    node_ins = state.node_ins
-    node_outs = state.node_outs
-    local_in = state.local_in
-    node_buf = state.node_buf
-    node_owned = state.node_owned
-    ni_queue = state.ni_queue
-    ni_injected = state.ni_injected
-    ni_ejected = state.ni_ejected
-    pkt_outs = state.pkt_outs
-    pkt_last = state.pkt_last
-    pkt_vc = state.pkt_vc
-    resolve_route = state.resolve_route
-
-    seg_of = plan.seg_of
-    seg_shard = plan.seg_shard
-    my_segs = plan.shard_segments[shard]
-    fwd_in = plan.fwd_in
-    bwd_in = plan.bwd_in
-    out_remote = plan.out_remote
-    owned, in_node, out_node = _worker_tables(state, plan, shard)
-    pump = _make_pump(peer_in, seg_shard)
-
-    pkt_ids: list[int] = []
-    injected_by_slot: dict[int, int] = {}
-    delivered: list = [[] for _ in range(len(plan.seg_of))]
-    trace_events: list[tuple] = []
-    trace_attempts = 0
-
-    np_add = np.add
-    np_minimum = np.minimum
-
-    active_routers: set[int] = set()
-    active_nis: set[int] = set()
-    buffered_total = 0
-    last_progress = 0
-    last_refill = -1
-
-    inj_pending: deque = deque()
-    inj_chunks_total = (total_cycles + _CHUNK - 1) // _CHUNK
-    inj_chunks_got = 0
-
-    cycle = 0
-    while cycle < total_cycles:
-        while inj_chunks_got < inj_chunks_total and (
-            inj_chunks_got * _CHUNK <= cycle
-        ):
-            inj_pending.extend(inject_q.get())
-            inj_chunks_got += 1
-        while inj_pending and inj_pending[0][0] == cycle:
-            _, (pid, vc, src, path, num_flits) = inj_pending.popleft()
-            slot = len(pkt_ids)
-            pkt_ids.append(pid)
-            pkt_outs.append(resolve_route(path, pid))
-            pkt_last.append(num_flits - 1)
-            pkt_vc.append(vc)
-            if owned[src]:
-                ni_queue[src].extend((slot, seq) for seq in range(num_flits))
-                active_nis.add(src)
-
-        inbound = 0
-
-        if cycle > 0:
-            for j in my_segs:
-                for i in bwd_in[j]:
-                    flits, creds = pump(i, j, cycle - 1)
-                    tag = cycle - 1
-                    for di, vc, slot, seq, pos in flits:
-                        dq = di * L + vc
-                        q = queues[dq]
-                        if not q:
-                            head_enter[dq] = tag
-                            head_slot[dq] = slot
-                            head_seq[dq] = seq
-                            head_pos[dq] = pos
-                        q.append((tag, slot, seq, pos))
-                        dn = in_node[di]
-                        node_buf[dn] += 1
-                        buffered_total += 1
-                        active_routers.add(dn)
-                    inbound += len(flits)
-                    if creds:
-                        for key, amount in creds.items():
-                            credits[key] += amount
-
-        moved = 0
-        if active_nis:
-            drained = None
-            for node in sorted(active_nis):
-                backlog = ni_queue[node]
-                if backlog:
-                    slot, seq = backlog[0]
-                    lane = pkt_vc[slot]
-                    li = local_in[node]
-                    lq = li * L + lane
-                    in_queue = queues[lq]
-                    if len(in_queue) < in_cap[li]:
-                        backlog.popleft()
-                        if seq == 0 and slot not in injected_by_slot:
-                            injected_by_slot[slot] = cycle
-                        if not in_queue:
-                            head_enter[lq] = cycle
-                            head_slot[lq] = slot
-                            head_seq[lq] = seq
-                            head_pos[lq] = 0
-                        in_queue.append((cycle, slot, seq, 0))
-                        node_buf[node] += 1
-                        buffered_total += 1
-                        ni_injected[node] += 1
-                        moved += 1
-                        active_routers.add(node)
-                if not backlog:
-                    if drained is None:
-                        drained = [node]
-                    else:
-                        drained.append(node)
-            if drained:
-                for node in drained:
-                    active_nis.discard(node)
-
-        if active_routers:
-            pending_cycles = cycle - last_refill
-            last_refill = cycle
-            if pending_cycles == 1:
-                np_add(tokens, rates, out=tokens)
-                np_minimum(tokens, caps, out=tokens)
-            else:
-                while pending_cycles > 0:
-                    np_add(tokens, rates, out=tokens)
-                    np_minimum(tokens, caps, out=tokens)
-                    pending_cycles -= 1
-                    if pending_cycles and (tokens == caps).all():
-                        break
-
-        limit = cycle - delay
-
-        for cur_seg in my_segs:
-            for i in fwd_in[cur_seg]:
-                flits, creds = pump(i, cur_seg, cycle)
-                for di, vc, slot, seq, pos in flits:
-                    dq = di * L + vc
-                    q = queues[dq]
-                    if not q:
-                        head_enter[dq] = cycle
-                        head_slot[dq] = slot
-                        head_seq[dq] = seq
-                        head_pos[dq] = pos
-                    q.append((cycle, slot, seq, pos))
-                    dn = in_node[di]
-                    node_buf[dn] += 1
-                    buffered_total += 1
-                    active_routers.add(dn)
-                inbound += len(flits)
-                if creds:
-                    for key, amount in creds.items():
-                        credits[key] += amount
-
-            out_flits: dict[int, list] = {}
-            out_credits: dict[int, dict] = {}
-            sweep = sorted(
-                node for node in active_routers if seg_of[node] == cur_seg
-            )
-            swept = set(sweep)
-            sweep_len = len(sweep)
-            spos = 0
-            while spos < sweep_len:
-                node = sweep[spos]
-                ins = node_ins[node]
-
-                requested = None
-                for i in ins:
-                    base = i * L
-                    for vc in range(L):
-                        iq = base + vc
-                        if head_enter[iq] <= limit and head_seq[iq] == 0:
-                            out = pkt_outs[head_slot[iq]][head_pos[iq]]
-                            if requested is None:
-                                requested = {out: {vc}}
-                            elif out in requested:
-                                requested[out].add(vc)
-                            else:
-                                requested[out] = {vc}
-                if requested is None and node_owned[node] == 0:
-                    spos += 1
-                    continue
-                nin = len(ins)
-
-                for p in node_outs[node]:
-                    wanted = None if requested is None else requested.get(p)
-                    if wanted is None and port_owned[p] == 0:
-                        continue
-                    base_p = p * L
-                    if wanted is not None:
-                        for vc in sorted(wanted):
-                            pl = base_p + vc
-                            if owner[pl] >= 0:
-                                continue
-                            start = rr_in[pl]
-                            for offset in range(nin):
-                                j = start + offset
-                                if j >= nin:
-                                    j -= nin
-                                iq = ins[j] * L + vc
-                                if (
-                                    head_enter[iq] <= limit
-                                    and head_seq[iq] == 0
-                                    and pkt_outs[head_slot[iq]][head_pos[iq]]
-                                    == p
-                                ):
-                                    rr_in[pl] = j + 1 if j + 1 < nin else 0
-                                    owner[pl] = ins[j]
-                                    owner_pkt[pl] = head_slot[iq]
-                                    port_owned[p] += 1
-                                    node_owned[node] += 1
-                                    break
-
-                    advanced = 0
-                    popped = None
-                    di = dest_in[p]
-                    dn = dest_node[p]
-                    tk = -1.0
-                    starved = False
-                    while not starved:
-                        progressed = False
-                        start_vc = vc_rr[p]
-                        for offset in range(L):
-                            vc = start_vc + offset
-                            if vc >= L:
-                                vc -= L
-                            pl = base_p + vc
-                            ow = owner[pl]
-                            if ow < 0 or credits[pl] < 1.0:
-                                continue
-                            oq = ow * L + vc
-                            my_pkt = owner_pkt[pl]
-                            if head_enter[oq] > limit or head_slot[oq] != my_pkt:
-                                continue
-                            if tk < 0.0:
-                                tk = float(tokens[p])
-                            if tk < 1.0:
-                                starved = True
-                                break
-                            seq = head_seq[oq]
-                            pos = head_pos[oq]
-                            queue = queues[oq]
-                            queue.popleft()
-                            if queue:
-                                (
-                                    head_enter[oq],
-                                    head_slot[oq],
-                                    head_seq[oq],
-                                    head_pos[oq],
-                                ) = queue[0]
-                            else:
-                                head_enter[oq] = _EMPTY
-                            if popped is None:
-                                popped = {oq}
-                            else:
-                                popped.add(oq)
-                            node_buf[node] -= 1
-                            buffered_total -= 1
-                            fdr = feeder[ow]
-                            if fdr >= 0:
-                                if owned[out_node[fdr]]:
-                                    credits[fdr * L + vc] += 1.0
-                                else:
-                                    fs = seg_of[out_node[fdr]]
-                                    batch = out_credits.get(fs)
-                                    if batch is None:
-                                        batch = out_credits[fs] = {}
-                                    key = fdr * L + vc
-                                    batch[key] = batch.get(key, 0.0) + 1.0
-                            tk -= 1.0
-                            credits[pl] -= 1.0
-                            carried[p] += 1
-                            advanced += 1
-                            if trace_cap:
-                                if len(trace_events) < trace_cap:
-                                    trace_events.append(
-                                        (
-                                            cycle,
-                                            node,
-                                            out_to_key[p],
-                                            pkt_ids[my_pkt],
-                                            seq,
-                                        )
-                                    )
-                                trace_attempts += 1
-                            if di < 0:
-                                ni_ejected[node] += 1
-                                if seq == pkt_last[my_pkt]:
-                                    delivered[node].append(
-                                        (pkt_ids[my_pkt], cycle)
-                                    )
-                                    owner[pl] = -1
-                                    owner_pkt[pl] = -1
-                                    port_owned[p] -= 1
-                                    node_owned[node] -= 1
-                            else:
-                                if owned[dn]:
-                                    dq = di * L + vc
-                                    down_queue = queues[dq]
-                                    if not down_queue:
-                                        head_enter[dq] = cycle
-                                        head_slot[dq] = my_pkt
-                                        head_seq[dq] = seq
-                                        head_pos[dq] = pos + 1
-                                    down_queue.append(
-                                        (cycle, my_pkt, seq, pos + 1)
-                                    )
-                                    node_buf[dn] += 1
-                                    buffered_total += 1
-                                    active_routers.add(dn)
-                                    if (
-                                        seg_of[dn] == cur_seg
-                                        and dn > node
-                                        and dn not in swept
-                                    ):
-                                        insort(sweep, dn, spos + 1)
-                                        swept.add(dn)
-                                        sweep_len += 1
-                                else:
-                                    ds = seg_of[dn]
-                                    batch = out_flits.get(ds)
-                                    if batch is None:
-                                        batch = out_flits[ds] = []
-                                    batch.append((di, vc, my_pkt, seq, pos + 1))
-                                if seq == pkt_last[my_pkt]:
-                                    owner[pl] = -1
-                                    owner_pkt[pl] = -1
-                                    port_owned[p] -= 1
-                                    node_owned[node] -= 1
-                            vc_rr[p] = vc + 1 if vc + 1 < L else 0
-                            progressed = True
-                            break
-                        if not progressed:
-                            break
-                    if advanced:
-                        tokens[p] = tk
-                        moved += advanced
-                        for oq in popped:
-                            if head_enter[oq] <= limit and head_seq[oq] == 0:
-                                out = pkt_outs[head_slot[oq]][head_pos[oq]]
-                                vc = oq % L
-                                if requested is None:
-                                    requested = {out: {vc}}
-                                elif out in requested:
-                                    requested[out].add(vc)
-                                else:
-                                    requested[out] = {vc}
-                spos += 1
-
-            for node in sweep:
-                if node_buf[node] == 0 and node_owned[node] == 0:
-                    active_routers.discard(node)
-
-            for k in out_remote[cur_seg]:
-                peer_out[seg_shard[k]].put(
-                    (
-                        cur_seg,
-                        k,
-                        cycle,
-                        out_flits.get(k, ()),
-                        out_credits.get(k, ()),
-                    )
-                )
-
-        if moved or inbound:
-            last_progress = cycle
-        elif cycle - last_progress > DEADLOCK_WINDOW and buffered_total > 0:
-            raise SimulationError(
-                f"deadlock: no flit moved since cycle {last_progress} "
-                f"with {buffered_total} flits buffered"
-            )
-        cycle += 1
-
-    return _payload(
-        plan,
-        shard,
-        state,
-        pkt_ids,
-        injected_by_slot,
-        delivered,
-        trace_events,
-        trace_attempts,
-    )

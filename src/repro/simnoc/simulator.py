@@ -77,7 +77,8 @@ class Simulator:
             reference), ``"event"`` (heap-scheduled, skips dead time),
             ``"vector"`` (structure-of-arrays, fastest at high load),
             ``"sharded"`` (multi-process over a fabric partition) or
-            ``"auto"`` (load-adaptive choice between event and vector).
+            ``"auto"`` (vector for the built-in router models, cycle
+            otherwise).
         shards: worker count for the ``sharded`` engine (ignored by every
             other engine; defaults to 2 when the sharded engine runs
             without one).

@@ -30,6 +30,7 @@ from repro.graphs.topology import NoCTopology
 from repro.mapping.nmap import nmap_single_path
 from repro.routing.min_path import min_path_routing
 from repro.simnoc import SimConfig, Simulator, build_network, build_synthetic_network
+from repro.simnoc.engines.flat_kernel import MAX_KERNEL_VCS
 from repro.simnoc.trace import TraceRecorder
 
 #: The fast backends, each pinned against the cycle reference.
@@ -376,14 +377,31 @@ class TestAutoEngineEquivalence:
 class TestKernelTierEquivalence:
     """Every rung of the JIT ladder is bit-identical to the cycle engine.
 
-    ``off`` pins the interpreted structure-of-arrays loops (what a
-    numba-less, compiler-less machine runs); ``py`` executes the kernel
-    twin as plain Python, so the kernel *algorithm* is property-tested
-    even where no backend compiles; ``c`` and ``numba`` are the compiled
-    rungs, each skipped with a reason where its toolchain is missing.
+    ``off`` pins the interpreted ranged sweep (what a numba-less,
+    compiler-less machine runs, in-process over the one-shard plan);
+    ``py`` executes the kernel twin as plain Python, so the kernel
+    *algorithm* is property-tested even where no backend compiles; ``c``
+    and ``numba`` are the compiled rungs, each skipped with a reason where
+    its toolchain is missing.
+
+    The scenarios cover both router models at saturation and near idle
+    (the interpreted sweep fast-forwards idle gaps), plus the two corners
+    every rung hands to the interpreted sweep even with a backend
+    resolved: more lanes than the kernels' bitmask holds, and a trace
+    recorder with no room left.
     """
 
     MODES = ("off", "py", "c", "numba")
+
+    #: id -> (num_vcs, injection rate, trace recorder pre-filled to its cap)
+    SCENARIOS = {
+        "plain": (1, 0.30, False),
+        "vc2": (2, 0.30, False),
+        "plain-near-idle": (1, 0.002, False),
+        "vc2-near-idle": (2, 0.002, False),
+        "vcs-over-kernel-cap": (MAX_KERNEL_VCS + 1, 0.30, False),
+        "trace-recorder-full": (1, 0.30, True),
+    }
 
     @pytest.fixture
     def jit_mode(self, request, monkeypatch):
@@ -398,8 +416,9 @@ class TestKernelTierEquivalence:
         return mode
 
     @pytest.mark.parametrize("jit_mode", MODES, indirect=True)
-    @pytest.mark.parametrize("num_vcs", [1, 2])
-    def test_reports_and_traces_match_cycle(self, jit_mode, num_vcs):
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_reports_and_traces_match_cycle(self, jit_mode, scenario):
+        num_vcs, rate, recorder_full = self.SCENARIOS[scenario]
         mesh = NoCTopology.mesh(4, 4, link_bandwidth=1600.0)
         config = SimConfig(
             warmup_cycles=200,
@@ -411,15 +430,20 @@ class TestKernelTierEquivalence:
         )
 
         def run(name):
-            network = build_synthetic_network(mesh, config, "uniform", 0.30)
-            recorder = TraceRecorder(max_events=10**6)
+            network = build_synthetic_network(mesh, config, "uniform", rate)
+            if recorder_full:
+                recorder = TraceRecorder(max_events=4)
+                recorder.events.extend(["earlier run"] * 4)
+            else:
+                recorder = TraceRecorder(max_events=10**6)
             report = Simulator(network, trace=recorder, engine=name).run()
-            return report, recorder.events
+            return report, recorder.events, recorder.truncated
 
-        fast_report, fast_events = run("vector")
-        ref_report, ref_events = run("cycle")
+        fast_report, fast_events, fast_truncated = run("vector")
+        ref_report, ref_events, ref_truncated = run("cycle")
         assert_reports_identical(fast_report, ref_report)
         assert fast_events == ref_events
+        assert fast_truncated == ref_truncated == recorder_full
 
     @pytest.mark.parametrize("jit_mode", MODES, indirect=True)
     def test_replica_batch_matches_one_at_a_time(self, jit_mode):
@@ -492,12 +516,14 @@ class TestShardedEngineEquivalence:
     splitting the fabric across worker processes changes wall-clock
     behaviour only: reports and flit traces stay byte-identical to the
     single-process reference for every shard count, both router models,
-    and loads below, at and above the saturation knee.  Shards=1 pins the
-    degenerate case (one worker, no boundary traffic); shards=4 on the
-    torus cuts wrap-around links, the hardest boundary pattern.
+    and loads from near idle to above the saturation knee.  Shards=1 pins
+    the in-process route (no worker, no boundary traffic — near idle it
+    fast-forwards the gaps between injections, while any worker with
+    channel peers must never skip a cycle); shards=4 on the torus cuts
+    wrap-around links, the hardest boundary pattern.
     """
 
-    RATES = (0.05, 0.22, 0.40)
+    RATES = (0.002, 0.05, 0.22, 0.40)
 
     @staticmethod
     def _cycle_reference(topo_kind, num_vcs, rate):

@@ -1,12 +1,14 @@
-"""Vector-engine specifics and the ``auto`` load-adaptive policy.
+"""Vector-engine specifics, the sharded start-method guard and ``auto``.
 
 The heavy bit-identity guarantees live in ``tests/properties``; this file
 covers the engine-layer plumbing around them: registry exposure, the
-freshness and router-model guards, observable write-back, and the load
-threshold ``auto`` dispatches on.
+freshness and router-model guards, observable write-back, which shard
+counts need ``fork``, and the two-branch policy ``auto`` dispatches on.
 """
 
 from __future__ import annotations
+
+import multiprocessing
 
 import pytest
 
@@ -18,13 +20,7 @@ from repro.simnoc import (
     build_synthetic_network,
     list_engines,
 )
-from repro.simnoc.engines.auto import (
-    AUTO_LOAD_THRESHOLD,
-    AUTO_LOAD_THRESHOLD_JIT,
-    offered_load_per_node,
-    resolve_auto_engine,
-)
-from repro.simnoc.engines.jit import resolve_backend
+from repro.simnoc.engines.auto import resolve_auto_engine
 from repro.simnoc.models import register_router_model
 
 
@@ -88,34 +84,43 @@ class TestVectorEngineGuards:
                 )
 
 
+class TestShardedStartMethod:
+    """Only a run that needs worker processes needs ``fork``."""
+
+    @pytest.fixture
+    def no_fork(self, monkeypatch):
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+
+    def test_two_shards_without_fork_is_a_typed_error(self, no_fork):
+        sim = Simulator(_network(0.1), engine="sharded", shards=2)
+        with pytest.raises(SimulationError, match="'fork' start method"):
+            sim.run()
+
+    def test_one_shard_runs_without_fork(self, no_fork):
+        report = Simulator(_network(0.1, seed=3), engine="sharded", shards=1).run()
+        reference = Simulator(_network(0.1, seed=3), engine="cycle").run()
+        assert report == reference
+        assert not multiprocessing.active_children()
+
+
 class TestAutoPolicy:
-    def test_offered_load_sums_source_rates(self):
-        network = _network(0.08)
-        assert offered_load_per_node(network) == pytest.approx(0.08)
+    @pytest.mark.parametrize("rate", (0.0005, 0.30))
+    @pytest.mark.parametrize("no_jit", ("", "1"))
+    def test_flattenable_models_pick_vector_at_any_load(
+        self, monkeypatch, rate, no_jit
+    ):
+        """No load threshold and no dependence on the JIT rung: the event
+        engine is never auto-selected (PERFORMANCE.md, engine ladder)."""
+        monkeypatch.setenv("REPRO_NO_JIT", no_jit)
+        assert resolve_auto_engine(_network(rate)) == "vector"
+        assert resolve_auto_engine(_network(rate, num_vcs=2)) == "vector"
 
-    def test_low_load_picks_event(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_JIT", "1")
-        network = _network(AUTO_LOAD_THRESHOLD / 3)
-        assert resolve_auto_engine(network) == "event"
-
-    def test_high_load_picks_vector(self):
-        network = _network(AUTO_LOAD_THRESHOLD * 3)
-        assert resolve_auto_engine(network) == "vector"
-
-    def test_jit_backend_lowers_the_crossover(self):
-        """With a compiled backend resolved, loads between the two
-        thresholds flip from event to vector; truly idle networks do not."""
-        backend, reason = resolve_backend()
-        if backend is None:
-            pytest.skip(f"no JIT backend here: {reason}")
-        between = (AUTO_LOAD_THRESHOLD_JIT + AUTO_LOAD_THRESHOLD) / 2
-        assert resolve_auto_engine(_network(between)) == "vector"
-        assert resolve_auto_engine(_network(AUTO_LOAD_THRESHOLD_JIT / 2)) == "event"
-
-    def test_custom_router_model_falls_back_to_event(self):
-        network = _network(AUTO_LOAD_THRESHOLD * 3)
+    def test_custom_router_model_falls_back_to_cycle(self):
+        network = _network(0.2)
         object.__setattr__(network.config, "router_model", "wormhole-custom-x")
-        assert resolve_auto_engine(network) == "event"
+        assert resolve_auto_engine(network) == "cycle"
 
     def test_auto_runs_end_to_end_at_high_load(self):
         report = Simulator(_network(0.25), engine="auto").run()
