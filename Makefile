@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test test-properties bench-smoke bench smoke fault-smoke serve-smoke chaos-smoke shard-smoke
+.PHONY: check test test-properties bench-smoke bench bench-pairs smoke fault-smoke serve-smoke chaos-smoke shard-smoke
 
 # What CI runs on every push: the equivalence property suite first (its own
 # stage, so an engine or fastpath-vs-scalar divergence fails loudly and
@@ -81,3 +81,12 @@ shard-smoke:
 # The full bench refreshes the committed BENCH_perf.json (run before a PR).
 bench:
 	$(PYTHON) benchmarks/run_bench.py
+
+# Paired end-to-end runs, base ref vs working tree, alternating which side
+# goes first: `make bench-pairs BASE=HEAD~1 WORKLOAD=sim_saturation PAIRS=10`
+# prints each side's medians and quartiles, pairs won/tied/lost and whether
+# the gain rule (>= 9/10 pairs won, medians apart by more than the base's
+# interquartile distance) is met.  Ten pairs of one workload take ~15 min.
+PAIRS ?= 10
+bench-pairs:
+	$(PYTHON) scripts/bench_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)

@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs: a base git ref against the working tree.
+
+    python3 scripts/bench_pairs.py --base REF --workload NAME [--pairs 10]
+
+Checks ``REF`` out into a temporary directory (``git archive``: no worktree
+state is left behind), then runs the unmodified ``benchmarks/e2e/run.py
+--workload NAME --trace 0`` on the base and on the working tree, alternating
+which side goes first, and reads the result files ``run.py`` writes.  Per
+end-to-end metric of ``BENCHMARK.json`` it prints both sides' medians and
+quartiles, the pairs won / tied / lost, and a verdict:
+
+* ``gain`` — the rule for claiming one in a small sandbox (the
+  ``choosing-metrics`` guide, section 8): the working tree wins at least
+  nine tenths of all pairs, ties counting for neither side, and the medians
+  differ by more than the distance between the base's own quartiles;
+* ``regressed`` — the working tree's median is worse than the base's by
+  more than the metric's bound;
+* ``no gain shown`` — anything else.
+
+Exits 1 when a run fails an operation, or when the two sides disagree on a
+hash or an exact count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_side(tree: Path, workload: str, seconds: float | None, output: Path) -> dict:
+    """One untraced ``run.py`` of ``workload`` in ``tree``; its result record."""
+    command = [
+        sys.executable, str(tree / "benchmarks" / "e2e" / "run.py"),
+        "--workload", workload, "--trace", "0", "--output", str(output),
+    ]  # fmt: skip
+    if seconds is not None:
+        command += ["--seconds", str(seconds)]
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(
+            f"{tree}: run.py exited {done.returncode}\n{done.stdout}\n{done.stderr}"
+        )
+    return json.loads(output.read_text())["workloads"][workload]
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git ref to compare against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument(
+        "--seconds", type=float, help="run length (default: BENCHMARK.json's)"
+    )
+    args = parser.parse_args()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+    scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    try:
+        base = scratch / "base"
+        base.mkdir()
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", args.base],
+            capture_output=True,
+            check=True,
+        )
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
+        records: dict[str, list[dict]] = {"base": [], "tree": []}
+        for pair in range(args.pairs):
+            for side in ("base", "tree") if pair % 2 == 0 else ("tree", "base"):
+                tree = base if side == "base" else ROOT
+                output = scratch / f"{side}-{pair}.json"
+                records[side].append(run_side(tree, args.workload, args.seconds, output))
+                print(f"pair {pair + 1}/{args.pairs}: {side} done", file=sys.stderr)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+    print(f"{args.workload}: {args.pairs} pairs, base {args.base} vs working tree")
+    header = f"{'metric':<16} {'side':<5} {'q1':>10} {'median':>10} {'q3':>10}"
+    print(f"{header}  won/tied/lost  verdict")
+    for metric in spec["end_to_end"]:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        values = {
+            side: [record["metrics"][name]["value"] for record in records[side]]
+            for side in records
+        }
+        diffs = [sign * (t - b) for b, t in zip(values["base"], values["tree"])]
+        won, lost = sum(d > 0 for d in diffs), sum(d < 0 for d in diffs)
+        base_q1, base_median, base_q3 = quartiles(values["base"])
+        tree_q1, tree_median, tree_q3 = quartiles(values["tree"])
+        better_by = sign * (tree_median - base_median)
+        if won >= 0.9 * args.pairs and better_by > base_q3 - base_q1:
+            verdict = "gain"
+        elif -better_by > metric["bound"] * base_median:
+            verdict = "regressed"
+        else:
+            verdict = "no gain shown"
+        print(f"{name:<16} base  {base_q1:>10.5g} {base_median:>10.5g} {base_q3:>10.5g}")
+        print(
+            f"{'':<16} tree  {tree_q1:>10.5g} {tree_median:>10.5g} {tree_q3:>10.5g}"
+            f"  {won}/{args.pairs - won - lost}/{lost:<9}  {verdict}"
+        )
+
+    everything = records["base"] + records["tree"]
+    failed = sum(len(record["failures"]) for record in everything)
+    first = everything[0]
+    agree = all(
+        (record["sha256"], record["exact"]) == (first["sha256"], first["exact"])
+        for record in everything
+    )
+    print(f"operations failed: {failed}; hashes and exact counts agree: {agree}")
+    return 1 if failed or not agree else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

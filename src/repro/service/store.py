@@ -316,7 +316,13 @@ class ResultStore:
                 self._counts["inflight_waits"] += 1
                 return "wait", None
             self._inflight[key] = _InFlight()
-            return "owned", None
+        # ... or run a whole claim -> compute -> publish cycle in that gap:
+        # look again as the owner, so a published key never executes twice.
+        data = self.get(key)
+        if data is not None:
+            self.abandon(key)
+            return "hit", data
+        return "owned", None
 
     def publish(self, key: str, data: bytes, cache: bool = True) -> None:
         """Complete an owned key: hand ``data`` to waiters, persist if asked.

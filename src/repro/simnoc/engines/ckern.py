@@ -624,54 +624,64 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-jit"
 
 
+def _build_library(so_path: Path) -> None:
+    """Compile :data:`SOURCE` and publish it, atomically, at ``so_path``."""
+    global compile_events
+    compiler = _find_compiler()
+    if compiler is None:
+        raise BackendUnavailable("no C compiler (cc/gcc/clang) on PATH")
+    try:
+        so_path.parent.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=so_path.parent) as tmp:
+            c_path = Path(tmp) / "kernels.c"
+            c_path.write_text(SOURCE)
+            tmp_so = Path(tmp) / "kernels.so"
+            proc = subprocess.run(
+                [
+                    compiler,
+                    "-O2",
+                    "-fPIC",
+                    "-shared",
+                    "-o",
+                    str(tmp_so),
+                    str(c_path),
+                ],
+                capture_output=True,
+                text=True,
+            )
+            if proc.returncode != 0:
+                raise BackendUnavailable(
+                    f"{compiler} failed ({proc.returncode}): "
+                    f"{proc.stderr.strip()[:500]}"
+                )
+            compile_events += 1
+            # Atomic publish: concurrent builders race harmlessly.
+            os.replace(tmp_so, so_path)
+    except OSError as exc:
+        raise BackendUnavailable(f"cannot build kernel library: {exc}") from exc
+
+
 def load_library() -> ctypes.CDLL:
     """Compile (cache miss only) and load the kernel shared object.
 
+    A cached entry that will not load (truncated write, wrong arch) is
+    built over, once: left alone it pins the host to the interpreted rung.
+
     Raises:
         BackendUnavailable: no compiler on PATH, compile error, or the
-            built object fails to load.
+            freshly built object fails to load.
     """
-    global compile_events
     digest = hashlib.sha256(SOURCE.encode()).hexdigest()[:16]
-    cache = _cache_dir()
-    so_path = cache / f"simnoc_kernels_{digest}.so"
-    if not so_path.exists():
-        compiler = _find_compiler()
-        if compiler is None:
-            raise BackendUnavailable("no C compiler (cc/gcc/clang) on PATH")
+    so_path = _cache_dir() / f"simnoc_kernels_{digest}.so"
+    for fresh in (not so_path.exists(), True):
+        if fresh:
+            _build_library(so_path)
         try:
-            cache.mkdir(parents=True, exist_ok=True)
-            with tempfile.TemporaryDirectory(dir=cache) as tmp:
-                c_path = Path(tmp) / "kernels.c"
-                c_path.write_text(SOURCE)
-                tmp_so = Path(tmp) / "kernels.so"
-                proc = subprocess.run(
-                    [
-                        compiler,
-                        "-O2",
-                        "-fPIC",
-                        "-shared",
-                        "-o",
-                        str(tmp_so),
-                        str(c_path),
-                    ],
-                    capture_output=True,
-                    text=True,
-                )
-                if proc.returncode != 0:
-                    raise BackendUnavailable(
-                        f"{compiler} failed ({proc.returncode}): "
-                        f"{proc.stderr.strip()[:500]}"
-                    )
-                compile_events += 1
-                # Atomic publish: concurrent builders race harmlessly.
-                os.replace(tmp_so, so_path)
+            lib = ctypes.CDLL(str(so_path))
+            break
         except OSError as exc:
-            raise BackendUnavailable(f"cannot build kernel library: {exc}") from exc
-    try:
-        lib = ctypes.CDLL(str(so_path))
-    except OSError as exc:
-        raise BackendUnavailable(f"cannot load {so_path}: {exc}") from exc
+            if fresh:
+                raise BackendUnavailable(f"cannot load {so_path}: {exc}") from exc
 
     # Every kernel argument is an array of R per-replica pointers; numpy
     # uintp arrays reinterpret cleanly as `T* const*` on LP64 platforms.

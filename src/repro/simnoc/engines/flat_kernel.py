@@ -7,12 +7,10 @@ mirror).  Building one
 1. reuses :class:`repro.simnoc.engines.sweep._FlatState` for the wiring
    flatten (port indexing, credits, routes, freshness guards — the exact
    arrays the interpreted sweep runs on), then
-2. *precomputes the entire injection schedule*: every shipped traffic
-   source is open-loop (its packet sequence depends only on the cycle and
-   its own RNG, never on network state), so the builder replays the
-   engines' event-heap loop up front — identical pop order, identical
-   packet ids, identical ``measured`` flags — and freezes the result into
-   per-node flit streams, then
+2. takes the run's whole injection schedule from
+   :func:`repro.simnoc.schedule.build_schedule` — identical packets, ids
+   and ``measured`` flags to the polling engines' — and freezes it into
+   per-packet tables and per-node flit streams with array expressions, then
 3. converts everything to int64/float64 numpy arrays in the canonical
    :data:`ARG_FIELDS` order shared by the Python, numba and C kernels.
 
@@ -31,14 +29,15 @@ either direction.
 
 from __future__ import annotations
 
-import heapq
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.simnoc.engines import kernels
+from repro.simnoc.engines.cycle import DEADLOCK_WINDOW
 from repro.simnoc.engines.sweep import _FlatState
+from repro.simnoc.schedule import build_schedule
 from repro.simnoc.trace import TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -160,6 +159,7 @@ class KernelProgram:
     __slots__ = tuple(name for name, _ in ARG_FIELDS) + (
         "sim",
         "state",
+        "packets",
         "vc_mode",
         "trace_cap",
     )
@@ -173,44 +173,8 @@ class KernelProgram:
         config = network.config
         L = state.num_vcs
 
-        # --- precompute the injection schedule (see module docstring) ----
-        measure_start = config.warmup_cycles
-        measure_end = measure_start + config.measure_cycles
-        total_cycles = config.total_cycles
-        sources = network.sources
-        next_packet_id = sim.next_packet_id
-        all_packets_append = sim.all_packets.append
-        # Packet registration without a per-flit NI deque: the kernel reads
-        # flat flit streams, expanded vectorized below.
-        resolve_route = state.resolve_route
-        num_vcs = state.num_vcs
-        pkt_objs_append = state.pkt_objs.append
-        pkt_outs_append = state.pkt_outs.append
-        pkt_last_append = state.pkt_last.append
-        pkt_vc_append = state.pkt_vc.append
-        node_slots: list[list[int]] = [[] for _ in range(len(state.local_in))]
-        pkt_create: list[int] = []
-        event_heap = [
-            (source.next_event_cycle, index) for index, source in enumerate(sources)
-        ]
-        heapq.heapify(event_heap)
-        slot = 0
-        while event_heap and event_heap[0][0] < total_cycles:
-            cycle, index = heapq.heappop(event_heap)
-            source = sources[index]
-            for packet in source.packets_for_cycle(cycle, next_packet_id):
-                packet.measured = measure_start <= cycle < measure_end
-                all_packets_append(packet)
-                vc = packet.commodity_index % num_vcs
-                packet.vc = vc
-                pkt_objs_append(packet)
-                pkt_outs_append(resolve_route(packet.path, packet.packet_id))
-                pkt_last_append(packet.num_flits - 1)
-                pkt_vc_append(vc)
-                node_slots[packet.src_node].append(slot)
-                pkt_create.append(cycle)
-                slot += 1
-            heapq.heappush(event_heap, (source.next_event_cycle, index))
+        schedule = build_schedule(sim, vc_mode, state.out_specs)
+        self.packets = schedule.packets
 
         # --- freeze into kernel arrays ------------------------------------
         i8 = np.int64
@@ -219,7 +183,7 @@ class KernelProgram:
         size = len(state.local_in)
         num_lanes = num_in * L
         qstride = (max(state.in_cap) if state.in_cap else 1) + 1
-        P = len(state.pkt_objs)
+        P = len(schedule.packets)
 
         self.out_rate = state.out_rates
         self.out_cap = state.out_caps
@@ -248,42 +212,20 @@ class KernelProgram:
         self.qb_pos = np.zeros(num_lanes * qstride, dtype=i8)
         self.q_head = np.zeros(num_lanes, dtype=i8)
         self.q_len = np.zeros(num_lanes, dtype=i8)
-        self.pkt_create = np.array(pkt_create, dtype=i8)
-        self.pkt_last = np.array(state.pkt_last, dtype=i8)
-        self.pkt_vcl = np.array(state.pkt_vc, dtype=i8)
-        route_off = np.zeros(P + 1, dtype=i8)
-        route_val: list[int] = []
-        for slot in range(P):
-            route_val.extend(state.pkt_outs[slot])
-            route_off[slot + 1] = len(route_val)
-        self.route_off = route_off
-        self.route_val = np.array(route_val, dtype=i8)
-        # Vectorized flit-stream expansion: packet k contributes flits
-        # (k, 0..num_flits-1) at its source node, in creation order.
-        ni_off = np.zeros(size + 1, dtype=i8)
-        slot_parts: list[np.ndarray] = []
-        seq_parts: list[np.ndarray] = []
-        flits_total = 0
-        num_flits_arr = self.pkt_last + 1
-        for node in range(size):
-            slots = np.asarray(node_slots[node], dtype=i8)
-            if len(slots):
-                counts = num_flits_arr[slots]
-                total = int(counts.sum())
-                ends = np.cumsum(counts)
-                slot_parts.append(np.repeat(slots, counts))
-                seq_parts.append(
-                    np.arange(total, dtype=i8) - np.repeat(ends - counts, counts)
-                )
-                flits_total += total
-            ni_off[node + 1] = flits_total
-        self.ni_off = ni_off
-        if slot_parts:
-            self.ni_slot = np.concatenate(slot_parts)
-            self.ni_seq = np.concatenate(seq_parts)
-        else:
-            self.ni_slot = np.zeros(0, dtype=i8)
-            self.ni_seq = np.zeros(0, dtype=i8)
+        self.pkt_create = schedule.cycle
+        self.pkt_last = schedule.flits - 1
+        self.pkt_vcl = schedule.vc
+        self.route_off = schedule.route_off
+        self.route_val = schedule.route_val
+        # Flit streams: packet k contributes flits (k, 0..num_flits-1) at
+        # its source node, in creation order.
+        by_node = np.argsort(schedule.src, kind="stable")
+        counts = schedule.flits[by_node]
+        ends = np.cumsum(counts)
+        self.ni_slot = np.repeat(by_node, counts)
+        self.ni_seq = np.arange(len(self.ni_slot)) - np.repeat(ends - counts, counts)
+        flit_node = schedule.src[self.ni_slot]  # non-decreasing
+        self.ni_off = ni_off = np.searchsorted(flit_node, np.arange(size + 1))
         self.ni_ptr = ni_off[:-1].copy()
         self.pkt_injected = np.full(P, -1, dtype=i8)
         self.pkt_delivered = np.full(P, -1, dtype=i8)
@@ -297,12 +239,7 @@ class KernelProgram:
             trace_cap = 0
         else:
             remaining = trace.max_events - len(trace.events)
-            bound = int(
-                sum(
-                    (state.pkt_last[slot] + 1) * len(state.pkt_outs[slot])
-                    for slot in range(P)
-                )
-            )
+            bound = int((schedule.flits * np.diff(schedule.route_off)).sum())
             trace_cap = max(0, min(remaining, bound))
         self.trace_cap = trace_cap
         self.tr_node = np.zeros(trace_cap, dtype=i8)
@@ -314,7 +251,7 @@ class KernelProgram:
         self.req_vcs = np.zeros(num_out, dtype=i8)
 
         params = np.zeros(kernels.NUM_PARAMS, dtype=i8)
-        params[0] = total_cycles
+        params[0] = config.total_cycles
         params[1] = config.router_delay
         params[2] = L
         params[3] = qstride
@@ -323,8 +260,6 @@ class KernelProgram:
         params[6] = num_out
         params[7] = P
         params[8] = trace_cap
-        from repro.simnoc.engines.cycle import DEADLOCK_WINDOW
-
         params[9] = DEADLOCK_WINDOW
         params[10] = num_lanes
         self.params = params
@@ -351,7 +286,7 @@ class KernelProgram:
                 f"with {int(result[2])} flits buffered"
             )
         state = self.state
-        pkt_objs = state.pkt_objs
+        pkt_objs = self.packets
 
         trace = sim.trace
         tr_count = int(result[4])

@@ -39,12 +39,11 @@ Why this is exact, in brief (ARCHITECTURE.md carries the long form):
   each is written by exactly one channel (or locally) — batch application
   order across channels cannot matter.  Credit increments commute.
 
-* **Injection is replayed once, in the parent.** Traffic sources are
-  consumed by the parent with the same event-heap discipline as the
-  single-process engines (the parent also owns ``all_packets`` and the
-  packet-id counter), and packet specs are broadcast to every worker in
-  creation order — so packet slot numbers agree across all workers and
-  flit messages can carry slots directly.
+* **Injection is replayed once, in the parent.** The parent builds the
+  run's injection schedule (:mod:`repro.simnoc.schedule` — it also owns
+  ``all_packets`` and the packet-id counter), and packet specs are
+  broadcast to every worker in creation order — so packet slot numbers
+  agree across all workers and flit messages can carry slots directly.
 
 * **Tokens are exact by catch-up.** The vectorized refill replays
   ``min(t + rate, cap)`` once per elapsed cycle since the worker's last

@@ -19,8 +19,9 @@ This module is what runs when no compiled kernel does.  It holds
   * credits, wormhole owners, round-robin pointers and per-port flit
     counters are flat Python lists indexed by those same port ids;
   * each packet is registered once with its *resolved route*, a per-hop
-    array of flat output-port indices, so the cycle engine's per-probe
-    ``path.index`` search becomes one indexed load;
+    list of flat output-port indices (resolved by the injection schedule),
+    so the cycle engine's per-probe ``path.index`` search becomes one
+    indexed load;
 
 * :class:`_Plan` — which node ranges (*segments*) a caller sweeps and which
   segment pairs exchange boundary batches;
@@ -60,7 +61,6 @@ models, below, at and above saturation, for any plan.
 
 from __future__ import annotations
 
-import heapq
 from bisect import insort
 from collections import deque
 from typing import TYPE_CHECKING
@@ -70,6 +70,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.simnoc.engines.cycle import DEADLOCK_WINDOW
 from repro.simnoc.router import LOCAL
+from repro.simnoc.schedule import build_schedule
 from repro.simnoc.trace import TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -77,6 +78,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Head-mirror sentinel for an empty queue (no enter cycle can reach it).
 _EMPTY = 1 << 60
+
+
+def flat_outputs(network) -> list[tuple[int, int]]:
+    """Every output port as ``(node, to_key)``, in flat-index order."""
+    return [
+        (node, key)
+        for node in sorted(network.routers)
+        for key in network.routers[node].output_order
+    ]
 
 
 class _FlatState:
@@ -96,21 +106,12 @@ class _FlatState:
         L = self.num_vcs
 
         self.nodes = sorted(network.routers)
-        in_index: dict[tuple[int, int], int] = {}
-        out_index: dict[tuple[int, int], int] = {}
-        in_specs: list[tuple[int, int]] = []  # (node, from_key)
-        out_specs: list[tuple[int, int]] = []  # (node, to_key)
-        for node in self.nodes:
-            router = network.routers[node]
-            for key in router.input_order:
-                in_index[(node, key)] = len(in_specs)
-                in_specs.append((node, key))
-            for key in router.output_order:
-                out_index[(node, key)] = len(out_specs)
-                out_specs.append((node, key))
-        self.in_index = in_index
-        self.out_index = out_index
-        self.out_specs = out_specs
+        routers = network.routers
+        # Flat port numbering: (node, from_key) inputs, (node, to_key) outputs.
+        in_specs = [(n, key) for n in self.nodes for key in routers[n].input_order]
+        out_specs = self.out_specs = flat_outputs(network)
+        in_index = self.in_index = {spec: i for i, spec in enumerate(in_specs)}
+        out_index = {spec: p for p, spec in enumerate(out_specs)}
 
         num_in = len(in_specs)
         num_out = len(out_specs)
@@ -199,37 +200,12 @@ class _FlatState:
         self.ni_injected: list[int] = [0] * size
         self.ni_ejected: list[int] = [0] * size
         self.delivered: list = [[] for _ in range(size)]
-        self.pkt_objs: list = []
         self.pkt_outs: list[list[int]] = []
         self.pkt_last: list[int] = []
         self.pkt_vc: list[int] = []
-        #: Memoized path -> flat-output-index route (flows reuse paths).
-        self.route_cache: dict[tuple[int, ...], list[int]] = {}
         #: Last cycle the (vectorized) token refill ran; written back to the
         #: ports so a consumed network cannot silently be re-flattened.
         self.final_refill = -1
-
-    # ------------------------------------------------------------------
-    def resolve_route(self, path, packet_id: int) -> list[int]:
-        """The path as flat output-port indices (memoized per path tuple)."""
-        key = tuple(path)
-        outs = self.route_cache.get(key)
-        if outs is None:
-            outs = []
-            out_index = self.out_index
-            last = len(path) - 1
-            for hop, node in enumerate(path):
-                to_key = LOCAL if hop == last else path[hop + 1]
-                flat = out_index.get((node, to_key))
-                if flat is None:
-                    raise SimulationError(
-                        f"node {node} has no output toward "
-                        f"{'LOCAL' if to_key == LOCAL else to_key} "
-                        f"(packet {packet_id})"
-                    )
-                outs.append(flat)
-            self.route_cache[key] = outs
-        return outs
 
     # ------------------------------------------------------------------
     def writeback(self, sim: "Simulator") -> None:
@@ -334,65 +310,28 @@ class _Plan:
 def replay_sources(sim: "Simulator", vc_mode: bool, chunk_cycles: int):
     """Consume the traffic sources once; yield packet specs in chunks.
 
-    Every engine pops source events in ``(next_event_cycle, index)`` heap
-    order and registers the resulting packets immediately, so replaying the
-    same discipline here yields the same packets, ids, ``measured`` flags
-    and ``all_packets`` order.  Chunk ``k`` lists, in creation order, the
-    ``(cycle, (packet_id, vc, src_node, path, num_flits))`` specs of cycles
-    ``[k * chunk_cycles, (k + 1) * chunk_cycles)`` — that global order is
-    what makes packet slot numbers agree across every loop consuming the
-    stream.  Exactly ``ceil(total_cycles / chunk_cycles)`` chunks come out.
+    The run's :func:`~repro.simnoc.schedule.build_schedule`, sliced: chunk
+    ``k`` lists, in creation order, the ``(cycle, (packet_id, vc, src_node,
+    route, num_flits))`` specs of cycles ``[k * chunk_cycles, (k + 1) *
+    chunk_cycles)``, ``route`` being the path as flat output-port indices
+    — that global order is what makes packet slot numbers agree across
+    every loop consuming the stream.  Exactly ``ceil(total_cycles /
+    chunk_cycles)`` chunks come out.
     """
-    network = sim.network
-    config = network.config
-    measure_start = config.warmup_cycles
-    measure_end = measure_start + config.measure_cycles
-    total_cycles = config.total_cycles
-    lanes = config.num_vcs if vc_mode else 1
-    next_packet_id = sim.next_packet_id
-    all_packets_append = sim.all_packets.append
-
-    sources = network.sources
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    event_heap = [
-        (source.next_event_cycle, index) for index, source in enumerate(sources)
+    schedule = build_schedule(sim, vc_mode, flat_outputs(sim.network))
+    routes = schedule.route_val.tolist()
+    starts, ends = schedule.route_off[:-1], schedule.route_off[1:]
+    columns = (schedule.cycle, schedule.vc, schedule.src, starts, ends, schedule.flits)
+    specs = [
+        (cycle, (packet.packet_id, vc, src, routes[a:b], flits))
+        for packet, (cycle, vc, src, a, b, flits) in zip(
+            schedule.packets, zip(*(column.tolist() for column in columns))
+        )
     ]
-    heapq.heapify(event_heap)
-
-    chunk: list = []
-    chunk_end = chunk_cycles
-    cycle = 0
-    while event_heap and event_heap[0][0] < total_cycles:
-        due, index = heappop(event_heap)
-        if due > cycle:
-            cycle = due
-        while cycle >= chunk_end:
-            yield chunk
-            chunk = []
-            chunk_end += chunk_cycles
-        source = sources[index]
-        for packet in source.packets_for_cycle(cycle, next_packet_id):
-            packet.measured = measure_start <= cycle < measure_end
-            packet.vc = packet.commodity_index % lanes
-            all_packets_append(packet)
-            chunk.append(
-                (
-                    cycle,
-                    (
-                        packet.packet_id,
-                        packet.vc,
-                        packet.src_node,
-                        tuple(packet.path),
-                        packet.num_flits,
-                    ),
-                )
-            )
-        heappush(event_heap, (source.next_event_cycle, index))
-    while chunk_end < total_cycles + chunk_cycles:
-        yield chunk
-        chunk = []
-        chunk_end += chunk_cycles
+    edges = range(0, sim.network.config.total_cycles + chunk_cycles, chunk_cycles)
+    bounds = np.searchsorted(schedule.cycle, edges).tolist()
+    for start, end in zip(bounds, bounds[1:]):
+        yield specs[start:end]
 
 
 def _shard_tables(state, plan: _Plan, shard: int):
@@ -514,7 +453,6 @@ def sweep_plain(
     ni_injected = state.ni_injected
     pkt_outs = state.pkt_outs
     pkt_last = state.pkt_last
-    resolve_route = state.resolve_route
 
     ni_ejected = state.ni_ejected
     seg_of = plan.seg_of
@@ -570,10 +508,10 @@ def sweep_plain(
             inj_pending.extend(next(inject_chunks))
             inj_chunks_got += 1
         while inj_pending and inj_pending[0][0] == cycle:
-            _, (pid, vc, src, path, num_flits) = inj_pending.popleft()
+            _, (pid, vc, src, route, num_flits) = inj_pending.popleft()
             slot = len(pkt_ids)
             pkt_ids.append(pid)
-            pkt_outs.append(resolve_route(path, pid))
+            pkt_outs.append(route)
             pkt_last.append(num_flits - 1)
             state.pkt_vc.append(vc)
             if owned[src]:
@@ -933,7 +871,6 @@ def sweep_vc(
     pkt_outs = state.pkt_outs
     pkt_last = state.pkt_last
     pkt_vc = state.pkt_vc
-    resolve_route = state.resolve_route
 
     seg_of = plan.seg_of
     seg_shard = plan.seg_shard
@@ -982,10 +919,10 @@ def sweep_vc(
             inj_pending.extend(next(inject_chunks))
             inj_chunks_got += 1
         while inj_pending and inj_pending[0][0] == cycle:
-            _, (pid, vc, src, path, num_flits) = inj_pending.popleft()
+            _, (pid, vc, src, route, num_flits) = inj_pending.popleft()
             slot = len(pkt_ids)
             pkt_ids.append(pid)
-            pkt_outs.append(resolve_route(path, pid))
+            pkt_outs.append(route)
             pkt_last.append(num_flits - 1)
             pkt_vc.append(vc)
             if owned[src]:
@@ -1334,11 +1271,7 @@ def merge_results(sim: "Simulator", payloads: dict) -> None:
     """
     network = sim.network
     id_to_packet = {packet.packet_id: packet for packet in sim.all_packets}
-    out_specs = [
-        (node, key)
-        for node in sorted(network.routers)
-        for key in network.routers[node].output_order
-    ]
+    out_specs = flat_outputs(network)
     for shard in sorted(payloads):
         payload = payloads[shard]
         for pid, cycle in payload["injected"].items():

@@ -69,6 +69,17 @@ class TrafficSource(Protocol):
     ``src_node``.  Engines poll it with :meth:`packets_for_cycle` (cycle
     engines, every cycle) or schedule it by :attr:`next_event_cycle`
     (active-set and event engines).
+
+    The flattened engines (``vector``, ``sharded``) replay each source on
+    its own, ahead of time (:mod:`repro.simnoc.schedule`), so a source must
+    be open-loop: no dependence on the network or on another source.  It
+    may offer the optional batch method ``schedule(until)``: every packet
+    polling its event cycles below ``until`` would create, as ``(cycles,
+    commodities, dsts, paths)`` — per-packet lists in creation order,
+    ``paths`` node lists or ``None`` for "XY-route from ``src_node``", each
+    packet ``config.flits_per_packet`` flits — leaving the source in the
+    state polling would.  Without it the source is polled; a subclass
+    overriding one of the two methods must override both.
     """
 
     src_node: int

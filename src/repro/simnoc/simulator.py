@@ -106,10 +106,11 @@ class Simulator:
         self._packet_counter = 0
         self.all_packets: list[Packet] = []
 
-    def next_packet_id(self) -> int:
-        """Fresh globally unique packet id (engines pass this to sources)."""
-        self._packet_counter += 1
-        return self._packet_counter
+    def next_packet_id(self, count: int = 1) -> int:
+        """Fresh globally unique packet id — the first of ``count`` reserved."""
+        first = self._packet_counter + 1
+        self._packet_counter += count
+        return first
 
     def run(self) -> SimulationReport:
         """Simulate warmup + measurement + drain and aggregate statistics.

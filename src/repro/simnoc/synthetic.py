@@ -42,7 +42,7 @@ from repro.seeding import derive_seed
 from repro.simnoc.config import SimConfig
 from repro.simnoc.models import register_traffic_pattern
 from repro.simnoc.packet import Packet
-from repro.simnoc.traffic import draw_burst_gap, draw_geometric_burst
+from repro.simnoc.traffic import draw_burst_gap, draw_geometric_burst, replay_open_loop
 
 
 def synthetic_flow_index(topology: NoCTopology, src: int, dst: int) -> int:
@@ -102,12 +102,19 @@ class SyntheticSource:
             1.0 / self._mean_packet_interval
         )
 
+    def _next_destination(self, cycle: int) -> int:
+        """One packet at ``cycle``: draw its destination, move ``_next_time`` on."""
+        dst = self._choose_destination()
+        self.packets_created += 1
+        self._advance(cycle)
+        return dst
+
     # -- engine-facing protocol ------------------------------------------
     def packets_for_cycle(self, cycle: int, next_packet_id) -> list[Packet]:
         """Packets whose creation time falls on this cycle (possibly none)."""
         created: list[Packet] = []
         while self._next_time <= cycle:
-            dst = self._choose_destination()
+            dst = self._next_destination(cycle)
             created.append(
                 Packet(
                     packet_id=next_packet_id(),
@@ -121,9 +128,14 @@ class SyntheticSource:
                     created_cycle=cycle,
                 )
             )
-            self.packets_created += 1
-            self._advance(cycle)
         return created
+
+    def schedule(self, until: int):
+        """Batch form of polling (see ``TrafficSource``); XY-routed, so no paths."""
+        cycles, dsts = replay_open_loop(self, self._next_destination, until)
+        # The flow index is linear in ``dst``.
+        base = synthetic_flow_index(self.topology, self.src_node, 0)
+        return cycles, [base + dst for dst in dsts], dsts, None
 
     @property
     def offered_flits_per_cycle(self) -> float:

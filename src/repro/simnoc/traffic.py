@@ -60,6 +60,22 @@ def draw_burst_gap(
     return rng.expovariate(1.0 / mean_gap)
 
 
+def replay_open_loop(source, draw, until: int) -> tuple[list[int], list]:
+    """Poll ``source`` at each of its event cycles below ``until``, in bulk.
+
+    ``draw(cycle)`` is one turn of the source's ``packets_for_cycle`` loop
+    minus the ``Packet``; returns the creation cycles and what it drew.
+    """
+    cycles, drawn = [], []
+    cycle = source.next_event_cycle
+    while cycle < until:
+        while source._next_time <= cycle:
+            drawn.append(draw(cycle))
+            cycles.append(cycle)
+        cycle = source.next_event_cycle
+    return cycles, drawn
+
+
 class BurstyTrafficSource:
     """Generates packets of one commodity at its configured mean rate.
 
@@ -139,6 +155,21 @@ class BurstyTrafficSource:
                 return list(path)
         return list(self.paths[-1][0])
 
+    def _next_path(self, cycle: int) -> list[int]:
+        """One packet at ``cycle``: draw its path, move ``_next_time`` past it."""
+        if self._remaining_in_burst == 0:
+            self._remaining_in_burst = self._draw_burst_size()
+        path = self._choose_path()
+        self.packets_created += 1
+        self._remaining_in_burst -= 1
+        if self._remaining_in_burst == 0:
+            burst = self._draw_burst_size()  # size of the *next* burst
+            self._next_time = cycle + self._flits_per_packet + self._draw_gap(burst)
+            self._remaining_in_burst = burst
+        else:
+            self._next_time = cycle + self._flits_per_packet
+        return path
+
     # ------------------------------------------------------------------
     def packets_for_cycle(self, cycle: int, next_packet_id) -> list[Packet]:
         """Packets whose creation time falls on this cycle (possibly none).
@@ -149,27 +180,24 @@ class BurstyTrafficSource:
         """
         created: list[Packet] = []
         while self._next_time <= cycle:
-            if self._remaining_in_burst == 0:
-                self._remaining_in_burst = self._draw_burst_size()
-            packet = Packet(
-                packet_id=next_packet_id(),
-                commodity_index=self.commodity_index,
-                src_node=self.src_node,
-                dst_node=self.dst_node,
-                path=self._choose_path(),
-                num_flits=self._flits_per_packet,
-                created_cycle=cycle,
+            created.append(
+                Packet(
+                    packet_id=next_packet_id(),
+                    commodity_index=self.commodity_index,
+                    src_node=self.src_node,
+                    dst_node=self.dst_node,
+                    path=self._next_path(cycle),
+                    num_flits=self._flits_per_packet,
+                    created_cycle=cycle,
+                )
             )
-            created.append(packet)
-            self.packets_created += 1
-            self._remaining_in_burst -= 1
-            if self._remaining_in_burst == 0:
-                burst = self._draw_burst_size()  # size of the *next* burst
-                self._next_time = cycle + self._flits_per_packet + self._draw_gap(burst)
-                self._remaining_in_burst = burst
-            else:
-                self._next_time = cycle + self._flits_per_packet
         return created
+
+    def schedule(self, until: int):
+        """Batch form of polling (see ``TrafficSource``), with chosen paths."""
+        cycles, paths = replay_open_loop(self, self._next_path, until)
+        count = len(cycles)
+        return cycles, [self.commodity_index] * count, [self.dst_node] * count, paths
 
     @property
     def offered_flits_per_cycle(self) -> float:

@@ -142,6 +142,34 @@ class TestInFlightDedup:
         assert len(set(results)) == 1 and len(results) == 10
         assert store.stats()["executed"] == 1
 
+    def test_publish_between_miss_and_lock_executes_once(self, tmp_path):
+        """B runs claim -> compute -> publish right after A's store miss.
+
+        A reaches its lock with nothing in flight and the key already
+        published; owning it anyway would execute the request twice.
+        """
+        store = ResultStore(tmp_path)
+        calls: list[str] = []
+        real_get = store.get
+
+        def racing_get(key):
+            data = real_get(key)
+            if store.get is racing_get:  # A's first read only
+                store.get = real_get
+                store.get_or_compute(
+                    key, lambda: (calls.append("B") or entry_bytes("once"), True)
+                )
+            return data
+
+        store.get = racing_get
+        data, origin = store.get_or_compute(
+            KEY, lambda: (calls.append("A") or entry_bytes("twice"), True)
+        )
+        assert calls == ["B"]
+        assert (data, origin) == (entry_bytes("once"), "hit")
+        assert store.stats()["executed"] == 1
+        assert store.stats()["inflight"] == 0
+
     def test_error_results_reach_waiters_but_are_not_persisted(self, tmp_path):
         store = ResultStore(tmp_path)
         state, _ = store.claim(KEY)

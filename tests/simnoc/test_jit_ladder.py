@@ -83,3 +83,36 @@ class TestWarmupHygiene:
         name, reason = jit.warmup()
         assert name == "none"
         assert "REPRO_NO_JIT" in reason
+
+
+class TestCorruptCacheEntry:
+    def test_truncated_so_is_rebuilt_once(self, monkeypatch, tmp_path):
+        """A cached ``.so`` the loader rejects is replaced, not obeyed."""
+        from repro.graphs.topology import NoCTopology
+        from repro.simnoc.config import SimConfig
+        from repro.simnoc.engines import ckern
+        from repro.simnoc.simulator import simulate_synthetic
+
+        if ckern._find_compiler() is None:
+            pytest.skip("no C compiler on PATH")
+        monkeypatch.setenv("REPRO_JIT", "c")
+        monkeypatch.setenv("REPRO_JIT_CACHE", str(tmp_path))
+        monkeypatch.setattr(jit, "_cache", {})
+        digest = ckern.hashlib.sha256(ckern.SOURCE.encode()).hexdigest()[:16]
+        entry = tmp_path / f"simnoc_kernels_{digest}.so"
+        entry.write_bytes(b"\x7fELF truncated")
+
+        before = jit.compile_events()
+        backend, reason = jit.resolve_backend()
+        assert backend is not None and backend.name == "c", reason
+        assert jit.compile_events() == before + 1
+        assert entry.stat().st_size > 1000
+
+        config = SimConfig(warmup_cycles=50, measure_cycles=300, drain_cycles=100)
+        reports = [
+            simulate_synthetic(
+                NoCTopology(4, 4, 1000.0), config, "uniform", 0.2, engine=engine
+            )
+            for engine in ("vector", "cycle")
+        ]
+        assert reports[0] == reports[1]
