@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test test-properties bench-smoke bench bench-pairs smoke fault-smoke serve-smoke chaos-smoke shard-smoke
+.PHONY: check check-cc test test-properties bench-smoke bench bench-pairs smoke fault-smoke serve-smoke chaos-smoke shard-smoke
 
 # What CI runs on every push: the equivalence property suite first (its own
 # stage, so an engine or fastpath-vs-scalar divergence fails loudly and
@@ -23,6 +23,19 @@ test:
 # with the seed's reference implementations.
 test-properties:
 	$(PYTHON) -m pytest -q tests/properties
+
+# The C rung against one compiler (CI runs this once per CC, with no numba
+# installed, so nothing else can stand in for it): the rung must resolve,
+# the ladder / emitter / equivalence tests run with it pinned, and the C
+# emitted from the kernel twin must compile clean under the strictest
+# warnings — the rung itself builds with plain -O2, so a warning there
+# would otherwise go unseen.
+check-cc: export REPRO_JIT := c
+check-cc:
+	$(PYTHON) -c "from repro.simnoc.engines import jit; b, why = jit.resolve_backend(); assert b is not None and b.name == 'c', why"
+	$(PYTHON) -m pytest -q tests/properties/test_engine_equivalence.py tests/simnoc/test_jit_ladder.py tests/simnoc/test_ckern.py
+	$(PYTHON) -c "from repro.simnoc.engines import ckern; print(ckern.source())" \
+		| $${CC:-cc} -x c -std=c99 -O2 -Wall -Wextra -Werror -c -o /dev/null -
 
 bench-smoke:
 	$(PYTHON) benchmarks/run_bench.py --smoke --output BENCH_smoke.json --min-speedup 0.5 --enforce-floors

@@ -271,57 +271,6 @@ def bench_simulate_vopd_saturation_jit(smoke: bool):
     }
 
 
-def bench_latency_sweep_replica_batch(smoke: bool):
-    """One batched kernel invocation vs per-point vector runs (documented).
-
-    Sixteen ``latency_sweep``-shaped points advance together through
-    ``run_batch(executor="replica")`` on the fast side and one at a time
-    (``executor="serial"``, same vector engine, same JIT backend) on the
-    baseline side — so the ratio isolates what replica batching itself
-    buys.  Expect ≈ 1.0x: with the compiled kernels a sweep point is
-    dominated by the Python flatten/report around the call, and replica
-    batching moves zero bytes (``advance_batch`` takes per-replica
-    pointers), so it saves only R-1 microsecond-scale ctypes invocations.
-    The mapping behind the points comes from the request cache on both
-    sides (warmed by the untimed round).  Byte-identity of the two
-    executors is regression-tested in ``tests/api/test_engine.py``.
-    """
-    from repro.api import MapRequest, SimOptions, SimRequest, TopologySpec
-    from repro.api.engine import run_batch
-    from repro.simnoc.engines import jit
-
-    backend_name, _ = jit.warmup()
-    base_map = MapRequest(
-        app="vopd",
-        mapper="nmap",
-        topology=TopologySpec.parse("mesh:4x4", link_bandwidth=6400.0),
-        price_bandwidth=False,
-    )
-    requests = [
-        SimRequest(
-            map_request=base_map,
-            measure_cycles=600 if smoke else 2_500,
-            warmup_cycles=200,
-            drain_cycles=400,
-            sim_seed=11,
-            options=SimOptions(
-                engine="vector", traffic="uniform", injection_rate=round(rate, 3)
-            ),
-        )
-        for rate in (0.02 + 0.02 * i for i in range(16))
-    ]
-
-    def kernel():
-        executor = "replica" if fastpath.fast_paths_enabled() else "serial"
-        return run_batch(requests, executor=executor)
-
-    return kernel, {
-        "points": len(requests),
-        "engines": "replica-vs-serial-vector",
-        "jit_backend": backend_name,
-    }
-
-
 def bench_simulate_vopd_saturation_event(smoke: bool):
     """Event engine vs the seed's cycle loop at the same saturation load.
 
@@ -413,7 +362,6 @@ KERNELS = {
     "simulate_vopd_saturation_event": bench_simulate_vopd_saturation_event,
     "simulate_vopd_saturation_active_set": bench_simulate_vopd_saturation_active_set,
     "simulate_24x24_sharded": bench_simulate_24x24_sharded,
-    "latency_sweep_replica_batch": bench_latency_sweep_replica_batch,
 }
 
 #: Guarded speedup floors: kernels named here fail the run (under
@@ -460,7 +408,6 @@ def _effective_floor(name: str) -> tuple[float | None, str | None]:
 UNGUARDED = {
     "simulate_vopd_saturation_event",
     "simulate_vopd_saturation_active_set",
-    "latency_sweep_replica_batch",
     # Guarded by its FLOOR (with the CPU-count waiver) instead of the
     # global gate: on hosts below FLOOR_MIN_CPUS the honest ratio is < 1x.
     "simulate_24x24_sharded",

@@ -8,7 +8,8 @@ state is left behind), then runs the unmodified ``benchmarks/e2e/run.py
 --workload NAME --trace 0`` on the base and on the working tree, alternating
 which side goes first, and reads the result files ``run.py`` writes.  Per
 end-to-end metric of ``BENCHMARK.json`` it prints both sides' medians and
-quartiles, the pairs won / tied / lost, and a verdict:
+quartiles, the pairs won / tied / lost, every pair as ``base>tree``, and a
+verdict:
 
 * ``gain`` — the rule for claiming one in a small sandbox (the
   ``choosing-metrics`` guide, section 8): the working tree wins at least
@@ -115,6 +116,8 @@ def main() -> int:
             f"{'':<16} tree  {tree_q1:>10.5g} {tree_median:>10.5g} {tree_q3:>10.5g}"
             f"  {won}/{args.pairs - won - lost}/{lost:<9}  {verdict}"
         )
+        pairs = zip(values["base"], values["tree"])
+        print(f"{'':<16} pairs " + "  ".join(f"{b:.5g}>{t:.5g}" for b, t in pairs))
 
     everything = records["base"] + records["tree"]
     failed = sum(len(record["failures"]) for record in everything)

@@ -246,8 +246,8 @@ def _prepare_sim(request: SimRequest):
 
     Returns ``(simulator, map_response)``.  :func:`run_sim` is this plus
     ``simulator.run()``; the ``replica`` batch executor splits the two so
-    it can advance many prepared simulators in one compiled kernel call
-    (:func:`repro.simnoc.engines.vector.run_replicas`).
+    it can hand many prepared simulators to
+    :func:`repro.simnoc.engines.vector.run_replicas` at once.
     """
     options = request.options
     topology, result = _cached_execute_map(request.map_request)
@@ -475,14 +475,13 @@ def _guarded_run(
 def _run_replica_batch(
     requests: list[MapRequest | SimRequest],
 ) -> list[MapResponse | SimResponse | ErrorResponse]:
-    """The ``executor="replica"`` path: batch vector sims into one kernel call.
+    """The ``executor="replica"`` path: prepare every vector sim, then run them.
 
     Every sim request whose resolved engine is the vector engine is
     prepared (map, route, network build) up front, then all of them
-    advance together through
-    :func:`repro.simnoc.engines.vector.run_replicas` — one compiled
-    ``advance_batch`` invocation per router model when a JIT backend is
-    available, bit-identical interpreted fallback otherwise.  Map
+    advance through :func:`repro.simnoc.engines.vector.run_replicas` —
+    one compiled call per program when a JIT backend is available,
+    bit-identical interpreted fallback otherwise.  Map
     requests and sims pinned to other engines run in-process exactly as
     the serial executor would, so the response list is byte-identical to
     ``executor="serial"`` in every slot, in request order.
@@ -579,10 +578,10 @@ def run_batch(
             Python-bound jobs — high-load simulation sweeps above all;
             requests and responses cross the process boundary as pickled
             frozen payloads) or ``"replica"`` (in-process; sim requests
-            resolving to the vector engine advance together in one
-            compiled kernel invocation per router model — the fastest
-            shape for a ``latency_sweep`` when a JIT backend is
-            available — while every other slot runs serially.  Responses
+            resolving to the vector engine are all prepared and flattened
+            first, then advanced back to back by the compiled kernel —
+            measured at ≈ 1.0x of ``"serial"``, PERFORMANCE.md — while
+            every other slot runs serially.  Responses
             stay byte-identical to ``"serial"``.  Incompatible with
             ``timeout``; ``workers``/``retries``/``isolate`` are pool
             parameters and have no effect).
@@ -614,8 +613,8 @@ def run_batch(
     if executor == "replica":
         if timeout is not None:
             raise ApiError(
-                "the replica executor advances every slot in one shared "
-                "kernel invocation; per-request timeouts are not supported"
+                "the replica executor prepares every slot before it runs "
+                "any; per-request timeouts are not supported"
             )
         return _run_replica_batch(requests)
     if not requests:

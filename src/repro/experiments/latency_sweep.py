@@ -58,9 +58,9 @@ def run_latency_sweep(
             (None lets the engine default; rejected for other engines).
         workers: worker count for the request batch.
         executor: ``"thread"``, ``"process"`` (multi-core sweeps) or
-            ``"replica"`` — all vector-engine points advance together in
-            one compiled kernel invocation (fastest with a JIT backend;
-            see ``repro.simnoc.engines.jit``), byte-identical results.
+            ``"replica"`` — all vector-engine points are flattened first,
+            then advanced back to back by the compiled kernel (see
+            ``repro.simnoc.engines.jit``), byte-identical results.
         service_url: when set, the sweep is submitted as one batch job to
             a running ``repro serve`` instance instead of executing
             locally — same requests, same typed responses, but the

@@ -1,8 +1,8 @@
 """Builds kernel programs: a :class:`Simulator` flattened to typed arrays.
 
 A :class:`KernelProgram` is the bridge between the object model and the
-compiled kernels in :mod:`repro.simnoc.engines.kernels` (and their C
-mirror).  Building one
+kernels in :mod:`repro.simnoc.engines.kernels`, in whichever form a rung
+runs them (CPython, numba, or the C emitted from them).  Building one
 
 1. reuses :class:`repro.simnoc.engines.sweep._FlatState` for the wiring
    flatten (port indexing, credits, routes, freshness guards — the exact
@@ -12,19 +12,14 @@ mirror).  Building one
    and ``measured`` flags to the polling engines' — and freezes it into
    per-packet tables and per-node flit streams with array expressions, then
 3. converts everything to int64/float64 numpy arrays in the canonical
-   :data:`ARG_FIELDS` order shared by the Python, numba and C kernels.
+   :data:`ARG_FIELDS` order — the twin's parameter list, and so numba's
+   and the emitted C's.
 
 After a backend has advanced the program, :meth:`KernelProgram.finish`
 replays the observable effects back onto the model objects (trace events,
 packet injected/delivered cycles, per-NI delivery lists, port counters)
 via ``_FlatState.writeback`` — producing reports and traces bit-identical
 to the interpreted engines.
-
-Batched replicas need no extra plumbing here: the C kernel's
-``advance_batch`` takes one pointer per replica per field (aimed straight
-at each program's arrays) and mutates them in place, so R independent
-networks advance in a single compiled call without copying state in
-either direction.
 """
 
 from __future__ import annotations
@@ -46,86 +41,71 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Lane bitmasks (``req_vcs``) cap the kernel tier's VC count.
 MAX_KERNEL_VCS = 63
 
-#: Offset-table dimension kinds, one entry per replica in the batch table.
-(
-    KIND_IN,
-    KIND_OUT,
-    KIND_OUTLANE,
-    KIND_NODEP1,
-    KIND_NODE,
-    KIND_QB,
-    KIND_LANE,
-    KIND_PKT,
-    KIND_PKTP1,
-    KIND_ROUTE,
-    KIND_FLIT,
-    KIND_TRACE,
-    KIND_PARAMS,
-    KIND_RESULT,
-) = range(14)
-NUM_KINDS = 14
-
-#: Kernel argument order (must match the Python/numba kernel signatures and
-#: the C kernel's parameter list): name -> offset-table kind.
+#: Kernel argument order: the twin functions' parameter lists, which the
+#: emitted C signatures and the ctypes binding are built from.
 ARG_FIELDS = (
-    ("out_rate", KIND_OUT),
-    ("out_cap", KIND_OUT),
-    ("out_tokens", KIND_OUT),
-    ("credits", KIND_OUTLANE),
-    ("in_cap", KIND_IN),
-    ("in_feeder", KIND_IN),
-    ("dest_in", KIND_OUT),
-    ("dest_node", KIND_OUT),
-    ("out_tokey", KIND_OUT),
-    ("owner", KIND_OUTLANE),
-    ("owner_pkt", KIND_OUTLANE),
-    ("rr_in", KIND_OUTLANE),
-    ("vc_rr", KIND_OUT),
-    ("port_owned", KIND_OUT),
-    ("ins_off", KIND_NODEP1),
-    ("ins_val", KIND_IN),
-    ("outs_off", KIND_NODEP1),
-    ("outs_val", KIND_OUT),
-    ("local_in", KIND_NODE),
-    ("node_buf", KIND_NODE),
-    ("node_owned", KIND_NODE),
-    ("active", KIND_NODE),
-    ("in_sweep", KIND_NODE),
-    ("qb_enter", KIND_QB),
-    ("qb_slot", KIND_QB),
-    ("qb_seq", KIND_QB),
-    ("qb_pos", KIND_QB),
-    ("q_head", KIND_LANE),
-    ("q_len", KIND_LANE),
-    ("pkt_create", KIND_PKT),
-    ("pkt_last", KIND_PKT),
-    ("pkt_vcl", KIND_PKT),
-    ("route_off", KIND_PKTP1),
-    ("route_val", KIND_ROUTE),
-    ("ni_off", KIND_NODEP1),
-    ("ni_ptr", KIND_NODE),
-    ("ni_slot", KIND_FLIT),
-    ("ni_seq", KIND_FLIT),
-    ("pkt_injected", KIND_PKT),
-    ("pkt_delivered", KIND_PKT),
-    ("dlv_node", KIND_PKT),
-    ("dlv_slot", KIND_PKT),
-    ("ni_injected", KIND_NODE),
-    ("ni_ejected", KIND_NODE),
-    ("carried", KIND_OUT),
-    ("tr_node", KIND_TRACE),
-    ("tr_tokey", KIND_TRACE),
-    ("tr_slot", KIND_TRACE),
-    ("tr_seq", KIND_TRACE),
-    ("tr_cycle", KIND_TRACE),
-    ("req_stamp", KIND_OUT),
-    ("req_vcs", KIND_OUT),
-    ("params", KIND_PARAMS),
-    ("result", KIND_RESULT),
+    "out_rate",
+    "out_cap",
+    "out_tokens",
+    "credits",
+    "in_cap",
+    "in_feeder",
+    "dest_in",
+    "dest_node",
+    "out_tokey",
+    "owner",
+    "owner_pkt",
+    "rr_in",
+    "vc_rr",
+    "port_owned",
+    "ins_off",
+    "ins_val",
+    "outs_off",
+    "outs_val",
+    "local_in",
+    "node_buf",
+    "node_owned",
+    "active",
+    "in_sweep",
+    "qb_enter",
+    "qb_slot",
+    "qb_seq",
+    "qb_pos",
+    "q_head",
+    "q_len",
+    "pkt_create",
+    "pkt_last",
+    "pkt_vcl",
+    "route_off",
+    "route_val",
+    "ni_off",
+    "ni_ptr",
+    "ni_slot",
+    "ni_seq",
+    "pkt_injected",
+    "pkt_delivered",
+    "dlv_node",
+    "dlv_slot",
+    "ni_injected",
+    "ni_ejected",
+    "carried",
+    "tr_node",
+    "tr_tokey",
+    "tr_slot",
+    "tr_seq",
+    "tr_cycle",
+    "req_stamp",
+    "req_vcs",
+    "params",
+    "result",
 )
 
 #: Fields holding float64 data; everything else is int64.
 FLOAT_FIELDS = frozenset({"out_rate", "out_cap", "out_tokens", "credits"})
+#: The numpy dtype of each :data:`ARG_FIELDS` array, in the same order.
+ARG_DTYPES = tuple(
+    np.float64 if name in FLOAT_FIELDS else np.int64 for name in ARG_FIELDS
+)
 
 
 def kernel_unsupported(sim: "Simulator", vc_mode: bool) -> str | None:
@@ -151,12 +131,12 @@ class KernelProgram:
     """One flattened replica, ready for any kernel backend.
 
     The array attributes (named by :data:`ARG_FIELDS`) are the kernel's
-    working state; the backend mutates them in place (or copies them back
-    after a batched call).  :meth:`finish` then writes the observable
+    working state; the backend mutates them in place.  :meth:`finish` then
+    writes the observable
     results onto the simulator's model objects.
     """
 
-    __slots__ = tuple(name for name, _ in ARG_FIELDS) + (
+    __slots__ = ARG_FIELDS + (
         "sim",
         "state",
         "packets",
@@ -268,7 +248,7 @@ class KernelProgram:
     # ------------------------------------------------------------------
     def args(self) -> tuple:
         """The kernel argument tuple, in :data:`ARG_FIELDS` order."""
-        return tuple(getattr(self, name) for name, _ in ARG_FIELDS)
+        return tuple(getattr(self, name) for name in ARG_FIELDS)
 
     # ------------------------------------------------------------------
     def finish(self, sim: "Simulator") -> None:

@@ -1,37 +1,44 @@
 """The JIT ladder: pick the fastest available kernel backend.
 
-The vector engine's per-cycle sweep has two compiled rungs, tried in order
-(``resolve_backend``), and one interpreted form below them:
+The vector engine's per-cycle sweep has one source for its compiled forms
+— the *kernel twin*, ``advance_plain`` / ``advance_vc`` in
+:mod:`repro.simnoc.engines.kernels` — and two compiled rungs made from it,
+tried in order (``resolve_backend``), with one interpreted form below:
 
-1. **numba** — :mod:`repro.simnoc.engines.kernels` compiled with
-   ``@njit(cache=True)`` (install via ``pip install repro[jit]``);
-2. **c** — the same algorithm transliterated to C99 and compiled once
-   with the system ``cc`` (:mod:`repro.simnoc.engines.ckern`), cached as a
-   shared object under ``~/.cache/repro-jit``;
+1. **numba** — the twin compiled with ``@njit(cache=True)`` (install via
+   ``pip install repro[jit]``);
+2. **c** — the twin emitted as C99 by :mod:`repro.simnoc.engines.ckern`
+   and compiled once with the system ``cc``, cached as a shared object
+   under ``~/.cache/repro-jit``;
 3. *(fallback, not a backend)* — the one interpreted sweep,
    :mod:`repro.simnoc.engines.sweep`: the ranged structure-of-arrays loops
    the ``sharded`` engine's workers also run, called in-process over the
    plan that owns every node.  Always available; ``resolve_backend``
    returns no backend and the vector engine takes this route itself.
 
+A rung is a :class:`Backend`: the twin's two functions in runnable form.
+Each is built at most once per process (``_probe``), whether
+``resolve_backend`` or ``available_backends`` asks first, so forked pool
+workers inherit a loaded library and introspection never recompiles.
+
 Environment switches (read on every resolution, so tests can flip them):
 
 * ``REPRO_NO_JIT=1`` disables every compiled backend — the vector engine
   runs the interpreted sweep (the A/B and fallback-rot guard; CI runs a
   whole job this way).
-* ``REPRO_JIT=numba|c|py|off`` pins one rung.  ``py`` runs the *kernel
-  twin* — the numba source executed as plain Python — which is 5–6x slower
-  than the interpreted sweep and slower than the ``cycle`` engine
-  (PERFORMANCE.md, "The engine ladder"); it exists only so the kernel
-  algorithm itself is property-testable on machines without numba or a C
-  compiler, which is also why the interpreted sweep is kept beside it.
+* ``REPRO_JIT=numba|c|py|off`` pins one rung.  ``py`` runs the twin as
+  plain Python, which is 5–6x slower than the interpreted sweep and slower
+  than the ``cycle`` engine (PERFORMANCE.md, "The engine ladder"); it
+  exists only so the kernel algorithm itself is property-testable on
+  machines without numba or a C compiler, which is also why the
+  interpreted sweep is kept beside it.
 
-The compiled rungs and the ``py`` twin run the same
+Every rung runs the same
 :class:`~repro.simnoc.engines.flat_kernel.KernelProgram` arrays; every
 form is bit-identical to the cycle engine (reports and flit traces), and
 ``tests/properties/test_engine_equivalence.py`` pins each rung.
 
-:func:`warmup` compiles whatever the resolved backend needs ahead of
+:func:`warmup` builds whatever the resolved backend needs ahead of
 time, so first-request latency in the job service and benchmark medians
 never include compilation; :func:`compile_events` counts actual
 compilations (cache misses) for the warm-up hygiene test.
@@ -40,25 +47,14 @@ compilations (cache misses) for the warm-up hygiene test.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from repro.simnoc.engines import kernels
-from repro.simnoc.engines.flat_kernel import (
-    ARG_FIELDS,
-    KIND_IN,
-    KIND_LANE,
-    KIND_NODE,
-    KIND_NODEP1,
-    KIND_OUT,
-    KIND_OUTLANE,
-    KIND_PARAMS,
-    KIND_PKT,
-    KIND_PKTP1,
-    KIND_QB,
-    KIND_RESULT,
-    FLOAT_FIELDS,
-)
+from repro.simnoc.engines import ckern, kernels
+from repro.simnoc.engines.ckern import BackendUnavailable
+from repro.simnoc.engines.flat_kernel import ARG_DTYPES
 
 __all__ = [
     "BackendUnavailable",
@@ -67,11 +63,6 @@ __all__ = [
     "resolve_backend",
     "warmup",
 ]
-
-
-class BackendUnavailable(RuntimeError):
-    """Raised by a backend that cannot run here; resolution steps down."""
-
 
 #: numba compilations observed by this module (see :func:`compile_events`).
 _numba_compiles = 0
@@ -84,135 +75,93 @@ def compile_events() -> int:
     not count.  Two consecutive :func:`warmup` calls must therefore leave
     this number unchanged, which the warm-up hygiene test asserts.
     """
-    from repro.simnoc.engines import ckern
-
     return _numba_compiles + ckern.compile_events
-
-
-# ----------------------------------------------------------------------
-# dummy program: the cheapest arrays that exercise a kernel's signature
-# ----------------------------------------------------------------------
-_DUMMY_LEN = {
-    KIND_IN: 1,
-    KIND_OUT: 1,
-    KIND_OUTLANE: 1,
-    KIND_NODEP1: 2,
-    KIND_NODE: 1,
-    KIND_QB: 2,
-    KIND_LANE: 1,
-    KIND_PKT: 0,
-    KIND_PKTP1: 1,
-    KIND_PARAMS: kernels.NUM_PARAMS,
-    KIND_RESULT: kernels.NUM_RESULTS,
-}
-
-
-def _dummy_args() -> tuple:
-    """Zero-cycle arrays: compiles the full signature, simulates nothing."""
-    args = []
-    for name, kind in ARG_FIELDS:
-        length = _DUMMY_LEN.get(kind, 0)
-        dtype = np.float64 if name in FLOAT_FIELDS else np.int64
-        args.append(np.zeros(length, dtype=dtype))
-    return tuple(args)
 
 
 # ----------------------------------------------------------------------
 # backends
 # ----------------------------------------------------------------------
-class PyBackend:
-    """The kernel twin run as plain Python — correctness rung, not speed."""
+@dataclass(frozen=True)
+class Backend:
+    """One rung of the ladder: the kernel twin's two functions, runnable."""
 
-    name = "py"
-    description = "kernel twin interpreted by CPython (testing only)"
-
-    def warmup(self) -> None:
-        pass
+    name: str
+    description: str
+    plain_fn: Callable[..., None]
+    vc_fn: Callable[..., None]
 
     def run(self, programs) -> None:
+        """Advance every program, in order, each mutated in place."""
         for program in programs:
-            fn = kernels.advance_vc if program.vc_mode else kernels.advance_plain
+            fn = self.vc_fn if program.vc_mode else self.plain_fn
             fn(*program.args())
 
 
-class NumbaBackend:
-    """The kernel twin compiled with ``@njit(cache=True)``."""
+def _zero_cycle_calls(backend: Backend) -> None:
+    """Call both functions over all-zero blocks: the full signature is
+    exercised (which is what makes numba compile) and nothing is simulated."""
+    for fn in (backend.plain_fn, backend.vc_fn):
+        fn(*(np.zeros(kernels.NUM_PARAMS, dtype) for dtype in ARG_DTYPES))
 
-    name = "numba"
 
-    def __init__(self) -> None:
-        global _numba_compiles
+def _build_py() -> Backend:
+    return Backend(
+        "py",
+        "kernel twin interpreted by CPython (testing only)",
+        kernels.advance_plain,
+        kernels.advance_vc,
+    )
+
+
+def _build_numba() -> Backend:
+    global _numba_compiles
+    try:
         import numba
-
-        self.description = f"numba {numba.__version__} @njit kernels"
+    except ImportError as exc:
+        raise BackendUnavailable(
+            "numba not installed (pip install repro[jit])"
+        ) from exc
+    try:
         njit = numba.njit(cache=True, fastmath=False)
-        self._plain = njit(kernels.advance_plain)
-        self._vc = njit(kernels.advance_vc)
-        # Force compilation now (zero-cycle call).  A new signature means
-        # numba did work this process (JIT compile or cache deserialize);
-        # repeat warmups in the same process add nothing.
-        for fn in (self._plain, self._vc):
-            before = len(fn.signatures)
-            fn(*_dummy_args())
-            if len(fn.signatures) > before:
-                _numba_compiles += 1
-
-    def warmup(self) -> None:
-        pass  # compilation happened in __init__
-
-    def run(self, programs) -> None:
-        for program in programs:
-            fn = self._vc if program.vc_mode else self._plain
-            fn(*program.args())
-
-
-class CBackend:
-    """The C transliteration, one ``advance_batch`` call per replica group."""
-
-    name = "c"
-
-    def __init__(self) -> None:
-        from repro.simnoc.engines import ckern
-
-        try:
-            self._lib = ckern.load_library()
-        except ckern.BackendUnavailable as exc:
-            raise BackendUnavailable(str(exc)) from exc
-        self.description = "C kernels compiled with the system cc (cached .so)"
-
-    @staticmethod
-    def _pointer_vectors(columns):
-        # One uintp array of R per-replica pointers per kernel argument;
-        # the kernels mutate the program arrays in place, so batching
-        # copies nothing in either direction.
-        return [
-            np.fromiter((a.ctypes.data for a in col), dtype=np.uintp, count=len(col))
-            for col in columns
-        ]
-
-    def warmup(self) -> None:
-        dummies = _dummy_args()  # kept alive across the call
-        self._lib.advance_batch(
-            1, 0, *self._pointer_vectors([(a,) for a in dummies])
+        backend = Backend(
+            "numba",
+            f"numba {numba.__version__} @njit kernels",
+            njit(kernels.advance_plain),
+            njit(kernels.advance_vc),
         )
+        _zero_cycle_calls(backend)
+    except Exception as exc:  # numba present but broken: step down, not crash
+        raise BackendUnavailable(f"numba failed to compile kernels: {exc}") from exc
+    # Each new signature is work numba did in this process (JIT compile or
+    # cache deserialize); the rung is built once, so it is counted once.
+    _numba_compiles += len(backend.plain_fn.signatures) + len(backend.vc_fn.signatures)
+    return backend
 
-    def run(self, programs) -> None:
-        # A mixed batch splits by router model; each group advances in a
-        # single compiled call over per-replica pointer vectors.
-        for vc_mode in (False, True):
-            group = [p for p in programs if p.vc_mode == vc_mode]
-            if not group:
-                continue
-            columns = zip(*(p.args() for p in group))
-            self._lib.advance_batch(
-                len(group), int(vc_mode), *self._pointer_vectors(columns)
-            )
+
+def _build_c() -> Backend:
+    lib = ckern.load_library()
+    backend = Backend(
+        "c",
+        "kernel twin emitted as C, compiled with the system cc (cached .so)",
+        lib.advance_plain,
+        lib.advance_vc,
+    )
+    try:
+        _zero_cycle_calls(backend)
+    except Exception as exc:  # loaded but does not run: step down
+        raise BackendUnavailable(
+            f"C kernel library failed self-test: {exc}"
+        ) from exc
+    return backend
 
 
 # ----------------------------------------------------------------------
 # resolution
 # ----------------------------------------------------------------------
-_cache: dict[str, tuple[object | None, str]] = {}
+_BUILDERS = {"numba": _build_numba, "c": _build_c, "py": _build_py}
+
+#: rung -> (backend or None, reason): every rung probed so far.
+_cache: dict[str, tuple[Backend | None, str]] = {}
 
 
 def _mode() -> str:
@@ -222,67 +171,43 @@ def _mode() -> str:
     return forced or "auto"
 
 
-def _try_numba() -> tuple[object | None, str]:
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return None, "numba not installed (pip install repro[jit])"
-    try:
-        return NumbaBackend(), "numba available"
-    except Exception as exc:  # numba present but broken: step down, not crash
-        return None, f"numba failed to compile kernels: {exc}"
+def _probe(rung: str) -> tuple[Backend | None, str]:
+    """Build ``rung`` on first request; the outcome, good or bad, is kept."""
+    if rung not in _cache:
+        try:
+            backend = _BUILDERS[rung]()
+            _cache[rung] = (backend, backend.description)
+        except BackendUnavailable as exc:
+            _cache[rung] = (None, str(exc))
+    return _cache[rung]
 
 
-def _try_c() -> tuple[object | None, str]:
-    try:
-        backend = CBackend()
-    except BackendUnavailable as exc:
-        return None, str(exc)
-    try:
-        backend.warmup()
-    except Exception as exc:  # loaded but does not run: step down
-        return None, f"C kernel library failed self-test: {exc}"
-    return backend, "C kernels available"
-
-
-def resolve_backend() -> tuple[object | None, str]:
+def resolve_backend() -> tuple[Backend | None, str]:
     """``(backend, reason)`` for the current environment.
 
     ``backend`` is ``None`` when every compiled rung is unavailable or
-    JIT is disabled — callers then use the interpreted sweep.  The
-    outcome is cached per mode, so the (one-time) compile cost is paid at
-    most once per process per mode.
+    JIT is disabled — callers then use the interpreted sweep.  Rungs are
+    probed once per process, so the (one-time) compile cost is paid at
+    most once however often, and in whatever mode, this is called.
     """
     mode = _mode()
-    cached = _cache.get(mode)
-    if cached is not None:
-        return cached
     if mode == "off":
-        outcome = (None, "JIT disabled (REPRO_NO_JIT)")
-    elif mode == "py":
-        outcome = (PyBackend(), "kernel twin forced (REPRO_JIT=py)")
-    elif mode == "numba":
-        outcome = _try_numba()
-    elif mode == "c":
-        outcome = _try_c()
-    elif mode == "auto":
-        backend, numba_reason = _try_numba()
+        return None, "JIT disabled (REPRO_NO_JIT)"
+    if mode in _BUILDERS:
+        return _probe(mode)
+    if mode != "auto":
+        return None, f"unknown REPRO_JIT mode {mode!r}"
+    reasons = []
+    for rung in ("numba", "c"):
+        backend, reason = _probe(rung)
         if backend is not None:
-            outcome = (backend, numba_reason)
-        else:
-            backend, c_reason = _try_c()
-            if backend is not None:
-                outcome = (backend, c_reason)
-            else:
-                outcome = (None, f"{numba_reason}; {c_reason}")
-    else:
-        outcome = (None, f"unknown REPRO_JIT mode {mode!r}")
-    _cache[mode] = outcome
-    return outcome
+            return backend, reason
+        reasons.append(reason)
+    return None, "; ".join(reasons)
 
 
 def warmup() -> tuple[str, str]:
-    """Compile the resolved backend ahead of time.
+    """Build the resolved backend ahead of time.
 
     Returns ``(backend_name, reason)`` — ``("none", why)`` when no
     compiled backend is available.  Invoked by ``benchmarks/run_bench.py``
@@ -290,21 +215,14 @@ def warmup() -> tuple[str, str]:
     nor first-request latency ever include compilation.
     """
     backend, reason = resolve_backend()
-    if backend is None:
-        return "none", reason
-    backend.warmup()
-    return backend.name, reason
+    return ("none" if backend is None else backend.name), reason
 
 
 def available_backends() -> list[dict[str, str]]:
-    """Introspection rows for every rung (CLI ``list-engines``)."""
+    """Introspection rows for every compiled rung (CLI ``list-engines``)."""
+    off = _mode() == "off"
     rows = []
-    for name, probe in (("numba", _try_numba), ("c", _try_c)):
-        if _mode() == "off":
-            rows.append(
-                {"name": name, "available": False, "reason": "REPRO_NO_JIT is set"}
-            )
-            continue
-        backend, reason = probe()
-        rows.append({"name": name, "available": backend is not None, "reason": reason})
+    for rung in ("numba", "c"):
+        backend, reason = (None, "REPRO_NO_JIT is set") if off else _probe(rung)
+        rows.append({"name": rung, "available": backend is not None, "reason": reason})
     return rows

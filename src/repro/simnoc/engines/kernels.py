@@ -1,11 +1,18 @@
 """The vector engine's per-cycle sweep as typed array kernels.
 
-These functions are the *compilation source* of the JIT tier: written in
-the restricted Python subset numba's ``@njit`` accepts (flat numpy arrays,
-integer/float scalars, no Python objects), they advance one flattened
-replica from cycle 0 to ``total_cycles``.  The same algorithm is mirrored
-statement for statement by the C kernel in :mod:`repro.simnoc.engines.ckern`;
-``tests/properties`` pins every tier against the cycle engine.
+These functions are the one *source* of the compiled tier: numba compiles
+them with ``@njit``, :mod:`repro.simnoc.engines.ckern` reads them with
+:mod:`ast` and prints them as C99, and ``REPRO_JIT=py`` runs them as they
+stand.  They advance one flattened replica from cycle 0 to
+``total_cycles``, and are written in the subset all three accept — the
+narrower of numba's and the one ``ckern``'s docstring spells out: flat
+int64/float64 arrays, scalar locals that keep one type, ``range`` /
+``while`` / ``if``, ``break`` / ``continue`` / bare ``return``, one
+``np.empty`` scratch array, ``%`` only on non-negative values.  A
+construct outside it makes the C rung unavailable (the ladder steps down,
+naming the line) — so to change the compiled sweep, edit these functions
+and nothing else.  ``tests/properties`` pins every tier against the cycle
+engine.
 
 The loop structure replays the interpreted SoA loops in
 :mod:`repro.simnoc.engines.sweep` — which themselves replay the cycle
@@ -62,8 +69,7 @@ import numpy as np
 STATUS_OK = 0
 STATUS_DEADLOCK = 1
 
-#: Entries in the scalar parameter / result blocks (kept in sync with the
-#: C kernel's ``RK_*`` constants).
+#: Entries in the scalar parameter / result blocks.
 NUM_PARAMS = 12
 NUM_RESULTS = 8
 

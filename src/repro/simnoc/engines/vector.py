@@ -14,8 +14,9 @@ whole network is flattened into structure-of-arrays state
 form of the per-cycle sweep this host can run:
 
 * **compiled** — when :func:`repro.simnoc.engines.jit.resolve_backend`
-  finds a numba or C backend, ``run`` flattens the simulation — including
-  the precomputed open-loop injection schedule — into a
+  finds a backend (the kernel twin compiled by numba, or emitted as C and
+  compiled by the system ``cc``), ``run`` flattens the simulation —
+  including the precomputed open-loop injection schedule — into a
   :class:`~repro.simnoc.engines.flat_kernel.KernelProgram` and advances it
   in one compiled call;
 * **interpreted** — with no backend (``REPRO_NO_JIT=1``, no toolchain) or
@@ -24,8 +25,8 @@ form of the per-cycle sweep this host can run:
   :func:`repro.simnoc.engines.sweep.run_in_process`: the same ranged loops
   the ``sharded`` engine's workers run, over the plan that owns every node.
 
-:func:`run_replicas` batches many independent simulators into a single
-compiled invocation per router model — the engine-level face of
+:func:`run_replicas` flattens many independent simulators first and hands
+the list to the backend's one ``run`` loop — the engine-level face of
 ``run_batch(executor="replica")``.  Every form is bit-identical to the
 cycle engine on reports and flit traces (``tests/properties``).
 """
@@ -82,14 +83,14 @@ class VectorEngine:
 
 
 def run_replicas(sims: list["Simulator"]) -> list[BaseException | None]:
-    """Advance many independent simulators as one batched kernel call.
+    """Advance many independent simulators through one ``backend.run``.
 
     The compiled-replica face of the engine layer: every simulator that
     the kernel tier supports is flattened to a
-    :class:`~repro.simnoc.engines.flat_kernel.KernelProgram` and the whole
-    set advances in a single ``advance_batch`` invocation per router model
-    present; the rest (no backend resolved, unsupported corner) run
-    one-at-a-time through :class:`VectorEngine`, which is bit-identical.
+    :class:`~repro.simnoc.engines.flat_kernel.KernelProgram` and the list
+    goes to the backend's ``run`` loop, one compiled call per program; the
+    rest (no backend resolved, unsupported corner) run one-at-a-time
+    through :class:`VectorEngine`, which is bit-identical.
 
     Per-slot isolation: one replica deadlocking (or failing to flatten)
     must not poison its batch-mates, so errors come back positionally —

@@ -160,8 +160,8 @@ class TestProcessExecutor:
 
 
 class TestReplicaExecutor:
-    """``executor="replica"`` must be a pure transport change too: one
-    batched kernel invocation, byte-identical responses to serial."""
+    """``executor="replica"`` must be a pure transport change too: every
+    slot flattened before any runs, byte-identical responses to serial."""
 
     def _sweep_requests(self, engine="auto"):
         base_map = MapRequest(

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.graphs.commodities import Commodity
 from repro.graphs.core_graph import CoreGraph
 from repro.graphs.topology import NoCTopology
+from repro.routing.base import RoutingResult
+from repro.simnoc import SimConfig, build_network
 
 
 @pytest.fixture
@@ -46,3 +49,33 @@ def mesh4x4() -> NoCTopology:
 @pytest.fixture
 def torus3x3() -> NoCTopology:
     return NoCTopology.torus_grid(3, 3, link_bandwidth=1000.0)
+
+
+@pytest.fixture
+def deadlocking_ring():
+    """``make(num_vcs=1)`` builds a 4-node ring whose four 16-flit packets each
+    hold the 2-flit buffer the next one waits for: clockwise routes close the
+    dependency cycle and every engine stalls for good within 40 cycles."""
+
+    def make(num_vcs: int = 1):
+        nodes = 4
+        topology = NoCTopology.torus_grid(nodes, 1, link_bandwidth=1600.0)
+        commodities = [
+            Commodity(i, f"c{i}", f"c{(i - 1) % nodes}", i, (i - 1) % nodes, 700.0)
+            for i in range(nodes)
+        ]
+        clockwise = {
+            i: [(i + hop) % nodes for hop in range(nodes)] for i in range(nodes)
+        }
+        routing = RoutingResult(topology, commodities, flows={}, paths=clockwise)
+        config = SimConfig(
+            buffer_depth=2,
+            warmup_cycles=0,
+            measure_cycles=60_000,
+            drain_cycles=0,
+            num_vcs=num_vcs,
+            vc_buffer_depth=2 if num_vcs > 1 else None,
+        )
+        return build_network(topology, commodities, routing, config)
+
+    return make

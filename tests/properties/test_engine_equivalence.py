@@ -18,12 +18,14 @@ dedicated injection-rate matrix below, at and above the saturation knee.
 from __future__ import annotations
 
 import multiprocessing
+import re
 
 import pytest
 
 from repro import fastpath
 from repro.apps import vopd
 from repro.apps.dsp import dsp_filter, dsp_mesh
+from repro.errors import SimulationError
 from repro.graphs.commodities import build_commodities
 from repro.graphs.random_graphs import random_core_graph
 from repro.graphs.topology import NoCTopology
@@ -374,6 +376,20 @@ class TestAutoEngineEquivalence:
         assert_reports_identical(run("auto"), run("cycle"))
 
 
+@pytest.fixture
+def jit_mode(request, monkeypatch):
+    """Pin ``REPRO_JIT`` to the parametrized rung; skip where it cannot run."""
+    from repro.simnoc.engines.jit import resolve_backend
+
+    mode = request.param
+    monkeypatch.delenv("REPRO_NO_JIT", raising=False)
+    monkeypatch.setenv("REPRO_JIT", mode)
+    backend, reason = resolve_backend()
+    if mode != "off" and backend is None:
+        pytest.skip(f"JIT backend {mode!r} unavailable here: {reason}")
+    return mode
+
+
 class TestKernelTierEquivalence:
     """Every rung of the JIT ladder is bit-identical to the cycle engine.
 
@@ -402,18 +418,6 @@ class TestKernelTierEquivalence:
         "vcs-over-kernel-cap": (MAX_KERNEL_VCS + 1, 0.30, False),
         "trace-recorder-full": (1, 0.30, True),
     }
-
-    @pytest.fixture
-    def jit_mode(self, request, monkeypatch):
-        from repro.simnoc.engines.jit import resolve_backend
-
-        mode = request.param
-        monkeypatch.delenv("REPRO_NO_JIT", raising=False)
-        monkeypatch.setenv("REPRO_JIT", mode)
-        backend, reason = resolve_backend()
-        if mode != "off" and backend is None:
-            pytest.skip(f"JIT backend {mode!r} unavailable here: {reason}")
-        return mode
 
     @pytest.mark.parametrize("jit_mode", MODES, indirect=True)
     @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -481,6 +485,54 @@ class TestKernelTierEquivalence:
             VectorEngine().run(single)
             assert_reports_identical(sim._build_report(), single._build_report())
             assert recorder.events == single_recorder.events
+
+
+class TestDeadlockExit:
+    """A network that stalls for good ends every engine the same way.
+
+    The deadlock exit is the kernel twin's only early ``return`` (plus its
+    status block) and each engine's only mid-run raise.  ``cycle``,
+    ``event`` and ``vector`` on every JIT rung must raise the identical
+    ``SimulationError`` text.  ``sharded`` detects the stall per shard —
+    whichever worker gives up first reports its own flit count inside a
+    worker-failure message — so there only the sentence is pinned.
+    """
+
+    SENTENCE = r"deadlock: no flit moved since cycle \d+ with \d+ flits buffered"
+
+    #: num_vcs -> the cycle engine's message, shared by every cell below.
+    _references: dict = {}
+
+    @staticmethod
+    def _message(network, engine, **kwargs):
+        with pytest.raises(SimulationError) as raised:
+            Simulator(network, engine=engine, **kwargs).run()
+        return str(raised.value)
+
+    def _reference(self, ring, num_vcs):
+        if num_vcs not in self._references:
+            self._references[num_vcs] = self._message(ring(num_vcs), "cycle")
+            assert re.fullmatch(self.SENTENCE, self._references[num_vcs])
+        return self._references[num_vcs]
+
+    @pytest.mark.parametrize("num_vcs", (1, 2))
+    def test_event_matches_cycle(self, deadlocking_ring, num_vcs):
+        message = self._message(deadlocking_ring(num_vcs), "event")
+        assert message == self._reference(deadlocking_ring, num_vcs)
+
+    @pytest.mark.parametrize("num_vcs", (1, 2))
+    @pytest.mark.parametrize("jit_mode", TestKernelTierEquivalence.MODES, indirect=True)
+    def test_every_vector_rung_matches_cycle(self, jit_mode, deadlocking_ring, num_vcs):
+        message = self._message(deadlocking_ring(num_vcs), "vector")
+        assert message == self._reference(deadlocking_ring, num_vcs)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="sharded engine requires the fork start method",
+    )
+    def test_sharded_workers_report_the_stall(self, deadlocking_ring):
+        message = self._message(deadlocking_ring(), "sharded", shards=2)
+        assert re.search(self.SENTENCE, message)
 
 
 #: (topology kind, num_vcs, rate) -> (report, trace events) from the cycle

@@ -78,6 +78,24 @@ class TestWarmupHygiene:
         assert name_again == name
         assert jit.compile_events() == before
 
+    def test_introspection_after_warmup_builds_nothing(self, monkeypatch):
+        """``available_backends()`` reports the rungs already probed; it must
+        not build them again (reloading the library, or on a numba host
+        raising ``compile_events()`` although nothing was compiled)."""
+        from repro.simnoc.engines import ckern
+
+        jit.warmup()
+        rows = jit.available_backends()
+        before = jit.compile_events()
+
+        def reloaded():
+            raise AssertionError("the C library was loaded a second time")
+
+        monkeypatch.setattr(ckern, "load_library", reloaded)
+        assert jit.available_backends() == rows
+        assert jit.available_backends() == rows
+        assert jit.compile_events() == before
+
     def test_warmup_reports_none_when_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_JIT", "1")
         name, reason = jit.warmup()
@@ -98,7 +116,7 @@ class TestCorruptCacheEntry:
         monkeypatch.setenv("REPRO_JIT", "c")
         monkeypatch.setenv("REPRO_JIT_CACHE", str(tmp_path))
         monkeypatch.setattr(jit, "_cache", {})
-        digest = ckern.hashlib.sha256(ckern.SOURCE.encode()).hexdigest()[:16]
+        digest = ckern.hashlib.sha256(ckern.source().encode()).hexdigest()[:16]
         entry = tmp_path / f"simnoc_kernels_{digest}.so"
         entry.write_bytes(b"\x7fELF truncated")
 
