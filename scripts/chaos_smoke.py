@@ -13,7 +13,10 @@ script proves the crash-durability contract the write-ahead journal ships:
   byte-identical to a local ``run_map`` of the same request;
 * a journal whose tail was torn by the crash (simulated with appended
   garbage) still boots: the corrupt record is dropped, the service
-  answers, and the warm store still serves the same bytes.
+  answers, and the warm store still serves the same bytes;
+* with the process executor, a pool worker SIGKILLed under a running
+  request is replaced and the job completes through the retry — and when
+  the server itself is SIGKILLed, no pool worker outlives it.
 
 Exits non-zero on the first violated contract.  Run via ``make
 chaos-smoke``; wired into ``make check``.
@@ -39,7 +42,9 @@ ANNOUNCE = re.compile(r"listening on http://[\d.]+:(\d+)")
 SLOW_TAG = "chaos-slow"
 
 
-def boot(store: str) -> tuple[subprocess.Popen, ServiceClient]:
+def boot(
+    store: str, executor: str = "serial"
+) -> tuple[subprocess.Popen, ServiceClient]:
     env = dict(
         os.environ,
         PYTHONPATH=os.path.join(REPO, "src"),
@@ -52,7 +57,7 @@ def boot(store: str) -> tuple[subprocess.Popen, ServiceClient]:
         [
             sys.executable, "-m", "repro.cli", "serve",
             "--port", "0", "--store", store,
-            "--executor", "serial", "--workers", "1",
+            "--executor", executor, "--workers", "1",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
@@ -91,6 +96,57 @@ def wait_done(client: ServiceClient, job_id: str, timeout: float = 120.0) -> dic
             return envelope
         time.sleep(0.05)
     raise SystemExit(f"chaos-smoke FAILED: job {job_id} never completed")
+
+
+def process_alive(pid: int) -> bool:
+    """True while ``pid`` is running (a zombie awaiting its reaper is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def pool_worker_leg(store: str, request: MapRequest, reference: bytes) -> None:
+    """SIGKILL a pool worker under a request, then the server over its pool."""
+    proc, client = boot(store, executor="process")
+    try:
+        pool = client.health()["pool"]
+        check(
+            pool["size"] == len(pool["pids"]) >= 1 and pool["busy"] == 0,
+            f"pool of {pool['size']} warm worker(s) idle at boot",
+        )
+        ticket = client.submit(request)
+        deadline = time.monotonic() + 30
+        while client.health()["pool"]["busy"] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        # Idle workers are handed out in spawn order, so the first request
+        # of a fresh server is sleeping on the first pid.
+        os.kill(pool["pids"][0], signal.SIGKILL)
+        envelope = wait_done(client, ticket.id)
+        check(envelope["slots"][0]["error"] is None, "job completed through the retry")
+        check(
+            client.result_raw(ticket.id) == reference,
+            "retried result byte-identical",
+        )
+        after = client.health()["pool"]
+        check(after["respawned_after_crash"] == 1, "exactly one worker respawned")
+        check(
+            after["size"] == pool["size"] and pool["pids"][0] not in after["pids"],
+            "pool restored to size with a new worker",
+        )
+        proc.kill()
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 2
+        while any(map(process_alive, after["pids"])) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        check(
+            not any(map(process_alive, after["pids"])),
+            "no pool worker alive 2 s after the server's SIGKILL",
+        )
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
 
 
 def main() -> None:
@@ -177,6 +233,10 @@ def main() -> None:
             proc.send_signal(signal.SIGTERM)
             rc = proc.wait(timeout=120)
         check(rc == 0, f"final drain exits 0 (got {rc})")
+
+    with tempfile.TemporaryDirectory() as store:
+        print("== process executor: pool worker killed under a request ==")
+        pool_worker_leg(store, requests[0], reference[0])
 
     print("chaos-smoke passed")
 

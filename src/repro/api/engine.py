@@ -1,13 +1,14 @@
 """Request execution: the single front door every surface calls through.
 
 ``run()`` turns a typed request into a typed response; ``run_batch()`` fans
-a list of requests over a thread or process pool — the shape the experiment
-runner, the benchmark harness and the CLI ``compare`` subcommand all share
-instead of private loops.  The default ``executor="thread"`` fits jobs that
-spend their time in numpy kernels and LP solves; ``executor="process"``
-sidesteps the GIL for Python-bound jobs — saturation-load simulations above
-all — and is possible precisely because every request and response payload
-is a frozen, JSON-round-trippable (hence picklable) dataclass.
+a list of requests over a thread pool or the warm worker-process pool
+(:mod:`repro.api.pool`) — the shape the experiment runner, the benchmark
+harness and the CLI ``compare`` subcommand all share instead of private
+loops.  The default ``executor="thread"`` fits jobs that spend their time in
+numpy kernels and LP solves; ``executor="process"`` sidesteps the GIL for
+Python-bound jobs — saturation-load simulations above all — and is possible
+precisely because every request and response payload is a frozen,
+JSON-round-trippable (hence picklable) dataclass.
 
 Simulation requests also share a small process-local cache of mapping and
 routing results keyed by the serialized map request: the points of a
@@ -26,11 +27,7 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from pathlib import Path
 
@@ -411,9 +408,6 @@ _CRASH_ONCE_ENV = "REPRO_CRASH_ONCE"
 _SLOW_TAG_ENV = "REPRO_SLOW_TAG"
 _SLOW_SECONDS_ENV = "REPRO_SLOW_SECONDS"
 
-#: Marker for a slot whose process worker died before returning anything.
-_WORKER_DIED = object()
-
 
 def _request_tag(request: MapRequest | SimRequest) -> str | None:
     """The batch-correlation tag of a request (sim requests inherit it)."""
@@ -562,11 +556,11 @@ def run_batch(
     that raises yields an :class:`ErrorResponse` in its slot (same payload
     on every executor); a request that outlives ``timeout`` yields a
     ``BatchError``-typed ``ErrorResponse``; a process worker that *dies*
-    (segfault, OOM kill) breaks only its own slots — the victims are
-    retried up to ``retries`` times in fresh single-worker pools (so a
-    deterministic crasher cannot take innocents down twice), and a slot
-    still failing after that yields a ``BatchError``-typed
-    ``ErrorResponse``.  Every other slot completes normally.
+    (segfault, OOM kill) breaks only the one slot it was running — the
+    worker is replaced (:class:`repro.api.pool.WorkerPool`), the slot is
+    retried up to ``retries`` times, and a slot still failing after that
+    yields a ``BatchError``-typed ``ErrorResponse``.  Every other slot
+    completes normally, on its first attempt.
 
     Args:
         requests: any mix of map and sim requests.
@@ -586,9 +580,12 @@ def run_batch(
             ``timeout``; ``workers``/``retries``/``isolate`` are pool
             parameters and have no effect).
         timeout: per-request wall-clock budget in seconds; None disables.
-            Pool executors stop waiting on a late slot (its worker finishes
-            in the background); the serial executor detects the overrun
-            after the fact.  Either way the slot reports the same payload.
+            The process executor kills a late slot's worker and replaces
+            it, so the caller is answered when the budget runs out; the
+            thread executor stops waiting on the slot but cannot stop its
+            thread, so the call returns once the late run ends; the serial
+            executor detects the overrun after the fact.  In every case
+            the slot reports the same payload.
         retries: extra attempts for a slot whose process worker died.
         isolate: force pool dispatch even for singleton / single-worker
             batches, which otherwise degrade to in-process serial
@@ -628,11 +625,16 @@ def run_batch(
     ):
         return [_guarded_run(request, timeout) for request in requests]
 
-    pool_cls = ProcessPoolExecutor if executor == "process" else ThreadPoolExecutor
+    if executor == "process":
+        from repro.api.pool import WorkerPool  # it imports this module
+
+        with WorkerPool(workers) as pool:
+            return pool.map(requests, timeout, retries)
+
     results: list = [None] * len(requests)
-    with pool_cls(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as threads:
         futures = [
-            pool.submit(_guarded_run, request, timeout) for request in requests
+            threads.submit(_guarded_run, request, timeout) for request in requests
         ]
         for index, (request, future) in enumerate(zip(requests, futures)):
             try:
@@ -643,43 +645,6 @@ def run_batch(
                     error="BatchError",
                     message=_timeout_message(timeout),
                 )
-            except BrokenExecutor:
-                results[index] = _WORKER_DIED
-            except Exception as exc:  # noqa: BLE001 — e.g. unpicklable result
-                results[index] = ErrorResponse(
-                    request=request, error=type(exc).__name__, message=str(exc)
-                )
-
-    # Retry slots whose worker died — each in its own fresh single-worker
-    # pool so a deterministically-crashing request cannot re-kill innocent
-    # neighbours, and a bounded number of times so it cannot loop forever.
-    for index, request in enumerate(requests):
-        if results[index] is not _WORKER_DIED:
-            continue
-        for _ in range(retries):
-            with ProcessPoolExecutor(max_workers=1) as retry_pool:
-                future = retry_pool.submit(_guarded_run, request, timeout)
-                try:
-                    results[index] = future.result(timeout=timeout)
-                    break
-                except FuturesTimeoutError:
-                    results[index] = ErrorResponse(
-                        request=request,
-                        error="BatchError",
-                        message=_timeout_message(timeout),
-                    )
-                    break
-                except BrokenExecutor:
-                    continue
-        if results[index] is _WORKER_DIED:
-            results[index] = ErrorResponse(
-                request=request,
-                error="BatchError",
-                message=(
-                    f"worker process died while running this request "
-                    f"({1 + retries} attempt(s))"
-                ),
-            )
     return results
 
 

@@ -9,12 +9,14 @@ flows labelled with average bandwidth demands in MB/s — exactly the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import GraphError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True, order=True)
@@ -307,6 +309,8 @@ class CoreGraph:
 
     def to_networkx(self) -> nx.DiGraph:
         """Export to a :class:`networkx.DiGraph` with ``bandwidth`` edge data."""
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.name)
         graph.add_nodes_from(self.cores)
         for flow in self.flows():

@@ -10,12 +10,14 @@ heterogeneous links remain expressible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import GraphError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Hop-distance sentinel for node pairs disconnected by failed links/routers.
 #: Large enough that any placement using a disconnected pair is dominated by
@@ -451,6 +453,8 @@ class NoCTopology:
     # ------------------------------------------------------------------
     def to_networkx(self) -> nx.DiGraph:
         """Export to :class:`networkx.DiGraph` with ``bandwidth`` edge data."""
+        import networkx as nx
+
         graph = nx.DiGraph(name=repr(self))
         for node in self.nodes:
             x, y = self.coords(node)

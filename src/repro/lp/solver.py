@@ -12,7 +12,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, sparse
 
 from repro.errors import SolverError
 from repro.lp.model import LinearProgram
@@ -72,6 +71,8 @@ def _build_matrices(program: LinearProgram):
         else:  # pragma: no cover - ConstraintSpec only produces these senses
             raise SolverError(f"unknown constraint sense {spec.sense!r}")
 
+    from scipy import sparse
+
     def to_sparse(rows: list[dict[int, float]]):
         data: list[float] = []
         row_idx: list[int] = []
@@ -129,6 +130,8 @@ def solve(program: LinearProgram) -> Solution:
     if program.has_integer_vars:
         return _solve_milp(program, cost, a_ub, b_ub, a_eq, b_eq)
 
+    from scipy import optimize
+
     result = optimize.linprog(
         cost,
         A_ub=a_ub if a_ub.shape[0] else None,
@@ -150,6 +153,8 @@ def solve(program: LinearProgram) -> Solution:
 
 
 def _solve_milp(program: LinearProgram, cost, a_ub, b_ub, a_eq, b_eq) -> Solution:
+    from scipy import optimize
+
     constraints = []
     if a_ub.shape[0]:
         constraints.append(optimize.LinearConstraint(a_ub, -np.inf, b_ub))

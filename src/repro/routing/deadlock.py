@@ -19,10 +19,13 @@ packet.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.routing.base import LinkKey, RoutingResult, path_links
 from repro.routing.tables import build_routing_tables
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def channel_dependency_graph(routing: RoutingResult) -> nx.DiGraph:
@@ -32,6 +35,8 @@ def channel_dependency_graph(routing: RoutingResult) -> nx.DiGraph:
     ``(a, b) -> (b, c)`` means some packet may hold link ``(a, b)`` while
     requesting ``(b, c)``.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     for link in routing.topology.link_keys():
         graph.add_node(link)
@@ -64,6 +69,8 @@ def find_cycle(routing: RoutingResult) -> list[LinkKey] | None:
     first) — directly actionable when debugging a deadlock report from the
     simulator.
     """
+    import networkx as nx
+
     graph = channel_dependency_graph(routing)
     try:
         cycle_edges = nx.find_cycle(graph, orientation="original")

@@ -20,12 +20,14 @@ journaled jobs after a hard crash under their original ids.
 Worker threads pull whole jobs and run them through the content-addressed
 store's dedup protocol: every slot key is claimed first (store hits and
 keys another job is already computing resolve without executing anything),
-then the owned misses fan out through :func:`repro.api.run_batch` — by
-default with ``executor="process"``, so the service inherits all of the
-batch engine's hardening (typed ``ErrorResponse`` slots, per-request
-timeouts, crash-retry for dead workers) and its multi-core scaling.  Owned
-misses run in chunks so a long sweep publishes results incrementally and
-the ``/events`` stream sees per-point progress rather than one burst.
+then the owned misses fan out — by default (``executor="process"``) over
+one :class:`repro.api.pool.WorkerPool` the runner holds from ``start()`` to
+``drain()``, otherwise through :func:`repro.api.run_batch` — so the service
+inherits all of the batch engine's hardening (typed ``ErrorResponse``
+slots, per-request timeouts, crash-retry for dead workers) and its
+multi-core scaling without forking anything per job.  Owned misses run in
+chunks so a long sweep publishes results incrementally and the ``/events``
+stream sees per-point progress rather than one burst.
 
 Slots whose key another job owns are awaited *after* all owned keys are
 published — that ordering (plus per-job key dedup) is what makes the
@@ -44,6 +46,7 @@ import uuid
 from collections import OrderedDict
 
 from repro.api import canonical_request_key, run_batch
+from repro.api.pool import WorkerPool
 from repro.api.specs import ErrorResponse, MapRequest, SimRequest
 from repro.errors import ApiError, ServiceError
 from repro.service.journal import JobJournal
@@ -303,6 +306,7 @@ class JobRunner:
         self._feeders: list[threading.Thread] = []
         self._thread_lock = threading.Lock()
         self._thread_serial = itertools.count()
+        self._pool: WorkerPool | None = None
         self._draining = False
 
     # -- lifecycle ------------------------------------------------------
@@ -317,6 +321,11 @@ class JobRunner:
             jit.warmup()
         except Exception:  # noqa: BLE001 — warm-up is an optimization only
             pass
+        if self._executor == "process":
+            # Forked here, after the imports and the warm-up, so every
+            # worker starts with both; a crashing request kills one of
+            # these disposable workers, never the service itself.
+            self._pool = WorkerPool(max(self._workers, os.cpu_count() or 1))
         for _ in range(self._workers):
             self._spawn_worker()
 
@@ -343,7 +352,8 @@ class JobRunner:
 
         The drain contract: no accepted job's results are dropped — the
         queue empties, every in-flight job finishes and publishes, and only
-        then do the workers exit.
+        then do the dispatch threads exit and the worker pool's processes
+        get closed and joined.
         """
         self.begin_drain()
         # A recovery feeder still enqueueing counts as accepted work.
@@ -358,9 +368,15 @@ class JobRunner:
             thread.join()
         with self._thread_lock:
             self._threads.clear()
+        if self._pool is not None:
+            self._pool.close()
 
     def queue_depth(self) -> int:
         return self._queue.qsize()
+
+    def pool_stats(self) -> dict | None:
+        """The worker pool's counters; None unless the executor is ``process``."""
+        return None if self._pool is None else self._pool.stats()
 
     # -- submission -----------------------------------------------------
     def retry_after_hint(self) -> float:
@@ -590,6 +606,12 @@ class JobRunner:
             os.close(fd)
         raise SystemExit(f"service chaos hook: worker dying on tag {tag!r}")
 
+    def _execute(self, requests: list[MapRequest | SimRequest]) -> list:
+        """Run owned misses on the configured executor; one response each."""
+        if self._pool is not None:
+            return self._pool.map(requests, timeout=self._timeout)
+        return run_batch(requests, executor=self._executor, timeout=self._timeout)
+
     def _run_job(self, job: Job) -> None:
         job.mark_running()
         store = self._store
@@ -620,18 +642,9 @@ class JobRunner:
             self._inject_worker_chaos(job)
 
             chunk_size = self._chunk or max(1, min(len(owned), os.cpu_count() or 1))
-            # isolate=True keeps singleton chunks on the pool: with the
-            # process executor a crashing request must kill a disposable
-            # worker, never the service itself.
-            isolate = self._executor == "process"
             for chunk in _chunks(owned, chunk_size):
                 requests = [job.slots[groups[key][0]].request for key in chunk]
-                responses = run_batch(
-                    requests,
-                    executor=self._executor,
-                    timeout=self._timeout,
-                    isolate=isolate,
-                )
+                responses = self._execute(requests)
                 for key, response in zip(chunk, responses):
                     data = canonical_response_bytes(response)
                     cacheable = not isinstance(response, ErrorResponse)
@@ -655,12 +668,7 @@ class JobRunner:
                 # The owner abandoned (or the wait timed out): compute this
                 # slot ourselves rather than failing the job — on the
                 # configured executor, so crash isolation still holds.
-                response = run_batch(
-                    [job.slots[groups[key][0]].request],
-                    executor=self._executor,
-                    timeout=self._timeout,
-                    isolate=self._executor == "process",
-                )[0]
+                response = self._execute([job.slots[groups[key][0]].request])[0]
                 data = canonical_response_bytes(response)
                 cached = False
             for index in groups[key]:

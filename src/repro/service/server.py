@@ -4,7 +4,8 @@ One event-loop thread does all socket I/O over a hand-rolled HTTP/1.1
 layer (request line + headers + Content-Length body in; Content-Length or
 chunked responses out); everything that computes runs on the
 :class:`~repro.service.jobs.JobRunner` worker threads, which in turn fan
-out through ``run_batch``.  The loop therefore stays responsive — health
+out over the runner's warm worker pool (``executor="process"``) or through
+``run_batch``.  The loop therefore stays responsive — health
 checks and status polls answer while a saturation sweep grinds.
 
 Endpoints (all JSON):
@@ -22,7 +23,8 @@ Endpoints (all JSON):
 * ``GET /v1/jobs/{id}/events`` — chunked NDJSON stream of per-slot results
   as they complete (sweep points arrive incrementally), closed by one
   ``{"done": true}`` line.
-* ``GET /v1/health`` — liveness, queue depth, job counts, store counters.
+* ``GET /v1/health`` — liveness, queue depth, job counts, store, journal
+  and worker-pool counters.
 * ``GET /v1/mappers`` — the mapper registry over the wire.
 
 Shutdown is a *drain*, not a drop: SIGTERM/SIGINT (or
@@ -456,6 +458,7 @@ class NocService:
                 "journal": (
                     None if self.journal is None else self.journal.stats()
                 ),
+                "pool": self.runner.pool_stats(),
             },
         )
 

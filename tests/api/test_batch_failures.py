@@ -7,8 +7,10 @@ The contract under test (ARCHITECTURE.md, "batch failure semantics"):
 * the failing slot's payload is *byte-identical* across the serial, thread
   and process executors;
 * a process worker that dies (a real crash, not an exception) breaks only
-  its own slot: victims are retried in fresh pools, and a deterministic
-  crasher is typed ``BatchError`` after bounded retries;
+  its own slot: the worker is replaced, the slot retried, and a
+  deterministic crasher is typed ``BatchError`` after bounded retries;
+* a slot that outlives its ``timeout`` frees the caller when the budget
+  runs out: the late process worker is killed and replaced;
 * a retried transient crash reproduces the clean run's payload exactly.
 
 The crash/slow instruments are env-var hooks honored inside the worker
@@ -19,6 +21,7 @@ The crash/slow instruments are env-var hooks honored inside the worker
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -32,6 +35,7 @@ from repro.api import (
     run,
     run_batch,
 )
+from repro.api.pool import WorkerPool
 from repro.errors import ApiError
 
 #: A tiny request the chaos hooks leave alone.
@@ -150,6 +154,41 @@ class TestWorkerCrash:
         assert want[1].error == "BatchError"
         assert want[1].message == "request did not complete within 0.8 s"
         assert want[2].error == "FileNotFoundError"
+
+
+class TestTimeoutFreesTheCaller:
+    """Regression: leaving the per-call ``ProcessPoolExecutor`` joined the
+    late worker, so a 0.5 s budget answered after the full 3 s run."""
+
+    @pytest.fixture(autouse=True)
+    def slow_hook(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SLOW_TAG", "slow")
+        monkeypatch.setenv("REPRO_SLOW_SECONDS", "3")
+
+    LAGGARD = MapRequest(
+        app="pip", mapper="nmap", price_bandwidth=False, tag="slow"
+    )
+
+    def test_run_batch_returns_when_the_budget_runs_out(self):
+        start = time.monotonic()
+        responses = run_batch(
+            [self.LAGGARD], executor="process", timeout=0.5, isolate=True
+        )
+        assert time.monotonic() - start < 0.5 + 0.5
+        assert responses[0].error == "BatchError"
+        assert responses[0].message == "request did not complete within 0.5 s"
+
+    def test_late_worker_is_killed_and_the_pool_stays_usable(self):
+        with WorkerPool(1) as pool:
+            (late_pid,) = pool.stats()["pids"]
+            start = time.monotonic()
+            response = pool.run(self.LAGGARD, timeout=0.5)
+            assert time.monotonic() - start < 0.5 + 0.5
+            assert response.message == "request did not complete within 0.5 s"
+            stats = pool.stats()
+            assert stats["killed_on_timeout"] == 1 and stats["size"] == 1
+            assert stats["pids"] != [late_pid]
+            assert pool.run(GOOD).to_dict() == run(GOOD).to_dict()
 
 
 class TestRetryDeterminism:

@@ -9,12 +9,13 @@ claims held, slots pending — without a subprocess.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
 import pytest
 
-from repro.api import MapRequest
+from repro.api import MapRequest, run
 from repro.errors import ApiError, ServiceError
 from repro.service import (
     DrainingError,
@@ -26,6 +27,7 @@ from repro.service import (
     ResultStore,
 )
 from repro.service.jobs import JOB_DONE
+from repro.service.wire import canonical_response_bytes
 
 
 def request(tag: str | None = None) -> MapRequest:
@@ -236,4 +238,36 @@ class TestWorkerHardening:
         # One job was on the dying thread (typed failure); at least one
         # real result must exist and nothing may hang.
         assert None in outcomes or outcomes == {"ServiceError"}
+        runner.drain()
+
+
+class TestWarmPool:
+    """``executor="process"``: one pool from ``start()`` to ``drain()``."""
+
+    def test_jobs_share_the_pre_forked_workers(self):
+        runner = make_runner(executor="process", queue_limit=32, workers=2)
+        assert runner.pool_stats() is None  # nothing forks before start()
+        runner.start()
+        pids = runner.pool_stats()["pids"]
+        assert len(pids) == max(2, os.cpu_count() or 1)
+        requests = [request(tag=f"job-{index}") for index in range(20)]
+        jobs = [runner.submit([item], batch=False) for item in requests]
+        assert all(job.wait_done(timeout=60) for job in jobs)
+        for item, job in zip(requests, jobs):
+            assert job.slots[0].data == canonical_response_bytes(run(item))
+        stats = runner.pool_stats()
+        assert stats["pids"] == pids  # no fork per job
+        assert stats["served"] == 20 and stats["busy"] == 0
+        assert stats["respawned_after_crash"] == stats["killed_on_timeout"] == 0
+        runner.drain()
+        # drain() joined every worker: reaped (their rusage is in this
+        # process's children totals), not merely told to stop.
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_other_executors_hold_no_pool(self):
+        runner = make_runner(executor="thread")
+        runner.start()
+        assert runner.pool_stats() is None
         runner.drain()

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -54,6 +58,27 @@ class TestPackageSurface:
         for module in (apps, graphs, mapping, metrics, routing, simnoc):
             for name in module.__all__:
                 assert getattr(module, name) is not None, f"{module.__name__}.{name}"
+
+
+class TestColdStart:
+    def test_an_nmap_request_loads_neither_scipy_nor_networkx(self):
+        """The LP solver and the graph exports import their heavy
+        dependencies where they use them: ``import repro.api`` plus an
+        unpriced NMAP mapping pays for neither."""
+        script = (
+            "import sys\n"
+            "from repro.api import MapRequest, run\n"
+            "assert run(MapRequest(app='vopd', price_bandwidth=False)).feasible\n"
+            "print([m for m in ('scipy', 'networkx') if m in sys.modules])\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestCrossModuleWiring:
