@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the design choices the mappers' docstrings call out.
 
 * swap-improvement on/off — what NMAP's pairwise refinement buys over the
   constructive seed;
@@ -109,7 +109,7 @@ def test_ablation_commodity_ordering(benchmark):
     print()
     for heavy, light in results:
         print(f"  heavy-first={heavy:8.1f}  light-first={light:8.1f}")
-    # Measured finding (recorded in EXPERIMENTS.md): on random mappings the
+    # Measured finding: on random mappings the
     # two orders trade wins per instance; the paper's heaviest-first choice
     # must at least never be catastrophically worse in aggregate.
     mean_heavy = sum(h for h, _l in results) / len(results)

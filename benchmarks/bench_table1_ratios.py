@@ -2,8 +2,7 @@
 
 Shape asserted: NMAP is never worse on cost (cstr >= 1 per app) and the
 average bandwidth ratio is in the paper's ~2x class (paper: 2.13; our
-stronger GMAP/PBB baselines pull cstr below the paper's 1.47 — recorded in
-EXPERIMENTS.md).
+stronger GMAP/PBB baselines pull cstr below the paper's 1.47).
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Shape asserted: the component figures match the paper's ×pipes values
 verbatim; single min-path provisioning is exactly 600 MB/s; split-traffic
-provisioning is the 2x3-mesh optimum of 400 MB/s (paper reports 200 — see
-EXPERIMENTS.md for the cut-bound analysis of that gap).
+provisioning is the 2x3-mesh optimum of 400 MB/s (paper reports 200; a cut
+bound rules that out on this mesh).
 """
 
 from __future__ import annotations

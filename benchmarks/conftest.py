@@ -4,7 +4,7 @@ Every bench regenerates one table/figure of the paper (or an ablation) by
 calling the same ``run_*`` functions the CLI uses, wrapped in
 pytest-benchmark for timing.  Each bench also asserts the paper's *shape* on
 the produced table, so ``pytest benchmarks/ --benchmark-only`` doubles as
-the reproduction check recorded in EXPERIMENTS.md.
+the reproduction check.
 
 Benches run once per invocation (``rounds=1``) — the workloads are
 deterministic end-to-end algorithm runs, not microbenchmarks.

@@ -1,16 +1,26 @@
 """Setuptools entry point (no pyproject.toml; environments here predate
 PEP 660 editable wheels, so ``python setup.py develop`` must keep working).
 
-Runtime dependencies are declared here.  numpy backs every fast-path kernel
+Runtime dependencies are declared here.  numpy backs every cost kernel
 (distance-matrix gathers, batch swap scoring — see PERFORMANCE.md); the
 floor is the oldest line whose fancy-indexing and ``bincount`` semantics the
 kernels were validated against.
 """
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+# One version: the package's own, read as text (src/ is not importable here).
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"$',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.MULTILINE,
+).group(1)
 
 setup(
     name="repro-nmap",
-    version="0.1.0",
+    version=VERSION,
     description="Reproduction of NMAP bandwidth-constrained NoC mapping (DATE'04)",
     package_dir={"": "src"},
     packages=find_packages(where="src"),

@@ -5,8 +5,9 @@ The package implements the NMAP mapping algorithms (single minimum-path and
 split-traffic via multi-commodity flow), the PMAP/GMAP/PBB baselines, the
 paper's application suite, a wormhole packet-level NoC simulator (the
 SystemC/×pipes substitute) and the benchmark harness regenerating every
-table and figure of the paper's evaluation.  See DESIGN.md for the system
-inventory and EXPERIMENTS.md for paper-vs-measured results.
+table and figure of the paper's evaluation.  See README.md for the
+surfaces, ARCHITECTURE.md for the system and PERFORMANCE.md for what was
+measured.
 
 Quickstart::
 

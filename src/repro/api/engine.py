@@ -416,19 +416,27 @@ def _request_tag(request: MapRequest | SimRequest) -> str | None:
     return request.tag
 
 
+def _claim_once(sentinel: str | None) -> bool:
+    """Whether a "crash only once" hook may fire: always without a sentinel
+    path, else only for the one process that creates the file."""
+    if not sentinel:
+        return True
+    try:
+        fd = os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return False  # already crashed once; let the retry succeed
+    os.close(fd)
+    return True
+
+
 def _inject_batch_chaos(request: MapRequest | SimRequest) -> None:
     """Honor the crash/slow test hooks for a matching request tag."""
     tag = _request_tag(request)
     if tag is None:
         return
     if os.environ.get(_CRASH_TAG_ENV) == tag:
-        sentinel = os.environ.get(_CRASH_ONCE_ENV)
-        if sentinel:
-            try:
-                fd = os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                return  # already crashed once; let the retry succeed
-            os.close(fd)
+        if not _claim_once(os.environ.get(_CRASH_ONCE_ENV)):
+            return
         # A real crash, not an exception: no cleanup, no pickled traceback.
         os._exit(23)
     if os.environ.get(_SLOW_TAG_ENV) == tag:

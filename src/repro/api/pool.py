@@ -173,10 +173,14 @@ class WorkerPool:
         Never raises for the request's own failure.  A worker that dies
         under the request is replaced and the request retried up to
         ``retries`` times; a worker still running after ``timeout`` seconds
-        is killed and replaced, and the slot reports the timeout.
+        is killed and replaced, and the slot reports the timeout.  A worker
+        found dead at checkout (killed from outside while idle) is replaced
+        first and costs the request none of its attempts.
         """
         for _ in range(1 + retries):
             worker = self._idle.get()
+            if not worker.process.is_alive():
+                worker = self._replace(worker, timed_out=False)
             outcome = _DIED
             try:
                 outcome = self._attempt(worker, request, timeout)

@@ -6,7 +6,7 @@ design (Figure 5, Table 3):
 * :func:`vopd` — Video Object Plane Decoder, 16 cores (Figure 1/2a; edge
   bandwidths encoded verbatim from the figure).
 * :func:`mpeg4` — MPEG-4 decoder, 14 cores (Van der Tol / Jaspers
-  structure; reconstruction documented in DESIGN.md).
+  structure; a reconstruction).
 * :func:`pip` — Picture-In-Picture, 8 cores.
 * :func:`mwa` — Multi-Window Application, 14 cores.
 * :func:`mwag` — Multi-Window Application with Graphics, 16 cores.

@@ -5,7 +5,7 @@ complete display pipelines (scalers, mixers, display buffers and
 controllers), with an on-screen-display plane overlaid on both screens.
 Bandwidths (MB/s): 256 MB/s shared input, 128 MB/s per-screen streams,
 96 MB/s after scaling, 160 MB/s composited outputs, 32 MB/s OSD planes.
-Reconstruction documented in DESIGN.md.
+The graph is a reconstruction.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ to half the traffic) with the decoding pipeline (VLD -> IDCT -> motion
 compensation -> up-sampling -> display) and the RISC/media-CPU control
 cluster on the side.  Bandwidths are in MB/s and follow the magnitudes
 reported in the MPEG-4 mapping literature (the 910 MB/s SDRAM reference
-fetch dominating).  DESIGN.md records this as a documented reconstruction.
+fetch dominating).  The graph is a reconstruction.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ plus a background layer are composited by a blender, with a zoom path and a
 display buffer in front of the display controller.  Bandwidths (MB/s):
 128 MB/s raw inputs, 96 MB/s after horizontal scaling, 64 MB/s after
 vertical scaling, 196-256 MB/s on the composited display path.
-Reconstruction documented in DESIGN.md.
+The graph is a reconstruction.
 """
 
 from __future__ import annotations

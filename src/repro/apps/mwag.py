@@ -3,7 +3,7 @@
 The MWA workload (see :mod:`repro.apps.mwa`) extended with a graphics
 renderer whose frame buffer joins the blender — the chip-set variant
 Jaspers et al. call "multi-window with graphics".  The graphics plane runs
-at 192 MB/s (RGB at display rate).  Reconstruction documented in DESIGN.md.
+at 192 MB/s (RGB at display rate).  The graph is a reconstruction.
 """
 
 from __future__ import annotations

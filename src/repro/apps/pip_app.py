@@ -5,8 +5,8 @@ chip-set (Table 1 of their TCE'99 paper): a main video window and an
 inset window share the display pipeline.  The inset branch is scaled down
 (horizontal + vertical scalers) and merged by the juggler (compositor)
 before display.  Bandwidths (MB/s) follow standard-definition video rates:
-128 MB/s full streams, 64 MB/s scaled streams.  Reconstruction documented
-in DESIGN.md.
+128 MB/s full streams, 64 MB/s scaled streams.  The graph is a
+reconstruction.
 """
 
 from __future__ import annotations

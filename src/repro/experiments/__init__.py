@@ -1,10 +1,9 @@
 """Experiment harness: one module per table/figure of the paper (§7).
 
 Every module exposes ``run_*`` returning a structured result and a
-``render`` helper producing the text table printed by the CLI and recorded
-in EXPERIMENTS.md.  The benchmarks under ``benchmarks/`` call the same
-``run_*`` functions, so the bench suite regenerates exactly what is
-documented.
+``render`` helper producing the text table printed by the CLI.  The
+benchmarks under ``benchmarks/`` call the same ``run_*`` functions, so the
+bench suite regenerates exactly what the CLI prints.
 
 | Paper artifact | Module |
 |---|---|

@@ -60,7 +60,7 @@ def render_table(
     rows: Sequence[Sequence[Any]],
     notes: Sequence[str] = (),
 ) -> str:
-    """Plain-text table with aligned columns (CLI / EXPERIMENTS.md output)."""
+    """Plain-text table with aligned columns (the CLI's output)."""
     cells = [[_format_cell(cell) for cell in row] for row in rows]
     widths = [len(header) for header in headers]
     for row in cells:

@@ -18,9 +18,9 @@ Reproduced quantities:
   on any single link after splitting, the per-link reservation the paper's
   200 MB/s corresponds to.
 
-EXPERIMENTS.md discusses why an *aggregate* 200 MB/s is unattainable for
-any connected 6-core placement on a 2x3 mesh (cut-bound argument), which is
-why the aggregate value lands above the paper's 200.
+An *aggregate* 200 MB/s is unattainable for any connected 6-core placement
+on a 2x3 mesh (cut-bound argument), which is why the aggregate value lands
+above the paper's 200.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ def run_table3() -> ExperimentTable:
     single = min_path_routing(minp_mesh, minp_commodities)
 
     # Split-traffic design: NMAPTA under a 400 MB/s budget (the best any
-    # placement of this graph can reach on a 2x3 mesh; see EXPERIMENTS.md
-    # for the cut-bound argument versus the paper's 200).
+    # placement of this graph can reach on a 2x3 mesh, by a cut bound, versus
+    # the paper's 200).
     split_mesh = dsp_mesh(link_bandwidth=400.0)
     split_mapped = nmap_with_splitting(app, split_mesh, quadrant_only=False)
     split_commodities = build_commodities(app, split_mapped.mapping)
@@ -71,7 +71,7 @@ def run_table3() -> ExperimentTable:
             "minp BW: max link load of the cost-optimal NMAP mapping under "
             "single min-path routing; split BW: min-congestion LP optimum of "
             "the NMAPTA mapping (400 is provably minimal on a 2x3 mesh for "
-            "this graph - see EXPERIMENTS.md)",
+            "this graph)",
         ],
     )
     table.rows.append(["NI area (mm2)", library.ni_area_mm2, 0.6])

@@ -12,21 +12,19 @@ Three phases:
    best mapping found so far is committed (exactly the pseudo-code's
    control flow).
 
-Fast path (results identical, documented in DESIGN.md and PERFORMANCE.md):
-Equation 7 depends only on hop distances, so a candidate swap's cost is
-computed in ``O(deg)`` via :func:`~repro.metrics.comm_cost.swap_cost_delta`
-— and, since the mapping is frozen while scanning the partners of node
-``i``, all their deltas are scored in one vectorized
-:func:`~repro.metrics.comm_cost.swap_cost_deltas` call when fast paths are
-enabled.  The routing heuristic runs only for candidates that would
-actually improve the best cost, to confirm bandwidth feasibility.  When
-every link's capacity is at least the total traffic of the application, any
-routing is feasible and the check is skipped altogether.
+Pricing shortcut (results identical to re-evaluating every candidate, see
+PERFORMANCE.md): Equation 7 depends only on hop distances, so a candidate
+swap's cost is its ``O(deg)`` delta — and, since the mapping is frozen while
+scanning the partners of node ``i``, all their deltas are scored in one
+vectorized :func:`~repro.metrics.comm_cost.swap_cost_deltas` call.  The
+routing heuristic runs only for candidates that would actually improve the
+best cost, to confirm bandwidth feasibility.  When every link's capacity is
+at least the total traffic of the application, any routing is feasible and
+the check is skipped altogether.
 """
 
 from __future__ import annotations
 
-from repro import fastpath
 from repro.api.options import NmapOptions
 from repro.errors import MappingError
 from repro.api.registry import register_mapper
@@ -35,12 +33,7 @@ from repro.graphs.core_graph import CoreGraph
 from repro.graphs.topology import NoCTopology
 from repro.mapping.base import Mapping, MappingResult
 from repro.mapping.initializer import initial_mapping
-from repro.metrics.comm_cost import (
-    MAXVALUE,
-    comm_cost,
-    swap_cost_delta,
-    swap_cost_deltas,
-)
+from repro.metrics.comm_cost import MAXVALUE, comm_cost, swap_cost_deltas
 from repro.routing.base import RoutingResult
 from repro.routing.min_path import min_path_routing
 
@@ -141,18 +134,9 @@ def nmap_single_path(
                 # The mapping is frozen while scanning j (the best swap for
                 # this i commits only after the scan), so all candidate
                 # deltas can be scored in one vectorized call.
-                batch_deltas = (
-                    swap_cost_deltas(mapping, nodes[i], candidates)
-                    if candidates and fastpath.fast_paths_enabled()
-                    else None
-                )
-                for offset, node_j in enumerate(candidates):
+                deltas = swap_cost_deltas(mapping, nodes[i], candidates)
+                for node_j, delta in zip(candidates, deltas.tolist()):
                     stats["swaps_tried"] += 1
-                    delta = (
-                        float(batch_deltas[offset])
-                        if batch_deltas is not None
-                        else swap_cost_delta(mapping, nodes[i], node_j)
-                    )
                     if delta == 0.0 and best_feasible:
                         continue
                     candidate_cost = manhattan_cost + delta

@@ -63,7 +63,7 @@ def pbb(
         topology: NoC graph.
         max_queue: surviving partial assignments per tree level; the paper's
             runtime knob (they size it for minutes, the Table 2 bench for
-            seconds — recorded in DESIGN.md).
+            seconds).
         tight_bounds: use nearest-free-node bounds (slower, prunes more).
             Defaults to True for graphs of at most 20 cores.
 

@@ -8,9 +8,10 @@
   the PBB baseline's original objective (extension; the DATE'04 paper
   compares on cost/bandwidth only).
 
-Cost kernels are numpy-vectorized with bit-identical scalar references
-behind :mod:`repro.fastpath`; :func:`swap_cost_deltas` scores every
+Cost kernels are numpy-vectorized; :func:`swap_cost_deltas` scores every
 candidate swap partner of a node in one call (see PERFORMANCE.md).
+:func:`comm_cost_reference` and the per-pair :func:`swap_cost_delta` are the
+scalar forms they fall back to on partial mappings.
 """
 
 from repro.metrics.bandwidth import (
@@ -21,7 +22,6 @@ from repro.metrics.bandwidth import (
 from repro.metrics.comm_cost import (
     average_hop_count,
     comm_cost,
-    comm_cost_limit,
     comm_cost_reference,
     swap_cost_delta,
     swap_cost_deltas,
@@ -34,7 +34,6 @@ __all__ = [
     "MappingReport",
     "average_hop_count",
     "comm_cost",
-    "comm_cost_limit",
     "comm_cost_reference",
     "communication_energy",
     "swap_cost_delta",

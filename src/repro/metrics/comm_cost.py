@@ -4,24 +4,24 @@
 is the minimum hop count on the mesh.  Note the cost depends only on the
 *mapping*, not on which minimum paths the router picks — routing affects
 feasibility (Inequality 3), not this objective.  That property is what lets
-NMAP pre-screen swap candidates cheaply (see DESIGN.md).
+NMAP pre-screen swap candidates cheaply (see PERFORMANCE.md).
 
-Every kernel here exists twice: the scalar loop from the seed implementation
-(kept verbatim as ``*_reference``, the oracle the property tests compare
-against) and a numpy fast path over the cached array views
+The kernels are numpy gathers over the cached array views
 (:meth:`CoreGraph.flow_arrays`, :meth:`Mapping.position_arrays`,
-:meth:`NoCTopology.distance_matrix`).  Which one runs is governed by
-:mod:`repro.fastpath`.  Bandwidth labels in this repository are
-integer-valued (VOPD/MPEG tables, rounded random graphs), so every product
-and sum is exact in float64 and the two paths agree bit for bit; see
-PERFORMANCE.md for the argument.
+:meth:`NoCTopology.distance_matrix`).  The seed's scalar loops they
+replaced are still here — :func:`comm_cost_reference` and the per-pair
+:func:`swap_cost_delta` — because the vectorized kernels fall back to them
+on partial mappings, and the property suite uses them as oracles.
+Bandwidth labels in this repository are integer-valued (VOPD/MPEG tables,
+rounded random graphs), so every product and sum is exact in float64 and
+the vectorized and scalar forms agree bit for bit; see PERFORMANCE.md for
+the argument.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import fastpath
 from repro.graphs.core_graph import CoreGraph
 from repro.graphs.topology import NoCTopology
 from repro.mapping.base import Mapping
@@ -49,16 +49,14 @@ def comm_cost_reference(mapping: Mapping) -> float:
 def comm_cost(mapping: Mapping) -> float:
     """Equation 7 for a complete mapping.
 
-    Vectorized as one gather over the cached hop-distance matrix when fast
-    paths are enabled; falls back to :func:`comm_cost_reference` (and its
-    exact error behaviour) on partial mappings.
+    One gather over the cached hop-distance matrix; falls back to
+    :func:`comm_cost_reference` (and its exact error behaviour) on partial
+    mappings.
 
     Raises:
         repro.errors.MappingError: via :meth:`Mapping.node_of` when a flow
             endpoint is unmapped.
     """
-    if not fastpath.fast_paths_enabled():
-        return comm_cost_reference(mapping)
     src, dst, bw = mapping.core_graph.flow_arrays()
     if src.size == 0:
         return 0.0
@@ -69,36 +67,6 @@ def comm_cost(mapping: Mapping) -> float:
         return comm_cost_reference(mapping)
     distances = mapping.topology.distance_matrix()
     return float(bw @ distances[src_nodes, dst_nodes])
-
-
-def comm_cost_limit_reference(mapping: Mapping, limit: float) -> float:
-    """Equation 7 with early exit once the partial sum exceeds ``limit``.
-
-    Used by the swap loops: most candidate swaps are worse than the current
-    best, so the scan usually stops early.  Returns a value ``> limit``
-    (not necessarily the exact cost) when the limit is exceeded.
-    """
-    topology = mapping.topology
-    total = 0.0
-    for flow in mapping.core_graph.flows():
-        total += flow.bandwidth * topology.distance(
-            mapping.node_of(flow.src), mapping.node_of(flow.dst)
-        )
-        if total > limit:
-            return total
-    return total
-
-
-def comm_cost_limit(mapping: Mapping, limit: float) -> float:
-    """Equation 7 capped at ``limit`` — see :func:`comm_cost_limit_reference`.
-
-    The fast path computes the exact full sum in one vectorized pass (which
-    is cheaper than any scalar early exit) and therefore still satisfies the
-    contract: the returned value exceeds ``limit`` iff the true cost does.
-    """
-    if not fastpath.fast_paths_enabled():
-        return comm_cost_limit_reference(mapping, limit)
-    return comm_cost(mapping)
 
 
 def average_hop_count(mapping: Mapping) -> float:
@@ -153,10 +121,6 @@ def swap_cost_delta(mapping: Mapping, node_a: int, node_b: int) -> float:
     return delta
 
 
-#: The scalar kernel doubles as the reference oracle for the batch scorer.
-swap_cost_delta_reference = swap_cost_delta
-
-
 def swap_cost_deltas(
     mapping: Mapping, node_a: int, candidates: "np.ndarray | list[int]"
 ) -> np.ndarray:
@@ -177,8 +141,8 @@ def swap_cost_deltas(
     distance matrix: a dense ``(B, deg(ca))`` block for the first, a
     CSR segment-sum over every candidate's neighborhood for the second.
 
-    Falls back to per-pair :func:`swap_cost_delta_reference` calls (same
-    results, same exceptions) for out-of-range nodes or partial mappings.
+    Falls back to per-pair :func:`swap_cost_delta` calls (same results,
+    same exceptions) for out-of-range nodes or partial mappings.
 
     Returns:
         ``float64`` array of deltas, one per candidate, in candidate order.
@@ -189,15 +153,14 @@ def swap_cost_deltas(
 
     def _fallback() -> np.ndarray:
         return np.array(
-            [swap_cost_delta_reference(mapping, node_a, int(b)) for b in nodes],
+            [swap_cost_delta(mapping, node_a, int(b)) for b in nodes],
             dtype=np.float64,
         )
 
     topology = mapping.topology
     num_nodes = topology.num_nodes
     if (
-        not fastpath.fast_paths_enabled()
-        or not (0 <= node_a < num_nodes)
+        not (0 <= node_a < num_nodes)
         or int(nodes.min()) < 0
         or int(nodes.max()) >= num_nodes
     ):

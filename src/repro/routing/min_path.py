@@ -6,23 +6,21 @@ path lies inside it) and Dijkstra picks the path of least accumulated load;
 the chosen links' weights are then increased by the commodity's value so
 later commodities steer around hot links.
 
-Fidelity note (also recorded in DESIGN.md): we restrict the quadrant to its
-*monotone* links — links that strictly approach the destination — so every
-candidate path is a minimum path and Dijkstra's load-based weights purely
-break ties between equal-hop paths.  Without this restriction a heavily
-loaded quadrant could make Dijkstra return a non-minimal detour, which would
-contradict the routine's name and the paper's delay model (Equation 7 charges
-every commodity its minimum hop count).
+Fidelity note: we restrict the quadrant to its *monotone* links — links
+that strictly approach the destination — so every candidate path is a
+minimum path and Dijkstra's load-based weights purely break ties between
+equal-hop paths.  Without this restriction a heavily loaded quadrant could
+make Dijkstra return a non-minimal detour, which would contradict the
+routine's name and the paper's delay model (Equation 7 charges every
+commodity its minimum hop count).
 """
 
 from __future__ import annotations
 
 import heapq
 
-from repro import fastpath
 from repro.errors import RoutingError
 from repro.graphs.commodities import Commodity
-from repro.graphs.quadrant import quadrant_links
 from repro.graphs.topology import NoCTopology
 from repro.routing.base import RoutingResult, path_links
 
@@ -103,18 +101,10 @@ def least_loaded_quadrant_path(
     """
     if src == dst:
         raise RoutingError("no path needed between a node and itself")
-    if fastpath.fast_paths_enabled():
-        # The monotone quadrant DAG depends only on the (immutable) geometry,
-        # so it is memoized per (src, dst) on the topology and shared across
-        # every commodity and every mapping candidate NMAP prices.
-        outgoing: dict[int, tuple[int, ...]] | dict[int, list[int]]
-        outgoing = topology.monotone_outgoing(src, dst)
-    else:
-        allowed = quadrant_links(topology, src, dst, monotone=True)
-        outgoing = {}
-        for u, v in allowed:
-            outgoing.setdefault(u, []).append(v)
-
+    # The monotone quadrant DAG depends only on the (immutable) geometry, so
+    # it is memoized per (src, dst) on the topology and shared across every
+    # commodity and every mapping candidate NMAP prices.
+    outgoing = topology.monotone_outgoing(src, dst)
     path = _dijkstra(outgoing, src, dst, link_loads, base_weight)
     if path is None and topology.is_degraded:
         # Pristine topologies never take this branch (their quadrant always

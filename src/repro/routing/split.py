@@ -2,7 +2,7 @@
 
 Three LPs over the same flow variables ``x^k_{i,j}`` (commodity ``k`` on
 directed link ``(i, j)``), each with per-commodity flow conservation
-(Equation 5, read per commodity — see DESIGN.md):
+(Equation 5, read per commodity):
 
 * **MCF1** (Equation 8): minimize the total slack by which link capacities
   are exceeded.  Slack 0 means the mapping satisfies the bandwidth

@@ -46,6 +46,7 @@ import uuid
 from collections import OrderedDict
 
 from repro.api import canonical_request_key, run_batch
+from repro.api.engine import _claim_once, _request_tag
 from repro.api.pool import WorkerPool
 from repro.api.specs import ErrorResponse, MapRequest, SimRequest
 from repro.errors import ApiError, ServiceError
@@ -88,13 +89,6 @@ class QuotaExceededError(OverloadedError):
 
 class DrainingError(ServiceError):
     """The service is shutting down and accepts no new work (503)."""
-
-
-def _request_tag(request: MapRequest | SimRequest) -> str | None:
-    """The batch-correlation tag of a request (sim requests inherit it)."""
-    if isinstance(request, SimRequest):
-        return request.map_request.tag
-    return request.tag
 
 
 class JobSlot:
@@ -597,13 +591,8 @@ class JobRunner:
         tag = os.environ.get(_SERVICE_CRASH_TAG_ENV)
         if not tag or all(_request_tag(s.request) != tag for s in job.slots):
             return
-        sentinel = os.environ.get(_SERVICE_CRASH_ONCE_ENV)
-        if sentinel:
-            try:
-                fd = os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                return  # already died once; let the retry run
-            os.close(fd)
+        if not _claim_once(os.environ.get(_SERVICE_CRASH_ONCE_ENV)):
+            return
         raise SystemExit(f"service chaos hook: worker dying on tag {tag!r}")
 
     def _execute(self, requests: list[MapRequest | SimRequest]) -> list:

@@ -4,8 +4,8 @@ Engines drive the model layer (routers, NIs, traffic sources — see
 :mod:`repro.simnoc.models`) and differ only in *how* they decide which
 component to touch when:
 
-* ``"cycle"`` — the cycle-accurate reference (full per-cycle scan, or the
-  PR-1 active-set variant that skips idle components bit-exactly);
+* ``"cycle"`` — the cycle-accurate reference: a per-cycle sweep that skips
+  idle components bit-exactly;
 * ``"event"`` — heap-scheduled event-driven time: components are stepped
   only at cycles where they can act, and all dead time in between is
   skipped outright;

@@ -1,16 +1,16 @@
-"""The cycle-accurate engine: per-cycle scan, with the active-set fast loop.
+"""The cycle-accurate engine: a per-cycle sweep over the active components.
 
 Per cycle: traffic sources create packets (handed to their NI), NIs inject
 one flit each into their router's local port, then every router advances its
 output ports (arbitration, wormhole forwarding, link serialization, credit
-flow control).  This is the bit-exact reference the event engine is
+flow control).  This is the bit-exact reference every other engine is
 property-tested against.
 
-Two variants share the semantics:
-
-* the seed's full scan — every source, NI and router, every cycle;
-* the PR-1 active-set loop — skip idle routers/NIs and fast-forward fully
-  idle stretches, provably without changing a single flit movement.
+The loop skips idle routers and NIs and fast-forwards fully idle stretches,
+provably without changing a single flit movement: the seed's scan of every
+source, NI and router on every cycle is kept as ``tests/reference``'s
+``seed_cycle_loop``, and the property suite holds the two to identical
+reports, flit traces and deadlock messages.
 
 A watchdog aborts runs where no flit moves for a long stretch while traffic
 is in flight (wormhole + arbitrary multi-path source routing is not
@@ -24,7 +24,6 @@ import bisect
 import heapq
 from typing import TYPE_CHECKING
 
-from repro import fastpath
 from repro.errors import SimulationError
 from repro.simnoc.engines.base import register_engine
 from repro.simnoc.router import LOCAL
@@ -39,72 +38,16 @@ DEADLOCK_WINDOW = 50_000
 
 @register_engine("cycle")
 class CycleEngine:
-    """Cycle-accurate time: dispatches to the active-set or full-scan loop.
-
-    ``sim.active_set`` selects the variant (None follows the global
-    fast-path switch; the full scan is the reference oracle the
-    equivalence tests compare against).
-    """
+    """Cycle-accurate time over the components that have pending work."""
 
     name = "cycle"
 
     def run(self, sim: "Simulator") -> None:
-        use_active = (
-            sim.active_set
-            if sim.active_set is not None
-            else fastpath.fast_paths_enabled()
-        )
-        if use_active:
-            self._run_active_set(sim)
-        else:
-            self._run_full_scan(sim)
+        """Advance ``sim`` cycle by cycle, touching only active components.
 
-    def _run_full_scan(self, sim: "Simulator") -> None:
-        """The seed's cycle loop: every source, NI and router, every cycle."""
-        network = sim.network
-        config = sim.config
-        measure_start = config.warmup_cycles
-        measure_end = config.warmup_cycles + config.measure_cycles
-        last_progress = 0
-
-        trace = sim.trace
-
-        def deliver(from_node: int, to_key: int, flit, cycle: int) -> None:
-            if trace is not None:
-                trace.record(from_node, to_key, flit, cycle)
-            if to_key == LOCAL:
-                network.interfaces[from_node].eject(flit, cycle)
-            else:
-                network.routers[to_key].inputs[from_node].push(flit, cycle)
-
-        for cycle in range(config.total_cycles):
-            moved = 0
-            for source in network.sources:
-                for packet in source.packets_for_cycle(cycle, sim.next_packet_id):
-                    packet.measured = measure_start <= cycle < measure_end
-                    sim.all_packets.append(packet)
-                    network.interfaces[packet.src_node].offer_packet(packet)
-            for node in sorted(network.interfaces):
-                moved += network.interfaces[node].inject(cycle, LOCAL)
-            for node in sorted(network.routers):
-                moved += network.routers[node].step(cycle, deliver)
-
-            if moved:
-                last_progress = cycle
-            elif (
-                cycle - last_progress > DEADLOCK_WINDOW
-                and network.total_buffered_flits() > 0
-            ):
-                raise SimulationError(
-                    f"deadlock: no flit moved since cycle {last_progress} "
-                    f"with {network.total_buffered_flits()} flits buffered"
-                )
-
-    def _run_active_set(self, sim: "Simulator") -> None:
-        """Cycle loop that only touches components with pending work.
-
-        Equivalence with :meth:`_run_full_scan` (the invariants the property
-        tests pin down):
+        Equivalence with the seed's scan of every source, NI and router on
+        every cycle (``tests/reference``; the invariants the property tests
+        pin down):
 
         * an NI with an empty injection queue and a router with no buffered
           flits and no allocated wormhole are no-ops in the full scan except

@@ -210,9 +210,9 @@ def warmup() -> tuple[str, str]:
     """Build the resolved backend ahead of time.
 
     Returns ``(backend_name, reason)`` — ``("none", why)`` when no
-    compiled backend is available.  Invoked by ``benchmarks/run_bench.py``
-    and by the job service at worker startup so neither benchmark medians
-    nor first-request latency ever include compilation.
+    compiled backend is available.  Invoked by the job service before it
+    forks its workers and by ``benchmarks/e2e`` during set-up, so neither
+    first-request latency nor the timed rounds ever include compilation.
     """
     backend, reason = resolve_backend()
     return ("none" if backend is None else backend.name), reason

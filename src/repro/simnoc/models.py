@@ -66,9 +66,8 @@ class TrafficSource(Protocol):
     """What every traffic injector must expose to the engines.
 
     A source owns one stream of packets entering the network at
-    ``src_node``.  Engines poll it with :meth:`packets_for_cycle` (cycle
-    engines, every cycle) or schedule it by :attr:`next_event_cycle`
-    (active-set and event engines).
+    ``src_node``.  Engines poll it with :meth:`packets_for_cycle` at the
+    cycles :attr:`next_event_cycle` names (cycle and event engines).
 
     The flattened engines (``vector``, ``sharded``) replay each source on
     its own, ahead of time (:mod:`repro.simnoc.schedule`), so a source must

@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro import fastpath
 from repro.errors import SimulationError
 from repro.simnoc.models import register_router_model
 from repro.simnoc.packet import Flit, is_last_flit
@@ -284,37 +283,31 @@ class Router:
         Returns:
             Number of flits moved (the simulator's progress counter).
 
-        With fast paths enabled, a pre-pass probes each input once and only
-        touches output ports that hold a worm or are requested by a visible
-        head — everything else is skipped wholesale (skipped token refills
-        replay bit-exactly on the next real touch, the same invariant that
-        lets whole routers be skipped).  The scalar reference scans every
-        port like the seed did; both produce identical flit movements.
+        A pre-pass probes each input once, and only output ports that hold
+        a worm or are requested by a visible head are touched — everything
+        else is skipped wholesale (skipped token refills replay bit-exactly
+        on the next real touch, the same invariant that lets whole routers
+        be skipped).  The flit movements are those of a scan of every port
+        (``tests/reference``'s ``every_port_step``).
         """
         moved = 0
         self.last_step_released = False
-        if fastpath.fast_paths_enabled():
-            requested = self._probe_requests(cycle)
-            for out_key in self.output_order:
-                port = self.outputs[out_key]
-                if port.owner is None and (
-                    requested is None or out_key not in requested
-                ):
-                    continue
-                port.refill_to(cycle)
-                advanced = self._advance_port(port, cycle, deliver)
-                if advanced:
-                    moved += advanced
-                    # A pop may have exposed the next packet's head at the
-                    # front of an input FIFO; the seed scan would let a
-                    # later-ordered port arbitrate it this same cycle, so
-                    # refresh the request set before the skip decisions.
-                    requested = self._probe_requests(cycle)
-        else:
-            for out_key in self.output_order:
-                port = self.outputs[out_key]
-                port.refill_to(cycle)
-                moved += self._advance_port(port, cycle, deliver)
+        requested = self._probe_requests(cycle)
+        for out_key in self.output_order:
+            port = self.outputs[out_key]
+            if port.owner is None and (
+                requested is None or out_key not in requested
+            ):
+                continue
+            port.refill_to(cycle)
+            advanced = self._advance_port(port, cycle, deliver)
+            if advanced:
+                moved += advanced
+                # A pop may have exposed the next packet's head at the
+                # front of an input FIFO; a scan of every port would let a
+                # later-ordered port arbitrate it this same cycle, so
+                # refresh the request set before the skip decisions.
+                requested = self._probe_requests(cycle)
         return moved
 
     def _probe_requests(self, cycle: int) -> set[int] | None:

@@ -17,14 +17,10 @@ deadlock-free; silent hangs must not masquerade as results).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.graphs.commodities import Commodity
 from repro.graphs.topology import NoCTopology
 from repro.routing.base import RoutingResult
-
-if TYPE_CHECKING:  # pragma: no cover - avoids a mapping<->simnoc import cycle
-    from repro.mapping.base import Mapping
 from repro.simnoc.config import SimConfig
 from repro.simnoc.engines.base import get_engine
 from repro.simnoc.engines.cycle import DEADLOCK_WINDOW  # noqa: F401  (re-export)
@@ -69,10 +65,6 @@ class Simulator:
         trace: optional :class:`repro.simnoc.trace.TraceRecorder`; when
             given, every flit movement is recorded (bounded by the
             recorder's cap).
-        active_set: None = follow the global fast-path switch; True/False
-            forces the active-set or full-scan variant of the cycle engine
-            (the latter is the reference oracle the equivalence tests
-            compare against).  Ignored by the event engine.
         engine: registered engine name — ``"cycle"`` (bit-exact
             reference), ``"event"`` (heap-scheduled, skips dead time),
             ``"vector"`` (structure-of-arrays, fastest at high load),
@@ -91,7 +83,6 @@ class Simulator:
         self,
         network: Network,
         trace=None,
-        active_set: bool | None = None,
         engine: str = "cycle",
         shards: int | None = None,
         partitioner: str | None = None,
@@ -99,7 +90,6 @@ class Simulator:
         self.network = network
         self.config = network.config
         self.trace = trace
-        self.active_set = active_set
         self.engine_name = engine
         self.shards = shards
         self.partitioner = partitioner
@@ -179,19 +169,6 @@ def simulate_mapping(
         bandwidth_scale=bandwidth_scale,
     )
     return Simulator(network, engine=engine).run()
-
-
-def simulate_mapped_application(
-    mapping: "Mapping",
-    routing: RoutingResult,
-    config: SimConfig,
-    **kwargs,
-) -> SimulationReport:
-    """Simulate a mapped application using its core graph's bandwidths."""
-    from repro.graphs.commodities import build_commodities
-
-    commodities = build_commodities(mapping.core_graph, mapping)
-    return simulate_mapping(mapping.topology, commodities, routing, config, **kwargs)
 
 
 def simulate_synthetic(

@@ -208,7 +208,7 @@ class BurstyTrafficSource:
     def next_event_cycle(self) -> int:
         """First integer cycle at which :meth:`packets_for_cycle` can fire.
 
-        The active-set simulator keeps sources in a priority queue keyed by
+        The cycle engine keeps sources in a priority queue keyed by
         this value so fully idle stretches between injections can be skipped
         without calling every source every cycle.
         """

@@ -30,7 +30,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro import fastpath
 from repro.errors import SimulationError
 from repro.simnoc.models import register_router_model
 from repro.simnoc.packet import Flit, is_last_flit
@@ -209,36 +208,28 @@ class VCRouter:
     def step(self, cycle: int, deliver) -> int:
         """Advance all output ports by one cycle (same contract as Router).
 
-        With fast paths enabled, a pre-pass mirroring the base router's
-        names the (output, vc) pairs a visible lane head could arbitrate
-        for; untouched ports are skipped wholesale (refills replay
-        bit-exactly later).  The scalar reference scans every port and
-        lane; both produce identical flit movements.
+        A pre-pass mirroring the base router's names the (output, vc) pairs
+        a visible lane head could arbitrate for; untouched ports are skipped
+        wholesale (refills replay bit-exactly later).  The flit movements
+        are those of a scan of every port and lane (``tests/reference``).
         """
         moved = 0
         self.last_step_released = False
-        if fastpath.fast_paths_enabled():
-            requested = self._probe_requests(cycle)
-            for out_key in self.output_order:
-                port = self.outputs[out_key]
-                wanted = requested.get(out_key)
-                if wanted is None and all(owner is None for owner in port.vc_owner):
-                    continue
-                port.refill_to(cycle)
-                advanced = self._advance_port(
-                    port, sorted(wanted) if wanted is not None else (), cycle, deliver
-                )
-                if advanced:
-                    moved += advanced
-                    # Pops may expose new lane heads that later-ordered
-                    # ports would arbitrate this same cycle (see Router).
-                    requested = self._probe_requests(cycle)
-        else:
-            all_lanes = range(self.num_vcs)
-            for out_key in self.output_order:
-                port = self.outputs[out_key]
-                port.refill_to(cycle)
-                moved += self._advance_port(port, all_lanes, cycle, deliver)
+        requested = self._probe_requests(cycle)
+        for out_key in self.output_order:
+            port = self.outputs[out_key]
+            wanted = requested.get(out_key)
+            if wanted is None and all(owner is None for owner in port.vc_owner):
+                continue
+            port.refill_to(cycle)
+            advanced = self._advance_port(
+                port, sorted(wanted) if wanted is not None else (), cycle, deliver
+            )
+            if advanced:
+                moved += advanced
+                # Pops may expose new lane heads that later-ordered
+                # ports would arbitrate this same cycle (see Router).
+                requested = self._probe_requests(cycle)
         return moved
 
     def _probe_requests(self, cycle: int) -> dict[int, set[int]]:

@@ -68,6 +68,19 @@ def test_crasher_is_replaced_while_an_innocent_runs_once(monkeypatch):
     assert len(set(before) & set(after["pids"])) == 1  # the innocent's worker
 
 
+def test_a_worker_killed_while_idle_costs_the_next_request_no_attempt():
+    """The death is found at checkout, before the attempt is counted."""
+    with WorkerPool(1) as pool:
+        (victim,) = pool.stats()["pids"]
+        os.kill(victim, signal.SIGKILL)
+        assert wait_until_gone([victim], timeout=5.0) == []
+        response = pool.run(GOOD, retries=0)
+        stats = pool.stats()
+    assert response == run(GOOD)
+    assert stats["respawned_after_crash"] == 1 and stats["served"] == 1
+    assert stats["size"] == 1 and stats["pids"] != [victim]
+
+
 def test_workers_are_reused_and_joined_on_close():
     with WorkerPool(2) as pool:
         pids = pool.stats()["pids"]

@@ -1,4 +1,4 @@
-"""Integration tests asserting the paper's headline shapes (DESIGN.md §5).
+"""Integration tests asserting the paper's headline shapes.
 
 These are the claims a reproduction must preserve, checked end to end:
 NMAP/PBB beat PMAP/GMAP on cost, splitting roughly halves bandwidth needs,
@@ -96,7 +96,7 @@ class TestTable3Shape:
         assert routing.max_link_load() == pytest.approx(600.0)
 
     def test_split_bandwidth_reaches_400(self):
-        """400 MB/s is optimal on the 2x3 mesh (EXPERIMENTS.md cut argument)."""
+        """400 MB/s is optimal on the 2x3 mesh (cut-bound argument)."""
         from repro.mapping import nmap_with_splitting
 
         app = dsp_filter()

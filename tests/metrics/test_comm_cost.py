@@ -10,7 +10,6 @@ from repro.mapping.base import Mapping
 from repro.metrics.comm_cost import (
     average_hop_count,
     comm_cost,
-    comm_cost_limit,
     swap_cost_delta,
 )
 
@@ -41,11 +40,6 @@ class TestCommCost:
         graph.add_core("a")
         mapping = Mapping(graph, mesh2x2, {"a": 0})
         assert average_hop_count(mapping) == 0.0
-
-    def test_limit_early_exit(self, tiny_graph, mesh2x2):
-        mapping = Mapping(tiny_graph, mesh2x2, {"a": 0, "b": 3, "c": 1})
-        assert comm_cost_limit(mapping, limit=1e9) == comm_cost(mapping)
-        assert comm_cost_limit(mapping, limit=10.0) > 10.0
 
 
 class TestSwapDelta:

@@ -10,9 +10,11 @@ tolerance would hide a scheduling divergence.
 
 Scenarios cover the seed's workloads (VOPD mesh, DSP slow-link mesh, torus)
 plus everything the model/engine split made pluggable: synthetic traffic
-patterns, the VC wormhole router, both fast-path modes of the shared router
-step — and, because the vector engine exists precisely for saturation, a
-dedicated injection-rate matrix below, at and above the saturation knee.
+patterns, the VC wormhole router — and, because the vector engine exists
+precisely for saturation, a dedicated injection-rate matrix below, at and
+above the saturation knee.  The cycle reference itself is held to the
+seed's full-scan loop (``tests/reference``): reports, flit traces and the
+deadlock exit.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import re
 
 import pytest
 
-from repro import fastpath
 from repro.apps import vopd
 from repro.apps.dsp import dsp_filter, dsp_mesh
 from repro.errors import SimulationError
@@ -34,6 +35,7 @@ from repro.routing.min_path import min_path_routing
 from repro.simnoc import SimConfig, Simulator, build_network, build_synthetic_network
 from repro.simnoc.engines.flat_kernel import MAX_KERNEL_VCS
 from repro.simnoc.trace import TraceRecorder
+from tests.reference import every_port_step, seed_cycle_loop
 
 #: The fast backends, each pinned against the cycle reference.
 FAST_ENGINES = ("event", "vector")
@@ -128,8 +130,7 @@ class TestTraceTrafficEquivalence:
 
     @pytest.mark.parametrize("engine", FAST_ENGINES)
     def test_fast_engines_match_seed_reference_loop(self, engine):
-        """Cross-mode: fast engine (fast paths on) == full scan on the
-        scalar step — and the event engine also in scalar mode."""
+        """Not only the cycle engine: each fast engine == the seed's loop."""
         app = dsp_filter()
         mesh, commodities, routing, config = _trace_setup(
             app,
@@ -140,21 +141,21 @@ class TestTraceTrafficEquivalence:
             seed=3,
         )
 
-        def run(name, mode_ctx, active_set=None):
-            network = build_network(
+        def network():
+            return build_network(
                 mesh, commodities, routing, config, bandwidth_scale=0.2
             )
-            with mode_ctx():
-                return Simulator(network, active_set=active_set, engine=name).run()
 
-        reference = run("cycle", fastpath.scalar_reference, active_set=False)
-        assert_reports_identical(run(engine, fastpath.fast_paths), reference)
-        if engine == "event":
-            assert_reports_identical(run(engine, fastpath.scalar_reference), reference)
+        assert_reports_identical(
+            Simulator(network(), engine=engine).run(),
+            seed_cycle_loop(Simulator(network())),
+        )
 
-    @pytest.mark.parametrize("engine", FAST_ENGINES)
+    @pytest.mark.parametrize("engine", FAST_ENGINES + ("seed-loop",))
     def test_flit_traces_identical(self, engine):
-        """Not just aggregates: the exact flit-movement sequence matches."""
+        """Not just aggregates: the exact flit-movement sequence matches —
+        the fast engines' the cycle engine's, and the cycle engine's the
+        seed loop's."""
         app = vopd()
         mesh = NoCTopology.smallest_mesh_for(16, link_bandwidth=app.total_bandwidth())
         mesh, commodities, routing, config = _trace_setup(
@@ -172,7 +173,10 @@ class TestTraceTrafficEquivalence:
                 mesh, commodities, routing, config, bandwidth_scale=0.4
             )
             recorder = TraceRecorder(max_events=10**6)
-            Simulator(network, trace=recorder, engine=name).run()
+            if name == "seed-loop":
+                seed_cycle_loop(Simulator(network, trace=recorder))
+            else:
+                Simulator(network, trace=recorder, engine=name).run()
             return recorder.events
 
         assert run(engine) == run("cycle")
@@ -337,25 +341,27 @@ class TestVCRouterEquivalence:
 
         assert run("vector") == run("cycle")
 
-    def test_vc_router_scalar_mode_matches(self):
-        """The VC router's fast-path step is bit-exact vs its full scan."""
+    @pytest.mark.parametrize("num_vcs", [1, 2])
+    def test_router_skip_scan_matches_every_port_scan(self, num_vcs):
+        """Under one and the same full-scan loop, a router's step (which
+        skips unrequested ports and lanes) == the seed's scan of them all."""
         mesh = NoCTopology.mesh(3, 3, link_bandwidth=600.0)
         config = SimConfig(
             warmup_cycles=300,
             measure_cycles=3_000,
             drain_cycles=500,
             seed=4,
-            num_vcs=2,
-            vc_buffer_depth=4,
+            num_vcs=num_vcs,
+            vc_buffer_depth=4 if num_vcs > 1 else None,
         )
 
-        def run(mode_ctx):
+        def run(step):
             network = build_synthetic_network(mesh, config, "uniform", 0.2)
-            with mode_ctx():
-                return Simulator(network, engine="cycle", active_set=False).run()
+            return seed_cycle_loop(Simulator(network), step)
 
         assert_reports_identical(
-            run(fastpath.fast_paths), run(fastpath.scalar_reference)
+            run(lambda router, cycle, deliver: router.step(cycle, deliver)),
+            run(every_port_step),
         )
 
 
@@ -491,11 +497,12 @@ class TestDeadlockExit:
     """A network that stalls for good ends every engine the same way.
 
     The deadlock exit is the kernel twin's only early ``return`` (plus its
-    status block) and each engine's only mid-run raise.  ``cycle``,
-    ``event`` and ``vector`` on every JIT rung must raise the identical
-    ``SimulationError`` text.  ``sharded`` detects the stall per shard —
-    whichever worker gives up first reports its own flit count inside a
-    worker-failure message — so there only the sentence is pinned.
+    status block) and each engine's only mid-run raise.  ``cycle``, the
+    seed's full-scan loop it is held to, ``event`` and ``vector`` on every
+    JIT rung must raise the identical ``SimulationError`` text.  ``sharded``
+    detects the stall per shard — whichever worker gives up first reports
+    its own flit count inside a worker-failure message — so there only the
+    sentence is pinned.
     """
 
     SENTENCE = r"deadlock: no flit moved since cycle \d+ with \d+ flits buffered"
@@ -519,6 +526,12 @@ class TestDeadlockExit:
     def test_event_matches_cycle(self, deadlocking_ring, num_vcs):
         message = self._message(deadlocking_ring(num_vcs), "event")
         assert message == self._reference(deadlocking_ring, num_vcs)
+
+    @pytest.mark.parametrize("num_vcs", (1, 2))
+    def test_seed_loop_matches_cycle(self, deadlocking_ring, num_vcs):
+        with pytest.raises(SimulationError) as raised:
+            seed_cycle_loop(Simulator(deadlocking_ring(num_vcs)))
+        assert str(raised.value) == self._reference(deadlocking_ring, num_vcs)
 
     @pytest.mark.parametrize("num_vcs", (1, 2))
     @pytest.mark.parametrize("jit_mode", TestKernelTierEquivalence.MODES, indirect=True)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import os
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +44,15 @@ class TestErrorHierarchy:
 class TestPackageSurface:
     def test_version(self):
         assert repro.__version__ == "1.0.0"
+
+    def test_setup_py_reads_the_package_version(self, monkeypatch):
+        import setuptools
+
+        declared = {}
+        monkeypatch.setattr(setuptools, "setup", declared.update)
+        root = Path(repro.__file__).resolve().parents[2]
+        runpy.run_path(str(root / "setup.py"))
+        assert declared["version"] == repro.__version__
 
     def test_top_level_exports(self):
         for name in repro.__all__:
