@@ -69,8 +69,9 @@ fault-smoke:
 # Service smoke: a real `repro serve` subprocess (ephemeral port, on-disk
 # store, process executor) driven over HTTP — the in-flight dedup contract
 # (duplicate pair executes once, byte-identical bodies), warm and
-# cold-restart store hits, ordered event streaming and a clean SIGTERM
-# drain — plus the in-process quickstart example.
+# cold-restart store hits, ordered event streaming, one client's session
+# riding a couple of kept connections, and a clean SIGTERM drain that does
+# not wait out the kept connection — plus the in-process quickstart example.
 serve-smoke:
 	$(PYTHON) scripts/serve_smoke.py
 	$(PYTHON) examples/service_quickstart.py

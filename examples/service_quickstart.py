@@ -82,6 +82,10 @@ def main() -> None:
                   f"mean latency {sim.latency_mean:.1f} cycles "
                   f"({'cache' if event.cached else 'computed'})")
 
+        seen = client.health()["connections"]
+        print(f"\n{seen['requests']} requests over {seen['accepted']} "
+              f"kept connection(s)")
+
         service.shutdown()
         print("\nservice drained and stopped — results live on in the store")
 

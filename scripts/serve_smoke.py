@@ -13,7 +13,11 @@ contracts the service ships on:
 * a fresh server process on the same store serves the same bytes without
   executing anything (cold start, persistent tier);
 * a streamed sweep delivers every slot in order;
-* SIGTERM drains cleanly — exit code 0, no dropped work.
+* the whole session of that one client rode a handful of kept connections
+  (``connections.accepted`` far below ``connections.requests``);
+* SIGTERM drains cleanly — exit code 0, no dropped work — and does so with
+  the client's kept connection still open, inside the grace window rather
+  than after the connection's 30 s idle limit.
 
 Exits non-zero on the first violated contract.  Run via ``make
 serve-smoke``; wired into ``make check``.
@@ -34,7 +38,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
 from repro.api import MapRequest, SimOptions, SimRequest, run_map  # noqa: E402
-from repro.service import ServiceClient  # noqa: E402
+from repro.service import ServiceClient, ServiceConfig  # noqa: E402
 
 ANNOUNCE = re.compile(r"listening on http://[\d.]+:(\d+)")
 
@@ -152,10 +156,26 @@ def main() -> None:
                 [event.index for event in events] == [0, 1],
                 "sweep streamed in slot order",
             )
+
+            # Everything above was one client: a connection per racing
+            # thread at most, not one (or three) per call.
+            seen = client.health()["connections"]
+            check(
+                seen["accepted"] <= 3 and seen["requests"] >= 5 * seen["accepted"],
+                f"{seen['requests']} requests rode {seen['accepted']} connection(s)",
+            )
+            check(seen["open"] >= 1, "the client's connection is kept open")
         finally:
+            sigterm_at = time.monotonic()
             proc.send_signal(signal.SIGTERM)
             rc = proc.wait(timeout=120)
+            drained_in = time.monotonic() - sigterm_at
         check(rc == 0, f"SIGTERM drains to exit 0 (got {rc})")
+        check(
+            # ``boot`` passes no --drain-grace: the server runs the default.
+            drained_in < ServiceConfig().drain_grace + 2.0,
+            f"drained in {drained_in:.2f} s with a kept connection open",
+        )
 
         print("== fresh server, same store ==")
         proc, client = boot(store)

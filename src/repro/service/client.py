@@ -2,9 +2,9 @@
 
 :class:`ServiceClient` speaks the wire protocol of
 :mod:`repro.service.server` over ``http.client``: submit typed requests,
-poll job status, fetch raw canonical result bytes (the byte-identity
-surface), stream per-slot NDJSON events, or use the one-call ``map`` /
-``simulate`` conveniences.  Responses come back as the same typed
+read job status, fetch raw canonical result bytes (the byte-identity
+surface), stream per-slot NDJSON events (``wait`` collects that stream),
+or use the one-call ``map`` / ``simulate`` conveniences.  Responses come back as the same typed
 ``repro.api`` payloads a local ``run()`` would produce — including
 :class:`~repro.api.ErrorResponse` for failed slots, which the convenience
 helpers re-raise as :class:`~repro.errors.ServiceError` with the typed
@@ -12,6 +12,15 @@ payload attached.
 
 The transport is production-grade:
 
+* **Connection reuse** — a reply read to its end hands its connection
+  back to a lock-guarded idle list, so one client's calls ride one socket
+  (one per concurrently calling thread) instead of dialling per call; no
+  ``Connection: close`` is ever sent, ``reply.will_close`` is honoured,
+  and a stream abandoned part-way closes its connection.  A *kept*
+  connection that fails before any response byte (the server restarted,
+  or closed it at its idle limit) is re-dialled **once, silently**: that
+  is not a transport failure, so it neither advances the breaker nor
+  consumes a retry.  A failure on a *fresh* connection counts as below.
 * **Timeouts** — a separate connect timeout (fail fast on a dead host)
   and read timeout (budget for a slow reply) per attempt.
 * **Idempotent retries** — with ``retries > 0``, transport failures
@@ -34,11 +43,13 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import socket
 import threading
 import time
 import urllib.parse
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.api.specs import (
     ErrorResponse,
@@ -148,6 +159,10 @@ class ServiceClient:
         self._client_id = client_id
         self._priority = priority
         self._rng = rng or random.Random()
+        # Connections whose last reply was read to its end, ready for the
+        # next request of whichever thread asks first.
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
         self._breaker_lock = threading.Lock()
         self._failures = 0
         self._open_until = 0.0
@@ -155,6 +170,13 @@ class ServiceClient:
     @property
     def base_url(self) -> str:
         return f"http://{self._host}:{self._port}"
+
+    def close(self) -> None:
+        """Close the kept connections (the client stays usable: it re-dials)."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
 
     # -- circuit breaker ------------------------------------------------
     def _breaker_preflight(self) -> None:
@@ -197,7 +219,7 @@ class ServiceClient:
         return connection
 
     def _headers(self, body: bytes | None) -> dict[str, str]:
-        headers = {"Connection": "close"}
+        headers: dict[str, str] = {}
         if body is not None:
             headers["Content-Type"] = "application/json"
         if self._client_id is not None:
@@ -218,6 +240,53 @@ class ServiceClient:
             delay = max(delay, min(hinted, self._backoff_max))
         return delay
 
+    def _exchange(
+        self, method: str, path: str, body: bytes | None = None
+    ) -> tuple[
+        http.client.HTTPConnection, socket.socket, http.client.HTTPResponse
+    ]:
+        """Send one request on a kept connection, else a fresh one.
+
+        Returns the connection, its socket and the reply with the headers
+        read (``getresponse()`` detaches the socket from a connection the
+        server will close, so it is handed out beside it).  A kept
+        connection the server has closed since (a restart, its idle limit)
+        fails before any response byte; that says nothing about the server
+        as it is now, so it is re-dialled once, silently.  What this raises
+        was raised by a *fresh* connection, and callers count only that.
+        """
+        with self._idle_lock:
+            connection = self._idle.pop() if self._idle else None
+        reused = connection is not None
+        while True:
+            if connection is None:
+                connection = self._open()
+            try:
+                connection.request(
+                    method, path, body=body, headers=self._headers(body)
+                )
+                return connection, connection.sock, connection.getresponse()
+            except BaseException as exc:
+                connection.close()
+                if not (reused and isinstance(exc, ConnectionError)):
+                    raise
+            connection, reused = None, False
+
+    def _keep(
+        self,
+        connection: http.client.HTTPConnection,
+        reply: http.client.HTTPResponse,
+    ) -> None:
+        """Take back a connection whose reply was read to its end."""
+        if reply.will_close:
+            connection.close()
+            return
+        # Whatever is idle carries the client's read budget again (a
+        # stream's budget() moves it line by line).
+        connection.sock.settimeout(self._timeout)
+        with self._idle_lock:
+            self._idle.append(connection)
+
     def _request_full(
         self, method: str, path: str, body: bytes | None = None
     ) -> tuple[int, str | None, bytes]:
@@ -230,38 +299,31 @@ class ServiceClient:
         attempt = 0
         while True:
             self._breaker_preflight()
-            exc: Exception | None = None
             try:
-                connection = self._open()
-            except (OSError, http.client.HTTPException) as err:
-                exc = err
-            else:
+                connection, _, reply = self._exchange(method, path, body)
                 try:
-                    connection.request(
-                        method, path, body=body, headers=self._headers(body)
-                    )
-                    reply = connection.getresponse()
-                    status = reply.status
-                    retry_after = reply.getheader("Retry-After")
                     data = reply.read()
-                except (OSError, http.client.HTTPException) as err:
-                    exc = err
-                finally:
+                except BaseException:
+                    reply.close()
                     connection.close()
-            if exc is None:
-                self._breaker_success()
-                if status in RETRY_STATUSES and attempt < self._retries:
-                    time.sleep(self._delay(attempt, retry_after))
-                    attempt += 1
-                    continue
-                return status, retry_after, data
-            self._breaker_failure()
-            if attempt >= self._retries:
-                raise ServiceError(
-                    f"cannot reach service at {self.base_url}: {exc}"
-                ) from exc
-            time.sleep(self._delay(attempt, None))
-            attempt += 1
+                    raise
+            except (OSError, http.client.HTTPException) as exc:
+                self._breaker_failure()
+                if attempt >= self._retries:
+                    raise ServiceError(
+                        f"cannot reach service at {self.base_url}: {exc}"
+                    ) from exc
+                time.sleep(self._delay(attempt, None))
+                attempt += 1
+                continue
+            self._keep(connection, reply)
+            self._breaker_success()
+            retry_after = reply.getheader("Retry-After")
+            if reply.status in RETRY_STATUSES and attempt < self._retries:
+                time.sleep(self._delay(attempt, retry_after))
+                attempt += 1
+                continue
+            return reply.status, retry_after, data
 
     def _request(
         self, method: str, path: str, body: bytes | None = None
@@ -385,32 +447,34 @@ class ServiceClient:
         raise AssertionError("unreachable")
 
     def wait(
-        self, job_id: str, timeout: float | None = None, poll: float = 0.05
+        self, job_id: str, timeout: float | None = None
     ) -> Response | list[Response]:
-        """Poll until the job completes; return typed response(s).
+        """Block until the job completes; return typed response(s).
 
         Single jobs return one typed payload (``ErrorResponse`` included —
         it is a result, not an exception); batch jobs return the ordered
-        list of slot payloads.
+        list of slot payloads.  This collects the ``/events`` stream: one
+        request on the kept connection, answered as the slots complete.
+        Without a ``timeout`` it blocks for as long as the job takes.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
+
+        def budget() -> float | None:
+            if deadline is None:
+                return None
+            return max(deadline - time.monotonic(), 1e-3)
+
+        try:
+            *events, marker = self._stream(job_id, budget)
+        except TimeoutError:
             envelope = self.status(job_id)
-            if envelope["status"] == "done":
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                raise ServiceError(
-                    f"job {job_id} did not complete within {timeout} s "
-                    f"(status {envelope['status']}, "
-                    f"{envelope['done']}/{envelope['total']} slots)"
-                )
-            time.sleep(poll)
-        data = self.result_raw(job_id)
-        lines = [line for line in data.split(b"\n") if line.strip()]
-        responses = [parse_response(json.loads(line)) for line in lines]
-        if envelope["batch"]:
-            return responses
-        return responses[0]
+            raise ServiceError(
+                f"job {job_id} did not complete within {timeout} s "
+                f"(status {envelope['status']}, "
+                f"{envelope['done']}/{envelope['total']} slots)"
+            ) from None
+        responses = [parse_response(event["payload"]) for event in events]
+        return responses if marker["batch"] else responses[0]
 
     def stream(self, job_id: str) -> Iterator[StreamEvent]:
         """Yield per-slot results as the server completes them (NDJSON).
@@ -418,57 +482,84 @@ class ServiceClient:
         Streaming is not retried — a consumer observing a half-delivered
         stream must decide for itself whether to re-stream — but the
         breaker still counts connection failures, and an open breaker
-        fails fast here too.
+        fails fast here too.  A stream read to its end hands its
+        connection back for the next call; one abandoned part-way closes
+        it.
+        """
+        # closing(): abandoning this generator abandons the one under it
+        # now, not whenever it is collected.
+        with closing(self._stream(job_id, lambda: self._timeout)) as lines:
+            for event in lines:
+                if not event.get("done"):
+                    yield StreamEvent(
+                        index=int(event["index"]),
+                        key=event["key"],
+                        cached=bool(event["cached"]),
+                        response=parse_response(event["payload"]),
+                    )
+
+    def _stream(
+        self, job_id: str, budget: Callable[[], float | None]
+    ) -> Iterator[dict]:
+        """The parsed lines of ``/events``; the done marker is the last.
+
+        ``budget()`` is the socket timeout of the next line's read; a line
+        that overruns it raises ``TimeoutError``.
         """
         self._breaker_preflight()
         try:
-            connection = self._open()
+            connection, sock, reply = self._exchange(
+                "GET", f"/v1/jobs/{job_id}/events"
+            )
         except (OSError, http.client.HTTPException) as exc:
             self._breaker_failure()
             raise ServiceError(
                 f"cannot reach service at {self.base_url}: {exc}"
             ) from exc
+        self._breaker_success()
+        dropped = (
+            f"job {job_id} event stream ended without a done marker "
+            f"(server dropped mid-stream?)"
+        )
+        marker = None
         try:
-            try:
-                connection.request(
-                    "GET",
-                    f"/v1/jobs/{job_id}/events",
-                    headers=self._headers(None),
-                )
-                reply = connection.getresponse()
-            except (OSError, http.client.HTTPException) as exc:
-                self._breaker_failure()
-                raise ServiceError(
-                    f"cannot reach service at {self.base_url}: {exc}"
-                ) from exc
-            self._breaker_success()
             if reply.status != 200:
-                body = reply.read()
                 try:
-                    payload = json.loads(body)
+                    payload = json.loads(reply.read())
                 except ValueError:
                     payload = {}
                 self._raise_for(
                     reply.status, payload, f"job {job_id} event stream refused"
                 )
-            for line in reply:
+            while marker is None:
+                sock.settimeout(budget())
+                try:
+                    line = reply.readline()
+                except TimeoutError:
+                    raise
+                except (OSError, http.client.HTTPException) as exc:
+                    raise ServiceError(dropped) from exc
+                if not line:
+                    raise ServiceError(dropped)
                 if not line.strip():
                     continue
                 event = json.loads(line)
                 if event.get("done"):
-                    return
-                yield StreamEvent(
-                    index=int(event["index"]),
-                    key=event["key"],
-                    cached=bool(event["cached"]),
-                    response=parse_response(event["payload"]),
-                )
-            raise ServiceError(
-                f"job {job_id} event stream ended without a done marker "
-                f"(server dropped mid-stream?)"
-            )
+                    # The terminal chunk: the socket is at a request
+                    # boundary only once it has been read.
+                    reply.read()
+                    marker = event
+                else:
+                    yield event
         finally:
-            connection.close()
+            # Anything short of the marker -- an error, or a consumer that
+            # abandoned the generator -- leaves reply bytes on the socket.
+            if marker is None:
+                reply.close()
+                connection.close()
+            else:
+                self._keep(connection, reply)
+        yield marker
 
     # -- conveniences ---------------------------------------------------
     def _run_single(

@@ -27,7 +27,8 @@ inherits all of the batch engine's hardening (typed ``ErrorResponse``
 slots, per-request timeouts, crash-retry for dead workers) and its
 multi-core scaling without forking anything per job.  Owned misses run in
 chunks so a long sweep publishes results incrementally and the ``/events``
-stream sees per-point progress rather than one burst.
+stream — woken through :meth:`Job.watch` by each ``record`` and by
+``mark_done`` — sees per-point progress rather than one burst.
 
 Slots whose key another job owns are awaited *after* all owned keys are
 published — that ordering (plus per-job key dedup) is what makes the
@@ -44,6 +45,7 @@ import queue
 import threading
 import uuid
 from collections import OrderedDict
+from typing import Callable
 
 from repro.api import canonical_request_key, run_batch
 from repro.api.engine import _claim_once, _request_tag
@@ -137,6 +139,27 @@ class Job:
         self.status = JOB_QUEUED
         self._lock = threading.Lock()
         self._done = threading.Event()
+        self._watchers: list[Callable[[], None]] = []
+
+    def watch(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` after every slot completion and after ``mark_done``.
+
+        It runs on the completing worker's thread with no job lock held, so
+        it may read the job but must not block: an ``/events`` stream hands
+        its wake-up to the event loop with ``call_soon_threadsafe``.
+        """
+        with self._lock:
+            self._watchers.append(callback)
+
+    def unwatch(self, callback: Callable[[], None]) -> None:
+        with self._lock:
+            self._watchers.remove(callback)
+
+    def _notify(self) -> None:
+        with self._lock:
+            watchers = tuple(self._watchers)
+        for callback in watchers:
+            callback()
 
     def record(self, index: int, data: bytes, cached: bool) -> None:
         """Complete one slot with its canonical wire bytes."""
@@ -150,6 +173,7 @@ class Job:
                 payload.get("error") if slot.kind == "error-response" else None
             )
             slot.status = SLOT_DONE
+        self._notify()
 
     def mark_running(self) -> None:
         with self._lock:
@@ -159,6 +183,7 @@ class Job:
         with self._lock:
             self.status = JOB_DONE
         self._done.set()
+        self._notify()
 
     def wait_done(self, timeout: float | None = None) -> bool:
         return self._done.wait(timeout)
@@ -215,13 +240,17 @@ class JobRegistry:
         )
         with self._lock:
             self._jobs[job.id] = job
-            completed = [
-                job_id
-                for job_id, existing in self._jobs.items()
-                if existing.status == JOB_DONE
-            ]
-            while len(self._jobs) > self._limit and completed:
-                self._jobs.pop(completed.pop(0), None)
+            excess = len(self._jobs) - self._limit
+            if excess > 0:
+                # Oldest completed first, active jobs never; the scan stops
+                # at the last job it evicts, not at the end of the history.
+                completed = (
+                    done_id
+                    for done_id, existing in self._jobs.items()
+                    if existing.status == JOB_DONE
+                )
+                for done_id in list(itertools.islice(completed, excess)):
+                    del self._jobs[done_id]
         return job
 
     def discard(self, job_id: str) -> None:

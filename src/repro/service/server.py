@@ -2,7 +2,9 @@
 
 One event-loop thread does all socket I/O over a hand-rolled HTTP/1.1
 layer (request line + headers + Content-Length body in; Content-Length or
-chunked responses out); everything that computes runs on the
+chunked responses out), request after request on a kept connection until
+the peer sends ``Connection: close``, speaks HTTP/1.0, hangs up or idles
+past the 30 s read timeout; everything that computes runs on the
 :class:`~repro.service.jobs.JobRunner` worker threads, which in turn fan
 out over the runner's warm worker pool (``executor="process"``) or through
 ``run_batch``.  The loop therefore stays responsive — health
@@ -22,15 +24,18 @@ Endpoints (all JSON):
   This is the byte-identity surface the dedup contract is verified on.
 * ``GET /v1/jobs/{id}/events`` — chunked NDJSON stream of per-slot results
   as they complete (sweep points arrive incrementally), closed by one
-  ``{"done": true}`` line.
-* ``GET /v1/health`` — liveness, queue depth, job counts, store, journal
-  and worker-pool counters.
+  ``{"done": true, "status": "done", ...}`` line.  The handler is woken by
+  the job (:meth:`~repro.service.jobs.Job.watch`), not by a timer, and
+  each line is spliced around the stored entry's bytes, not re-encoded.
+* ``GET /v1/health`` — liveness, queue depth, job counts, store, journal,
+  worker-pool and connection counters.
 * ``GET /v1/mappers`` — the mapper registry over the wire.
 
 Shutdown is a *drain*, not a drop: SIGTERM/SIGINT (or
 :meth:`NocService.request_shutdown`) stops admissions (503), finishes
 every accepted job, keeps answering status/result/stream requests through
-a short grace window, then exits.  No accepted job's results are lost.
+a short grace window (no reply is kept alive once the drain began), closes
+the connections left idle, then exits.  No accepted job's results are lost.
 
 Hard crashes are covered too: with a store root (or explicit
 ``journal_path``), every admitted job is journaled before its 202 and
@@ -164,6 +169,37 @@ class _HttpError(Exception):
         self.headers = headers
 
 
+class _Connection:
+    """One accepted socket and what its handler is doing with it.
+
+    ``keep_alive`` is decided per request and read by every reply to pick
+    its ``Connection`` header; ``idle`` is true while the handler waits for
+    the next request, which is when the drain may close the socket;
+    ``handler`` is the task serving it (the one that constructs this).
+    """
+
+    __slots__ = ("writer", "handler", "keep_alive", "idle")
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self.writer = writer
+        self.handler = asyncio.current_task()
+        self.keep_alive = False
+        self.idle = False
+
+
+#: Sent only on a reply after which the server does close the connection.
+_CLOSE = "Connection: close\r\n"
+
+
+#: One ``/events`` line around a stored entry, keys in sorted order.
+_EVENT_LINE = b'{"cached": %s, "index": %d, "key": "%s", "payload": %s}\n'
+
+
+def _chunk(data: bytes) -> bytes:
+    """``data`` framed as one chunk of a ``Transfer-Encoding: chunked`` body."""
+    return b"%x\r\n%s\r\n" % (len(data), data)
+
+
 def _retry_after_headers(exc) -> dict[str, str] | None:
     """``Retry-After`` header for a refusal carrying a back-off hint."""
     hint = getattr(exc, "retry_after", None)
@@ -210,6 +246,11 @@ class NocService:
             shed_normal_at=self.config.shed_normal_at,
         )
         self.port: int | None = None
+        # Touched on the loop thread only: the connections now open, and the
+        # totals /v1/health reports beside them.
+        self._open: set[_Connection] = set()
+        self._accepted = 0
+        self._requests = 0
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
         self._started = threading.Event()
@@ -265,6 +306,17 @@ class NocService:
                 self.journal.compact()
                 self.journal.close()
             await asyncio.sleep(self.config.drain_grace)
+            # No reply is kept alive once the drain began, so a connection
+            # idle now would only sit out its 30 s read timeout (Python >=
+            # 3.12's ``wait_closed()`` waits for it): close those, let the
+            # replies in flight finish, and leave no handler behind for
+            # ``asyncio.run`` to cancel.
+            server.close()
+            for conn in self._open:
+                if conn.idle:
+                    conn.writer.close()
+            if self._open:
+                await asyncio.wait([conn.handler for conn in self._open])
 
     def serve_forever(
         self,
@@ -310,35 +362,54 @@ class NocService:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Serve one connection: request after request until either side closes."""
+        conn = _Connection(writer)
+        self._accepted += 1
+        self._open.add(conn)
         try:
-            parsed = await self._read_request(reader)
-            if parsed is None:
-                return
-            method, path, headers, body = parsed
-            await self._dispatch(writer, method, path, headers, body)
-        except _HttpError as exc:
-            await self._send_json(
-                writer,
-                exc.status,
-                {"error": exc.error, "message": exc.message},
-                extra_headers=exc.headers,
-            )
+            while True:
+                conn.idle = True
+                try:
+                    parsed = await self._read_request(reader)
+                except _HttpError as exc:
+                    # Refused mid-read: the rest of the request is still on
+                    # the socket, so this reply is the connection's last.
+                    conn.keep_alive = False
+                    await self._send_error(conn, exc)
+                    return
+                finally:
+                    conn.idle = False
+                if parsed is None:
+                    return
+                method, path, headers, body, keep_alive = parsed
+                self._requests += 1
+                conn.keep_alive = keep_alive and not self.runner.draining
+                try:
+                    await self._dispatch(conn, method, path, headers, body)
+                except _HttpError as exc:
+                    # Refused by a handler: the body was read, the socket
+                    # sits at a request boundary, the connection is kept.
+                    await self._send_error(conn, exc)
+                if not conn.keep_alive or self.runner.draining:
+                    return
         except (
             ConnectionError,
             asyncio.IncompleteReadError,
             asyncio.TimeoutError,
         ):
-            pass  # client went away or stalled; nothing to answer
+            pass  # client went away, or idled past the read timeout
         except Exception as exc:  # noqa: BLE001 — one connection, not the loop
+            conn.keep_alive = False
             try:
                 await self._send_json(
-                    writer,
+                    conn,
                     500,
                     {"error": type(exc).__name__, "message": str(exc)},
                 )
             except (ConnectionError, OSError):
                 pass
         finally:
+            self._open.discard(conn)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -347,14 +418,20 @@ class NocService:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, dict[str, str], bytes] | None:
+    ) -> tuple[str, str, dict[str, str], bytes, bool] | None:
+        """One request off the socket, or None at EOF.
+
+        The last element is whether the peer allows the connection to be
+        kept: HTTP/1.1 and no ``Connection: close``.  The 30 s read timeout
+        doubles as the keep-alive idle limit.
+        """
         request_line = await asyncio.wait_for(reader.readline(), timeout=30)
         if not request_line.strip():
             return None
         parts = request_line.decode("latin-1").split()
         if len(parts) != 3:
             raise _HttpError(400, "ApiError", "malformed HTTP request line")
-        method, target, _version = parts
+        method, target, version = parts
         headers: dict[str, str] = {}
         while True:
             line = await asyncio.wait_for(reader.readline(), timeout=30)
@@ -375,11 +452,15 @@ class NocService:
             )
         body = await reader.readexactly(length) if length else b""
         path = target.split("?", 1)[0]
-        return method.upper(), path, headers, body
+        keep_alive = (
+            version.upper() == "HTTP/1.1"
+            and "close" not in headers.get("connection", "").lower()
+        )
+        return method.upper(), path, headers, body, keep_alive
 
     async def _send_bytes(
         self,
-        writer: asyncio.StreamWriter,
+        conn: _Connection,
         status: int,
         data: bytes,
         content_type: str = "application/json",
@@ -394,38 +475,46 @@ class NocService:
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(data)}\r\n"
             f"{extras}"
-            f"Connection: close\r\n\r\n"
+            f"{'' if conn.keep_alive else _CLOSE}\r\n"
         ).encode("latin-1")
-        writer.write(head + data)
-        await writer.drain()
+        conn.writer.write(head + data)
+        await conn.writer.drain()
 
     async def _send_json(
         self,
-        writer: asyncio.StreamWriter,
+        conn: _Connection,
         status: int,
         payload: dict,
         extra_headers: dict[str, str] | None = None,
     ) -> None:
         data = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        await self._send_bytes(writer, status, data, extra_headers=extra_headers)
+        await self._send_bytes(conn, status, data, extra_headers=extra_headers)
+
+    async def _send_error(self, conn: _Connection, exc: _HttpError) -> None:
+        await self._send_json(
+            conn,
+            exc.status,
+            {"error": exc.error, "message": exc.message},
+            extra_headers=exc.headers,
+        )
 
     # -- routing --------------------------------------------------------
     async def _dispatch(
         self,
-        writer: asyncio.StreamWriter,
+        conn: _Connection,
         method: str,
         path: str,
         headers: dict[str, str],
         body: bytes,
     ) -> None:
         if path == "/v1/health" and method == "GET":
-            await self._handle_health(writer)
+            await self._handle_health(conn)
             return
         if path == "/v1/mappers" and method == "GET":
-            await self._handle_mappers(writer)
+            await self._handle_mappers(conn)
             return
         if path == "/v1/jobs" and method == "POST":
-            await self._handle_submit(writer, headers, body)
+            await self._handle_submit(conn, headers, body)
             return
         if path.startswith("/v1/jobs/") and method == "GET":
             rest = path[len("/v1/jobs/"):]
@@ -434,20 +523,20 @@ class NocService:
             if job is None:
                 raise _HttpError(404, "ApiError", f"no such job {job_id!r}")
             if not tail:
-                await self._handle_job(writer, job)
+                await self._handle_job(conn, job)
                 return
             if tail == "result":
-                await self._handle_result(writer, job)
+                await self._handle_result(conn, job)
                 return
             if tail == "events":
-                await self._handle_events(writer, job)
+                await self._handle_events(conn, job)
                 return
         raise _HttpError(404, "ApiError", f"no route for {method} {path}")
 
     # -- handlers -------------------------------------------------------
-    async def _handle_health(self, writer: asyncio.StreamWriter) -> None:
+    async def _handle_health(self, conn: _Connection) -> None:
         await self._send_json(
-            writer,
+            conn,
             200,
             {
                 "status": "draining" if self.runner.draining else "ok",
@@ -459,12 +548,17 @@ class NocService:
                     None if self.journal is None else self.journal.stats()
                 ),
                 "pool": self.runner.pool_stats(),
+                "connections": {
+                    "accepted": self._accepted,
+                    "open": len(self._open),
+                    "requests": self._requests,
+                },
             },
         )
 
-    async def _handle_mappers(self, writer: asyncio.StreamWriter) -> None:
+    async def _handle_mappers(self, conn: _Connection) -> None:
         await self._send_json(
-            writer,
+            conn,
             200,
             {
                 "mappers": [
@@ -482,7 +576,7 @@ class NocService:
         )
 
     async def _handle_submit(
-        self, writer: asyncio.StreamWriter, headers: dict[str, str], body: bytes
+        self, conn: _Connection, headers: dict[str, str], body: bytes
     ) -> None:
         try:
             payload = json.loads(body)
@@ -531,7 +625,7 @@ class NocService:
         except ApiError as exc:
             raise _HttpError(400, "ApiError", str(exc)) from None
         await self._send_json(
-            writer,
+            conn,
             202,
             {
                 "id": job.id,
@@ -542,7 +636,7 @@ class NocService:
             },
         )
 
-    async def _handle_job(self, writer: asyncio.StreamWriter, job) -> None:
+    async def _handle_job(self, conn: _Connection, job) -> None:
         envelope = job.describe()
         status = 200
         if envelope["status"] == JOB_DONE:
@@ -551,9 +645,9 @@ class NocService:
             ]
             if not job.batch:
                 status = status_for_error(job.slots[0].error)
-        await self._send_json(writer, status, envelope)
+        await self._send_json(conn, status, envelope)
 
-    async def _handle_result(self, writer: asyncio.StreamWriter, job) -> None:
+    async def _handle_result(self, conn: _Connection, job) -> None:
         envelope = job.describe()
         if envelope["status"] != JOB_DONE:
             raise _HttpError(
@@ -564,41 +658,67 @@ class NocService:
         if job.batch:
             data = b"".join(slot.data for slot in job.slots)
             await self._send_bytes(
-                writer, 200, data, content_type="application/x-ndjson"
+                conn, 200, data, content_type="application/x-ndjson"
             )
             return
         slot = job.slots[0]
-        await self._send_bytes(writer, status_for_error(slot.error), slot.data)
+        await self._send_bytes(conn, status_for_error(slot.error), slot.data)
 
-    async def _handle_events(self, writer: asyncio.StreamWriter, job) -> None:
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: application/x-ndjson\r\n"
-            "Transfer-Encoding: chunked\r\n"
-            "Connection: close\r\n\r\n"
-        ).encode("latin-1")
-        writer.write(head)
-        await writer.drain()
+    async def _handle_events(self, conn: _Connection, job) -> None:
+        writer = conn.writer
+        loop = asyncio.get_running_loop()
+        wake = asyncio.Event()
 
-        async def send_line(obj: dict) -> None:
-            line = (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
-            writer.write(f"{len(line):x}\r\n".encode("latin-1") + line + b"\r\n")
-            await writer.drain()
+        def on_progress() -> None:
+            # Runs on the worker thread that completed a slot or the job.
+            loop.call_soon_threadsafe(wake.set)
 
-        for index in range(len(job.slots)):
+        async def until(ready: Callable[[], bool]) -> None:
             while True:
-                status, data, cached = job.slot_view(index)
-                if status == SLOT_DONE:
-                    break
-                await asyncio.sleep(0.02)
-            await send_line(
-                {
-                    "index": index,
-                    "key": job.slots[index].key,
-                    "cached": cached,
-                    "payload": json.loads(data),
-                }
-            )
-        await send_line({"done": True, "id": job.id, "status": job.describe()["status"]})
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
+                # Cleared *before* the read: a completion that lands between
+                # the read and the wait sets it again and is not lost.
+                wake.clear()
+                if ready():
+                    return
+                await wake.wait()
+
+        job.watch(on_progress)
+        try:
+            head = (
+                "HTTP/1.1 200 OK\r\n"
+                "Content-Type: application/x-ndjson\r\n"
+                "Transfer-Encoding: chunked\r\n"
+                f"{'' if conn.keep_alive else _CLOSE}\r\n"
+            ).encode("latin-1")
+            writer.write(head)
+            for index, slot in enumerate(job.slots):
+                await until(lambda: job.slot_view(index)[0] == SLOT_DONE)
+                _, data, cached = job.slot_view(index)
+                # Spliced around the stored canonical entry, in the key
+                # order json.dumps(sort_keys=True) gives: the payload is
+                # never parsed or re-encoded here.
+                line = _EVENT_LINE % (
+                    b"true" if cached else b"false",
+                    index,
+                    slot.key.encode("ascii"),
+                    data.rstrip(b"\n"),
+                )
+                writer.write(_chunk(line))
+                await writer.drain()
+            # The last slot is recorded before the worker reaches
+            # mark_done(); the marker waits for it, so it never reads
+            # "running" on a finished stream.
+            await until(lambda: job.wait_done(0))
+            marker = {
+                "done": True,
+                "id": job.id,
+                "batch": job.batch,
+                "status": job.status,
+            }
+            line = (json.dumps(marker, sort_keys=True) + "\n").encode("utf-8")
+            writer.write(_chunk(line) + b"0\r\n\r\n")
+            await writer.drain()
+        finally:
+            # Also reached when the client hung up mid-stream (a write
+            # raised) or the handler task was cancelled.
+            job.unwatch(on_progress)

@@ -19,6 +19,7 @@ from repro.service import NocService, ServiceClient, ServiceConfig
 def make_service(tmp_path):
     """Factory: ``make_service(**config_overrides) -> (service, client)``."""
     started: list[NocService] = []
+    clients: list[ServiceClient] = []
 
     def factory(**overrides) -> tuple[NocService, ServiceClient]:
         overrides.setdefault("executor", "serial")
@@ -26,9 +27,12 @@ def make_service(tmp_path):
         service = NocService(ServiceConfig(**overrides))
         started.append(service)
         port = service.start()
-        return service, ServiceClient(f"http://127.0.0.1:{port}", timeout=60.0)
+        clients.append(ServiceClient(f"http://127.0.0.1:{port}", timeout=60.0))
+        return service, clients[-1]
 
     yield factory
+    for client in clients:
+        client.close()  # its kept connections
     for service in started:
         try:
             service.shutdown(timeout=60)

@@ -187,6 +187,19 @@ class TestRetryLoop:
             client.submit(REQUEST)
         assert len(server.seen) == 1
 
+    def test_a_dropped_fresh_connection_counts_and_is_not_re_dialled(self, scripted):
+        # Only a *kept* connection found dead is re-dialled silently (see
+        # test_transport.py); a fresh one that drops is a transport failure.
+        server = scripted([None, None, (202, {})])
+        client = ServiceClient(f"http://127.0.0.1:{server.port}", timeout=10.0)
+        for failures in (1, 2):
+            with pytest.raises(ServiceError, match="cannot reach"):
+                client.submit(REQUEST)
+            assert client._failures == failures
+        assert client.submit(REQUEST).id == "job-1"
+        assert client._failures == 0
+        assert len(server.seen) == 3  # one dial per call, no hidden second
+
     def test_identity_headers_are_attached(self):
         client = ServiceClient(
             "http://127.0.0.1:1", client_id="alice", priority="high"

@@ -26,7 +26,7 @@ from repro.service import (
     QuotaExceededError,
     ResultStore,
 )
-from repro.service.jobs import JOB_DONE
+from repro.service.jobs import JOB_DONE, Job
 from repro.service.wire import canonical_response_bytes
 
 
@@ -48,6 +48,68 @@ def wait_for(predicate, timeout=30.0, poll=0.01):
             return True
         time.sleep(poll)
     return False
+
+
+class TestJobWatchers:
+    """The seam the ``/events`` stream wakes on."""
+
+    def test_watchers_fire_on_record_and_on_mark_done(self):
+        job = Job("j", [request(tag="a"), request(tag="b")], batch=True)
+        seen: list[tuple[int, str]] = []
+
+        def watcher() -> None:
+            # No job lock is held while a watcher runs: reading is safe.
+            seen.append((job.describe()["done"], job.status))
+
+        job.watch(watcher)
+        data = canonical_response_bytes(run(request(tag="a")))
+        job.record(0, data, cached=False)
+        job.record(1, data, cached=True)
+        job.mark_done()
+        assert seen == [(1, "queued"), (2, "queued"), (2, JOB_DONE)]
+        job.unwatch(watcher)
+        job.mark_done()
+        assert len(seen) == 3
+
+    def test_a_watcher_registered_twice_is_two_registrations(self):
+        job = Job("j", [request()], batch=False)
+        calls: list[int] = []
+        first, second = (lambda: calls.append(1)), (lambda: calls.append(2))
+        job.watch(first)
+        job.watch(second)
+        job.unwatch(first)
+        job.mark_done()
+        assert calls == [2]
+
+
+class TestRegistryHistory:
+    def test_eviction_takes_the_oldest_completed_and_never_an_active_job(self):
+        registry = JobRegistry(limit=4)
+        jobs = [
+            registry.create([request(tag=f"h{index}")], batch=False)
+            for index in range(4)
+        ]
+        # Jobs 1 and 3 complete; 0 and 2 stay active.
+        jobs[1].mark_done()
+        jobs[3].mark_done()
+        jobs.append(registry.create([request(tag="h4")], batch=False))
+        survivors = [job.id for job in jobs if registry.get(job.id) is not None]
+        assert survivors == [jobs[i].id for i in (0, 2, 3, 4)]  # 1 was oldest done
+        jobs.append(registry.create([request(tag="h5")], batch=False))
+        survivors = [job.id for job in jobs if registry.get(job.id) is not None]
+        assert survivors == [jobs[i].id for i in (0, 2, 4, 5)]  # then 3
+        # Nothing completed is left: the history overshoots its limit
+        # rather than drop a job somebody is still waiting for.
+        jobs.append(registry.create([request(tag="h6")], batch=False))
+        assert registry.counts() == {"total": 5, "active": 5}
+        # Two completions later, one submission evicts both (oldest first)
+        # and the history is back at its limit.
+        jobs[4].mark_done()
+        jobs[0].mark_done()
+        jobs[6].mark_done()
+        jobs.append(registry.create([request(tag="h7")], batch=False))
+        survivors = [job.id for job in jobs if registry.get(job.id) is not None]
+        assert survivors == [jobs[i].id for i in (2, 5, 6, 7)]
 
 
 class TestAdmissionLadder:
