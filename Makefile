@@ -55,11 +55,15 @@ smoke:
 		--injection-rate 0.25 --cycles 2000
 
 # Fault-injection smoke: map and simulate through injected faults on a mesh
-# and a torus (failed router, failed link, degraded link), then the
-# crash-injected batch demo — a process worker dies mid-batch and every
-# other slot still completes (examples/fault_tolerance.py asserts it).
+# and a torus (failed router, failed link, degraded link) — PMAP with its
+# corner seed's router dead and the split-traffic swap loop with an interior
+# one dead both used to raise — then the crash-injected batch demo: a
+# process worker dies mid-batch and every other slot still completes
+# (examples/fault_tolerance.py asserts it).
 fault-smoke:
 	$(PYTHON) -m repro.cli map --app vopd --topology mesh:5x4 --fail-router 5
+	$(PYTHON) -m repro.cli map --app pip --topology mesh:3x4 --algorithm pmap --fail-router 0
+	$(PYTHON) -m repro.cli map --app pip --topology mesh:3x4 --algorithm nmap-ta --fail-router 5
 	$(PYTHON) -m repro.cli simulate --app pip --fail-link 3-4 --cycles 2000
 	$(PYTHON) -m repro.cli map --app pip --topology torus:3x3 --fail-router 5
 	$(PYTHON) -m repro.cli simulate --app vopd --topology torus:4x4 \

@@ -8,8 +8,9 @@ flows labelled with average bandwidth demands in MB/s — exactly the
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -38,6 +39,19 @@ class TrafficFlow:
         return TrafficFlow(self.dst, self.src, self.bandwidth)
 
 
+def _cached_view(build: Callable[["CoreGraph"], Any]) -> Callable[["CoreGraph"], Any]:
+    """Keep a :class:`CoreGraph` view until the graph next mutates."""
+
+    @functools.wraps(build)
+    def view(self: "CoreGraph") -> Any:
+        cached = self._views.get(build.__name__)
+        if cached is None or cached[0] != self.version:
+            cached = self._views[build.__name__] = (self.version, build(self))
+        return cached[1]
+
+    return view
+
+
 class CoreGraph:
     """Directed, bandwidth-weighted communication graph between cores.
 
@@ -54,16 +68,10 @@ class CoreGraph:
         self.name = name
         self._succ: dict[str, dict[str, float]] = {}
         self._pred: dict[str, dict[str, float]] = {}
-        #: Bumped on every structural mutation; the array caches below and the
+        #: Bumped on every structural mutation; the cached views below and the
         #: per-mapping position arrays key off it.
         self.version = 0
-        self._core_index_cache: tuple[int, dict[str, int]] | None = None
-        self._flow_arrays_cache: (
-            tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]] | None
-        ) = None
-        self._adjacency_cache: (
-            tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]] | None
-        ) = None
+        self._views: dict[str, tuple[int, Any]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -191,21 +199,18 @@ class CoreGraph:
         return collapsed
 
     # ------------------------------------------------------------------
-    # fast-path array views
+    # index-space views
     # ------------------------------------------------------------------
+    @_cached_view
     def core_index(self) -> dict[str, int]:
         """Core name -> dense integer index (insertion order), cached.
 
-        The index space backs every array view below and the per-mapping
-        position arrays; it is invalidated whenever the graph mutates.
+        The index space backs every view below and the per-mapping position
+        arrays; it is invalidated whenever the graph mutates.
         """
-        cached = self._core_index_cache
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
-        index = {core: i for i, core in enumerate(self._succ)}
-        self._core_index_cache = (self.version, index)
-        return index
+        return {core: i for i, core in enumerate(self._succ)}
 
+    @_cached_view
     def flow_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Parallel ``(src_idx, dst_idx, bandwidth)`` arrays over all flows.
 
@@ -213,9 +218,6 @@ class CoreGraph:
         :meth:`core_index`.  These arrays turn Equation-7 style sums into
         single numpy gathers; treat them as read-only.
         """
-        cached = self._flow_arrays_cache
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
         index = self.core_index()
         count = self.num_flows
         src = np.empty(count, dtype=np.int64)
@@ -229,21 +231,18 @@ class CoreGraph:
                 dst[k] = index[d]
                 bw[k] = bandwidth
                 k += 1
-        arrays = (src, dst, bw)
-        self._flow_arrays_cache = (self.version, arrays)
-        return arrays
+        return src, dst, bw
 
+    @_cached_view
     def adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR view of the *undirected* neighbor weights, cached.
 
         Returns ``(indptr, nbr_idx, nbr_wt)`` where the neighbors of core
         index ``c`` are ``nbr_idx[indptr[c]:indptr[c + 1]]`` (ascending) and
         ``nbr_wt`` holds :meth:`traffic_between` for each pair — the
-        structure batch swap scoring walks.
+        structure batch swap scoring, the placement scan and the orders
+        below walk.
         """
-        cached = self._adjacency_cache
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
         index = self.core_index()
         neighbor_weights: list[dict[int, float]] = [{} for _ in index]
         for s, out in self._succ.items():
@@ -263,9 +262,57 @@ class CoreGraph:
             for offset, other in enumerate(sorted(weights)):
                 nbr_idx[start + offset] = other
                 nbr_wt[start + offset] = weights[other]
-        arrays = (indptr, nbr_idx, nbr_wt)
-        self._adjacency_cache = (self.version, arrays)
-        return arrays
+        return indptr, nbr_idx, nbr_wt
+
+    @_cached_view
+    def traffic_array(self) -> np.ndarray:
+        """:meth:`core_traffic` per core index, cached (read-only).
+
+        The row sums of :meth:`adjacency_arrays`: a core's undirected
+        neighbor weights add up to what it produces plus what it consumes.
+        """
+        indptr, _, nbr_wt = self.adjacency_arrays()
+        rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        return np.bincount(rows, weights=nbr_wt, minlength=indptr.size - 1)
+
+    @_cached_view
+    def traffic_order(self) -> tuple[str, ...]:
+        """Cores by descending :meth:`core_traffic`, graph order on ties, cached.
+
+        The static order GMAP, HMAP and PBB place and branch in.
+        """
+        cores = self.cores
+        ranked = np.argsort(-self.traffic_array(), kind="stable")
+        return tuple(cores[c] for c in ranked.tolist())
+
+    @_cached_view
+    def max_adjacency_order(self) -> tuple[str, ...]:
+        """The heaviest core, then repeatedly the unpicked core exchanging the
+        most traffic with the picked set, cached.
+
+        Ties fall to the larger :meth:`core_traffic` (so a disconnected
+        component's heaviest core goes next), then to graph order.  This is
+        the order ``initialize()`` (§5) maps cores in and PMAP's selection
+        phase.
+        """
+        # Cores are addressed by their rank in traffic_order(), where a plain
+        # argmax — the first maximum — is already the lexicographic argmax of
+        # (to_picked, traffic, graph order).
+        order = self.traffic_order()
+        index = self.core_index()
+        ranked = [index[core] for core in order]
+        indptr, nbr_idx, nbr_wt = self.adjacency_arrays()
+        bounds = indptr.tolist()
+        nbr_rank = np.argsort(ranked)[nbr_idx]  # argsort inverts the permutation
+        to_picked = np.zeros(len(ranked))
+        picked: list[str] = []
+        for _ in ranked:
+            rank = int(to_picked.argmax())
+            picked.append(order[rank])
+            row = slice(bounds[ranked[rank]], bounds[ranked[rank] + 1])
+            to_picked[nbr_rank[row]] += nbr_wt[row]
+            to_picked[rank] = -np.inf  # stays -inf under later additions
+        return tuple(picked)
 
     def is_connected(self) -> bool:
         """True when the undirected version of the graph is connected."""

@@ -51,7 +51,7 @@ def quadrant_nodes(topology: NoCTopology, src: int, dst: int) -> list[int]:
     step_y, count_y = _axis_steps(sy, dy, topology.height, topology.torus)
     xs = _axis_positions(sx, step_x, count_x, topology.width)
     ys = _axis_positions(sy, step_y, count_y, topology.height)
-    return [topology.node_at(x, y) for y in ys for x in xs]
+    return [y * topology.width + x for y in ys for x in xs]  # in range by construction
 
 
 def quadrant_links(
@@ -77,14 +77,15 @@ def quadrant_links(
     if src == dst:
         raise GraphError("quadrant of a node with itself is empty")
     inside = set(quadrant_nodes(topology, src, dst))
-    selected: list[tuple[int, int]] = []
-    for u, v in topology.link_keys():
-        if u not in inside or v not in inside:
-            continue
-        if monotone and topology.distance(v, dst) >= topology.distance(u, dst):
-            continue
-        selected.append((u, v))
-    return selected
+    to_dst = topology.distance_matrix()[:, dst].tolist()
+    # Ascending sources, each one's links in adjacency order, is the order
+    # link_keys() lists them in — without a pass over the whole fabric.
+    return [
+        (u, v)
+        for u in sorted(inside)
+        for v in topology.neighbors(u)
+        if v in inside and not (monotone and to_dst[v] >= to_dst[u])
+    ]
 
 
 def count_minimal_paths(topology: NoCTopology, src: int, dst: int) -> int:

@@ -21,13 +21,12 @@ import random
 from repro.api.options import AnnealingOptions
 from repro.api.registry import register_mapper
 from repro.errors import MappingError
-from repro.graphs.commodities import build_commodities
 from repro.graphs.core_graph import CoreGraph
 from repro.graphs.topology import NoCTopology
 from repro.mapping.base import Mapping, MappingResult
 from repro.mapping.initializer import initial_mapping
-from repro.metrics.comm_cost import MAXVALUE, comm_cost, swap_cost_delta
-from repro.routing.min_path import min_path_routing
+from repro.mapping.nmap import evaluate_single_path
+from repro.metrics.comm_cost import SwapMirror, comm_cost
 
 
 @register_mapper("annealing", options=AnnealingOptions,
@@ -92,6 +91,7 @@ def annealing_mapping(
     floor = temperature * min_temperature_fraction
     moves = moves_per_temperature or 4 * topology.num_nodes
     nodes = search_topology.healthy_nodes()
+    mirror = SwapMirror(mapping)
 
     accepted = 0
     attempted = 0
@@ -99,9 +99,9 @@ def annealing_mapping(
         for _ in range(moves):
             attempted += 1
             node_a, node_b = rng.sample(nodes, 2)
-            delta = swap_cost_delta(mapping, node_a, node_b)
+            delta = mirror.delta(node_a, node_b)
             if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-                mapping.swap_nodes(node_a, node_b)
+                mirror.swap(node_a, node_b)
                 current_cost += delta
                 accepted += 1
                 if current_cost < best_cost:
@@ -121,12 +121,10 @@ def annealing_mapping(
         stats["expected_fault_cost"] = comm_cost(best_mapping) / ensemble_size
         best_mapping = Mapping(core_graph, topology, best_mapping.placement)
 
-    commodities = build_commodities(core_graph, best_mapping)
-    routing = min_path_routing(topology, commodities)
-    feasible = routing.is_feasible()
+    cost, routing, feasible = evaluate_single_path(best_mapping)
     return MappingResult(
         mapping=best_mapping,
-        comm_cost=comm_cost(best_mapping) if feasible else MAXVALUE,
+        comm_cost=cost,
         feasible=feasible,
         algorithm="annealing",
         routing=routing,

@@ -12,12 +12,10 @@ from __future__ import annotations
 from itertools import permutations
 
 from repro.errors import MappingError
-from repro.graphs.commodities import build_commodities
 from repro.graphs.core_graph import CoreGraph
 from repro.graphs.topology import NoCTopology
 from repro.mapping.base import Mapping, MappingResult
-from repro.metrics.comm_cost import MAXVALUE, comm_cost
-from repro.routing.min_path import min_path_routing
+from repro.mapping.nmap import evaluate_single_path
 
 #: Hard cap on the number of placements enumerated.
 MAX_PLACEMENTS = 2_000_000
@@ -45,10 +43,8 @@ def exhaustive_best_mapping(
                 f"exhaustive search over ~{count} placements is too large"
             )
 
-    flows = [
-        (cores.index(flow.src), cores.index(flow.dst), flow.bandwidth)
-        for flow in core_graph.flows()
-    ]
+    flows = list(zip(*(column.tolist() for column in core_graph.flow_arrays())))
+    hops = topology.distance_matrix().tolist()
     half_width = (topology.width - 1) / 2
     half_height = (topology.height - 1) / 2
 
@@ -60,7 +56,7 @@ def exhaustive_best_mapping(
             continue  # mirror image of an already-seen placement
         cost = 0.0
         for src_idx, dst_idx, bandwidth in flows:
-            cost += bandwidth * topology.distance(assignment[src_idx], assignment[dst_idx])
+            cost += bandwidth * hops[assignment[src_idx]][assignment[dst_idx]]
             if cost >= best_cost:
                 break
         if cost < best_cost:
@@ -73,12 +69,10 @@ def exhaustive_best_mapping(
         topology,
         {core: best_assignment[index] for index, core in enumerate(cores)},
     )
-    commodities = build_commodities(core_graph, mapping)
-    routing = min_path_routing(topology, commodities)
-    feasible = routing.is_feasible()
+    cost, routing, feasible = evaluate_single_path(mapping)
     return MappingResult(
         mapping=mapping,
-        comm_cost=comm_cost(mapping) if feasible else MAXVALUE,
+        comm_cost=cost,
         feasible=feasible,
         algorithm="exhaustive",
         routing=routing,

@@ -5,8 +5,8 @@ the algorithm for UBC calculation in [8]": cores are taken in descending
 order of total communication volume (a static order, unlike NMAP's
 ``initialize()`` which re-ranks by attachment to the mapped set) and each is
 placed on the free node minimizing the incremental hop-weighted cost to the
-cores already placed.  No improvement phase follows — that absence is what
-Figures 3 and 4 measure.
+cores already placed — ``initialize()``'s own node scan and tie-break.  No
+improvement phase follows — that absence is what Figures 3 and 4 measure.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ from __future__ import annotations
 from repro.errors import MappingError
 from repro.api.options import GmapOptions
 from repro.api.registry import register_mapper
-from repro.graphs.commodities import build_commodities
 from repro.graphs.core_graph import CoreGraph
 from repro.graphs.topology import NoCTopology
 from repro.mapping.base import Mapping, MappingResult
-from repro.metrics.comm_cost import MAXVALUE, comm_cost
-from repro.routing.min_path import min_path_routing
+from repro.mapping.initializer import best_node, center_pull
+from repro.mapping.nmap import evaluate_single_path
 
 
 @register_mapper("gmap", options=GmapOptions,
@@ -35,39 +34,14 @@ def gmap(core_graph: CoreGraph, topology: NoCTopology) -> MappingResult:
     if core_graph.num_cores == 0:
         raise MappingError("cannot map an empty core graph")
     mapping = Mapping(core_graph, topology)
-    order = sorted(
-        core_graph.cores,
-        key=lambda core: (-core_graph.core_traffic(core), core_graph.cores.index(core)),
-    )
-    center_x = (topology.width - 1) / 2.0
-    center_y = (topology.height - 1) / 2.0
-    for core in order:
-        placed_neighbors = [
-            (mapping.node_of(other), core_graph.traffic_between(core, other))
-            for other in core_graph.neighbors(core)
-            if mapping.is_mapped(other)
-        ]
-        best_node = -1
-        best_key: tuple[float, float] | None = None
-        for node in mapping.free_nodes():
-            cost = sum(
-                bandwidth * topology.distance(node, placed)
-                for placed, bandwidth in placed_neighbors
-            )
-            x, y = topology.coords(node)
-            center_pull = abs(x - center_x) + abs(y - center_y)
-            key = (cost, center_pull)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_node = node
-        mapping.assign(core, best_node)
+    pull = center_pull(topology)
+    for core in core_graph.traffic_order():
+        mapping.assign(core, best_node(mapping, core, mapping.free_nodes(), pull))
 
-    commodities = build_commodities(core_graph, mapping)
-    routing = min_path_routing(topology, commodities)
-    feasible = routing.is_feasible()
+    cost, routing, feasible = evaluate_single_path(mapping)
     return MappingResult(
         mapping=mapping,
-        comm_cost=comm_cost(mapping) if feasible else MAXVALUE,
+        comm_cost=cost,
         feasible=feasible,
         algorithm="gmap",
         routing=routing,

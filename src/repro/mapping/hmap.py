@@ -25,6 +25,7 @@ from repro.errors import MappingError
 from repro.graphs.core_graph import CoreGraph
 from repro.graphs.topology import NoCTopology
 from repro.mapping.base import Mapping, MappingResult
+from repro.mapping.initializer import best_node
 from repro.mapping.nmap import evaluate_single_path
 from repro.partition import partition_topology
 
@@ -40,15 +41,8 @@ def _cluster_cores(
     ties) when it talks to no placed core — which also seeds each cluster
     with one of the heaviest cores, spreading the hubs apart.
     """
-    order = sorted(
-        core_graph.cores,
-        key=lambda core: (
-            -core_graph.core_traffic(core),
-            core_graph.cores.index(core),
-        ),
-    )
     clusters: list[list[str]] = [[] for _ in capacities]
-    for core in order:
+    for core in core_graph.traffic_order():
         best = -1
         best_key: tuple[float, int, int] | None = None
         for index, members in enumerate(clusters):
@@ -204,39 +198,17 @@ def hmap(
     # already-placed cores in *other* regions still pull, so boundary
     # cores land on their region's near edge.
     mapping = Mapping(core_graph, topology)
-    order = sorted(
-        core_graph.cores,
-        key=lambda core: (
-            -core_graph.core_traffic(core),
-            core_graph.cores.index(core),
-        ),
-    )
     cluster_of = {
         core: index
         for index, members in enumerate(clusters)
         for core in members
     }
-    free: list[set[int]] = [set(members) for members in region_nodes]
-    for core in order:
-        region = placement[cluster_of[core]]
-        placed_neighbors = [
-            (mapping.node_of(other), core_graph.traffic_between(core, other))
-            for other in core_graph.neighbors(core)
-            if mapping.is_mapped(other)
-        ]
-        best_node = -1
-        best_key: tuple[float, int] | None = None
-        for node in sorted(free[region]):
-            cost = sum(
-                bandwidth * topology.distance(node, placed)
-                for placed, bandwidth in placed_neighbors
-            )
-            key = (cost, node)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_node = node
-        mapping.assign(core, best_node)
-        free[region].discard(best_node)
+    free: list[list[int]] = [sorted(members) for members in region_nodes]
+    for core in core_graph.traffic_order():
+        candidates = free[placement[cluster_of[core]]]
+        node = best_node(mapping, core, candidates)
+        mapping.assign(core, node)
+        candidates.remove(node)
 
     cost, routing, feasible = evaluate_single_path(mapping)
     return MappingResult(

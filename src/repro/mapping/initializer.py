@@ -3,8 +3,8 @@
 1. The core with the maximum communication demand goes onto a mesh node with
    the maximum number of neighbors.
 2. Repeatedly, the unmapped core communicating most with the already-mapped
-   set is placed on the free node minimizing
-   ``sum over mapped cores of comm(core, mapped) * hop_distance``.
+   set (:meth:`CoreGraph.max_adjacency_order`) is placed on the free node
+   minimizing ``sum over mapped cores of comm(core, mapped) * hop_distance``.
 
 All ties are broken deterministically (lowest node id / first core in graph
 order) so runs are reproducible.  Among maximum-degree nodes we prefer the
@@ -14,87 +14,41 @@ should have room to grow in all directions.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import MappingError
 from repro.graphs.core_graph import CoreGraph
 from repro.graphs.topology import NoCTopology
 from repro.mapping.base import Mapping
+from repro.metrics.comm_cost import placement_costs
 
 
-def _seed_node(topology: NoCTopology) -> int:
-    """Max-degree node nearest the mesh center (lowest id on ties)."""
-    center_x = (topology.width - 1) / 2.0
-    center_y = (topology.height - 1) / 2.0
-
-    def center_distance(node: int) -> float:
-        x, y = topology.coords(node)
-        return abs(x - center_x) + abs(y - center_y)
-
-    candidates = topology.max_degree_nodes()
-    return min(candidates, key=lambda node: (center_distance(node), node))
-
-
-def _seed_core(core_graph: CoreGraph) -> str:
-    """Core with maximum total communication demand (graph order on ties)."""
-    return max(
-        core_graph.cores,
-        key=lambda core: (core_graph.core_traffic(core), -core_graph.cores.index(core)),
+def center_pull(topology: NoCTopology) -> np.ndarray:
+    """Per node, its Manhattan distance to the mesh center."""
+    ids = np.arange(topology.num_nodes)
+    return np.abs(ids % topology.width - (topology.width - 1) / 2.0) + np.abs(
+        ids // topology.width - (topology.height - 1) / 2.0
     )
 
 
-def _next_core(core_graph: CoreGraph, mapped: set[str]) -> str:
-    """Unmapped core with max communication to the mapped set.
-
-    Falls back to total traffic for cores with no mapped neighbor yet (a
-    disconnected component's heaviest core goes next).
-    """
-    best_core: str | None = None
-    best_key: tuple[float, float] | None = None
-    for core in core_graph.cores:
-        if core in mapped:
-            continue
-        to_mapped = sum(core_graph.traffic_between(core, other) for other in mapped)
-        key = (to_mapped, core_graph.core_traffic(core))
-        if best_key is None or key > best_key:
-            best_core = core
-            best_key = key
-    if best_core is None:
-        raise MappingError("no unmapped core left to select")
-    return best_core
-
-
-def _best_node(
-    core_graph: CoreGraph, topology: NoCTopology, mapping: Mapping, core: str
+def best_node(
+    mapping: Mapping, core: str, candidates: list[int], pull: np.ndarray | None = None
 ) -> int:
-    """Free node minimizing the placement cost of ``core`` against mapped cores.
+    """The candidate node (ascending ids) where placing ``core`` costs least.
 
-    Implements the pseudo-code's
-    ``commcost(u_j) += comm(next_s, w_i) * (xdist + ydist)`` scan over every
-    available mesh node.
+    The pseudo-code's ``commcost(u_j) += comm(next_s, w_i) * (xdist + ydist)``
+    scan, as one :func:`~repro.metrics.comm_cost.placement_costs` call — over
+    the free nodes for ``initialize()`` and GMAP, PMAP's frontier, HMAP's
+    region.  Equal costs go to the smaller ``pull`` when one is given
+    (:func:`center_pull`: a compact placement leaves later cores close free
+    nodes), then to the lowest id.
     """
-    mapped_neighbors = [
-        (mapping.node_of(other), core_graph.traffic_between(core, other))
-        for other in core_graph.neighbors(core)
-        if mapping.is_mapped(other)
-    ]
-    center_x = (topology.width - 1) / 2.0
-    center_y = (topology.height - 1) / 2.0
-    best_node = -1
-    best_key: tuple[float, float] | None = None
-    for node in mapping.free_nodes():
-        cost = sum(
-            bandwidth * topology.distance(node, placed_node)
-            for placed_node, bandwidth in mapped_neighbors
-        )
-        x, y = topology.coords(node)
-        # Tie-break toward the mesh center: keeps the placement compact so
-        # later cores still find close free nodes.
-        key = (cost, abs(x - center_x) + abs(y - center_y))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_node = node
-    if best_node < 0:
-        raise MappingError("no free node available")
-    return best_node
+    nodes = np.asarray(candidates)
+    costs = placement_costs(mapping, core, nodes)
+    if pull is None:
+        return int(nodes[np.argmin(costs)])
+    cheapest = nodes[costs == costs.min()]
+    return int(cheapest[np.argmin(pull[cheapest])])
 
 
 def initial_mapping(core_graph: CoreGraph, topology: NoCTopology) -> Mapping:
@@ -106,12 +60,11 @@ def initial_mapping(core_graph: CoreGraph, topology: NoCTopology) -> Mapping:
     if core_graph.num_cores == 0:
         raise MappingError("cannot map an empty core graph")
     mapping = Mapping(core_graph, topology)
-    seed = _seed_core(core_graph)
-    mapping.assign(seed, _seed_node(topology))
-    mapped = {seed}
-    while len(mapped) < core_graph.num_cores:
-        core = _next_core(core_graph, mapped)
-        node = _best_node(core_graph, topology, mapping, core)
-        mapping.assign(core, node)
-        mapped.add(core)
+    pull = center_pull(topology)
+    # Nothing pulls on the seed core yet, so of the max-degree nodes it takes
+    # the one nearest the center: room to grow in all directions.
+    candidates = topology.max_degree_nodes()
+    for core in core_graph.max_adjacency_order():
+        mapping.assign(core, best_node(mapping, core, candidates, pull))
+        candidates = mapping.free_nodes()
     return mapping

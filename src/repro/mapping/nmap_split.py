@@ -30,7 +30,7 @@ from repro.graphs.core_graph import CoreGraph
 from repro.graphs.topology import NoCTopology
 from repro.mapping.base import Mapping, MappingResult
 from repro.mapping.initializer import initial_mapping
-from repro.metrics.comm_cost import MAXVALUE, comm_cost, swap_cost_delta
+from repro.metrics.comm_cost import MAXVALUE, comm_cost, swap_cost_deltas
 from repro.routing.split import solve_mcf1, solve_mcf2
 
 #: Total slack below this counts as "bandwidth constraints satisfied".
@@ -84,13 +84,18 @@ def nmap_with_splitting(
             best_cost, best_routing = priced
 
     if improve:
-        nodes = list(topology.nodes)
+        nodes = topology.healthy_nodes()
         for i in range(len(nodes)):
             best_swap: tuple[int, int] | None = None
             swap_slack = best_slack
             swap_cost = best_cost
             swap_routing = None
-            for j in range(i + 1, len(nodes)):
+            # The mapping is frozen while scanning j, so the cost phase's
+            # Manhattan bounds for every partner come from one call.
+            lower_bounds = comm_cost(mapping) + swap_cost_deltas(
+                mapping, nodes[i], nodes[i + 1 :]
+            )
+            for j, lower_bound in enumerate(lower_bounds.tolist(), start=i + 1):
                 stats["swaps_tried"] += 1
                 candidate = mapping.swapped(nodes[i], nodes[j])
                 if not bw_satisfied:
@@ -110,9 +115,6 @@ def nmap_with_splitting(
                         swap_slack = slack
                         swap_routing = routing
                 else:
-                    lower_bound = comm_cost(mapping) + swap_cost_delta(
-                        mapping, nodes[i], nodes[j]
-                    )
                     if lower_bound >= swap_cost:
                         continue
                     priced = _mcf2_cost(candidate, quadrant_only)

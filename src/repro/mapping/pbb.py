@@ -12,6 +12,11 @@ Equation 7 cost:
   mode) or one hop (``cheap`` mode), plus
 * one hop per flow between two unplaced cores.
 
+Only the first term depends on where a child puts the core being branched:
+"nearest free" is taken over the partial's free nodes, the child's own
+among them, and a flow leaving the new core is priced at one hop.  So the
+last two terms are computed once per partial and shared by its children.
+
 The "partial" in PBB is the bounded queue: the paper monitors the queue
 length so their runs take "few minutes".  We implement the queue bound as a
 level-synchronous best-bound search — at every depth only the ``max_queue``
@@ -27,25 +32,29 @@ import heapq
 from repro.api.options import PbbOptions
 from repro.api.registry import register_mapper
 from repro.errors import MappingError
-from repro.graphs.commodities import build_commodities
 from repro.graphs.core_graph import CoreGraph
 from repro.graphs.topology import NoCTopology
 from repro.mapping.base import Mapping, MappingResult
-from repro.metrics.comm_cost import MAXVALUE, comm_cost
-from repro.routing.min_path import min_path_routing
+from repro.mapping.nmap import evaluate_single_path
 
 
-def _symmetry_nodes(topology: NoCTopology) -> list[int]:
-    """One node per mirror-symmetry class (root-level symmetry breaking)."""
-    result = []
-    for node in topology.nodes:
-        x, y = topology.coords(node)
-        if topology.torus:
-            # A torus is vertex-transitive: a single root suffices.
-            return [0]
-        if x <= (topology.width - 1) / 2 and y <= (topology.height - 1) / 2:
-            result.append(node)
-    return result
+def _root_nodes(topology: NoCTopology) -> list[int]:
+    """One node per mirror-symmetry class (root-level symmetry breaking).
+
+    A failed router breaks the mirror symmetries, so on such a fabric every
+    surviving node is a class of its own.
+    """
+    if topology.failed_routers:
+        return topology.healthy_nodes()
+    if topology.torus:
+        # A torus is vertex-transitive: a single root suffices.
+        return [0]
+    return [
+        node
+        for node in topology.nodes
+        if node % topology.width <= (topology.width - 1) / 2
+        and node // topology.width <= (topology.height - 1) / 2
+    ]
 
 
 @register_mapper("pbb", options=PbbOptions,
@@ -77,10 +86,7 @@ def pbb(
     if tight_bounds is None:
         tight_bounds = core_graph.num_cores <= 20
 
-    order = sorted(
-        core_graph.cores,
-        key=lambda core: (-core_graph.core_traffic(core), core_graph.cores.index(core)),
-    )
+    order = core_graph.traffic_order()
     core_rank = {core: rank for rank, core in enumerate(order)}
 
     # Undirected-collapsed flows keyed by their later-placed endpoint, so the
@@ -93,14 +99,27 @@ def pbb(
     for lo, hi, bandwidth in flows:
         earlier_links.setdefault(hi, []).append((lo, bandwidth))
 
-    # Remainder term of the cheap bound: flows not yet chargeable exactly.
-    cheap_tail = [0.0] * (len(order) + 1)
-    for depth in range(len(order) + 1):
-        cheap_tail[depth] = sum(bw for lo, hi, bw in flows if hi >= depth)
+    # The bound's tail at each depth, over the flows still open there
+    # (``hi > depth``).  Those anchored on a placed core (``lo < depth``) are
+    # summed per anchor for the tight bound's nearest-free-node term; every
+    # other open flow — and, under the cheap bound, the anchored ones too —
+    # is charged one hop.
+    one_hop = [0.0] * len(order)
+    anchored: list[dict[int, float]] = [{} for _ in order]
+    for depth in range(len(order)):
+        for lo, hi, bandwidth in flows:
+            if hi <= depth:
+                continue
+            if tight_bounds and lo < depth:
+                anchored[depth][lo] = anchored[depth].get(lo, 0.0) + bandwidth
+            else:
+                one_hop[depth] += bandwidth
 
+    hops = topology.distance_matrix().tolist()
+    healthy = topology.healthy_nodes()
     # level entries: (exact_cost, assignment tuple)
     level: list[tuple[float, tuple[int, ...]]] = [
-        (0.0, (node,)) for node in _symmetry_nodes(topology)
+        (0.0, (node,)) for node in _root_nodes(topology)
     ]
     expansions = 0
     overflowed = False
@@ -110,34 +129,17 @@ def pbb(
         for exact, assignment in level:
             expansions += 1
             used = set(assignment)
-            free = [node for node in topology.nodes if node not in used]
-            if tight_bounds:
-                nearest = {
-                    placed: min(topology.distance(placed, node) for node in free)
-                    for placed in used
-                }
+            free = [node for node in healthy if node not in used]
+            tail = one_hop[depth]
+            for lo, bandwidth in anchored[depth].items():
+                from_anchor = hops[assignment[lo]]
+                tail += bandwidth * min(from_anchor[node] for node in free)
+            pulls = [(hops[assignment[lo]], bandwidth) for lo, bandwidth in links]
             for node in free:
                 child_exact = exact + sum(
-                    bandwidth * topology.distance(assignment[lo], node)
-                    for lo, bandwidth in links
+                    bandwidth * from_placed[node] for from_placed, bandwidth in pulls
                 )
-                if tight_bounds:
-                    bound = child_exact
-                    child_used = used | {node}
-                    for lo, hi, bandwidth in flows:
-                        if hi <= depth:
-                            continue
-                        if lo <= depth:
-                            placed_node = assignment[lo] if lo < depth else node
-                            hop = nearest.get(placed_node, 1)
-                            if placed_node == node:
-                                hop = 1  # the new node's nearest-free is >= 1
-                            bound += bandwidth * max(1, hop)
-                        else:
-                            bound += bandwidth
-                else:
-                    bound = child_exact + cheap_tail[depth + 1]
-                children.append((bound, child_exact, assignment + (node,)))
+                children.append((child_exact + tail, child_exact, assignment + (node,)))
         if len(children) > max_queue:
             overflowed = True
             children = heapq.nsmallest(max_queue, children)
@@ -149,12 +151,10 @@ def pbb(
         topology,
         {core: best_assignment[rank] for rank, core in enumerate(order)},
     )
-    commodities = build_commodities(core_graph, mapping)
-    routing = min_path_routing(topology, commodities)
-    feasible = routing.is_feasible()
+    cost, routing, feasible = evaluate_single_path(mapping)
     return MappingResult(
         mapping=mapping,
-        comm_cost=comm_cost(mapping) if feasible else MAXVALUE,
+        comm_cost=cost,
         feasible=feasible,
         algorithm="pbb",
         routing=routing,

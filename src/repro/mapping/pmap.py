@@ -6,7 +6,8 @@ processors in two phases:
 
 1. *Selection order*: clusters are ordered by their total communication
    with the already-selected set, seeded by the heaviest cluster — a
-   max-adjacency ordering.
+   max-adjacency ordering (:meth:`CoreGraph.max_adjacency_order`, the order
+   NMAP's ``initialize()`` uses too).
 2. *Physical placement*: each selected cluster is placed on a free
    processor chosen from the *frontier* — processors adjacent to already
    used ones — minimizing hop-weighted communication to the placed
@@ -23,36 +24,11 @@ from __future__ import annotations
 from repro.api.options import PmapOptions
 from repro.api.registry import register_mapper
 from repro.errors import MappingError
-from repro.graphs.commodities import build_commodities
 from repro.graphs.core_graph import CoreGraph
 from repro.graphs.topology import NoCTopology
 from repro.mapping.base import Mapping, MappingResult
-from repro.metrics.comm_cost import MAXVALUE, comm_cost
-from repro.routing.min_path import min_path_routing
-
-
-def _selection_order(core_graph: CoreGraph) -> list[str]:
-    """Max-adjacency order seeded by the heaviest core."""
-    order: list[str] = []
-    selected: set[str] = set()
-    first = max(
-        core_graph.cores,
-        key=lambda core: (core_graph.core_traffic(core), -core_graph.cores.index(core)),
-    )
-    order.append(first)
-    selected.add(first)
-    while len(order) < core_graph.num_cores:
-        best = max(
-            (core for core in core_graph.cores if core not in selected),
-            key=lambda core: (
-                sum(core_graph.traffic_between(core, other) for other in selected),
-                core_graph.core_traffic(core),
-                -core_graph.cores.index(core),
-            ),
-        )
-        order.append(best)
-        selected.add(best)
-    return order
+from repro.mapping.initializer import best_node
+from repro.mapping.nmap import evaluate_single_path
 
 
 @register_mapper("pmap", options=PmapOptions,
@@ -66,42 +42,24 @@ def pmap(core_graph: CoreGraph, topology: NoCTopology) -> MappingResult:
     if core_graph.num_cores == 0:
         raise MappingError("cannot map an empty core graph")
     mapping = Mapping(core_graph, topology)
-    order = _selection_order(core_graph)
-    mapping.assign(order[0], 0)  # corner seed: node (0, 0)
-
-    for core in order[1:]:
-        placed_neighbors = [
-            (mapping.node_of(other), core_graph.traffic_between(core, other))
-            for other in core_graph.neighbors(core)
-            if mapping.is_mapped(other)
-        ]
-        frontier = sorted(
-            {
-                neighbor
-                for used in mapping.used_nodes()
-                for neighbor in topology.neighbors(used)
-                if mapping.core_at(neighbor) is None
-            }
+    frontier: set[int] = set()  # free nodes adjacent to a used one
+    for core in core_graph.max_adjacency_order():
+        # The seed finds no frontier and nothing pulling on it, so it takes
+        # the first free node: corner (0, 0), or the lowest-id node whose
+        # router works.
+        node = best_node(mapping, core, sorted(frontier) or mapping.free_nodes())
+        mapping.assign(core, node)
+        frontier.discard(node)
+        frontier.update(
+            neighbor
+            for neighbor in topology.neighbors(node)
+            if mapping.core_at(neighbor) is None
         )
-        candidates = frontier or mapping.free_nodes()
-        best_node = min(
-            candidates,
-            key=lambda node: (
-                sum(
-                    bandwidth * topology.distance(node, placed)
-                    for placed, bandwidth in placed_neighbors
-                ),
-                node,
-            ),
-        )
-        mapping.assign(core, best_node)
 
-    commodities = build_commodities(core_graph, mapping)
-    routing = min_path_routing(topology, commodities)
-    feasible = routing.is_feasible()
+    cost, routing, feasible = evaluate_single_path(mapping)
     return MappingResult(
         mapping=mapping,
-        comm_cost=comm_cost(mapping) if feasible else MAXVALUE,
+        comm_cost=cost,
         feasible=feasible,
         algorithm="pmap",
         routing=routing,

@@ -5,12 +5,10 @@ from __future__ import annotations
 import random
 
 from repro.errors import MappingError
-from repro.graphs.commodities import build_commodities
 from repro.graphs.core_graph import CoreGraph
 from repro.graphs.topology import NoCTopology
 from repro.mapping.base import Mapping, MappingResult
-from repro.metrics.comm_cost import MAXVALUE, comm_cost
-from repro.routing.min_path import min_path_routing
+from repro.mapping.nmap import evaluate_single_path
 
 
 def random_mapping(
@@ -26,12 +24,10 @@ def random_mapping(
         topology,
         {core: node for core, node in zip(core_graph.cores, nodes)},
     )
-    commodities = build_commodities(core_graph, mapping)
-    routing = min_path_routing(topology, commodities)
-    feasible = routing.is_feasible()
+    cost, routing, feasible = evaluate_single_path(mapping)
     return MappingResult(
         mapping=mapping,
-        comm_cost=comm_cost(mapping) if feasible else MAXVALUE,
+        comm_cost=cost,
         feasible=feasible,
         algorithm="random",
         routing=routing,

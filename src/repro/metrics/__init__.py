@@ -8,10 +8,12 @@
   the PBB baseline's original objective (extension; the DATE'04 paper
   compares on cost/bandwidth only).
 
-Cost kernels are numpy-vectorized; :func:`swap_cost_deltas` scores every
-candidate swap partner of a node in one call (see PERFORMANCE.md).
-:func:`comm_cost_reference` and the per-pair :func:`swap_cost_delta` are the
-scalar forms they fall back to on partial mappings.
+Cost kernels are numpy-vectorized: :func:`swap_cost_deltas` scores every
+candidate swap partner of a node in one call and :func:`placement_costs`
+every candidate node for an unmapped core; :class:`SwapMirror` scores one
+move at a time (see PERFORMANCE.md).  :func:`comm_cost_reference` and the
+per-pair :func:`swap_cost_delta` are the scalar forms they fall back to on
+partial mappings.
 """
 
 from repro.metrics.bandwidth import (
@@ -20,9 +22,11 @@ from repro.metrics.bandwidth import (
     min_bandwidth_xy,
 )
 from repro.metrics.comm_cost import (
+    SwapMirror,
     average_hop_count,
     comm_cost,
     comm_cost_reference,
+    placement_costs,
     swap_cost_delta,
     swap_cost_deltas,
 )
@@ -32,10 +36,12 @@ from repro.metrics.report import MappingReport, evaluate_mapping
 __all__ = [
     "BitEnergyModel",
     "MappingReport",
+    "SwapMirror",
     "average_hop_count",
     "comm_cost",
     "comm_cost_reference",
     "communication_energy",
+    "placement_costs",
     "swap_cost_delta",
     "swap_cost_deltas",
     "evaluate_mapping",

@@ -8,12 +8,16 @@ directly; for split traffic it is the min-congestion LP's optimum.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.graphs.commodities import build_commodities
-from repro.mapping.base import Mapping
 from repro.routing.base import RoutingResult
 from repro.routing.dimension_ordered import xy_routing
 from repro.routing.min_path import min_path_routing
 from repro.routing.split import solve_min_congestion
+
+if TYPE_CHECKING:  # annotations only: repro.mapping imports repro.metrics
+    from repro.mapping.base import Mapping
 
 
 def min_bandwidth_xy(mapping: Mapping) -> tuple[float, RoutingResult]:

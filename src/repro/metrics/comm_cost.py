@@ -7,11 +7,13 @@ feasibility (Inequality 3), not this objective.  That property is what lets
 NMAP pre-screen swap candidates cheaply (see PERFORMANCE.md).
 
 The kernels are numpy gathers over the cached array views
-(:meth:`CoreGraph.flow_arrays`, :meth:`Mapping.position_arrays`,
-:meth:`NoCTopology.distance_matrix`).  The seed's scalar loops they
-replaced are still here — :func:`comm_cost_reference` and the per-pair
-:func:`swap_cost_delta` — because the vectorized kernels fall back to them
-on partial mappings, and the property suite uses them as oracles.
+(:meth:`CoreGraph.flow_arrays`, :meth:`CoreGraph.adjacency_arrays`,
+:meth:`Mapping.position_arrays`, :meth:`NoCTopology.distance_matrix`);
+:class:`SwapMirror` holds the same views as Python lists for searches that
+score one move at a time.  The seed's scalar loops they replaced are still
+here — :func:`comm_cost_reference` and the per-pair :func:`swap_cost_delta`
+— because the vectorized kernels fall back to them on partial mappings, and
+the property suite uses them as oracles.
 Bandwidth labels in this repository are integer-valued (VOPD/MPEG tables,
 rounded random graphs), so every product and sum is exact in float64 and
 the vectorized and scalar forms agree bit for bit; see PERFORMANCE.md for
@@ -20,11 +22,12 @@ the argument.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.graphs.core_graph import CoreGraph
-from repro.graphs.topology import NoCTopology
-from repro.mapping.base import Mapping
+if TYPE_CHECKING:  # annotations only: repro.mapping imports this module
+    from repro.mapping.base import Mapping
 
 #: Stand-in for the pseudo-code's ``maxvalue`` (cost of an infeasible mapping).
 MAXVALUE = float("inf")
@@ -84,12 +87,10 @@ def swap_cost_delta(mapping: Mapping, node_a: int, node_b: int) -> float:
     """Exact change in Equation 7 if the contents of two nodes were swapped.
 
     Only flows incident to the affected cores change, so this is
-    ``O(deg(a) + deg(b))`` instead of ``O(|E|)`` — the workhorse of NMAP's
-    improvement loop on large random graphs (Table 2).  Single-pair calls
-    (the annealer's move loop) stay on this scalar kernel — its hop lookups
-    already hit the topology's cached distance table, and numpy dispatch
-    overhead would dominate at ``O(deg)`` size; batch candidate scans should
-    use :func:`swap_cost_deltas` instead.
+    ``O(deg(a) + deg(b))`` instead of ``O(|E|)``.  This is the scalar form:
+    it tolerates partial mappings, which is why :func:`swap_cost_deltas`
+    falls back to it, and the property suite holds the production kernels
+    (:func:`swap_cost_deltas`, :meth:`SwapMirror.delta`) to it.
     """
     topology = mapping.topology
     graph = mapping.core_graph
@@ -213,3 +214,90 @@ def swap_cost_deltas(
 
     deltas += 2.0 * pair_wt * distances[node_a, nodes]
     return deltas
+
+
+def placement_costs(
+    mapping: Mapping, core: str, candidates: np.ndarray | list[int]
+) -> np.ndarray:
+    """Equation-7 cost of putting unmapped ``core`` on *each* candidate node.
+
+    Only the core's already-placed neighbors pull (the ``S(c, ·)`` term of
+    :func:`swap_cost_deltas` without its origin): one
+    ``(candidates, placed neighbors)`` block of the distance matrix times
+    the neighbor weights — the ``commcost(u_j)`` scan of ``initialize()``
+    and of every constructive baseline.  Which candidates are offered and
+    how ties break is the caller's business.
+
+    Returns:
+        ``float64`` array of costs, one per candidate, in candidate order.
+    """
+    nodes = np.asarray(candidates, dtype=np.int64)
+    indptr, nbr_idx, nbr_wt = mapping.core_graph.adjacency_arrays()
+    positions, _ = mapping.position_arrays()
+    index = mapping.core_graph.core_index()[core]
+    row = slice(indptr[index], indptr[index + 1])
+    nbr_pos = positions[nbr_idx[row]]
+    placed = nbr_pos >= 0
+    distances = mapping.topology.distance_matrix()
+    return distances[nodes[:, None], nbr_pos[placed]] @ nbr_wt[row][placed]
+
+
+class SwapMirror:
+    """A complete mapping mirrored into Python lists, for one-move-at-a-time
+    searches (the annealer): at ``O(deg)`` work per move, list reads beat
+    both numpy dispatch and the name-keyed :func:`swap_cost_delta`.
+
+    Attributes:
+        adjacency: per core index, its ``(neighbor index, weight)`` pairs.
+        hops: the hop-distance matrix as a list of rows.
+        position: core index -> node.
+        node_core: node -> core index, -1 when empty.
+
+    Raises:
+        repro.errors.MappingError: when the mapping is not complete.
+    """
+
+    def __init__(self, mapping: Mapping) -> None:
+        mapping.validate()
+        indptr, nbr_idx, nbr_wt = mapping.core_graph.adjacency_arrays()
+        bounds = indptr.tolist()
+        pairs = list(zip(nbr_idx.tolist(), nbr_wt.tolist()))
+        self.mapping = mapping
+        self.adjacency = [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        self.hops = mapping.topology.distance_matrix().tolist()
+        self.position, self.node_core = (
+            view.tolist() for view in mapping.position_arrays()
+        )
+
+    def delta(self, node_a: int, node_b: int) -> float:
+        """:func:`swap_cost_delta` of the two nodes' contents.
+
+        Each moved core's neighbors are re-priced from its old row of the
+        hop table to its new one; the edge between the two moved cores is
+        skipped, since a swap leaves their distance unchanged.
+        """
+        core_a, core_b = self.node_core[node_a], self.node_core[node_b]
+        from_a, from_b = self.hops[node_a], self.hops[node_b]
+        position = self.position
+        delta = 0.0
+        if core_a >= 0:
+            for other, weight in self.adjacency[core_a]:
+                if other != core_b:
+                    at = position[other]
+                    delta += weight * (from_b[at] - from_a[at])
+        if core_b >= 0:
+            for other, weight in self.adjacency[core_b]:
+                if other != core_a:
+                    at = position[other]
+                    delta += weight * (from_a[at] - from_b[at])
+        return delta
+
+    def swap(self, node_a: int, node_b: int) -> None:
+        """Commit the swap to the mapping and to the mirror."""
+        self.mapping.swap_nodes(node_a, node_b)
+        core_a, core_b = self.node_core[node_a], self.node_core[node_b]
+        self.node_core[node_a], self.node_core[node_b] = core_b, core_a
+        if core_a >= 0:
+            self.position[core_a] = node_b
+        if core_b >= 0:
+            self.position[core_b] = node_a

@@ -12,9 +12,12 @@ model is included for completeness and for the energy ablation bench.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
-from repro.mapping.base import Mapping
+
+if TYPE_CHECKING:  # annotations only: repro.mapping imports repro.metrics
+    from repro.mapping.base import Mapping
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ together.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.graphs.commodities import build_commodities
-from repro.mapping.base import Mapping
 from repro.metrics.bandwidth import (
     min_bandwidth_min_path,
     min_bandwidth_split,
@@ -23,6 +23,9 @@ from repro.metrics.energy import BitEnergyModel, communication_energy
 from repro.routing.deadlock import is_deadlock_free
 from repro.routing.min_path import min_path_routing
 from repro.routing.tables import table_overhead_ratio
+
+if TYPE_CHECKING:  # annotations only: repro.mapping imports repro.metrics
+    from repro.mapping.base import Mapping
 
 
 @dataclass(frozen=True)

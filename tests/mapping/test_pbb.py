@@ -63,6 +63,23 @@ class TestPbb:
         mesh = mesh3x3.with_uniform_bandwidth(graph.total_bandwidth())
         assert pbb(graph, mesh).mapping == pbb(graph, mesh).mapping
 
+    @pytest.mark.parametrize("tight_bounds", [True, False])
+    def test_never_branches_onto_a_failed_router(self, tight_bounds):
+        """A core without flows costs the same anywhere, so only the node
+        set — not an UNREACHABLE distance — keeps it off a dead router."""
+        graph = CoreGraph.from_flows([("a", "b", 100), ("c", "d", 90)])
+        graph.add_core("idle")
+        mesh = NoCTopology.mesh(3, 3, link_bandwidth=1000.0).with_failed_routers([0])
+        result = pbb(graph, mesh, tight_bounds=tight_bounds)
+        assert result.feasible and result.comm_cost == 190.0
+        assert 0 not in result.mapping.placement.values()
+
+    def test_failed_router_leaves_every_survivor_a_root(self, mesh2x2):
+        """Router 0 is the 2x2 mesh's only symmetry-class representative."""
+        graph = CoreGraph.from_flows([("a", "b", 100), ("b", "c", 50)])
+        result = pbb(graph, mesh2x2.with_failed_routers([0]))
+        assert result.feasible and result.comm_cost == 150.0
+
 
 class TestExhaustive:
     def test_line_on_2x2(self, tiny_graph, mesh2x2):

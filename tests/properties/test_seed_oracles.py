@@ -1,9 +1,11 @@
 """Every production kernel == the seed's oracle for it (``tests/reference``).
 
 The contract (PERFORMANCE.md): ``src/`` holds one path per kernel — numpy
-gathers for Equation 7 and the swap deltas, a memoized quadrant DAG for
-min-path routing, a cycle loop and router step that skip idle components —
-and each produces *bit-identical* results to the seed's scalar
+gathers for Equation 7, the swap deltas and the placement scan, array-built
+core orders, a list-backed mirror for the annealer's move, a quadrant DAG
+built from the quadrant's own nodes and memoized for min-path routing, a
+PBB bound priced per partial, a cycle loop and router step that skip idle
+components — and each produces *bit-identical* results to the seed's scalar
 implementation, which lives on as an oracle under ``tests/reference`` (or,
 for the two scalar kernels production still falls back to, in
 ``repro.metrics.comm_cost``).  Whole algorithms are re-run with the oracles
@@ -15,25 +17,59 @@ assertion — any tolerance would hide a real divergence.
 
 from __future__ import annotations
 
+import importlib
 import random
 from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.apps import vopd
+from repro.apps import pip, vopd
 from repro.graphs.commodities import build_commodities
+from repro.graphs.core_graph import CoreGraph
+from repro.graphs.quadrant import quadrant_links
 from repro.graphs.random_graphs import random_core_graph
 from repro.graphs.topology import NoCTopology
-from repro.mapping import annealing_mapping, nmap_single_path
+from repro.mapping import (
+    annealing_mapping,
+    gmap,
+    hmap,
+    initial_mapping,
+    nmap_single_path,
+    nmap_with_splitting,
+    pbb,
+    pmap,
+)
 from repro.mapping.base import Mapping
-from repro.metrics.comm_cost import comm_cost, comm_cost_reference, swap_cost_deltas
+from repro.mapping.initializer import best_node, center_pull
+from repro.metrics.comm_cost import (
+    SwapMirror,
+    comm_cost,
+    comm_cost_reference,
+    placement_costs,
+    swap_cost_delta,
+    swap_cost_deltas,
+)
 from repro.routing.min_path import min_path_routing
 from repro.simnoc.config import SimConfig
 from repro.simnoc.network import build_network
 from repro.simnoc.simulator import Simulator
-from tests.reference import per_pair_swap_deltas, quadrant_outgoing, seed_cycle_loop
+from tests.reference import (
+    PerMoveSwapMirror,
+    every_link_quadrant_links,
+    next_core_order,
+    per_child_bound_pbb,
+    per_node_placement_costs,
+    per_pair_swap_deltas,
+    quadrant_outgoing,
+    recomputed_frontier_pmap,
+    scanned_best_node,
+    seed_cycle_loop,
+    selection_order,
+    sorted_traffic_order,
+)
 
 
 def _workloads():
@@ -90,11 +126,138 @@ class TestCostKernels:
         assert swap_cost_deltas(mapping, 3, [3])[0] == 0.0
 
 
+@st.composite
+def fabrics(draw):
+    """Mesh, torus or 1xN line — pristine, or with failed links or routers."""
+    kind = draw(st.sampled_from(["mesh", "torus", "line"]))
+    if kind == "line":
+        width, height = draw(st.integers(3, 9)), 1
+    else:
+        width, height = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    fabric = NoCTopology(width, height, torus=kind == "torus")
+    damage = draw(st.sampled_from(["none", "links", "routers"]))
+    if damage == "links":
+        links = draw(
+            st.lists(st.sampled_from(fabric.link_keys()), min_size=1, max_size=3)
+        )
+        fabric = fabric.with_failed_links(links)
+    elif damage == "routers":
+        routers = draw(
+            st.lists(
+                st.integers(0, fabric.num_nodes - 1),
+                min_size=1,
+                max_size=min(2, fabric.num_nodes - 2),
+                unique=True,
+            )
+        )
+        fabric = fabric.with_failed_routers(routers)
+    return fabric
+
+
+@st.composite
+def core_graphs(draw, max_cores=12):
+    """Integer-weight graphs, often disconnected; ``unit`` makes every weight
+    1, so every key ties and only the tie-break order decides."""
+    count = draw(st.integers(2, max_cores))
+    unit = draw(st.booleans())
+    pick = st.integers(0, count - 1)
+    edges = draw(
+        st.lists(st.tuples(pick, pick, st.integers(1, 9)), max_size=3 * count)
+    )
+    graph = CoreGraph(name="generated")
+    for core in range(count):
+        graph.add_core(f"c{core}")
+    for src, dst, weight in edges:
+        if src != dst:
+            graph.add_traffic(f"c{src}", f"c{dst}", 1 if unit else weight)
+    return graph
+
+
+@st.composite
+def placements(draw, complete):
+    """A mapping onto the healthy nodes of a fabric with room to spare more
+    often than not (|V| < |U|); ``complete=False`` leaves some cores out."""
+    fabric = draw(fabrics())
+    healthy = fabric.healthy_nodes()
+    graph = draw(core_graphs(max_cores=min(12, len(healthy))))
+    nodes = draw(st.permutations(healthy))
+    cores = graph.cores
+    if not complete:
+        cores = draw(st.permutations(cores))[: draw(st.integers(0, len(cores) - 1))]
+    return Mapping(graph, fabric, dict(zip(cores, nodes)))
+
+
+class TestIndexSpaceKernels:
+    """The orders, the placement scan, the move delta and the quadrant DAG
+    against their oracles, over generated graphs and fabrics."""
+
+    @given(core_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_orders_match_the_seed_sorts(self, graph):
+        assert graph.traffic_array().tolist() == [
+            graph.core_traffic(core) for core in graph.cores
+        ]
+        assert graph.traffic_order() == sorted_traffic_order(graph)
+        assert graph.max_adjacency_order() == selection_order(graph)
+        assert graph.max_adjacency_order() == next_core_order(graph)
+
+    def test_orders_follow_graph_mutations(self):
+        graph = CoreGraph.from_flows([("a", "b", 5), ("b", "c", 1)])
+        assert graph.max_adjacency_order() == ("b", "a", "c")
+        graph.add_traffic("c", "d", 9)
+        assert graph.traffic_order() == sorted_traffic_order(graph)
+        assert graph.max_adjacency_order() == selection_order(graph)
+        assert graph.max_adjacency_order()[0] == "c"
+
+    @given(placements(complete=False), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_placement_scan_matches_the_per_node_loop(self, mapping, data):
+        """The costs, and the node each tie-break rule takes from them."""
+        unmapped = [c for c in mapping.core_graph.cores if not mapping.is_mapped(c)]
+        core = data.draw(st.sampled_from(unmapped))
+        candidates = mapping.free_nodes()
+        produced = placement_costs(mapping, core, candidates)
+        assert produced.dtype == np.float64
+        assert np.array_equal(
+            produced, per_node_placement_costs(mapping, core, candidates)
+        )
+        for pull in (None, center_pull(mapping.topology)):
+            assert best_node(mapping, core, candidates, pull) == scanned_best_node(
+                mapping, core, candidates, pull
+            )
+
+    @given(placements(complete=True), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_mirror_move_matches_the_scalar_delta(self, mapping, data):
+        """Every pair, then again after each of a few committed swaps."""
+        mirror = SwapMirror(mapping)
+        healthy = mapping.topology.healthy_nodes()
+        for _ in range(3):
+            for a in healthy:
+                for b in healthy:
+                    assert mirror.delta(a, b) == swap_cost_delta(mapping, a, b)
+            mirror.swap(*data.draw(st.permutations(healthy))[:2])
+            positions, node_core = mapping.position_arrays()
+            assert mirror.position == positions.tolist()
+            assert mirror.node_core == node_core.tolist()
+
+    @given(fabrics())
+    @settings(max_examples=100, deadline=None)
+    def test_quadrant_links_match_the_every_link_filter(self, fabric):
+        for src in fabric.nodes:
+            for dst in fabric.nodes:
+                if src != dst:
+                    for monotone in (False, True):
+                        assert quadrant_links(
+                            fabric, src, dst, monotone
+                        ) == every_link_quadrant_links(fabric, src, dst, monotone)
+
+
 @contextmanager
 def seed_kernels(monkeypatch):
     """Run the enclosed block on the seed's kernels; yields their call counts.
 
-    The oracles replace the vectorized kernels where the algorithms import
+    The oracles replace the index-space kernels where the algorithms import
     them — there is no switch in ``src/`` to flip.  The counts let a test
     tell a substitution that took from an import site that moved.
     """
@@ -107,15 +270,25 @@ def seed_kernels(monkeypatch):
 
         return wrapper
 
+    def mapper_module(name):
+        # Not "repro.mapping.<name>" as a string: the package re-exports the
+        # pmap / hmap functions under their modules' names.
+        return importlib.import_module(f"repro.mapping.{name}")
+
     with monkeypatch.context() as patch:
-        for module in ("repro.mapping.nmap", "repro.mapping.annealing"):
-            patch.setattr(
-                f"{module}.comm_cost", counted("comm_cost", comm_cost_reference)
-            )
-        patch.setattr(
-            "repro.mapping.nmap.swap_cost_deltas",
-            counted("swap_cost_deltas", per_pair_swap_deltas),
-        )
+        for kernel, oracle, importers in (
+            ("comm_cost", comm_cost_reference, ("nmap", "nmap_split", "annealing")),
+            ("swap_cost_deltas", per_pair_swap_deltas, ("nmap", "nmap_split")),
+            ("best_node", scanned_best_node, ("initializer", "gmap", "pmap", "hmap")),
+            ("SwapMirror", PerMoveSwapMirror, ("annealing",)),
+        ):
+            for name in importers:
+                patch.setattr(mapper_module(name), kernel, counted(kernel, oracle))
+        for view, oracle in (
+            ("traffic_order", sorted_traffic_order),
+            ("max_adjacency_order", selection_order),
+        ):
+            patch.setattr(CoreGraph, view, counted(view, oracle))
         patch.setattr(
             NoCTopology,
             "monotone_outgoing",
@@ -124,8 +297,73 @@ def seed_kernels(monkeypatch):
         yield calls
 
 
+def _same_search(produced, reference):
+    assert produced.mapping.placement == reference.mapping.placement
+    assert produced.comm_cost == reference.comm_cost
+    assert produced.stats == reference.stats
+
+
+def _fabric_cases():
+    """(core graph, fabric): the `_workloads` trio plus a mesh with a dead
+    interior router and more nodes than cores."""
+    for app, mesh in _workloads():
+        yield app, mesh.with_uniform_bandwidth(app.total_bandwidth())
+    yield pip(), NoCTopology.mesh(3, 4, link_bandwidth=768.0).with_failed_routers([4])
+
+
 class TestAlgorithmTrajectories:
     """The kernels must not just approximate — the *search* must be identical."""
+
+    def test_initial_mapping_retraces_the_seed_placement(self, monkeypatch):
+        for app, mesh in _fabric_cases():
+            with seed_kernels(monkeypatch) as calls:
+                reference = initial_mapping(app, mesh)
+            assert calls["max_adjacency_order"] == 1
+            assert calls["best_node"] == app.num_cores
+            assert initial_mapping(app, mesh).placement == reference.placement
+
+    @pytest.mark.parametrize(
+        "mapper,order",
+        [(gmap, "traffic_order"), (pmap, "max_adjacency_order"), (hmap, "traffic_order")],
+    )
+    def test_constructive_mappers_retrace_the_seed_placement(
+        self, monkeypatch, mapper, order
+    ):
+        for app, mesh in _fabric_cases():
+            with seed_kernels(monkeypatch) as calls:
+                reference = mapper(app, mesh)
+            assert calls[order] and calls["monotone_outgoing"]
+            assert calls["best_node"] == app.num_cores
+            _same_search(mapper(app, mesh), reference)
+
+    def test_pmap_grows_the_frontier_the_seed_recomputed(self):
+        """Seeding by "first free node" and updating the frontier per placed
+        node is the seed's node-0 seed and per-core rebuild."""
+        for app, mesh in _workloads():
+            produced = pmap(app, mesh.with_uniform_bandwidth(app.total_bandwidth()))
+            assert produced.mapping.placement == recomputed_frontier_pmap(app, mesh)
+
+    @pytest.mark.parametrize("tight_bounds", [True, False])
+    @pytest.mark.parametrize("max_queue", [2000, 40, 3])
+    def test_pbb_retraces_the_per_child_bound_search(self, tight_bounds, max_queue):
+        """One tail per partial ranks, prunes and overflows as one per child did."""
+        overflows = set()
+        for app, mesh in (
+            (random_core_graph(5, seed=1), NoCTopology.mesh(3, 2, link_bandwidth=1e6)),
+            (pip(), NoCTopology.mesh(3, 3, link_bandwidth=768.0)),
+            (random_core_graph(9, seed=5), NoCTopology.torus_grid(3, 4, 1e6)),
+            (random_core_graph(11, seed=8), NoCTopology.mesh(4, 3, link_bandwidth=1e6)),
+        ):
+            placement, expansions, overflowed = per_child_bound_pbb(
+                app, mesh, max_queue, tight_bounds
+            )
+            produced = pbb(app, mesh, max_queue=max_queue, tight_bounds=tight_bounds)
+            assert produced.mapping.placement == placement
+            assert produced.stats["expansions"] == expansions
+            assert produced.stats["queue_overflowed"] == overflowed
+            overflows.add(overflowed)
+        # The 5-core search fits a 2000-deep queue (exact); the rest overflow.
+        assert overflows == ({False, True} if max_queue == 2000 else {True})
 
     @pytest.mark.parametrize("size,seed", [(16, 0), (35, 2039)])
     def test_nmap_retraces_the_seed_search(self, monkeypatch, size, seed):
@@ -137,23 +375,36 @@ class TestAlgorithmTrajectories:
             reference = nmap_single_path(app, mesh)
         assert all(
             calls[kernel]
-            for kernel in ("comm_cost", "swap_cost_deltas", "monotone_outgoing")
+            for kernel in (
+                "max_adjacency_order",
+                "best_node",
+                "comm_cost",
+                "swap_cost_deltas",
+                "monotone_outgoing",
+            )
         )
-        produced = nmap_single_path(app, mesh)
-        assert produced.mapping.placement == reference.mapping.placement
-        assert produced.comm_cost == reference.comm_cost
-        assert produced.stats == reference.stats
+        _same_search(nmap_single_path(app, mesh), reference)
+
+    def test_nmap_split_retraces_the_seed_search(self, monkeypatch):
+        """The cost phase skips the LPs the per-candidate bound skipped."""
+        app = pip()
+        mesh = NoCTopology.mesh(3, 3, link_bandwidth=app.total_bandwidth())
+        with seed_kernels(monkeypatch) as calls:
+            reference = nmap_with_splitting(app, mesh, quadrant_only=True)
+        assert calls["swap_cost_deltas"] == mesh.num_nodes
+        assert 0 < reference.stats["mcf2_solved"] < reference.stats["swaps_tried"]
+        _same_search(nmap_with_splitting(app, mesh, quadrant_only=True), reference)
 
     def test_annealing_retraces_the_seed_search(self, monkeypatch):
         app = random_core_graph(20, seed=9)
         mesh = NoCTopology.smallest_mesh_for(20, link_bandwidth=app.total_bandwidth())
         with seed_kernels(monkeypatch) as calls:
             reference = annealing_mapping(app, mesh, seed=4)
+        assert calls["SwapMirror"] == 1
         assert calls["comm_cost"] and calls["monotone_outgoing"]
-        produced = annealing_mapping(app, mesh, seed=4)
-        assert produced.mapping.placement == reference.mapping.placement
-        assert produced.comm_cost == reference.comm_cost
-        assert produced.stats == reference.stats
+        stats = reference.stats
+        assert 0 < stats["moves_accepted"] < stats["moves_attempted"]
+        _same_search(annealing_mapping(app, mesh, seed=4), reference)
 
     def test_min_path_routing_picks_the_seed_paths(self, monkeypatch):
         app = vopd()

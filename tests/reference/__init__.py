@@ -3,18 +3,40 @@
 Production code under ``src/`` has one path per kernel and cannot select
 any of these at run time.  ``tests/properties/test_seed_oracles.py`` calls
 them directly, or substitutes them with ``monkeypatch`` at the import sites
-of a whole algorithm (NMAP, the annealer, min-path routing) and demands the
-identical trajectory.  Two oracles stay in ``src/`` because production
-falls back to them on partial mappings: ``comm_cost_reference`` and the
-per-pair ``swap_cost_delta`` (``repro.metrics.comm_cost``).
+of a whole algorithm (the constructive mappers, NMAP, the annealer, PBB,
+min-path routing) and demands the identical trajectory.  Two oracles stay
+in ``src/`` because production falls back to them on partial mappings:
+``comm_cost_reference`` and the per-pair ``swap_cost_delta``
+(``repro.metrics.comm_cost``).
 """
 
-from tests.reference.mapping import per_pair_swap_deltas, quadrant_outgoing
+from tests.reference.mapping import (
+    PerMoveSwapMirror,
+    every_link_quadrant_links,
+    next_core_order,
+    per_child_bound_pbb,
+    per_node_placement_costs,
+    per_pair_swap_deltas,
+    quadrant_outgoing,
+    recomputed_frontier_pmap,
+    scanned_best_node,
+    selection_order,
+    sorted_traffic_order,
+)
 from tests.reference.simnoc import every_port_step, seed_cycle_loop
 
 __all__ = [
+    "PerMoveSwapMirror",
+    "every_link_quadrant_links",
     "every_port_step",
+    "next_core_order",
+    "per_child_bound_pbb",
+    "per_node_placement_costs",
     "per_pair_swap_deltas",
     "quadrant_outgoing",
+    "recomputed_frontier_pmap",
+    "scanned_best_node",
     "seed_cycle_loop",
+    "selection_order",
+    "sorted_traffic_order",
 ]

@@ -1,11 +1,18 @@
-"""Seed oracles for the mapping and routing kernels."""
+"""Seed oracles for the mapping and routing kernels.
+
+Each is the scalar loop the seed ran — name-keyed dict lookups and one
+validated ``distance`` / ``traffic_between`` call per term — kept verbatim
+where production now reads the index-space views.
+"""
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
-import repro.mapping  # noqa: F401  (repro.metrics only imports after it: a cycle in src/)
-from repro.graphs.quadrant import quadrant_links
+from repro.graphs.quadrant import quadrant_nodes
+from repro.mapping.base import Mapping
 from repro.metrics.comm_cost import swap_cost_delta
 
 
@@ -17,6 +24,160 @@ def per_pair_swap_deltas(mapping, node_a: int, candidates) -> np.ndarray:
     )
 
 
+class PerMoveSwapMirror:
+    """``SwapMirror`` as the seed's annealer step: the name-keyed
+    ``swap_cost_delta`` per move, commits straight to the mapping."""
+
+    def __init__(self, mapping) -> None:
+        self.mapping = mapping
+
+    def delta(self, node_a: int, node_b: int) -> float:
+        return swap_cost_delta(self.mapping, node_a, node_b)
+
+    def swap(self, node_a: int, node_b: int) -> None:
+        self.mapping.swap_nodes(node_a, node_b)
+
+
+def sorted_traffic_order(core_graph) -> tuple[str, ...]:
+    """``CoreGraph.traffic_order`` as the seed's sort, an O(V) ``index`` per key."""
+    return tuple(
+        sorted(
+            core_graph.cores,
+            key=lambda core: (
+                -core_graph.core_traffic(core),
+                core_graph.cores.index(core),
+            ),
+        )
+    )
+
+
+def selection_order(core_graph) -> tuple[str, ...]:
+    """``CoreGraph.max_adjacency_order`` as PMAP's seed ``_selection_order``."""
+    order: list[str] = []
+    selected: set[str] = set()
+    first = max(
+        core_graph.cores,
+        key=lambda core: (core_graph.core_traffic(core), -core_graph.cores.index(core)),
+    )
+    order.append(first)
+    selected.add(first)
+    while len(order) < core_graph.num_cores:
+        best = max(
+            (core for core in core_graph.cores if core not in selected),
+            key=lambda core: (
+                sum(core_graph.traffic_between(core, other) for other in selected),
+                core_graph.core_traffic(core),
+                -core_graph.cores.index(core),
+            ),
+        )
+        order.append(best)
+        selected.add(best)
+    return tuple(order)
+
+
+def next_core_order(core_graph) -> tuple[str, ...]:
+    """``CoreGraph.max_adjacency_order`` as the seed initializer's
+    ``_seed_core`` followed by ``_next_core`` until every core is mapped."""
+    seed = max(
+        core_graph.cores,
+        key=lambda core: (core_graph.core_traffic(core), -core_graph.cores.index(core)),
+    )
+    order = [seed]
+    mapped = {seed}
+    while len(mapped) < core_graph.num_cores:
+        best_core = None
+        best_key = None
+        for core in core_graph.cores:
+            if core in mapped:
+                continue
+            to_mapped = sum(core_graph.traffic_between(core, other) for other in mapped)
+            key = (to_mapped, core_graph.core_traffic(core))
+            if best_key is None or key > best_key:
+                best_core = core
+                best_key = key
+        order.append(best_core)
+        mapped.add(best_core)
+    return tuple(order)
+
+
+def per_node_placement_costs(mapping, core: str, candidates) -> np.ndarray:
+    """``placement_costs`` as the seed's scan: per node, one ``distance``
+    call per already-placed neighbor of ``core``."""
+    graph, topology = mapping.core_graph, mapping.topology
+    placed_neighbors = [
+        (mapping.node_of(other), graph.traffic_between(core, other))
+        for other in graph.neighbors(core)
+        if mapping.is_mapped(other)
+    ]
+    return np.array(
+        [
+            sum(
+                bandwidth * topology.distance(int(node), placed)
+                for placed, bandwidth in placed_neighbors
+            )
+            for node in candidates
+        ],
+        dtype=np.float64,
+    )
+
+
+def scanned_best_node(mapping, core: str, candidates, pull=None) -> int:
+    """``best_node`` as the seed's loops: scan the candidates in order and
+    keep the first strictly smaller key — ``(cost, distance to the mesh
+    center)`` in ``initialize()`` and GMAP (``pull`` given), ``(cost, node)``
+    in PMAP and HMAP."""
+    topology = mapping.topology
+    center_x = (topology.width - 1) / 2.0
+    center_y = (topology.height - 1) / 2.0
+    costs = per_node_placement_costs(mapping, core, candidates).tolist()
+    best_node = -1
+    best_key = None
+    for node, cost in zip(candidates, costs):
+        x, y = topology.coords(node)
+        tie_break = node if pull is None else abs(x - center_x) + abs(y - center_y)
+        key = (cost, tie_break)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_node = node
+    return best_node
+
+
+def recomputed_frontier_pmap(core_graph, topology) -> dict[str, int]:
+    """PMAP's placement as the seed ran it: node 0 seeds, and the frontier is
+    rebuilt from every used node before each core is placed."""
+    mapping = Mapping(core_graph, topology)
+    order = selection_order(core_graph)
+    mapping.assign(order[0], 0)
+    for core in order[1:]:
+        frontier = sorted(
+            {
+                neighbor
+                for used in mapping.used_nodes()
+                for neighbor in topology.neighbors(used)
+                if mapping.core_at(neighbor) is None
+            }
+        )
+        candidates = frontier or mapping.free_nodes()
+        mapping.assign(core, scanned_best_node(mapping, core, candidates))
+    return mapping.placement
+
+
+def every_link_quadrant_links(
+    topology, src: int, dst: int, monotone: bool = False
+) -> list[tuple[int, int]]:
+    """``quadrant_links`` as the seed's filter over every link of the fabric,
+    two ``distance`` calls per link inside the quadrant."""
+    inside = set(quadrant_nodes(topology, src, dst))
+    selected: list[tuple[int, int]] = []
+    for u, v in topology.link_keys():
+        if u not in inside or v not in inside:
+            continue
+        if monotone and topology.distance(v, dst) >= topology.distance(u, dst):
+            continue
+        selected.append((u, v))
+    return selected
+
+
 def quadrant_outgoing(topology, src: int, dst: int) -> dict[int, list[int]]:
     """``NoCTopology.monotone_outgoing`` rebuilt from the quadrant per call.
 
@@ -24,6 +185,83 @@ def quadrant_outgoing(topology, src: int, dst: int) -> dict[int, list[int]]:
     memoizes it per ``(src, dst)`` on the topology.
     """
     outgoing: dict[int, list[int]] = {}
-    for u, v in quadrant_links(topology, src, dst, monotone=True):
+    for u, v in every_link_quadrant_links(topology, src, dst, monotone=True):
         outgoing.setdefault(u, []).append(v)
     return outgoing
+
+
+def per_child_bound_pbb(
+    core_graph, topology, max_queue: int, tight_bounds: bool
+) -> tuple[dict[str, int], int, bool]:
+    """PBB's search as the seed ran it: every child's bound re-walks every
+    flow of the graph.  Returns ``(placement, expansions, overflowed)``.
+
+    Pristine fabrics only: the seed branched onto failed routers too.
+    """
+    order = sorted_traffic_order(core_graph)
+    core_rank = {core: rank for rank, core in enumerate(order)}
+    flows: list[tuple[int, int, float]] = []
+    for pair, bandwidth in core_graph.undirected_weights().items():
+        lo, hi = sorted(pair, key=lambda core: core_rank[core])
+        flows.append((core_rank[lo], core_rank[hi], bandwidth))
+    earlier_links: dict[int, list[tuple[int, float]]] = {}
+    for lo, hi, bandwidth in flows:
+        earlier_links.setdefault(hi, []).append((lo, bandwidth))
+    cheap_tail = [
+        sum(bw for lo, hi, bw in flows if hi >= depth)
+        for depth in range(len(order) + 1)
+    ]
+
+    if topology.torus:
+        roots = [0]
+    else:
+        roots = [
+            node
+            for node in topology.nodes
+            if topology.coords(node)[0] <= (topology.width - 1) / 2
+            and topology.coords(node)[1] <= (topology.height - 1) / 2
+        ]
+    level = [(0.0, (node,)) for node in roots]
+    expansions = 0
+    overflowed = False
+    for depth in range(1, len(order)):
+        children = []
+        links = earlier_links.get(depth, [])
+        for exact, assignment in level:
+            expansions += 1
+            used = set(assignment)
+            free = [node for node in topology.nodes if node not in used]
+            if tight_bounds:
+                nearest = {
+                    placed: min(topology.distance(placed, node) for node in free)
+                    for placed in used
+                }
+            for node in free:
+                child_exact = exact + sum(
+                    bandwidth * topology.distance(assignment[lo], node)
+                    for lo, bandwidth in links
+                )
+                if tight_bounds:
+                    bound = child_exact
+                    for lo, hi, bandwidth in flows:
+                        if hi <= depth:
+                            continue
+                        if lo <= depth:
+                            placed_node = assignment[lo] if lo < depth else node
+                            hop = nearest.get(placed_node, 1)
+                            if placed_node == node:
+                                hop = 1  # the new node's nearest-free is >= 1
+                            bound += bandwidth * max(1, hop)
+                        else:
+                            bound += bandwidth
+                else:
+                    bound = child_exact + cheap_tail[depth + 1]
+                children.append((bound, child_exact, assignment + (node,)))
+        if len(children) > max_queue:
+            overflowed = True
+            children = heapq.nsmallest(max_queue, children)
+        level = [(exact, assignment) for _bound, exact, assignment in children]
+
+    _, best_assignment = min(level)
+    placement = {core: best_assignment[rank] for rank, core in enumerate(order)}
+    return placement, expansions, overflowed

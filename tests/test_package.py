@@ -22,6 +22,11 @@ from repro.errors import (
     SolverError,
 )
 
+#: The thirteen ``repro.*`` subpackages (api, apps, ... simnoc).
+SUBPACKAGES = sorted(
+    init.parent.name for init in Path(repro.__file__).parent.glob("*/__init__.py")
+)
+
 
 class TestErrorHierarchy:
     @pytest.mark.parametrize(
@@ -90,6 +95,19 @@ class TestColdStart:
             check=True,
         )
         assert result.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("subpackage", SUBPACKAGES)
+    def test_every_subpackage_imports_first(self, subpackage):
+        """No subpackage needs another imported before it: ``repro.metrics``
+        used to reach ``repro.api`` through ``repro.mapping`` and come back
+        to itself half-initialised."""
+        result = subprocess.run(
+            [sys.executable, "-c", f"import repro.{subpackage}"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestCrossModuleWiring:
