@@ -3,13 +3,20 @@
 
     python3 scripts/bench_pairs.py --base REF --workload NAME [--pairs 10]
 
-Checks ``REF`` out into a temporary directory (``git archive``: no worktree
-state is left behind), then runs the unmodified ``benchmarks/e2e/run.py
---workload NAME --trace 0`` on the base and on the working tree, alternating
-which side goes first, and reads the result files ``run.py`` writes.  Per
-end-to-end metric of ``BENCHMARK.json`` it prints both sides' medians and
-quartiles, the pairs won / tied / lost, every pair as ``base>tree``, and a
-verdict:
+Exports both sides into one temporary directory the same way — ``REF`` by
+``git archive``, the working tree as the files git would track (tracked plus
+untracked-and-not-ignored, so no ``__pycache__/`` and no ``benchmarks/e2e/out/``
+left by earlier sessions: a tree that imports from stale ``.pyc`` files reads
+better on ``setup_s`` for a change that never touched set-up) — then runs the
+unmodified ``benchmarks/e2e/run.py --workload NAME --trace 0`` in each copy,
+alternating which side goes first, and reads the result files ``run.py``
+writes.  Per end-to-end metric of ``BENCHMARK.json`` it prints both sides'
+medians and quartiles, the pairs won / tied / lost, every pair as
+``base>tree``, and a verdict; a last row gives each run's ``host.slowdown``
+in the same pair order — the calibrated ``requests_per_s`` over the one the
+wall clock read, which is the slowdown the calibration loop divided out
+(1.0 on a host at its nominal speed, and on the wall-clock service
+workloads) — so a busy hour shows in the table.  Verdicts:
 
 * ``gain`` — the rule for claiming one in a small sandbox (the
   ``choosing-metrics`` guide, section 8): the working tree wins at least
@@ -53,6 +60,29 @@ def run_side(tree: Path, workload: str, seconds: float | None, output: Path) -> 
     return json.loads(output.read_text())["workloads"][workload]
 
 
+def export_base(ref: str, target: Path) -> None:
+    """``git archive REF`` unpacked at ``target``."""
+    target.mkdir()
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", ref], capture_output=True, check=True
+    )
+    subprocess.run(["tar", "-x", "-C", str(target)], input=archive.stdout, check=True)
+
+
+def export_tree(target: Path) -> None:
+    """The working tree as ``git add -A`` would see it, copied to ``target``."""
+    listed = subprocess.run(
+        ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"],
+        capture_output=True, check=True,
+    )  # fmt: skip
+    for name in filter(None, listed.stdout.decode().split("\0")):
+        source = ROOT / name
+        if source.is_file():  # a tracked file deleted in the tree is listed too
+            (target / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target / name)
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) == 1:
         return values[0], values[0], values[0]
@@ -73,20 +103,15 @@ def main() -> int:
 
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
-        base = scratch / "base"
-        base.mkdir()
-        archive = subprocess.run(
-            ["git", "-C", str(ROOT), "archive", args.base],
-            capture_output=True,
-            check=True,
-        )
-        subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
+        export_base(args.base, scratch / "base")
+        export_tree(scratch / "tree")
         records: dict[str, list[dict]] = {"base": [], "tree": []}
         for pair in range(args.pairs):
             for side in ("base", "tree") if pair % 2 == 0 else ("tree", "base"):
-                tree = base if side == "base" else ROOT
                 output = scratch / f"{side}-{pair}.json"
-                records[side].append(run_side(tree, args.workload, args.seconds, output))
+                records[side].append(
+                    run_side(scratch / side, args.workload, args.seconds, output)
+                )
                 print(f"pair {pair + 1}/{args.pairs}: {side} done", file=sys.stderr)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
@@ -118,6 +143,16 @@ def main() -> int:
         )
         pairs = zip(values["base"], values["tree"])
         print(f"{'':<16} pairs " + "  ".join(f"{b:.5g}>{t:.5g}" for b, t in pairs))
+
+    rate = "requests_per_s"
+    slowdowns = (
+        [r["metrics"][rate]["value"] / r["wall_clock"][rate] for r in side]
+        for side in (records["base"], records["tree"])
+    )
+    print(
+        f"{'host.slowdown':<16} pairs "
+        + "  ".join(f"{b:.3g}>{t:.3g}" for b, t in zip(*slowdowns))
+    )
 
     everything = records["base"] + records["tree"]
     failed = sum(len(record["failures"]) for record in everything)

@@ -2,7 +2,9 @@
 
 An engine is a strategy object: ``run(sim)`` drives ``sim.network`` from
 cycle 0 to ``sim.config.total_cycles``, mutating the network's components
-and appending every created packet to ``sim.all_packets``.  The ``sim``
+and leaving the run's packets on ``sim`` — objects appended to
+``sim.all_packets`` and delivered into the NIs, or, from the compiled
+kernel, the columns of ``sim.packet_log``.  The ``sim``
 argument is the :class:`repro.simnoc.simulator.Simulator` acting as the run
 context — it owns the network, the config, the optional trace recorder, the
 global packet-id counter and the report builder.

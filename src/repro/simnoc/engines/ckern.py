@@ -10,8 +10,10 @@ else.  :func:`load_library` compiles that text with whatever
 ``cc``/``gcc``/``clang`` is on PATH (``-O2 -fPIC -shared``, **never**
 ``-ffast-math`` — token buckets must do bit-identical IEEE double
 arithmetic), caches the shared object under ``~/.cache/repro-jit/`` keyed
-by a hash of the emitted text (an edited twin is a new key), and binds the
-two functions via :mod:`ctypes`.  Importing this module emits nothing.
+by a hash of the emitted text, the resolved compiler and the flags (an
+edited twin, another ``CC`` or another flag is a new key —
+:func:`library_path`), and binds the two functions via :mod:`ctypes`.
+Importing this module emits nothing.
 
 The accepted Python subset is exactly what the twin is written in:
 
@@ -259,30 +261,38 @@ def source() -> str:
     return "\n\n".join((head + "\n#include <stdint.h>", *bodies)) + "\n"
 
 
+#: What every build passes the compiler, and so part of the cache key.
+CFLAGS = ("-O2", "-fPIC", "-shared")
+
+
 def _find_compiler() -> str | None:
+    """The resolved path of ``$CC``, else of the first of cc/gcc/clang."""
     for candidate in (os.environ.get("CC"), "cc", "gcc", "clang"):
-        if candidate and shutil.which(candidate):
-            return candidate
+        resolved = candidate and shutil.which(candidate)
+        if resolved:
+            return resolved
     return None
 
 
-def _cache_dir() -> Path:
-    return Path(os.environ.get("REPRO_JIT_CACHE") or Path.home() / ".cache/repro-jit")
+def library_path(text: str, compiler: str, flags: tuple[str, ...] = CFLAGS) -> Path:
+    """Where ``text`` built by ``compiler`` with ``flags`` is cached: all three
+    are in the digest, so one compiler's object never answers for another's."""
+    key = "\0".join((text, compiler, *flags))
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+    cache = Path(os.environ.get("REPRO_JIT_CACHE") or Path.home() / ".cache/repro-jit")
+    return cache / f"simnoc_kernels_{digest}.so"
 
 
-def _build_library(text: str, so_path: Path) -> None:
+def _build_library(text: str, compiler: str, so_path: Path) -> None:
     """Compile ``text`` and publish it, atomically, at ``so_path``."""
     global compile_events
-    compiler = _find_compiler()
-    if compiler is None:
-        raise BackendUnavailable("no C compiler (cc/gcc/clang) on PATH")
     try:
         so_path.parent.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory(dir=so_path.parent) as tmp:
             c_path = Path(tmp) / "kernels.c"
             c_path.write_text(text)
             tmp_so = Path(tmp) / "kernels.so"
-            cmd = [compiler, "-O2", "-fPIC", "-shared", "-o", str(tmp_so), str(c_path)]
+            cmd = [compiler, *CFLAGS, "-o", str(tmp_so), str(c_path)]
             proc = subprocess.run(cmd, capture_output=True, text=True)
             if proc.returncode != 0:
                 raise BackendUnavailable(
@@ -309,11 +319,13 @@ def load_library() -> ctypes.CDLL:
             PATH, compile error, or the freshly built object fails to load.
     """
     text = source()
-    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
-    so_path = _cache_dir() / f"simnoc_kernels_{digest}.so"
+    compiler = _find_compiler()
+    if compiler is None:
+        raise BackendUnavailable("no C compiler (cc/gcc/clang) on PATH")
+    so_path = library_path(text, compiler)
     for fresh in (not so_path.exists(), True):
         if fresh:
-            _build_library(text, so_path)
+            _build_library(text, compiler, so_path)
         try:
             lib = ctypes.CDLL(str(so_path))
             break

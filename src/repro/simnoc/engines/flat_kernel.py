@@ -16,10 +16,11 @@ runs them (CPython, numba, or the C emitted from them).  Building one
    and the emitted C's.
 
 After a backend has advanced the program, :meth:`KernelProgram.finish`
-replays the observable effects back onto the model objects (trace events,
-packet injected/delivered cycles, per-NI delivery lists, port counters)
-via ``_FlatState.writeback`` — producing reports and traces bit-identical
-to the interpreted engines.
+hands the observable effects back: trace events to the recorder, port and
+NI counters to the model objects via ``_FlatState.writeback``, and the
+packets' cycles and the delivery log to the simulator as the columns they
+already are (:class:`~repro.simnoc.stats.PacketLog`) — producing reports
+and traces bit-identical to the interpreted engines.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.simnoc.engines import kernels
 from repro.simnoc.engines.cycle import DEADLOCK_WINDOW
 from repro.simnoc.engines.sweep import _FlatState
 from repro.simnoc.schedule import build_schedule
+from repro.simnoc.stats import PacketLog
 from repro.simnoc.trace import TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -132,20 +134,17 @@ class KernelProgram:
 
     The array attributes (named by :data:`ARG_FIELDS`) are the kernel's
     working state; the backend mutates them in place.  :meth:`finish` then
-    writes the observable
-    results onto the simulator's model objects.
+    writes the observable results onto the simulator and its model objects.
     """
 
     __slots__ = ARG_FIELDS + (
-        "sim",
         "state",
-        "packets",
+        "schedule",
         "vc_mode",
         "trace_cap",
     )
 
     def __init__(self, sim: "Simulator", vc_mode: bool) -> None:
-        self.sim = sim
         self.vc_mode = vc_mode
         state = _FlatState(sim, vc_mode=vc_mode)
         self.state = state
@@ -153,8 +152,7 @@ class KernelProgram:
         config = network.config
         L = state.num_vcs
 
-        schedule = build_schedule(sim, vc_mode, state.out_specs)
-        self.packets = schedule.packets
+        schedule = self.schedule = build_schedule(sim, vc_mode, state.out_specs)
 
         # --- freeze into kernel arrays ------------------------------------
         i8 = np.int64
@@ -163,7 +161,7 @@ class KernelProgram:
         size = len(state.local_in)
         num_lanes = num_in * L
         qstride = (max(state.in_cap) if state.in_cap else 1) + 1
-        P = len(schedule.packets)
+        P = len(schedule.cycle)
 
         self.out_rate = state.out_rates
         self.out_cap = state.out_caps
@@ -252,58 +250,45 @@ class KernelProgram:
 
     # ------------------------------------------------------------------
     def finish(self, sim: "Simulator") -> None:
-        """Replay the kernel's observable effects onto the model objects.
+        """Hand the kernel's observable effects to ``sim`` and its model objects.
 
         Raises:
             SimulationError: on kernel-detected deadlock (identical message
                 to the interpreted engines; no writeback happens, matching
                 their behavior of raising mid-run).
         """
-        result = self.result
+        result = self.result.tolist()
         if result[0] == kernels.STATUS_DEADLOCK:
             raise SimulationError(
-                f"deadlock: no flit moved since cycle {int(result[1])} "
-                f"with {int(result[2])} flits buffered"
+                f"deadlock: no flit moved since cycle {result[1]} "
+                f"with {result[2]} flits buffered"
             )
-        state = self.state
-        pkt_objs = self.packets
+        schedule = self.schedule
 
         trace = sim.trace
-        tr_count = int(result[4])
-        if trace is not None and tr_count:
-            tr_cycle = self.tr_cycle
-            tr_node = self.tr_node
-            tr_tokey = self.tr_tokey
-            tr_slot = self.tr_slot
-            tr_seq = self.tr_seq
-            trace.events.extend(
-                TraceEvent(
-                    cycle=int(tr_cycle[k]),
-                    node=int(tr_node[k]),
-                    to_key=int(tr_tokey[k]),
-                    packet_id=pkt_objs[tr_slot[k]].packet_id,
-                    flit_sequence=int(tr_seq[k]),
-                )
-                for k in range(tr_count)
-            )
-        if trace is not None and result[5]:
-            trace.truncated = True
+        if trace is not None:
+            fields = (self.tr_cycle, self.tr_node, self.tr_tokey, self.tr_seq)
+            cycles, nodes, to_keys, seqs = (f[: result[4]] for f in fields)
+            ids = self.tr_slot[: result[4]] + schedule.first_id
+            columns = (cycles, nodes, to_keys, ids, seqs)
+            trace.events.extend(map(TraceEvent, *(c.tolist() for c in columns)))
+            if result[5]:
+                trace.truncated = True
 
-        for slot, injected in enumerate(self.pkt_injected.tolist()):
-            if injected >= 0:
-                pkt_objs[slot].injected_cycle = injected
-        for slot, delivered in enumerate(self.pkt_delivered.tolist()):
-            if delivered >= 0:
-                pkt_objs[slot].delivered_cycle = delivered
-        dlv_count = int(result[6])
-        dlv_nodes = self.dlv_node[:dlv_count].tolist()
-        dlv_slots = self.dlv_slot[:dlv_count].tolist()
-        for node, slot in zip(dlv_nodes, dlv_slots):
-            state.delivered[node].append(pkt_objs[slot])
-
-        state.carried = [int(c) for c in self.carried]
+        sim.packet_log = PacketLog(
+            schedule.first_id,
+            schedule.commodity,
+            schedule.measured,
+            self.pkt_create,
+            self.pkt_injected,
+            self.pkt_delivered,
+            self.dlv_node[: result[6]],
+            self.dlv_slot[: result[6]],
+        )
+        state = self.state
+        state.carried = self.carried.tolist()
         state.out_tokens = self.out_tokens
-        state.final_refill = int(result[3])
-        state.ni_injected = [int(c) for c in self.ni_injected]
-        state.ni_ejected = [int(c) for c in self.ni_ejected]
+        state.final_refill = result[3]
+        state.ni_injected = self.ni_injected.tolist()
+        state.ni_ejected = self.ni_ejected.tolist()
         state.writeback(sim)

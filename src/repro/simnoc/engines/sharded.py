@@ -40,10 +40,11 @@ Why this is exact, in brief (ARCHITECTURE.md carries the long form):
   order across channels cannot matter.  Credit increments commute.
 
 * **Injection is replayed once, in the parent.** The parent builds the
-  run's injection schedule (:mod:`repro.simnoc.schedule` — it also owns
-  ``all_packets`` and the packet-id counter), and packet specs are
-  broadcast to every worker in creation order — so packet slot numbers
-  agree across all workers and flit messages can carry slots directly.
+  run's injection schedule (:mod:`repro.simnoc.schedule`; the packet-id
+  counter advances there and ``all_packets`` is materialised from its
+  columns, in the parent only), and packet specs are broadcast to every
+  worker in creation order — so packet slot numbers agree across all
+  workers and flit messages can carry slots directly.
 
 * **Tokens are exact by catch-up.** The vectorized refill replays
   ``min(t + rate, cap)`` once per elapsed cycle since the worker's last

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
+from itertools import starmap
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -199,7 +200,6 @@ class _FlatState:
         self.ni_queue: list = [deque() for _ in range(size)]
         self.ni_injected: list[int] = [0] * size
         self.ni_ejected: list[int] = [0] * size
-        self.delivered: list = [[] for _ in range(size)]
         self.pkt_outs: list[list[int]] = []
         self.pkt_last: list[int] = []
         self.pkt_vc: list[int] = []
@@ -211,10 +211,11 @@ class _FlatState:
     def writeback(self, sim: "Simulator") -> None:
         """Copy the observable counters back onto the model objects.
 
-        The report builder reads delivered packets from the NIs and
-        ``flits_carried`` from the router output ports.  Token-bucket state
-        is also written back: it costs nothing and arms the freshness guard
-        (``last_refill != -1``) against re-flattening a consumed network.
+        The report builder reads ``flits_carried`` from the router output
+        ports (the packets reach it as columns, never through here).
+        Token-bucket state is also written back: it costs nothing and arms
+        the freshness guard (``last_refill != -1``) against re-flattening a
+        consumed network.
         """
         network = sim.network
         for p, (node, to_key) in enumerate(self.out_specs):
@@ -224,7 +225,6 @@ class _FlatState:
             port.last_refill = self.final_refill
         for node in self.nodes:
             interface = network.interfaces[node]
-            interface.delivered_packets.extend(self.delivered[node])
             interface.flits_injected += self.ni_injected[node]
             interface.flits_ejected += self.ni_ejected[node]
 
@@ -319,13 +319,15 @@ def replay_sources(sim: "Simulator", vc_mode: bool, chunk_cycles: int):
     chunk_cycles)`` chunks come out.
     """
     schedule = build_schedule(sim, vc_mode, flat_outputs(sim.network))
+    # The loops move slots; merge_results patches cycles onto these objects.
+    sim.all_packets.extend(schedule.packets())
     routes = schedule.route_val.tolist()
     starts, ends = schedule.route_off[:-1], schedule.route_off[1:]
     columns = (schedule.cycle, schedule.vc, schedule.src, starts, ends, schedule.flits)
     specs = [
-        (cycle, (packet.packet_id, vc, src, routes[a:b], flits))
-        for packet, (cycle, vc, src, a, b, flits) in zip(
-            schedule.packets, zip(*(column.tolist() for column in columns))
+        (cycle, (pid, vc, src, routes[a:b], flits))
+        for pid, (cycle, vc, src, a, b, flits) in enumerate(
+            zip(*(column.tolist() for column in columns)), schedule.first_id
         )
     ]
     edges = range(0, sim.network.config.total_cycles + chunk_cycles, chunk_cycles)
@@ -1311,16 +1313,7 @@ def merge_results(sim: "Simulator", payloads: dict) -> None:
             # reconstructs the global stream exactly.
             events.sort(key=lambda item: (item[0], item[1]))
         room = recorder.max_events - len(recorder.events)
-        for item in events[: max(0, room)]:
-            recorder.events.append(
-                TraceEvent(
-                    cycle=item[0],
-                    node=item[1],
-                    to_key=item[2],
-                    packet_id=item[3],
-                    flit_sequence=item[4],
-                )
-            )
+        recorder.events.extend(starmap(TraceEvent, events[: max(0, room)]))
         if attempts > room:
             recorder.truncated = True
 

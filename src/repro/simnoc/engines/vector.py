@@ -62,24 +62,9 @@ class VectorEngine:
     name = "vector"
 
     def run(self, sim: "Simulator") -> None:
-        model = sim.network.config.effective_router_model
-        _reject_unsupported_model(model)
-        vc_mode = model == "wormhole-vc"
-
-        from repro.simnoc.engines.flat_kernel import (
-            KernelProgram,
-            kernel_unsupported,
-        )
-        from repro.simnoc.engines.jit import resolve_backend
-
-        backend, _ = resolve_backend()
-        if backend is not None and kernel_unsupported(sim, vc_mode) is None:
-            program = KernelProgram(sim, vc_mode)
-            backend.run([program])
-            program.finish(sim)
-            return
-
-        run_in_process(sim, vc_mode)
+        error = run_replicas([sim])[0]
+        if error is not None:
+            raise error
 
 
 def run_replicas(sims: list["Simulator"]) -> list[BaseException | None]:
@@ -90,7 +75,8 @@ def run_replicas(sims: list["Simulator"]) -> list[BaseException | None]:
     :class:`~repro.simnoc.engines.flat_kernel.KernelProgram` and the list
     goes to the backend's ``run`` loop, one compiled call per program; the
     rest (no backend resolved, unsupported corner) run one-at-a-time
-    through :class:`VectorEngine`, which is bit-identical.
+    through :func:`~repro.simnoc.engines.sweep.run_in_process`, which is
+    bit-identical.  :class:`VectorEngine` is this over a list of one.
 
     Per-slot isolation: one replica deadlocking (or failing to flatten)
     must not poison its batch-mates, so errors come back positionally —
@@ -113,7 +99,7 @@ def run_replicas(sims: list["Simulator"]) -> list[BaseException | None]:
             _reject_unsupported_model(model)
             vc_mode = model == "wormhole-vc"
             if backend is None or kernel_unsupported(sim, vc_mode) is not None:
-                VectorEngine().run(sim)
+                run_in_process(sim, vc_mode)
             else:
                 batched.append((index, KernelProgram(sim, vc_mode)))
         except SimulationError as exc:

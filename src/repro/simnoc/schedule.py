@@ -29,18 +29,38 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class InjectionSchedule(NamedTuple):
     """One run's packets in id (= creation) order, as parallel columns.
 
-    Packet ``k`` (model object ``packets[k]``) is created at ``cycle[k]`` at
-    node ``src[k]`` with ``flits[k]`` flits on lane ``vc[k]``; hop ``h`` of
-    its path leaves through flat output port ``route_val[route_off[k] + h]``.
+    Packet ``k`` (id ``first_id + k``) of flow ``commodity[k]`` is created
+    at ``cycle[k]`` at node ``src[k]`` for ``dst[k]`` with ``flits[k]``
+    flits on lane ``vc[k]``, counted in the statistics iff ``measured[k]``;
+    hop ``h`` of its path stands at node ``path_nodes[route_off[k] + h]``
+    and leaves through flat output port ``route_val[route_off[k] + h]``.
     """
 
-    packets: list[Packet]
+    first_id: int
     cycle: np.ndarray
+    commodity: np.ndarray
     src: np.ndarray
+    dst: np.ndarray
     vc: np.ndarray
     flits: np.ndarray
+    measured: np.ndarray
     route_off: np.ndarray
     route_val: np.ndarray
+    path_nodes: np.ndarray
+
+    def packets(self) -> list[Packet]:
+        """The columns as model objects, for the engines that move objects."""
+        nodes = self.path_nodes.tolist()
+        fields = (
+            self.commodity, self.src, self.dst, self.route_off[:-1],
+            self.route_off[1:], self.flits, self.cycle, self.measured, self.vc,
+        )  # fmt: skip
+        return [
+            Packet(pid, com, s, d, nodes[a:b], f, c, None, None, m, v)
+            for pid, (com, s, d, a, b, f, c, m, v) in enumerate(
+                zip(*(field.tolist() for field in fields)), self.first_id
+            )
+        ]
 
 
 def _batch_method(source):
@@ -68,34 +88,45 @@ def _poll(source, until: int) -> tuple:
 
 
 def _resolve_routes(out_specs, path_off, nodes, first_id: int) -> np.ndarray:
-    """Every hop's flat output port, looked up by ``(node, next node)``."""
-    nxt = np.empty_like(nodes)
-    nxt[:-1] = nodes[1:]
-    nxt[path_off[1:] - 1] = LOCAL
-    spec = np.array(out_specs, dtype=np.int64)
-    stride = max(int(nodes.max(initial=0)), int(spec.max(initial=0))) + 2
-    keys = spec[:, 0] * stride + spec[:, 1] + 1
-    sorter = np.argsort(keys)
-    want = nodes * stride + nxt + 1
-    at = np.minimum(np.searchsorted(keys, want, sorter=sorter), len(keys) - 1)
-    route = sorter[at]
-    missing = keys[route] != want
-    if missing.any():
-        hop = int(missing.argmax())
+    """Every hop's flat output port: a gather through ``(node, direction)``.
+
+    A direction is ``to_key - node`` (ejection is one more).  A fabric uses
+    a handful, so numbered densely they make the table ``nodes x directions``
+    and a hop one indexed load; the last column stays empty, for a hop in
+    a direction no output has.
+    """
+    spec = np.array(out_specs, dtype=np.int64).reshape(-1, 2)
+    owner, to_key = spec[:, 0], spec[:, 1]
+    size = max(int(owner.max(initial=-1)), int(nodes.max(initial=-1))) + 1
+    eject = 2 * size
+    leaving = np.where(to_key == LOCAL, eject, to_key - owner + size)
+    used = np.zeros(eject + 1, dtype=bool)
+    used[leaving] = True
+    width = int(used.sum()) + 1
+    code = np.where(used, np.cumsum(used) - 1, width - 1)
+    table = np.full(size * width, -1)
+    table[owner * width + code[leaving]] = np.arange(len(spec))
+    direction = np.empty_like(nodes)
+    direction[:-1] = nodes[1:] - nodes[:-1] + size
+    direction[path_off[1:] - 1] = eject
+    route = table[nodes * width + code[direction]]
+    if route.min(initial=0) < 0:
+        hop = int((route < 0).argmax())
+        toward = "LOCAL" if direction[hop] == eject else nodes[hop + 1]
         packet_id = first_id + int(np.searchsorted(path_off, hop, "right")) - 1
         raise SimulationError(
-            f"node {nodes[hop]} has no output toward "
-            f"{'LOCAL' if nxt[hop] == LOCAL else nxt[hop]} (packet {packet_id})"
+            f"node {nodes[hop]} has no output toward {toward} (packet {packet_id})"
         )
     return route
 
 
 def build_schedule(sim: "Simulator", vc_mode: bool, out_specs) -> InjectionSchedule:
-    """Consume ``sim``'s traffic sources; register and return every packet.
+    """Consume ``sim``'s traffic sources; return every packet, as columns.
 
     ``out_specs`` lists the output ports as ``(node, to_key)`` in flat-index
-    order.  Sources end where polling to ``total_cycles`` leaves them;
-    ``sim.all_packets`` and the packet-id counter advance.  Raises
+    order.  Sources end where polling to ``total_cycles`` leaves them and the
+    packet-id counter advances; no ``Packet`` is built (the engines that move
+    objects call :meth:`InjectionSchedule.packets`).  Raises
     ``SimulationError`` when a path asks a node for an output it lacks.
     """
     network = sim.network
@@ -143,14 +174,7 @@ def build_schedule(sim: "Simulator", vc_mode: bool, out_specs) -> InjectionSched
     measured = (cycle >= config.warmup_cycles) & (
         cycle < config.warmup_cycles + config.measure_cycles
     )
-    node_list = nodes.tolist()
-    starts, ends = path_off[:-1], path_off[1:]
-    fields = (commodity, src, dst, starts, ends, flits, cycle, measured, vc)
-    packets = [
-        Packet(pid, com, s, d, node_list[a:b], f, c, None, None, m, v)
-        for pid, (com, s, d, a, b, f, c, m, v) in enumerate(
-            zip(*(field.tolist() for field in fields)), first_id
-        )
-    ]
-    sim.all_packets.extend(packets)
-    return InjectionSchedule(packets, cycle, src, vc, flits, path_off, route_val)
+    return InjectionSchedule(
+        first_id, cycle, commodity, src, dst, vc, flits, measured, path_off,
+        route_val, nodes,
+    )  # fmt: skip

@@ -26,7 +26,13 @@ from repro.simnoc.engines.base import get_engine
 from repro.simnoc.engines.cycle import DEADLOCK_WINDOW  # noqa: F401  (re-export)
 from repro.simnoc.network import Network, build_network, build_synthetic_network
 from repro.simnoc.packet import Packet
-from repro.simnoc.stats import FlowStats, LatencyStats, per_flow_stats
+from repro.simnoc.stats import (
+    FlowStats,
+    LatencyStats,
+    PacketLog,
+    packet_columns,
+    per_flow_stats,
+)
 
 
 @dataclass
@@ -94,7 +100,10 @@ class Simulator:
         self.shards = shards
         self.partitioner = partitioner
         self._packet_counter = 0
+        #: The object engines' packets, in creation order.
         self.all_packets: list[Packet] = []
+        #: The compiled kernel's packets: columns, never objects.
+        self.packet_log: PacketLog | None = None
 
     def next_packet_id(self, count: int = 1) -> int:
         """Fresh globally unique packet id — the first of ``count`` reserved."""
@@ -118,13 +127,21 @@ class Simulator:
     def _build_report(self) -> SimulationReport:
         network = self.network
         config = self.config
-        delivered = [
-            packet
-            for ni in network.interfaces.values()
-            for packet in ni.delivered_packets
-        ]
-        measured = [packet for packet in delivered if packet.measured]
-        stats = LatencyStats.from_packets(measured)
+        # The compiled kernel left columns; the object engines left packets
+        # in the NIs, gathered here into the same columns.
+        log = self.packet_log
+        if log is None:
+            delivered = [
+                packet
+                for ni in network.interfaces.values()
+                for packet in ni.delivered_packets
+            ]
+            created, ejected = len(self.all_packets), len(delivered)
+            columns = packet_columns(delivered)
+        else:
+            created, ejected = len(log.created), len(log.dlv_slot)
+            columns = log.measured_columns()
+        stats = LatencyStats.from_columns(*columns)
 
         utilization = {}
         link_flits = {}
@@ -135,12 +152,12 @@ class Simulator:
 
         # One pass computes every per-flow figure; the flat per_commodity_*
         # dicts are views of the same FlowStats, not second computations.
-        per_flow = per_flow_stats(measured)
+        per_flow = per_flow_stats(*columns)
         return SimulationReport(
             stats=stats,
             per_commodity_latency={i: f.mean for i, f in per_flow.items()},
-            packets_created=len(self.all_packets),
-            packets_delivered=len(delivered),
+            packets_created=created,
+            packets_delivered=ejected,
             cycles=config.total_cycles,
             link_utilization=utilization,
             per_commodity_jitter={i: f.jitter for i, f in per_flow.items()},

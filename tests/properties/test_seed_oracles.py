@@ -5,7 +5,8 @@ gathers for Equation 7, the swap deltas and the placement scan, array-built
 core orders, a list-backed mirror for the annealer's move, a quadrant DAG
 built from the quadrant's own nodes and memoized for min-path routing, a
 PBB bound priced per partial, a cycle loop and router step that skip idle
-components — and each produces *bit-identical* results to the seed's scalar
+components, latency statistics grouped and reduced over columns — and each
+produces *bit-identical* results to the seed's scalar
 implementation, which lives on as an oracle under ``tests/reference`` (or,
 for the two scalar kernels production still falls back to, in
 ``repro.metrics.comm_cost``).  Whole algorithms are re-run with the oracles
@@ -24,7 +25,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps import pip, vopd
 from repro.graphs.commodities import build_commodities
@@ -53,8 +54,14 @@ from repro.metrics.comm_cost import (
     swap_cost_deltas,
 )
 from repro.routing.min_path import min_path_routing
+from repro.api import MapRequest, SimOptions, SimRequest
+from repro.api.engine import _prepare_sim
+from repro.errors import SimulationError
+from repro.simnoc import stats
 from repro.simnoc.config import SimConfig
+from repro.simnoc.engines.jit import resolve_backend
 from repro.simnoc.network import build_network
+from repro.simnoc.packet import Packet
 from repro.simnoc.simulator import Simulator
 from tests.reference import (
     PerMoveSwapMirror,
@@ -62,6 +69,8 @@ from tests.reference import (
     next_core_order,
     per_child_bound_pbb,
     per_node_placement_costs,
+    packet_walk_flow_stats,
+    packet_walk_latency_stats,
     per_pair_swap_deltas,
     quadrant_outgoing,
     recomputed_frontier_pmap,
@@ -442,3 +451,141 @@ class TestSimulatorEquivalence:
             )
 
         assert simulator().run() == seed_cycle_loop(simulator())
+
+
+@st.composite
+def packet_sets(draw):
+    """Delivered, undelivered and unmeasured packets over a few flows.
+
+    Small domains on purpose: flows of one, two and many packets (enough
+    for a pairwise numpy sum to differ from Python's ``sum`` in the last
+    bit), tied latencies (0 and 1 included, the histogram's shared bin) and
+    tied delivery cycles all turn up within a handful of draws.
+    """
+    latency = st.one_of(st.integers(0, 3), st.integers(0, 5000))
+    flows = draw(st.integers(1, 6))
+    packets = []
+    for packet_id in range(draw(st.integers(0, 80))):
+        created = draw(st.integers(0, 6))
+        wait = draw(st.integers(0, 2))
+        landing = latency.map(lambda value: created + wait + value)
+        delivered = draw(st.one_of(st.none(), landing))
+        packets.append(
+            Packet(
+                packet_id,
+                draw(st.integers(0, flows - 1)),
+                0,
+                1,
+                [0, 1],
+                4,
+                created,
+                injected_cycle=created + wait,
+                delivered_cycle=delivered,
+                measured=draw(st.booleans()),
+            )
+        )
+    return packets
+
+
+def _flow(commodity, created, delivered):
+    return Packet(0, commodity, 0, 1, [0, 1], 4, created, created, delivered)
+
+
+class TestStatisticsColumns:
+    """``repro.simnoc.stats`` over columns == the seed's walks over packets."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(packets=packet_sets())
+    @example(packets=[])
+    @example(packets=[_flow(3, 5, 5)])  # one packet, latency 0
+    @example(packets=[_flow(3, 5, 6), _flow(3, 5, 6)])  # two, tied, latency 1
+    @example(packets=[_flow(2, 0, 9), _flow(1, 0, 4), _flow(2, 1, 9), _flow(2, 0, 2)])
+    def test_column_stats_equal_the_packet_walks(self, packets):
+        flows = stats.per_flow_stats(*stats.packet_columns(packets))
+        walked = packet_walk_flow_stats(packets)
+        # count, mean, p50, p95, std, jitter and histogram of every flow ...
+        assert flows == walked
+        # ... in the order the flows first appear.
+        assert list(flows) == list(walked)
+        for view, figure in (
+            (stats.per_commodity_means, "mean"),
+            (stats.per_commodity_jitter, "jitter"),
+            (stats.per_commodity_latency_std, "std"),
+        ):
+            assert view(packets) == {i: getattr(f, figure) for i, f in walked.items()}
+
+        # The walk raises on a measured packet still in flight; the gather
+        # drops it, as the report builder (which only sees deliveries) does.
+        landed = [p for p in packets if p.delivered_cycle is not None]
+        summaries = (stats.LatencyStats.from_packets, packet_walk_latency_stats)
+        if any(p.measured for p in landed):
+            assert summaries[0](packets) == summaries[1](landed)
+        else:
+            for summarize in summaries:
+                with pytest.raises(SimulationError, match="^no measured packets deliv"):
+                    summarize(landed)
+
+
+def _sim_request(engine, **options):
+    return SimRequest(
+        map_request=MapRequest(app="vopd", price_bandwidth=False),
+        measure_cycles=1_200,
+        warmup_cycles=200,
+        drain_cycles=400,
+        sim_seed=11,
+        options=SimOptions(engine=engine, **options),
+    )
+
+
+class TestPacketObjects:
+    """The compiled path builds no ``Packet``; the engines that move objects do."""
+
+    CASES = {
+        "synthetic": dict(traffic="uniform", injection_rate=0.2),
+        "trace": dict(),
+    }
+
+    @staticmethod
+    def _run(monkeypatch, engine, options):
+        built = Counter()
+        init = Packet.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built["Packet"] += 1
+            init(self, *args, **kwargs)
+
+        sim, _ = _prepare_sim(_sim_request(engine, **options))
+        with monkeypatch.context() as patch:
+            patch.setattr(Packet, "__init__", counting_init)
+            report = sim.run()
+        return sim, report, built["Packet"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_constructions_per_engine(self, monkeypatch, case):
+        options = self.CASES[case]
+        monkeypatch.delenv("REPRO_NO_JIT", raising=False)
+        monkeypatch.delenv("REPRO_JIT", raising=False)
+        cycle_sim, reference, built = self._run(monkeypatch, "cycle", options)
+        assert built == reference.packets_created > 100
+
+        # The substitution took: whole-run statistics == the walk over the
+        # cycle engine's packet objects.
+        interfaces = cycle_sim.network.interfaces.values()
+        delivered = [p for ni in interfaces for p in ni.delivered_packets]
+        assert reference.packets_delivered == len(delivered)
+        assert reference.per_flow == packet_walk_flow_stats(delivered)
+        assert list(reference.per_flow) == list(packet_walk_flow_stats(delivered))
+        assert reference.stats == packet_walk_latency_stats(delivered)
+
+        if resolve_backend()[0] is not None:
+            sim, report, built = self._run(monkeypatch, "vector", options)
+            assert built == 0 and sim.all_packets == []
+            assert sim.packet_log is not None
+            assert report == reference
+            assert list(report.per_flow) == list(reference.per_flow)
+
+        monkeypatch.setenv("REPRO_NO_JIT", "1")
+        sim, report, built = self._run(monkeypatch, "vector", options)
+        assert built == report.packets_created == len(sim.all_packets)
+        assert sim.packet_log is None
+        assert report == reference

@@ -4,7 +4,9 @@ Production code under ``src/`` has one path per kernel and cannot select
 any of these at run time.  ``tests/properties/test_seed_oracles.py`` calls
 them directly, or substitutes them with ``monkeypatch`` at the import sites
 of a whole algorithm (the constructive mappers, NMAP, the annealer, PBB,
-min-path routing) and demands the identical trajectory.  Two oracles stay
+min-path routing) and demands the identical trajectory; the statistics'
+packet walks are checked against the column functions by a drawn-packet
+property and on whole runs.  Two oracles stay
 in ``src/`` because production falls back to them on partial mappings:
 ``comm_cost_reference`` and the per-pair ``swap_cost_delta``
 (``repro.metrics.comm_cost``).
@@ -23,13 +25,20 @@ from tests.reference.mapping import (
     selection_order,
     sorted_traffic_order,
 )
-from tests.reference.simnoc import every_port_step, seed_cycle_loop
+from tests.reference.simnoc import (
+    every_port_step,
+    packet_walk_flow_stats,
+    packet_walk_latency_stats,
+    seed_cycle_loop,
+)
 
 __all__ = [
     "PerMoveSwapMirror",
     "every_link_quadrant_links",
     "every_port_step",
     "next_core_order",
+    "packet_walk_flow_stats",
+    "packet_walk_latency_stats",
     "per_child_bound_pbb",
     "per_node_placement_costs",
     "per_pair_swap_deltas",

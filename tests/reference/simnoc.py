@@ -1,10 +1,16 @@
-"""Seed oracle for the simulator: the full-scan cycle loop.
+"""Seed oracles for the simulator: the full-scan cycle loop, the packet walks.
 
 Every source, NI and router is visited every cycle, and a router step
 refills and advances every output port (every lane, on the VC router)
 whether or not anything requests it.  The ``cycle`` engine skips idle
 components and unrequested ports; it must not move a single flit
 differently.
+
+The statistics walked ``list[Packet]`` — one dict of lists per flow, one
+``sorted`` each — until ``repro.simnoc.stats`` went to columns;
+:func:`packet_walk_latency_stats` and :func:`packet_walk_flow_stats` are
+those bodies, and the column functions must equal them field for field,
+key order included.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 from repro.errors import SimulationError
 from repro.simnoc.engines.cycle import DEADLOCK_WINDOW
 from repro.simnoc.router import LOCAL
+from repro.simnoc.stats import FlowStats, LatencyStats
 
 
 def every_port_step(router, cycle: int, deliver) -> int:
@@ -71,3 +78,75 @@ def seed_cycle_loop(sim, step=every_port_step):
                 f"with {network.total_buffered_flits()} flits buffered"
             )
     return sim._build_report()
+
+
+def packet_walk_latency_stats(packets) -> LatencyStats:
+    """The seed's ``LatencyStats.from_packets``."""
+    latencies = sorted(p.latency for p in packets if p.measured)
+    if not latencies:
+        raise SimulationError("no measured packets delivered")
+    network = [p.network_latency for p in packets if p.measured]
+
+    def percentile(fraction: float) -> float:
+        index = min(len(latencies) - 1, int(round(fraction * (len(latencies) - 1))))
+        return float(latencies[index])
+
+    return LatencyStats(
+        count=len(latencies),
+        mean=sum(latencies) / len(latencies),
+        p50=percentile(0.50),
+        p95=percentile(0.95),
+        p99=percentile(0.99),
+        maximum=float(latencies[-1]),
+        mean_network=sum(network) / len(network),
+    )
+
+
+def latency_histogram(latencies: list[int]) -> list[int]:
+    """Bin ``i`` counts ``[2**i, 2**(i+1))``; bin 0 covers 0 and 1."""
+    if not latencies:
+        return []
+    bins = [0] * (max(latencies).bit_length() or 1)
+    for latency in latencies:
+        bins[max(0, latency.bit_length() - 1)] += 1
+    return bins
+
+
+def _std(values: list[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    mean = sum(values) / len(values)
+    return (sum((v - mean) ** 2 for v in values) / (len(values) - 1)) ** 0.5
+
+
+def packet_walk_flow_stats(packets) -> dict[int, FlowStats]:
+    """The seed's ``per_flow_stats``: flows in first-appearance order."""
+    latencies: dict[int, list[int]] = {}
+    deliveries: dict[int, list[int]] = {}
+    for packet in packets:
+        if not packet.measured or packet.delivered_cycle is None:
+            continue
+        latencies.setdefault(packet.commodity_index, []).append(packet.latency)
+        deliveries.setdefault(packet.commodity_index, []).append(
+            packet.delivered_cycle
+        )
+    flows: dict[int, FlowStats] = {}
+    for index, values in latencies.items():
+        values.sort()
+        times = sorted(deliveries[index])
+        gaps = [float(b - a) for a, b in zip(times, times[1:])]
+
+        def percentile(fraction: float) -> float:
+            position = min(len(values) - 1, int(round(fraction * (len(values) - 1))))
+            return float(values[position])
+
+        flows[index] = FlowStats(
+            count=len(values),
+            mean=sum(values) / len(values),
+            p50=percentile(0.50),
+            p95=percentile(0.95),
+            std=_std([float(v) for v in values]),
+            jitter=_std(gaps),
+            histogram=latency_histogram(values),
+        )
+    return flows

@@ -14,6 +14,7 @@ from repro.graphs.commodities import Commodity
 from repro.graphs.topology import NoCTopology
 from repro.routing.min_path import min_path_routing
 from repro.simnoc import SimConfig, Simulator, build_network
+from tests.simnoc.deliveries import deliveries
 
 ENGINES = ("cycle", "event", "vector")
 
@@ -145,19 +146,15 @@ class TestInOrderDeliveryPerFlow:
         )
         routing = min_path_routing(mesh, commodities)
         network = build_network(mesh, commodities, routing, config)
-        Simulator(network, engine=engine).run()
-        delivered = [
-            packet
-            for ni in network.interfaces.values()
-            for packet in ni.delivered_packets
-        ]
+        sim = Simulator(network, engine=engine)
+        sim.run()
         by_flow: dict[int, list] = {}
-        for packet in delivered:
-            by_flow.setdefault(packet.commodity_index, []).append(packet)
+        for _node, packet_id, commodity, created, delivered in deliveries(sim):
+            by_flow.setdefault(commodity, []).append((delivered, created, packet_id))
         assert by_flow, "no deliveries recorded"
         for flow_packets in by_flow.values():
-            flow_packets.sort(key=lambda p: p.delivered_cycle)
-            created_order = [p.created_cycle for p in flow_packets]
+            flow_packets.sort(key=lambda item: item[0])
+            created_order = [created for _, created, _ in flow_packets]
             assert created_order == sorted(created_order)
-            ids = [p.packet_id for p in flow_packets]
+            ids = [packet_id for _, _, packet_id in flow_packets]
             assert ids == sorted(ids)

@@ -103,6 +103,49 @@ class TestWarmupHygiene:
         assert "REPRO_NO_JIT" in reason
 
 
+class TestCacheKey:
+    def test_text_compiler_and_flags_each_name_their_own_object(
+        self, monkeypatch, tmp_path
+    ):
+        """``make check-cc`` once per ``CC`` over one cache must build twice:
+        an object keyed by the text alone would answer for both compilers."""
+        from repro.simnoc.engines import ckern
+
+        monkeypatch.setenv("REPRO_JIT_CACHE", str(tmp_path))
+        base = ckern.library_path("text", "/usr/bin/gcc")
+        assert base == ckern.library_path("text", "/usr/bin/gcc", ckern.CFLAGS)
+        assert base.parent == tmp_path
+        others = {
+            ckern.library_path("text", "/usr/bin/clang"),
+            ckern.library_path("text", "/usr/bin/gcc", ckern.CFLAGS + ("-O3",)),
+            ckern.library_path("text", "/usr/bin/gcc", ckern.CFLAGS[::-1]),
+            ckern.library_path("text2", "/usr/bin/gcc"),
+            # no field bleeds into its neighbour
+            ckern.library_path("text/usr", "/bin/gcc"),
+        }
+        assert len(others) == 5 and base not in others
+
+    def test_the_loader_keys_on_the_compiler_it_resolved(self, monkeypatch, tmp_path):
+        from repro.simnoc.engines import ckern
+
+        real = ckern._find_compiler()
+        if real is None:
+            pytest.skip("no C compiler on PATH")
+        other = tmp_path / "bin" / "other-cc"
+        other.parent.mkdir()
+        other.write_text(f'#!/bin/sh\nexec {real} "$@"\n')
+        other.chmod(0o755)
+        monkeypatch.setenv("REPRO_JIT_CACHE", str(tmp_path / "cache"))
+        before = ckern.compile_events
+        ckern.load_library()
+        monkeypatch.setenv("CC", str(other))
+        assert ckern._find_compiler() == str(other)
+        ckern.load_library()
+        ckern.load_library()  # and a hit on the second key
+        assert ckern.compile_events == before + 2
+        assert len(list((tmp_path / "cache").glob("simnoc_kernels_*.so"))) == 2
+
+
 class TestCorruptCacheEntry:
     def test_truncated_so_is_rebuilt_once(self, monkeypatch, tmp_path):
         """A cached ``.so`` the loader rejects is replaced, not obeyed."""
@@ -116,8 +159,8 @@ class TestCorruptCacheEntry:
         monkeypatch.setenv("REPRO_JIT", "c")
         monkeypatch.setenv("REPRO_JIT_CACHE", str(tmp_path))
         monkeypatch.setattr(jit, "_cache", {})
-        digest = ckern.hashlib.sha256(ckern.source().encode()).hexdigest()[:16]
-        entry = tmp_path / f"simnoc_kernels_{digest}.so"
+        entry = ckern.library_path(ckern.source(), ckern._find_compiler())
+        assert entry.parent == tmp_path
         entry.write_bytes(b"\x7fELF truncated")
 
         before = jit.compile_events()

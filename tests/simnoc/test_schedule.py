@@ -5,8 +5,10 @@ streams by one sort; the ``cycle`` and ``event`` engines poll
 ``packets_for_cycle`` from a ``(next_event_cycle, index)`` heap.  Both must
 register the same packets — ids, cycles, flags, lanes, paths, order — and
 leave every source in the same state, or the flattened engines stop being
-bit-identical to the oracle.  The heap loop below is that oracle's
-discipline, kept here as the reference.
+bit-identical to the oracle.  The schedule holds them as columns and builds
+no ``Packet``; ``InjectionSchedule.packets()`` does, for the engines that
+move objects, and both forms are compared here.  The heap loop below is the
+oracle's discipline, kept here as the reference.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 
 from repro.apps import mpeg4, vopd
 from repro.errors import SimulationError
+from repro.faults.reroute import fault_reroute
 from repro.graphs.commodities import build_commodities
 from repro.graphs.topology import NoCTopology
 from repro.mapping.nmap import nmap_single_path
@@ -124,10 +127,22 @@ class TestScheduleEqualsHeapPolledReplay:
 
         sim = Simulator(SCENARIOS[scenario](seed, num_vcs), engine="vector")
         program = KernelProgram(sim, vc_mode)
+        schedule = program.schedule
         # Dataclass equality: id, commodity, endpoints, path, flits,
         # created cycle, measured and vc of every packet, in order.
-        assert sim.all_packets == polled
-        assert program.packets == polled
+        assert schedule.packets() == polled
+        assert sim.all_packets == []  # the compiled path registers no object
+        assert schedule.first_id == polled[0].packet_id
+        for column, field in (
+            ("commodity", "commodity_index"),
+            ("src", "src_node"),
+            ("dst", "dst_node"),
+            ("measured", "measured"),
+        ):
+            assert getattr(schedule, column).tolist() == [
+                getattr(p, field) for p in polled
+            ]
+        assert schedule.path_nodes.tolist() == [n for p in polled for n in p.path]
         assert sim.next_packet_id() == polled_sim.next_packet_id()
         assert _source_states(sim.network) == _source_states(polled_sim.network)
 
@@ -162,6 +177,7 @@ class TestScheduleEqualsHeapPolledReplay:
         sim = Simulator(SCENARIOS[scenario](3, 2))
         out_index = {spec: p for p, spec in enumerate(flat_outputs(sim.network))}
         chunks = list(replay_sources(sim, True, 128))
+        assert sim.all_packets == polled  # the interpreted loops' objects
         assert len(chunks) == -(-sim.config.total_cycles // 128)
         for k, chunk in enumerate(chunks):
             assert all(k * 128 <= cycle < (k + 1) * 128 for cycle, _ in chunk)
@@ -296,23 +312,41 @@ class TestPollingAdapter:
 
 class TestScheduleEdges:
     @staticmethod
-    def _broken_network():
-        """VOPD trace traffic with one commodity routed over a missing link."""
-        network = SCENARIOS["trace-vopd-nmap"](4, 1)
-        source = network.sources[3]
-        topology = network.topology
-        far = next(
-            node
-            for node in topology.nodes
-            if node != source.src_node and node not in topology.neighbors(source.src_node)
-        )
-        source.paths = [([source.src_node, far], 1.0)]
+    def _broken_network(fabric):
+        """VOPD trace traffic with one commodity routed over a link its fabric lacks.
+
+        On the mesh and the torus the hop jumps to a non-neighbour (a
+        direction the node has no output for, or none has); on the degraded
+        mesh it crosses the failed link, a direction every other node has.
+        """
+        app = vopd()
+        topology = NoCTopology(4, 4, 4028.0, torus=fabric == "torus")
+        result = nmap_single_path(app, topology)
+        commodities = build_commodities(app, result.mapping)
+        index = 3
+        src = commodities[index].src_node
+        if fabric == "degraded":
+            far = topology.neighbors(src)[0]
+            topology = topology.with_failed_links([(src, far)])
+            routing = fault_reroute(topology, commodities)
+        else:
+            far = next(
+                node
+                for node in topology.nodes
+                if node != src and node not in topology.neighbors(src)
+            )
+            routing = result.routing
+        network = build_network(topology, commodities, routing, _config(4, 1))
+        source = network.sources[index]
+        assert source.src_node == src
+        source.paths = [([src, far], 1.0)]
         return network, source, far
 
+    @pytest.mark.parametrize("fabric", ["mesh", "torus", "degraded"])
     @pytest.mark.parametrize("engine", ["vector", "sharded"])
-    def test_missing_output_names_node_hop_and_first_packet(self, engine):
-        network, source, far = self._broken_network()
-        polled = heap_polled(Simulator(self._broken_network()[0]), 1)
+    def test_missing_output_names_node_hop_and_first_packet(self, engine, fabric):
+        network, source, far = self._broken_network(fabric)
+        polled = heap_polled(Simulator(self._broken_network(fabric)[0]), 1)
         first = next(p for p in polled if p.commodity_index == source.commodity_index)
         with pytest.raises(SimulationError) as caught:
             Simulator(network, engine=engine, shards=2).run()
@@ -333,8 +367,9 @@ class TestScheduleEdges:
 
         sim = Simulator(quiet_network())
         schedule = build_schedule(sim, False, flat_outputs(sim.network))
-        assert schedule.packets == [] and sim.all_packets == []
-        assert [len(column) for column in schedule[1:]] == [0, 0, 0, 0, 1, 0]
+        assert schedule.packets() == [] and schedule.first_id == 1
+        lengths = {name: len(getattr(schedule, name)) for name in schedule._fields[1:]}
+        assert lengths.pop("route_off") == 1 and set(lengths.values()) == {0}
         assert sim.next_packet_id() == 1
         assert list(replay_sources(Simulator(quiet_network()), False, 1)) == [[], []]
         # Every engine runs the empty schedule to the same end.

@@ -21,7 +21,9 @@ from repro.simnoc import (
     list_engines,
 )
 from repro.simnoc.engines.auto import resolve_auto_engine
+from repro.simnoc.engines.jit import resolve_backend
 from repro.simnoc.models import register_router_model
+from tests.simnoc.deliveries import deliveries
 
 
 def _network(rate: float, **config_kwargs):
@@ -59,12 +61,18 @@ class TestVectorEngineGuards:
             Simulator(network, engine="vector").run()
 
     def test_writes_back_observable_counters(self):
-        """The report builder reads NIs and output ports; the flattened run
-        must leave them exactly as populated as an object-engine run."""
+        """The report builder reads NI and output-port counters and the
+        deliveries (the compiled rung's delivery log, else the NIs' packets);
+        the flattened run must leave them as an object-engine run does."""
         fast = _network(0.1, seed=3)
         reference = _network(0.1, seed=3)
-        Simulator(fast, engine="vector").run()
-        Simulator(reference, engine="cycle").run()
+        fast_sim = Simulator(fast, engine="vector")
+        reference_sim = Simulator(reference, engine="cycle")
+        fast_sim.run()
+        reference_sim.run()
+        # (node, packet id, ...) per delivery: per-NI order included.
+        assert deliveries(fast_sim) == deliveries(reference_sim)
+        assert (fast_sim.packet_log is None) == (resolve_backend()[0] is None)
         for node in fast.routers:
             assert (
                 fast.interfaces[node].flits_injected
@@ -74,9 +82,6 @@ class TestVectorEngineGuards:
                 fast.interfaces[node].flits_ejected
                 == reference.interfaces[node].flits_ejected
             )
-            assert [
-                p.packet_id for p in fast.interfaces[node].delivered_packets
-            ] == [p.packet_id for p in reference.interfaces[node].delivered_packets]
             for key, port in fast.routers[node].outputs.items():
                 assert (
                     port.flits_carried
