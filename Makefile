@@ -100,7 +100,10 @@ shard-smoke:
 # goes first: `make bench-pairs BASE=HEAD~1 WORKLOAD=sim_saturation PAIRS=10`
 # prints each side's medians and quartiles, pairs won/tied/lost and whether
 # the gain rule (>= 9/10 pairs won, medians apart by more than the base's
-# interquartile distance) is met.  Ten pairs of one workload take ~15 min.
+# interquartile distance) is met.  An A/A leg (BASE against a second export
+# of BASE, as many pairs) runs first and prints the instrument's own spread
+# per metric; a difference inside it is never called a gain.  Ten pairs of
+# one workload take ~15 min per leg.
 PAIRS ?= 10
 bench-pairs:
 	$(PYTHON) scripts/bench_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)

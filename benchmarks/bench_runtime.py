@@ -2,13 +2,18 @@
 
 §5 notes NMAP completes "in a few seconds" where the ILP takes minutes.
 These benches time the core algorithm kernels so regressions in asymptotics
-(e.g. breaking the O(deg) swap delta, an O(V^3) core order, or a quadrant
-DAG that scans every link of the fabric per commodity) show up as timing
-cliffs.
+(e.g. breaking the O(deg) swap delta, an O(V^3) core order, a quadrant
+DAG that scans every link of the fabric per commodity, or an MCF program
+built term by term in Python objects) show up as timing cliffs.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import time
+from pathlib import Path
+
+from repro.api import run
 from repro.apps import pip, vopd
 from repro.graphs.commodities import build_commodities
 from repro.graphs.random_graphs import random_core_graph
@@ -21,8 +26,14 @@ from repro.mapping import (
     pbb,
     pmap,
 )
+from repro.routing import split
 from repro.routing.min_path import min_path_routing
 from repro.routing.split import solve_min_congestion
+
+#: Seconds one golden-seed ``map_suite`` round may spend assembling its MCF
+#: programs and reading their flows back.  The array assembly reads ~0.02 s
+#: on the reference host, the object-built one it replaced 0.24 s.
+MCF_ASSEMBLY_BUDGET_S = 0.1
 
 
 def test_runtime_nmap_vopd(benchmark):
@@ -109,3 +120,53 @@ def test_runtime_nmap_split_dsp(benchmark):
         nmap_with_splitting, args=(app, mesh), rounds=1, iterations=1
     )
     assert result.feasible
+
+
+def test_runtime_mcf_assembly_map_suite_round(benchmark, monkeypatch):
+    """The 37 MCF programs of a golden-seed ``map_suite`` round: everything
+    ``routing.split`` does around HiGHS — assembly, matrices, read-back —
+    on each request's own cold topology, under a fixed budget."""
+    spec = importlib.util.spec_from_file_location(
+        "e2e_workloads", Path(__file__).parent / "e2e" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    requests = workloads.map_suite(2004, 0, workloads.SIZES["full"])
+    spent = {"split": 0.0, "highs": 0.0}
+    programs = []
+
+    def timed(key, function):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                spent[key] += time.perf_counter() - start
+
+        return wrapper
+
+    def highs(*arrays):
+        programs.append(len(arrays[0]))
+        return solve(*arrays)
+
+    solve = split.solve
+    monkeypatch.setattr(split, "solve", timed("highs", highs))
+    monkeypatch.setattr(split, "assemble_mcf", timed("split", split.assemble_mcf))
+    for method in ("solve", "routing"):
+        monkeypatch.setattr(
+            split.McfAssembly, method, timed("split", getattr(split.McfAssembly, method))
+        )
+    assembly_seconds = []
+
+    def one_round():
+        spent.update(split=0.0, highs=0.0)
+        programs.clear()
+        for request in requests:
+            run(request)
+        assembly_seconds.append(spent["split"] - spent["highs"])
+
+    one_round()  # warm-up: imports, scipy's first call
+    benchmark.pedantic(one_round, rounds=3)
+    benchmark.extra_info["mcf_assembly_s"] = min(assembly_seconds)
+    assert len(programs) == 37
+    assert min(assembly_seconds) < MCF_ASSEMBLY_BUDGET_S

@@ -10,7 +10,17 @@ left by earlier sessions: a tree that imports from stale ``.pyc`` files reads
 better on ``setup_s`` for a change that never touched set-up) — then runs the
 unmodified ``benchmarks/e2e/run.py --workload NAME --trace 0`` in each copy,
 alternating which side goes first, and reads the result files ``run.py``
-writes.  Per end-to-end metric of ``BENCHMARK.json`` it prints both sides'
+writes.
+
+An **A/A leg** runs first: ``REF`` against a second export of ``REF``, paired
+and alternated the same way, ``--pairs`` times.  The two
+sides are one program, so whatever separates them is the instrument: per
+end-to-end metric it prints both medians, the pairs won / tied / lost and the
+metric's *A/A spread* — the larger of the distance between the two sides'
+medians and the interquartile distance of all the leg's runs pooled.  No
+metric whose A/B medians differ by less than its A/A spread is called a gain.
+
+Then the A/B leg.  Per end-to-end metric of ``BENCHMARK.json`` it prints both sides'
 medians and quartiles, the pairs won / tied / lost, every pair as
 ``base>tree``, and a verdict; a last row gives each run's ``host.slowdown``
 in the same pair order — the calibrated ``requests_per_s`` over the one the
@@ -21,7 +31,10 @@ workloads) — so a busy hour shows in the table.  Verdicts:
 * ``gain`` — the rule for claiming one in a small sandbox (the
   ``choosing-metrics`` guide, section 8): the working tree wins at least
   nine tenths of all pairs, ties counting for neither side, and the medians
-  differ by more than the distance between the base's own quartiles;
+  differ by more than the distance between the base's own quartiles — and
+  by more than the A/A spread;
+* ``inside A/A spread`` — that rule was met, but two copies of the base
+  read as far apart, so the word is withheld;
 * ``regressed`` — the working tree's median is worse than the base's by
   more than the metric's bound;
 * ``no gain shown`` — anything else.
@@ -90,6 +103,36 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def run_leg(
+    scratch: Path, first: str, second: str, pairs: int, workload: str,
+    seconds: float | None,
+) -> dict[str, list[dict]]:  # fmt: skip
+    """``pairs`` paired runs of the two exported sides, alternating the order."""
+    records: dict[str, list[dict]] = {first: [], second: []}
+    for pair in range(pairs):
+        for side in (first, second) if pair % 2 == 0 else (second, first):
+            output = scratch / f"{first}-{second}-{side}-{pair}.json"
+            records[side].append(run_side(scratch / side, workload, seconds, output))
+            print(f"{first}/{second} pair {pair + 1}/{pairs}: {side} done", file=sys.stderr)
+    return records
+
+
+def metric_values(records: dict[str, list[dict]], name: str) -> list[list[float]]:
+    return [[r["metrics"][name]["value"] for r in side] for side in records.values()]
+
+
+def won_tied_lost(sign: int, old: list[float], new: list[float]) -> tuple[int, int, int]:
+    diffs = [sign * (b - a) for a, b in zip(old, new)]
+    won, lost = sum(d > 0 for d in diffs), sum(d < 0 for d in diffs)
+    return won, len(diffs) - won - lost, lost
+
+
+def aa_spread(first: list[float], second: list[float]) -> float:
+    """How far apart two sets of runs of one program read (see the module doc)."""
+    pooled_q1, _median, pooled_q3 = quartiles(first + second)
+    return max(abs(quartiles(second)[1] - quartiles(first)[1]), pooled_q3 - pooled_q1)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git ref to compare against")
@@ -104,34 +147,38 @@ def main() -> int:
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         export_base(args.base, scratch / "base")
+        export_base(args.base, scratch / "base2")
         export_tree(scratch / "tree")
-        records: dict[str, list[dict]] = {"base": [], "tree": []}
-        for pair in range(args.pairs):
-            for side in ("base", "tree") if pair % 2 == 0 else ("tree", "base"):
-                output = scratch / f"{side}-{pair}.json"
-                records[side].append(
-                    run_side(scratch / side, args.workload, args.seconds, output)
-                )
-                print(f"pair {pair + 1}/{args.pairs}: {side} done", file=sys.stderr)
+        floor = run_leg(scratch, "base", "base2", args.pairs, args.workload, args.seconds)
+        records = run_leg(scratch, "base", "tree", args.pairs, args.workload, args.seconds)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
+
+    print(f"{args.workload}: A/A leg, {args.pairs} pairs, base {args.base} vs a second export of it")
+    print(f"{'metric':<16} {'base':>10} {'base2':>10} {'A/A spread':>11}  won/tied/lost")
+    spreads: dict[str, float] = {}
+    for metric in spec["end_to_end"]:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        first, second = metric_values(floor, name)
+        spreads[name] = aa_spread(first, second)
+        won, tied, lost = won_tied_lost(sign, first, second)
+        print(
+            f"{name:<16} {quartiles(first)[1]:>10.5g} {quartiles(second)[1]:>10.5g} "
+            f"{spreads[name]:>11.5g}  {won}/{tied}/{lost}"
+        )
 
     print(f"{args.workload}: {args.pairs} pairs, base {args.base} vs working tree")
     header = f"{'metric':<16} {'side':<5} {'q1':>10} {'median':>10} {'q3':>10}"
     print(f"{header}  won/tied/lost  verdict")
     for metric in spec["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
-        values = {
-            side: [record["metrics"][name]["value"] for record in records[side]]
-            for side in records
-        }
-        diffs = [sign * (t - b) for b, t in zip(values["base"], values["tree"])]
-        won, lost = sum(d > 0 for d in diffs), sum(d < 0 for d in diffs)
-        base_q1, base_median, base_q3 = quartiles(values["base"])
-        tree_q1, tree_median, tree_q3 = quartiles(values["tree"])
+        base, tree = metric_values(records, name)
+        won, tied, lost = won_tied_lost(sign, base, tree)
+        base_q1, base_median, base_q3 = quartiles(base)
+        tree_q1, tree_median, tree_q3 = quartiles(tree)
         better_by = sign * (tree_median - base_median)
         if won >= 0.9 * args.pairs and better_by > base_q3 - base_q1:
-            verdict = "gain"
+            verdict = "gain" if better_by > spreads[name] else "inside A/A spread"
         elif -better_by > metric["bound"] * base_median:
             verdict = "regressed"
         else:
@@ -139,10 +186,9 @@ def main() -> int:
         print(f"{name:<16} base  {base_q1:>10.5g} {base_median:>10.5g} {base_q3:>10.5g}")
         print(
             f"{'':<16} tree  {tree_q1:>10.5g} {tree_median:>10.5g} {tree_q3:>10.5g}"
-            f"  {won}/{args.pairs - won - lost}/{lost:<9}  {verdict}"
+            f"  {won}/{tied}/{lost:<9}  {verdict}"
         )
-        pairs = zip(values["base"], values["tree"])
-        print(f"{'':<16} pairs " + "  ".join(f"{b:.5g}>{t:.5g}" for b, t in pairs))
+        print(f"{'':<16} pairs " + "  ".join(f"{b:.5g}>{t:.5g}" for b, t in zip(base, tree)))
 
     rate = "requests_per_s"
     slowdowns = (
@@ -154,7 +200,7 @@ def main() -> int:
         + "  ".join(f"{b:.3g}>{t:.3g}" for b, t in zip(*slowdowns))
     )
 
-    everything = records["base"] + records["tree"]
+    everything = [r for leg in (floor, records) for side in leg.values() for r in side]
     failed = sum(len(record["failures"]) for record in everything)
     first = everything[0]
     agree = all(

@@ -28,7 +28,7 @@ setup(
     install_requires=[
         "numpy>=1.22",
         "networkx>=2.6",
-        # The LP/MILP back end (repro.lp.solver): optimize.milp arrived in 1.9.
+        # The LP/MILP back end (repro.lp.solve): optimize.milp arrived in 1.9.
         "scipy>=1.9",
     ],
     extras_require={

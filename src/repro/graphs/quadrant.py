@@ -78,12 +78,13 @@ def quadrant_links(
         raise GraphError("quadrant of a node with itself is empty")
     inside = set(quadrant_nodes(topology, src, dst))
     to_dst = topology.distance_matrix()[:, dst].tolist()
+    adjacency = topology.adjacency()
     # Ascending sources, each one's links in adjacency order, is the order
     # link_keys() lists them in — without a pass over the whole fabric.
     return [
         (u, v)
         for u in sorted(inside)
-        for v in topology.neighbors(u)
+        for v in adjacency[u]
         if v in inside and not (monotone and to_dst[v] >= to_dst[u])
     ]
 

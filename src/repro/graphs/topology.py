@@ -10,7 +10,7 @@ heterogeneous links remain expressible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
@@ -74,14 +74,14 @@ class NoCTopology:
         for node in range(width * height):
             for neighbor in self._physical_neighbors(node):
                 self._add_link(node, neighbor, link_bandwidth)
-        # Lazily built fast-path caches (see distance_matrix / link_arrays /
+        # Lazily built fast-path caches (see distance_matrix / _link_view /
         # monotone_outgoing).  Hop distances depend only on the immutable
-        # geometry, so those caches never invalidate; the link-bandwidth
-        # array is versioned because set_link_bandwidth can change it.
+        # geometry, so those caches never invalidate; the link views are
+        # versioned because set_link_bandwidth can change the bandwidths.
         self._dist_flat: list[int] | None = None
         self._dist_matrix: np.ndarray | None = None
         self._links_version = 0
-        self._link_arrays: tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+        self._link_views: dict[object, tuple[int, object]] = {}
         self._monotone_cache: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
         # Fault-mask state: degraded views (with_failed_links/_routers) carry
         # a pruned link set, so hop distances come from BFS over the
@@ -164,6 +164,14 @@ class NoCTopology:
         """Adjacent node ids (``Adj_i`` in the paper)."""
         self._require_node(node)
         return list(self._adjacency[node])
+
+    def adjacency(self) -> dict[int, list[int]]:
+        """Node -> adjacent node ids: the table itself, so treat it as read-only.
+
+        For loops over many nodes known to be in range, where
+        :meth:`neighbors`' range check and list copy per call add up.
+        """
+        return self._adjacency
 
     def degree(self, node: int) -> int:
         """Number of physical neighbors (mesh corners 2, edges 3, center 4)."""
@@ -286,24 +294,41 @@ class NoCTopology:
     def min_link_bandwidth(self) -> float:
         return min(self._links.values())
 
+    def _link_view(self, key: object, build: Callable[[], Any]) -> Any:
+        """``build()``, kept until :meth:`set_link_bandwidth` next bumps the version."""
+        cached = self._link_views.get(key)
+        if cached is None or cached[0] != self._links_version:
+            cached = self._link_views[key] = (self._links_version, build())
+        return cached[1]
+
     def link_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flattened ``(src, dst, bandwidth)`` arrays over all directed links.
 
         Entries follow :meth:`link_keys` order.  Rebuilt automatically after
         :meth:`set_link_bandwidth`; treat the arrays as read-only.
         """
-        cached = self._link_arrays
-        if cached is not None and cached[0] == self._links_version:
-            return cached[1]
-        keys = self.link_keys()
-        src = np.fromiter((u for u, _ in keys), dtype=np.int64, count=len(keys))
-        dst = np.fromiter((v for _, v in keys), dtype=np.int64, count=len(keys))
-        bw = np.fromiter(
-            (self._links[key] for key in keys), dtype=np.float64, count=len(keys)
-        )
-        arrays = (src, dst, bw)
-        self._link_arrays = (self._links_version, arrays)
-        return arrays
+
+        def build() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            keys = self.link_keys()
+            src = np.fromiter((u for u, _ in keys), dtype=np.int64, count=len(keys))
+            dst = np.fromiter((v for _, v in keys), dtype=np.int64, count=len(keys))
+            bw = np.fromiter(self._links.values(), dtype=np.float64, count=len(keys))
+            return src, dst, bw
+
+        return self._link_view("arrays", build)
+
+    def sorted_link_order(self) -> np.ndarray:
+        """Link positions listed in ascending ``(src, dst)`` order, cached.
+
+        :meth:`link_keys` follows adjacency order within a source node, which
+        is not sorted; the MCF capacity rows are.
+        """
+
+        def build() -> np.ndarray:
+            src, dst, _bw = self.link_arrays()
+            return np.lexsort((dst, src))
+
+        return self._link_view("order", build)
 
     def monotone_outgoing(self, src: int, dst: int) -> dict[int, tuple[int, ...]]:
         """Outgoing adjacency of the monotone quadrant DAG, memoized.
@@ -376,7 +401,7 @@ class NoCTopology:
         clone._dist_flat = None
         clone._dist_matrix = None
         clone._links_version = 0
-        clone._link_arrays = None
+        clone._link_views = {}
         clone._monotone_cache = {}
         return clone
 

@@ -42,16 +42,19 @@ def _cluster_cores(
     with one of the heaviest cores, spreading the hubs apart.
     """
     clusters: list[list[str]] = [[] for _ in capacities]
+    core_index = core_graph.core_index()
+    indptr, nbr_idx, nbr_wt = (a.tolist() for a in core_graph.adjacency_arrays())
+    # affinity[i][c]: bandwidth between core c and cluster i's members, summed
+    # in the order they joined (the order the float additions always ran in).
+    affinity = [[0.0] * len(core_index) for _ in capacities]
     for core in core_graph.traffic_order():
+        c = core_index[core]
         best = -1
         best_key: tuple[float, int, int] | None = None
         for index, members in enumerate(clusters):
             if len(members) >= capacities[index]:
                 continue
-            affinity = sum(
-                core_graph.traffic_between(core, other) for other in members
-            )
-            key = (-affinity, len(members), index)
+            key = (-affinity[index][c], len(members), index)
             if best_key is None or key < best_key:
                 best_key = key
                 best = index
@@ -61,6 +64,9 @@ def _cluster_cores(
                 "excluding failed routers)"
             )
         clusters[best].append(core)
+        row = affinity[best]
+        for at in range(indptr[c], indptr[c + 1]):
+            row[nbr_idx[at]] += nbr_wt[at]
     return clusters
 
 

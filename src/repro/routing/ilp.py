@@ -11,13 +11,14 @@ heuristic's load balancing targets.  The ablation bench
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import RoutingError
 from repro.graphs.commodities import Commodity
 from repro.graphs.quadrant import enumerate_minimal_paths
 from repro.graphs.topology import NoCTopology
-from repro.lp.model import LinearProgram, lin_sum
-from repro.lp.solver import solve
-from repro.routing.base import LinkKey, RoutingResult, path_links
+from repro.lp import solve
+from repro.routing.base import RoutingResult, path_links
 
 
 def ilp_single_path_routing(
@@ -40,49 +41,53 @@ def ilp_single_path_routing(
         RoutingError: when the MILP fails (should not happen: selecting any
             path per commodity is always feasible).
     """
+    from scipy import sparse
+
     if not commodities:
         raise RoutingError("cannot route zero commodities")
-    program = LinearProgram(name="single-path-ilp")
-    choice_vars: dict[tuple[int, int], object] = {}
-    candidate_paths: dict[int, list[list[int]]] = {}
-    for commodity in commodities:
-        paths = enumerate_minimal_paths(
+    # Columns: one binary pick per (commodity, candidate path), commodity-
+    # major, then lambda.  Rows: each commodity picks exactly one path; each
+    # used link, in sorted order, carries at most lambda.
+    picks = [
+        (k, path)
+        for k, commodity in enumerate(commodities)
+        for path in enumerate_minimal_paths(
             topology, commodity.src_node, commodity.dst_node, limit=path_limit
         )
-        candidate_paths[commodity.index] = paths
-        selectors = []
-        for which, _path in enumerate(paths):
-            var = program.add_var(
-                f"pick[{commodity.index},{which}]", low=0.0, high=1.0, integer=True
-            )
-            choice_vars[(commodity.index, which)] = var
-            selectors.append(var)
-        program.add_constraint(lin_sum(selectors).equals(1.0))
-
-    lam = program.add_var("lambda", low=0.0)
-    link_terms: dict[LinkKey, list] = {}
-    for commodity in commodities:
-        for which, path in enumerate(candidate_paths[commodity.index]):
-            for link in path_links(path):
-                link_terms.setdefault(link, []).append(
-                    choice_vars[(commodity.index, which)] * commodity.value
-                )
-    for link, terms in sorted(link_terms.items()):
-        program.add_constraint(lin_sum(terms) - lam <= 0.0)
-    program.set_objective(lam)
-
-    solution = solve(program)
+    ]
+    terms = [(link, p) for p, (_k, path) in enumerate(picks) for link in path_links(path)]
+    row_of = {link: row for row, link in enumerate(sorted({link for link, _p in terms}))}
+    lam, loads = len(picks), list(range(len(row_of)))
+    a_ub = sparse.csr_matrix(
+        (
+            [commodities[picks[p][0]].value for _link, p in terms] + [-1.0] * len(loads),
+            (
+                [row_of[link] for link, _p in terms] + loads,
+                [p for _link, p in terms] + [lam] * len(loads),
+            ),
+        ),
+        shape=(len(loads), lam + 1),
+    )
+    a_eq = sparse.csr_matrix(
+        (np.ones(lam), ([k for k, _path in picks], range(lam))),
+        shape=(len(commodities), lam + 1),
+    )
+    cost = np.zeros(lam + 1)
+    cost[lam] = 1.0
+    bounds = np.array([(0.0, 1.0)] * lam + [(0.0, np.inf)])
+    solution = solve(
+        cost, a_ub, np.zeros(len(loads)), a_eq, np.ones(len(commodities)), bounds,
+        integrality=1 - cost,  # every column but lambda
+    )  # fmt: skip
     if not solution.is_optimal:
         raise RoutingError(f"single-path ILP unexpectedly {solution.status.value}")
 
     chosen: dict[int, list[int]] = {}
-    for commodity in commodities:
-        for which, path in enumerate(candidate_paths[commodity.index]):
-            if solution.value_of(choice_vars[(commodity.index, which)]) > 0.5:
-                chosen[commodity.index] = path
-                break
-        else:  # pragma: no cover - MILP guarantees one pick per commodity
-            raise RoutingError(f"ILP picked no path for commodity {commodity.index}")
+    for (k, path), value in zip(picks, solution.x):
+        if value > 0.5:
+            chosen.setdefault(commodities[k].index, path)
+    if len(chosen) != len(commodities):  # pragma: no cover - one pick each is a row
+        raise RoutingError("ILP picked no path for some commodity")
     routing = RoutingResult.from_paths(
         topology, commodities, chosen, algorithm="ilp-single-path"
     )

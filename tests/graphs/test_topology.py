@@ -133,6 +133,22 @@ class TestLinks:
         assert mesh3x3.has_link(0, 1)
         assert not mesh3x3.has_link(0, 4) or mesh3x3.torus
 
+    def test_link_views_follow_link_keys(self, mesh3x3):
+        keys = mesh3x3.link_keys()
+        src, dst, bandwidth = mesh3x3.link_arrays()
+        assert list(zip(src.tolist(), dst.tolist())) == keys
+        assert bandwidth.tolist() == [1000.0] * len(keys)
+        assert keys != sorted(keys)  # adjacency order: west, east, north, south
+        assert [keys[i] for i in mesh3x3.sorted_link_order()] == sorted(keys)
+
+    def test_link_views_are_kept_until_a_bandwidth_changes(self, mesh3x3):
+        arrays, order = mesh3x3.link_arrays(), mesh3x3.sorted_link_order()
+        assert mesh3x3.link_arrays() is arrays
+        assert mesh3x3.sorted_link_order() is order
+        mesh3x3.set_link_bandwidth(0, 1, 123.0)
+        assert mesh3x3.link_arrays()[2][mesh3x3.link_keys().index((0, 1))] == 123.0
+        assert mesh3x3.sorted_link_order() is not order
+
     def test_to_networkx(self, mesh2x2):
         graph = mesh2x2.to_networkx()
         assert graph.number_of_nodes() == 4

@@ -1,127 +1,106 @@
-"""Unit tests for the scipy-backed LP/MILP solver."""
+"""Unit tests for ``repro.lp.solve``: arrays in, a normalized Solution out."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.errors import SolverError
-from repro.lp.model import LinearProgram, lin_sum
-from repro.lp.solver import SolveStatus, solve
+from repro.lp import SolveStatus, solve
+
+INF = np.inf
 
 
 class TestLinearPrograms:
     def test_simple_minimization(self):
-        lp = LinearProgram()
-        x = lp.add_var("x", low=1.0)
-        y = lp.add_var("y", low=2.0)
-        lp.set_objective(x + y)
-        solution = solve(lp)
+        # min x + y  s.t. x >= 1, y >= 2 (as bounds)
+        solution = solve([1.0, 1.0], None, None, None, None, [(1.0, INF), (2.0, INF)])
         assert solution.is_optimal
         assert solution.objective == pytest.approx(3.0)
-        assert solution.value_of(x) == pytest.approx(1.0)
+        assert solution.x.tolist() == pytest.approx([1.0, 2.0])
 
     def test_constrained_optimum(self):
         # min x + 2y  s.t. x + y >= 4, x <= 3
-        lp = LinearProgram()
-        x = lp.add_var("x")
-        y = lp.add_var("y")
-        lp.add_constraint(x + y >= 4.0)
-        lp.add_constraint(x <= 3.0)
-        lp.set_objective(x + 2 * y)
-        solution = solve(lp)
+        solution = solve(
+            [1.0, 2.0],
+            [[-1.0, -1.0], [1.0, 0.0]], [-4.0, 3.0],
+            None, None,
+            [(0.0, INF)] * 2,
+        )  # fmt: skip
         assert solution.objective == pytest.approx(5.0)  # x=3, y=1
 
     def test_equality_constraint(self):
-        lp = LinearProgram()
-        x = lp.add_var("x")
-        y = lp.add_var("y")
-        lp.add_constraint((x + y).equals(10.0))
-        lp.set_objective(x)
-        solution = solve(lp)
-        assert solution.value_of(x) == pytest.approx(0.0)
-        assert solution.value_of(y) == pytest.approx(10.0)
+        solution = solve(
+            [1.0, 0.0], None, None, [[1.0, 1.0]], [10.0], [(0.0, INF)] * 2
+        )
+        assert solution.x.tolist() == pytest.approx([0.0, 10.0])
 
-    def test_objective_constant_included(self):
-        lp = LinearProgram()
-        x = lp.add_var("x", low=2.0)
-        lp.set_objective(x + 100.0)
-        assert solve(lp).objective == pytest.approx(102.0)
-
-    def test_maximization(self):
-        lp = LinearProgram()
-        x = lp.add_var("x", high=7.0)
-        lp.set_objective(x, minimize=False)
-        solution = solve(lp)
-        assert solution.objective == pytest.approx(7.0)
+    def test_sparse_rows_and_bounds_array(self):
+        """The form ``routing.split`` hands over: CSR float64, (n, 2) bounds."""
+        a_ub = sparse.csr_matrix(([1.0, 1.0], ([0, 0], [0, 1])), shape=(1, 2))
+        a_eq = sparse.csr_matrix(([1.0, -1.0], ([0, 0], [0, 1])), shape=(1, 2))
+        bounds = np.zeros((2, 2))
+        bounds[:, 1] = INF
+        solution = solve(
+            np.array([-1.0, -1.0]), a_ub, np.array([6.0]), a_eq, np.array([2.0]), bounds
+        )
+        assert solution.objective == pytest.approx(-6.0)
+        assert solution.x.tolist() == pytest.approx([4.0, 2.0])
 
     def test_infeasible_status(self):
-        lp = LinearProgram()
-        x = lp.add_var("x", high=1.0)
-        lp.add_constraint(x >= 2.0)
-        lp.set_objective(x)
-        assert solve(lp).status is SolveStatus.INFEASIBLE
+        # x <= 1 (bound) and x >= 2 (row)
+        solution = solve([1.0], [[-1.0]], [-2.0], None, None, [(0.0, 1.0)])
+        assert solution.status is SolveStatus.INFEASIBLE
+        assert not solution.is_optimal
 
     def test_unbounded_status(self):
-        lp = LinearProgram()
-        x = lp.add_var("x", low=None)
-        lp.set_objective(x)
-        assert solve(lp).status is SolveStatus.UNBOUNDED
+        solution = solve([1.0], None, None, None, None, [(-INF, INF)])
+        assert solution.status is SolveStatus.UNBOUNDED
+
+    def test_nonoptimal_has_no_values(self):
+        solution = solve([1.0], [[-1.0]], [-2.0], None, None, [(0.0, 1.0)])
+        assert solution.x.size == 0
+        assert np.isnan(solution.objective)
 
     def test_empty_program_rejected(self):
         with pytest.raises(SolverError, match="no variables"):
-            solve(LinearProgram())
-
-    def test_nonoptimal_has_no_values(self):
-        lp = LinearProgram()
-        x = lp.add_var("x", high=1.0)
-        lp.add_constraint(x >= 2.0)
-        lp.set_objective(x)
-        assert solve(lp).values == ()
+            solve(np.zeros(0), None, None, None, None, np.zeros((0, 2)))
 
 
 class TestMilp:
+    BINARY = [(0.0, 1.0)] * 3
+
     def test_binary_knapsack(self):
         # max 3a + 4b + 2c  s.t. 2a + 3b + c <= 4, binary
-        lp = LinearProgram()
-        a = lp.add_var("a", high=1.0, integer=True)
-        b = lp.add_var("b", high=1.0, integer=True)
-        c = lp.add_var("c", high=1.0, integer=True)
-        lp.add_constraint(2 * a + 3 * b + c <= 4.0)
-        lp.set_objective(3 * a + 4 * b + 2 * c, minimize=False)
-        solution = solve(lp)
+        solution = solve(
+            [-3.0, -4.0, -2.0], [[2.0, 3.0, 1.0]], [4.0], None, None, self.BINARY, [1, 1, 1]
+        )
         assert solution.is_optimal
-        assert solution.objective == pytest.approx(6.0)  # b + c
-        assert solution.value_of(b) == pytest.approx(1.0)
+        assert solution.objective == pytest.approx(-6.0)  # b + c
+        assert solution.x.tolist() == pytest.approx([0.0, 1.0, 1.0])
 
     def test_integrality_enforced(self):
-        # LP relaxation would pick x = 2.5
-        lp = LinearProgram()
-        x = lp.add_var("x", integer=True)
-        lp.add_constraint(2 * x >= 5.0)
-        lp.set_objective(x)
-        assert solve(lp).objective == pytest.approx(3.0)
+        # min x s.t. 2x >= 5: the LP relaxation picks 2.5, the MILP 3
+        args = ([1.0], [[-2.0]], [-5.0], None, None, [(0.0, INF)])
+        assert solve(*args).objective == pytest.approx(2.5)
+        assert solve(*args, integrality=[0]).objective == pytest.approx(2.5)
+        assert solve(*args, integrality=[1]).objective == pytest.approx(3.0)
 
     def test_mixed_integer_and_continuous(self):
-        lp = LinearProgram()
-        x = lp.add_var("x", integer=True, high=10.0)
-        y = lp.add_var("y")
-        lp.add_constraint((x + y).equals(3.5))
-        lp.set_objective(y)
-        solution = solve(lp)
-        assert solution.value_of(y) == pytest.approx(0.5)
-        assert solution.value_of(x) == pytest.approx(3.0)
+        # x integer in [0, 10], y >= 0, x + y == 3.5, min y
+        solution = solve(
+            [0.0, 1.0], None, None, [[1.0, 1.0]], [3.5], [(0.0, 10.0), (0.0, INF)], [1, 0]
+        )
+        assert solution.x.tolist() == pytest.approx([3.0, 0.5])
 
     def test_infeasible_milp(self):
-        lp = LinearProgram()
-        x = lp.add_var("x", high=1.0, integer=True)
-        lp.add_constraint(x >= 2.0)
-        lp.set_objective(x)
-        assert solve(lp).status is SolveStatus.INFEASIBLE
+        solution = solve([1.0], [[-1.0]], [-2.0], None, None, [(0.0, 1.0)], [1])
+        assert solution.status is SolveStatus.INFEASIBLE
 
     def test_equality_milp(self):
-        lp = LinearProgram()
-        picks = [lp.add_var(f"p{i}", high=1.0, integer=True) for i in range(4)]
-        lp.add_constraint(lin_sum(picks).equals(1.0))
-        lp.set_objective(lin_sum(p * (i + 1) for i, p in enumerate(picks)))
-        solution = solve(lp)
+        # exactly one of four picks, cheapest first
+        solution = solve(
+            [1.0, 2.0, 3.0, 4.0], None, None, [[1.0] * 4], [1.0], [(0.0, 1.0)] * 4, [1] * 4
+        )
         assert solution.objective == pytest.approx(1.0)

@@ -27,12 +27,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.apps import pip, vopd
+from repro.apps import all_apps, pip, vopd
+from repro.errors import ReproError
+from repro.graphs.commodities import Commodity
 from repro.graphs.commodities import build_commodities
 from repro.graphs.core_graph import CoreGraph
 from repro.graphs.quadrant import quadrant_links
 from repro.graphs.random_graphs import random_core_graph
 from repro.graphs.topology import NoCTopology
+from repro.lp import solve as lp_solve
 from repro.mapping import (
     annealing_mapping,
     gmap,
@@ -43,7 +46,9 @@ from repro.mapping import (
     pbb,
     pmap,
 )
+from repro.mapping import nmap_split
 from repro.mapping.base import Mapping
+from repro.mapping.hmap import _cluster_cores
 from repro.mapping.initializer import best_node, center_pull
 from repro.metrics.comm_cost import (
     SwapMirror,
@@ -53,6 +58,7 @@ from repro.metrics.comm_cost import (
     swap_cost_delta,
     swap_cost_deltas,
 )
+from repro.routing import split
 from repro.routing.min_path import min_path_routing
 from repro.api import MapRequest, SimOptions, SimRequest
 from repro.api.engine import _prepare_sim
@@ -78,7 +84,9 @@ from tests.reference import (
     seed_cycle_loop,
     selection_order,
     sorted_traffic_order,
+    summed_affinity_clusters,
 )
+from tests.reference import lp as object_lp
 
 
 def _workloads():
@@ -235,6 +243,17 @@ class TestIndexSpaceKernels:
                 mapping, core, candidates, pull
             )
 
+    @given(core_graphs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_hmap_clusters_match_the_summed_affinities(self, graph, data):
+        """Running affinity rows pick the cluster the per-member sums picked."""
+        room = st.integers(0, graph.num_cores)
+        capacities = data.draw(st.lists(room, min_size=1, max_size=5))
+        capacities[0] += max(0, graph.num_cores - sum(capacities))
+        assert _cluster_cores(graph, capacities) == summed_affinity_clusters(
+            graph, capacities
+        )
+
     @given(placements(complete=True), st.data())
     @settings(max_examples=100, deadline=None)
     def test_mirror_move_matches_the_scalar_delta(self, mapping, data):
@@ -260,6 +279,131 @@ class TestIndexSpaceKernels:
                         assert quadrant_links(
                             fabric, src, dst, monotone
                         ) == every_link_quadrant_links(fabric, src, dst, monotone)
+
+
+@st.composite
+def commodity_sets(draw):
+    """A fabric and a few commodities between distinct healthy nodes of it —
+    unreachable pairs and link-less fabrics included, so the error paths
+    (an infeasible MCF, a program without variables) are drawn too."""
+    fabric = draw(fabrics())
+    node = st.sampled_from(fabric.healthy_nodes())
+    pairs = draw(
+        st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), min_size=1, max_size=6)
+    )
+    return fabric, [
+        Commodity(k, f"s{k}", f"d{k}", src, dst, float(draw(st.integers(1, 1500))))
+        for k, (src, dst) in enumerate(pairs)
+    ]
+
+
+def _outcome(solver, *args):
+    try:
+        return solver(*args)
+    except ReproError as error:
+        return type(error)
+
+
+class TestMcfAssembly:
+    """``routing.split`` assembles the arrays the object-built models lowered
+    to — same shape, same row and column order, same values — so HiGHS walks
+    to the same vertex and every flow downstream is the same float."""
+
+    @staticmethod
+    def _checked_solve(expected, calls):
+        """Stands in for ``split.solve``: the arrays it is handed must be the
+        next expected object-built model's, then it solves them for real."""
+
+        def solve(c, a_ub, b_ub, a_eq, b_eq, bounds):
+            calls["solve"] += 1
+            want_c, want_a_ub, want_b_ub, want_a_eq, want_b_eq, want_bounds, _ = (
+                object_lp.matrices(expected.pop(0)(calls["lambda"]).program)
+            )
+            for produced, reference in ((a_ub, want_a_ub), (a_eq, want_a_eq)):
+                assert produced.format == "csr" and produced.dtype == np.float64
+                assert produced.shape == reference.shape
+                assert (produced != reference).nnz == 0
+            for produced, reference in (
+                (c, want_c), (b_ub, want_b_ub), (b_eq, want_b_eq), (bounds, want_bounds),
+            ):  # fmt: skip
+                assert produced.dtype == np.float64
+                assert np.array_equal(produced, reference)
+            solution = lp_solve(c, a_ub, b_ub, a_eq, b_eq, bounds)
+            calls["lambda"] = solution.objective
+            return solution
+
+        return solve
+
+    @given(commodity_sets(), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_the_three_programs_are_the_object_built_matrices(self, drawn, quadrant_only):
+        fabric, commodities = drawn
+        args = (fabric, commodities, quadrant_only)
+
+        def phase_two(lambda_star):
+            return object_lp.mcf2_model(*args, capacity=lambda_star * (1.0 + 1e-9) + 1e-9)
+
+        for solver, oracle, models in (
+            (split.solve_mcf1, object_lp.object_built_mcf1,
+             [lambda _: object_lp.mcf1_model(*args)]),
+            (split.solve_mcf2, object_lp.object_built_mcf2,
+             [lambda _: object_lp.mcf2_model(*args)]),
+            (split.solve_min_congestion, object_lp.object_built_min_congestion,
+             [lambda _: object_lp.min_congestion_model(*args), phase_two]),
+        ):  # fmt: skip
+            calls: Counter = Counter()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(split, "solve", self._checked_solve(list(models), calls))
+                produced = _outcome(solver, *args)
+            reference = _outcome(oracle, *args)
+            # Only an MCF that cannot be solved may stop before its last program.
+            assert calls["solve"] == len(models) or (
+                calls["solve"] and not isinstance(produced, tuple)
+            )
+            assert produced == reference
+
+    def test_link_views_follow_bandwidth_changes(self):
+        """The capacity right-hand side is read through the version counter."""
+        mesh = NoCTopology.mesh(2, 2, link_bandwidth=1000.0)
+        commodities = [Commodity(0, "s", "d", 0, 1, 1500.0)]
+        assert split.solve_mcf1(mesh, commodities)[0] == 0.0
+        for link in mesh.link_keys():
+            mesh.set_link_bandwidth(*link, 500.0)
+        assert split.solve_mcf1(mesh, commodities) == object_lp.object_built_mcf1(
+            mesh, commodities
+        )
+        assert split.solve_mcf1(mesh, commodities)[0] == 500.0
+
+    @pytest.mark.parametrize("quadrant_only", [False, True])
+    def test_nmap_split_keeps_the_object_built_search(self, monkeypatch, quadrant_only):
+        """nmap-ta / nmap-tm on the seven built-in apps and two degraded
+        fabrics: stats, cost and the final flows, float for float."""
+        cases = [
+            (app, NoCTopology.smallest_mesh_for(app.num_cores, 1000.0))
+            for app in all_apps().values()
+        ]
+        cases.append((pip(), NoCTopology.mesh(3, 4, 768.0).with_failed_routers([5])))
+        cases.append((vopd(), NoCTopology.torus_grid(4, 5, 600.0).with_failed_links([(5, 6)])))
+        assert len(cases) == 9
+        for app, fabric in cases:
+            calls: Counter = Counter()
+
+            def counted(name, oracle):
+                def solver(*args, **kwargs):
+                    calls[name] += 1
+                    return oracle(*args, **kwargs)
+
+                return solver
+
+            with monkeypatch.context() as patch:
+                patch.setattr(nmap_split, "solve_mcf1", counted("mcf1", object_lp.object_built_mcf1))
+                patch.setattr(nmap_split, "solve_mcf2", counted("mcf2", object_lp.object_built_mcf2))
+                reference = nmap_with_splitting(app, fabric, quadrant_only=quadrant_only)
+            assert calls["mcf1"] == reference.stats["mcf1_solved"] > 0
+            assert calls["mcf2"] == reference.stats["mcf2_solved"]
+            produced = nmap_with_splitting(app, fabric, quadrant_only=quadrant_only)
+            _same_search(produced, reference)
+            assert produced.routing.flows == reference.routing.flows
 
 
 @contextmanager

@@ -24,6 +24,7 @@ from tests.reference.mapping import (
     scanned_best_node,
     selection_order,
     sorted_traffic_order,
+    summed_affinity_clusters,
 )
 from tests.reference.simnoc import (
     every_port_step,
@@ -48,4 +49,5 @@ __all__ = [
     "seed_cycle_loop",
     "selection_order",
     "sorted_traffic_order",
+    "summed_affinity_clusters",
 ]

@@ -162,6 +162,28 @@ def recomputed_frontier_pmap(core_graph, topology) -> dict[str, int]:
     return mapping.placement
 
 
+def summed_affinity_clusters(core_graph, capacities: list[int]) -> list[list[str]]:
+    """HMAP's ``_cluster_cores`` as the seed's loop: each candidate cluster's
+    affinity re-summed from ``traffic_between``, one call per member."""
+    clusters: list[list[str]] = [[] for _ in capacities]
+    for core in core_graph.traffic_order():
+        best = -1
+        best_key: tuple[float, int, int] | None = None
+        for index, members in enumerate(clusters):
+            if len(members) >= capacities[index]:
+                continue
+            affinity = sum(
+                core_graph.traffic_between(core, other) for other in members
+            )
+            key = (-affinity, len(members), index)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = index
+        assert best >= 0, "capacities cannot hold every core"
+        clusters[best].append(core)
+    return clusters
+
+
 def every_link_quadrant_links(
     topology, src: int, dst: int, monotone: bool = False
 ) -> list[tuple[int, int]]:

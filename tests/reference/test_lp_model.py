@@ -1,11 +1,11 @@
-"""Unit tests for the LP modeling layer."""
+"""Unit tests for the oracle's LP modeling layer (``tests/reference/lp.py``)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import SolverError
-from repro.lp.model import ConstraintSpec, LinExpr, LinearProgram, lin_sum
+from tests.reference.lp import ConstraintSpec, LinExpr, LinearProgram, lin_sum
 
 
 class TestVariable:

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import RoutingError
+from repro.errors import GraphError, RoutingError
 from repro.graphs.commodities import Commodity
 from repro.graphs.topology import NoCTopology
 from repro.routing.split import (
-    build_mcf_model,
+    assemble_mcf,
     solve_mcf1,
     solve_mcf2,
     solve_min_congestion,
@@ -33,20 +33,47 @@ def _check_conservation(routing, commodity, topology):
         assert outgoing - incoming == pytest.approx(expected, abs=1e-6)
 
 
-class TestMcfModel:
-    def test_variable_count_all_paths(self, mesh2x2):
-        commodities = [_commodity(0, 0, 3, 5.0)]
-        model = build_mcf_model(mesh2x2, commodities, quadrant_only=False)
-        assert model.program.num_vars == mesh2x2.num_links  # one per link
+class TestMcfAssembly:
+    def test_variable_count_all_paths(self, mesh3x3):
+        commodities = [_commodity(0, 0, 8, 5.0), _commodity(1, 2, 6, 3.0)]
+        model = assemble_mcf(mesh3x3, commodities, quadrant_only=False)
+        assert len(model.var_link) == 2 * mesh3x3.num_links  # commodities x links
+        assert model.var_commodity.tolist() == [0] * 24 + [1] * 24
+        assert len(model.cap_links) == mesh3x3.num_links
+        assert len(model.b_eq) == 2 * mesh3x3.num_nodes  # one row per node each
 
     def test_variable_count_quadrant(self, mesh3x3):
-        commodities = [_commodity(0, 0, 1, 5.0)]  # adjacent: single link
-        model = build_mcf_model(mesh3x3, commodities, quadrant_only=True)
-        assert model.program.num_vars == 1
+        # adjacent: a single link; 0 -> 4: the four links of the 2x2 quadrant
+        commodities = [_commodity(0, 0, 1, 5.0), _commodity(1, 0, 4, 5.0)]
+        model = assemble_mcf(mesh3x3, commodities, quadrant_only=True)
+        keys = mesh3x3.link_keys()
+        assert [keys[link] for link in model.var_link] == [
+            (0, 1), (0, 1), (0, 3), (1, 4), (3, 4),
+        ]  # fmt: skip
+        assert [keys[link] for link in model.cap_links] == [(0, 1), (0, 3), (1, 4), (3, 4)]
+        assert model.b_eq.tolist() == [5.0, -5.0, 5.0, 0.0, 0.0, -5.0]
+
+    def test_conservation_rows_skip_what_a_dead_router_cut_off(self, mesh3x3):
+        degraded = mesh3x3.with_failed_routers([4])
+        model = assemble_mcf(degraded, [_commodity(0, 0, 8, 5.0)])
+        assert len(model.b_eq) == 8  # node 4 touches no link: no row
+        assert model.b_eq.tolist() == [5.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -5.0]
+        rows, columns = model.eq[1]
+        src, dst, _bandwidth = degraded.link_arrays()
+        row_of_node = [0, 1, 2, 3, None, 4, 5, 6, 7]
+        assert rows.tolist() == [row_of_node[n] for n in src.tolist() + dst.tolist()]
+        assert columns.tolist() == 2 * list(range(degraded.num_links))
+
+    def test_quadrant_of_a_dead_router_has_no_variables(self, mesh3x3):
+        degraded = mesh3x3.with_failed_routers([4])
+        model = assemble_mcf(degraded, [_commodity(0, 0, 4, 5.0)], quadrant_only=True)
+        assert model.var_link.size == 0 and model.b_eq.size == 0  # nothing reaches it
+        with pytest.raises(GraphError):
+            assemble_mcf(mesh3x3, [_commodity(0, 4, 4, 5.0)], quadrant_only=True)
 
     def test_empty_commodities_rejected(self, mesh2x2):
         with pytest.raises(RoutingError):
-            build_mcf_model(mesh2x2, [])
+            assemble_mcf(mesh2x2, [])
 
 
 class TestMcf1:
