@@ -16,7 +16,9 @@ test:
 
 # The equivalence contracts, isolated: every engine is bit-identical to the
 # cycle engine, and the cycle engine, the router step and the numpy cost and
-# routing kernels to the seed's oracles under tests/reference.
+# routing kernels to the seed's oracles under tests/reference — among them
+# test_gain_table_matches_the_per_pair_scan (NMAP's swap-gain table) and
+# test_level_sweep_picks_the_dijkstra_path (min-path's quadrant sweep).
 test-properties:
 	$(PYTHON) -m pytest -q tests/properties
 

@@ -2,9 +2,11 @@
 
 §5 notes NMAP completes "in a few seconds" where the ILP takes minutes.
 These benches time the core algorithm kernels so regressions in asymptotics
-(e.g. breaking the O(deg) swap delta, an O(V^3) core order, a quadrant
-DAG that scans every link of the fabric per commodity, or an MCF program
-built term by term in Python objects) show up as timing cliffs.
+(e.g. breaking the O(deg) swap delta, an O(V^3) core order, a swap scan
+that re-derives each row's deltas from the adjacency instead of gathering
+them from the gain table, a quadrant DAG built per commodity before it is
+searched, or an MCF program built term by term in Python objects) show up
+as timing cliffs.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from pathlib import Path
 from repro.api import run
 from repro.apps import pip, vopd
 from repro.graphs.commodities import build_commodities
+from repro.graphs.io import core_graph_from_dict
 from repro.graphs.random_graphs import random_core_graph
 from repro.graphs.topology import NoCTopology
 from repro.mapping import (
@@ -34,6 +37,39 @@ from repro.routing.split import solve_min_congestion
 #: programs and reading their flows back.  The array assembly reads ~0.02 s
 #: on the reference host, the object-built one it replaced 0.24 s.
 MCF_ASSEMBLY_BUDGET_S = 0.1
+
+#: Seconds for NMAP on the 100-core graph of the golden-seed ``map_suite``
+#: round (24 750 swaps tried over five passes).  Gathering each row from the
+#: gain table reads 18-19 ms on the reference host, the ~30 numpy calls a
+#: row it replaced 38-45 ms, a per-pair scan 10x that.
+NMAP_100_CORES_BUDGET_S = 0.03
+
+#: Seconds to route that mapping's 249 commodities on a fresh mesh.  The
+#: level-order sweep reads 3.0-3.2 ms, building each commodity's quadrant
+#: DAG and running a heap over it 6-7 ms.
+MIN_PATH_100_CORES_BUDGET_S = 0.005
+
+
+def _golden_map_suite():
+    """The requests of one golden-seed ``map_suite`` round."""
+    spec = importlib.util.spec_from_file_location(
+        "e2e_workloads", Path(__file__).parent / "e2e" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.map_suite(2004, 0, workloads.SIZES["full"])
+
+
+def _golden_100_cores():
+    """The round's largest NMAP request, as a fresh graph and mesh."""
+    inline = [
+        request.app
+        for request in _golden_map_suite()
+        if request.mapper == "nmap" and isinstance(request.app, dict)
+    ]
+    app = core_graph_from_dict(max(inline, key=lambda graph: len(graph["cores"])))
+    assert app.num_cores == 100
+    return app, NoCTopology.smallest_mesh_for(100, link_bandwidth=app.total_bandwidth())
 
 
 def test_runtime_nmap_vopd(benchmark):
@@ -73,6 +109,29 @@ def test_runtime_pmap_100_cores(benchmark):
         pmap, setup=lambda: _random_instance(100, 2100), rounds=5
     )
     assert result.mapping.is_complete
+
+
+def test_runtime_nmap_100_cores(benchmark):
+    """~500 rows of swap deltas, each one gather from the gain table."""
+    result = benchmark.pedantic(
+        nmap_single_path, setup=lambda: (_golden_100_cores(), {}), rounds=5
+    )
+    assert result.stats["swaps_tried"] == 24_750
+    assert benchmark.stats.stats.min < NMAP_100_CORES_BUDGET_S
+
+
+def test_runtime_min_path_routing_100_cores(benchmark):
+    """249 commodities, each one level-order sweep of its quadrant; the mesh
+    is fresh each round, so nothing kept on a topology can help."""
+    app, mesh = _golden_100_cores()
+    commodities = build_commodities(app, nmap_single_path(app, mesh).mapping)
+
+    def fresh_mesh():
+        return (mesh.with_uniform_bandwidth(app.total_bandwidth()), commodities), {}
+
+    routing = benchmark.pedantic(min_path_routing, setup=fresh_mesh, rounds=5)
+    assert len(routing.paths) == 249
+    assert benchmark.stats.stats.min < MIN_PATH_100_CORES_BUDGET_S
 
 
 def test_runtime_annealing_25_cores(benchmark):
@@ -126,12 +185,7 @@ def test_runtime_mcf_assembly_map_suite_round(benchmark, monkeypatch):
     """The 37 MCF programs of a golden-seed ``map_suite`` round: everything
     ``routing.split`` does around HiGHS — assembly, matrices, read-back —
     on each request's own cold topology, under a fixed budget."""
-    spec = importlib.util.spec_from_file_location(
-        "e2e_workloads", Path(__file__).parent / "e2e" / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    requests = workloads.map_suite(2004, 0, workloads.SIZES["full"])
+    requests = _golden_map_suite()
     spent = {"split": 0.0, "highs": 0.0}
     programs = []
 

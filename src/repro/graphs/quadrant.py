@@ -77,7 +77,7 @@ def quadrant_links(
     if src == dst:
         raise GraphError("quadrant of a node with itself is empty")
     inside = set(quadrant_nodes(topology, src, dst))
-    to_dst = topology.distance_matrix()[:, dst].tolist()
+    to_dst = topology.distance_rows()[dst]
     adjacency = topology.adjacency()
     # Ascending sources, each one's links in adjacency order, is the order
     # link_keys() lists them in — without a pass over the whole fabric.

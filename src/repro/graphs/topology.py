@@ -74,15 +74,14 @@ class NoCTopology:
         for node in range(width * height):
             for neighbor in self._physical_neighbors(node):
                 self._add_link(node, neighbor, link_bandwidth)
-        # Lazily built fast-path caches (see distance_matrix / _link_view /
-        # monotone_outgoing).  Hop distances depend only on the immutable
+        # Lazily built fast-path caches (see distance_matrix / distance_rows
+        # / _link_view).  Hop distances depend only on the immutable
         # geometry, so those caches never invalidate; the link views are
         # versioned because set_link_bandwidth can change the bandwidths.
-        self._dist_flat: list[int] | None = None
+        self._dist_rows: list[list[int]] | None = None
         self._dist_matrix: np.ndarray | None = None
         self._links_version = 0
         self._link_views: dict[object, tuple[int, object]] = {}
-        self._monotone_cache: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
         # Fault-mask state: degraded views (with_failed_links/_routers) carry
         # a pruned link set, so hop distances come from BFS over the
         # surviving links instead of the geometric formula.
@@ -192,9 +191,9 @@ class NoCTopology:
         """Minimum hop count between two nodes (Manhattan / torus metric)."""
         self._require_node(a)
         self._require_node(b)
-        if self._dist_flat is None:
+        if self._dist_rows is None:
             self._build_distance_cache()
-        return self._dist_flat[a * self.num_nodes + b]
+        return self._dist_rows[a][b]
 
     def _build_distance_cache(self) -> None:
         """Precompute the full hop-distance table (O(N^2), built once)."""
@@ -211,7 +210,7 @@ class NoCTopology:
             dy = np.minimum(dy, self.height - dy)
         matrix = (dx + dy).astype(np.int64)
         self._dist_matrix = matrix
-        self._dist_flat = matrix.ravel().tolist()
+        self._dist_rows = matrix.tolist()
 
     def _build_bfs_distance_cache(self) -> None:
         """All-pairs BFS over the surviving links (degraded views only).
@@ -223,7 +222,7 @@ class NoCTopology:
         constructive initializer) naturally steer clear of dead regions.
         """
         n = self.num_nodes
-        flat: list[int] = []
+        rows: list[list[int]] = []
         for src in range(n):
             dist = [UNREACHABLE] * n
             dist[src] = 0
@@ -237,9 +236,9 @@ class NoCTopology:
                             dist[neighbor] = step
                             nxt.append(neighbor)
                 frontier = nxt
-            flat.extend(dist)
-        self._dist_flat = flat
-        self._dist_matrix = np.array(flat, dtype=np.int64).reshape(n, n)
+            rows.append(dist)
+        self._dist_rows = rows
+        self._dist_matrix = np.array(rows, dtype=np.int64)
 
     def distance_matrix(self) -> np.ndarray:
         """The cached ``(N, N)`` int64 hop-distance matrix.
@@ -250,6 +249,17 @@ class NoCTopology:
         if self._dist_matrix is None:
             self._build_distance_cache()
         return self._dist_matrix
+
+    def distance_rows(self) -> list[list[int]]:
+        """The hop-distance table as a list of rows — what :meth:`distance`
+        reads — for loops that look up one hop count at a time.
+
+        Treat the rows as read-only.  The metric is symmetric, so row
+        ``dst`` is also every node's hop distance *to* ``dst``.
+        """
+        if self._dist_rows is None:
+            self._build_distance_cache()
+        return self._dist_rows
 
     # ------------------------------------------------------------------
     # links
@@ -330,27 +340,6 @@ class NoCTopology:
 
         return self._link_view("order", build)
 
-    def monotone_outgoing(self, src: int, dst: int) -> dict[int, tuple[int, ...]]:
-        """Outgoing adjacency of the monotone quadrant DAG, memoized.
-
-        This is exactly the structure ``shortestpath()`` Dijkstra walks for
-        the commodity ``src -> dst``; it depends only on the (immutable)
-        geometry, so it is cached per ``(src, dst)`` pair and shared across
-        every routing call — the repeated-quadrant work that dominated
-        :func:`repro.routing.min_path.min_path_routing` in the seed.
-        """
-        key = (src, dst)
-        cached = self._monotone_cache.get(key)
-        if cached is None:
-            from repro.graphs.quadrant import quadrant_links
-
-            outgoing: dict[int, list[int]] = {}
-            for u, v in quadrant_links(self, src, dst, monotone=True):
-                outgoing.setdefault(u, []).append(v)
-            cached = {node: tuple(nexts) for node, nexts in outgoing.items()}
-            self._monotone_cache[key] = cached
-        return cached
-
     # ------------------------------------------------------------------
     # fault masks
     # ------------------------------------------------------------------
@@ -398,11 +387,10 @@ class NoCTopology:
         clone._failed_routers = self._failed_routers | failed_routers
         # The constructor pre-filled full-mesh caches for nothing; reset so
         # the pruned link set drives every lazy rebuild.
-        clone._dist_flat = None
+        clone._dist_rows = None
         clone._dist_matrix = None
         clone._links_version = 0
         clone._link_views = {}
-        clone._monotone_cache = {}
         return clone
 
     def with_failed_links(
@@ -470,7 +458,7 @@ class NoCTopology:
         clone = self._masked_copy(set(), frozenset())
         metric = np.asarray(matrix, dtype=np.int64)
         clone._dist_matrix = metric
-        clone._dist_flat = metric.ravel().tolist()
+        clone._dist_rows = metric.tolist()
         return clone
 
     # ------------------------------------------------------------------

@@ -44,7 +44,7 @@ def exhaustive_best_mapping(
             )
 
     flows = list(zip(*(column.tolist() for column in core_graph.flow_arrays())))
-    hops = topology.distance_matrix().tolist()
+    hops = topology.distance_rows()
     half_width = (topology.width - 1) / 2
     half_height = (topology.height - 1) / 2
 

@@ -14,16 +14,21 @@ Three phases:
 
 Pricing shortcut (results identical to re-evaluating every candidate, see
 PERFORMANCE.md): Equation 7 depends only on hop distances, so a candidate
-swap's cost is its ``O(deg)`` delta — and, since the mapping is frozen while
-scanning the partners of node ``i``, all their deltas are scored in one
-vectorized :func:`~repro.metrics.comm_cost.swap_cost_deltas` call.  The
-routing heuristic runs only for candidates that would actually improve the
-best cost, to confirm bandwidth feasibility.  When every link's capacity is
-at least the total traffic of the application, any routing is feasible and
-the check is skipped altogether.
+swap's cost is the current cost plus a delta that only the two moved cores'
+flows enter.  The deltas are read from a gain table
+(:class:`~repro.metrics.comm_cost.SwapGains`: the cost of each core on each
+node, its neighbors pinned) — built at the top of each pass, gathered from
+once per outer ``i`` for all partners ``j`` (the mapping is frozen during
+the scan), and shifted in place when a swap commits.  The routing heuristic
+runs only for candidates that would actually improve the best cost, to
+confirm bandwidth feasibility.  When every link's capacity is at least the
+total traffic of the application, any routing is feasible and the check is
+skipped altogether.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.api.options import NmapOptions
 from repro.errors import MappingError
@@ -33,7 +38,7 @@ from repro.graphs.core_graph import CoreGraph
 from repro.graphs.topology import NoCTopology
 from repro.mapping.base import Mapping, MappingResult
 from repro.mapping.initializer import initial_mapping
-from repro.metrics.comm_cost import MAXVALUE, comm_cost, swap_cost_deltas
+from repro.metrics.comm_cost import MAXVALUE, SwapGains, comm_cost
 from repro.routing.base import RoutingResult
 from repro.routing.min_path import min_path_routing
 
@@ -122,20 +127,23 @@ def nmap_single_path(
 
     if improve:
         nodes = search_topology.healthy_nodes()
+        node_ids = np.array(nodes, dtype=np.int64)
         pass_limit = max_passes if max_passes is not None else len(nodes)
         for _ in range(pass_limit):
             stats["passes"] += 1
             accepted_this_pass = 0
             manhattan_cost = comm_cost(mapping)
+            # Built afresh each pass, so rounding in the in-place shifts
+            # (fractional bandwidths only) cannot carry from pass to pass.
+            gains = SwapGains(mapping)
             for i in range(len(nodes)):
                 best_swap: tuple[int, int] | None = None
                 best_swap_cost = best_cost
-                candidates = nodes[i + 1 :]
                 # The mapping is frozen while scanning j (the best swap for
-                # this i commits only after the scan), so all candidate
-                # deltas can be scored in one vectorized call.
-                deltas = swap_cost_deltas(mapping, nodes[i], candidates)
-                for node_j, delta in zip(candidates, deltas.tolist()):
+                # this i commits only after the scan), so one gather scores
+                # every partner.
+                deltas = gains.deltas(nodes[i], node_ids[i + 1 :])
+                for node_j, delta in zip(nodes[i + 1 :], deltas.tolist()):
                     stats["swaps_tried"] += 1
                     if delta == 0.0 and best_feasible:
                         continue
@@ -153,7 +161,7 @@ def nmap_single_path(
                         best_swap_cost = candidate_cost
                         best_feasible = True
                 if best_swap is not None:
-                    mapping.swap_nodes(*best_swap)
+                    gains.swap(*best_swap)
                     manhattan_cost = comm_cost(mapping)
                     best_cost = best_swap_cost
                     stats["swaps_accepted"] += 1

@@ -30,7 +30,7 @@ from repro.graphs.core_graph import CoreGraph
 from repro.graphs.topology import NoCTopology
 from repro.mapping.base import Mapping, MappingResult
 from repro.mapping.initializer import initial_mapping
-from repro.metrics.comm_cost import MAXVALUE, comm_cost, swap_cost_deltas
+from repro.metrics.comm_cost import MAXVALUE, SwapGains, comm_cost
 from repro.routing.split import solve_mcf1, solve_mcf2
 
 #: Total slack below this counts as "bandwidth constraints satisfied".
@@ -85,16 +85,15 @@ def nmap_with_splitting(
 
     if improve:
         nodes = topology.healthy_nodes()
+        gains = SwapGains(mapping)
         for i in range(len(nodes)):
             best_swap: tuple[int, int] | None = None
             swap_slack = best_slack
             swap_cost = best_cost
             swap_routing = None
             # The mapping is frozen while scanning j, so the cost phase's
-            # Manhattan bounds for every partner come from one call.
-            lower_bounds = comm_cost(mapping) + swap_cost_deltas(
-                mapping, nodes[i], nodes[i + 1 :]
-            )
+            # Manhattan bounds for every partner come from one gather.
+            lower_bounds = comm_cost(mapping) + gains.deltas(nodes[i], nodes[i + 1 :])
             for j, lower_bound in enumerate(lower_bounds.tolist(), start=i + 1):
                 stats["swaps_tried"] += 1
                 candidate = mapping.swapped(nodes[i], nodes[j])
@@ -127,7 +126,7 @@ def nmap_with_splitting(
                         swap_cost = cost
                         swap_routing = routing
             if best_swap is not None:
-                mapping.swap_nodes(*best_swap)
+                gains.swap(*best_swap)
                 best_slack = swap_slack
                 best_cost = swap_cost
                 if swap_routing is not None:

@@ -115,7 +115,7 @@ def pbb(
             else:
                 one_hop[depth] += bandwidth
 
-    hops = topology.distance_matrix().tolist()
+    hops = topology.distance_rows()
     healthy = topology.healthy_nodes()
     # level entries: (exact_cost, assignment tuple)
     level: list[tuple[float, tuple[int, ...]]] = [

@@ -8,12 +8,15 @@
   the PBB baseline's original objective (extension; the DATE'04 paper
   compares on cost/bandwidth only).
 
-Cost kernels are numpy-vectorized: :func:`swap_cost_deltas` scores every
-candidate swap partner of a node in one call and :func:`placement_costs`
-every candidate node for an unmapped core; :class:`SwapMirror` scores one
-move at a time (see PERFORMANCE.md).  :func:`comm_cost_reference` and the
-per-pair :func:`swap_cost_delta` are the scalar forms they fall back to on
-partial mappings.
+Cost kernels are numpy gathers: :func:`placement_costs` scores every
+candidate node for an unmapped core; :class:`SwapGains` is the gain table
+(cost of each core on each node, neighbors pinned) NMAP's swap scans gather
+every partner's delta from, updated in place when a swap commits;
+:class:`SwapMirror` scores one move at a time for the annealer (see
+PERFORMANCE.md).  :func:`comm_cost_reference` and the per-pair
+:func:`swap_cost_delta` are the seed's scalar forms: the first is what
+:func:`comm_cost` falls back to on partial mappings, and the tests hold
+the kernels to both.
 """
 
 from repro.metrics.bandwidth import (
@@ -22,13 +25,13 @@ from repro.metrics.bandwidth import (
     min_bandwidth_xy,
 )
 from repro.metrics.comm_cost import (
+    SwapGains,
     SwapMirror,
     average_hop_count,
     comm_cost,
     comm_cost_reference,
     placement_costs,
     swap_cost_delta,
-    swap_cost_deltas,
 )
 from repro.metrics.energy import BitEnergyModel, communication_energy
 from repro.metrics.report import MappingReport, evaluate_mapping
@@ -36,6 +39,7 @@ from repro.metrics.report import MappingReport, evaluate_mapping
 __all__ = [
     "BitEnergyModel",
     "MappingReport",
+    "SwapGains",
     "SwapMirror",
     "average_hop_count",
     "comm_cost",
@@ -43,7 +47,6 @@ __all__ = [
     "communication_energy",
     "placement_costs",
     "swap_cost_delta",
-    "swap_cost_deltas",
     "evaluate_mapping",
     "min_bandwidth_min_path",
     "min_bandwidth_split",

@@ -8,12 +8,14 @@ NMAP pre-screen swap candidates cheaply (see PERFORMANCE.md).
 
 The kernels are numpy gathers over the cached array views
 (:meth:`CoreGraph.flow_arrays`, :meth:`CoreGraph.adjacency_arrays`,
-:meth:`Mapping.position_arrays`, :meth:`NoCTopology.distance_matrix`);
-:class:`SwapMirror` holds the same views as Python lists for searches that
-score one move at a time.  The seed's scalar loops they replaced are still
-here — :func:`comm_cost_reference` and the per-pair :func:`swap_cost_delta`
-— because the vectorized kernels fall back to them on partial mappings, and
-the property suite uses them as oracles.
+:meth:`Mapping.position_arrays`, :meth:`NoCTopology.distance_matrix`).
+Two searches keep state of their own beside a complete mapping:
+:class:`SwapGains` is the gain table NMAP's swap scans gather whole rows of
+deltas from, :class:`SwapMirror` holds the views as Python lists for the
+annealer, which scores one move at a time.  The seed's scalar loops are
+still here — :func:`comm_cost_reference`, which :func:`comm_cost` falls
+back to on partial mappings, and the per-pair :func:`swap_cost_delta` —
+and the property suite uses them as oracles.
 Bandwidth labels in this repository are integer-valued (VOPD/MPEG tables,
 rounded random graphs), so every product and sum is exact in float64 and
 the vectorized and scalar forms agree bit for bit; see PERFORMANCE.md for
@@ -88,9 +90,9 @@ def swap_cost_delta(mapping: Mapping, node_a: int, node_b: int) -> float:
 
     Only flows incident to the affected cores change, so this is
     ``O(deg(a) + deg(b))`` instead of ``O(|E|)``.  This is the scalar form:
-    it tolerates partial mappings, which is why :func:`swap_cost_deltas`
-    falls back to it, and the property suite holds the production kernels
-    (:func:`swap_cost_deltas`, :meth:`SwapMirror.delta`) to it.
+    it tolerates partial mappings, and the property suite holds the
+    production kernels (:meth:`SwapGains.deltas`, :meth:`SwapMirror.delta`)
+    to it.
     """
     topology = mapping.topology
     graph = mapping.core_graph
@@ -122,98 +124,83 @@ def swap_cost_delta(mapping: Mapping, node_a: int, node_b: int) -> float:
     return delta
 
 
-def swap_cost_deltas(
-    mapping: Mapping, node_a: int, candidates: "np.ndarray | list[int]"
-) -> np.ndarray:
-    """Equation-7 deltas for swapping ``node_a`` with *every* candidate node.
+class SwapGains:
+    """The 2-exchange gain table of a complete mapping: every swap delta of
+    a node against any set of partners in five gathers.
 
-    One vectorized call replaces ``len(candidates)`` scalar
-    :func:`swap_cost_delta` evaluations — the inner ``j`` scan of NMAP's
-    pairwise-improvement loop and the annealer's candidate screens.  For
-    each candidate ``b`` (current cores ``ca`` on ``node_a``, ``cb`` on
-    ``b``, either possibly empty) the delta decomposes as::
+    For current cores ``ca`` on ``node_a`` and ``cb`` on ``b`` (either
+    possibly empty) the delta decomposes as::
 
         delta(a, b) = S(ca, a, b) + S(cb, b, a) + 2 * w(ca, cb) * D[a, b]
 
-    where ``S(c, u, v)`` is the cost change of moving core ``c`` from node
-    ``u`` to ``v`` with all its neighbors pinned, and the last term cancels
-    the double-counted ``ca``–``cb`` edge (their mutual distance is
-    unchanged by the swap).  ``S`` terms are evaluated as gathers over the
-    distance matrix: a dense ``(B, deg(ca))`` block for the first, a
-    CSR segment-sum over every candidate's neighborhood for the second.
+    where ``S(c, u, v) = gains[c, v] - gains[c, u]`` is the cost change of
+    moving core ``c`` from node ``u`` to ``v`` with all its neighbors
+    pinned, and the last term cancels the double-counted ``ca``–``cb`` edge
+    (their mutual distance is unchanged by the swap).
 
-    Falls back to per-pair :func:`swap_cost_delta` calls (same results,
-    same exceptions) for out-of-range nodes or partial mappings.
+    Attributes:
+        gains: ``(C + 1, N)`` float64; ``gains[c, v]`` is the cost of core
+            ``c`` sitting on node ``v`` with its neighbors where they are,
+            ``sum_x w(c, x) * D[pos(x), v]``.  The last row is all zero, so
+            an empty node (``node_core == -1``) gathers zeros.
+        weights: the dense ``(C + 1, C + 1)`` undirected traffic matrix,
+            with the same zero row and column for "no core".
 
-    Returns:
-        ``float64`` array of deltas, one per candidate, in candidate order.
+    Raises:
+        repro.errors.MappingError: when the mapping is not complete.
     """
-    nodes = np.asarray(candidates, dtype=np.int64)
-    if nodes.size == 0:
-        return np.zeros(0, dtype=np.float64)
 
-    def _fallback() -> np.ndarray:
-        return np.array(
-            [swap_cost_delta(mapping, node_a, int(b)) for b in nodes],
-            dtype=np.float64,
+    def __init__(self, mapping: Mapping) -> None:
+        mapping.validate()
+        self.mapping = mapping
+        self.distances = mapping.topology.distance_matrix().astype(np.float64)
+        indptr, nbr_idx, nbr_wt = mapping.core_graph.adjacency_arrays()
+        positions, _ = mapping.position_arrays()
+        degrees = np.diff(indptr)
+        size = degrees.size + 1
+        self.weights = np.zeros((size, size), dtype=np.float64)
+        self.weights[np.repeat(np.arange(degrees.size), degrees), nbr_idx] = nbr_wt
+        self.gains = np.zeros((size, self.distances.shape[0]), dtype=np.float64)
+        # A segment sum over the (E, N) block of weighted hop rows, one
+        # segment per core with neighbors — not ``weights @ distances``:
+        # BLAS starts threads past a size threshold, and on a small host
+        # two 121 x 121 matrices multiply 500x slower than two 100 x 100.
+        connected = np.flatnonzero(degrees)
+        if connected.size:
+            terms = nbr_wt[:, None] * self.distances[positions[nbr_idx]]
+            self.gains[connected] = np.add.reduceat(terms, indptr[connected])
+
+    def deltas(self, node_a: int, nodes: "np.ndarray | list[int]") -> np.ndarray:
+        """:func:`swap_cost_delta` of ``node_a`` against each of ``nodes``.
+
+        Returns:
+            ``float64`` array of deltas, one per node, in the given order.
+        """
+        nodes = np.asarray(nodes, dtype=np.int64)
+        _, node_core = self.mapping.position_arrays()
+        core_a = node_core[node_a]
+        cores = node_core[nodes]
+        gains = self.gains
+        return (
+            gains[core_a, nodes]
+            - gains[core_a, node_a]
+            + gains[cores, node_a]
+            - gains[cores, nodes]
+            + 2.0 * self.weights[core_a, cores] * self.distances[node_a, nodes]
         )
 
-    topology = mapping.topology
-    num_nodes = topology.num_nodes
-    if (
-        not (0 <= node_a < num_nodes)
-        or int(nodes.min()) < 0
-        or int(nodes.max()) >= num_nodes
-    ):
-        return _fallback()
+    def swap(self, node_a: int, node_b: int) -> None:
+        """Commit the swap to the mapping and to the table.
 
-    distances = topology.distance_matrix()
-    positions, node_core = mapping.position_arrays()
-    indptr, nbr_idx, nbr_wt = mapping.core_graph.adjacency_arrays()
-
-    deltas = np.zeros(nodes.size, dtype=np.float64)
-    pair_wt = np.zeros(nodes.size, dtype=np.float64)
-    cand_cores = node_core[nodes]
-    core_a = int(node_core[node_a])
-
-    if core_a >= 0:
-        lo, hi = int(indptr[core_a]), int(indptr[core_a + 1])
-        a_nbrs = nbr_idx[lo:hi]
-        a_wts = nbr_wt[lo:hi]
-        if a_nbrs.size:
-            nbr_pos = positions[a_nbrs]
-            if int(nbr_pos.min()) < 0:
-                return _fallback()
-            deltas += distances[np.ix_(nodes, nbr_pos)] @ a_wts
-            deltas -= float(a_wts @ distances[node_a, nbr_pos])
-            weight_of = np.zeros(positions.size, dtype=np.float64)
-            weight_of[a_nbrs] = a_wts
-            mapped = cand_cores >= 0
-            pair_wt[mapped] = weight_of[cand_cores[mapped]]
-
-    mapped = cand_cores >= 0
-    if mapped.any():
-        mapped_cores = cand_cores[mapped]
-        starts = indptr[mapped_cores]
-        counts = indptr[mapped_cores + 1] - starts
-        total = int(counts.sum())
-        if total:
-            segments = np.repeat(np.arange(mapped_cores.size), counts)
-            offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-            flat = starts[segments] + offsets
-            b_nbrs = nbr_idx[flat]
-            b_wts = nbr_wt[flat]
-            nbr_pos = positions[b_nbrs]
-            if int(nbr_pos.min()) < 0:
-                return _fallback()
-            b_rep = nodes[mapped][segments]
-            contrib = b_wts * (distances[node_a, nbr_pos] - distances[b_rep, nbr_pos])
-            deltas[mapped] += np.bincount(
-                segments, weights=contrib, minlength=mapped_cores.size
-            )
-
-    deltas += 2.0 * pair_wt * distances[node_a, nodes]
-    return deltas
+        Only the rows of the two moved cores' neighbors change: each sees
+        that core's hop row move from one node's to the other's (every
+        other row's weight factor is zero).
+        """
+        _, node_core = self.mapping.position_arrays()
+        core_a, core_b = node_core[[node_a, node_b]]
+        self.mapping.swap_nodes(node_a, node_b)
+        shift = self.distances[node_b] - self.distances[node_a]
+        self.gains += np.outer(self.weights[core_a] - self.weights[core_b], shift)
 
 
 def placement_costs(
@@ -221,8 +208,8 @@ def placement_costs(
 ) -> np.ndarray:
     """Equation-7 cost of putting unmapped ``core`` on *each* candidate node.
 
-    Only the core's already-placed neighbors pull (the ``S(c, ·)`` term of
-    :func:`swap_cost_deltas` without its origin): one
+    Only the core's already-placed neighbors pull (a row of
+    :class:`SwapGains` over a partial mapping): one
     ``(candidates, placed neighbors)`` block of the distance matrix times
     the neighbor weights — the ``commcost(u_j)`` scan of ``initialize()``
     and of every constructive baseline.  Which candidates are offered and
@@ -264,7 +251,7 @@ class SwapMirror:
         pairs = list(zip(nbr_idx.tolist(), nbr_wt.tolist()))
         self.mapping = mapping
         self.adjacency = [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        self.hops = mapping.topology.distance_matrix().tolist()
+        self.hops = mapping.topology.distance_rows()
         self.position, self.node_core = (
             view.tolist() for view in mapping.position_arrays()
         )

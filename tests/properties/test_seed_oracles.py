@@ -1,15 +1,15 @@
 """Every production kernel == the seed's oracle for it (``tests/reference``).
 
 The contract (PERFORMANCE.md): ``src/`` holds one path per kernel — numpy
-gathers for Equation 7, the swap deltas and the placement scan, array-built
-core orders, a list-backed mirror for the annealer's move, a quadrant DAG
-built from the quadrant's own nodes and memoized for min-path routing, a
+gathers for Equation 7 and the placement scan, a gain table for NMAP's swap
+deltas, array-built core orders, a list-backed mirror for the annealer's
+move, a quadrant DAG built from the quadrant's own nodes, a level-order
+sweep of it for min-path routing, a
 PBB bound priced per partial, a cycle loop and router step that skip idle
 components, latency statistics grouped and reduced over columns — and each
 produces *bit-identical* results to the seed's scalar
 implementation, which lives on as an oracle under ``tests/reference`` (or,
-for the two scalar kernels production still falls back to, in
-``repro.metrics.comm_cost``).  Whole algorithms are re-run with the oracles
+for the two scalar cost kernels, in ``repro.metrics.comm_cost``).  Whole algorithms are re-run with the oracles
 substituted at their import sites and must retrace the same search.
 Bandwidth labels in this repository are integer-valued, so all Equation-7
 arithmetic is exact in float64 and plain ``==`` comparisons are the right
@@ -28,7 +28,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.apps import all_apps, pip, vopd
-from repro.errors import ReproError
+from repro.errors import ReproError, RoutingError
 from repro.graphs.commodities import Commodity
 from repro.graphs.commodities import build_commodities
 from repro.graphs.core_graph import CoreGraph
@@ -51,15 +51,15 @@ from repro.mapping.base import Mapping
 from repro.mapping.hmap import _cluster_cores
 from repro.mapping.initializer import best_node, center_pull
 from repro.metrics.comm_cost import (
+    SwapGains,
     SwapMirror,
     comm_cost,
     comm_cost_reference,
     placement_costs,
     swap_cost_delta,
-    swap_cost_deltas,
 )
-from repro.routing import split
-from repro.routing.min_path import min_path_routing
+from repro.routing import min_path, split
+from repro.routing.min_path import least_loaded_quadrant_path, min_path_routing
 from repro.api import MapRequest, SimOptions, SimRequest
 from repro.api.engine import _prepare_sim
 from repro.errors import SimulationError
@@ -71,6 +71,7 @@ from repro.simnoc.packet import Packet
 from repro.simnoc.simulator import Simulator
 from tests.reference import (
     PerMoveSwapMirror,
+    dijkstra_quadrant_path,
     every_link_quadrant_links,
     next_core_order,
     per_child_bound_pbb,
@@ -78,7 +79,6 @@ from tests.reference import (
     packet_walk_flow_stats,
     packet_walk_latency_stats,
     per_pair_swap_deltas,
-    quadrant_outgoing,
     recomputed_frontier_pmap,
     scanned_best_node,
     seed_cycle_loop,
@@ -130,17 +130,46 @@ class TestCostKernels:
         rng = random.Random(77)
         for app, mesh in _workloads():
             mapping = _random_complete_mapping(app, mesh, rng)
+            table = SwapGains(mapping)
             for a in mesh.nodes:
                 candidates = [b for b in mesh.nodes if b != a]
-                batch = swap_cost_deltas(mapping, a, candidates)
+                batch = table.deltas(a, candidates)
                 scalar = per_pair_swap_deltas(mapping, a, candidates)
                 assert np.array_equal(batch, scalar)
 
     def test_batch_swap_deltas_empty_and_identity(self):
         app, mesh = vopd(), NoCTopology.smallest_mesh_for(16)
-        mapping = _random_complete_mapping(app, mesh, random.Random(1))
-        assert swap_cost_deltas(mapping, 0, []).size == 0
-        assert swap_cost_deltas(mapping, 3, [3])[0] == 0.0
+        table = SwapGains(_random_complete_mapping(app, mesh, random.Random(1)))
+        assert table.deltas(0, []).size == 0
+        assert table.deltas(3, [3])[0] == 0.0
+
+    def test_fractional_bandwidths_stay_within_rounding(self):
+        """Off the integer labels the table is only ``allclose`` to the scan,
+        shifted or rebuilt — and the cost NMAP reports is still Equation 7 of
+        the mapping it returns, not a running sum of deltas."""
+        rng = random.Random(11)
+        app = CoreGraph(name="fractional")
+        for core in range(14):
+            app.add_core(f"c{core}")
+        for _ in range(40):
+            src, dst = rng.sample(range(14), 2)
+            app.add_traffic(f"c{src}", f"c{dst}", rng.uniform(0.1, 97.3))
+        mesh = NoCTopology.mesh(4, 4, link_bandwidth=app.total_bandwidth())
+        mapping = _random_complete_mapping(app, mesh, rng)
+        table = SwapGains(mapping)
+        for _ in range(25):
+            table.swap(*rng.sample(list(mesh.nodes), 2))
+        assert np.allclose(table.gains, SwapGains(mapping).gains, rtol=1e-12, atol=1e-9)
+        for a in mesh.nodes:
+            assert np.allclose(
+                table.deltas(a, list(mesh.nodes)),
+                per_pair_swap_deltas(mapping, a, mesh.nodes),
+                rtol=1e-12,
+                atol=1e-9,
+            )
+        result = nmap_single_path(app, mesh)
+        assert result.stats["swaps_accepted"] > 0
+        assert result.comm_cost == comm_cost(result.mapping)
 
 
 @st.composite
@@ -268,6 +297,48 @@ class TestIndexSpaceKernels:
             positions, node_core = mapping.position_arrays()
             assert mirror.position == positions.tolist()
             assert mirror.node_core == node_core.tolist()
+
+    @given(placements(complete=True), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_gain_table_matches_the_per_pair_scan(self, mapping, data):
+        """Every row, then again after each of a few committed swaps — and
+        the shifted table is the one a fresh build sums, bit for bit."""
+        table = SwapGains(mapping)
+        nodes = list(mapping.topology.nodes)
+        healthy = mapping.topology.healthy_nodes()
+        some = st.lists(st.sampled_from(nodes), max_size=len(nodes))
+        for _ in range(3):
+            for a in nodes:
+                produced = table.deltas(a, nodes)
+                assert produced.dtype == np.float64
+                assert np.array_equal(produced, per_pair_swap_deltas(mapping, a, nodes))
+            a, candidates = data.draw(st.sampled_from(nodes)), data.draw(some)
+            assert np.array_equal(
+                table.deltas(a, candidates), per_pair_swap_deltas(mapping, a, candidates)
+            )
+            table.swap(*data.draw(st.permutations(healthy))[:2])
+            fresh = SwapGains(mapping)
+            assert np.array_equal(table.gains, fresh.gains)
+            assert np.array_equal(table.weights, fresh.weights)
+            assert not table.gains[-1].any() and not table.weights[-1].any()
+
+    @given(fabrics(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_level_sweep_picks_the_dijkstra_path(self, fabric, data):
+        """Loads from a four-value domain, so most prefixes tie and the
+        ``(weight, path)`` order decides: same path, or neither routes."""
+        links = fabric.link_keys()
+        load = st.sampled_from([0.0, 1.0, 0.25, 1.5])
+        loads = data.draw(st.dictionaries(st.sampled_from(links), load)) if links else {}
+        base_weight = data.draw(st.sampled_from([0.0, 0.25, 1.0]))
+        for src in fabric.nodes:
+            for dst in fabric.nodes:
+                if src != dst:
+                    assert _outcome(
+                        least_loaded_quadrant_path, fabric, src, dst, loads, base_weight
+                    ) == _outcome(
+                        dijkstra_quadrant_path, fabric, src, dst, loads, base_weight
+                    )
 
     @given(fabrics())
     @settings(max_examples=100, deadline=None)
@@ -423,6 +494,9 @@ def seed_kernels(monkeypatch):
 
         return wrapper
 
+    def scanned_deltas(table, node_a, nodes):
+        return per_pair_swap_deltas(table.mapping, node_a, nodes)
+
     def mapper_module(name):
         # Not "repro.mapping.<name>" as a string: the package re-exports the
         # pmap / hmap functions under their modules' names.
@@ -431,7 +505,6 @@ def seed_kernels(monkeypatch):
     with monkeypatch.context() as patch:
         for kernel, oracle, importers in (
             ("comm_cost", comm_cost_reference, ("nmap", "nmap_split", "annealing")),
-            ("swap_cost_deltas", per_pair_swap_deltas, ("nmap", "nmap_split")),
             ("best_node", scanned_best_node, ("initializer", "gmap", "pmap", "hmap")),
             ("SwapMirror", PerMoveSwapMirror, ("annealing",)),
         ):
@@ -442,10 +515,11 @@ def seed_kernels(monkeypatch):
             ("max_adjacency_order", selection_order),
         ):
             patch.setattr(CoreGraph, view, counted(view, oracle))
+        patch.setattr(SwapGains, "deltas", counted("swap_deltas", scanned_deltas))
         patch.setattr(
-            NoCTopology,
-            "monotone_outgoing",
-            counted("monotone_outgoing", quadrant_outgoing),
+            min_path,
+            "least_loaded_quadrant_path",
+            counted("quadrant_path", dijkstra_quadrant_path),
         )
         yield calls
 
@@ -485,7 +559,7 @@ class TestAlgorithmTrajectories:
         for app, mesh in _fabric_cases():
             with seed_kernels(monkeypatch) as calls:
                 reference = mapper(app, mesh)
-            assert calls[order] and calls["monotone_outgoing"]
+            assert calls[order] and calls["quadrant_path"]
             assert calls["best_node"] == app.num_cores
             _same_search(mapper(app, mesh), reference)
 
@@ -518,25 +592,30 @@ class TestAlgorithmTrajectories:
         # The 5-core search fits a 2000-deep queue (exact); the rest overflow.
         assert overflows == ({False, True} if max_queue == 2000 else {True})
 
-    @pytest.mark.parametrize("size,seed", [(16, 0), (35, 2039)])
-    def test_nmap_retraces_the_seed_search(self, monkeypatch, size, seed):
+    @pytest.mark.parametrize(
+        "size,seed,objective",
+        [(16, 0, "comm-cost"), (35, 2039, "comm-cost"), (16, 0, "resilience")],
+    )
+    def test_nmap_retraces_the_seed_search(self, monkeypatch, size, seed, objective):
+        """``resilience`` searches the ensemble-summed metric view: the table
+        must be built from that view's distances, as the scan reads them."""
         app = vopd() if size == 16 else random_core_graph(size, seed=seed)
         mesh = NoCTopology.smallest_mesh_for(
             app.num_cores, link_bandwidth=app.total_bandwidth()
         )
         with seed_kernels(monkeypatch) as calls:
-            reference = nmap_single_path(app, mesh)
+            reference = nmap_single_path(app, mesh, objective=objective)
         assert all(
             calls[kernel]
             for kernel in (
                 "max_adjacency_order",
                 "best_node",
                 "comm_cost",
-                "swap_cost_deltas",
-                "monotone_outgoing",
+                "swap_deltas",
+                "quadrant_path",
             )
         )
-        _same_search(nmap_single_path(app, mesh), reference)
+        _same_search(nmap_single_path(app, mesh, objective=objective), reference)
 
     def test_nmap_split_retraces_the_seed_search(self, monkeypatch):
         """The cost phase skips the LPs the per-candidate bound skipped."""
@@ -544,7 +623,7 @@ class TestAlgorithmTrajectories:
         mesh = NoCTopology.mesh(3, 3, link_bandwidth=app.total_bandwidth())
         with seed_kernels(monkeypatch) as calls:
             reference = nmap_with_splitting(app, mesh, quadrant_only=True)
-        assert calls["swap_cost_deltas"] == mesh.num_nodes
+        assert calls["swap_deltas"] == mesh.num_nodes
         assert 0 < reference.stats["mcf2_solved"] < reference.stats["swaps_tried"]
         _same_search(nmap_with_splitting(app, mesh, quadrant_only=True), reference)
 
@@ -554,7 +633,7 @@ class TestAlgorithmTrajectories:
         with seed_kernels(monkeypatch) as calls:
             reference = annealing_mapping(app, mesh, seed=4)
         assert calls["SwapMirror"] == 1
-        assert calls["comm_cost"] and calls["monotone_outgoing"]
+        assert calls["comm_cost"] and calls["quadrant_path"]
         stats = reference.stats
         assert 0 < stats["moves_accepted"] < stats["moves_attempted"]
         _same_search(annealing_mapping(app, mesh, seed=4), reference)
@@ -566,7 +645,7 @@ class TestAlgorithmTrajectories:
         commodities = build_commodities(app, mapping)
         with seed_kernels(monkeypatch) as calls:
             reference = min_path_routing(mesh, commodities)
-        assert calls["monotone_outgoing"] == len(commodities)
+        assert calls["quadrant_path"] == len(commodities)
         assert min_path_routing(mesh, commodities).paths == reference.paths
 
 

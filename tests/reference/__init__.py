@@ -7,13 +7,14 @@ of a whole algorithm (the constructive mappers, NMAP, the annealer, PBB,
 min-path routing) and demands the identical trajectory; the statistics'
 packet walks are checked against the column functions by a drawn-packet
 property and on whole runs.  Two oracles stay
-in ``src/`` because production falls back to them on partial mappings:
-``comm_cost_reference`` and the per-pair ``swap_cost_delta``
-(``repro.metrics.comm_cost``).
+in ``src/`` (``repro.metrics.comm_cost``): ``comm_cost_reference``, which
+``comm_cost`` falls back to on partial mappings, and the per-pair
+``swap_cost_delta`` that ``per_pair_swap_deltas`` wraps.
 """
 
 from tests.reference.mapping import (
     PerMoveSwapMirror,
+    dijkstra_quadrant_path,
     every_link_quadrant_links,
     next_core_order,
     per_child_bound_pbb,
@@ -35,6 +36,7 @@ from tests.reference.simnoc import (
 
 __all__ = [
     "PerMoveSwapMirror",
+    "dijkstra_quadrant_path",
     "every_link_quadrant_links",
     "every_port_step",
     "next_core_order",

@@ -11,13 +11,14 @@ import heapq
 
 import numpy as np
 
+from repro.errors import RoutingError
 from repro.graphs.quadrant import quadrant_nodes
 from repro.mapping.base import Mapping
 from repro.metrics.comm_cost import swap_cost_delta
 
 
 def per_pair_swap_deltas(mapping, node_a: int, candidates) -> np.ndarray:
-    """``swap_cost_deltas`` as the seed's scan: one O(deg) call per partner."""
+    """``SwapGains.deltas`` as the seed's scan: one O(deg) call per partner."""
     return np.array(
         [swap_cost_delta(mapping, node_a, int(b)) for b in candidates],
         dtype=np.float64,
@@ -201,15 +202,58 @@ def every_link_quadrant_links(
 
 
 def quadrant_outgoing(topology, src: int, dst: int) -> dict[int, list[int]]:
-    """``NoCTopology.monotone_outgoing`` rebuilt from the quadrant per call.
-
-    The seed derived the monotone DAG of every commodity afresh; production
-    memoizes it per ``(src, dst)`` on the topology.
-    """
+    """The monotone quadrant DAG of one commodity as an adjacency dict,
+    derived afresh from every link of the fabric as the seed did."""
     outgoing: dict[int, list[int]] = {}
     for u, v in every_link_quadrant_links(topology, src, dst, monotone=True):
         outgoing.setdefault(u, []).append(v)
     return outgoing
+
+
+def _dijkstra(outgoing, src, dst, link_loads, base_weight) -> list[int] | None:
+    """Least-accumulated-load path over a DAG adjacency, or None.
+
+    Dijkstra with ``(total weight, path)`` entries; ties broken by node ids
+    via the path tuple, which keeps results deterministic.
+    """
+    best: dict[int, float] = {src: 0.0}
+    heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (src,))]
+    while heap:
+        weight, path = heapq.heappop(heap)
+        node = path[-1]
+        if node == dst:
+            return list(path)
+        if weight > best.get(node, float("inf")):
+            continue
+        for nxt in outgoing.get(node, []):
+            step = base_weight + link_loads.get((node, nxt), 0.0)
+            candidate = weight + step
+            if candidate < best.get(nxt, float("inf")):
+                best[nxt] = candidate
+                heapq.heappush(heap, (candidate, path + (nxt,)))
+    return None
+
+
+def dijkstra_quadrant_path(
+    topology, src: int, dst: int, link_loads, base_weight: float = 1.0
+) -> list[int]:
+    """``least_loaded_quadrant_path`` as the seed's search: a heap Dijkstra
+    over :func:`quadrant_outgoing`, and on a degraded fabric whose quadrant
+    does not route, over every surviving link that approaches ``dst``."""
+    if src == dst:
+        raise RoutingError("no path needed between a node and itself")
+    path = _dijkstra(
+        quadrant_outgoing(topology, src, dst), src, dst, link_loads, base_weight
+    )
+    if path is None and topology.is_degraded:
+        outgoing: dict[int, list[int]] = {}
+        for u, v in topology.link_keys():
+            if topology.distance(v, dst) < topology.distance(u, dst):
+                outgoing.setdefault(u, []).append(v)
+        path = _dijkstra(outgoing, src, dst, link_loads, base_weight)
+    if path is None:
+        raise RoutingError(f"quadrant graph between {src} and {dst} is disconnected")
+    return path
 
 
 def per_child_bound_pbb(
