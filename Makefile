@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check check-cc test test-properties bench-smoke bench-pairs smoke fault-smoke serve-smoke chaos-smoke shard-smoke
+.PHONY: check check-cc test test-properties bench-smoke bench-pairs smoke fault-smoke serve-smoke chaos-smoke shard-smoke loc
 
 # What CI runs on every push: the equivalence property suite first (its own
 # stage, so an engine or kernel diverging from the cycle reference or the
@@ -109,3 +109,13 @@ shard-smoke:
 PAIRS ?= 10
 bench-pairs:
 	$(PYTHON) scripts/bench_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
+
+# Lines of python under src/: one row per top-level package (sub-packages
+# counted in their parent), one for the modules at the top of the tree,
+# then the total — the figure ROADMAP aim 2's line target is read from.
+loc:
+	@for pkg in src/repro/*/; do \
+		printf '%7d  %s\n' $$(find $$pkg -name '*.py' -exec cat {} + | wc -l) $$pkg; \
+	done
+	@printf '%7d  %s\n' $$(cat src/repro/*.py | wc -l) 'src/repro/*.py'
+	@printf '%7d  %s\n' $$(find src -name '*.py' -exec cat {} + | wc -l) total

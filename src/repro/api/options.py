@@ -145,6 +145,17 @@ class GmapOptions(MapperOptions):
     """GMAP has no tunable knobs; the empty options keep the API uniform."""
 
 
+def check_partitioner(name: str) -> None:
+    """Raise :class:`ApiError` unless ``name`` is ``auto`` or registered."""
+    from repro.partition import list_partitioners
+
+    if name != "auto" and name not in list_partitioners():
+        raise ApiError(
+            "partitioner must be 'auto' or one of "
+            f"{', '.join(list_partitioners())}, got {name!r}"
+        )
+
+
 @dataclass(frozen=True)
 class HmapOptions(MapperOptions):
     """Knobs of :func:`repro.mapping.hmap.hmap` (partition-aware mapper)."""
@@ -156,15 +167,7 @@ class HmapOptions(MapperOptions):
     def validate(self) -> None:
         if self.regions is not None and self.regions < 1:
             raise ApiError(f"regions must be >= 1, got {self.regions}")
-        if self.partitioner != "auto":
-            from repro.partition import list_partitioners
-
-            if self.partitioner not in list_partitioners():
-                raise ApiError(
-                    "partitioner must be 'auto' or one of "
-                    f"{', '.join(list_partitioners())}, "
-                    f"got {self.partitioner!r}"
-                )
+        check_partitioner(self.partitioner)
 
 
 @dataclass(frozen=True)

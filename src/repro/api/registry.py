@@ -1,14 +1,9 @@
 """The mapper registry: one catalogue of mapping algorithms for all surfaces.
 
-Algorithms self-register at import time via the :func:`register_mapper`
-decorator placed on their defining module (so adding an algorithm is one
-decorator, not edits to N hard-coded tuples).  The CLI, the experiment
-runner, the benchmark harness and the batch engine all resolve algorithms
-here; none of them carries its own dispatch table any more.
-
-This module deliberately imports nothing from :mod:`repro.mapping` at the
-top level — the mapping modules import *us* to register themselves, and the
-registry pulls them in lazily the first time a lookup happens.
+Algorithms self-register with the :func:`register_mapper` decorator on
+their defining function; the CLI, the experiment runner, the benchmarks
+and the batch engine all resolve them here.  :mod:`repro.mapping` imports
+*us* to register, so the registry imports it lazily, on the first lookup.
 """
 
 from __future__ import annotations
@@ -20,6 +15,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.api.options import MapperOptions
 from repro.errors import ApiError
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.graphs.core_graph import CoreGraph
@@ -89,20 +85,17 @@ class MapperEntry:
         return self.fn(app, topology, **kwargs)
 
 
-_REGISTRY: dict[str, MapperEntry] = {}
+def _load_mappers() -> None:
+    import repro.mapping  # noqa: F401  (registration side effect)
 
-#: Presentation order for surfaces that list mappers (the paper's order:
-#: NMAP variants first, then the compared baselines, then extensions).
-#: Registered names missing from this list sort after it, alphabetically.
-_CANONICAL_ORDER = (
-    "nmap",
-    "nmap-tm",
-    "nmap-ta",
-    "pmap",
-    "gmap",
-    "pbb",
-    "annealing",
-    "hmap",
+
+#: Presentation order is the paper's: NMAP variants first, then the
+#: compared baselines, then extensions; unlisted names follow sorted.
+MAPPERS = Registry(
+    "mapper",
+    ApiError,
+    _load_mappers,
+    order=("nmap", "nmap-tm", "nmap-ta", "pmap", "gmap", "pbb", "annealing", "hmap"),
 )
 
 
@@ -113,68 +106,35 @@ def register_mapper(
     fixed: dict[str, Any] | None = None,
     summary: str = "",
 ) -> Callable[[Callable[..., "MappingResult"]], Callable[..., "MappingResult"]]:
-    """Class-decorator factory registering a mapping algorithm.
+    """Function-decorator factory registering a mapping algorithm.
 
-    The decorated function is returned unchanged — registration is a side
-    effect, so the plain functional API (``nmap_single_path(app, mesh)``)
-    keeps working untouched.
-
-    Raises:
-        ApiError: when ``name`` is already registered.
+    The decorated function is returned unchanged, so the plain functional
+    API (``nmap_single_path(app, mesh)``) keeps working.
     """
 
-    def decorate(fn: Callable[..., "MappingResult"]) -> Callable[..., "MappingResult"]:
-        if name in _REGISTRY:
-            raise ApiError(f"mapper {name!r} is already registered")
+    def entry(fn: Callable[..., "MappingResult"]) -> MapperEntry:
         doc = (fn.__doc__ or "").strip().splitlines()
-        _REGISTRY[name] = MapperEntry(
+        return MapperEntry(
             name=name,
             fn=fn,
             options_type=options,
             fixed=tuple(sorted((fixed or {}).items())),
             summary=summary or (doc[0] if doc else ""),
         )
-        return fn
 
-    return decorate
-
-
-def _ensure_loaded() -> None:
-    """Import the mapping package so its decorators have run."""
-    import repro.mapping  # noqa: F401  (registration side effect)
+    return MAPPERS.register(name, entry)
 
 
-def _sort_key(name: str) -> tuple[int, str]:
-    try:
-        return (_CANONICAL_ORDER.index(name), name)
-    except ValueError:
-        return (len(_CANONICAL_ORDER), name)
-
-
-def list_mappers() -> tuple[str, ...]:
-    """All registered mapper names, in presentation order."""
-    _ensure_loaded()
-    return tuple(sorted(_REGISTRY, key=_sort_key))
+#: All registered mapper names, in presentation order.
+list_mappers = MAPPERS.names
+#: The :class:`MapperEntry` under a name; ``ApiError`` listing the known
+#: names when there is none.
+get_mapper = MAPPERS.get
 
 
 def mapper_entries() -> list[MapperEntry]:
     """All registered entries, in :func:`list_mappers` order."""
-    return [_REGISTRY[name] for name in list_mappers()]
-
-
-def get_mapper(name: str) -> MapperEntry:
-    """Resolve one mapper by name.
-
-    Raises:
-        ApiError: for unknown names; the message lists valid ones.
-    """
-    _ensure_loaded()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ApiError(
-            f"unknown mapper {name!r}; known: {', '.join(list_mappers())}"
-        ) from None
+    return [MAPPERS.get(name) for name in list_mappers()]
 
 
 def parse_option_assignments(pairs: Iterable[str]) -> dict[str, Any]:

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from repro.api.options import MapperOptions
+from repro.api.options import MapperOptions, check_partitioner
 from repro.api.registry import get_mapper, with_seed
 from repro.errors import ApiError
 from repro.faults.spec import FaultSpec
@@ -475,15 +475,8 @@ class SimOptions:
         else:
             if self.shards is not None and self.shards < 1:
                 raise ApiError(f"shards must be >= 1, got {self.shards}")
-            if self.partitioner is not None and self.partitioner != "auto":
-                from repro.partition import list_partitioners
-
-                if self.partitioner not in list_partitioners():
-                    raise ApiError(
-                        "partitioner must be 'auto' or one of "
-                        f"{', '.join(list_partitioners())}, "
-                        f"got {self.partitioner!r}"
-                    )
+            if self.partitioner is not None:
+                check_partitioner(self.partitioner)
 
     def to_dict(self) -> dict[str, Any]:
         payload = {

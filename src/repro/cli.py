@@ -141,27 +141,24 @@ def _cmd_list_mappers(_args: argparse.Namespace) -> int:
 
 
 def _cmd_list_engines(_args: argparse.Namespace) -> int:
-    from repro.simnoc.engines import jit
-    from repro.simnoc.engines.base import get_engine
+    from repro.partition import list_partitioners
+    from repro.partition.registry import LADDER
+    from repro.simnoc.engines import get_engine, jit
 
     print("simulation engines:")
     for name in list_engines():
         doc = (type(get_engine(name)).__doc__ or "").strip().splitlines()
         summary = doc[0] if doc else ""
         print(f"  {name:8s} available   {summary}")
-    backend, reason = jit.resolve_backend()
-    active = backend.name if backend is not None else "none"
-    print(f"vector-engine kernel backends (active: {active}; {reason}):")
-    for row in jit.available_backends():
-        status = "available  " if row["available"] else "unavailable"
-        print(f"  {row['name']:8s} {status} {row['reason']}")
-    from repro.partition import available_partitioners, resolve_partitioner
-
-    resolved, detail = resolve_partitioner("auto")
-    print(f"sharded-engine partitioners (auto resolves: {resolved}; {detail}):")
-    for row in available_partitioners():
-        status = "available  " if row["available"] else "unavailable"
-        print(f"  {row['name']:12s} {status} {row['reason']}")
+    for title, ladder, rungs in (
+        ("vector-engine kernel backends", jit.LADDER, None),
+        ("sharded-engine partitioners", LADDER, list_partitioners()),
+    ):
+        active, _, reason = ladder.resolve()
+        print(f"{title} (active: {active or 'none'}; {reason}):")
+        for row in ladder.rows(rungs):
+            status = "available  " if row["available"] else "unavailable"
+            print(f"  {row['name']:12s} {status} {row['reason']}")
     return 0
 
 

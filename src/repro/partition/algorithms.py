@@ -11,35 +11,8 @@ sharded engine's bit-identity contract extends to anything that feeds it.
 from __future__ import annotations
 
 from repro.errors import PartitionError
-from repro.partition.registry import no_metis, register_partitioner
+from repro.partition.registry import LADDER, register_partitioner
 from repro.partition.spec import PartitionSpec, spec_from_assignment
-
-
-def metis_module() -> tuple[object | None, str]:
-    """Import whichever metis binding exists: ``(module, reason)``.
-
-    Tried in order: ``pymetis`` (adjacency-list API), then ``metis``
-    (networkx-flavored API).  Returns ``(None, reason)`` — never raises —
-    so the registry can report skip-with-reason and the auto ladder can
-    fall through.
-    """
-    if no_metis():
-        return None, "disabled by REPRO_NO_METIS"
-    try:
-        import pymetis  # noqa: F401 — optional dependency
-
-        return pymetis, "pymetis importable"
-    except ImportError:
-        pass
-    try:
-        import metis  # noqa: F401 — optional dependency
-
-        return metis, "metis importable"
-    except ImportError:
-        return None, (
-            "optional dependency not installed (no 'pymetis' or 'metis' "
-            "module importable)"
-        )
 
 
 def _compact_labels(membership, num_shards: int) -> list[int]:
@@ -69,7 +42,7 @@ def _compact_labels(membership, num_shards: int) -> list[int]:
 )
 def partition_metis(topology, num_shards: int) -> PartitionSpec:
     """K-way cut via METIS, through whichever python binding is installed."""
-    module, reason = metis_module()
+    _, module, reason = LADDER.probe("metis")
     if module is None:
         raise PartitionError(f"metis partitioner unavailable: {reason}")
     if num_shards == 1:

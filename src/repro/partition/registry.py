@@ -1,119 +1,88 @@
 """Partitioner registry and the metis -> greedy-edge -> round-robin ladder.
 
-Mirrors the two registry idioms already in the tree: partitioners
-self-register under a name like engines and mappers do, and availability
-introspection follows the JIT backend ladder
-(:func:`repro.simnoc.engines.jit.available_backends`) — each rung reports
-``available`` plus a human-readable reason, ``resolve_partitioner`` walks
-the ladder for ``"auto"``, and an environment kill switch
-(``REPRO_NO_METIS``) pins the pure-python rungs for CI's fallback-rot
-guard, exactly like ``REPRO_NO_JIT`` does for the compiled kernels.
+Partitioners register by name in a :class:`~repro.registry.Registry` and
+resolve down a :class:`~repro.registry.Ladder`: ``metis`` is probed once
+per process, the pure-python rungs are always available, and
+``REPRO_NO_METIS=1`` pins them for CI's fallback-rot guard.
 """
 
 from __future__ import annotations
 
+import importlib
 import logging
-import os
 from typing import Callable
 
 from repro.errors import PartitionError
 from repro.partition.spec import PartitionSpec
+from repro.registry import Ladder, Registry
 
-logger = logging.getLogger("repro.partition")
-
-#: name -> (fn(topology, num_shards) -> PartitionSpec, summary)
-_PARTITIONERS: dict[str, tuple[Callable, str]] = {}
-
-#: Ladder order for ``"auto"``: best cut quality first.
-_LADDER = ("metis", "greedy-edge", "round-robin")
-
-#: Warn once per process when ``auto`` falls past an unavailable rung.
-_warned_fallback = False
+def _load_partitioners() -> None:
+    import repro.partition.algorithms  # noqa: F401
 
 
-def register_partitioner(name: str, *, summary: str = ""):
+def metis_module() -> tuple[object | None, str]:
+    """The metis rung's probe: ``(module, reason)`` for the first binding
+    that imports — ``pymetis`` (adjacency-list API), then ``metis``
+    (networkx-flavoured) — or ``(None, reason)``."""
+    for binding in ("pymetis", "metis"):
+        try:
+            return importlib.import_module(binding), f"{binding} importable"
+        except ImportError:
+            pass
+    return None, (
+        "optional dependency not installed (no 'pymetis' or 'metis' module importable)"
+    )
+
+
+#: ``auto`` takes the best cut quality first.
+LADDER = Ladder(
+    "partitioner",
+    {"metis": metis_module},
+    ("metis", "greedy-edge", "round-robin"),
+    kill="REPRO_NO_METIS",
+    logger=logging.getLogger("repro.partition"),
+)
+
+#: name -> ``(fn(topology, num_shards) -> PartitionSpec, summary)``, listed
+#: in ladder order.
+PARTITIONERS = Registry(
+    "partitioner", PartitionError, _load_partitioners, order=LADDER.order
+)
+
+
+def register_partitioner(name: str, *, summary: str = "") -> Callable:
     """Function decorator registering a partitioner under ``name``."""
-
-    def decorate(fn):
-        if name in _PARTITIONERS:
-            raise PartitionError(f"partitioner {name!r} is already registered")
-        _PARTITIONERS[name] = (fn, summary)
-        return fn
-
-    return decorate
+    return PARTITIONERS.register(name, lambda fn: (fn, summary))
 
 
-def list_partitioners() -> tuple[str, ...]:
-    """All registered partitioner names, ladder order first."""
-    _ensure_loaded()
-    ordered = [name for name in _LADDER if name in _PARTITIONERS]
-    ordered.extend(sorted(set(_PARTITIONERS) - set(_LADDER)))
-    return tuple(ordered)
+#: All registered partitioner names, ladder order first.
+list_partitioners = PARTITIONERS.names
 
 
 def partitioner_availability(name: str) -> tuple[bool, str]:
     """Whether ``name`` can run here, with the reason it can't."""
-    _ensure_loaded()
-    if name not in _PARTITIONERS:
-        raise PartitionError(
-            f"unknown partitioner {name!r}; known: "
-            f"{', '.join(list_partitioners())}"
-        )
-    if name == "metis":
-        from repro.partition.algorithms import metis_module
-
-        module, reason = metis_module()
-        return (module is not None), reason
-    return True, "pure python, always available"
+    PARTITIONERS.get(name)
+    available, _, reason = LADDER.probe(name)
+    return available, reason
 
 
 def available_partitioners() -> list[dict]:
     """Ladder introspection rows, shaped like ``jit.available_backends``."""
-    rows = []
-    for name in list_partitioners():
-        available, reason = partitioner_availability(name)
-        rows.append({"name": name, "available": available, "reason": reason})
-    return rows
+    return LADDER.rows(list_partitioners())
 
 
 def resolve_partitioner(name: str = "auto") -> tuple[str, str]:
     """Resolve ``name`` to a runnable partitioner: ``(name, reason)``.
 
-    ``"auto"`` walks the ladder and returns the first available rung,
-    logging one warning per process when the preferred rung is missing;
-    a concrete name resolves to itself when available and raises
-    otherwise (skip-with-reason is the caller's job — tests do exactly
-    that for metis).
+    ``"auto"`` takes the first available rung; a concrete name resolves to
+    itself when available and raises otherwise.
     """
-    global _warned_fallback
-    _ensure_loaded()
-    if name == "auto":
-        skipped: list[str] = []
-        for rung in list_partitioners():
-            available, reason = partitioner_availability(rung)
-            if available:
-                if skipped and not _warned_fallback:
-                    _warned_fallback = True
-                    logger.warning(
-                        "partitioner auto-ladder: %s unavailable, "
-                        "falling back to %s",
-                        ", ".join(skipped),
-                        rung,
-                    )
-                detail = (
-                    f"auto ladder (skipped: {', '.join(skipped)})"
-                    if skipped
-                    else "auto ladder, first rung"
-                )
-                return rung, detail
-            skipped.append(f"{rung} ({reason})")
-        raise PartitionError(
-            f"no partitioner available: {'; '.join(skipped)}"
-        )
-    available, reason = partitioner_availability(name)
-    if not available:
+    if name != "auto":
+        PARTITIONERS.get(name)
+    resolved, _, reason = LADDER.resolve(name)
+    if resolved is None:  # a named rung only: auto ends on a pure-python one
         raise PartitionError(f"partitioner {name!r} unavailable: {reason}")
-    return name, "requested explicitly"
+    return resolved, reason
 
 
 def partition_topology(
@@ -134,7 +103,7 @@ def partition_topology(
             f"{num_shards} non-empty shards"
         )
     resolved, _ = resolve_partitioner(method)
-    fn, _ = _PARTITIONERS[resolved]
+    fn, _ = PARTITIONERS.get(resolved)
     spec = fn(topology, num_shards)
     if spec.num_shards != num_shards:
         raise PartitionError(
@@ -142,13 +111,3 @@ def partition_topology(
             f"non-empty shards, {num_shards} were requested"
         )
     return spec
-
-
-def no_metis() -> bool:
-    """The ``REPRO_NO_METIS`` kill switch (mirrors ``REPRO_NO_JIT``)."""
-    return bool(os.environ.get("REPRO_NO_METIS"))
-
-
-def _ensure_loaded() -> None:
-    """Import the algorithm module so its decorators have run."""
-    import repro.partition.algorithms  # noqa: F401

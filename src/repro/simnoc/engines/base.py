@@ -16,9 +16,10 @@ without any dispatch tables in between.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.errors import SimulationError
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simnoc.simulator import Simulator
@@ -39,46 +40,22 @@ class Engine(Protocol):
         ...
 
 
-_ENGINES: dict[str, Callable[[], Engine]] = {}
-
-
-def register_engine(name: str) -> Callable[[type], type]:
-    """Class decorator registering an engine under ``name``."""
-
-    def decorate(cls: type) -> type:
-        if name in _ENGINES:
-            raise SimulationError(f"engine {name!r} is already registered")
-        _ENGINES[name] = cls
-        return cls
-
-    return decorate
-
-
-def get_engine(name: str) -> Engine:
-    """Instantiate the engine registered under ``name``.
-
-    Raises:
-        SimulationError: for unknown names; the message lists valid ones.
-    """
-    _ensure_engines_loaded()
-    try:
-        return _ENGINES[name]()
-    except KeyError:
-        raise SimulationError(
-            f"unknown engine {name!r}; known: {', '.join(list_engines())}"
-        ) from None
-
-
-def list_engines() -> tuple[str, ...]:
-    """All registered engine names, sorted."""
-    _ensure_engines_loaded()
-    return tuple(sorted(_ENGINES))
-
-
-def _ensure_engines_loaded() -> None:
-    """Import the engine modules so their decorators have run."""
+def _load_engines() -> None:
     import repro.simnoc.engines.auto  # noqa: F401
     import repro.simnoc.engines.cycle  # noqa: F401
     import repro.simnoc.engines.event  # noqa: F401
     import repro.simnoc.engines.sharded  # noqa: F401
     import repro.simnoc.engines.vector  # noqa: F401
+
+
+ENGINES = Registry("engine", SimulationError, _load_engines)
+
+#: ``@register_engine(name)`` on an engine class.
+register_engine = ENGINES.register
+#: All registered engine names, sorted.
+list_engines = ENGINES.names
+
+
+def get_engine(name: str) -> Engine:
+    """Instantiate the engine registered under ``name``."""
+    return ENGINES.get(name)()

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Protocol, runtime_checkable
 
 from repro.errors import SimulationError
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simnoc.packet import Packet
@@ -95,19 +96,22 @@ class TrafficSource(Protocol):
         ...
 
 
+def _load_models() -> None:
+    import repro.simnoc.router  # noqa: F401  (registers "wormhole")
+    import repro.simnoc.synthetic  # noqa: F401  (registers synthetic patterns)
+    import repro.simnoc.vc_router  # noqa: F401  (registers "wormhole-vc")
+
+
 # ----------------------------------------------------------------------
 # router-model registry
 # ----------------------------------------------------------------------
 #: ``factory(node, input_keys, output_specs, config) -> RouterModel``.
 RouterFactory = Callable[..., RouterModel]
 
-#: One registered router model: the factory plus the flow-control fact the
-#: network builder needs — whether input buffering (and therefore the
-#: credit budget a downstream FIFO grants upstream) is per virtual channel
-#: (``config.effective_vc_depth`` per lane) or per physical link
-#: (``config.buffer_depth``).  Declared at registration so the builder
-#: never guesses from the model's name.
-_ROUTER_MODELS: dict[str, tuple[RouterFactory, bool]] = {}
+#: name -> ``(factory, per_lane_buffers)``: the flow-control fact the
+#: network builder sizes credits from is declared at registration, so the
+#: builder never guesses it from the model's name.
+ROUTER_MODELS = Registry("router model", SimulationError, _load_models)
 
 
 def register_router_model(
@@ -126,44 +130,21 @@ def register_router_model(
             one ``config.buffer_depth`` FIFO per physical link.  The
             builder wires downstream credits from this declaration.
     """
-
-    def decorate(factory: RouterFactory) -> RouterFactory:
-        if name in _ROUTER_MODELS:
-            raise SimulationError(f"router model {name!r} is already registered")
-        _ROUTER_MODELS[name] = (factory, per_lane_buffers)
-        return factory
-
-    return decorate
+    return ROUTER_MODELS.register(name, lambda factory: (factory, per_lane_buffers))
 
 
 def get_router_model(name: str) -> RouterFactory:
-    """Resolve a router factory by name.
-
-    Raises:
-        SimulationError: for unknown names; the message lists valid ones.
-    """
-    return _router_model_entry(name)[0]
+    """Resolve a router factory by name."""
+    return ROUTER_MODELS.get(name)[0]
 
 
 def router_model_uses_lanes(name: str) -> bool:
     """Whether the named model declared per-virtual-channel buffering."""
-    return _router_model_entry(name)[1]
+    return ROUTER_MODELS.get(name)[1]
 
 
-def _router_model_entry(name: str) -> tuple[RouterFactory, bool]:
-    _ensure_models_loaded()
-    try:
-        return _ROUTER_MODELS[name]
-    except KeyError:
-        raise SimulationError(
-            f"unknown router model {name!r}; known: {', '.join(list_router_models())}"
-        ) from None
-
-
-def list_router_models() -> tuple[str, ...]:
-    """All registered router model names, sorted."""
-    _ensure_models_loaded()
-    return tuple(sorted(_ROUTER_MODELS))
+#: All registered router model names, sorted.
+list_router_models = ROUTER_MODELS.names
 
 
 # ----------------------------------------------------------------------
@@ -172,57 +153,29 @@ def list_router_models() -> tuple[str, ...]:
 #: ``factory(topology, config, injection_rate) -> list[TrafficSource]``.
 TrafficFactory = Callable[..., "list[TrafficSource]"]
 
-_TRAFFIC_PATTERNS: dict[str, TrafficFactory] = {}
-
 #: The commodity-driven pattern handled by ``build_network`` itself (it
 #: needs the mapped core graph and a routing result, which synthetic
-#: patterns do not).  Kept here so surfaces can enumerate every pattern.
+#: patterns do not).  Listed first and reserved, with no factory.
 TRACE_PATTERN = "trace"
 
+TRAFFIC_PATTERNS = Registry(
+    "traffic pattern", SimulationError, _load_models, order=(TRACE_PATTERN,)
+)
+TRAFFIC_PATTERNS.add(TRACE_PATTERN, None)
 
-def register_traffic_pattern(name: str) -> Callable[[TrafficFactory], TrafficFactory]:
-    """Decorator registering a synthetic traffic factory under ``name``.
-
-    The factory signature is ``(topology, config, injection_rate)`` with
-    ``injection_rate`` in flits/cycle per injecting node; it returns one
-    :class:`TrafficSource` per injecting node.
-    """
-
-    def decorate(factory: TrafficFactory) -> TrafficFactory:
-        if name == TRACE_PATTERN or name in _TRAFFIC_PATTERNS:
-            raise SimulationError(f"traffic pattern {name!r} is already registered")
-        _TRAFFIC_PATTERNS[name] = factory
-        return factory
-
-    return decorate
+#: ``@register_traffic_pattern(name)`` on a :data:`TrafficFactory`
+#: (``injection_rate`` in flits/cycle per injecting node, one source each);
+#: ``list_traffic_patterns()`` lists ``"trace"`` first, synthetics sorted.
+register_traffic_pattern = TRAFFIC_PATTERNS.register
+list_traffic_patterns = TRAFFIC_PATTERNS.names
 
 
 def get_traffic_pattern(name: str) -> TrafficFactory:
-    """Resolve a synthetic traffic factory by name.
-
-    Raises:
-        SimulationError: for unknown names (including ``"trace"``, which is
-            not synthetic — use ``build_network`` for commodity traffic).
-    """
-    _ensure_models_loaded()
-    try:
-        return _TRAFFIC_PATTERNS[name]
-    except KeyError:
+    """Resolve a synthetic traffic factory by name (never ``"trace"``)."""
+    factory = TRAFFIC_PATTERNS.get(name)
+    if factory is None:
         raise SimulationError(
-            f"unknown traffic pattern {name!r}; known synthetic patterns: "
-            f"{', '.join(sorted(_TRAFFIC_PATTERNS))} (plus {TRACE_PATTERN!r} "
-            f"for commodity-driven traffic)"
-        ) from None
-
-
-def list_traffic_patterns() -> tuple[str, ...]:
-    """Every traffic pattern name, ``"trace"`` first, synthetics sorted."""
-    _ensure_models_loaded()
-    return (TRACE_PATTERN, *sorted(_TRAFFIC_PATTERNS))
-
-
-def _ensure_models_loaded() -> None:
-    """Import the modules whose decorators populate the registries."""
-    import repro.simnoc.router  # noqa: F401  (registers "wormhole")
-    import repro.simnoc.synthetic  # noqa: F401  (registers synthetic patterns)
-    import repro.simnoc.vc_router  # noqa: F401  (registers "wormhole-vc")
+            f"unknown traffic pattern {name!r} for a synthetic network: it is "
+            "commodity-driven (build_network)"
+        )
+    return factory

@@ -22,7 +22,6 @@ from repro.partition import (
     resolve_partitioner,
     spec_from_assignment,
 )
-from repro.partition.algorithms import metis_module
 
 
 def mesh(width=4, height=4):
@@ -126,8 +125,8 @@ class TestAlgorithms:
         assert spec.assignment == tuple(i % 3 for i in range(16))
 
     def test_metis_when_available_else_skip(self):
-        module, reason = metis_module()
-        if module is None:
+        available, reason = partitioner_availability("metis")
+        if not available:
             with pytest.raises(PartitionError, match="unavailable"):
                 partition_topology(mesh(), 2, "metis")
             pytest.skip(f"metis unavailable here: {reason}")

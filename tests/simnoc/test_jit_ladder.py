@@ -158,7 +158,7 @@ class TestCorruptCacheEntry:
             pytest.skip("no C compiler on PATH")
         monkeypatch.setenv("REPRO_JIT", "c")
         monkeypatch.setenv("REPRO_JIT_CACHE", str(tmp_path))
-        monkeypatch.setattr(jit, "_cache", {})
+        monkeypatch.setattr(jit.LADDER, "cache", {})
         entry = ckern.library_path(ckern.source(), ckern._find_compiler())
         assert entry.parent == tmp_path
         entry.write_bytes(b"\x7fELF truncated")

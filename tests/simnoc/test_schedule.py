@@ -28,7 +28,7 @@ from repro.routing.dimension_ordered import xy_path
 from repro.simnoc import SimConfig, Simulator, build_network, build_synthetic_network
 from repro.simnoc.engines.flat_kernel import KernelProgram
 from repro.simnoc.engines.sweep import flat_outputs, replay_sources
-from repro.simnoc.models import _TRAFFIC_PATTERNS, register_traffic_pattern
+from repro.simnoc.models import TRAFFIC_PATTERNS, register_traffic_pattern
 from repro.simnoc.network import commodity_paths
 from repro.simnoc.packet import Packet
 from repro.simnoc.router import LOCAL
@@ -257,7 +257,8 @@ def third_party_patterns():
         ]
 
     yield
-    del _TRAFFIC_PATTERNS["test-poll-only"], _TRAFFIC_PATTERNS["test-mixed"]
+    TRAFFIC_PATTERNS.remove("test-poll-only")
+    TRAFFIC_PATTERNS.remove("test-mixed")
 
 
 def _run(pattern, engine, num_vcs=1, shards=None):
