@@ -5,8 +5,9 @@ These benches time the core algorithm kernels so regressions in asymptotics
 (e.g. breaking the O(deg) swap delta, an O(V^3) core order, a swap scan
 that re-derives each row's deltas from the adjacency instead of gathering
 them from the gain table, a quadrant DAG built per commodity before it is
-searched, or an MCF program built term by term in Python objects) show up
-as timing cliffs.
+searched, an MCF program built term by term in Python objects, or a router
+step that re-resolves every head's route each cycle) show up as timing
+cliffs.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.mapping import (
 from repro.routing import split
 from repro.routing.min_path import min_path_routing
 from repro.routing.split import solve_min_congestion
+from repro.simnoc import SimConfig, Simulator, build_network
 
 #: Seconds one golden-seed ``map_suite`` round may spend assembling its MCF
 #: programs and reading their flows back.  The array assembly reads ~0.02 s
@@ -43,6 +45,12 @@ MCF_ASSEMBLY_BUDGET_S = 0.1
 #: gain table reads 18-19 ms on the reference host, the ~30 numpy calls a
 #: row it replaced 38-45 ms, a per-pair scan 10x that.
 NMAP_100_CORES_BUDGET_S = 0.03
+
+#: Seconds for one 2 700-cycle VOPD trace run on the ``cycle`` engine (the
+#: network built fresh each round, outside the timing).  Port lists and
+#: next hops cached per packet read 64-88 ms on the reference host, the
+#: step that re-read every head and re-resolved every hop 146-175 ms.
+CYCLE_VOPD_TRACE_BUDGET_S = 0.12
 
 #: Seconds to route that mapping's 249 commodities on a fresh mesh.  The
 #: level-order sweep reads 3.0-3.2 ms, building each commodity's quadrant
@@ -132,6 +140,23 @@ def test_runtime_min_path_routing_100_cores(benchmark):
     routing = benchmark.pedantic(min_path_routing, setup=fresh_mesh, rounds=5)
     assert len(routing.paths) == 249
     assert benchmark.stats.stats.min < MIN_PATH_100_CORES_BUDGET_S
+
+
+def test_runtime_cycle_engine_vopd_trace(benchmark):
+    """The object model under the ``cycle`` engine: one step per router with
+    work per cycle, each a probe of its inputs and a move of its worms."""
+    app = vopd()
+    mesh = NoCTopology.smallest_mesh_for(16, link_bandwidth=app.total_bandwidth())
+    commodities = build_commodities(app, nmap_single_path(app, mesh).mapping)
+    routing = min_path_routing(mesh, commodities)
+    config = SimConfig(warmup_cycles=200, measure_cycles=2_000, drain_cycles=500, seed=7)
+
+    def fresh_simulator():
+        return (Simulator(build_network(mesh, commodities, routing, config)),), {}
+
+    report = benchmark.pedantic(Simulator.run, setup=fresh_simulator, rounds=5)
+    assert report.packets_delivered > 200
+    assert benchmark.stats.stats.min < CYCLE_VOPD_TRACE_BUDGET_S
 
 
 def test_runtime_annealing_25_cores(benchmark):

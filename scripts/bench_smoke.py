@@ -5,8 +5,9 @@ Runs ``benchmarks/e2e/run.py --smoke --trace --workload sim_saturation`` into
 a temporary directory and reads its engine-ladder probe: at saturation the
 compiled ``vector`` rung must advance at least ``FLOOR`` times the simulated
 cycles per host second of the ``cycle`` engine.  The smoke size reads
-18–25x on the 2-CPU bench host and the interpreted sweep ~3x, so the floor
-does not flake on a loaded runner and losing the backend fails loudly.
+9.8–10.8x on the 2-CPU bench host (18–25x before the object router stopped
+re-resolving every head's route each cycle) and the interpreted sweep
+~1.3–1.9x, so losing the backend fails loudly.
 Skips, saying why, where no compiled rung resolves (``REPRO_NO_JIT=1``, no
 numba and no ``cc``).
 

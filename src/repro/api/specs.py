@@ -54,6 +54,19 @@ def _decode_float(value: Any) -> float:
     return float(value)
 
 
+def _is_real(value: Any, above: float) -> bool:
+    """A finite ``int`` / ``float`` (never a ``bool``) greater than ``above``."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return real and math.isfinite(value) and value > above
+
+
+def _check_int(value: Any, name: str, minimum: int | None = None) -> None:
+    """Reject anything but an ``int`` (``bool`` excluded) of at least ``minimum``."""
+    if type(value) is not int or (minimum is not None and value < minimum):
+        floor = "" if minimum is None else f" >= {minimum}"
+        raise ApiError(f"{name} must be an int{floor}, got {value!r}")
+
+
 def _check_envelope(payload: Any, kind: str) -> dict[str, Any]:
     """Validate the ``schema``/``kind`` envelope shared by every payload."""
     if not isinstance(payload, dict):
@@ -114,9 +127,9 @@ class TopologySpec:
                 raise ApiError(
                     f"topology dimensions must be >= 1, got {self.width}x{self.height}"
                 )
-        if self.link_bandwidth is not None and self.link_bandwidth <= 0:
+        if self.link_bandwidth is not None and not _is_real(self.link_bandwidth, 0):
             raise ApiError(
-                f"link bandwidth must be positive, got {self.link_bandwidth}"
+                f"link bandwidth must be finite and positive, got {self.link_bandwidth!r}"
             )
 
     @classmethod
@@ -394,8 +407,10 @@ class SimOptions:
 
     Attributes:
         engine: registered engine name — ``"cycle"`` (cycle-accurate
-            reference), ``"event"`` (event-driven, skips dead time),
-            ``"vector"`` (structure-of-arrays, fastest at every load) or
+            reference), ``"event"`` (heap-scheduled; kept as a second,
+            independently scheduled implementation — the slowest engine at
+            every measured load), ``"vector"`` (structure-of-arrays,
+            fastest at every load) or
             ``"auto"`` (vector for the built-in router models, cycle
             otherwise).
             All backends are bit-consistent with ``cycle``.
@@ -447,14 +462,12 @@ class SimOptions:
                     "trace traffic derives rates from the core graph; "
                     "injection_rate must be None"
                 )
-        else:
-            if self.injection_rate is None or self.injection_rate <= 0:
-                raise ApiError(
-                    f"synthetic traffic {self.traffic!r} needs a positive "
-                    f"injection_rate (flits/cycle per node)"
-                )
-        if self.num_vcs < 1:
-            raise ApiError(f"num_vcs must be >= 1, got {self.num_vcs}")
+        elif not _is_real(self.injection_rate, 0):
+            raise ApiError(
+                f"synthetic traffic {self.traffic!r} needs a finite positive "
+                f"injection_rate (flits/cycle per node), got {self.injection_rate!r}"
+            )
+        _check_int(self.num_vcs, "num_vcs", 1)
         if self.vc_buffer_depth is not None:
             if self.num_vcs == 1:
                 raise ApiError(
@@ -462,10 +475,7 @@ class SimOptions:
                     "num_vcs >= 2 (the plain wormhole router uses the "
                     "global buffer_depth)"
                 )
-            if self.vc_buffer_depth < 2:
-                raise ApiError(
-                    f"vc_buffer_depth must be >= 2, got {self.vc_buffer_depth}"
-                )
+            _check_int(self.vc_buffer_depth, "vc_buffer_depth", 2)
         if self.engine != "sharded":
             if self.shards is not None or self.partitioner is not None:
                 raise ApiError(
@@ -473,8 +483,8 @@ class SimOptions:
                     f"got engine={self.engine!r}"
                 )
         else:
-            if self.shards is not None and self.shards < 1:
-                raise ApiError(f"shards must be >= 1, got {self.shards}")
+            if self.shards is not None:
+                _check_int(self.shards, "shards", 1)
             if self.partitioner is not None:
                 check_partitioner(self.partitioner)
 
@@ -562,11 +572,15 @@ class SimRequest:
             raise ApiError(
                 f"routing must be auto, min-path or xy, got {self.routing!r}"
             )
-        for name in ("measure_cycles", "warmup_cycles", "drain_cycles"):
-            if getattr(self, name) < 0:
-                raise ApiError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.measure_cycles < 1:
-            raise ApiError(f"measure_cycles must be >= 1, got {self.measure_cycles}")
+        _check_int(self.measure_cycles, "measure_cycles", 1)
+        _check_int(self.warmup_cycles, "warmup_cycles", 0)
+        _check_int(self.drain_cycles, "drain_cycles", 0)
+        _check_int(self.sim_seed, "sim_seed")
+        if not _is_real(self.mean_burst_packets, 0) or self.mean_burst_packets < 1:
+            raise ApiError(
+                "mean_burst_packets must be a finite number >= 1, "
+                f"got {self.mean_burst_packets!r}"
+            )
         if not isinstance(self.options, SimOptions):
             raise ApiError(
                 f"options must be a SimOptions, got {type(self.options).__name__}"

@@ -9,6 +9,7 @@ heterogeneous links remain expressible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
@@ -64,8 +65,8 @@ class NoCTopology:
     ) -> None:
         if width < 1 or height < 1:
             raise GraphError(f"mesh dimensions must be >= 1, got {width}x{height}")
-        if link_bandwidth <= 0:
-            raise GraphError(f"link bandwidth must be positive, got {link_bandwidth}")
+        if not (math.isfinite(link_bandwidth) and link_bandwidth > 0):
+            raise GraphError(f"link bandwidth must be finite and positive, got {link_bandwidth}")
         self.width = width
         self.height = height
         self.torus = torus
@@ -289,8 +290,8 @@ class NoCTopology:
 
     def set_link_bandwidth(self, src: int, dst: int, bandwidth: float) -> None:
         """Override one directed link's capacity (heterogeneous NoCs)."""
-        if bandwidth <= 0:
-            raise GraphError(f"link bandwidth must be positive, got {bandwidth}")
+        if not (math.isfinite(bandwidth) and bandwidth > 0):
+            raise GraphError(f"link bandwidth must be finite and positive, got {bandwidth}")
         if (src, dst) not in self._links:
             raise GraphError(f"no link {src}->{dst} in {self!r}")
         self._links[(src, dst)] = bandwidth

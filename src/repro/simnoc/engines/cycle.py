@@ -51,7 +51,7 @@ class CycleEngine:
 
         * an NI with an empty injection queue and a router with no buffered
           flits and no allocated wormhole are no-ops in the full scan except
-          for token refills, which ``OutputPort.refill_to`` replays
+          for token refills, which ``refill_bucket_to`` replays
           bit-exactly on re-activation;
         * routers are stepped in ascending node id; a flit delivered
           downstream mid-cycle activates its receiver, inserting it into the
@@ -72,14 +72,20 @@ class CycleEngine:
         trace = sim.trace
         routers = network.routers
         interfaces = network.interfaces
+        # (node, from_key) -> input port, read from the ``inputs`` dicts.
+        in_ports = {
+            (node, from_key): port
+            for node, router in routers.items()
+            for from_key, port in router.inputs.items()
+        }
 
         active_routers: set[int] = set()
         active_nis: set[int] = set()
 
-        # Per-cycle router sweep state, shared with the deliver closure.
+        # Per-cycle router sweep (ascending id) and the position stepping,
+        # shared with the deliver closure.
         sweep: list[int] = []
-        swept: set[int] = set()
-        sweep_pos = [0]
+        pos = 0
 
         def deliver(from_node: int, to_key: int, flit, cycle: int) -> None:
             if trace is not None:
@@ -87,11 +93,13 @@ class CycleEngine:
             if to_key == LOCAL:
                 interfaces[from_node].eject(flit, cycle)
                 return
-            routers[to_key].inputs[from_node].push(flit, cycle)
-            active_routers.add(to_key)
-            if to_key not in swept and to_key > sweep[sweep_pos[0]]:
-                bisect.insort(sweep, to_key, lo=sweep_pos[0] + 1)
-                swept.add(to_key)
+            in_ports[to_key, from_node].push(flit, cycle)
+            # Every active router is in the sweep; a sleeping one ahead of
+            # the stepping position joins it, one behind wakes next cycle.
+            if to_key not in active_routers:
+                active_routers.add(to_key)
+                if to_key > sweep[pos]:
+                    bisect.insort(sweep, to_key, lo=pos + 1)
 
         event_heap = [
             (source.next_event_cycle, index)
@@ -120,26 +128,21 @@ class CycleEngine:
                 heapq.heappush(event_heap, (source.next_event_cycle, index))
 
             moved = 0
-            if active_nis:
-                drained = []
-                for node in sorted(active_nis):
-                    interface = interfaces[node]
-                    injected = interface.inject(cycle, LOCAL)
-                    if injected:
-                        moved += injected
-                        active_routers.add(node)
-                    if not interface.backlog_flits:
-                        drained.append(node)
-                for node in drained:
+            for node in sorted(active_nis):
+                interface = interfaces[node]
+                injected = interface.inject(cycle, LOCAL)
+                if injected:
+                    moved += injected
+                    active_routers.add(node)
+                if not interface.backlog_flits:
                     active_nis.discard(node)
 
             if active_routers:
                 sweep = sorted(active_routers)
-                swept = set(sweep)
-                sweep_pos[0] = 0
-                while sweep_pos[0] < len(sweep):
-                    moved += routers[sweep[sweep_pos[0]]].step(cycle, deliver)
-                    sweep_pos[0] += 1
+                pos = 0
+                while pos < len(sweep):
+                    moved += routers[sweep[pos]].step(cycle, deliver)
+                    pos += 1
                 for node in sweep:
                     if routers[node].is_idle():
                         active_routers.discard(node)

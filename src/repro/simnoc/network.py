@@ -15,6 +15,7 @@ the mapped core graph — the substrate for saturation sweeps.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -78,7 +79,8 @@ def build_fabric(
     loops are wired per physical link, or per virtual channel for VC models.
 
     Raises:
-        SimulationError: if any link's rate comes out non-positive.
+        SimulationError: if any link's rate comes out non-positive or
+            not finite.
     """
     model_name = config.effective_router_model
     factory = get_router_model(model_name)
@@ -110,7 +112,7 @@ def build_fabric(
                 rate = config.mbps_to_flits_per_cycle(
                     topology.link_bandwidth(node, neighbor)
                 )
-            if rate <= 0:
+            if not (math.isfinite(rate) and rate > 0):
                 raise SimulationError(f"link {node}->{neighbor} has rate {rate}")
             output_specs[neighbor] = (rate, float(credit_depth))
         routers[node] = factory(node, input_keys, output_specs, config)

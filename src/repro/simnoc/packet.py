@@ -63,9 +63,13 @@ class Packet:
         return self.delivered_cycle - self.injected_cycle
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Flit:
-    """One flit of a packet.  ``hop`` indexes the packet's source route."""
+    """One flit of a packet; ``sequence`` is its place in the train.
+
+    Never mutated once made, but not ``frozen``: a frozen dataclass pays
+    an ``object.__setattr__`` per field, and every packet makes a train.
+    """
 
     packet: Packet = field(repr=False)
     kind: FlitKind
@@ -74,10 +78,6 @@ class Flit:
     @property
     def is_head(self) -> bool:
         return self.kind is FlitKind.HEAD
-
-    @property
-    def is_tail(self) -> bool:
-        return self.kind is FlitKind.TAIL
 
     def __repr__(self) -> str:
         return (
@@ -93,16 +93,10 @@ def make_flits(packet: Packet) -> list[Flit]:
     mark it HEAD and the router treats a head that is also the last
     sequence as tail via :func:`is_last_flit`.
     """
-    flits: list[Flit] = []
-    for sequence in range(packet.num_flits):
-        if sequence == 0:
-            kind = FlitKind.HEAD
-        elif sequence == packet.num_flits - 1:
-            kind = FlitKind.TAIL
-        else:
-            kind = FlitKind.BODY
-        flits.append(Flit(packet=packet, kind=kind, sequence=sequence))
-    return flits
+    kinds = [FlitKind.BODY] * packet.num_flits
+    kinds[-1] = FlitKind.TAIL
+    kinds[0] = FlitKind.HEAD
+    return [Flit(packet, kind, sequence) for sequence, kind in enumerate(kinds)]
 
 
 def is_last_flit(flit: Flit) -> bool:

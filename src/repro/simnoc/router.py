@@ -26,10 +26,13 @@ from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
 from repro.simnoc.models import register_router_model
-from repro.simnoc.packet import Flit, is_last_flit
+from repro.simnoc.packet import Flit, FlitKind
 
 #: Port key for the local (core-side) injection/ejection direction.
 LOCAL = -1
+
+_HEAD = FlitKind.HEAD
+_INF = float("inf")
 
 
 def refill_bucket_to(port, cycle: int) -> None:
@@ -49,11 +52,13 @@ def refill_bucket_to(port, cycle: int) -> None:
     if pending <= 0:
         return
     port.last_refill = cycle
-    cap = max(1.0, port.rate) + 1.0
+    rate = port.rate
+    cap = rate + 1.0 if rate > 1.0 else 2.0  # max(1.0, rate) + 1.0
     tokens = port.tokens
     for _ in range(pending):
-        tokens = min(tokens + port.rate, cap)
-        if tokens == cap:
+        tokens += rate
+        if tokens >= cap:  # min(tokens + rate, cap) == cap
+            tokens = cap
             break
     port.tokens = tokens
 
@@ -120,35 +125,16 @@ class InputPort:
     def occupancy(self) -> int:
         return len(self.queue)
 
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - len(self.queue)
-
     def can_accept(self, flit: Flit) -> bool:
         """Whether a push of ``flit`` would fit (the NI's backpressure probe)."""
-        return self.free_slots > 0
+        return len(self.queue) < self.capacity
 
     def push(self, flit: Flit, cycle: int) -> None:
-        if self.free_slots <= 0:
+        if len(self.queue) >= self.capacity:
             raise SimulationError(
                 f"buffer overflow at node {self.router_node} port {self.from_key}"
             )
         self.queue.append((cycle, flit))
-
-    def visible_head(self, cycle: int, router_delay: int) -> Flit | None:
-        """The head-of-line flit if it has finished the router pipeline."""
-        if not self.queue:
-            return None
-        enter_cycle, flit = self.queue[0]
-        if cycle - enter_cycle >= router_delay:
-            return flit
-        return None
-
-    def pop(self) -> Flit:
-        _enter, flit = self.queue.popleft()
-        if self.feeder is not None:
-            self.feeder.credits += 1
-        return flit
 
 
 @dataclass(slots=True)
@@ -173,33 +159,23 @@ class OutputPort:
     #: their refills later, bit-identically to per-cycle refilling.
     last_refill: int = -1
 
-    def refill(self) -> None:
-        """Token-bucket refill; capacity one extra token of headroom."""
-        self.tokens = min(self.tokens + self.rate, max(1.0, self.rate) + 1.0)
-
-    def refill_to(self, cycle: int) -> None:
-        """Apply every refill owed up to ``cycle`` (:func:`refill_bucket_to`)."""
-        refill_bucket_to(self, cycle)
-
-    def tokens_ready_cycle(self, cycle: int) -> int:
-        """First cycle with a whole token (:func:`bucket_tokens_ready_cycle`)."""
-        return bucket_tokens_ready_cycle(self, cycle)
-
-    @property
-    def can_send(self) -> bool:
-        return self.tokens >= 1.0 and self.credits >= 1.0
-
 
 class Router:
-    """One mesh cross-point: input buffers, output ports, wormhole logic."""
+    """One mesh cross-point: input buffers, output ports, wormhole logic.
+
+    ``in_ports`` / ``out_ports`` list the port dicts' ports in sweep order.
+    """
 
     __slots__ = (
         "node",
         "router_delay",
         "inputs",
         "input_order",
+        "in_ports",
         "outputs",
         "output_order",
+        "out_ports",
+        "hops",
         "last_step_released",
     )
 
@@ -226,11 +202,14 @@ class Router:
             key: InputPort(node, key, buffer_depth) for key in input_keys
         }
         self.input_order = sorted(self.inputs)
+        self.in_ports = [self.inputs[key] for key in self.input_order]
         self.outputs: dict[int, OutputPort] = {
             key: OutputPort(node, key, rate, credits)
             for key, (rate, credits) in output_specs.items()
         }
         self.output_order = sorted(self.outputs)
+        self.out_ports = [self.outputs[key] for key in self.output_order]
+        self.hops: dict[int, int] = {}
         #: True when the last step released an output port (a tail passed).
         #: The event engine re-wakes the router next cycle exactly then —
         #: a release is the only post-move state change that enables an
@@ -244,33 +223,19 @@ class Router:
     def next_hop_key(self, flit: Flit) -> int:
         """Where this flit's packet goes next from this node.
 
-        The packet carries its full source route; the hop after this node is
-        the next output, and arriving at the route's last node means
-        ejection.
-
-        Raises:
-            SimulationError: when the route does not contain this node or
-                requests a missing output port.
+        Resolved by :func:`resolve_next_hop` on a packet's first lookup (so
+        a routing error fires where an uncached lookup would), then cached
+        until its tail leaves.
         """
-        return resolve_next_hop(self.node, self.outputs, flit)
+        hop = self.hops.get(flit.packet.packet_id)
+        if hop is None:
+            hop = resolve_next_hop(self.node, self.outputs, flit)
+            self.hops[flit.packet.packet_id] = hop
+        return hop
 
     # ------------------------------------------------------------------
     # per-cycle operation
     # ------------------------------------------------------------------
-    def _arbitrate(self, port: OutputPort, cycle: int) -> int | None:
-        """Round-robin among inputs whose visible head requests this output."""
-        n = len(self.input_order)
-        for offset in range(n):
-            index = (port.rr_pointer + offset) % n
-            key = self.input_order[index]
-            flit = self.inputs[key].visible_head(cycle, self.router_delay)
-            if flit is None or not flit.is_head:
-                continue
-            if self.next_hop_key(flit) == port.to_key:
-                port.rr_pointer = (index + 1) % n
-                return key
-        return None
-
     def step(self, cycle: int, deliver) -> int:
         """Advance all output ports by one cycle.
 
@@ -293,69 +258,95 @@ class Router:
         moved = 0
         self.last_step_released = False
         requested = self._probe_requests(cycle)
-        for out_key in self.output_order:
-            port = self.outputs[out_key]
-            if port.owner is None and (
-                requested is None or out_key not in requested
-            ):
+        for port in self.out_ports:
+            if port.owner is None and port.to_key not in requested:
                 continue
-            port.refill_to(cycle)
-            advanced = self._advance_port(port, cycle, deliver)
-            if advanced:
-                moved += advanced
-                # A pop may have exposed the next packet's head at the
-                # front of an input FIFO; a scan of every port would let a
-                # later-ordered port arbitrate it this same cycle, so
-                # refresh the request set before the skip decisions.
-                requested = self._probe_requests(cycle)
+            if port.last_refill < cycle:
+                refill_bucket_to(port, cycle)
+            moved += self._advance_port(port, cycle, deliver, requested)
         return moved
 
-    def _probe_requests(self, cycle: int) -> set[int] | None:
+    def _probe_requests(self, cycle: int) -> set[int]:
         """Output keys some currently visible head flit requests."""
-        requested: set[int] | None = None
-        for key in self.input_order:
-            flit = self.inputs[key].visible_head(cycle, self.router_delay)
-            if flit is not None and flit.is_head:
-                out = self.next_hop_key(flit)
-                if requested is None:
-                    requested = {out}
-                else:
-                    requested.add(out)
+        requested: set[int] = set()
+        horizon = cycle - self.router_delay
+        for port in self.in_ports:
+            if not port.queue:
+                continue
+            enter, flit = port.queue[0]
+            if enter <= horizon and flit.kind is _HEAD:
+                requested.add(self.next_hop_key(flit))
         return requested
 
-    def _advance_port(self, port: OutputPort, cycle: int, deliver) -> int:
-        """Arbitrate (if free) and move the allocated worm's ready flits."""
-        moved = 0
+    def _arbitrate(self, port: OutputPort, cycle: int) -> InputPort | None:
+        """Round-robin among inputs whose visible head requests this output."""
+        in_ports = self.in_ports
+        n = len(in_ports)
+        horizon = cycle - self.router_delay
+        index = port.rr_pointer
+        for _ in range(n):
+            source = in_ports[index]
+            index = index + 1 if index + 1 < n else 0
+            if not source.queue:
+                continue
+            enter, flit = source.queue[0]
+            if (
+                enter <= horizon
+                and flit.kind is _HEAD
+                and self.next_hop_key(flit) == port.to_key
+            ):
+                port.rr_pointer = index
+                return source
+        return None
+
+    def _advance_port(
+        self, port: OutputPort, cycle: int, deliver, requested: set[int]
+    ) -> int:
+        """Arbitrate (if free) and move the allocated worm's ready flits.
+
+        A tail's pop may expose the next packet's head, which a later port
+        may arbitrate this same cycle: its next hop joins ``requested``
+        (a stale entry only costs an early refill and a lost arbitration).
+        """
         if port.owner is None:
-            winner = self._arbitrate(port, cycle)
-            if winner is None:
+            source = self._arbitrate(port, cycle)
+            if source is None:
                 return 0
-            port.owner = winner
-            head = self.inputs[winner].visible_head(cycle, self.router_delay)
-            assert head is not None
-            port.owner_packet_id = head.packet.packet_id
+            port.owner = source.from_key
+            port.owner_packet_id = source.queue[0][1].packet.packet_id
+        else:
+            source = self.inputs[port.owner]
+        queue = source.queue
+        feeder = source.feeder
+        horizon = cycle - self.router_delay
+        packet_id = port.owner_packet_id
+        moved = 0
         # Links faster than one flit/cycle (rate > 1) may move several
         # flits per cycle — the token bucket provides the budget.
-        while port.owner is not None and port.can_send:
-            source = self.inputs[port.owner]
-            flit = source.visible_head(cycle, self.router_delay)
-            if flit is None or flit.packet.packet_id != port.owner_packet_id:
+        while queue and port.tokens >= 1.0 and port.credits >= 1.0:
+            enter, flit = queue[0]
+            packet = flit.packet
+            if enter > horizon or packet.packet_id != packet_id:
                 break  # worm's next flit not here/ready yet
-            if self.next_hop_key(flit) != port.to_key:  # pragma: no cover
-                raise SimulationError(
-                    f"worm of packet {flit.packet.packet_id} changed direction"
-                )
-            source.pop()
+            queue.popleft()
+            if feeder is not None:
+                feeder.credits += 1
             port.tokens -= 1.0
-            if port.credits != float("inf"):
+            if port.credits != _INF:
                 port.credits -= 1.0
             port.flits_carried += 1
             deliver(self.node, port.to_key, flit, cycle)
             moved += 1
-            if is_last_flit(flit):
+            if flit.sequence == packet.num_flits - 1:
                 port.owner = None
                 port.owner_packet_id = None
                 self.last_step_released = True
+                self.hops.pop(packet_id, None)
+                if queue:
+                    enter, flit = queue[0]
+                    if enter <= horizon and flit.kind is _HEAD:
+                        requested.add(self.next_hop_key(flit))
+                break
         return moved
 
     def awaits_credit(self, to_key: int) -> bool:
@@ -368,20 +359,20 @@ class Router:
         return self.outputs[to_key].owner is not None
 
     def buffered_flits(self) -> int:
-        return sum(port.occupancy for port in self.inputs.values())
+        return sum(len(port.queue) for port in self.in_ports)
 
     def is_idle(self) -> bool:
         """True when stepping this router would be a no-op (modulo refill).
 
         No buffered flits and no allocated wormhole means no arbitration can
         succeed and no flit can move; token refills are the only skipped
-        effect, and :meth:`OutputPort.refill_to` replays those exactly when
-        the router re-activates.
+        effect, and :func:`refill_bucket_to` replays those exactly when the
+        router re-activates.
         """
-        for port in self.inputs.values():
+        for port in self.in_ports:
             if port.queue:
                 return False
-        for port in self.outputs.values():
+        for port in self.out_ports:
             if port.owner is not None:
                 return False
         return True
@@ -397,7 +388,7 @@ class Router:
           visibility cycle is ``enter + router_delay``;
         * an allocated worm waiting for link tokens — the refill schedule
           is deterministic, so the cycle the bucket reaches one token is
-          :meth:`OutputPort.tokens_ready_cycle`.
+          :func:`bucket_tokens_ready_cycle`.
 
         Already-visible-but-blocked heads contribute no candidate: they are
         waiting on a port release (a move in this router — the engine
@@ -405,21 +396,23 @@ class Router:
         generate their own wake events.
         """
         best: int | None = None
-        for port in self.inputs.values():
+        delay = self.router_delay
+        for port in self.in_ports:
             if port.queue:
-                enter, _flit = port.queue[0]
-                visible = enter + self.router_delay
+                visible = port.queue[0][0] + delay
                 if visible > cycle and (best is None or visible < best):
                     best = visible
-        for out_key in self.output_order:
-            port = self.outputs[out_key]
+        horizon = cycle - delay
+        for port in self.out_ports:
             if port.owner is None or port.tokens >= 1.0 or port.credits < 1.0:
                 continue
-            source = self.inputs[port.owner]
-            flit = source.visible_head(cycle, self.router_delay)
-            if flit is None or flit.packet.packet_id != port.owner_packet_id:
+            queue = self.inputs[port.owner].queue
+            if not queue:
+                continue
+            enter, flit = queue[0]
+            if enter > horizon or flit.packet.packet_id != port.owner_packet_id:
                 continue  # waiting on an arrival or the pipeline, not tokens
-            ready = port.tokens_ready_cycle(cycle)
+            ready = bucket_tokens_ready_cycle(port, cycle)
             if best is None or ready < best:
                 best = ready
         return best

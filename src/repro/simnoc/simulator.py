@@ -72,8 +72,9 @@ class Simulator:
             given, every flit movement is recorded (bounded by the
             recorder's cap).
         engine: registered engine name — ``"cycle"`` (bit-exact
-            reference), ``"event"`` (heap-scheduled, skips dead time),
-            ``"vector"`` (structure-of-arrays, fastest at high load),
+            reference), ``"event"`` (heap-scheduled; slower than
+            ``cycle`` at every measured load), ``"vector"``
+            (structure-of-arrays, fastest at every load),
             ``"sharded"`` (multi-process over a fabric partition) or
             ``"auto"`` (vector for the built-in router models, cycle
             otherwise).

@@ -73,7 +73,7 @@ class SyntheticSource:
         injection_rate: float,
         config: SimConfig,
     ) -> None:
-        if injection_rate <= 0:
+        if not (math.isfinite(injection_rate) and injection_rate > 0):
             raise SimulationError(
                 f"injection rate must be positive, got {injection_rate}"
             )

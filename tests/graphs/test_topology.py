@@ -34,9 +34,14 @@ class TestConstruction:
         with pytest.raises(GraphError):
             NoCTopology.mesh(width, height)
 
-    def test_invalid_bandwidth(self):
-        with pytest.raises(GraphError, match="positive"):
-            NoCTopology.mesh(2, 2, link_bandwidth=0.0)
+    @pytest.mark.parametrize("bandwidth", [0.0, -5.0, float("nan"), float("inf")])
+    def test_invalid_bandwidth(self, bandwidth):
+        with pytest.raises(GraphError, match="finite and positive"):
+            NoCTopology.mesh(2, 2, link_bandwidth=bandwidth)
+        mesh = NoCTopology.mesh(2, 2)
+        with pytest.raises(GraphError, match="finite and positive"):
+            mesh.set_link_bandwidth(0, 1, bandwidth)
+        assert mesh.link_bandwidth(0, 1) == 1000.0
 
     @pytest.mark.parametrize(
         "cores,expected",

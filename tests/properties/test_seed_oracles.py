@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import importlib
 import random
+import re
 from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from repro.apps import all_apps, pip, vopd
 from repro.errors import ReproError, RoutingError
@@ -59,6 +60,7 @@ from repro.metrics.comm_cost import (
     swap_cost_delta,
 )
 from repro.routing import min_path, split
+from repro.routing.base import RoutingResult
 from repro.routing.min_path import least_loaded_quadrant_path, min_path_routing
 from repro.api import MapRequest, SimOptions, SimRequest
 from repro.api.engine import _prepare_sim
@@ -67,12 +69,15 @@ from repro.simnoc import stats
 from repro.simnoc.config import SimConfig
 from repro.simnoc.engines.jit import resolve_backend
 from repro.simnoc.network import build_network
-from repro.simnoc.packet import Packet
+from repro.simnoc.packet import Packet, make_flits
+from repro.simnoc.router import LOCAL, Router, refill_bucket_to
 from repro.simnoc.simulator import Simulator
+from repro.simnoc.trace import TraceRecorder
 from tests.reference import (
     PerMoveSwapMirror,
     dijkstra_quadrant_path,
     every_link_quadrant_links,
+    every_port_step,
     next_core_order,
     per_child_bound_pbb,
     per_node_placement_costs,
@@ -674,6 +679,158 @@ class TestSimulatorEquivalence:
             )
 
         assert simulator().run() == seed_cycle_loop(simulator())
+
+
+INF = float("inf")
+
+
+def _production_step(router, cycle, deliver):
+    """``Router.step`` in the seed loop's ``step(router, cycle, deliver)`` form."""
+    return router.step(cycle, deliver)
+
+
+def _router_run(network, engine):
+    """Report (or error text), flit trace and final port state of one run.
+
+    ``engine`` is ``"seed"`` (the seed's loop over the seed's router step),
+    ``"step"`` (the seed's loop over the production ``Router.step``) or a
+    registered engine.  Every output port is first refilled to the run's
+    end: skipped refills replay bit-exactly, so a lazily refilled bucket
+    must then hold the tokens of one refilled every cycle.
+    """
+    recorder = TraceRecorder(max_events=1_000_000)
+    seeded = engine in ("seed", "step")
+    sim = Simulator(network, trace=recorder, engine="cycle" if seeded else engine)
+    try:
+        if engine == "seed":
+            outcome = seed_cycle_loop(sim)
+        elif engine == "step":
+            outcome = seed_cycle_loop(sim, _production_step)
+        else:
+            outcome = sim.run()
+    except SimulationError as error:
+        outcome = str(error)
+    state = []
+    for node in sorted(network.routers):
+        router = network.routers[node]
+        for key in router.output_order:
+            port = router.outputs[key]
+            refill_bucket_to(port, network.config.total_cycles)
+            state.append((
+                node, key, port.tokens, port.credits, port.owner,
+                port.owner_packet_id, port.rr_pointer, port.flits_carried,
+                port.last_refill,
+            ))  # fmt: skip
+        for key in router.input_order:
+            queue = router.inputs[key].queue
+            state.append((node, key, [(c, f.packet.packet_id, f.sequence) for c, f in queue]))
+    return outcome, recorder.events, state
+
+
+class TestRouterStep:
+    """The production ``Router`` (port lists, cached next hops, inlined
+    visibility and credit tests) against the seed's step in
+    ``tests/reference``, which re-reads and re-resolves everything."""
+
+    @given(
+        commodity_sets(),
+        st.sampled_from([0.3, 0.5, 1.0, 1.5, 2.5]),  # link rate, flits/cycle
+        st.sampled_from([0, 1, 7]),  # router_delay
+        st.sampled_from([1, 2, 4]),  # buffer_depth
+        st.sampled_from([4, 16, 64]),  # packet_bytes: 1-, 4- and 16-flit worms
+        st.integers(0, 99),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_engines_match_the_seed_step(self, drawn, rate, delay, depth, packet_bytes, seed):
+        """Reports, flit traces, deadlock and routing messages and the final
+        state of every port equal the seed loop's.  ``SimConfig`` floors
+        ``router_delay`` at 1 and ``buffer_depth`` at 2, and the engines'
+        wake schedules rely on the floors; the router has none, so below
+        them the production step is held to the seed's under one loop."""
+        fabric, commodities = drawn
+        try:
+            routing = min_path_routing(fabric, commodities)
+        except RoutingError:
+            reject()
+        config = SimConfig(
+            buffer_depth=max(2, depth),
+            router_delay=max(1, delay),
+            packet_bytes=packet_bytes,
+            warmup_cycles=20,
+            measure_cycles=200,
+            drain_cycles=100,
+            seed=seed,
+        )
+        engines = ("step", "cycle", "event")
+        if (delay, depth) != (config.router_delay, config.buffer_depth):
+            object.__setattr__(config, "router_delay", delay)
+            object.__setattr__(config, "buffer_depth", depth)
+            engines = ("step",)
+
+        def network():
+            return build_network(
+                fabric, commodities, routing, config, link_rate_flits_per_cycle=rate
+            )
+
+        reference = _router_run(network(), "seed")
+        for engine in engines:
+            assert _router_run(network(), engine) == reference, engine
+
+    @pytest.mark.parametrize(
+        "path,message",
+        [
+            ([0, 2], "packet 7 routed through node 1 not on its path [0, 2]"),
+            ([1, 9], "node 1 has no output toward 9 (packet 7)"),
+        ],
+    )
+    def test_routing_errors_keep_their_message_and_cycle(self, path, message):
+        """A head whose route the router cannot follow raises the seed's
+        ``SimulationError`` text at the cycle its head clears the pipeline,
+        after the same deliveries (packet 6 is a good worm, already moving)."""
+
+        def run(step):
+            outputs = {LOCAL: (1.0, INF), 0: (1.0, 4.0), 2: (1.0, 4.0)}
+            router = Router(1, [LOCAL, 0, 2], outputs, buffer_depth=4, router_delay=3)
+            good = Packet(6, 0, 1, 2, [1, 2], 3, 0)
+            bad = Packet(7, 1, 0, path[-1], path, 2, 0)
+            for flit in make_flits(good):
+                router.inputs[LOCAL].push(flit, 0)
+            router.inputs[0].push(make_flits(bad)[0], 2)
+            moves = []
+            for cycle in range(10):
+                try:
+                    step(router, cycle, lambda *move: moves.append(move[1:]))
+                except SimulationError as error:
+                    return cycle, str(error), moves
+            return None
+
+        reference = run(every_port_step)
+        assert reference[:2] == (5, message)
+        assert [(to, flit.sequence, cycle) for to, flit, cycle in reference[2]] == [
+            (2, 0, 3), (2, 1, 3), (2, 2, 4),
+        ]
+        assert run(_production_step) == reference
+
+    def test_network_routing_error_matches_on_every_engine(self):
+        """Through the engines: a route asking for a missing link raises the
+        seed loop's message after the seed loop's flit movements."""
+        mesh = NoCTopology.mesh(2, 2, link_bandwidth=1600.0)
+        commodities = [
+            Commodity(0, "a", "b", 0, 1, 1500.0),
+            Commodity(1, "a", "d", 0, 3, 1500.0),
+        ]
+        paths = {0: [0, 1], 1: [0, 3]}
+        routing = RoutingResult(mesh, commodities, flows={}, paths=paths)
+        config = SimConfig(warmup_cycles=0, measure_cycles=400, drain_cycles=0, seed=3)
+        outcomes = {
+            engine: _router_run(build_network(mesh, commodities, routing, config), engine)
+            for engine in ("seed", "step", "cycle", "event")
+        }
+        reference = outcomes.pop("seed")
+        assert re.fullmatch(r"node 0 has no output toward 3 \(packet \d+\)", reference[0])
+        assert reference[1], "the good flow moved flits before the raise"
+        for engine, outcome in outcomes.items():
+            assert outcome == reference, engine
 
 
 @st.composite

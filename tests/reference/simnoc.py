@@ -2,9 +2,11 @@
 
 Every source, NI and router is visited every cycle, and a router step
 refills and advances every output port (every lane, on the VC router)
-whether or not anything requests it.  The ``cycle`` engine skips idle
-components and unrequested ports; it must not move a single flit
-differently.
+whether or not anything requests it.  The plain router's port logic is the
+seed's own (:func:`seed_advance_port`): it re-reads each head's pipeline
+visibility and re-resolves each flit's next hop on every visit, where
+``Router`` caches both.  The ``cycle`` engine skips idle components and
+unrequested ports; it must not move a single flit differently.
 
 The statistics walked ``list[Packet]`` — one dict of lists per flow, one
 ``sorted`` each — until ``repro.simnoc.stats`` went to columns;
@@ -17,19 +19,100 @@ from __future__ import annotations
 
 from repro.errors import SimulationError
 from repro.simnoc.engines.cycle import DEADLOCK_WINDOW
-from repro.simnoc.router import LOCAL
+from repro.simnoc.packet import FlitKind, is_last_flit
+from repro.simnoc.router import LOCAL, resolve_next_hop
 from repro.simnoc.stats import FlowStats, LatencyStats
 
 
+def seed_visible_head(port, cycle: int, router_delay: int):
+    """The seed's ``InputPort.visible_head``: the head-of-line flit if it has
+    finished the router pipeline."""
+    if not port.queue:
+        return None
+    enter_cycle, flit = port.queue[0]
+    if cycle - enter_cycle >= router_delay:
+        return flit
+    return None
+
+
+def seed_arbitrate(router, port, cycle: int) -> int | None:
+    """The seed's ``Router._arbitrate``: round-robin among inputs whose
+    visible head requests this output, each next hop resolved afresh."""
+    n = len(router.input_order)
+    for offset in range(n):
+        index = (port.rr_pointer + offset) % n
+        key = router.input_order[index]
+        flit = seed_visible_head(router.inputs[key], cycle, router.router_delay)
+        if flit is None or flit.kind is not FlitKind.HEAD:
+            continue
+        if resolve_next_hop(router.node, router.outputs, flit) == port.to_key:
+            port.rr_pointer = (index + 1) % n
+            return key
+    return None
+
+
+def seed_advance_port(router, port, cycle: int, deliver) -> int:
+    """The seed's ``Router._advance_port``: arbitrate (if free) and move the
+    allocated worm's ready flits."""
+    moved = 0
+    if port.owner is None:
+        winner = seed_arbitrate(router, port, cycle)
+        if winner is None:
+            return 0
+        port.owner = winner
+        head = seed_visible_head(router.inputs[winner], cycle, router.router_delay)
+        assert head is not None
+        port.owner_packet_id = head.packet.packet_id
+    # Links faster than one flit/cycle (rate > 1) may move several
+    # flits per cycle — the token bucket provides the budget.
+    while port.owner is not None and port.tokens >= 1.0 and port.credits >= 1.0:
+        source = router.inputs[port.owner]
+        flit = seed_visible_head(source, cycle, router.router_delay)
+        if flit is None or flit.packet.packet_id != port.owner_packet_id:
+            break  # worm's next flit not here/ready yet
+        if resolve_next_hop(router.node, router.outputs, flit) != port.to_key:
+            raise SimulationError(
+                f"worm of packet {flit.packet.packet_id} changed direction"
+            )
+        source.queue.popleft()
+        if source.feeder is not None:
+            source.feeder.credits += 1
+        port.tokens -= 1.0
+        if port.credits != float("inf"):
+            port.credits -= 1.0
+        port.flits_carried += 1
+        deliver(router.node, port.to_key, flit, cycle)
+        moved += 1
+        if is_last_flit(flit):
+            port.owner = None
+            port.owner_packet_id = None
+            router.last_step_released = True
+    return moved
+
+
+def seed_refill(port, cycle: int) -> None:
+    """The seed's ``OutputPort.refill``, ``min(tokens + rate, cap)``, once per
+    cycle owed — one a cycle under the full scan, so no gap is replayed."""
+    for _ in range(cycle - port.last_refill):
+        port.tokens = min(port.tokens + port.rate, max(1.0, port.rate) + 1.0)
+    port.last_refill = max(port.last_refill, cycle)
+
+
 def every_port_step(router, cycle: int, deliver) -> int:
-    """The seed's ``Router.step`` / ``VCRouter.step``: no request pre-pass."""
-    # VCRouter._advance_port takes the lanes to allocate; Router's has none.
-    lanes = (range(router.num_vcs),) if hasattr(router, "num_vcs") else ()
+    """The seed's ``Router.step`` / ``VCRouter.step``: no request pre-pass.
+
+    Every output port is refilled and advanced, on the plain router by the
+    seed's own port logic above; the VC router's ``_advance_port`` takes
+    the lanes to allocate and is called as is.
+    """
     moved = 0
     for out_key in router.output_order:
         port = router.outputs[out_key]
-        port.refill_to(cycle)
-        moved += router._advance_port(port, *lanes, cycle, deliver)
+        seed_refill(port, cycle)
+        if hasattr(router, "num_vcs"):
+            moved += router._advance_port(port, range(router.num_vcs), cycle, deliver)
+        else:
+            moved += seed_advance_port(router, port, cycle, deliver)
     return moved
 
 

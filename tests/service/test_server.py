@@ -119,6 +119,26 @@ class TestSubmissionValidation:
         assert status == 400
         assert b"ApiError" in body
 
+    def test_nan_numbers_are_400_at_submission(self, service_pair):
+        """``json.loads`` reads ``NaN``; parse must refuse it, not a worker
+        (a NaN link bandwidth used to hang the event engine)."""
+        import json as json_module
+
+        _, client = service_pair
+        sim = SimRequest(
+            map_request=MapRequest(app="vopd", topology=TopologySpec.parse("mesh:4x4")),
+            options=SimOptions(engine="event"),
+        ).to_dict()
+        sim["map_request"]["topology"]["link_bandwidth"] = float("nan")
+        uniform = small_sim().to_dict()
+        uniform["options"]["injection_rate"] = float("nan")
+        for payload in (sim, uniform):
+            body = json_module.dumps(payload).encode()
+            assert b"NaN" in body
+            status, reply = client._request("POST", "/v1/jobs", body)
+            assert status == 400
+            assert b"ApiError" in reply
+
     def test_empty_batch_is_400(self, service_pair):
         _, client = service_pair
         status, _ = client._request("POST", "/v1/jobs", b'{"requests": []}')

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.api import ErrorResponse, MapRequest, SimRequest, run_map
+from repro.api import ErrorResponse, MapRequest, SimOptions, SimRequest, TopologySpec, run_map
 from repro.service.wire import (
     canonical_response_bytes,
     parse_request,
@@ -42,6 +42,87 @@ class TestParseRequest:
         payload["mapper"] = "no-such-mapper"
         with pytest.raises(ApiError):
             parse_request(payload)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _sim_payload(traffic="trace"):
+    """A valid sim-request payload: mesh topology, uniform or trace traffic."""
+    mapping = MapRequest(app="vopd", topology=TopologySpec.parse("mesh:4x4", 600.0))
+    rate = None if traffic == "trace" else 0.1
+    options = SimOptions(traffic=traffic, injection_rate=rate)
+    return SimRequest(map_request=mapping, options=options).to_dict()
+
+
+class TestNumericFields:
+    """Every numeric field is checked for its type at parse: a bad one is an
+    ``ApiError`` (HTTP 400) there, never a ``TypeError`` / ``ValueError``
+    in a worker or a run that quietly accepts it."""
+
+    @pytest.mark.parametrize(
+        "where,field,value",
+        [
+            ("options", "injection_rate", NAN),
+            ("options", "injection_rate", INF),
+            ("options", "injection_rate", "0.1"),
+            ("options", "injection_rate", True),
+            ("options", "injection_rate", 0),
+            ("options", "num_vcs", 2.5),
+            ("options", "num_vcs", True),
+            ("options", "num_vcs", "2"),
+            ("request", "measure_cycles", 100.5),
+            ("request", "warmup_cycles", "10"),
+            ("request", "drain_cycles", None),
+            ("request", "sim_seed", 1.5),
+            ("request", "sim_seed", False),
+            ("request", "mean_burst_packets", NAN),
+            ("request", "mean_burst_packets", "4"),
+            ("request", "mean_burst_packets", 0.5),
+            ("topology", "link_bandwidth", NAN),
+            ("topology", "link_bandwidth", INF),
+            ("topology", "link_bandwidth", "600"),
+            ("topology", "link_bandwidth", True),
+        ],
+    )
+    def test_bad_numbers_are_api_errors(self, where, field, value):
+        payload = _sim_payload("uniform" if field == "injection_rate" else "trace")
+        target = {
+            "request": payload,
+            "options": payload["options"],
+            "topology": payload["map_request"]["topology"],
+        }[where]
+        target[field] = value
+        with pytest.raises(ApiError, match=field.replace("_", ".")):
+            parse_request(json.loads(json.dumps(payload)))
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            dict(num_vcs=2, vc_buffer_depth=4.0),
+            dict(num_vcs=2, vc_buffer_depth=True),
+            dict(engine="sharded", shards=2.0),
+        ],
+    )
+    def test_bad_lane_and_shard_counts_are_api_errors(self, options):
+        payload = _sim_payload()
+        payload["options"].update(options)
+        with pytest.raises(ApiError, match="vc_buffer_depth|shards"):
+            parse_request(payload)
+
+    def test_nan_link_bandwidth_names_itself(self):
+        payload = _sim_payload()
+        payload["map_request"]["topology"]["link_bandwidth"] = NAN
+        with pytest.raises(ApiError, match="^link bandwidth must be finite and positive, got nan$"):
+            parse_request(json.loads(json.dumps(payload)))
+
+    def test_good_numbers_still_parse(self):
+        payload = _sim_payload("uniform")
+        payload["options"]["injection_rate"] = 1  # an int rate is a rate
+        payload["mean_burst_packets"] = 1
+        payload["sim_seed"] = -3
+        request = parse_request(payload)
+        assert request.options.injection_rate == 1 and request.sim_seed == -3
 
 
 class TestParseResponse:

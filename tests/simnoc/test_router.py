@@ -141,7 +141,7 @@ class TestWormhole:
         upstream.outputs[1].credits = 1.0
         flit = make_flits(_packet(1, [0, 1], flits=1))[0]
         downstream.inputs[0].push(flit, 0)
-        downstream.inputs[0].pop()
+        assert downstream.step(1, Collector()) == 1  # ejected: a pop
         assert upstream.outputs[1].credits == 2.0
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import SimulationError
@@ -36,7 +39,52 @@ def small_config():
     )
 
 
+#: A 200-cycle VOPD trace run on mesh:4x4 with a NaN link bandwidth, on
+#: every engine: once past the API's own check (the topology must refuse
+#: it) and once as a NaN link rate handed to the network builder.  It used
+#: to end three ways: ``cycle`` raised, ``event`` never returned and
+#: ``vector`` reported.
+NAN_BANDWIDTH_SCRIPT = """
+from repro.api import MapRequest, SimOptions, SimRequest, TopologySpec, run
+from repro.errors import GraphError, SimulationError
+from repro.graphs.commodities import build_commodities
+from repro.mapping import nmap_single_path
+from repro.apps import vopd
+from repro.routing.min_path import min_path_routing
+from repro.simnoc import SimConfig, Simulator, build_network, list_engines
+
+nan = float("nan")
+mesh = TopologySpec.parse("mesh:4x4", 600.0)
+object.__setattr__(mesh, "link_bandwidth", nan)
+mapped = nmap_single_path(vopd(), TopologySpec.parse("mesh:4x4", 600.0).build(vopd()))
+commodities = build_commodities(vopd(), mapped.mapping)
+routing = min_path_routing(mapped.mapping.topology, commodities)
+config = SimConfig(warmup_cycles=0, measure_cycles=200, drain_cycles=0)
+for engine in list_engines():
+    request = SimRequest(
+        map_request=MapRequest(app="vopd", topology=mesh),
+        measure_cycles=200, warmup_cycles=0, drain_cycles=0,
+        options=SimOptions(engine=engine),
+    )
+    for attempt, error in (
+        (lambda: run(request), GraphError),
+        (lambda: Simulator(build_network(
+            mapped.mapping.topology, commodities, routing, config,
+            link_rate_flits_per_cycle=nan), engine=engine).run(), SimulationError),
+    ):
+        try:
+            attempt()
+        except error as raised:
+            assert "nan" in str(raised), raised
+        else:
+            raise AssertionError(f"{engine} ran on a NaN link bandwidth")
+"""
+
+
 class TestBuildNetwork:
+    def test_nan_bandwidth_stops_every_engine_before_it_runs(self):
+        subprocess.run([sys.executable, "-c", NAN_BANDWIDTH_SCRIPT], check=True, timeout=120)
+
     def test_component_counts(self, mesh3x3, small_config):
         commodities = [_commodity(0, 0, 8, 100.0)]
         routing = _single_path_routing(mesh3x3, commodities)
