@@ -111,10 +111,11 @@ bench-pairs:
 	$(PYTHON) scripts/bench_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 # Lines of python under src/: one row per top-level package (sub-packages
-# counted in their parent), one for the modules at the top of the tree,
-# then the total — the figure ROADMAP aim 2's line target is read from.
+# counted in their parent, the simulation engines also on a row of their
+# own), one for the modules at the top of the tree, then the total — the
+# figures ROADMAP aim 2's line targets are read from.
 loc:
-	@for pkg in src/repro/*/; do \
+	@for pkg in src/repro/*/ src/repro/simnoc/engines/; do \
 		printf '%7d  %s\n' $$(find $$pkg -name '*.py' -exec cat {} + | wc -l) $$pkg; \
 	done
 	@printf '%7d  %s\n' $$(cat src/repro/*.py | wc -l) 'src/repro/*.py'

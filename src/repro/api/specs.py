@@ -21,7 +21,7 @@ parses the CLI's ``--topology`` strings (``"mesh:4x4"``, ``"torus:8x8"``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.api.options import MapperOptions, check_partitioner
@@ -123,10 +123,8 @@ class TopologySpec:
         else:
             if self.width is None or self.height is None:
                 raise ApiError(f"{self.kind} topology needs explicit width and height")
-            if self.width < 1 or self.height < 1:
-                raise ApiError(
-                    f"topology dimensions must be >= 1, got {self.width}x{self.height}"
-                )
+            _check_int(self.width, "topology width", 1)
+            _check_int(self.height, "topology height", 1)
         if self.link_bandwidth is not None and not _is_real(self.link_bandwidth, 0):
             raise ApiError(
                 f"link bandwidth must be finite and positive, got {self.link_bandwidth!r}"
@@ -279,6 +277,14 @@ class MapRequest:
             raise ApiError(
                 f"faults must be a FaultSpec, got {type(self.faults).__name__}"
             )
+        if self.seed is not None:
+            _check_int(self.seed, "seed")
+        if type(self.price_bandwidth) is not bool:
+            raise ApiError(
+                f"price_bandwidth must be a bool, got {self.price_bandwidth!r}"
+            )
+        if self.tag is not None and not isinstance(self.tag, str):
+            raise ApiError(f"tag must be a str or None, got {self.tag!r}")
         entry = get_mapper(self.mapper)  # raises ApiError for unknown names
         entry.coerce_options(self.options)
         if self.seed is not None and not entry.seedable:
@@ -811,8 +817,3 @@ class ErrorResponse:
             error=_required(data, "error", "error-response"),
             message=_required(data, "message", "error-response"),
         )
-
-
-def request_with_seed(request: MapRequest, seed: int | None) -> MapRequest:
-    """A copy of ``request`` with the seed replaced (None clears it)."""
-    return replace(request, seed=seed)

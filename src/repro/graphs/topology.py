@@ -182,12 +182,6 @@ class NoCTopology:
         best = max(self.degree(node) for node in self.nodes)
         return [node for node in self.nodes if self.degree(node) == best]
 
-    def _axis_distance(self, a: int, b: int, size: int) -> int:
-        direct = abs(a - b)
-        if self.torus:
-            return min(direct, size - direct)
-        return direct
-
     def distance(self, a: int, b: int) -> int:
         """Minimum hop count between two nodes (Manhattan / torus metric)."""
         self._require_node(a)

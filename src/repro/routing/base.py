@@ -90,9 +90,6 @@ class RoutingResult:
                 over[link] = excess
         return over
 
-    def commodity_flow(self, index: int) -> dict[LinkKey, float]:
-        return dict(self.flows.get(index, {}))
-
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------

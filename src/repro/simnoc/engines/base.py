@@ -1,10 +1,12 @@
 """Engine protocol and registry.
 
 An engine is a strategy object: ``run(sim)`` drives ``sim.network`` from
-cycle 0 to ``sim.config.total_cycles``, mutating the network's components
-and leaving the run's packets on ``sim`` — objects appended to
-``sim.all_packets`` and delivered into the NIs, or, from the compiled
-kernel, the columns of ``sim.packet_log``.  The ``sim``
+cycle 0 to ``sim.config.total_cycles`` and leaves the run's results where
+the report builder reads them.  The object engines (``cycle``, ``event``)
+step the network's routers and NIs, appending packets to
+``sim.all_packets``; the flattened engines (``vector``, ``sharded``) read
+only the fabric's wiring and leave columns: ``sim.packet_log`` and
+``sim.carried``.  The ``sim``
 argument is the :class:`repro.simnoc.simulator.Simulator` acting as the run
 context — it owns the network, the config, the optional trace recorder, the
 global packet-id counter and the report builder.

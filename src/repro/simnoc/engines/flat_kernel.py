@@ -5,7 +5,7 @@ kernels in :mod:`repro.simnoc.engines.kernels`, in whichever form a rung
 runs them (CPython, numba, or the C emitted from them).  Building one
 
 1. reuses :class:`repro.simnoc.engines.sweep._FlatState` for the wiring
-   flatten (port indexing, credits, routes, freshness guards — the exact
+   flatten (the fabric's port indexing, credits and rates — the exact
    arrays the interpreted sweep runs on), then
 2. takes the run's whole injection schedule from
    :func:`repro.simnoc.schedule.build_schedule` — identical packets, ids
@@ -16,11 +16,12 @@ runs them (CPython, numba, or the C emitted from them).  Building one
    and the emitted C's.
 
 After a backend has advanced the program, :meth:`KernelProgram.finish`
-hands the observable effects back: trace events to the recorder, port and
-NI counters to the model objects via ``_FlatState.writeback``, and the
-packets' cycles and the delivery log to the simulator as the columns they
-already are (:class:`~repro.simnoc.stats.PacketLog`) — producing reports
-and traces bit-identical to the interpreted engines.
+hands the observable effects back: trace events to the recorder, and the
+per-port flit counts, the packets' cycles and the delivery log to the
+simulator as the columns they already are (``sim.carried`` and a
+:class:`~repro.simnoc.stats.PacketLog`) — producing reports and traces
+bit-identical to the interpreted engines.  No model object is read or
+written on the way.
 """
 
 from __future__ import annotations
@@ -88,8 +89,6 @@ ARG_FIELDS = (
     "pkt_delivered",
     "dlv_node",
     "dlv_slot",
-    "ni_injected",
-    "ni_ejected",
     "carried",
     "tr_node",
     "tr_tokey",
@@ -134,7 +133,7 @@ class KernelProgram:
 
     The array attributes (named by :data:`ARG_FIELDS`) are the kernel's
     working state; the backend mutates them in place.  :meth:`finish` then
-    writes the observable results onto the simulator and its model objects.
+    leaves the observable results on the simulator.
     """
 
     __slots__ = ARG_FIELDS + (
@@ -148,8 +147,7 @@ class KernelProgram:
         self.vc_mode = vc_mode
         state = _FlatState(sim, vc_mode=vc_mode)
         self.state = state
-        network = sim.network
-        config = network.config
+        config = sim.config
         L = state.num_vcs
 
         schedule = self.schedule = build_schedule(sim, vc_mode, state.out_specs)
@@ -209,8 +207,6 @@ class KernelProgram:
         self.pkt_delivered = np.full(P, -1, dtype=i8)
         self.dlv_node = np.zeros(P, dtype=i8)
         self.dlv_slot = np.zeros(P, dtype=i8)
-        self.ni_injected = np.zeros(size, dtype=i8)
-        self.ni_ejected = np.zeros(size, dtype=i8)
         self.carried = np.array(state.carried, dtype=i8)
         trace = sim.trace
         if trace is None:
@@ -250,11 +246,11 @@ class KernelProgram:
 
     # ------------------------------------------------------------------
     def finish(self, sim: "Simulator") -> None:
-        """Hand the kernel's observable effects to ``sim`` and its model objects.
+        """Hand the kernel's observable effects to ``sim``.
 
         Raises:
             SimulationError: on kernel-detected deadlock (identical message
-                to the interpreted engines; no writeback happens, matching
+                to the interpreted engines; nothing is handed over, matching
                 their behavior of raising mid-run).
         """
         result = self.result.tolist()
@@ -285,10 +281,4 @@ class KernelProgram:
             self.dlv_node[: result[6]],
             self.dlv_slot[: result[6]],
         )
-        state = self.state
-        state.carried = self.carried.tolist()
-        state.out_tokens = self.out_tokens
-        state.final_refill = result[3]
-        state.ni_injected = self.ni_injected.tolist()
-        state.ni_ejected = self.ni_ejected.tolist()
-        state.writeback(sim)
+        sim.carried = self.carried.tolist()

@@ -37,8 +37,8 @@ state), so the builder in :mod:`repro.simnoc.engines.flat_kernel` drains
 the sources up front, exactly replaying the engines' event-heap order, and
 hands the kernel per-node flit streams (``ni_*``) plus per-packet resolved
 routes (``route_*``).  Observable effects stream out through log arrays
-(trace events, delivery order, per-packet injected/delivered cycles) that
-the builder writes back onto the model objects afterwards.
+(trace events, delivery order, per-packet injected/delivered cycles,
+per-port flit counts) that the builder hands to the simulator afterwards.
 
 Scalar parameter block (``params``, int64):
 
@@ -119,8 +119,6 @@ def advance_plain(
     pkt_delivered,
     dlv_node,
     dlv_slot,
-    ni_injected,
-    ni_ejected,
     carried,
     tr_node,
     tr_tokey,
@@ -192,7 +190,6 @@ def advance_plain(
                         q_len[li] += 1
                         node_buf[node] += 1
                         buffered_total += 1
-                        ni_injected[node] += 1
                         moved += 1
                         if active[node] == 0:
                             active[node] = 1
@@ -309,7 +306,6 @@ def advance_plain(
                             else:
                                 tr_trunc = 1
                         if di < 0:
-                            ni_ejected[node] += 1
                             if seq == my_last:
                                 pkt_delivered[my_pkt] = cycle
                                 dlv_node[dlv_count] = node
@@ -427,8 +423,6 @@ def advance_vc(
     pkt_delivered,
     dlv_node,
     dlv_slot,
-    ni_injected,
-    ni_ejected,
     carried,
     tr_node,
     tr_tokey,
@@ -500,7 +494,6 @@ def advance_vc(
                         q_len[lq] += 1
                         node_buf[node] += 1
                         buffered_total += 1
-                        ni_injected[node] += 1
                         moved += 1
                         if active[node] == 0:
                             active[node] = 1
@@ -652,7 +645,6 @@ def advance_vc(
                                 else:
                                     tr_trunc = 1
                             if di < 0:
-                                ni_ejected[node] += 1
                                 if seq == pkt_last[my_pkt]:
                                     pkt_delivered[my_pkt] = cycle
                                     dlv_node[dlv_count] = node

@@ -41,10 +41,9 @@ Why this is exact, in brief (ARCHITECTURE.md carries the long form):
 
 * **Injection is replayed once, in the parent.** The parent builds the
   run's injection schedule (:mod:`repro.simnoc.schedule`; the packet-id
-  counter advances there and ``all_packets`` is materialised from its
-  columns, in the parent only), and packet specs are broadcast to every
-  worker in creation order — so packet slot numbers agree across all
-  workers and flit messages can carry slots directly.
+  counter advances there, in the parent only), and packet specs are
+  broadcast to every worker in creation order — so packet slot numbers
+  agree across all workers and flit messages can carry slots directly.
 
 * **Tokens are exact by catch-up.** The vectorized refill replays
   ``min(t + rate, cap)`` once per elapsed cycle since the worker's last
@@ -53,9 +52,10 @@ Why this is exact, in brief (ARCHITECTURE.md carries the long form):
   even though idle workers skip refill calls.
 
 The parent merges per-worker results (delivered packets in ejection order,
-carried-flit counters, NI counters, bounded trace streams sorted by
-``(cycle, node)`` — the single-process emission order) onto the model
-objects and the unchanged ``Simulator._build_report`` does the rest.
+carried-flit counters, bounded trace streams sorted by ``(cycle, node)`` —
+the single-process emission order) into the simulator's packet log and
+``carried`` column, as the compiled rung leaves them, and the unchanged
+``Simulator._build_report`` does the rest.  No router or NI object is built.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ from repro.simnoc.engines.sweep import (
     sweep_shard,
 )
 from repro.simnoc.engines.vector import _reject_unsupported_model
+from repro.simnoc.schedule import build_schedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simnoc.simulator import Simulator
@@ -121,16 +122,8 @@ class ShardedEngine:
 # parent side
 # ----------------------------------------------------------------------
 def _run_sharded(sim: "Simulator", spec, vc_mode: bool) -> None:
-    network = sim.network
-    for node, router in network.routers.items():
-        for to_key, port in router.outputs.items():
-            if port.last_refill != -1:
-                raise SimulationError(
-                    "sharded engine requires a freshly built network "
-                    f"(node {node} output {to_key} already ran)"
-                )
-
-    plan = _Plan(network, spec.assignment, spec.num_shards)
+    fabric = sim.network.fabric
+    plan = _Plan(fabric, spec.assignment, spec.num_shards)
     ctx = multiprocessing.get_context("fork")
     num_shards = plan.num_shards
     inject_qs = [ctx.Queue() for _ in range(num_shards)]
@@ -160,7 +153,8 @@ def _run_sharded(sim: "Simulator", spec, vc_mode: bool) -> None:
 
     try:
         # Injection is replayed once, here; every worker gets every spec.
-        for chunk in replay_sources(sim, vc_mode, _CHUNK):
+        schedule = build_schedule(sim, vc_mode, fabric.outputs)
+        for chunk in replay_sources(schedule, sim.config.total_cycles, _CHUNK):
             for q in inject_qs:
                 q.put(chunk)
         payloads = _collect_results(workers, result_q, num_shards)
@@ -173,7 +167,7 @@ def _run_sharded(sim: "Simulator", spec, vc_mode: bool) -> None:
         for worker in workers:
             worker.join(timeout=5.0)
 
-    merge_results(sim, payloads)
+    merge_results(sim, schedule, payloads)
 
 
 def _collect_results(workers, result_q, num_shards: int) -> dict:

@@ -2,11 +2,12 @@
 
 This module is what runs when no compiled kernel does.  It holds
 
-* :class:`_FlatState` — the whole network flattened at build time into
-  preallocated structure-of-arrays state (also the wiring flatten under
-  :class:`~repro.simnoc.engines.flat_kernel.KernelProgram`):
+* :class:`_FlatState` — the fabric's wiring
+  (:class:`~repro.simnoc.network.Fabric`; no router object is read) laid
+  out as preallocated structure-of-arrays state (also the wiring flatten
+  under :class:`~repro.simnoc.engines.flat_kernel.KernelProgram`):
 
-  * every input FIFO lane and output port gets a flat integer index;
+  * every input FIFO lane and output port has the fabric's flat index;
     wiring (downstream input, upstream feeder, ejection) becomes int arrays;
   * token buckets live in ``numpy`` float64 arrays — the per-cycle refill
     ``t = min(t + rate, cap)`` of *all* ports is two in-place ufunc calls
@@ -28,7 +29,9 @@ This module is what runs when no compiled kernel does.  It holds
 * :func:`sweep_plain` / :func:`sweep_vc` — the per-cycle advance, one per
   router model, over the segments one shard of a plan owns;
 * :func:`replay_sources` / :func:`merge_results` — the injection stream in
-  and the observable results out, as plain picklables.
+  and the observable results out: plain picklables between the loops, a
+  :class:`~repro.simnoc.stats.PacketLog` and a per-port ``carried`` column
+  on the simulator.
 
 There is exactly one caller shape.  The ``sharded`` engine runs one loop
 per worker process over a real partition and pumps channel batches between
@@ -72,6 +75,7 @@ from repro.errors import SimulationError
 from repro.simnoc.engines.cycle import DEADLOCK_WINDOW
 from repro.simnoc.router import LOCAL
 from repro.simnoc.schedule import build_schedule
+from repro.simnoc.stats import PacketLog
 from repro.simnoc.trace import TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -81,39 +85,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _EMPTY = 1 << 60
 
 
-def flat_outputs(network) -> list[tuple[int, int]]:
-    """Every output port as ``(node, to_key)``, in flat-index order."""
-    return [
-        (node, key)
-        for node in sorted(network.routers)
-        for key in network.routers[node].output_order
-    ]
-
-
 class _FlatState:
     """The flattened network: every dynamic quantity lives in a flat array.
 
-    Port indexing: input port ``i`` of lane ``vc`` is ``queues[i * L + vc]``
-    (``L == 1`` for the plain wormhole router); output port ``p``'s per-lane
-    state is at ``p * L + vc``.  Node-keyed side tables (``node_ins``,
+    Port indexing is the fabric's (:class:`~repro.simnoc.network.Fabric`):
+    input port ``i`` of lane ``vc`` is ``queues[i * L + vc]`` (``L == 1``
+    for the plain wormhole router); output port ``p``'s per-lane state is
+    at ``p * L + vc``.  Node-keyed side tables (``node_ins``,
     ``node_outs``, counters) use the original node ids, which keeps the
     engine independent of how the topology numbers its mesh.
     """
 
     def __init__(self, sim: "Simulator", vc_mode: bool) -> None:
-        network = sim.network
-        config = network.config
-        self.num_vcs = config.num_vcs if vc_mode else 1
-        L = self.num_vcs
-
-        self.nodes = sorted(network.routers)
-        routers = network.routers
-        # Flat port numbering: (node, from_key) inputs, (node, to_key) outputs.
-        in_specs = [(n, key) for n in self.nodes for key in routers[n].input_order]
-        out_specs = self.out_specs = flat_outputs(network)
-        in_index = self.in_index = {spec: i for i, spec in enumerate(in_specs)}
-        out_index = {spec: p for p, spec in enumerate(out_specs)}
-
+        fabric = sim.network.fabric
+        self.num_vcs = L = sim.config.num_vcs if vc_mode else 1
+        in_specs = self.in_specs = fabric.inputs
+        out_specs = self.out_specs = fabric.outputs
+        in_index = {spec: i for i, spec in enumerate(in_specs)}
+        out_index = fabric.out_index
         num_in = len(in_specs)
         num_out = len(out_specs)
 
@@ -125,108 +114,49 @@ class _FlatState:
         self.head_slot: list[int] = [-1] * (num_in * L)
         self.head_seq: list[int] = [-1] * (num_in * L)
         self.head_pos: list[int] = [0] * (num_in * L)
-        self.in_cap: list[int] = [0] * num_in
-        self.in_feeder: list[int] = [-1] * num_in
-        for i, (node, from_key) in enumerate(in_specs):
-            port = network.routers[node].inputs[from_key]
-            self.in_cap[i] = port.vc_capacity if vc_mode else port.capacity
-            if from_key != LOCAL:
-                self.in_feeder[i] = out_index[(from_key, node)]
-            if port.occupancy:
-                raise SimulationError(
-                    "vector engine requires a freshly built network "
-                    f"(node {node} port {from_key} has buffered flits)"
-                )
+        self.in_cap: list[int] = fabric.in_cap
+        self.in_feeder: list[int] = [
+            -1 if key == LOCAL else out_index[key, node] for node, key in in_specs
+        ]
 
         # --- output side --------------------------------------------------
-        rates = np.empty(num_out, dtype=np.float64)
-        tokens = np.empty(num_out, dtype=np.float64)
-        self.credits: list[float] = [0.0] * (num_out * L)
+        self.out_rates = np.array(fabric.rates, dtype=np.float64)
+        self.out_caps = np.maximum(1.0, self.out_rates) + 1.0
+        self.out_tokens = np.zeros(num_out, dtype=np.float64)
+        self.credits: list[float] = [c for c in fabric.credits for _ in range(L)]
         self.owner: list[int] = [-1] * (num_out * L)
         self.owner_pkt: list[int] = [-1] * (num_out * L)
         self.rr_in: list[int] = [0] * (num_out * L)
         self.vc_rr: list[int] = [0] * num_out
         self.port_owned: list[int] = [0] * num_out
         self.carried: list[int] = [0] * num_out
-        self.out_dest_in: list[int] = [-1] * num_out
-        self.out_dest_node: list[int] = [0] * num_out
-        self.out_to_key: list[int] = [0] * num_out
-        for p, (node, to_key) in enumerate(out_specs):
-            port = network.routers[node].outputs[to_key]
-            rates[p] = port.rate
-            tokens[p] = port.tokens
-            self.out_to_key[p] = to_key
-            if to_key != LOCAL:
-                self.out_dest_in[p] = in_index[(to_key, node)]
-                self.out_dest_node[p] = to_key
-            else:
-                self.out_dest_node[p] = node
-            if vc_mode:
-                for vc in range(L):
-                    self.credits[p * L + vc] = port.vc_credits[vc]
-                    self.rr_in[p * L + vc] = port.vc_rr_inputs[vc]
-                self.vc_rr[p] = port.vc_rr
-                fresh = all(o is None for o in port.vc_owner)
-            else:
-                self.credits[p] = port.credits
-                self.rr_in[p] = port.rr_pointer
-                fresh = port.owner is None
-            self.carried[p] = port.flits_carried
-            if not fresh or port.last_refill != -1:
-                raise SimulationError(
-                    "vector engine requires a freshly built network "
-                    f"(node {node} output {to_key} already ran)"
-                )
-        self.out_rates = rates
-        self.out_caps = np.maximum(1.0, rates) + 1.0
-        self.out_tokens = tokens
+        self.out_dest_in: list[int] = [
+            -1 if key == LOCAL else in_index[key, node] for node, key in out_specs
+        ]
+        self.out_dest_node: list[int] = [
+            node if key == LOCAL else key for node, key in out_specs
+        ]
+        self.out_to_key: list[int] = [key for _, key in out_specs]
 
         # --- per-node views (lists indexed by node id) --------------------
-        size = max(self.nodes) + 1
-        self.node_ins: list = [()] * size
-        self.node_outs: list = [()] * size
+        size = max(fabric.nodes) + 1
+        self.node_ins: list = [[] for _ in range(size)]
+        self.node_outs: list = [[] for _ in range(size)]
         self.local_in: list[int] = [-1] * size
-        for node in self.nodes:
-            router = network.routers[node]
-            self.node_ins[node] = [in_index[(node, key)] for key in router.input_order]
-            self.node_outs[node] = [
-                out_index[(node, key)] for key in router.output_order
-            ]
-            self.local_in[node] = in_index[(node, LOCAL)]
+        for i, (node, key) in enumerate(in_specs):
+            self.node_ins[node].append(i)
+            if key == LOCAL:
+                self.local_in[node] = i
+        for p, (node, _key) in enumerate(out_specs):
+            self.node_outs[node].append(p)
         self.node_buf: list[int] = [0] * size
         self.node_owned: list[int] = [0] * size
 
         # --- NI + packet tables -------------------------------------------
         self.ni_queue: list = [deque() for _ in range(size)]
-        self.ni_injected: list[int] = [0] * size
-        self.ni_ejected: list[int] = [0] * size
         self.pkt_outs: list[list[int]] = []
         self.pkt_last: list[int] = []
         self.pkt_vc: list[int] = []
-        #: Last cycle the (vectorized) token refill ran; written back to the
-        #: ports so a consumed network cannot silently be re-flattened.
-        self.final_refill = -1
-
-    # ------------------------------------------------------------------
-    def writeback(self, sim: "Simulator") -> None:
-        """Copy the observable counters back onto the model objects.
-
-        The report builder reads ``flits_carried`` from the router output
-        ports (the packets reach it as columns, never through here).
-        Token-bucket state is also written back: it costs nothing and arms
-        the freshness guard (``last_refill != -1``) against re-flattening a
-        consumed network.
-        """
-        network = sim.network
-        for p, (node, to_key) in enumerate(self.out_specs):
-            port = network.routers[node].outputs[to_key]
-            port.flits_carried = self.carried[p]
-            port.tokens = float(self.out_tokens[p])
-            port.last_refill = self.final_refill
-        for node in self.nodes:
-            interface = network.interfaces[node]
-            interface.flits_injected += self.ni_injected[node]
-            interface.flits_ejected += self.ni_ejected[node]
 
 
 class _Plan:
@@ -241,9 +171,9 @@ class _Plan:
     shard means one segment and no channels.
     """
 
-    def __init__(self, network, assignment, num_shards: int) -> None:
+    def __init__(self, fabric, assignment, num_shards: int) -> None:
         self.num_shards = num_shards
-        nodes = sorted(network.routers)
+        nodes = fabric.nodes
 
         seg_nodes: list[list[int]] = []
         seg_shard: list[int] = []
@@ -270,16 +200,14 @@ class _Plan:
         self.shard_segments = shard_segments
 
         channels: set[tuple[int, int]] = set()
-        for node in nodes:
-            router = network.routers[node]
-            for to_key in router.output_order:
-                if to_key == LOCAL:
-                    continue
-                a, b = seg_of[node], seg_of[to_key]
-                if a != b and seg_shard[a] != seg_shard[b]:
-                    # Flits cross a -> b; same-cycle credits cross b -> a.
-                    channels.add((a, b))
-                    channels.add((b, a))
+        for node, to_key in fabric.outputs:
+            if to_key == LOCAL:
+                continue
+            a, b = seg_of[node], seg_of[to_key]
+            if a != b and seg_shard[a] != seg_shard[b]:
+                # Flits cross a -> b; same-cycle credits cross b -> a.
+                channels.add((a, b))
+                channels.add((b, a))
         self.channels = channels
 
         #: Per segment j: remote lower segments whose forward batch
@@ -307,20 +235,16 @@ class _Plan:
         )
 
 
-def replay_sources(sim: "Simulator", vc_mode: bool, chunk_cycles: int):
-    """Consume the traffic sources once; yield packet specs in chunks.
+def replay_sources(schedule, total_cycles: int, chunk_cycles: int):
+    """Yield a run's :class:`~repro.simnoc.schedule.InjectionSchedule` in chunks.
 
-    The run's :func:`~repro.simnoc.schedule.build_schedule`, sliced: chunk
-    ``k`` lists, in creation order, the ``(cycle, (packet_id, vc, src_node,
-    route, num_flits))`` specs of cycles ``[k * chunk_cycles, (k + 1) *
-    chunk_cycles)``, ``route`` being the path as flat output-port indices
-    — that global order is what makes packet slot numbers agree across
-    every loop consuming the stream.  Exactly ``ceil(total_cycles /
+    Chunk ``k`` lists, in creation order, the ``(cycle, (packet_id, vc,
+    src_node, route, num_flits))`` specs of cycles ``[k * chunk_cycles,
+    (k + 1) * chunk_cycles)``, ``route`` being the path as flat output-port
+    indices — that global order is what makes packet slot numbers agree
+    across every loop consuming the stream.  Exactly ``ceil(total_cycles /
     chunk_cycles)`` chunks come out.
     """
-    schedule = build_schedule(sim, vc_mode, flat_outputs(sim.network))
-    # The loops move slots; merge_results patches cycles onto these objects.
-    sim.all_packets.extend(schedule.packets())
     routes = schedule.route_val.tolist()
     starts, ends = schedule.route_off[:-1], schedule.route_off[1:]
     columns = (schedule.cycle, schedule.vc, schedule.src, starts, ends, schedule.flits)
@@ -330,7 +254,7 @@ def replay_sources(sim: "Simulator", vc_mode: bool, chunk_cycles: int):
             zip(*(column.tolist() for column in columns)), schedule.first_id
         )
     ]
-    edges = range(0, sim.network.config.total_cycles + chunk_cycles, chunk_cycles)
+    edges = range(0, total_cycles + chunk_cycles, chunk_cycles)
     bounds = np.searchsorted(schedule.cycle, edges).tolist()
     for start, end in zip(bounds, bounds[1:]):
         yield specs[start:end]
@@ -350,9 +274,7 @@ def _shard_tables(state, plan: _Plan, shard: int):
     for j in plan.shard_segments[shard]:
         for node in plan.seg_nodes[j]:
             owned[node] = 1
-    in_node = [0] * (len(state.in_cap))
-    for (node, _key), i in state.in_index.items():
-        in_node[i] = node
+    in_node = [spec[0] for spec in state.in_specs]
     out_node = [spec[0] for spec in state.out_specs]
     feeder_seg = [
         -1 if fdr < 0 or owned[out_node[fdr]] else seg_of[out_node[fdr]]
@@ -364,32 +286,18 @@ def _shard_tables(state, plan: _Plan, shard: int):
     return owned, in_node, feeder_seg, dest_seg
 
 
-def _payload(
-    plan, shard, state, pkt_ids, injected_by_slot, delivered, trace_events,
-    trace_attempts,
-):
+def _payload(plan, shard, state, injected_by_slot, delivered, trace_events, trace_attempts):
     """Everything :func:`merge_results` needs from one loop, as plain picklables."""
-    owned_nodes = [
-        node
-        for j in plan.shard_segments[shard]
-        for node in plan.seg_nodes[j]
-    ]
     return {
-        "injected": {
-            pkt_ids[slot]: cycle for slot, cycle in injected_by_slot.items()
-        },
+        "injected": injected_by_slot,
         "delivered": {
             node: state_delivered
-            for node in owned_nodes
+            for j in plan.shard_segments[shard]
+            for node in plan.seg_nodes[j]
             if (state_delivered := delivered[node])
         },
         "carried": {
             p: count for p, count in enumerate(state.carried) if count
-        },
-        "ni": {
-            node: (state.ni_injected[node], state.ni_ejected[node])
-            for node in owned_nodes
-            if state.ni_injected[node] or state.ni_ejected[node]
         },
         "trace": trace_events,
         "trace_attempts": trace_attempts,
@@ -452,11 +360,9 @@ def sweep_plain(
     node_buf = state.node_buf
     node_owned = state.node_owned
     ni_queue = state.ni_queue
-    ni_injected = state.ni_injected
     pkt_outs = state.pkt_outs
     pkt_last = state.pkt_last
 
-    ni_ejected = state.ni_ejected
     seg_of = plan.seg_of
     seg_shard = plan.seg_shard
     my_segs = plan.shard_segments[shard]
@@ -568,7 +474,6 @@ def sweep_plain(
                         in_queue.append((cycle, slot, seq, 0))
                         node_buf[node] += 1
                         buffered_total += 1
-                        ni_injected[node] += 1
                         moved += 1
                         active_routers.add(node)
                 if not backlog:
@@ -737,9 +642,8 @@ def sweep_plain(
                                 )
                             trace_attempts += 1
                         if di < 0:
-                            ni_ejected[node] += 1
                             if seq == my_last:
-                                delivered[node].append((pkt_ids[my_pkt], cycle))
+                                delivered[node].append((my_pkt, cycle))
                                 owner[p] = -1
                                 owner_pkt[p] = -1
                                 node_owned[node] -= 1
@@ -810,14 +714,7 @@ def sweep_plain(
         cycle += 1
 
     return _payload(
-        plan,
-        shard,
-        state,
-        pkt_ids,
-        injected_by_slot,
-        delivered,
-        trace_events,
-        trace_attempts,
+        plan, shard, state, injected_by_slot, delivered, trace_events, trace_attempts
     )
 
 
@@ -868,8 +765,6 @@ def sweep_vc(
     node_buf = state.node_buf
     node_owned = state.node_owned
     ni_queue = state.ni_queue
-    ni_injected = state.ni_injected
-    ni_ejected = state.ni_ejected
     pkt_outs = state.pkt_outs
     pkt_last = state.pkt_last
     pkt_vc = state.pkt_vc
@@ -979,7 +874,6 @@ def sweep_vc(
                         in_queue.append((cycle, slot, seq, 0))
                         node_buf[node] += 1
                         buffered_total += 1
-                        ni_injected[node] += 1
                         moved += 1
                         active_routers.add(node)
                 if not backlog:
@@ -1164,11 +1058,8 @@ def sweep_vc(
                                     )
                                 trace_attempts += 1
                             if di < 0:
-                                ni_ejected[node] += 1
                                 if seq == pkt_last[my_pkt]:
-                                    delivered[node].append(
-                                        (pkt_ids[my_pkt], cycle)
-                                    )
+                                    delivered[node].append((my_pkt, cycle))
                                     owner[pl] = -1
                                     owner_pkt[pl] = -1
                                     port_owned[p] -= 1
@@ -1251,53 +1142,46 @@ def sweep_vc(
         cycle += 1
 
     return _payload(
-        plan,
-        shard,
-        state,
-        pkt_ids,
-        injected_by_slot,
-        delivered,
-        trace_events,
-        trace_attempts,
+        plan, shard, state, injected_by_slot, delivered, trace_events, trace_attempts
     )
 
 
-def merge_results(sim: "Simulator", payloads: dict) -> None:
-    """Patch the loops' observables onto the model, then let the normal
-    report builder run.
+def merge_results(sim: "Simulator", schedule, payloads: dict) -> None:
+    """Leave the loops' observables on ``sim`` as the compiled rung does.
 
-    Delivered packets extend each NI in its owning loop's ejection order
-    (one shard owns each node, so per-interface order is exact), and the
-    interface dict itself predates any fork — the report's flatten order is
-    byte-identical to the cycle engine's over the same network object.
+    The packets become a :class:`~repro.simnoc.stats.PacketLog` over the
+    run's ``schedule``, each node's deliveries in its owning loop's ejection
+    order (one shard owns each node, so per-node order is exact), and the
+    loops' per-port flit counts become ``sim.carried``.
     """
-    network = sim.network
-    id_to_packet = {packet.packet_id: packet for packet in sim.all_packets}
-    out_specs = flat_outputs(network)
-    for shard in sorted(payloads):
-        payload = payloads[shard]
-        for pid, cycle in payload["injected"].items():
-            id_to_packet[pid].injected_cycle = cycle
+    count = len(schedule.cycle)
+    injected = np.full(count, -1, dtype=np.int64)
+    delivered = np.full(count, -1, dtype=np.int64)
+    carried = [0] * len(sim.network.fabric.outputs)
+    dlv_node: list[int] = []
+    dlv_slot: list[int] = []
+    dlv_cycle: list[int] = []
+    for payload in payloads.values():
+        injected[list(payload["injected"])] = list(payload["injected"].values())
         for node, items in payload["delivered"].items():
-            interface = network.interfaces[node]
-            for pid, cycle in items:
-                packet = id_to_packet[pid]
-                packet.delivered_cycle = cycle
-                interface.delivered_packets.append(packet)
-        for p, count in payload["carried"].items():
-            node, to_key = out_specs[p]
-            network.routers[node].outputs[to_key].flits_carried = count
-        for node, (injected, ejected) in payload["ni"].items():
-            interface = network.interfaces[node]
-            interface.flits_injected += injected
-            interface.flits_ejected += ejected
-
-    # Arm the freshness guard on every port so this network cannot be
-    # silently re-run (mirrors ``_FlatState.writeback``).
-    final = network.config.total_cycles - 1
-    for router in network.routers.values():
-        for port in router.outputs.values():
-            port.last_refill = final
+            dlv_node += [node] * len(items)
+            dlv_slot += [slot for slot, _ in items]
+            dlv_cycle += [cycle for _, cycle in items]
+        for p, flits in payload["carried"].items():
+            carried[p] = flits
+    slots = np.array(dlv_slot, dtype=np.int64)
+    delivered[slots] = dlv_cycle
+    sim.packet_log = PacketLog(
+        schedule.first_id,
+        schedule.commodity,
+        schedule.measured,
+        schedule.cycle,
+        injected,
+        delivered,
+        np.array(dlv_node, dtype=np.int64),
+        slots,
+    )
+    sim.carried = carried
 
     recorder = sim.trace
     if recorder is not None:
@@ -1334,7 +1218,7 @@ def sweep_shard(
     trace_cap = sim.trace.max_events if sim.trace is not None else 0
     return sweep(
         state,
-        sim.network.config,
+        sim.config,
         plan,
         shard,
         inject_chunks,
@@ -1352,9 +1236,11 @@ def run_in_process(sim: "Simulator", vc_mode: bool) -> None:
     channels — with the whole injection stream replayed up front as a
     single chunk.
     """
-    network = sim.network
-    plan = _Plan(network, dict.fromkeys(network.routers, 0), 1)
-    chunk_cycles = max(1, network.config.total_cycles)
-    specs = replay_sources(sim, vc_mode, chunk_cycles)
+    fabric = sim.network.fabric
+    plan = _Plan(fabric, dict.fromkeys(fabric.nodes, 0), 1)
+    total_cycles = sim.config.total_cycles
+    chunk_cycles = max(1, total_cycles)
+    schedule = build_schedule(sim, vc_mode, fabric.outputs)
+    specs = replay_sources(schedule, total_cycles, chunk_cycles)
     payload = sweep_shard(sim, vc_mode, plan, 0, specs, chunk_cycles, None, {})
-    merge_results(sim, {0: payload})
+    merge_results(sim, schedule, {0: payload})

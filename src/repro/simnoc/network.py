@@ -1,12 +1,13 @@
 """Assemble a simulatable network from a mapping and a routing result.
 
 ``build_network`` is the ×pipesCompiler-equivalent step at simulation level:
-it instantiates one router per mesh node (the model picked by the config's
-``num_vcs``/``router_model`` — see :mod:`repro.simnoc.models`), wires
-input/output ports along the topology's links, attaches a network interface
-per node and creates one bursty traffic source per commodity, with the
-source's weighted path set taken from the routing result (single path, or a
-flow decomposition of the MCF solution for split traffic).
+it wires one router per mesh node (the model picked by the config's
+``num_vcs``/``router_model`` — see :mod:`repro.simnoc.models`) along the
+topology's links into a :class:`Fabric` record, and creates one bursty
+traffic source per commodity, with the source's weighted path set taken
+from the routing result (single path, or a flow decomposition of the MCF
+solution for split traffic).  The router and NI objects are built from the
+record on first use; the flattened engines never ask for them.
 
 ``build_synthetic_network`` builds the same fabric but drives it with a
 registered synthetic traffic pattern (uniform/transpose/onoff) instead of
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import SimulationError
 from repro.graphs.commodities import Commodity
@@ -36,22 +38,113 @@ from repro.simnoc.router import LOCAL
 from repro.simnoc.traffic import BurstyTrafficSource
 
 
-@dataclass
-class Network:
-    """All simulator components of one NoC instance."""
+@dataclass(frozen=True, eq=False)
+class Fabric:
+    """One fabric's static wiring, in the flat port order engines index by.
+
+    Input ``i`` is ``inputs[i] == (node, from_key)`` and output ``p`` is
+    ``outputs[p] == (node, to_key)``: nodes ascending, each node's keys
+    ascending (``LOCAL`` first) — one list, since every link runs both
+    ways.  Input ``i`` buffers ``in_cap[i]`` flits
+    (per lane on a per-lane model); output ``p`` serializes ``rates[p]``
+    flits/cycle and starts with ``credits[p]`` credits (per lane; infinite
+    toward ejection).  ``link_rates`` holds the same rates per directed
+    link, in the topology's link order.  All of it follows from the
+    topology, the config and the optional rate override, so it is computed
+    once per build and never changes.
+    """
 
     topology: NoCTopology
     config: SimConfig
-    routers: dict[int, RouterModel]
-    interfaces: dict[int, NetworkInterface]
+    #: The registered router model the wiring was sized for.
+    model: str
+    nodes: list[int]
+    inputs: list[tuple[int, int]]
+    outputs: list[tuple[int, int]]
+    in_cap: list[int]
+    rates: list[float]
+    credits: list[float]
+    link_rates: dict[tuple[int, int], float]
+
+    @cached_property
+    def out_index(self) -> dict[tuple[int, int], int]:
+        """``(node, to_key)`` -> flat output index."""
+        return {spec: p for p, spec in enumerate(self.outputs)}
+
+    def build_routers(self) -> dict[int, RouterModel]:
+        """One router of the wired model per node, credit loops connected."""
+        factory = get_router_model(self.model)
+        out_index = self.out_index
+        routers: dict[int, RouterModel] = {}
+        for node in self.nodes:
+            keys = [LOCAL, *self.topology.neighbors(node)]
+            ports = [out_index[node, key] for key in keys]
+            specs = {
+                key: (self.rates[p], self.credits[p]) for key, p in zip(keys, ports)
+            }
+            routers[node] = factory(node, keys, specs, self.config)
+        # Each input port knows the output port feeding it.
+        for node, router in routers.items():
+            for neighbor in self.topology.neighbors(node):
+                router.inputs[neighbor].feeder = routers[neighbor].outputs[node]
+        return routers
+
+
+@dataclass(eq=False)
+class Network:
+    """All simulator components of one NoC instance.
+
+    ``fabric`` is the wiring every engine reads.  The router and NI objects
+    are built from it on first access, so only the engines that step
+    objects (``cycle``, ``event``, custom router models) pay for them.  A
+    network runs once: :meth:`claim` hands it to one simulator.
+    """
+
+    fabric: Fabric
     sources: list[TrafficSource]
-    link_rates: dict[tuple[int, int], float] = field(default_factory=dict)
+    claimed: bool = field(default=False, init=False)
+
+    @property
+    def topology(self) -> NoCTopology:
+        return self.fabric.topology
+
+    @property
+    def config(self) -> SimConfig:
+        return self.fabric.config
+
+    @property
+    def link_rates(self) -> dict[tuple[int, int], float]:
+        return self.fabric.link_rates
+
+    @cached_property
+    def routers(self) -> dict[int, RouterModel]:
+        return self.fabric.build_routers()
+
+    @cached_property
+    def interfaces(self) -> dict[int, NetworkInterface]:
+        routers = self.routers
+        num_vcs = self.config.num_vcs
+        return {
+            node: NetworkInterface(node, routers[node], num_vcs=num_vcs)
+            for node in self.fabric.nodes
+        }
+
+    def claim(self) -> None:
+        """Take the network for one run.
+
+        Raises:
+            SimulationError: when a simulator already took it (its sources
+                are consumed and its state is another run's).
+        """
+        if self.claimed:
+            raise SimulationError(
+                "a simulation requires a freshly built network; this one "
+                "was already given to a Simulator"
+            )
+        self.claimed = True
 
     def total_buffered_flits(self) -> int:
         return sum(router.buffered_flits() for router in self.routers.values())
-
-    def total_backlog_flits(self) -> int:
-        return sum(ni.backlog_flits for ni in self.interfaces.values())
 
 
 def commodity_paths(
@@ -69,69 +162,61 @@ def build_fabric(
     topology: NoCTopology,
     config: SimConfig,
     link_rate_flits_per_cycle: float | None = None,
-) -> tuple[
-    dict[int, RouterModel], dict[int, NetworkInterface], dict[tuple[int, int], float]
-]:
-    """Routers + NIs + link rates, wired but with no traffic attached.
+) -> Fabric:
+    """The fabric's wiring: ports, buffer depths, link rates and credits.
 
     The router model comes from the config (``num_vcs > 1`` selects the
     VC wormhole router unless ``router_model`` pins one explicitly); credit
-    loops are wired per physical link, or per virtual channel for VC models.
+    loops are sized per physical link, or per virtual channel for VC models.
 
     Raises:
         SimulationError: if any link's rate comes out non-positive or
-            not finite.
+            not finite, or a per-link model is asked for ``num_vcs > 1``.
     """
-    model_name = config.effective_router_model
-    factory = get_router_model(model_name)
+    model = config.effective_router_model
     # Credit budget = the downstream input FIFO the wire feeds.  Whether
     # that FIFO is per lane or per link is declared by the model's
     # registration, never inferred from its name (a custom model with
     # num_vcs=1 would otherwise get credits sized for the wrong buffer).
-    if router_model_uses_lanes(model_name):
-        credit_depth = config.effective_vc_depth
+    if router_model_uses_lanes(model):
+        depth = config.effective_vc_depth
     else:
         if config.num_vcs > 1:
             raise SimulationError(
-                f"router model {model_name!r} buffers per link and cannot "
+                f"router model {model!r} buffers per link and cannot "
                 f"carry num_vcs={config.num_vcs}; pick a per-lane model "
                 f"such as 'wormhole-vc'"
             )
-        credit_depth = config.buffer_depth
+        depth = config.buffer_depth
 
-    routers: dict[int, RouterModel] = {}
-    for node in topology.nodes:
-        input_keys = [LOCAL] + list(topology.neighbors(node))
-        output_specs: dict[int, tuple[float, float]] = {
-            LOCAL: (1.0, float("inf"))
-        }
-        for neighbor in topology.neighbors(node):
-            if link_rate_flits_per_cycle is not None:
-                rate = link_rate_flits_per_cycle
-            else:
-                rate = config.mbps_to_flits_per_cycle(
-                    topology.link_bandwidth(node, neighbor)
-                )
-            if not (math.isfinite(rate) and rate > 0):
-                raise SimulationError(f"link {node}->{neighbor} has rate {rate}")
-            output_specs[neighbor] = (rate, float(credit_depth))
-        routers[node] = factory(node, input_keys, output_specs, config)
+    link_rates: dict[tuple[int, int], float] = {}
+    for link in topology.links():
+        if link_rate_flits_per_cycle is not None:
+            rate = link_rate_flits_per_cycle
+        else:
+            rate = config.mbps_to_flits_per_cycle(link.bandwidth)
+        if not (math.isfinite(rate) and rate > 0):
+            raise SimulationError(f"link {link.src}->{link.dst} has rate {rate}")
+        link_rates[link.src, link.dst] = rate
 
-    # Wire credit feedback: each input port knows the output port feeding it.
-    for node, router in routers.items():
-        for neighbor in topology.neighbors(node):
-            upstream = routers[neighbor]
-            router.inputs[neighbor].feeder = upstream.outputs[node]
-
-    interfaces = {
-        node: NetworkInterface(node, routers[node], num_vcs=config.num_vcs)
-        for node in topology.nodes
-    }
-    link_rates = {
-        (link.src, link.dst): routers[link.src].outputs[link.dst].rate
-        for link in topology.links()
-    }
-    return routers, interfaces, link_rates
+    nodes = list(topology.nodes)
+    ports = [
+        (node, key)
+        for node in nodes
+        for key in sorted([LOCAL, *topology.neighbors(node)])
+    ]
+    return Fabric(
+        topology=topology,
+        config=config,
+        model=model,
+        nodes=nodes,
+        inputs=ports,
+        outputs=ports,
+        in_cap=[depth] * len(ports),
+        rates=[1.0 if key == LOCAL else link_rates[node, key] for node, key in ports],
+        credits=[math.inf if key == LOCAL else float(depth) for _, key in ports],
+        link_rates=link_rates,
+    )
 
 
 def build_network(
@@ -159,10 +244,7 @@ def build_network(
         SimulationError: if any commodity's scaled rate exceeds one
             flit/cycle (a single NI cannot physically inject faster).
     """
-    routers, interfaces, link_rates = build_fabric(
-        topology, config, link_rate_flits_per_cycle
-    )
-
+    fabric = build_fabric(topology, config, link_rate_flits_per_cycle)
     sources: list[BurstyTrafficSource] = []
     for commodity in sorted(commodities, key=lambda c: c.index):
         rate = config.mbps_to_flits_per_cycle(commodity.value) * bandwidth_scale
@@ -177,14 +259,7 @@ def build_network(
         )
         sources.append(source)
 
-    return Network(
-        topology=topology,
-        config=config,
-        routers=routers,
-        interfaces=interfaces,
-        sources=sources,
-        link_rates=link_rates,
-    )
+    return Network(fabric, sources)
 
 
 def build_synthetic_network(
@@ -207,16 +282,7 @@ def build_synthetic_network(
     Raises:
         SimulationError: for unknown patterns or oversubscribed injection.
     """
-    routers, interfaces, link_rates = build_fabric(
-        topology, config, link_rate_flits_per_cycle
-    )
+    fabric = build_fabric(topology, config, link_rate_flits_per_cycle)
     sources = list(get_traffic_pattern(traffic)(topology, config, injection_rate))
     sources.sort(key=lambda source: source.src_node)
-    return Network(
-        topology=topology,
-        config=config,
-        routers=routers,
-        interfaces=interfaces,
-        sources=sources,
-        link_rates=link_rates,
-    )
+    return Network(fabric, sources)

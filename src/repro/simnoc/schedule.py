@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.routing.dimension_ordered import xy_paths
-from repro.simnoc.packet import Packet
 from repro.simnoc.router import LOCAL
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,20 +46,6 @@ class InjectionSchedule(NamedTuple):
     route_off: np.ndarray
     route_val: np.ndarray
     path_nodes: np.ndarray
-
-    def packets(self) -> list[Packet]:
-        """The columns as model objects, for the engines that move objects."""
-        nodes = self.path_nodes.tolist()
-        fields = (
-            self.commodity, self.src, self.dst, self.route_off[:-1],
-            self.route_off[1:], self.flits, self.cycle, self.measured, self.vc,
-        )  # fmt: skip
-        return [
-            Packet(pid, com, s, d, nodes[a:b], f, c, None, None, m, v)
-            for pid, (com, s, d, a, b, f, c, m, v) in enumerate(
-                zip(*(field.tolist() for field in fields)), self.first_id
-            )
-        ]
 
 
 def _batch_method(source):
@@ -125,8 +110,7 @@ def build_schedule(sim: "Simulator", vc_mode: bool, out_specs) -> InjectionSched
 
     ``out_specs`` lists the output ports as ``(node, to_key)`` in flat-index
     order.  Sources end where polling to ``total_cycles`` leaves them and the
-    packet-id counter advances; no ``Packet`` is built (the engines that move
-    objects call :meth:`InjectionSchedule.packets`).  Raises
+    packet-id counter advances; no ``Packet`` is built.  Raises
     ``SimulationError`` when a path asks a node for an output it lacks.
     """
     network = sim.network

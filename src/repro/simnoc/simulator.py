@@ -67,7 +67,8 @@ class Simulator:
     """Drives a :class:`Network` through one configured simulation run.
 
     Args:
-        network: the built network to simulate.
+        network: the built network to simulate.  A network runs once:
+            handing it to a second simulator raises ``SimulationError``.
         trace: optional :class:`repro.simnoc.trace.TraceRecorder`; when
             given, every flit movement is recorded (bounded by the
             recorder's cap).
@@ -94,6 +95,7 @@ class Simulator:
         shards: int | None = None,
         partitioner: str | None = None,
     ) -> None:
+        network.claim()
         self.network = network
         self.config = network.config
         self.trace = trace
@@ -103,8 +105,10 @@ class Simulator:
         self._packet_counter = 0
         #: The object engines' packets, in creation order.
         self.all_packets: list[Packet] = []
-        #: The compiled kernel's packets: columns, never objects.
+        #: The flattened engines' packets: columns, never objects.
         self.packet_log: PacketLog | None = None
+        #: The flattened engines' flits per output port, in flat port order.
+        self.carried: list[int] | None = None
 
     def next_packet_id(self, count: int = 1) -> int:
         """Fresh globally unique packet id — the first of ``count`` reserved."""
@@ -128,8 +132,9 @@ class Simulator:
     def _build_report(self) -> SimulationReport:
         network = self.network
         config = self.config
-        # The compiled kernel left columns; the object engines left packets
-        # in the NIs, gathered here into the same columns.
+        # The flattened engines left columns; the object engines left
+        # packets in the NIs and counters on the ports, gathered here into
+        # the same columns.
         log = self.packet_log
         if log is None:
             delivered = [
@@ -139,17 +144,23 @@ class Simulator:
             ]
             created, ejected = len(self.all_packets), len(delivered)
             columns = packet_columns(delivered)
+            carried = [
+                network.routers[node].outputs[key].flits_carried
+                for node, key in network.fabric.outputs
+            ]
         else:
             created, ejected = len(log.created), len(log.dlv_slot)
             columns = log.measured_columns()
+            carried = self.carried
         stats = LatencyStats.from_columns(*columns)
 
         utilization = {}
         link_flits = {}
-        for (src, dst), rate in network.link_rates.items():
-            carried = network.routers[src].outputs[dst].flits_carried
-            utilization[(src, dst)] = carried / (rate * config.total_cycles)
-            link_flits[(src, dst)] = carried
+        out_index = network.fabric.out_index
+        for link, rate in network.link_rates.items():
+            flits = carried[out_index[link]]
+            utilization[link] = flits / (rate * config.total_cycles)
+            link_flits[link] = flits
 
         # One pass computes every per-flow figure; the flat per_commodity_*
         # dicts are views of the same FlowStats, not second computations.

@@ -2,7 +2,7 @@
 
 The measured, delivered packets arrive as parallel int64 arrays
 ``(commodity, created, injected, delivered)`` in *report order*: the network
-interfaces in node order, delivery order within one.  A compiled run is
+interfaces in node order, delivery order within one.  A flattened run is
 already columns (:class:`PacketLog`); :func:`packet_columns` gathers the
 object engines' packets.  Latencies are integer cycles, so counts, sums and
 order statistics are exact however reduced; ``std`` and ``jitter`` go through
@@ -22,11 +22,11 @@ from repro.simnoc.packet import Packet
 
 
 class PacketLog(NamedTuple):
-    """What a compiled run leaves on the simulator in place of packet objects.
+    """What a flattened run leaves on the simulator in place of packet objects.
 
     Slot ``k`` is the packet with id ``first_id + k``; ``injected`` and
     ``delivered`` hold ``-1`` for "never".  ``dlv_node[j]`` ejected slot
-    ``dlv_slot[j]``, in delivery order.
+    ``dlv_slot[j]``; each node's entries are in its delivery order.
     """
 
     first_id: int

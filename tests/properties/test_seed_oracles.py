@@ -67,18 +67,24 @@ from repro.api.engine import _prepare_sim
 from repro.errors import SimulationError
 from repro.simnoc import stats
 from repro.simnoc.config import SimConfig
+from repro.simnoc.engines import flat_kernel
+from repro.simnoc.engines.flat_kernel import ARG_FIELDS, KernelProgram
 from repro.simnoc.engines.jit import resolve_backend
+from repro.simnoc.engines.sweep import _FlatState
 from repro.simnoc.network import build_network
+from repro.simnoc.ni import NetworkInterface
 from repro.simnoc.packet import Packet, make_flits
 from repro.simnoc.router import LOCAL, Router, refill_bucket_to
 from repro.simnoc.simulator import Simulator
 from repro.simnoc.trace import TraceRecorder
+from repro.simnoc.vc_router import VCRouter
 from tests.reference import (
     PerMoveSwapMirror,
     dijkstra_quadrant_path,
     every_link_quadrant_links,
     every_port_step,
     next_core_order,
+    object_walk,
     per_child_bound_pbb,
     per_node_placement_costs,
     packet_walk_flow_stats,
@@ -86,6 +92,7 @@ from tests.reference import (
     per_pair_swap_deltas,
     recomputed_frontier_pmap,
     scanned_best_node,
+    seed_build_fabric,
     seed_cycle_loop,
     selection_order,
     sorted_traffic_order,
@@ -917,28 +924,103 @@ def _sim_request(engine, **options):
     )
 
 
+class TestFabricWiring:
+    """The flattened engines read the fabric record, never the router
+    objects: its wiring must be what the seed built as objects and
+    ``_FlatState`` read back off them (``tests/reference``'s
+    ``seed_build_fabric`` and ``object_walk``), array for array."""
+
+    @staticmethod
+    def _same(produced, walked) -> bool:
+        if isinstance(walked, np.ndarray):
+            return produced.dtype == walked.dtype and np.array_equal(produced, walked)
+        return produced == walked
+
+    @given(
+        fabrics(),
+        st.sampled_from(["auto", "wormhole", "wormhole-vc"]),
+        st.sampled_from([1, 2, 3]),  # num_vcs
+        st.sampled_from([2, 4]),  # buffer_depth
+        st.sampled_from([None, 2, 5]),  # vc_buffer_depth
+        st.sampled_from([None, 0.5, 1.0, 2.5]),  # link-rate override
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_flat_state_and_kernel_arrays_equal_the_object_walk(
+        self, topology, model, num_vcs, depth, vc_depth, rate
+    ):
+        config = SimConfig(
+            router_model=model,
+            num_vcs=num_vcs,
+            buffer_depth=depth,
+            vc_buffer_depth=vc_depth,
+            warmup_cycles=0,
+            measure_cycles=50,
+            drain_cycles=0,
+        )
+        vc_mode = config.effective_router_model == "wormhole-vc"
+        no_traffic = RoutingResult(topology, [], flows={}, paths={})
+
+        def simulator():
+            network = build_network(
+                topology, [], no_traffic, config, link_rate_flits_per_cycle=rate
+            )
+            return Simulator(network, engine="vector")
+
+        try:
+            routers, _interfaces, link_rates = seed_build_fabric(topology, config, rate)
+        except SimulationError as error:
+            with pytest.raises(SimulationError) as caught:
+                simulator()
+            assert str(caught.value) == str(error)
+            return
+        walked = object_walk(routers, config, vc_mode)
+        sim = simulator()
+        assert list(sim.network.link_rates.items()) == list(link_rates.items())
+        state = _FlatState(sim, vc_mode)
+        for name, value in vars(state).items():
+            assert self._same(value, getattr(walked, name)), name
+
+        program = KernelProgram(sim, vc_mode)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                flat_kernel, "_FlatState", lambda sim, vc_mode: object_walk(routers, config, vc_mode)
+            )
+            reference = KernelProgram(simulator(), vc_mode)
+        for name in ARG_FIELDS:
+            assert self._same(getattr(program, name), getattr(reference, name)), name
+
+
 class TestPacketObjects:
-    """The compiled path builds no ``Packet``; the engines that move objects do."""
+    """The flattened engines build no model object; the object engines do."""
 
     CASES = {
         "synthetic": dict(traffic="uniform", injection_rate=0.2),
+        "synthetic-vc": dict(traffic="uniform", injection_rate=0.2, num_vcs=2),
         "trace": dict(),
     }
+    COUNTED = (Packet, Router, VCRouter, NetworkInterface)
 
-    @staticmethod
-    def _run(monkeypatch, engine, options):
+    @classmethod
+    def _run(cls, monkeypatch, engine, options, **sim_options):
+        """The run's sim and report, and how many of each counted class it
+        built, network build included."""
         built = Counter()
-        init = Packet.__init__
 
-        def counting_init(self, *args, **kwargs):
-            built["Packet"] += 1
-            init(self, *args, **kwargs)
+        def counting(klass):
+            init = klass.__init__
 
-        sim, _ = _prepare_sim(_sim_request(engine, **options))
+            def counting_init(self, *args, **kwargs):
+                built[klass.__name__] += 1
+                init(self, *args, **kwargs)
+
+            return counting_init
+
         with monkeypatch.context() as patch:
-            patch.setattr(Packet, "__init__", counting_init)
+            for klass in cls.COUNTED:
+                patch.setattr(klass, "__init__", counting(klass))
+            sim, _ = _prepare_sim(_sim_request(engine, **options, **sim_options))
             report = sim.run()
-        return sim, report, built["Packet"]
+        return sim, report, built
 
     @pytest.mark.parametrize("case", CASES)
     def test_constructions_per_engine(self, monkeypatch, case):
@@ -946,7 +1028,9 @@ class TestPacketObjects:
         monkeypatch.delenv("REPRO_NO_JIT", raising=False)
         monkeypatch.delenv("REPRO_JIT", raising=False)
         cycle_sim, reference, built = self._run(monkeypatch, "cycle", options)
-        assert built == reference.packets_created > 100
+        assert built["Packet"] == reference.packets_created > 100
+        router = "VCRouter" if options.get("num_vcs", 1) > 1 else "Router"
+        assert built[router] == built["NetworkInterface"] == 16
 
         # The substitution took: whole-run statistics == the walk over the
         # cycle engine's packet objects.
@@ -957,15 +1041,15 @@ class TestPacketObjects:
         assert list(reference.per_flow) == list(packet_walk_flow_stats(delivered))
         assert reference.stats == packet_walk_latency_stats(delivered)
 
+        flat_runs = [("vector", {}, {}), ("sharded", {"shards": 1}, {})]
         if resolve_backend()[0] is not None:
-            sim, report, built = self._run(monkeypatch, "vector", options)
-            assert built == 0 and sim.all_packets == []
+            flat_runs.append(("vector", {}, {"REPRO_NO_JIT": "1"}))
+        for engine, sim_options, env in flat_runs:
+            with monkeypatch.context() as patch:
+                for name, value in env.items():
+                    patch.setenv(name, value)
+                sim, report, built = self._run(monkeypatch, engine, options, **sim_options)
+            assert not built and sim.all_packets == [], (engine, env)
             assert sim.packet_log is not None
             assert report == reference
             assert list(report.per_flow) == list(reference.per_flow)
-
-        monkeypatch.setenv("REPRO_NO_JIT", "1")
-        sim, report, built = self._run(monkeypatch, "vector", options)
-        assert built == report.packets_created == len(sim.all_packets)
-        assert sim.packet_log is None
-        assert report == reference

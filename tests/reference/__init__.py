@@ -29,8 +29,11 @@ from tests.reference.mapping import (
 )
 from tests.reference.simnoc import (
     every_port_step,
+    object_walk,
     packet_walk_flow_stats,
     packet_walk_latency_stats,
+    schedule_packets,
+    seed_build_fabric,
     seed_cycle_loop,
 )
 
@@ -40,6 +43,7 @@ __all__ = [
     "every_link_quadrant_links",
     "every_port_step",
     "next_core_order",
+    "object_walk",
     "packet_walk_flow_stats",
     "packet_walk_latency_stats",
     "per_child_bound_pbb",
@@ -48,6 +52,8 @@ __all__ = [
     "quadrant_outgoing",
     "recomputed_frontier_pmap",
     "scanned_best_node",
+    "schedule_packets",
+    "seed_build_fabric",
     "seed_cycle_loop",
     "selection_order",
     "sorted_traffic_order",

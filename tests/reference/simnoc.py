@@ -8,6 +8,13 @@ visibility and re-resolves each flit's next hop on every visit, where
 ``Router`` caches both.  The ``cycle`` engine skips idle components and
 unrequested ports; it must not move a single flit differently.
 
+The flattened engines walked the built router objects back into arrays
+until ``repro.simnoc.network.Fabric`` carried the wiring:
+:func:`seed_build_fabric` builds the objects as the seed did,
+:func:`object_walk` reads them back as ``_FlatState`` did, and
+:func:`schedule_packets` turns an injection schedule into the ``Packet``
+objects the interpreted loops once patched.
+
 The statistics walked ``list[Packet]`` — one dict of lists per flow, one
 ``sorted`` each — until ``repro.simnoc.stats`` went to columns;
 :func:`packet_walk_latency_stats` and :func:`packet_walk_flow_stats` are
@@ -17,9 +24,17 @@ key order included.
 
 from __future__ import annotations
 
+import math
+from collections import deque
+from types import SimpleNamespace
+
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.simnoc.engines.cycle import DEADLOCK_WINDOW
-from repro.simnoc.packet import FlitKind, is_last_flit
+from repro.simnoc.models import get_router_model, router_model_uses_lanes
+from repro.simnoc.ni import NetworkInterface
+from repro.simnoc.packet import FlitKind, Packet, is_last_flit
 from repro.simnoc.router import LOCAL, resolve_next_hop
 from repro.simnoc.stats import FlowStats, LatencyStats
 
@@ -233,3 +248,182 @@ def packet_walk_flow_stats(packets) -> dict[int, FlowStats]:
             histogram=latency_histogram(values),
         )
     return flows
+
+
+# ----------------------------------------------------------------------
+# the object wiring the flattened engines once walked
+# ----------------------------------------------------------------------
+def seed_build_fabric(topology, config, link_rate_flits_per_cycle=None):
+    """The seed's ``build_fabric``: routers + NIs + link rates, wired."""
+    model_name = config.effective_router_model
+    factory = get_router_model(model_name)
+    if router_model_uses_lanes(model_name):
+        credit_depth = config.effective_vc_depth
+    else:
+        if config.num_vcs > 1:
+            raise SimulationError(
+                f"router model {model_name!r} buffers per link and cannot "
+                f"carry num_vcs={config.num_vcs}; pick a per-lane model "
+                f"such as 'wormhole-vc'"
+            )
+        credit_depth = config.buffer_depth
+
+    routers = {}
+    for node in topology.nodes:
+        input_keys = [LOCAL] + list(topology.neighbors(node))
+        output_specs = {LOCAL: (1.0, float("inf"))}
+        for neighbor in topology.neighbors(node):
+            if link_rate_flits_per_cycle is not None:
+                rate = link_rate_flits_per_cycle
+            else:
+                rate = config.mbps_to_flits_per_cycle(
+                    topology.link_bandwidth(node, neighbor)
+                )
+            if not (math.isfinite(rate) and rate > 0):
+                raise SimulationError(f"link {node}->{neighbor} has rate {rate}")
+            output_specs[neighbor] = (rate, float(credit_depth))
+        routers[node] = factory(node, input_keys, output_specs, config)
+
+    for node, router in routers.items():
+        for neighbor in topology.neighbors(node):
+            upstream = routers[neighbor]
+            router.inputs[neighbor].feeder = upstream.outputs[node]
+
+    interfaces = {
+        node: NetworkInterface(node, routers[node], num_vcs=config.num_vcs)
+        for node in topology.nodes
+    }
+    link_rates = {
+        (link.src, link.dst): routers[link.src].outputs[link.dst].rate
+        for link in topology.links()
+    }
+    return routers, interfaces, link_rates
+
+
+def flat_outputs(routers) -> list[tuple[int, int]]:
+    """Every output port as ``(node, to_key)``, in flat-index order."""
+    return [
+        (node, key)
+        for node in sorted(routers)
+        for key in routers[node].output_order
+    ]
+
+
+_EMPTY = 1 << 60
+
+
+def object_walk(routers, config, vc_mode: bool) -> SimpleNamespace:
+    """The seed's ``_FlatState.__init__``: the wiring read off the objects.
+
+    Returns the wiring and initial per-port state under ``_FlatState``'s
+    attribute names.
+    """
+    state = SimpleNamespace()
+    state.num_vcs = config.num_vcs if vc_mode else 1
+    L = state.num_vcs
+
+    state.nodes = sorted(routers)
+    in_specs = [(n, key) for n in state.nodes for key in routers[n].input_order]
+    out_specs = state.out_specs = flat_outputs(routers)
+    state.in_specs = in_specs
+    in_index = {spec: i for i, spec in enumerate(in_specs)}
+    out_index = {spec: p for p, spec in enumerate(out_specs)}
+
+    num_in = len(in_specs)
+    num_out = len(out_specs)
+
+    state.queues = [deque() for _ in range(num_in * L)]
+    state.head_enter = [_EMPTY] * (num_in * L)
+    state.head_slot = [-1] * (num_in * L)
+    state.head_seq = [-1] * (num_in * L)
+    state.head_pos = [0] * (num_in * L)
+    state.in_cap = [0] * num_in
+    state.in_feeder = [-1] * num_in
+    for i, (node, from_key) in enumerate(in_specs):
+        port = routers[node].inputs[from_key]
+        state.in_cap[i] = port.vc_capacity if vc_mode else port.capacity
+        if from_key != LOCAL:
+            state.in_feeder[i] = out_index[(from_key, node)]
+        if port.occupancy:
+            raise SimulationError(
+                "vector engine requires a freshly built network "
+                f"(node {node} port {from_key} has buffered flits)"
+            )
+
+    rates = np.empty(num_out, dtype=np.float64)
+    tokens = np.empty(num_out, dtype=np.float64)
+    state.credits = [0.0] * (num_out * L)
+    state.owner = [-1] * (num_out * L)
+    state.owner_pkt = [-1] * (num_out * L)
+    state.rr_in = [0] * (num_out * L)
+    state.vc_rr = [0] * num_out
+    state.port_owned = [0] * num_out
+    state.carried = [0] * num_out
+    state.out_dest_in = [-1] * num_out
+    state.out_dest_node = [0] * num_out
+    state.out_to_key = [0] * num_out
+    for p, (node, to_key) in enumerate(out_specs):
+        port = routers[node].outputs[to_key]
+        rates[p] = port.rate
+        tokens[p] = port.tokens
+        state.out_to_key[p] = to_key
+        if to_key != LOCAL:
+            state.out_dest_in[p] = in_index[(to_key, node)]
+            state.out_dest_node[p] = to_key
+        else:
+            state.out_dest_node[p] = node
+        if vc_mode:
+            for vc in range(L):
+                state.credits[p * L + vc] = port.vc_credits[vc]
+                state.rr_in[p * L + vc] = port.vc_rr_inputs[vc]
+            state.vc_rr[p] = port.vc_rr
+            fresh = all(o is None for o in port.vc_owner)
+        else:
+            state.credits[p] = port.credits
+            state.rr_in[p] = port.rr_pointer
+            fresh = port.owner is None
+        state.carried[p] = port.flits_carried
+        if not fresh or port.last_refill != -1:
+            raise SimulationError(
+                "vector engine requires a freshly built network "
+                f"(node {node} output {to_key} already ran)"
+            )
+    state.out_rates = rates
+    state.out_caps = np.maximum(1.0, rates) + 1.0
+    state.out_tokens = tokens
+
+    size = max(state.nodes) + 1
+    state.node_ins = [()] * size
+    state.node_outs = [()] * size
+    state.local_in = [-1] * size
+    for node in state.nodes:
+        router = routers[node]
+        state.node_ins[node] = [in_index[(node, key)] for key in router.input_order]
+        state.node_outs[node] = [
+            out_index[(node, key)] for key in router.output_order
+        ]
+        state.local_in[node] = in_index[(node, LOCAL)]
+    state.node_buf = [0] * size
+    state.node_owned = [0] * size
+
+    state.ni_queue = [deque() for _ in range(size)]
+    state.pkt_outs = []
+    state.pkt_last = []
+    state.pkt_vc = []
+    return state
+
+
+def schedule_packets(schedule) -> list[Packet]:
+    """The seed's ``InjectionSchedule.packets``: the columns as ``Packet`` objects."""
+    nodes = schedule.path_nodes.tolist()
+    fields = (
+        schedule.commodity, schedule.src, schedule.dst, schedule.route_off[:-1],
+        schedule.route_off[1:], schedule.flits, schedule.cycle, schedule.measured,
+        schedule.vc,
+    )  # fmt: skip
+    return [
+        Packet(pid, com, s, d, nodes[a:b], f, c, None, None, m, v)
+        for pid, (com, s, d, a, b, f, c, m, v) in enumerate(
+            zip(*(field.tolist() for field in fields)), schedule.first_id
+        )
+    ]

@@ -139,6 +139,20 @@ class TestSubmissionValidation:
             assert status == 400
             assert b"ApiError" in reply
 
+    def test_string_topology_width_is_400_at_submission(self, service_pair):
+        """A wrongly typed dimension is refused at parse, not raised as a
+        bare ``TypeError`` (HTTP 500) or deferred to a worker."""
+        import json as json_module
+
+        _, client = service_pair
+        payload = MAP_REQUEST.to_dict()
+        payload["topology"] = {"kind": "mesh", "width": "4", "height": 4}
+        status, reply = client._request(
+            "POST", "/v1/jobs", json_module.dumps(payload).encode()
+        )
+        assert status == 400
+        assert b"ApiError" in reply and b"width" in reply
+
     def test_empty_batch_is_400(self, service_pair):
         _, client = service_pair
         status, _ = client._request("POST", "/v1/jobs", b'{"requests": []}')

@@ -83,13 +83,26 @@ class TestNumericFields:
             ("topology", "link_bandwidth", INF),
             ("topology", "link_bandwidth", "600"),
             ("topology", "link_bandwidth", True),
+            ("topology", "width", "4"),
+            ("topology", "width", 4.0),
+            ("topology", "width", True),
+            ("topology", "height", "4"),
+            ("map_request", "seed", 1.5),
+            ("map_request", "seed", "3"),
+            ("map_request", "seed", True),
+            ("map_request", "price_bandwidth", "yes"),
+            ("map_request", "tag", 5),
+            ("map_request", "tag", ["x"]),
         ],
     )
     def test_bad_numbers_are_api_errors(self, where, field, value):
         payload = _sim_payload("uniform" if field == "injection_rate" else "trace")
+        # A seeded mapper, so a bad seed cannot hide behind "takes no seed".
+        payload["map_request"]["mapper"] = "annealing"
         target = {
             "request": payload,
             "options": payload["options"],
+            "map_request": payload["map_request"],
             "topology": payload["map_request"]["topology"],
         }[where]
         target[field] = value

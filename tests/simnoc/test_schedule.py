@@ -6,9 +6,9 @@ streams by one sort; the ``cycle`` and ``event`` engines poll
 register the same packets — ids, cycles, flags, lanes, paths, order — and
 leave every source in the same state, or the flattened engines stop being
 bit-identical to the oracle.  The schedule holds them as columns and builds
-no ``Packet``; ``InjectionSchedule.packets()`` does, for the engines that
-move objects, and both forms are compared here.  The heap loop below is the
-oracle's discipline, kept here as the reference.
+no ``Packet``; ``tests/reference``'s ``schedule_packets`` turns the columns
+into objects for the comparison.  The heap loop below is the oracle's
+discipline, kept here as the reference.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.mapping.nmap_split import nmap_with_splitting
 from repro.routing.dimension_ordered import xy_path
 from repro.simnoc import SimConfig, Simulator, build_network, build_synthetic_network
 from repro.simnoc.engines.flat_kernel import KernelProgram
-from repro.simnoc.engines.sweep import flat_outputs, replay_sources
+from repro.simnoc.engines.sweep import replay_sources
 from repro.simnoc.models import TRAFFIC_PATTERNS, register_traffic_pattern
 from repro.simnoc.network import commodity_paths
 from repro.simnoc.packet import Packet
@@ -35,6 +35,7 @@ from repro.simnoc.router import LOCAL
 from repro.simnoc.schedule import build_schedule
 from repro.simnoc.synthetic import UniformRandomSource
 from repro.simnoc.trace import TraceRecorder
+from tests.reference.simnoc import schedule_packets
 
 
 def heap_polled(sim, lanes):
@@ -130,7 +131,7 @@ class TestScheduleEqualsHeapPolledReplay:
         schedule = program.schedule
         # Dataclass equality: id, commodity, endpoints, path, flits,
         # created cycle, measured and vc of every packet, in order.
-        assert schedule.packets() == polled
+        assert schedule_packets(schedule) == polled
         assert sim.all_packets == []  # the compiled path registers no object
         assert schedule.first_id == polled[0].packet_id
         for column, field in (
@@ -175,9 +176,11 @@ class TestScheduleEqualsHeapPolledReplay:
     def test_replay_sources_slices_the_same_schedule(self, scenario):
         polled = heap_polled(Simulator(SCENARIOS[scenario](3, 2)), 2)
         sim = Simulator(SCENARIOS[scenario](3, 2))
-        out_index = {spec: p for p, spec in enumerate(flat_outputs(sim.network))}
-        chunks = list(replay_sources(sim, True, 128))
-        assert sim.all_packets == polled  # the interpreted loops' objects
+        outputs = sim.network.fabric.outputs
+        out_index = {spec: p for p, spec in enumerate(outputs)}
+        schedule = build_schedule(sim, True, outputs)
+        chunks = list(replay_sources(schedule, sim.config.total_cycles, 128))
+        assert sim.all_packets == []  # the interpreted loops register no object
         assert len(chunks) == -(-sim.config.total_cycles // 128)
         for k, chunk in enumerate(chunks):
             assert all(k * 128 <= cycle < (k + 1) * 128 for cycle, _ in chunk)
@@ -367,12 +370,12 @@ class TestScheduleEdges:
             return network
 
         sim = Simulator(quiet_network())
-        schedule = build_schedule(sim, False, flat_outputs(sim.network))
-        assert schedule.packets() == [] and schedule.first_id == 1
+        schedule = build_schedule(sim, False, sim.network.fabric.outputs)
+        assert schedule_packets(schedule) == [] and schedule.first_id == 1
         lengths = {name: len(getattr(schedule, name)) for name in schedule._fields[1:]}
         assert lengths.pop("route_off") == 1 and set(lengths.values()) == {0}
         assert sim.next_packet_id() == 1
-        assert list(replay_sources(Simulator(quiet_network()), False, 1)) == [[], []]
+        assert list(replay_sources(schedule, config.total_cycles, 1)) == [[], []]
         # Every engine runs the empty schedule to the same end.
         errors = []
         for engine in ("vector", "sharded", "cycle"):

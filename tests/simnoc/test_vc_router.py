@@ -182,7 +182,9 @@ class TestEngineContract:
 
         mesh = NoCTopology.mesh(2, 2, link_bandwidth=800.0)
         config = SimConfig(num_vcs=2, vc_buffer_depth=3, buffer_depth=8)
-        routers, _interfaces, _rates = build_fabric(mesh, config)
+        fabric = build_fabric(mesh, config)
+        assert fabric.in_cap == [3] * len(fabric.inputs)
+        routers = fabric.build_routers()
         port = routers[0].outputs[1]
         assert port.vc_credits == [3.0, 3.0]
         assert routers[1].inputs[0].vc_capacity == 3

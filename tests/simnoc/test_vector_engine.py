@@ -2,8 +2,9 @@
 
 The heavy bit-identity guarantees live in ``tests/properties``; this file
 covers the engine-layer plumbing around them: registry exposure, the
-freshness and router-model guards, observable write-back, which shard
-counts need ``fork``, and the two-branch policy ``auto`` dispatches on.
+one-run-per-network and router-model guards, the observables a flattened
+run leaves, which shard counts need ``fork``, and the two-branch policy
+``auto`` dispatches on.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from repro.simnoc import (
     list_engines,
 )
 from repro.simnoc.engines.auto import resolve_auto_engine
-from repro.simnoc.engines.jit import resolve_backend
 from repro.simnoc.models import register_router_model
+from repro.simnoc.trace import TraceRecorder
 from tests.simnoc.deliveries import deliveries
 
 
@@ -39,15 +40,27 @@ class TestRegistry:
         assert set(list_engines()) >= {"auto", "cycle", "event", "vector"}
 
 
-class TestVectorEngineGuards:
-    def test_requires_fresh_network(self):
-        """Re-running a network that already simulated must fail loudly
-        rather than silently continue from flattened-away state."""
+class TestANetworkRunsOnce:
+    """A run consumes its network's sources (and, on the object engines,
+    leaves its packets in the NIs), so a second simulator on the same
+    network must fail loudly rather than report another run's state."""
+
+    @pytest.mark.parametrize("engine", list_engines())
+    def test_a_second_run_raises(self, engine):
         network = _network(0.05)
-        sim = Simulator(network, engine="vector")
-        sim.run()
+        first = Simulator(network, engine=engine, shards=2).run()
+        assert first == Simulator(_network(0.05), engine="cycle").run()
+        with pytest.raises(SimulationError, match="freshly built"):
+            Simulator(network, engine=engine, shards=2).run()
+
+    def test_a_second_run_on_another_engine_raises(self):
+        network = _network(0.05)
+        Simulator(network, engine="cycle").run()
         with pytest.raises(SimulationError, match="freshly built"):
             Simulator(network, engine="vector").run()
+
+
+class TestVectorEngineGuards:
 
     def test_rejects_unknown_router_model(self):
         register_router_model("test-vector-reject", per_lane_buffers=False)(
@@ -60,33 +73,23 @@ class TestVectorEngineGuards:
         with pytest.raises(SimulationError, match="vector engine"):
             Simulator(network, engine="vector").run()
 
-    def test_writes_back_observable_counters(self):
-        """The report builder reads NI and output-port counters and the
-        deliveries (the compiled rung's delivery log, else the NIs' packets);
-        the flattened run must leave them as an object-engine run does."""
-        fast = _network(0.1, seed=3)
-        reference = _network(0.1, seed=3)
-        fast_sim = Simulator(fast, engine="vector")
-        reference_sim = Simulator(reference, engine="cycle")
-        fast_sim.run()
-        reference_sim.run()
-        # (node, packet id, ...) per delivery: per-NI order included.
-        assert deliveries(fast_sim) == deliveries(reference_sim)
-        assert (fast_sim.packet_log is None) == (resolve_backend()[0] is None)
-        for node in fast.routers:
-            assert (
-                fast.interfaces[node].flits_injected
-                == reference.interfaces[node].flits_injected
-            )
-            assert (
-                fast.interfaces[node].flits_ejected
-                == reference.interfaces[node].flits_ejected
-            )
-            for key, port in fast.routers[node].outputs.items():
-                assert (
-                    port.flits_carried
-                    == reference.routers[node].outputs[key].flits_carried
-                )
+    @pytest.mark.parametrize("no_jit", ("", "1"))
+    def test_leaves_what_the_cycle_engine_leaves(self, monkeypatch, no_jit):
+        """The report builder reads the deliveries and the per-port flit
+        counts: columns after a flattened run, the NIs and ports after an
+        object-engine run.  Both rungs of a vector run must leave the
+        reports, deliveries and flit traces of the cycle engine."""
+        monkeypatch.setenv("REPRO_NO_JIT", no_jit)
+        runs = {}
+        for engine in ("vector", "cycle"):
+            recorder = TraceRecorder(max_events=10**6)
+            sim = Simulator(_network(0.1, seed=3), trace=recorder, engine=engine)
+            report = sim.run()
+            # (node, packet id, ...) per delivery: per-NI order included.
+            runs[engine] = (report, deliveries(sim), recorder.events)
+            assert (sim.packet_log is None) == (engine == "cycle")
+        assert runs["vector"] == runs["cycle"]
+        assert sum(runs["vector"][0].link_flits.values()) > 0
 
 
 class TestShardedStartMethod:
