@@ -28,8 +28,10 @@ setup(
     install_requires=[
         "numpy>=1.22",
         "networkx>=2.6",
-        # The LP/MILP back end (repro.lp.solve): optimize.milp arrived in 1.9.
-        "scipy>=1.9",
+        # The LP/MILP back end (repro.lp.solve) drives scipy's bundled HiGHS
+        # core, scipy.optimize._highspy._core, which first shipped in 1.15
+        # (CI's check-scipy-floor job installs exactly this floor).
+        "scipy>=1.15",
     ],
     extras_require={
         # The vector engine's compiled kernel tier (repro.simnoc.engines.jit).

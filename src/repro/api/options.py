@@ -9,6 +9,7 @@ queued batch fail fast on a typo instead of minutes into a fan-out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Any
 
@@ -36,6 +37,11 @@ def _check_objective(cls_name: str, objective: str) -> None:
             f"{cls_name}.objective must be one of "
             f"{', '.join(MAPPER_OBJECTIVES)}, got {objective!r}"
         )
+
+
+def _finite_positive(value: float) -> bool:
+    """NaN and ±inf fail: an annealer started from either makes no move."""
+    return math.isfinite(value) and value > 0
 
 
 def _check_field_type(cls_name: str, name: str, annotation: str, value: Any) -> None:
@@ -197,16 +203,19 @@ class AnnealingOptions(MapperOptions):
         _check_objective(type(self).__name__, self.objective)
         if not (0.0 < self.cooling < 1.0):
             raise ApiError(f"cooling must be in (0, 1), got {self.cooling}")
-        if self.initial_temperature is not None and self.initial_temperature <= 0:
+        if self.initial_temperature is not None and not _finite_positive(
+            self.initial_temperature
+        ):
             raise ApiError(
-                f"initial_temperature must be positive, got {self.initial_temperature}"
+                "initial_temperature must be finite and positive, "
+                f"got {self.initial_temperature}"
             )
         if self.moves_per_temperature is not None and self.moves_per_temperature < 1:
             raise ApiError(
                 f"moves_per_temperature must be >= 1, got {self.moves_per_temperature}"
             )
-        if self.min_temperature_fraction <= 0:
+        if not _finite_positive(self.min_temperature_fraction):
             raise ApiError(
-                "min_temperature_fraction must be positive, "
+                "min_temperature_fraction must be finite and positive, "
                 f"got {self.min_temperature_fraction}"
             )

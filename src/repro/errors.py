@@ -90,6 +90,16 @@ class ServiceError(ReproError):
         self.retry_after = retry_after
 
 
+class StoreError(ServiceError):
+    """The result store could not persist an entry (read-only root, full disk).
+
+    Raised by :meth:`repro.service.store.ResultStore.put`; the message names
+    the entry's path and the OS error.  :meth:`~repro.service.store.ResultStore.publish`
+    catches it: the computed bytes still reach the job and every waiter, and
+    the failure is counted as ``store.write_errors`` in ``/v1/health``.
+    """
+
+
 class CircuitOpenError(ServiceError):
     """The client's circuit breaker is open; the call failed fast.
 

@@ -1,11 +1,17 @@
 """Linear-programming back end (substitute for the paper's ``lp_solve``).
 
 A program is its arrays — objective ``c``, ``A_ub x <= b_ub``,
-``A_eq x == b_eq`` and an ``(n, 2)`` bounds array — and :func:`solve` hands
-them to HiGHS through :func:`scipy.optimize.linprog`, or
-:func:`scipy.optimize.milp` when some variable is integer.  The callers
-(:mod:`repro.routing.split`, :mod:`repro.routing.ilp`) assemble those arrays
-directly; there is no modelling layer in between.
+``A_eq x == b_eq`` and an ``(n, 2)`` bounds array — and :func:`solve` is the
+one place that hands them to HiGHS.  It fills one column-wise ``HighsLp``
+(rows ``-inf / b_eq <= [A_ub; A_eq] x <= b_ub / b_eq``) and runs scipy's
+bundled HiGHS core, ``scipy.optimize._highspy._core``, directly: the model
+and the options scipy's public LP / MILP wrappers would hand it, without
+their input cleaning, per-option validation, dual and marginal read-back and
+result assembly, none of which the callers read.  The core is private to
+scipy, so ``tests/properties/test_seed_oracles.py`` holds every answer to
+the public call it replaced (kept in ``tests/reference/lp.py``).  The
+callers (:mod:`repro.routing.split`, :mod:`repro.routing.ilp`) assemble the
+arrays directly; there is no modelling layer in between.
 """
 
 from __future__ import annotations
@@ -28,8 +34,9 @@ class SolveStatus(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
-#: scipy's ``OptimizeResult.status`` codes that are an answer, not a failure.
-_STATUS = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE, 3: SolveStatus.UNBOUNDED}
+#: scipy's post-solve feasibility tolerance for LPs, ``sqrt(tol) * 10`` at its
+#: default ``tol = 1e-9``.  An "optimal" answer outside it is a failure.
+_FEASIBILITY_TOL = np.sqrt(1e-9) * 10
 
 
 @dataclass(frozen=True)
@@ -51,6 +58,28 @@ class Solution:
         return self.status is SolveStatus.OPTIMAL
 
 
+def _vector(values, name: str) -> np.ndarray:
+    array = np.asarray([] if values is None else values, dtype=np.float64).reshape(-1)
+    if not np.isfinite(array).all():
+        raise SolverError(f"{name} must be finite")
+    return array
+
+
+def _rows(A_ub, A_eq, n: int):  # noqa: N803
+    """``[A_ub; A_eq]`` as CSC, stacked the way scipy's LP wrapper stacks them."""
+    from scipy import sparse
+
+    blocks = [np.zeros((0, n)) if a is None else a for a in (A_ub, A_eq)]
+    if any(sparse.issparse(block) for block in blocks):
+        stacked = sparse.vstack(blocks)
+    else:
+        stacked = np.vstack(blocks)
+    matrix = sparse.csc_array(stacked, dtype=np.float64)
+    if not np.isfinite(matrix.data).all():
+        raise SolverError("A_ub and A_eq must be finite")
+    return matrix
+
+
 def solve(c, A_ub, b_ub, A_eq, b_eq, bounds, integrality=None) -> Solution:  # noqa: N803
     """Minimize ``c @ x`` subject to ``A_ub x <= b_ub``, ``A_eq x == b_eq``.
 
@@ -68,32 +97,83 @@ def solve(c, A_ub, b_ub, A_eq, b_eq, bounds, integrality=None) -> Solution:  # n
         how infeasible a mapping is.
 
     Raises:
-        SolverError: on a program without variables or a backend failure.
+        SolverError: on a program without variables, non-finite or
+            mis-shaped arrays, or a HiGHS failure — any other model status,
+            or an "optimal" answer that breaks its own bounds or rows.
     """
-    from scipy import optimize
+    from scipy.optimize._highspy import _core as highs
 
-    if len(c) == 0:
+    c = _vector(c, "c")
+    n = len(c)
+    if n == 0:
         raise SolverError("program has no variables")
+    b_ub, b_eq = _vector(b_ub, "b_ub"), _vector(b_eq, "b_eq")
+    matrix = _rows(A_ub, A_eq, n)
     bounds = np.asarray(bounds, dtype=np.float64)
-    if integrality is not None and np.any(integrality):
-        constraints = []
-        if A_ub is not None:
-            constraints.append(optimize.LinearConstraint(A_ub, -np.inf, b_ub))
-        if A_eq is not None:
-            constraints.append(optimize.LinearConstraint(A_eq, b_eq, b_eq))
-        result = optimize.milp(
-            c,
-            constraints=constraints,
-            integrality=integrality,
-            bounds=optimize.Bounds(bounds[:, 0], bounds[:, 1]),
+    if matrix.shape != (len(b_ub) + len(b_eq), n) or bounds.shape != (n, 2):
+        raise SolverError(
+            f"{n} variables, a {matrix.shape} constraint matrix, "
+            f"{len(b_ub)} + {len(b_eq)} right-hand sides and {bounds.shape} bounds "
+            "do not fit together"
         )
+    if np.isnan(bounds).any():
+        raise SolverError("bounds must not be NaN")
+    is_mip = integrality is not None and np.any(integrality)
+    inf = highs.kHighsInf
+    rhs = np.concatenate((b_ub, b_eq))
+
+    # pybind11 copies a list into a std::vector ~2x faster than an ndarray.
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(rhs)
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = matrix.indptr.tolist()
+    lp.a_matrix_.index_ = matrix.indices.tolist()
+    lp.a_matrix_.value_ = matrix.data.tolist()
+    lp.col_cost_ = c.tolist()
+    lp.col_lower_ = np.clip(bounds[:, 0], -inf, inf).tolist()
+    lp.col_upper_ = np.clip(bounds[:, 1], -inf, inf).tolist()
+    lp.row_lower_ = np.concatenate((np.full(len(b_ub), -inf), b_eq)).tolist()
+    lp.row_upper_ = rhs.tolist()
+    if is_mip:
+        kinds = np.broadcast_to(integrality, n).astype(np.uint8)
+        lp.integrality_ = [highs.HighsVarType(kind) for kind in kinds.tolist()]
+
+    solver = highs._Highs()
+    solver.setOptionValue("presolve", "on")
+    solver.setOptionValue("output_flag", False)
+    solver.setOptionValue("log_to_console", False)
+    if not is_mip:  # scipy asks for dual simplex on an LP, HiGHS's choice on a MILP
+        solver.setOptionValue(
+            "simplex_strategy", highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        )
+    model = highs.HighsModelStatus
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        status = model.kModelError
     else:
-        result = optimize.linprog(
-            c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs"
+        solver.run()
+        status = solver.getModelStatus()
+    if status in (model.kInfeasible, model.kModelError):
+        return Solution(SolveStatus.INFEASIBLE, float("nan"), np.empty(0))
+    if status == model.kUnbounded:
+        return Solution(SolveStatus.UNBOUNDED, float("nan"), np.empty(0))
+    if status != model.kOptimal:
+        raise SolverError(f"HiGHS failed: {solver.modelStatusToString(status)}")
+
+    solution = solver.getSolution()
+    x = np.array(solution.col_value)
+    objective = solver.getInfo().objective_function_value
+    slack = rhs - np.array(solution.row_value)
+    tol, m = _FEASIBILITY_TOL, len(b_ub)
+    # Written so that a NaN anywhere compares False and reads as infeasible.
+    feasible = (
+        not np.isnan(objective)
+        and np.all((x >= bounds[:, 0] - tol) & (x <= bounds[:, 1] + tol))
+        and np.all(slack[:m] >= -tol)
+        and np.all(np.abs(slack[m:]) <= tol)
+    )
+    if not feasible:
+        raise SolverError(
+            f"HiGHS reported an optimum that breaks its bounds or rows by more than {tol:.2e}"
         )
-    status = _STATUS.get(result.status)
-    if status is None:
-        raise SolverError(f"HiGHS failed: status={result.status} {result.message}")
-    if status is not SolveStatus.OPTIMAL:
-        return Solution(status, float("nan"), np.empty(0))
-    return Solution(status, float(result.fun), result.x)
+    return Solution(SolveStatus.OPTIMAL, float(objective), x)

@@ -36,7 +36,9 @@ that survives the process and is shared by every worker thread:
 Error results (``error-response`` payloads) are *published* to waiters —
 concurrent duplicates of a failing request all see the same typed failure
 — but never *persisted*: a transient timeout or worker death must not
-poison the cache for future submissions.
+poison the cache for future submissions.  A result the store cannot write
+(read-only root, full disk: :class:`~repro.errors.StoreError`) is published
+the same way and counted as ``write_errors``.
 
 Deadlock discipline for direct ``claim``/``publish`` users (the job
 runner): never ``wait`` on a key before publishing or abandoning every key
@@ -54,6 +56,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.api.specs import SCHEMA_VERSION
+from repro.errors import StoreError
 
 
 class _InFlight:
@@ -111,6 +114,7 @@ class ResultStore:
             "errors_uncached": 0,
             "evicted": 0,
             "ttl_expired": 0,
+            "write_errors": 0,
         }
         if self._root is not None and (max_bytes is not None or ttl is not None):
             self._scan()
@@ -277,7 +281,12 @@ class ResultStore:
         return data
 
     def put(self, key: str, data: bytes) -> None:
-        """Persist an entry atomically (temp file + ``os.replace``)."""
+        """Persist an entry atomically (temp file + ``os.replace``).
+
+        Raises:
+            StoreError: when the entry cannot be written; the temp file is
+                removed first.
+        """
         if self._root is None:
             with self._lock:
                 self._memory[key] = data
@@ -285,10 +294,19 @@ class ResultStore:
             self._index_put(key, len(data))
             return
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / f".{key}.{os.getpid()}.{threading.get_ident()}.tmp"
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
+        except OSError as error:
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
+            raise StoreError(
+                f"cannot write {path}: [Errno {error.errno}] {error.strerror}"
+            ) from error
         self._bump("stored")
         self._index_put(key, len(data))
 
@@ -329,10 +347,15 @@ class ResultStore:
 
         ``cache=False`` is the error path — waiters still receive the exact
         bytes (concurrent duplicates stay byte-identical), but nothing is
-        persisted, so the next submission recomputes.
+        persisted, so the next submission recomputes.  A write that fails
+        (:class:`StoreError`) degrades to the same: the bytes still reach
+        every waiter, and ``write_errors`` counts the loss.
         """
         if cache:
-            self.put(key, data)
+            try:
+                self.put(key, data)
+            except StoreError:
+                self._bump("write_errors")
         else:
             self._bump("errors_uncached")
         self._bump("executed")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import types
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -104,3 +106,86 @@ class TestMilp:
             [1.0, 2.0, 3.0, 4.0], None, None, [[1.0] * 4], [1.0], [(0.0, 1.0)] * 4, [1] * 4
         )
         assert solution.objective == pytest.approx(1.0)
+
+
+def _highs_reporting(monkeypatch, **overrides):
+    """Run HiGHS for real, but let ``overrides[name](real)`` stand in for
+    the method ``name`` of each solver ``solve`` builds."""
+    from scipy.optimize._highspy import _core
+
+    real = _core._Highs
+
+    class Reporting:
+        def __init__(self):
+            self._real = real()
+
+        def __getattr__(self, name):
+            return overrides[name](self._real) if name in overrides else getattr(self._real, name)
+
+    monkeypatch.setattr(_core, "_Highs", Reporting)
+    return _core
+
+
+class TestHighsCore:
+    """What ``solve`` checks around the HiGHS call itself."""
+
+    EQUALITY = ([1.0, 0.0], None, None, [[1.0, 1.0]], [10.0], [(0.0, INF)] * 2)
+
+    @pytest.mark.parametrize(
+        "program, name",
+        [
+            (([np.nan], None, None, None, None, [(0.0, 1.0)]), "c"),
+            (([1.0], [[INF]], [1.0], None, None, [(0.0, 1.0)]), "A_ub and A_eq"),
+            (([1.0], [[1.0]], [np.nan], None, None, [(0.0, 1.0)]), "b_ub"),
+            (
+                ([1.0], None, None, sparse.csr_matrix([[np.nan]]), [1.0], [(0.0, 1.0)]),
+                "A_ub and A_eq",
+            ),
+            (([1.0], None, None, [[1.0]], [-INF], [(0.0, 1.0)]), "b_eq"),
+            (([1.0], None, None, None, None, [(np.nan, 1.0)]), "bounds"),
+        ],
+    )
+    def test_non_finite_input_is_named(self, program, name):
+        with pytest.raises(SolverError, match=f"^{name} must"):
+            solve(*program)
+
+    def test_mismatched_shapes_are_rejected(self):
+        with pytest.raises(SolverError, match="do not fit together"):
+            solve([1.0, 1.0], [[1.0, 1.0]], [1.0, 2.0], None, None, [(0.0, INF)] * 2)
+
+    @pytest.mark.parametrize(
+        "status", ["kUnboundedOrInfeasible", "kTimeLimit", "kIterationLimit", "kSolveError"]
+    )
+    def test_other_model_statuses_raise(self, monkeypatch, status):
+        core = _highs_reporting(
+            monkeypatch,
+            getModelStatus=lambda _real: lambda: getattr(core.HighsModelStatus, status),
+        )
+        with pytest.raises(SolverError, match="HiGHS failed"):
+            solve(*self.EQUALITY)
+
+    def test_a_model_error_reads_as_infeasible(self, monkeypatch):
+        core = _highs_reporting(
+            monkeypatch, passModel=lambda _real: lambda _lp: core.HighsStatus.kError
+        )
+        assert solve(*self.EQUALITY).status is SolveStatus.INFEASIBLE
+
+    @pytest.mark.parametrize(
+        "col_value, row_shift",
+        [([0.0, 10.0], 1e-3), ([0.0, 10.0], np.nan), ([-1e-3, 10.0], 0.0), ([np.nan, 10.0], 0.0)],
+    )
+    def test_an_optimum_off_its_rows_or_bounds_raises(self, monkeypatch, col_value, row_shift):
+        def solution(real):
+            def get():
+                answer = real.getSolution()
+                return types.SimpleNamespace(
+                    col_value=col_value, row_value=[v + row_shift for v in answer.row_value]
+                )
+
+            return get
+
+        _highs_reporting(monkeypatch, getSolution=solution)
+        with pytest.raises(SolverError, match="breaks its bounds or rows"):
+            solve(*self.EQUALITY)
+        monkeypatch.undo()
+        assert solve(*self.EQUALITY).x.tolist() == [0.0, 10.0]

@@ -59,7 +59,7 @@ from repro.metrics.comm_cost import (
     placement_costs,
     swap_cost_delta,
 )
-from repro.routing import min_path, split
+from repro.routing import ilp, min_path, split
 from repro.routing.base import RoutingResult
 from repro.routing.min_path import least_loaded_quadrant_path, min_path_routing
 from repro.api import MapRequest, SimOptions, SimRequest
@@ -387,6 +387,41 @@ def _outcome(solver, *args):
         return type(error)
 
 
+INF = np.inf
+
+#: The programs of ``tests/lp``: dense rows, absent blocks, free and boxed
+#: columns, infeasible and unbounded LPs, and the MILPs.
+_LP_SHAPES = [
+    ([1.0, 1.0], None, None, None, None, [(1.0, INF), (2.0, INF)]),
+    ([1.0, 2.0], [[-1.0, -1.0], [1.0, 0.0]], [-4.0, 3.0], None, None, [(0.0, INF)] * 2),
+    ([1.0, 0.0], None, None, [[1.0, 1.0]], [10.0], [(0.0, INF)] * 2),
+    ([1.0], [[-1.0]], [-2.0], None, None, [(0.0, 1.0)]),
+    ([1.0], None, None, None, None, [(-INF, INF)]),
+    (np.zeros(0), None, None, None, None, np.zeros((0, 2))),
+    ([-3.0, -4.0, -2.0], [[2.0, 3.0, 1.0]], [4.0], None, None, [(0.0, 1.0)] * 3, [1, 1, 1]),
+    ([1.0], [[-2.0]], [-5.0], None, None, [(0.0, INF)], [0]),
+    ([1.0], [[-2.0]], [-5.0], None, None, [(0.0, INF)], [1]),
+    ([0.0, 1.0], None, None, [[1.0, 1.0]], [3.5], [(0.0, 10.0), (0.0, INF)], [1, 0]),
+    ([1.0], [[-1.0]], [-2.0], None, None, [(0.0, 1.0)], [1]),
+    ([1.0, 2.0, 3.0, 4.0], None, None, [[1.0] * 4], [1.0], [(0.0, 1.0)] * 4, [1] * 4),
+]
+
+
+def _answers_as_scipy(program):
+    """``repro.lp.solve`` == the ``linprog`` / ``milp`` call it replaced:
+    same status, the same objective and the same ``x``, bit for bit."""
+    produced = _outcome(lp_solve, *program)
+    reference = _outcome(object_lp.linprog_solve, *program)
+    if isinstance(reference, type):
+        assert produced is reference
+        return
+    assert produced.status is reference.status
+    assert produced.objective == reference.objective or (
+        np.isnan(produced.objective) and np.isnan(reference.objective)
+    )
+    assert np.array_equal(produced.x, reference.x)
+
+
 class TestMcfAssembly:
     """``routing.split`` assembles the arrays the object-built models lowered
     to — same shape, same row and column order, same values — so HiGHS walks
@@ -444,6 +479,47 @@ class TestMcfAssembly:
                 calls["solve"] and not isinstance(produced, tuple)
             )
             assert produced == reference
+
+    @staticmethod
+    def _programs(module, solver, *args):
+        """Every program ``solver`` hands ``module.solve``, as it handed it."""
+        programs = []
+
+        def captured(*program, integrality=None):
+            programs.append((*program, integrality))
+            return lp_solve(*program, integrality)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, "solve", captured)
+            _outcome(solver, *args)
+        return programs
+
+    @given(commodity_sets(), st.booleans())
+    @example(
+        (NoCTopology.mesh(2, 2, link_bandwidth=1000.0), [Commodity(0, "s", "d", 0, 1, 1500.0)]),
+        True,
+    )  # MCF2 infeasible: the one quadrant link carries 1 000 of 1 500
+    @settings(max_examples=80, deadline=None)
+    def test_solve_answers_as_linprog_and_milp(self, drawn, quadrant_only):
+        """MCF1, MCF2 (infeasible draws too), both min-congestion phases and
+        the single-path ILP: HiGHS driven directly == scipy's public call.
+        The core is private to scipy; a release that changes it fails here."""
+        fabric, commodities = drawn
+        args = (fabric, commodities, quadrant_only)
+        programs = [
+            program
+            for solver in (split.solve_mcf1, split.solve_mcf2, split.solve_min_congestion)
+            for program in self._programs(split, solver, *args)
+        ]
+        if not quadrant_only:
+            programs += self._programs(ilp, ilp.ilp_single_path_routing, fabric, commodities)
+        assert programs
+        for program in programs:
+            _answers_as_scipy(program)
+
+    @pytest.mark.parametrize("program", _LP_SHAPES)
+    def test_lp_shapes_answer_as_linprog_and_milp(self, program):
+        _answers_as_scipy(program)
 
     def test_link_views_follow_bandwidth_changes(self):
         """The capacity right-hand side is read through the version counter."""

@@ -6,8 +6,15 @@ Until PR 22 this was ``repro.lp.model`` + ``repro.lp.solver._build_matrices``
 expressions (``2 * x + y - 3``, ``expr <= rhs``), so the multi-commodity-flow
 builders read like the paper's equations, and :func:`matrices` lowers one to
 the arrays HiGHS sees.  HiGHS's vertex choice follows row and column order,
-so ``tests/properties/test_lp_assembly.py`` demands that
+so ``tests/properties/test_seed_oracles.py::TestMcfAssembly`` demands that
 ``repro.routing.split`` assembles exactly these arrays.
+
+:func:`linprog_solve` is the other half of the oracle: the body
+``repro.lp.solve`` had until it called scipy's bundled HiGHS core itself —
+:func:`scipy.optimize.linprog`, or :func:`scipy.optimize.milp` when some
+variable is integer.  The core is private to scipy, so ``TestMcfAssembly``
+holds ``repro.lp.solve`` to this public call on every program it draws, and a
+scipy upgrade that changes the core shows up there.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from repro.errors import RoutingError, SolverError
 from repro.graphs.commodities import Commodity
 from repro.graphs.quadrant import quadrant_links
 from repro.graphs.topology import NoCTopology
-from repro.lp import Solution, solve
+from repro.lp import Solution, SolveStatus, solve
 from repro.routing.base import FLOW_EPSILON, LinkKey, RoutingResult
 
 
@@ -241,6 +248,44 @@ class LinearProgram:
             f"LinearProgram({self.name!r}, {kind}, vars={self.num_vars}, "
             f"constraints={self.num_constraints})"
         )
+
+
+# ----------------------------------------------------------------------
+# the linprog / milp call (repro.lp.solve until it drove HiGHS directly)
+# ----------------------------------------------------------------------
+#: scipy's ``OptimizeResult.status`` codes that are an answer, not a failure.
+_STATUS = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE, 3: SolveStatus.UNBOUNDED}
+
+
+def linprog_solve(c, A_ub, b_ub, A_eq, b_eq, bounds, integrality=None) -> Solution:  # noqa: N803
+    """``repro.lp.solve`` through :func:`scipy.optimize.linprog` / ``milp``."""
+    from scipy import optimize
+
+    if len(c) == 0:
+        raise SolverError("program has no variables")
+    bounds = np.asarray(bounds, dtype=np.float64)
+    if integrality is not None and np.any(integrality):
+        constraints = []
+        if A_ub is not None:
+            constraints.append(optimize.LinearConstraint(A_ub, -np.inf, b_ub))
+        if A_eq is not None:
+            constraints.append(optimize.LinearConstraint(A_eq, b_eq, b_eq))
+        result = optimize.milp(
+            c,
+            constraints=constraints,
+            integrality=integrality,
+            bounds=optimize.Bounds(bounds[:, 0], bounds[:, 1]),
+        )
+    else:
+        result = optimize.linprog(
+            c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs"
+        )
+    status = _STATUS.get(result.status)
+    if status is None:
+        raise SolverError(f"HiGHS failed: status={result.status} {result.message}")
+    if status is not SolveStatus.OPTIMAL:
+        return Solution(status, float("nan"), np.empty(0))
+    return Solution(status, float(result.fun), result.x)
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from repro.api import (
 )
 from repro.errors import ServiceError
 from repro.service import NocService, ServiceClient, ServiceConfig
+from tests.service.test_store import fail_writes
 
 MAP_REQUEST = MapRequest(app="vopd", price_bandwidth=False)
 
@@ -56,6 +57,15 @@ class TestIntrospection:
         assert payload["status"] == "ok"
         assert payload["schema"] == 1
         assert set(payload["store"]) >= {"executed", "hits", "stored"}
+
+    def test_a_store_that_cannot_write_still_answers(self, service_pair, monkeypatch):
+        """A read-only store root: the computed body is still served, and
+        ``store.write_errors`` counts what was not persisted."""
+        _, client = service_pair
+        fail_writes(monkeypatch)
+        assert client.map(MAP_REQUEST) == run_map(MAP_REQUEST)
+        store = client.health()["store"]
+        assert (store["write_errors"], store["stored"]) == (1, 0)
 
     def test_mappers_lists_the_registry(self, service_pair):
         _, client = service_pair

@@ -8,11 +8,17 @@ entries, and the in-flight protocol executes a stampede exactly once.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import threading
+import types
+from pathlib import Path
 
 import pytest
 
+from repro.errors import ServiceError, StoreError
+from repro.service import store as store_module
 from repro.service.store import ResultStore
 
 KEY = "ab" + "cd" * 31  # 64 hex chars, like a real SHA-256 key
@@ -205,6 +211,57 @@ class TestInFlightDedup:
         state, data = store.claim(KEY)
         assert state == "hit"
         assert data == entry_bytes()
+
+
+def fail_writes(monkeypatch, code: int = errno.EROFS, step: str = "replace") -> None:
+    """Make the store's entry writes fail with ``code``, the way a read-only
+    or full disk does (root ignores ``chmod``, so the failure is patched in).
+    ``step`` is where: the temp file's ``write_bytes`` or the ``os.replace``
+    that publishes it."""
+
+    def fail(*args):
+        raise OSError(code, os.strerror(code))
+
+    if step == "replace":
+        patched_os = types.SimpleNamespace(**{**vars(os), "replace": fail})
+        monkeypatch.setattr(store_module, "os", patched_os)
+    else:
+        monkeypatch.setattr(Path, "write_bytes", fail)
+
+
+class TestWriteFailures:
+    @pytest.mark.parametrize(
+        "code, step", [(errno.EROFS, "replace"), (errno.ENOSPC, "write_bytes")]
+    )
+    def test_put_raises_a_store_error_naming_path_and_errno(
+        self, tmp_path, monkeypatch, code, step
+    ):
+        store = ResultStore(tmp_path)
+        fail_writes(monkeypatch, code, step)
+        with pytest.raises(StoreError) as raised:
+            store.put(KEY, entry_bytes())
+        assert isinstance(raised.value, ServiceError)
+        assert str(store.path_for(KEY)) in str(raised.value)
+        assert f"[Errno {code}]" in str(raised.value)
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert store.stats()["stored"] == 0
+
+    def test_publish_still_hands_the_bytes_to_waiters(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        assert store.claim(KEY)[0] == "owned"
+        waited: list[bytes | None] = []
+        thread = threading.Thread(target=lambda: waited.append(store.wait(KEY, 10)))
+        thread.start()
+        fail_writes(monkeypatch)
+        store.publish(KEY, entry_bytes())
+        thread.join(timeout=30)
+        assert waited == [entry_bytes()]
+        assert not list(tmp_path.rglob("*.tmp"))
+        stats = store.stats()
+        assert (stats["write_errors"], stats["executed"], stats["inflight"]) == (1, 1, 0)
+        monkeypatch.undo()
+        assert store.get(KEY) is None  # nothing persisted: the next one recomputes
+        assert store.claim(KEY)[0] == "owned"
 
 
 def keyed(index: int) -> str:

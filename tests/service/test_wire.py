@@ -123,6 +123,30 @@ class TestNumericFields:
         with pytest.raises(ApiError, match="vc_buffer_depth|shards"):
             parse_request(payload)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("initial_temperature", NAN),
+            ("initial_temperature", INF),
+            ("initial_temperature", -INF),
+            ("initial_temperature", 0.0),
+            ("min_temperature_fraction", NAN),
+            ("min_temperature_fraction", INF),
+            ("min_temperature_fraction", -1e-4),
+            ("cooling", NAN),
+            ("cooling", INF),
+        ],
+    )
+    def test_annealing_schedule_must_be_finite(self, field, value):
+        """A NaN or infinite schedule would anneal zero moves (and a NaN one
+        put a non-JSON ``NaN`` in the response): 400 at parse instead."""
+        payload = MapRequest(app="vopd", mapper="annealing").to_dict()
+        payload["options"] = {field: value}
+        with pytest.raises(ApiError, match=f"^{field} must be "):
+            parse_request(json.loads(json.dumps(payload)))
+        payload["options"] = {field: 0.5}
+        assert parse_request(json.loads(json.dumps(payload))).options.to_dict()[field] == 0.5
+
     def test_nan_link_bandwidth_names_itself(self):
         payload = _sim_payload()
         payload["map_request"]["topology"]["link_bandwidth"] = NAN
