@@ -38,7 +38,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
 from repro.api import MapRequest, SimOptions, SimRequest, run_map  # noqa: E402
-from repro.service import ServiceClient, ServiceConfig  # noqa: E402
+from repro.service import ServiceClient  # noqa: E402
+from repro.service.server import DRAIN_GRACE  # noqa: E402
 
 ANNOUNCE = re.compile(r"listening on http://[\d.]+:(\d+)")
 
@@ -172,8 +173,7 @@ def main() -> None:
             drained_in = time.monotonic() - sigterm_at
         check(rc == 0, f"SIGTERM drains to exit 0 (got {rc})")
         check(
-            # ``boot`` passes no --drain-grace: the server runs the default.
-            drained_in < ServiceConfig().drain_grace + 2.0,
+            drained_in < DRAIN_GRACE + 2.0,
             f"drained in {drained_in:.2f} s with a kept connection open",
         )
 

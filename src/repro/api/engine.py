@@ -509,8 +509,8 @@ def _run_replica_batch(
             )
             continue
         if engine != "vector":
-            # Pinned to cycle/event (or auto resolved to cycle): the replica
-            # kernel cannot batch it, so the slot runs like a serial one.
+            # Pinned to cycle/event/sharded: the replica kernel cannot
+            # batch it, so the slot runs like a serial one.
             try:
                 report = simulator.run()
                 results[index] = _build_sim_response(request, map_response, report)

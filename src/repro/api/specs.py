@@ -134,17 +134,13 @@ class TopologySpec:
     def parse(cls, text: str, link_bandwidth: float | None = None) -> "TopologySpec":
         """Parse a CLI-style spec string.
 
-        Accepted forms: ``"auto"``, ``"mesh:4x4"``, ``"torus:8x8"`` and the
-        bare ``"4x4"`` shorthand (a mesh, for backward compatibility with
-        the old ``--mesh`` flag).
+        Accepted forms: ``"auto"``, ``"mesh:4x4"`` and ``"torus:8x8"``.
         """
         spec = text.strip().lower()
         if spec == "auto":
             return cls(kind="auto", link_bandwidth=link_bandwidth)
         kind, sep, dims = spec.partition(":")
-        if not sep:
-            kind, dims = "mesh", spec
-        if kind not in ("mesh", "torus"):
+        if not sep or kind not in ("mesh", "torus"):
             raise ApiError(
                 f"topology must look like 'auto', 'mesh:4x4' or 'torus:8x8', "
                 f"got {text!r}"
@@ -416,9 +412,7 @@ class SimOptions:
             reference), ``"event"`` (heap-scheduled; kept as a second,
             independently scheduled implementation — the slowest engine at
             every measured load), ``"vector"`` (structure-of-arrays,
-            fastest at every load) or
-            ``"auto"`` (vector for the built-in router models, cycle
-            otherwise).
+            fastest at every load) or ``"auto"`` (always vector).
             All backends are bit-consistent with ``cycle``.
         traffic: ``"trace"`` replays the mapped core graph's bandwidths;
             ``"uniform"``, ``"transpose"`` and ``"onoff"`` are synthetic

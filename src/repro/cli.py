@@ -59,32 +59,22 @@ from repro.simnoc import list_engines, list_traffic_patterns
 
 
 def _topology_spec(args: argparse.Namespace) -> TopologySpec:
-    """The topology from ``--topology`` (or the legacy ``--mesh`` alias)."""
-    if args.topology is not None and args.mesh is not None:
-        raise ApiError("pass either --topology or --mesh, not both")
-    spec = args.topology if args.topology is not None else args.mesh
-    if spec is None:
+    """The topology from ``--topology`` (default: the smallest mesh fit)."""
+    if args.topology is None:
         return TopologySpec(link_bandwidth=args.link_bw)
-    return TopologySpec.parse(spec, link_bandwidth=args.link_bw)
+    return TopologySpec.parse(args.topology, link_bandwidth=args.link_bw)
 
 
 def _fault_spec(args: argparse.Namespace) -> FaultSpec | None:
     """The :class:`FaultSpec` the fault flags describe, or None for none."""
-    failed_links = tuple(
-        FaultSpec.parse_link(text) for text in (getattr(args, "fail_link", None) or [])
-    )
-    failed_routers = tuple(getattr(args, "fail_router", None) or [])
-    degraded = tuple(
-        FaultSpec.parse_degraded(text)
-        for text in (getattr(args, "degrade_link", None) or [])
-    )
-    random_failures = getattr(args, "random_link_failures", 0) or 0
     spec = FaultSpec(
-        failed_links=failed_links,
-        failed_routers=failed_routers,
-        degraded_links=degraded,
-        random_link_failures=random_failures,
-        fault_seed=getattr(args, "fault_seed", 0) or 0,
+        failed_links=tuple(FaultSpec.parse_link(text) for text in args.fail_link or []),
+        failed_routers=tuple(args.fail_router or []),
+        degraded_links=tuple(
+            FaultSpec.parse_degraded(text) for text in args.degrade_link or []
+        ),
+        random_link_failures=args.random_link_failures,
+        fault_seed=args.fault_seed,
     )
     return None if spec.is_empty else spec
 
@@ -399,7 +389,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     if not requests:
         if args.app is None:
             raise ApiError("submit needs either --json FILE(s) or --app ...")
-        requests.append(_map_request(args, faults=_fault_spec(args)))
+        requests.append(_map_request(args))
 
     client = ServiceClient(
         args.url,
@@ -497,11 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--topology",
             default=None,
             help="'auto', 'mesh:4x4' or 'torus:8x8' (default: smallest mesh fit)",
-        )
-        p.add_argument(
-            "--mesh",
-            default=None,
-            help="legacy alias: mesh size like 4x4 (use --topology)",
         )
         p.add_argument("--link-bw", type=float, default=None, help="uniform link BW in MB/s")
         p.add_argument(
@@ -619,7 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="'auto', 'mesh:4x4' or 'torus:8x8' (default: smallest mesh fit)",
     )
-    p_cmp.add_argument("--mesh", default=None, help="legacy alias: mesh size like 4x4")
     p_cmp.add_argument("--link-bw", type=float, default=None, help="uniform link BW in MB/s")
     p_cmp.add_argument(
         "--seed",
@@ -748,7 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="'auto', 'mesh:4x4' or 'torus:8x8' (default: smallest mesh fit)",
     )
-    p_submit.add_argument("--mesh", default=None, help=argparse.SUPPRESS)
     p_submit.add_argument(
         "--link-bw", type=float, default=None, help="uniform link BW in MB/s"
     )

@@ -7,12 +7,12 @@ watch average and tail latency take off at the saturation knee.  Uniform
 random is the standard benchmark pattern; transpose stresses the diagonal
 under XY routing and saturates earlier on the same mesh.
 
-Runs on the ``auto`` engine by default: the per-point policy picks the
-event-driven engine for the low-load points (idle-skipping dominates there)
-and the structure-of-arrays vector engine at and above the knee, where
-every cycle is busy.  All three backends are bit-consistent — the
-equivalence suite under ``tests/properties`` pins that — so the choice
-affects wall-clock only.  Every point is a :class:`~repro.api.SimRequest`
+Runs on the ``auto`` engine by default, which is the structure-of-arrays
+vector engine at every point: it is the fastest backend from a near-idle
+network to saturation, so no point needs the event-driven engine's dead-
+cycle skipping.  Every engine is bit-consistent with ``cycle`` — the
+equivalence suite under ``tests/properties`` pins that — so an explicit
+``engine=`` changes wall-clock only.  Every point is a :class:`~repro.api.SimRequest`
 through ``run_batch``, like every other experiment; the mapper run behind
 the points is computed once and shared via the request cache, and
 ``executor="process"`` scales a sweep across cores — or

@@ -1,7 +1,7 @@
 """The two plug-in structures every surface resolves names through.
 
-A :class:`Registry` is a name catalogue — engines, router models, traffic
-patterns, mappers, partitioners.  A :class:`Ladder` is an availability
+A :class:`Registry` is a name catalogue — engines, traffic patterns,
+mappers, partitioners.  A :class:`Ladder` is an availability
 ladder — the vector engine's kernel backends, the partitioners: rungs
 probed at most once per process, ``auto`` taking the first that can run
 here, and kill / pin switches re-read from the environment on every

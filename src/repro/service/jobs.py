@@ -70,6 +70,16 @@ SLOT_DONE = "done"
 #: queue is genuinely full.
 PRIORITIES = ("low", "normal", "high")
 
+#: Queue-fill fraction from which each sheddable priority class is refused
+#: (429 with ``Retry-After``); ``high`` is refused only by a full queue.
+SHED_AT = {"low": 0.5, "normal": 0.85}
+
+#: Slots one job may carry; a larger batch is refused (400).
+MAX_BATCH = 1024
+
+#: Completed jobs the registry keeps for status and result queries.
+JOB_HISTORY = 256
+
 #: Chaos hooks mirroring the batch engine's ``REPRO_CRASH_*`` style: when
 #: a job carries a slot whose tag matches ``REPRO_SERVICE_CRASH_TAG``, the
 #: dispatch worker thread dies (``SystemExit``) after claiming the job's
@@ -214,10 +224,9 @@ class Job:
 
 
 class JobRegistry:
-    """Thread-safe id -> job map with bounded completed-job history."""
+    """Thread-safe id -> job map; evicts completed jobs past :data:`JOB_HISTORY`."""
 
-    def __init__(self, limit: int = 256) -> None:
-        self._limit = limit
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()
 
@@ -240,7 +249,7 @@ class JobRegistry:
         )
         with self._lock:
             self._jobs[job.id] = job
-            excess = len(self._jobs) - self._limit
+            excess = len(self._jobs) - JOB_HISTORY
             if excess > 0:
                 # Oldest completed first, active jobs never; the scan stops
                 # at the last job it evicts, not at the end of the history.
@@ -300,12 +309,8 @@ class JobRunner:
         workers: int = 2,
         executor: str = "process",
         timeout: float | None = None,
-        max_batch: int = 1024,
-        chunk: int | None = None,
         journal: JobJournal | None = None,
         client_quota: int | None = None,
-        shed_low_at: float = 0.5,
-        shed_normal_at: float = 0.85,
     ) -> None:
         if queue_limit < 1:
             raise ApiError(f"queue_limit must be >= 1, got {queue_limit}")
@@ -319,12 +324,8 @@ class JobRunner:
         self._workers = workers
         self._executor = executor
         self._timeout = timeout
-        self._max_batch = max_batch
-        self._chunk = chunk
         self._journal = journal
         self._client_quota = client_quota
-        self._shed_low_at = shed_low_at
-        self._shed_normal_at = shed_normal_at
         self._threads: list[threading.Thread] = []
         self._feeders: list[threading.Thread] = []
         self._thread_lock = threading.Lock()
@@ -423,7 +424,7 @@ class JobRunner:
             OverloadedError: the queue is full, or pressure shed this
                 priority class (HTTP 429).  Both carry ``retry_after``.
             ApiError: empty submission, unknown priority, or batch larger
-                than ``max_batch``.
+                than :data:`MAX_BATCH`.
         """
         if not requests:
             raise ApiError("a job needs at least one request")
@@ -431,10 +432,10 @@ class JobRunner:
             raise ApiError(
                 f"priority must be one of {', '.join(PRIORITIES)}, got {priority!r}"
             )
-        if len(requests) > self._max_batch:
+        if len(requests) > MAX_BATCH:
             raise ApiError(
                 f"batch of {len(requests)} exceeds the service limit of "
-                f"{self._max_batch} requests per job"
+                f"{MAX_BATCH} requests per job"
             )
         if self._draining:
             raise DrainingError(
@@ -451,8 +452,7 @@ class JobRunner:
                 retry_after=self.retry_after_hint(),
             )
         fill = self._queue.qsize() / self._queue.maxsize
-        shed_at = {"low": self._shed_low_at, "normal": self._shed_normal_at}
-        threshold = shed_at.get(priority)
+        threshold = SHED_AT.get(priority)
         if threshold is not None and fill >= threshold:
             raise OverloadedError(
                 f"shedding {priority}-priority work: queue at "
@@ -659,7 +659,7 @@ class JobRunner:
 
             self._inject_worker_chaos(job)
 
-            chunk_size = self._chunk or max(1, min(len(owned), os.cpu_count() or 1))
+            chunk_size = max(1, min(len(owned), os.cpu_count() or 1))
             for chunk in _chunks(owned, chunk_size):
                 requests = [job.slots[groups[key][0]].request for key in chunk]
                 responses = self._execute(requests)

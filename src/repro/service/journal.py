@@ -30,8 +30,10 @@ Durability ladder per record type:
 
 The file stays bounded: finished records are compacted away — the journal
 is atomically rewritten with only its unfinished ``accepted`` records —
-after every ``compact_every`` completions, after recovery, and on clean
-shutdown.
+after every :data:`COMPACT_EVERY` completions, after recovery, and on clean
+shutdown.  A rewrite the disk refuses removes its temp file, logs a
+warning and keeps the uncompacted journal, which still recovers exactly
+the unfinished jobs.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ import threading
 from collections import OrderedDict
 from pathlib import Path
 
+from repro.service.store import replace_file
+
 log = logging.getLogger(__name__)
 
 #: Journal record types.
@@ -52,29 +56,17 @@ RECORD_DONE = "done"
 
 _CHECKSUM_CHARS = 12
 
+#: Finished jobs between two compactions, so a long-running service's
+#: journal holds only in-flight work plus a bounded tail of tombstones.
+COMPACT_EVERY = 256
+
 
 class JobJournal:
-    """Append-only, checksummed, compacting journal of accepted jobs.
+    """Append-only, checksummed, compacting journal of accepted jobs at
+    ``path`` (created on first append)."""
 
-    Args:
-        path: journal file location (created on first append).
-        fsync: fsync ``accepted`` records before returning (the durable
-            default); ``False`` trades the promise for speed in tests.
-        compact_every: rewrite the file after this many finished jobs, so
-            a long-running service's journal holds only in-flight work
-            plus a bounded tail of tombstones.
-    """
-
-    def __init__(
-        self,
-        path: str | Path,
-        *,
-        fsync: bool = True,
-        compact_every: int = 256,
-    ) -> None:
+    def __init__(self, path: str | Path) -> None:
         self._path = Path(path)
-        self._fsync = fsync
-        self._compact_every = max(1, compact_every)
         self._lock = threading.Lock()
         self._file = None
         self._dead = 0
@@ -129,7 +121,7 @@ class JobJournal:
         handle = self._handle()
         handle.write(self._encode(record))
         handle.flush()
-        if durable and self._fsync:
+        if durable:
             os.fsync(handle.fileno())
 
     def record_accepted(
@@ -162,7 +154,7 @@ class JobJournal:
             self._pending.pop(job_id, None)
             self._counts["finished"] += 1
             self._dead += 1
-            if self._dead >= self._compact_every:
+            if self._dead >= COMPACT_EVERY:
                 self._compact_locked()
 
     # -- recovery -------------------------------------------------------
@@ -214,7 +206,8 @@ class JobJournal:
 
     # -- compaction -----------------------------------------------------
     def compact(self) -> None:
-        """Atomically rewrite the file with only unfinished records."""
+        """Atomically rewrite the file with only unfinished records; a
+        rewrite the disk refuses is logged, never raised."""
         with self._lock:
             self._compact_locked()
 
@@ -223,22 +216,23 @@ class JobJournal:
             self._file.close()
             self._file = None
         data = b"".join(self._encode(r) for r in self._pending.values())
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self._path.parent / f".{self._path.name}.{os.getpid()}.tmp"
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            if self._fsync:
-                os.fsync(handle.fileno())
-        os.replace(tmp, self._path)
+        try:
+            replace_file(self._path, data, fsync=True)
+        except OSError as error:
+            # The journal itself is untouched, only longer than it need be:
+            # it still recovers exactly the pending set, so keep it and try
+            # again after the next ``COMPACT_EVERY`` completions.
+            log.warning(
+                "job journal %s: compaction failed, keeping the uncompacted "
+                "journal: %s",
+                self._path,
+                error,
+            )
+        else:
+            self._counts["compactions"] += 1
         self._dead = 0
-        self._counts["compactions"] += 1
 
     # -- introspection --------------------------------------------------
-    def pending_count(self) -> int:
-        with self._lock:
-            return len(self._pending)
-
     def stats(self) -> dict[str, int]:
         """Counter snapshot (served via ``GET /v1/health``)."""
         with self._lock:

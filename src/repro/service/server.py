@@ -88,9 +88,17 @@ _REASONS = {
 }
 
 
+#: Request body cap in bytes (413 beyond it).
+MAX_BODY = 8 * 1024 * 1024
+
+#: Seconds the drain keeps serving reads after the last job completes, so
+#: pollers and open streams collect their final results.
+DRAIN_GRACE = 0.5
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Everything a service deployment can tune.
+    """Everything a ``repro serve`` deployment can tune, one field per flag.
 
     Attributes:
         host/port: bind address; port 0 picks an ephemeral port (the bound
@@ -106,13 +114,6 @@ class ServiceConfig:
             or ``"serial"``.
         timeout: per-request wall-clock budget passed through to
             ``run_batch``; None disables.
-        max_batch: per-job slot cap (oversized batches get 400).
-        chunk: slots per ``run_batch`` call inside a job; None sizes chunks
-            to the CPU count (incremental streaming with full fan-out).
-        job_history: completed jobs retained for status/result queries.
-        max_body: request body cap in bytes (413 beyond it).
-        drain_grace: seconds to keep serving reads after the drain
-            completes, so pollers and open streams collect final results.
         store_max_bytes: LRU size cap on the result store's entry bytes;
             None = unbounded disk.
         result_ttl: idle time-to-live for store entries in seconds; None =
@@ -125,10 +126,6 @@ class ServiceConfig:
             default — a ``kill -9`` mid-batch loses nothing).
         client_quota: max queued+running jobs per client id (the
             ``X-Repro-Client`` header); beyond it submissions get 429.
-        shed_low_at/shed_normal_at: queue-fill fractions beyond which
-            ``low``- and ``normal``-priority submissions are shed (429
-            with ``Retry-After``); ``high`` is only refused by a full
-            queue.
     """
 
     host: str = "127.0.0.1"
@@ -138,18 +135,11 @@ class ServiceConfig:
     workers: int = 2
     executor: str = "process"
     timeout: float | None = None
-    max_batch: int = 1024
-    chunk: int | None = None
-    job_history: int = 256
-    max_body: int = 8 * 1024 * 1024
-    drain_grace: float = 0.5
     store_max_bytes: int | None = None
     result_ttl: float | None = None
     journal_path: str | None = None
     recover: bool = True
     client_quota: int | None = None
-    shed_low_at: float = 0.5
-    shed_normal_at: float = 0.85
 
 
 class _HttpError(Exception):
@@ -230,7 +220,7 @@ class NocService:
         if journal_path is None and self.config.store_root is not None:
             journal_path = str(Path(self.config.store_root) / "journal.ndjson")
         self.journal = JobJournal(journal_path) if journal_path else None
-        self.registry = JobRegistry(limit=self.config.job_history)
+        self.registry = JobRegistry()
         self.runner = JobRunner(
             self.store,
             self.registry,
@@ -238,12 +228,8 @@ class NocService:
             workers=self.config.workers,
             executor=self.config.executor,
             timeout=self.config.timeout,
-            max_batch=self.config.max_batch,
-            chunk=self.config.chunk,
             journal=self.journal,
             client_quota=self.config.client_quota,
-            shed_low_at=self.config.shed_low_at,
-            shed_normal_at=self.config.shed_normal_at,
         )
         self.port: int | None = None
         # Touched on the loop thread only: the connections now open, and the
@@ -305,7 +291,7 @@ class NocService:
                 # journal, so the next start has nothing to replay.
                 self.journal.compact()
                 self.journal.close()
-            await asyncio.sleep(self.config.drain_grace)
+            await asyncio.sleep(DRAIN_GRACE)
             # No reply is kept alive once the drain began, so a connection
             # idle now would only sit out its 30 s read timeout (Python >=
             # 3.12's ``wait_closed()`` waits for it): close those, let the
@@ -444,11 +430,11 @@ class NocService:
             length = int(headers.get("content-length", "0"))
         except ValueError:
             raise _HttpError(400, "ApiError", "bad Content-Length header") from None
-        if length > self.config.max_body:
+        if length > MAX_BODY:
             raise _HttpError(
                 413,
                 "ApiError",
-                f"body of {length} bytes exceeds the {self.config.max_body} limit",
+                f"body of {length} bytes exceeds the {MAX_BODY} limit",
             )
         body = await reader.readexactly(length) if length else b""
         path = target.split("?", 1)[0]

@@ -11,9 +11,10 @@ that survives the process and is shared by every worker thread:
   schema changes both the namespace directory *and* the key itself (the
   blob embeds the version), so stale-format entries can never be served.
 * **Atomic writes.**  Every entry is written to a temporary file in the
-  destination directory and published with ``os.replace`` — concurrent
-  writers of one key race harmlessly to an identical final state and a
-  reader can never observe a half-written entry.
+  destination directory and published with ``os.replace``
+  (:func:`replace_file`, which the job journal's compaction shares) —
+  concurrent writers of one key race harmlessly to an identical final
+  state and a reader can never observe a half-written entry.
 * **Corruption tolerance.**  A truncated or garbage entry (killed writer
   on a non-atomic filesystem, disk fault) fails JSON validation on read,
   is unlinked best-effort, and reads as a miss — the request recomputes
@@ -57,6 +58,30 @@ from typing import Callable
 
 from repro.api.specs import SCHEMA_VERSION
 from repro.errors import StoreError
+
+
+def replace_file(path: Path, data: bytes, fsync: bool = False) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it over
+    ``path``: a reader sees the old file or the new one, never a torn one.
+
+    Raises:
+        OSError: when a step fails; the temp file is removed first.
+    """
+    tmp = path.parent / f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+            if fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        raise
 
 
 class _InFlight:
@@ -294,16 +319,9 @@ class ResultStore:
             self._index_put(key, len(data))
             return
         path = self.path_for(key)
-        tmp = path.parent / f".{key}.{os.getpid()}.{threading.get_ident()}.tmp"
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
+            replace_file(path, data)
         except OSError as error:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
             raise StoreError(
                 f"cannot write {path}: [Errno {error.errno}] {error.strerror}"
             ) from error

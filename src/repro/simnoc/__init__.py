@@ -4,16 +4,16 @@ The paper validates NMAP by generating a SystemC NoC with ×pipes macros and
 simulating it cycle-accurately (§7.2, Figure 5c).  This package is the
 equivalent substrate in Python, split into two layers (``ARCHITECTURE.md``):
 
-* a **model layer** — pluggable routers (the paper's wormhole switch, plus
-  a virtual-channel variant), network interfaces, credit-flow links and
-  traffic injectors (trace-driven from the mapped core graph, or synthetic
-  uniform-random / transpose / bursty on-off patterns);
+* a **model layer** — two routers (the paper's wormhole switch, plus a
+  virtual-channel variant), network interfaces, credit-flow links and
+  pluggable traffic injectors (trace-driven from the mapped core graph, or
+  synthetic uniform-random / transpose / bursty on-off patterns);
 * an **engine layer** — interchangeable time-advance backends: the
   cycle-accurate reference loop (``engine="cycle"``), a heap-scheduled
   event-driven engine (``engine="event"``) that skips all dead time, a
   structure-of-arrays ``engine="vector"`` that flattens the network into
-  numpy-backed flat state, and an ``engine="auto"`` policy (vector where
-  it can flatten, cycle otherwise) — all producing identical results.
+  numpy-backed flat state, and an ``engine="auto"`` policy (always
+  vector) — all producing identical results.
 
 Key model parameters (:class:`SimConfig`) mirror the paper's Table 3:
 64-byte packets, a 7-cycle switch traversal, and link bandwidths swept in
@@ -22,14 +22,7 @@ GB/s (converted to flits/cycle by the configured clock and flit width).
 
 from repro.simnoc.config import SimConfig
 from repro.simnoc.engines import get_engine, list_engines
-from repro.simnoc.models import (
-    RouterModel,
-    TrafficSource,
-    get_router_model,
-    get_traffic_pattern,
-    list_router_models,
-    list_traffic_patterns,
-)
+from repro.simnoc.models import TrafficSource, get_traffic_pattern, list_traffic_patterns
 from repro.simnoc.network import (
     Network,
     build_network,
@@ -55,7 +48,6 @@ __all__ = [
     "LatencyStats",
     "Network",
     "Packet",
-    "RouterModel",
     "SimConfig",
     "SimulationReport",
     "Simulator",
@@ -66,10 +58,8 @@ __all__ = [
     "build_network",
     "build_synthetic_network",
     "get_engine",
-    "get_router_model",
     "get_traffic_pattern",
     "list_engines",
-    "list_router_models",
     "list_traffic_patterns",
     "simulate_mapping",
     "simulate_synthetic",

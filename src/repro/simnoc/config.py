@@ -6,6 +6,10 @@ from dataclasses import dataclass
 
 from repro.errors import SimulationError
 
+#: The router models a run can instantiate; ``auto`` resolves to one of the
+#: other two (:attr:`SimConfig.effective_router_model`).
+_ROUTER_MODEL_NAMES = ("auto", "wormhole", "wormhole-vc")
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -32,8 +36,9 @@ class SimConfig:
             a shared physical link instead of blocking head-of-line.
         vc_buffer_depth: input-FIFO capacity *per virtual channel* in flits;
             None gives each VC the full ``buffer_depth``.
-        router_model: registered router model name; ``"auto"`` picks
-            ``"wormhole"`` or ``"wormhole-vc"`` from ``num_vcs``.
+        router_model: ``"wormhole"`` (the paper's router), ``"wormhole-vc"``
+            (its virtual-channel variant) or ``"auto"``, which picks one of
+            the two from ``num_vcs``.
     """
 
     clock_hz: float = 400e6
@@ -78,6 +83,11 @@ class SimConfig:
         if self.vc_buffer_depth is not None and self.vc_buffer_depth < 2:
             raise SimulationError(
                 f"wormhole needs vc_buffer_depth >= 2, got {self.vc_buffer_depth}"
+            )
+        if self.router_model not in _ROUTER_MODEL_NAMES:
+            raise SimulationError(
+                f"unknown router model {self.router_model!r}; known: "
+                f"{', '.join(_ROUTER_MODEL_NAMES)}"
             )
 
     @property

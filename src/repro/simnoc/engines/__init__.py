@@ -15,8 +15,8 @@ component to touch when:
   fastest backend at every measured load;
 * ``"sharded"`` — the interpreted vector sweep, one worker process per
   fabric shard;
-* ``"auto"`` — a policy, not a backend: ``"vector"`` for the router models
-  it flattens, ``"cycle"`` for custom ones.
+* ``"auto"`` — a policy, not a backend: always ``"vector"``, which
+  flattens both router models.
 
 Every engine produces identical simulation results on identical inputs —
 the property suite pins the equivalence; the benches measure the gap.

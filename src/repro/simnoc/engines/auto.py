@@ -1,15 +1,14 @@
-"""The ``auto`` engine: the vector engine wherever it can flatten.
+"""The ``auto`` engine: always the vector engine.
 
 ``auto`` is a policy, not a backend.  Measured on every host class this
 repository benches (PERFORMANCE.md, "The engine ladder"), the vector
 engine — compiled, or interpreted under ``REPRO_NO_JIT=1`` — is at least
 as fast as the event engine from a near-idle network to saturation, and
 the event engine is slower than the ``cycle`` reference at every load
-above near-idle.  So there is no load threshold: ``auto`` runs ``vector``
-for the router models it flattens and the ``cycle`` reference for custom
-registered models.  Every engine is bit-identical to the cycle reference
-(property-tested), so the choice can never change a statistic, only how
-fast it arrives.
+above near-idle.  Both router models a run can name flatten, so there is
+no load threshold and no fallback: ``auto`` runs ``vector``.  Every engine
+is bit-identical to the cycle reference (property-tested), so the choice
+can never change a statistic, only how fast it arrives.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.simnoc.engines.base import get_engine, register_engine
-from repro.simnoc.engines.vector import SUPPORTED_ROUTER_MODELS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simnoc.network import Network
@@ -26,14 +24,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 def resolve_auto_engine(network: "Network") -> str:
     """The engine name ``auto`` delegates to for this built network."""
-    if network.config.effective_router_model in SUPPORTED_ROUTER_MODELS:
-        return "vector"
-    return "cycle"
+    return "vector"
 
 
 @register_engine("auto")
 class AutoEngine:
-    """Dispatcher: ``vector`` for flattenable router models, else ``cycle``."""
+    """Dispatcher: always ``vector``."""
 
     name = "auto"
 

@@ -74,7 +74,6 @@ from repro.simnoc.engines.sweep import (
     run_in_process,
     sweep_shard,
 )
-from repro.simnoc.engines.vector import _reject_unsupported_model
 from repro.simnoc.schedule import build_schedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -94,8 +93,6 @@ class ShardedEngine:
     name = "sharded"
 
     def run(self, sim: "Simulator") -> None:
-        model = sim.network.config.effective_router_model
-        _reject_unsupported_model(model)
         from repro.partition import partition_topology
 
         shards = getattr(sim, "shards", None)
@@ -105,7 +102,7 @@ class ShardedEngine:
             raise SimulationError(f"shards must be >= 1, got {shards}")
         partitioner = getattr(sim, "partitioner", None) or "auto"
         spec = partition_topology(sim.network.topology, shards, partitioner)
-        vc_mode = model == "wormhole-vc"
+        vc_mode = sim.network.config.effective_router_model == "wormhole-vc"
         if spec.num_shards == 1:
             run_in_process(sim, vc_mode)
             return

@@ -42,22 +42,9 @@ from repro.simnoc.engines.sweep import run_in_process
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simnoc.simulator import Simulator
 
-#: Router models this engine knows how to flatten.
-SUPPORTED_ROUTER_MODELS = ("wormhole", "wormhole-vc")
-
-
-def _reject_unsupported_model(model: str) -> None:
-    if model not in SUPPORTED_ROUTER_MODELS:
-        raise SimulationError(
-            f"vector engine flattens only the built-in router models "
-            f"({', '.join(SUPPORTED_ROUTER_MODELS)}); router model "
-            f"{model!r} must run on the 'cycle' or 'event' engine"
-        )
-
-
 @register_engine("vector")
 class VectorEngine:
-    """Structure-of-arrays backend for the built-in wormhole router models."""
+    """Structure-of-arrays backend for both wormhole router models."""
 
     name = "vector"
 
@@ -95,9 +82,7 @@ def run_replicas(sims: list["Simulator"]) -> list[BaseException | None]:
     batched: list[tuple[int, KernelProgram]] = []
     for index, sim in enumerate(sims):
         try:
-            model = sim.network.config.effective_router_model
-            _reject_unsupported_model(model)
-            vc_mode = model == "wormhole-vc"
+            vc_mode = sim.network.config.effective_router_model == "wormhole-vc"
             if backend is None or kernel_unsupported(sim, vc_mode) is not None:
                 run_in_process(sim, vc_mode)
             else:

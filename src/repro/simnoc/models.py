@@ -1,4 +1,4 @@
-"""The model layer's contracts: what routers and traffic injectors must be.
+"""The model layer's contract for traffic injectors, and their registry.
 
 ``simnoc`` is split into two layers (see ``ARCHITECTURE.md``):
 
@@ -8,58 +8,24 @@
   backends that define *how* simulated time advances (cycle-accurate scan
   or event-driven skipping).
 
-This module holds the small structural protocols the engines program
-against, plus the registries that make both router models and traffic
-patterns pluggable: adding a new router or injector is one decorator, not
-an edit to the network builder or the engines.
+The router models are a closed set: the paper's wormhole router
+(:mod:`repro.simnoc.router`) and its virtual-channel variant
+(:mod:`repro.simnoc.vc_router`), which the network builder calls directly
+and the flattened engines transliterate.  Traffic patterns stay pluggable:
+this module holds the structural protocol the engines poll a source
+through, plus the registry that makes adding an injector one decorator,
+not an edit to the network builder or the engines.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
 
 from repro.errors import SimulationError
 from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simnoc.packet import Packet
-
-
-@runtime_checkable
-class RouterModel(Protocol):
-    """What every router implementation must expose to the engines.
-
-    A router owns input buffers (``inputs``, keyed by upstream node id or
-    ``LOCAL``) and output ports (``outputs``, keyed by downstream node id or
-    ``LOCAL`` for ejection).  The engines never look inside beyond these
-    four methods plus the two port dicts the builder wires.
-    """
-
-    node: int
-    inputs: dict[int, Any]
-    outputs: dict[int, Any]
-
-    def step(self, cycle: int, deliver: Callable) -> int:
-        """Advance one cycle; return the number of flits moved."""
-        ...
-
-    def buffered_flits(self) -> int:
-        """Total flits sitting in this router's input buffers."""
-        ...
-
-    def is_idle(self) -> bool:
-        """True when stepping would be a no-op (modulo token refills)."""
-        ...
-
-    def next_action_cycle(self, cycle: int) -> int | None:
-        """Earliest future cycle a step could change state *by itself*.
-
-        ``None`` means only an external event (flit arrival, credit return)
-        can make this router act again.  The event engine uses this to skip
-        dead cycles; returning a cycle earlier than necessary is safe
-        (a spurious wake is a no-op step), missing one is not.
-        """
-        ...
 
 
 @runtime_checkable
@@ -97,54 +63,7 @@ class TrafficSource(Protocol):
 
 
 def _load_models() -> None:
-    import repro.simnoc.router  # noqa: F401  (registers "wormhole")
     import repro.simnoc.synthetic  # noqa: F401  (registers synthetic patterns)
-    import repro.simnoc.vc_router  # noqa: F401  (registers "wormhole-vc")
-
-
-# ----------------------------------------------------------------------
-# router-model registry
-# ----------------------------------------------------------------------
-#: ``factory(node, input_keys, output_specs, config) -> RouterModel``.
-RouterFactory = Callable[..., RouterModel]
-
-#: name -> ``(factory, per_lane_buffers)``: the flow-control fact the
-#: network builder sizes credits from is declared at registration, so the
-#: builder never guesses it from the model's name.
-ROUTER_MODELS = Registry("router model", SimulationError, _load_models)
-
-
-def register_router_model(
-    name: str, *, per_lane_buffers: bool = False
-) -> Callable[[RouterFactory], RouterFactory]:
-    """Decorator registering a router factory under ``name``.
-
-    The factory signature is ``(node, input_keys, output_specs, config)``
-    where ``output_specs`` maps downstream key to ``(rate, credits)`` and
-    ``config`` is the run's :class:`~repro.simnoc.config.SimConfig`.
-
-    Args:
-        name: registry key (``SimConfig.router_model`` values).
-        per_lane_buffers: True when the model buffers per virtual channel,
-            sized ``config.effective_vc_depth`` per lane; False when it has
-            one ``config.buffer_depth`` FIFO per physical link.  The
-            builder wires downstream credits from this declaration.
-    """
-    return ROUTER_MODELS.register(name, lambda factory: (factory, per_lane_buffers))
-
-
-def get_router_model(name: str) -> RouterFactory:
-    """Resolve a router factory by name."""
-    return ROUTER_MODELS.get(name)[0]
-
-
-def router_model_uses_lanes(name: str) -> bool:
-    """Whether the named model declared per-virtual-channel buffering."""
-    return ROUTER_MODELS.get(name)[1]
-
-
-#: All registered router model names, sorted.
-list_router_models = ROUTER_MODELS.names
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Assemble a simulatable network from a mapping and a routing result.
 
 ``build_network`` is the ×pipesCompiler-equivalent step at simulation level:
-it wires one router per mesh node (the model picked by the config's
-``num_vcs``/``router_model`` — see :mod:`repro.simnoc.models`) along the
+it wires one router per mesh node (the wormhole router or its VC variant,
+picked by the config's ``num_vcs``/``router_model``) along the
 topology's links into a :class:`Fabric` record, and creates one bursty
 traffic source per commodity, with the source's weighted path set taken
 from the routing result (single path, or a flow decomposition of the MCF
@@ -26,16 +26,11 @@ from repro.graphs.commodities import Commodity
 from repro.graphs.topology import NoCTopology
 from repro.routing.base import RoutingResult, decompose_flows
 from repro.simnoc.config import SimConfig
-from repro.simnoc.models import (
-    RouterModel,
-    TrafficSource,
-    get_router_model,
-    get_traffic_pattern,
-    router_model_uses_lanes,
-)
+from repro.simnoc.models import TrafficSource, get_traffic_pattern
 from repro.simnoc.ni import NetworkInterface
-from repro.simnoc.router import LOCAL
+from repro.simnoc.router import LOCAL, Router, build_wormhole_router
 from repro.simnoc.traffic import BurstyTrafficSource
+from repro.simnoc.vc_router import VCRouter, build_vc_router
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +41,7 @@ class Fabric:
     ``outputs[p] == (node, to_key)``: nodes ascending, each node's keys
     ascending (``LOCAL`` first) — one list, since every link runs both
     ways.  Input ``i`` buffers ``in_cap[i]`` flits
-    (per lane on a per-lane model); output ``p`` serializes ``rates[p]``
+    (per lane on ``wormhole-vc``); output ``p`` serializes ``rates[p]``
     flits/cycle and starts with ``credits[p]`` credits (per lane; infinite
     toward ejection).  ``link_rates`` holds the same rates per directed
     link, in the topology's link order.  All of it follows from the
@@ -56,7 +51,8 @@ class Fabric:
 
     topology: NoCTopology
     config: SimConfig
-    #: The registered router model the wiring was sized for.
+    #: The router model the wiring was sized for: ``wormhole`` or
+    #: ``wormhole-vc``.
     model: str
     nodes: list[int]
     inputs: list[tuple[int, int]]
@@ -71,18 +67,18 @@ class Fabric:
         """``(node, to_key)`` -> flat output index."""
         return {spec: p for p, spec in enumerate(self.outputs)}
 
-    def build_routers(self) -> dict[int, RouterModel]:
+    def build_routers(self) -> dict[int, Router | VCRouter]:
         """One router of the wired model per node, credit loops connected."""
-        factory = get_router_model(self.model)
+        build = build_vc_router if self.model == "wormhole-vc" else build_wormhole_router
         out_index = self.out_index
-        routers: dict[int, RouterModel] = {}
+        routers: dict[int, Router | VCRouter] = {}
         for node in self.nodes:
             keys = [LOCAL, *self.topology.neighbors(node)]
             ports = [out_index[node, key] for key in keys]
             specs = {
                 key: (self.rates[p], self.credits[p]) for key, p in zip(keys, ports)
             }
-            routers[node] = factory(node, keys, specs, self.config)
+            routers[node] = build(node, keys, specs, self.config)
         # Each input port knows the output port feeding it.
         for node, router in routers.items():
             for neighbor in self.topology.neighbors(node):
@@ -96,7 +92,7 @@ class Network:
 
     ``fabric`` is the wiring every engine reads.  The router and NI objects
     are built from it on first access, so only the engines that step
-    objects (``cycle``, ``event``, custom router models) pay for them.  A
+    objects (``cycle``, ``event``) pay for them.  A
     network runs once: :meth:`claim` hands it to one simulator.
     """
 
@@ -117,7 +113,7 @@ class Network:
         return self.fabric.link_rates
 
     @cached_property
-    def routers(self) -> dict[int, RouterModel]:
+    def routers(self) -> dict[int, Router | VCRouter]:
         return self.fabric.build_routers()
 
     @cached_property
@@ -167,18 +163,18 @@ def build_fabric(
 
     The router model comes from the config (``num_vcs > 1`` selects the
     VC wormhole router unless ``router_model`` pins one explicitly); credit
-    loops are sized per physical link, or per virtual channel for VC models.
+    loops are sized per physical link, or per virtual channel for
+    ``wormhole-vc``.
 
     Raises:
         SimulationError: if any link's rate comes out non-positive or
-            not finite, or a per-link model is asked for ``num_vcs > 1``.
+            not finite, or the per-link ``wormhole`` router is asked for
+            ``num_vcs > 1``.
     """
     model = config.effective_router_model
-    # Credit budget = the downstream input FIFO the wire feeds.  Whether
-    # that FIFO is per lane or per link is declared by the model's
-    # registration, never inferred from its name (a custom model with
-    # num_vcs=1 would otherwise get credits sized for the wrong buffer).
-    if router_model_uses_lanes(model):
+    # Credit budget = the downstream input FIFO the wire feeds: one per
+    # lane on the VC router (even at num_vcs=1), one per link otherwise.
+    if model == "wormhole-vc":
         depth = config.effective_vc_depth
     else:
         if config.num_vcs > 1:

@@ -25,7 +25,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
-from repro.simnoc.models import register_router_model
 from repro.simnoc.packet import Flit, FlitKind
 
 #: Port key for the local (core-side) injection/ejection direction.
@@ -418,7 +417,6 @@ class Router:
         return best
 
 
-@register_router_model("wormhole")
 def build_wormhole_router(
     node: int,
     input_keys: list[int],

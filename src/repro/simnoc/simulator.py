@@ -77,8 +77,7 @@ class Simulator:
             ``cycle`` at every measured load), ``"vector"``
             (structure-of-arrays, fastest at every load),
             ``"sharded"`` (multi-process over a fabric partition) or
-            ``"auto"`` (vector for the built-in router models, cycle
-            otherwise).
+            ``"auto"`` (always vector).
         shards: worker count for the ``sharded`` engine (ignored by every
             other engine; defaults to 2 when the sharded engine runs
             without one).

@@ -31,7 +31,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
-from repro.simnoc.models import register_router_model
 from repro.simnoc.packet import Flit, is_last_flit
 from repro.simnoc.router import (
     LOCAL,
@@ -333,7 +332,6 @@ class VCRouter:
         return best
 
 
-@register_router_model("wormhole-vc", per_lane_buffers=True)
 def build_vc_router(
     node: int,
     input_keys: list[int],

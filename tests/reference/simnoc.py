@@ -32,11 +32,11 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.simnoc.engines.cycle import DEADLOCK_WINDOW
-from repro.simnoc.models import get_router_model, router_model_uses_lanes
 from repro.simnoc.ni import NetworkInterface
 from repro.simnoc.packet import FlitKind, Packet, is_last_flit
-from repro.simnoc.router import LOCAL, resolve_next_hop
+from repro.simnoc.router import LOCAL, build_wormhole_router, resolve_next_hop
 from repro.simnoc.stats import FlowStats, LatencyStats
+from repro.simnoc.vc_router import build_vc_router
 
 
 def seed_visible_head(port, cycle: int, router_delay: int):
@@ -256,8 +256,8 @@ def packet_walk_flow_stats(packets) -> dict[int, FlowStats]:
 def seed_build_fabric(topology, config, link_rate_flits_per_cycle=None):
     """The seed's ``build_fabric``: routers + NIs + link rates, wired."""
     model_name = config.effective_router_model
-    factory = get_router_model(model_name)
-    if router_model_uses_lanes(model_name):
+    if model_name == "wormhole-vc":
+        factory = build_vc_router
         credit_depth = config.effective_vc_depth
     else:
         if config.num_vcs > 1:
@@ -266,6 +266,7 @@ def seed_build_fabric(topology, config, link_rate_flits_per_cycle=None):
                 f"carry num_vcs={config.num_vcs}; pick a per-lane model "
                 f"such as 'wormhole-vc'"
             )
+        factory = build_wormhole_router
         credit_depth = config.buffer_depth
 
     routers = {}

@@ -26,6 +26,7 @@ from repro.service import (
     QuotaExceededError,
     ResultStore,
 )
+from repro.service import jobs as jobs_module
 from repro.service.jobs import JOB_DONE, Job
 from repro.service.wire import canonical_response_bytes
 
@@ -83,8 +84,11 @@ class TestJobWatchers:
 
 
 class TestRegistryHistory:
-    def test_eviction_takes_the_oldest_completed_and_never_an_active_job(self):
-        registry = JobRegistry(limit=4)
+    def test_eviction_takes_the_oldest_completed_and_never_an_active_job(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(jobs_module, "JOB_HISTORY", 4)
+        registry = JobRegistry()
         jobs = [
             registry.create([request(tag=f"h{index}")], batch=False)
             for index in range(4)
@@ -158,7 +162,7 @@ class TestAdmissionLadder:
 
 class TestDurableAdmission:
     def test_accepted_jobs_are_journaled_before_submit_returns(self, tmp_path):
-        journal = JobJournal(tmp_path / "journal.ndjson", fsync=False)
+        journal = JobJournal(tmp_path / "journal.ndjson")
         runner = make_runner(journal=journal)
         job = runner.submit([request(tag="durable")], batch=False, client="alice")
         (record,) = JobJournal(journal.path).recover()
@@ -167,17 +171,17 @@ class TestDurableAdmission:
         assert record["requests"][0]["tag"] == "durable"
 
     def test_completion_tombstones_the_journal(self, tmp_path):
-        journal = JobJournal(tmp_path / "journal.ndjson", fsync=False)
+        journal = JobJournal(tmp_path / "journal.ndjson")
         runner = make_runner(journal=journal)
         runner.start()
         job = runner.submit([request(tag="done")], batch=False)
         assert job.wait_done(timeout=60)
-        assert wait_for(lambda: journal.pending_count() == 0)
+        assert wait_for(lambda: journal.stats()["pending"] == 0)
         runner.drain()
         assert JobJournal(journal.path).recover() == []
 
     def test_journal_failure_refuses_the_job(self, tmp_path, monkeypatch):
-        journal = JobJournal(tmp_path / "journal.ndjson", fsync=False)
+        journal = JobJournal(tmp_path / "journal.ndjson")
         runner = make_runner(journal=journal)
 
         def explode(*args, **kwargs):
@@ -191,7 +195,7 @@ class TestDurableAdmission:
         assert runner._registry.counts()["active"] == 0
 
     def test_restore_replays_under_original_ids(self, tmp_path):
-        journal = JobJournal(tmp_path / "journal.ndjson", fsync=False)
+        journal = JobJournal(tmp_path / "journal.ndjson")
         journal.record_accepted(
             "crashjob", [request(tag="replayed").to_dict()], batch=False
         )
@@ -206,7 +210,7 @@ class TestDurableAdmission:
         runner.drain()
 
     def test_restore_skips_unreplayable_records_with_tombstone(self, tmp_path):
-        journal = JobJournal(tmp_path / "journal.ndjson", fsync=False)
+        journal = JobJournal(tmp_path / "journal.ndjson")
         journal.record_accepted("bad", [{"kind": "nope"}], batch=False)
         records = journal.recover()
         runner = make_runner(journal=journal)
@@ -215,7 +219,7 @@ class TestDurableAdmission:
         assert journal.recover() == []
 
     def test_restore_feeds_more_jobs_than_queue_slots(self, tmp_path):
-        journal = JobJournal(tmp_path / "journal.ndjson", fsync=False)
+        journal = JobJournal(tmp_path / "journal.ndjson")
         for index in range(6):  # > queue_limit of 4
             journal.record_accepted(
                 f"job-{index}", [request(tag=f"r{index}").to_dict()], batch=False
@@ -227,7 +231,7 @@ class TestDurableAdmission:
         assert len(jobs) == 6
         runner.drain()  # joins the feeder, then the queue
         assert all(job.status == JOB_DONE for job in jobs)
-        assert journal.pending_count() == 0
+        assert journal.stats()["pending"] == 0
 
 
 @pytest.mark.filterwarnings(

@@ -3,16 +3,22 @@
 Covers the satellite checklist explicitly: a torn final record (the only
 kind of tear a single-``write`` append allows) is dropped with a warning
 and costs exactly that record, duplicate replay of the same accepted line
-is idempotent, and compaction keeps the file bounded by in-flight work
-rather than total throughput.
+is idempotent, compaction keeps the file bounded by in-flight work
+rather than total throughput, and a compaction the disk refuses leaves
+the uncompacted journal in place.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import logging
 
+import pytest
+
+from repro.service import journal as journal_module
 from repro.service.journal import JobJournal
+from tests.service.test_store import fail_writes
 
 
 def request_payload(tag: str = "x") -> dict:
@@ -25,7 +31,7 @@ def accept(journal: JobJournal, job_id: str, tag: str = "x") -> None:
 
 class TestRoundTrip:
     def test_unfinished_jobs_recover_in_order(self, tmp_path):
-        journal = JobJournal(tmp_path / "journal.ndjson", fsync=False)
+        journal = JobJournal(tmp_path / "journal.ndjson")
         accept(journal, "a")
         accept(journal, "b")
         accept(journal, "c")
@@ -40,7 +46,7 @@ class TestRoundTrip:
         assert replay.stats()["recovered"] == 2
 
     def test_record_carries_client_and_priority(self, tmp_path):
-        journal = JobJournal(tmp_path / "journal.ndjson", fsync=False)
+        journal = JobJournal(tmp_path / "journal.ndjson")
         journal.record_accepted(
             "a", [request_payload()], batch=True, client="alice", priority="high"
         )
@@ -57,7 +63,7 @@ class TestRoundTrip:
 
 class TestCorruption:
     def test_torn_tail_is_dropped_with_a_warning(self, tmp_path, caplog):
-        journal = JobJournal(tmp_path / "journal.ndjson", fsync=False)
+        journal = JobJournal(tmp_path / "journal.ndjson")
         accept(journal, "whole")
         journal.close()
         # Simulate a crash mid-append: half a record, no newline.
@@ -72,7 +78,7 @@ class TestCorruption:
         assert any("dropped 1 corrupt record" in m for m in caplog.messages)
 
     def test_flipped_bit_costs_only_that_record(self, tmp_path):
-        journal = JobJournal(tmp_path / "journal.ndjson", fsync=False)
+        journal = JobJournal(tmp_path / "journal.ndjson")
         accept(journal, "a")
         accept(journal, "b")
         accept(journal, "c")
@@ -85,7 +91,7 @@ class TestCorruption:
         assert [record["job"] for record in records] == ["a", "c"]
 
     def test_unknown_record_type_is_dropped_not_fatal(self, tmp_path):
-        journal = JobJournal(tmp_path / "journal.ndjson", fsync=False)
+        journal = JobJournal(tmp_path / "journal.ndjson")
         accept(journal, "a")
         journal._append({"type": "future-extension", "job": "a"}, durable=False)
         journal.close()
@@ -96,7 +102,7 @@ class TestCorruption:
 
 class TestIdempotence:
     def test_duplicate_accepted_lines_replay_once(self, tmp_path):
-        journal = JobJournal(tmp_path / "journal.ndjson", fsync=False)
+        journal = JobJournal(tmp_path / "journal.ndjson")
         accept(journal, "dup", tag="first")
         accept(journal, "dup", tag="second")
         journal.close()
@@ -106,7 +112,7 @@ class TestIdempotence:
         assert records[0]["requests"][0]["tag"] == "first"
 
     def test_tombstone_without_accepted_record_is_harmless(self, tmp_path):
-        journal = JobJournal(tmp_path / "journal.ndjson", fsync=False)
+        journal = JobJournal(tmp_path / "journal.ndjson")
         journal.record_finished("never-accepted")
         accept(journal, "live")
         journal.close()
@@ -114,7 +120,7 @@ class TestIdempotence:
         assert [record["job"] for record in records] == ["live"]
 
     def test_recover_twice_is_stable(self, tmp_path):
-        journal = JobJournal(tmp_path / "journal.ndjson", fsync=False)
+        journal = JobJournal(tmp_path / "journal.ndjson")
         accept(journal, "a")
         journal.close()
         replay = JobJournal(journal.path)
@@ -125,7 +131,7 @@ class TestIdempotence:
 
 class TestCompaction:
     def test_compaction_keeps_only_unfinished_records(self, tmp_path):
-        journal = JobJournal(tmp_path / "journal.ndjson", fsync=False)
+        journal = JobJournal(tmp_path / "journal.ndjson")
         for index in range(8):
             accept(journal, f"job-{index}")
         for index in range(6):
@@ -142,10 +148,9 @@ class TestCompaction:
             record["job"] for record in JobJournal(journal.path).recover()
         } == {"job-6", "job-7"}
 
-    def test_auto_compaction_bounds_the_file(self, tmp_path):
-        journal = JobJournal(
-            tmp_path / "journal.ndjson", fsync=False, compact_every=4
-        )
+    def test_auto_compaction_bounds_the_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(journal_module, "COMPACT_EVERY", 4)
+        journal = JobJournal(tmp_path / "journal.ndjson")
         for index in range(40):
             accept(journal, f"job-{index}")
             journal.record_finished(f"job-{index}")
@@ -160,14 +165,14 @@ class TestCompaction:
         assert journal.stats()["compactions"] >= 9
 
     def test_compaction_of_fully_finished_journal_empties_it(self, tmp_path):
-        journal = JobJournal(tmp_path / "journal.ndjson", fsync=False)
+        journal = JobJournal(tmp_path / "journal.ndjson")
         accept(journal, "a")
         journal.record_finished("a")
         journal.compact()
         assert journal.path.read_bytes() == b""
 
     def test_appends_work_after_compaction(self, tmp_path):
-        journal = JobJournal(tmp_path / "journal.ndjson", fsync=False)
+        journal = JobJournal(tmp_path / "journal.ndjson")
         accept(journal, "a")
         journal.compact()
         accept(journal, "b")
@@ -175,3 +180,31 @@ class TestCompaction:
         assert {
             record["job"] for record in JobJournal(journal.path).recover()
         } == {"a", "b"}
+
+
+class TestCompactionFailures:
+    @pytest.mark.parametrize(
+        "code, step", [(errno.EROFS, "replace"), (errno.ENOSPC, "open")]
+    )
+    def test_a_refused_compaction_keeps_the_journal_and_does_not_raise(
+        self, tmp_path, monkeypatch, caplog, code, step
+    ):
+        monkeypatch.setattr(journal_module, "COMPACT_EVERY", 2)
+        journal = JobJournal(tmp_path / "journal.ndjson")
+        for job_id in ("a", "b", "c"):
+            accept(journal, job_id)
+        journal.record_finished("a")
+        before = journal.path.read_bytes()
+        fail_writes(monkeypatch, code, step)
+        with caplog.at_level(logging.WARNING, logger=journal_module.__name__):
+            journal.record_finished("b")  # the second completion compacts
+        monkeypatch.undo()
+        assert "compaction failed" in caplog.text
+        assert f"[Errno {code}]" in caplog.text
+        assert [path.name for path in tmp_path.iterdir()] == ["journal.ndjson"]
+        # Uncompacted: every earlier record, then b's tombstone.
+        assert journal.path.read_bytes().startswith(before)
+        assert journal.stats()["compactions"] == 0
+        assert [record["job"] for record in JobJournal(journal.path).recover()] == [
+            "c"
+        ]

@@ -26,6 +26,7 @@ from repro.api import (
 )
 from repro.errors import ServiceError
 from repro.service import NocService, ServiceClient, ServiceConfig
+from repro.service import jobs as jobs_module
 from tests.service.test_store import fail_writes
 
 MAP_REQUEST = MapRequest(app="vopd", price_bandwidth=False)
@@ -283,8 +284,9 @@ class TestAdmissionControl:
         with pytest.raises(ServiceError, match="429"):
             client.submit(small_sim(rate=0.04))
 
-    def test_oversized_batch_is_rejected(self, make_service):
-        _, client = make_service(max_batch=2)
+    def test_oversized_batch_is_rejected(self, make_service, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_BATCH", 2)
+        _, client = make_service()
         with pytest.raises(ServiceError, match="400"):
             client.submit([small_sim(0.02), small_sim(0.03), small_sim(0.04)])
 

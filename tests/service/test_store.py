@@ -13,7 +13,6 @@ import json
 import os
 import threading
 import types
-from pathlib import Path
 
 import pytest
 
@@ -214,10 +213,11 @@ class TestInFlightDedup:
 
 
 def fail_writes(monkeypatch, code: int = errno.EROFS, step: str = "replace") -> None:
-    """Make the store's entry writes fail with ``code``, the way a read-only
-    or full disk does (root ignores ``chmod``, so the failure is patched in).
-    ``step`` is where: the temp file's ``write_bytes`` or the ``os.replace``
-    that publishes it."""
+    """Make :func:`replace_file` — the store's entry writes and the journal's
+    compaction — fail with ``code``, the way a read-only or full disk does
+    (root ignores ``chmod``, so the failure is patched in).  ``step`` is
+    where: the ``open`` of the temp file or the ``os.replace`` that
+    publishes it."""
 
     def fail(*args):
         raise OSError(code, os.strerror(code))
@@ -226,12 +226,12 @@ def fail_writes(monkeypatch, code: int = errno.EROFS, step: str = "replace") -> 
         patched_os = types.SimpleNamespace(**{**vars(os), "replace": fail})
         monkeypatch.setattr(store_module, "os", patched_os)
     else:
-        monkeypatch.setattr(Path, "write_bytes", fail)
+        monkeypatch.setattr(store_module, "open", fail, raising=False)
 
 
 class TestWriteFailures:
     @pytest.mark.parametrize(
-        "code, step", [(errno.EROFS, "replace"), (errno.ENOSPC, "write_bytes")]
+        "code, step", [(errno.EROFS, "replace"), (errno.ENOSPC, "open")]
     )
     def test_put_raises_a_store_error_naming_path_and_errno(
         self, tmp_path, monkeypatch, code, step

@@ -80,7 +80,7 @@ class TestStreamWakesOnEvents:
         forbidden: list[float] = []
 
         async def only_the_drain_grace(delay, *args):
-            if delay != service.config.drain_grace:
+            if delay != server_module.DRAIN_GRACE:
                 forbidden.append(delay)
                 raise AssertionError(f"asyncio.sleep({delay}) on the request path")
             return await real_sleep(delay, *args)
@@ -325,12 +325,14 @@ class TestPersistentConnections:
 
 
 class TestStaleConnections:
-    def test_a_restart_between_two_calls_is_re_dialled_silently(self, tmp_path):
+    def test_a_restart_between_two_calls_is_re_dialled_silently(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "DRAIN_GRACE", 0.05)
         config = ServiceConfig(
             port=free_port(),
             executor="serial",
             store_root=str(tmp_path / "store"),
-            drain_grace=0.05,
         )
         client = ServiceClient(f"http://127.0.0.1:{config.port}", timeout=30.0)
         first = NocService(config)
@@ -354,13 +356,16 @@ class TestStaleConnections:
 
 
 class TestDrainWithKeptConnections:
-    def test_an_idle_kept_connection_does_not_stall_shutdown(self, make_service):
-        service, client = make_service(drain_grace=0.2)
+    def test_an_idle_kept_connection_does_not_stall_shutdown(
+        self, make_service, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "DRAIN_GRACE", 0.2)
+        service, client = make_service()
         assert client.health()["connections"]["open"] == 1
         assert len(client._idle) == 1  # open, idle, and staying that way
         started = time.monotonic()
         service.shutdown(timeout=60)
-        assert time.monotonic() - started < service.config.drain_grace + 1.0
+        assert time.monotonic() - started < server_module.DRAIN_GRACE + 1.0
 
     def test_nothing_is_kept_alive_once_the_drain_began(
         self, make_service, monkeypatch

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.simnoc.config import SimConfig
-from repro.simnoc.models import get_router_model, list_router_models
 from repro.simnoc.packet import Packet, make_flits
 from repro.simnoc.router import LOCAL
 from repro.simnoc.vc_router import VCRouter
@@ -150,18 +149,24 @@ class TestEngineContract:
         nxt = router.next_action_cycle(1)
         assert nxt is not None and nxt > 1
 
-    def test_registry_builds_vc_router(self):
-        assert "wormhole-vc" in list_router_models()
-        config = SimConfig(num_vcs=3, vc_buffer_depth=5)
-        factory = get_router_model(config.effective_router_model)
-        router = factory(0, [LOCAL, 1], {LOCAL: (1.0, float("inf")), 1: (1.0, 5.0)}, config)
-        assert isinstance(router, VCRouter)
-        assert router.num_vcs == 3
-        assert router.inputs[LOCAL].vc_capacity == 5
+    def test_vcs_build_the_vc_router(self):
+        from repro.graphs.topology import NoCTopology
+        from repro.simnoc.network import build_fabric
 
-    def test_unknown_router_model_rejected(self):
-        with pytest.raises(SimulationError, match="unknown router model"):
-            get_router_model("crossbar-9000")
+        config = SimConfig(num_vcs=3, vc_buffer_depth=5)
+        assert config.effective_router_model == "wormhole-vc"
+        routers = build_fabric(NoCTopology.mesh(2, 1), config).build_routers()
+        assert all(isinstance(router, VCRouter) for router in routers.values())
+        assert routers[0].num_vcs == 3
+        assert routers[0].inputs[LOCAL].vc_capacity == 5
+
+    def test_unknown_router_model_rejected_at_construction(self):
+        with pytest.raises(
+            SimulationError,
+            match="unknown router model 'crossbar-9000'; known: auto, "
+            "wormhole, wormhole-vc",
+        ):
+            SimConfig(router_model="crossbar-9000")
 
     def test_per_link_model_rejects_vcs_at_build(self):
         """Credits are sized from the model's declared buffer geometry; a

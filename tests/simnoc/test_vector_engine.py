@@ -2,9 +2,8 @@
 
 The heavy bit-identity guarantees live in ``tests/properties``; this file
 covers the engine-layer plumbing around them: registry exposure, the
-one-run-per-network and router-model guards, the observables a flattened
-run leaves, which shard counts need ``fork``, and the two-branch policy
-``auto`` dispatches on.
+one-run-per-network guard, the observables a flattened run leaves, which
+shard counts need ``fork``, and ``auto``'s one answer.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.simnoc import (
     list_engines,
 )
 from repro.simnoc.engines.auto import resolve_auto_engine
-from repro.simnoc.models import register_router_model
 from repro.simnoc.trace import TraceRecorder
 from tests.simnoc.deliveries import deliveries
 
@@ -60,19 +58,7 @@ class TestANetworkRunsOnce:
             Simulator(network, engine="vector").run()
 
 
-class TestVectorEngineGuards:
-
-    def test_rejects_unknown_router_model(self):
-        register_router_model("test-vector-reject", per_lane_buffers=False)(
-            lambda node, input_keys, output_specs, config: (_ for _ in ()).throw(
-                AssertionError("factory must not run")
-            )
-        )
-        network = _network(0.05)
-        object.__setattr__(network.config, "router_model", "test-vector-reject")
-        with pytest.raises(SimulationError, match="vector engine"):
-            Simulator(network, engine="vector").run()
-
+class TestVectorEngineObservables:
     @pytest.mark.parametrize("no_jit", ("", "1"))
     def test_leaves_what_the_cycle_engine_leaves(self, monkeypatch, no_jit):
         """The report builder reads the deliveries and the per-port flit
@@ -116,19 +102,17 @@ class TestShardedStartMethod:
 class TestAutoPolicy:
     @pytest.mark.parametrize("rate", (0.0005, 0.30))
     @pytest.mark.parametrize("no_jit", ("", "1"))
-    def test_flattenable_models_pick_vector_at_any_load(
-        self, monkeypatch, rate, no_jit
+    @pytest.mark.parametrize(
+        "model", ({}, {"num_vcs": 2}, {"router_model": "wormhole-vc"})
+    )
+    def test_every_config_picks_vector_at_any_load(
+        self, monkeypatch, rate, no_jit, model
     ):
-        """No load threshold and no dependence on the JIT rung: the event
-        engine is never auto-selected (PERFORMANCE.md, engine ladder)."""
+        """No load threshold, no dependence on the JIT rung and no router
+        model left to fall back for: the event engine is never
+        auto-selected (PERFORMANCE.md, engine ladder)."""
         monkeypatch.setenv("REPRO_NO_JIT", no_jit)
-        assert resolve_auto_engine(_network(rate)) == "vector"
-        assert resolve_auto_engine(_network(rate, num_vcs=2)) == "vector"
-
-    def test_custom_router_model_falls_back_to_cycle(self):
-        network = _network(0.2)
-        object.__setattr__(network.config, "router_model", "wormhole-custom-x")
-        assert resolve_auto_engine(network) == "cycle"
+        assert resolve_auto_engine(_network(rate, **model)) == "vector"
 
     def test_auto_runs_end_to_end_at_high_load(self):
         report = Simulator(_network(0.25), engine="auto").run()

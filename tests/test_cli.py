@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.service import ServiceConfig
 
 
 class TestListApps:
@@ -25,11 +28,12 @@ class TestMap:
         assert "filter" in out
 
     def test_map_explicit_mesh(self, capsys):
-        assert main(["map", "--app", "pip", "--mesh", "4x2"]) == 0
+        assert main(["map", "--app", "pip", "--topology", "mesh:4x2"]) == 0
         assert "4x2" in capsys.readouterr().out
 
-    def test_map_bad_mesh(self, capsys):
-        assert main(["map", "--app", "pip", "--mesh", "banana"]) == 2
+    @pytest.mark.parametrize("spec", ["banana", "4x2"])
+    def test_map_bad_topology(self, spec, capsys):
+        assert main(["map", "--app", "pip", "--topology", spec]) == 2
         assert "error" in capsys.readouterr().err
 
     def test_map_unknown_app(self, capsys):
@@ -70,11 +74,6 @@ class TestMap:
         out = capsys.readouterr().out
         assert "torus:4x4" in out
         assert "feasible    : True" in out
-
-    def test_map_rejects_topology_plus_mesh(self, capsys):
-        code = main(["map", "--app", "pip", "--topology", "mesh:4x4", "--mesh", "4x4"])
-        assert code == 2
-        assert "not both" in capsys.readouterr().err
 
     def test_map_seed_rejected_for_deterministic(self, capsys):
         assert main(["map", "--app", "pip", "--algorithm", "pmap", "--seed", "3"]) == 2
@@ -318,6 +317,23 @@ class TestCompare:
         with pytest.raises(SystemExit):
             main(["compare", "--app", "pip", "--executor", "fiber"])
         assert "--executor" in capsys.readouterr().err
+
+
+class TestServe:
+    def test_every_service_config_field_is_a_serve_flag(self):
+        """A field no deployment can set is an option nobody uses."""
+        subcommands = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        renamed = {"store": "store_root", "journal": "journal_path"}
+        flags = {
+            renamed.get(action.dest, action.dest)
+            for action in subcommands.choices["serve"]._actions
+            if action.dest != "help"
+        }
+        assert flags == {field.name for field in fields(ServiceConfig)}
 
 
 class TestExperiment:

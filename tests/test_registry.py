@@ -1,6 +1,6 @@
 """The two plug-in classes: every registry is a ``Registry``, every ladder a ``Ladder``.
 
-One parametrized test holds the five name registries to one contract
+One parametrized test holds the four name registries to one contract
 (duplicate refused with the registry's own error type, unknown name
 answered with the known ones in presentation order); the rest pin the
 ladders' switches — one parser for every kill switch, reasons that name
@@ -46,13 +46,6 @@ REGISTRIES = {
         engine_base.get_engine,
         engine_base.list_engines,
     ),
-    "router model": (
-        models.ROUTER_MODELS,
-        SimulationError,
-        lambda: models.register_router_model("wormhole")(_noop),
-        models.get_router_model,
-        models.list_router_models,
-    ),
     "traffic pattern": (
         models.TRAFFIC_PATTERNS,
         SimulationError,
@@ -79,7 +72,6 @@ REGISTRIES = {
 #: The names that lead each listing, in this order; the rest follow sorted.
 LEADING = {
     "engine": (),
-    "router model": (),
     "traffic pattern": ("trace",),
     "mapper": ("nmap", "nmap-tm", "nmap-ta", "pmap", "gmap", "pbb", "annealing", "hmap"),
     "partitioner": ("metis", "greedy-edge", "round-robin"),
@@ -87,7 +79,6 @@ LEADING = {
 
 EXISTING = {
     "engine": "cycle",
-    "router model": "wormhole",
     "traffic pattern": "uniform",
     "mapper": "nmap",
     "partitioner": "metis",
