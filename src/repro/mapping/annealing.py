@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Callable
 
 from repro.api.options import AnnealingOptions
 from repro.api.registry import register_mapper
@@ -27,6 +28,29 @@ from repro.mapping.base import Mapping, MappingResult
 from repro.mapping.initializer import initial_mapping
 from repro.mapping.nmap import evaluate_single_path
 from repro.metrics.comm_cost import SwapMirror, comm_cost
+
+
+def pair_sampler(
+    rng: random.Random, nodes: list[int]
+) -> Callable[[], tuple[int, int]]:
+    """A draw of two distinct nodes: what ``rng.sample(nodes, 2)`` returns,
+    taking the same numbers from the stream, without ``sample``'s per-call
+    set-up.  ``sample`` fills k = 2 from a shrinking pool while the
+    population has at most 21 members, and redraws repeats above that.
+    """
+    count, last, draw = len(nodes), len(nodes) - 1, rng.randrange
+
+    def pooled() -> tuple[int, int]:
+        first, second = draw(count), draw(last)
+        return nodes[first], nodes[last if second == first else second]
+
+    def redrawn() -> tuple[int, int]:
+        first = second = draw(count)
+        while second == first:
+            second = draw(count)
+        return nodes[first], nodes[second]
+
+    return pooled if count <= 21 else redrawn
 
 
 @register_mapper("annealing", options=AnnealingOptions,
@@ -90,7 +114,7 @@ def annealing_mapping(
     )
     floor = temperature * min_temperature_fraction
     moves = moves_per_temperature or 4 * topology.num_nodes
-    nodes = search_topology.healthy_nodes()
+    draw_pair = pair_sampler(rng, search_topology.healthy_nodes())
     mirror = SwapMirror(mapping)
 
     accepted = 0
@@ -98,7 +122,7 @@ def annealing_mapping(
     while temperature > floor:
         for _ in range(moves):
             attempted += 1
-            node_a, node_b = rng.sample(nodes, 2)
+            node_a, node_b = draw_pair()
             delta = mirror.delta(node_a, node_b)
             if delta <= 0 or rng.random() < math.exp(-delta / temperature):
                 mirror.swap(node_a, node_b)

@@ -17,6 +17,22 @@ from repro.graphs.core_graph import CoreGraph
 from repro.graphs.topology import NoCTopology
 
 
+def require_capacity(core_graph: CoreGraph, topology: NoCTopology) -> None:
+    """Raise :class:`MappingError` unless every core can have its own
+    surviving node (``|V| <= |U|``, failed routers excluded)."""
+    if core_graph.num_cores > topology.num_nodes:
+        raise MappingError(
+            f"{core_graph.num_cores} cores cannot map onto "
+            f"{topology.num_nodes} nodes (need |V| <= |U|)"
+        )
+    if core_graph.num_cores > topology.num_healthy_nodes:
+        raise MappingError(
+            f"{core_graph.num_cores} cores cannot map onto the "
+            f"{topology.num_healthy_nodes} surviving nodes of {topology!r} "
+            f"({len(topology.failed_routers)} router(s) failed)"
+        )
+
+
 class Mapping:
     """One-to-one (injective) placement of cores onto topology nodes.
 
@@ -32,17 +48,7 @@ class Mapping:
         topology: NoCTopology,
         placement: dict[str, int] | None = None,
     ) -> None:
-        if core_graph.num_cores > topology.num_nodes:
-            raise MappingError(
-                f"{core_graph.num_cores} cores cannot map onto "
-                f"{topology.num_nodes} nodes (need |V| <= |U|)"
-            )
-        if core_graph.num_cores > topology.num_healthy_nodes:
-            raise MappingError(
-                f"{core_graph.num_cores} cores cannot map onto the "
-                f"{topology.num_healthy_nodes} surviving nodes of {topology!r} "
-                f"({len(topology.failed_routers)} router(s) failed)"
-            )
+        require_capacity(core_graph, topology)
         self.core_graph = core_graph
         self.topology = topology
         self._core_to_node: dict[str, int] = {}

@@ -15,7 +15,8 @@ Equation 7 cost:
 Only the first term depends on where a child puts the core being branched:
 "nearest free" is taken over the partial's free nodes, the child's own
 among them, and a flow leaving the new core is priced at one hop.  So the
-last two terms are computed once per partial and shared by its children.
+last two terms are one tail per partial, shared by its children, and a
+whole tree level is branched, bounded and pruned at once as arrays.
 
 The "partial" in PBB is the bounded queue: the paper monitors the queue
 length so their runs take "few minutes".  We implement the queue bound as a
@@ -27,14 +28,14 @@ Mesh mirror symmetries are broken at the root level.
 
 from __future__ import annotations
 
-import heapq
+import numpy as np
 
 from repro.api.options import PbbOptions
 from repro.api.registry import register_mapper
 from repro.errors import MappingError
 from repro.graphs.core_graph import CoreGraph
 from repro.graphs.topology import NoCTopology
-from repro.mapping.base import Mapping, MappingResult
+from repro.mapping.base import Mapping, MappingResult, require_capacity
 from repro.mapping.nmap import evaluate_single_path
 
 
@@ -85,6 +86,7 @@ def pbb(
         raise MappingError(f"max_queue must be >= 1, got {max_queue}")
     if tight_bounds is None:
         tight_bounds = core_graph.num_cores <= 20
+    require_capacity(core_graph, topology)
 
     order = core_graph.traffic_order()
     core_rank = {core: rank for rank, core in enumerate(order)}
@@ -115,42 +117,40 @@ def pbb(
             else:
                 one_hop[depth] += bandwidth
 
-    hops = topology.distance_rows()
-    healthy = topology.healthy_nodes()
-    # level entries: (exact_cost, assignment tuple)
-    level: list[tuple[float, tuple[int, ...]]] = [
-        (0.0, (node,)) for node in _root_nodes(topology)
-    ]
-    expansions = 0
-    overflowed = False
+    hops = topology.distance_matrix()
+    healthy = np.zeros(topology.num_nodes, dtype=bool)
+    healthy[topology.healthy_nodes()] = True
+    # A level: rows of placed nodes in lexicographic order, and exact costs.
+    # Children keep that order (parent row, then node), so an index breaks a
+    # (bound, exact) tie as the tuple would; sums run in a loop's term order.
+    level = np.array(_root_nodes(topology))[:, None]
+    exact = np.zeros(len(level))
+    expansions, overflowed = 0, False
     for depth in range(1, len(order)):
-        children: list[tuple[float, float, tuple[int, ...]]] = []
-        links = earlier_links.get(depth, [])
-        for exact, assignment in level:
-            expansions += 1
-            used = set(assignment)
-            free = [node for node in healthy if node not in used]
-            tail = one_hop[depth]
-            for lo, bandwidth in anchored[depth].items():
-                from_anchor = hops[assignment[lo]]
-                tail += bandwidth * min(from_anchor[node] for node in free)
-            pulls = [(hops[assignment[lo]], bandwidth) for lo, bandwidth in links]
-            for node in free:
-                child_exact = exact + sum(
-                    bandwidth * from_placed[node] for from_placed, bandwidth in pulls
-                )
-                children.append((child_exact + tail, child_exact, assignment + (node,)))
-        if len(children) > max_queue:
+        expansions += len(level)
+        free_mask = np.tile(healthy, (len(level), 1))
+        np.put_along_axis(free_mask, level, False, axis=1)
+        free = free_mask.nonzero()[1].reshape(len(level), -1)
+        tail = np.full(len(level), one_hop[depth])
+        for lo, bandwidth in anchored[depth].items():
+            tail += bandwidth * hops[level[:, lo, None], free].min(axis=1)
+        pulled = np.zeros(free.shape)
+        for lo, bandwidth in earlier_links.get(depth, []):
+            pulled += bandwidth * hops[level[:, lo, None], free]
+        exact = (exact[:, None] + pulled).ravel()
+        bound = exact + tail.repeat(free.shape[1])
+        parent, node = np.arange(len(level)).repeat(free.shape[1]), free.ravel()
+        if len(node) > max_queue:
+            # The least (bound, exact, index) children; the cut pre-selects.
             overflowed = True
-            children = heapq.nsmallest(max_queue, children)
-        level = [(exact, assignment) for _bound, exact, assignment in children]
+            cut = np.partition(bound, max_queue - 1)[max_queue - 1]
+            near = (bound <= cut).nonzero()[0]
+            keep = np.sort(near[np.lexsort((exact[near], bound[near]))[:max_queue]])
+            parent, node, exact = parent[keep], node[keep], exact[keep]
+        level = np.column_stack((level[parent], node))
 
-    best_exact, best_assignment = min(level)
-    mapping = Mapping(
-        core_graph,
-        topology,
-        {core: best_assignment[rank] for rank, core in enumerate(order)},
-    )
+    best = level[exact.argmin()].tolist()
+    mapping = Mapping(core_graph, topology, dict(zip(order, best)))
     cost, routing, feasible = evaluate_single_path(mapping)
     return MappingResult(
         mapping=mapping,

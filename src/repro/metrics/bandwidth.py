@@ -39,12 +39,18 @@ def min_bandwidth_split(
 ) -> tuple[float, RoutingResult]:
     """Min uniform capacity with traffic splitting (NMAPTM/NMAPTA).
 
+    Solves only the min-congestion LP's first phase, whose objective is λ*:
+    the routing is one λ*-optimal split, not the flow-minimal pattern
+    :func:`solve_min_congestion`'s second phase picks.
+
     Args:
         quadrant_only: True restricts each commodity to its minimum paths
             (NMAPTM, Equation 10); False allows all paths (NMAPTA).
     """
     commodities = build_commodities(mapping.core_graph, mapping)
-    return solve_min_congestion(mapping.topology, commodities, quadrant_only=quadrant_only)
+    return solve_min_congestion(
+        mapping.topology, commodities, quadrant_only, minimize_flow_secondary=False
+    )
 
 
 def link_utilizations(routing: RoutingResult) -> dict[tuple[int, int], float]:

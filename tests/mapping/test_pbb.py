@@ -80,6 +80,25 @@ class TestPbb:
         result = pbb(graph, mesh2x2.with_failed_routers([0]))
         assert result.feasible and result.comm_cost == 150.0
 
+    @pytest.mark.parametrize(
+        "fabric,message",
+        [
+            (NoCTopology.mesh(2, 2), "5 cores cannot map onto 4 nodes"),
+            (
+                NoCTopology.mesh(3, 3).with_failed_routers([4, 5, 6, 7, 8]),
+                "5 cores cannot map onto the 4 surviving nodes",
+            ),
+        ],
+    )
+    def test_more_cores_than_surviving_routers_is_a_mapping_error(
+        self, fabric, message
+    ):
+        """Checked before the search, as every other mapper does."""
+        from repro.graphs.random_graphs import random_core_graph
+
+        with pytest.raises(MappingError, match=message):
+            pbb(random_core_graph(5, seed=1), fabric)
+
 
 class TestExhaustive:
     def test_line_on_2x2(self, tiny_graph, mesh2x2):

@@ -64,3 +64,24 @@ class TestUtilization:
         utils = link_utilizations(routing)
         assert utils[(0, 1)] == pytest.approx(0.6)  # 600 over 1000 capacity
         assert utils[(1, 4)] == pytest.approx(0.6)
+
+
+@pytest.mark.parametrize("quadrant_only", [True, False])
+def test_split_pricing_reads_the_two_phase_lambda(quadrant_only):
+    """Pricing solves the min-congestion LP's first phase only; its λ* is
+    the same float the two-phase solve returns, on every built-in app."""
+    from repro.apps import all_apps
+    from repro.graphs.commodities import build_commodities
+    from repro.graphs.topology import NoCTopology
+    from repro.mapping import nmap_single_path
+    from repro.routing.split import solve_min_congestion
+
+    for app in all_apps().values():
+        mesh = NoCTopology.smallest_mesh_for(
+            app.num_cores, link_bandwidth=app.total_bandwidth()
+        )
+        mapping = nmap_single_path(app, mesh).mapping
+        two_phase, _ = solve_min_congestion(
+            mesh, build_commodities(app, mapping), quadrant_only=quadrant_only
+        )
+        assert min_bandwidth_split(mapping, quadrant_only=quadrant_only)[0] == two_phase

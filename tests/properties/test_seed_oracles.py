@@ -48,9 +48,11 @@ from repro.mapping import (
     pmap,
 )
 from repro.mapping import nmap_split
+from repro.mapping.annealing import pair_sampler
 from repro.mapping.base import Mapping
 from repro.mapping.hmap import _cluster_cores
 from repro.mapping.initializer import best_node, center_pull
+from repro.mapping.nmap import evaluate_single_path
 from repro.metrics.comm_cost import (
     SwapGains,
     SwapMirror,
@@ -86,6 +88,7 @@ from tests.reference import (
     next_core_order,
     object_walk,
     per_child_bound_pbb,
+    per_partial_pbb,
     per_node_placement_costs,
     packet_walk_flow_stats,
     packet_walk_latency_stats,
@@ -309,6 +312,19 @@ class TestIndexSpaceKernels:
             positions, node_core = mapping.position_arrays()
             assert mirror.position == positions.tolist()
             assert mirror.node_core == node_core.tolist()
+
+    @given(st.integers(2, 64), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_pair_draw_is_random_sample(self, count, seed):
+        """The annealer's pair draw returns what ``random.sample(nodes, 2)``
+        does and leaves the stream where ``sample`` leaves it — on both of
+        ``sample``'s branches (pool up to 21 members, redraw above)."""
+        nodes = list(range(100, 100 + count))
+        drawn, sampled = random.Random(seed), random.Random(seed)
+        pair = pair_sampler(drawn, nodes)
+        for _ in range(200):
+            assert pair() == tuple(sampled.sample(nodes, 2))
+        assert drawn.getstate() == sampled.getstate()
 
     @given(placements(complete=True), st.data())
     @settings(max_examples=100, deadline=None)
@@ -679,6 +695,69 @@ class TestAlgorithmTrajectories:
             overflows.add(overflowed)
         # The 5-core search fits a 2000-deep queue (exact); the rest overflow.
         assert overflows == ({False, True} if max_queue == 2000 else {True})
+
+    @given(fabrics(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pbb_level_arrays_retrace_the_per_partial_search(self, fabric, data):
+        """A tree level as arrays keeps, prunes and picks what the loop over
+        partials did, on damaged fabrics too (failed routers are never a
+        branch; a failed link leaves ``UNREACHABLE`` hops in every sum)."""
+        graph = data.draw(core_graphs(max_cores=min(8, fabric.num_healthy_nodes)))
+        max_queue = data.draw(st.sampled_from([1, 3, 40, 2000]))
+        tight_bounds = data.draw(st.booleans())
+
+        def outcome(search):
+            try:
+                return search()
+            except ReproError as error:  # a disconnected pair fails pricing
+                return type(error), str(error)
+
+        def produced():
+            result = pbb(graph, fabric, max_queue=max_queue, tight_bounds=tight_bounds)
+            return (
+                result.mapping.placement,
+                result.comm_cost,
+                result.stats["expansions"],
+                result.stats["queue_overflowed"],
+            )
+
+        def loop():
+            placement, expansions, overflowed = per_partial_pbb(
+                graph, fabric, max_queue, tight_bounds
+            )
+            cost = evaluate_single_path(Mapping(graph, fabric, placement))[0]
+            return placement, cost, expansions, overflowed
+
+        assert outcome(produced) == outcome(loop)
+
+    @pytest.mark.parametrize(
+        "edges,width,height,max_queue,tight_bounds",
+        [
+            ([(0, 3), (4, 1), (3, 4), (4, 2), (2, 3)], 2, 3, 3, False),
+            ([(0, 4), (4, 0), (2, 3), (4, 3), (1, 4), (3, 1), (4, 0)], 4, 2, 40, True),
+        ],
+    )
+    def test_pbb_keeps_each_level_in_assignment_order(
+        self, edges, width, height, max_queue, tight_bounds
+    ):
+        """Unit-weight children tie on (bound, exact) across the cut, under
+        parents a pruned level ranked out of assignment order: only a level
+        kept in assignment order breaks those ties as the tuples did."""
+        graph = CoreGraph(name="ties")
+        for core in range(5):
+            graph.add_core(f"c{core}")
+        for src, dst in edges:
+            graph.add_traffic(f"c{src}", f"c{dst}", 1)
+        fabric = NoCTopology(width, height)
+        placement, expansions, overflowed = per_partial_pbb(
+            graph, fabric, max_queue, tight_bounds
+        )
+        produced = pbb(graph, fabric, max_queue=max_queue, tight_bounds=tight_bounds)
+        assert produced.mapping.placement == placement
+        assert (produced.stats["expansions"], produced.stats["queue_overflowed"]) == (
+            expansions,
+            overflowed,
+        )
 
     @pytest.mark.parametrize(
         "size,seed,objective",

@@ -20,6 +20,7 @@ from tests.reference.mapping import (
     per_child_bound_pbb,
     per_node_placement_costs,
     per_pair_swap_deltas,
+    per_partial_pbb,
     quadrant_outgoing,
     recomputed_frontier_pmap,
     scanned_best_node,
@@ -49,6 +50,7 @@ __all__ = [
     "per_child_bound_pbb",
     "per_node_placement_costs",
     "per_pair_swap_deltas",
+    "per_partial_pbb",
     "quadrant_outgoing",
     "recomputed_frontier_pmap",
     "scanned_best_node",

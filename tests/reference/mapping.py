@@ -14,6 +14,7 @@ import numpy as np
 from repro.errors import RoutingError
 from repro.graphs.quadrant import quadrant_nodes
 from repro.mapping.base import Mapping
+from repro.mapping.pbb import _root_nodes
 from repro.metrics.comm_cost import swap_cost_delta
 
 
@@ -329,5 +330,70 @@ def per_child_bound_pbb(
         level = [(exact, assignment) for _bound, exact, assignment in children]
 
     _, best_assignment = min(level)
+    placement = {core: best_assignment[rank] for rank, core in enumerate(order)}
+    return placement, expansions, overflowed
+
+
+def per_partial_pbb(
+    core_graph, topology, max_queue: int, tight_bounds: bool
+) -> tuple[dict[str, int], int, bool]:
+    """PBB's search one partial at a time, as it ran before a tree level
+    became arrays: a set of used nodes, a Python ``min`` per anchored flow
+    and a tuple per child.  Returns ``(placement, expansions, overflowed)``.
+
+    Any fabric, failed routers and links included; raises a bare
+    ``ValueError`` when the cores outnumber the surviving nodes.
+    """
+    order = core_graph.traffic_order()
+    core_rank = {core: rank for rank, core in enumerate(order)}
+    flows: list[tuple[int, int, float]] = []
+    for pair, bandwidth in core_graph.undirected_weights().items():
+        lo, hi = sorted(pair, key=lambda core: core_rank[core])
+        flows.append((core_rank[lo], core_rank[hi], bandwidth))
+    earlier_links: dict[int, list[tuple[int, float]]] = {}
+    for lo, hi, bandwidth in flows:
+        earlier_links.setdefault(hi, []).append((lo, bandwidth))
+    one_hop = [0.0] * len(order)
+    anchored: list[dict[int, float]] = [{} for _ in order]
+    for depth in range(len(order)):
+        for lo, hi, bandwidth in flows:
+            if hi <= depth:
+                continue
+            if tight_bounds and lo < depth:
+                anchored[depth][lo] = anchored[depth].get(lo, 0.0) + bandwidth
+            else:
+                one_hop[depth] += bandwidth
+
+    hops = topology.distance_rows()
+    healthy = topology.healthy_nodes()
+    # level entries: (exact_cost, assignment tuple)
+    level: list[tuple[float, tuple[int, ...]]] = [
+        (0.0, (node,)) for node in _root_nodes(topology)
+    ]
+    expansions = 0
+    overflowed = False
+    for depth in range(1, len(order)):
+        children: list[tuple[float, float, tuple[int, ...]]] = []
+        links = earlier_links.get(depth, [])
+        for exact, assignment in level:
+            expansions += 1
+            used = set(assignment)
+            free = [node for node in healthy if node not in used]
+            tail = one_hop[depth]
+            for lo, bandwidth in anchored[depth].items():
+                from_anchor = hops[assignment[lo]]
+                tail += bandwidth * min(from_anchor[node] for node in free)
+            pulls = [(hops[assignment[lo]], bandwidth) for lo, bandwidth in links]
+            for node in free:
+                child_exact = exact + sum(
+                    bandwidth * from_placed[node] for from_placed, bandwidth in pulls
+                )
+                children.append((child_exact + tail, child_exact, assignment + (node,)))
+        if len(children) > max_queue:
+            overflowed = True
+            children = heapq.nsmallest(max_queue, children)
+        level = [(exact, assignment) for _bound, exact, assignment in children]
+
+    _best_exact, best_assignment = min(level)
     placement = {core: best_assignment[rank] for rank, core in enumerate(order)}
     return placement, expansions, overflowed

@@ -17,6 +17,7 @@ import pytest
 
 from repro.api import (
     ErrorResponse,
+    FaultSpec,
     MapRequest,
     SimOptions,
     SimRequest,
@@ -310,6 +311,24 @@ class TestErrorPropagation:
         assert status == 400
         envelope = client.status(ticket.id)
         assert envelope["slots"][0]["error"] == "ApiError"
+
+    def test_pbb_over_surviving_capacity_is_a_422(self, service_pair):
+        """pip's 8 cores on the 7 routers left of a 3x3 mesh: PBB answers
+        with a typed MappingError, not an internal error."""
+        _, client = service_pair
+        request = MapRequest(
+            app="pip",
+            mapper="pbb",
+            topology=TopologySpec.parse("mesh:3x3"),
+            faults=FaultSpec(failed_routers=(4, 5)),
+        )
+        ticket = client.submit(request)
+        response = client.wait(ticket.id, timeout=60)
+        assert isinstance(response, ErrorResponse)
+        assert response.error == "MappingError"
+        assert "8 cores cannot map onto the 7 surviving nodes" in response.message
+        status, _ = client._request("GET", f"/v1/jobs/{ticket.id}/result")
+        assert status == 422
 
     def test_convenience_helpers_raise_with_typed_payload(self, service_pair):
         _, client = service_pair
