@@ -12,11 +12,13 @@ cliffs.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
+import json
 import time
 from pathlib import Path
 
-from repro.api import run
+from repro.api import SimResponse, run
 from repro.apps import pip, vopd
 from repro.graphs.commodities import build_commodities
 from repro.graphs.io import core_graph_from_dict
@@ -34,6 +36,7 @@ from repro.mapping import (
 from repro.routing import split
 from repro.routing.min_path import min_path_routing
 from repro.routing.split import solve_min_congestion
+from repro.service.wire import canonical_response_bytes, parse_request, parse_response
 from repro.simnoc import SimConfig, Simulator, build_network
 
 #: Seconds one golden-seed ``map_suite`` round may spend assembling its MCF
@@ -86,14 +89,29 @@ PBB_VOPD_TIGHT_BUDGET_S = 0.08
 #: DAG and running a heap over it 6-7 ms.
 MIN_PATH_100_CORES_BUDGET_S = 0.005
 
+#: Seconds for one wire round trip of the golden-seed ``sim_saturation``
+#: round's 16x16 request (960 links, 4 110 flows): ``parse_request`` of the
+#: request, then ``SimResponse`` construction, canonical bytes and
+#: ``parse_response`` of its response.  One codec walking the dataclass
+#: annotations reads 24-30 ms on the reference host (the canonical bytes'
+#: ``json.dumps`` is most of it), the hand-written ``to_dict`` /
+#: ``from_dict`` pairs it replaced 27-41 ms.
+WIRE_ROUND_TRIP_BUDGET_S = 0.05
 
-def _golden_map_suite():
-    """The requests of one golden-seed ``map_suite`` round."""
+
+def _workloads():
+    """The e2e benchmark's request generators."""
     spec = importlib.util.spec_from_file_location(
         "e2e_workloads", Path(__file__).parent / "e2e" / "workloads.py"
     )
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _golden_map_suite():
+    """The requests of one golden-seed ``map_suite`` round."""
+    workloads = _workloads()
     return workloads.map_suite(2004, 0, workloads.SIZES["full"])
 
 
@@ -314,3 +332,25 @@ def test_runtime_lp_golden_round(benchmark, monkeypatch):
     solutions = benchmark.pedantic(one_round, rounds=5, warmup_rounds=1)
     assert sum(solution.is_optimal for solution in solutions) > 0
     assert benchmark.stats.stats.min < LP_GOLDEN_ROUND_BUDGET_S
+
+
+def test_runtime_wire_round_trip(benchmark):
+    """Both ends of the service's wire for the largest response the e2e
+    benchmark ships: the canonical bytes are mostly ``json.dumps``, the
+    parse mostly the codec's check of every response-table entry."""
+    workloads = _workloads()
+    request = workloads.sim_saturation(2004, 0, workloads.SIZES["full"])[0]
+    response = run(request)
+    assert len(response.link_utilization) == 960
+    request_payload = request.to_dict()
+    fields = {f.name: getattr(response, f.name) for f in dataclasses.fields(response)}
+    response_payload = json.loads(canonical_response_bytes(response))
+
+    def round_trip():
+        assert parse_request(request_payload) == request
+        body = canonical_response_bytes(SimResponse(**fields))
+        return body, parse_response(response_payload)
+
+    body, parsed = benchmark.pedantic(round_trip, rounds=10, warmup_rounds=1)
+    assert canonical_response_bytes(parsed) == body
+    assert benchmark.stats.stats.min < WIRE_ROUND_TRIP_BUDGET_S

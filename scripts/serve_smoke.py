@@ -15,6 +15,9 @@ contracts the service ships on:
 * a streamed sweep delivers every slot in order;
 * the whole session of that one client rode a handful of kept connections
   (``connections.accepted`` far below ``connections.requests``);
+* bodies whose parse once escaped as a ``TypeError`` (HTTP 500), or read
+  a malformed fault list as "no faults", sent over raw HTTP, are each a
+  400 carrying an ``ApiError``;
 * SIGTERM drains cleanly — exit code 0, no dropped work — and does so with
   the client's kept connection still open, inside the grace window rather
   than after the connection's 30 s idle limit.
@@ -25,6 +28,8 @@ serve-smoke``; wired into ``make check``.
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import re
 import signal
@@ -44,7 +49,7 @@ from repro.service.server import DRAIN_GRACE  # noqa: E402
 ANNOUNCE = re.compile(r"listening on http://[\d.]+:(\d+)")
 
 
-def boot(store: str) -> tuple[subprocess.Popen, ServiceClient]:
+def boot(store: str) -> tuple[subprocess.Popen, ServiceClient, int]:
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
     proc = subprocess.Popen(
         [
@@ -66,9 +71,8 @@ def boot(store: str) -> tuple[subprocess.Popen, ServiceClient]:
             )
         match = ANNOUNCE.search(line)
         if match:
-            return proc, ServiceClient(
-                f"http://127.0.0.1:{match.group(1)}", timeout=120.0
-            )
+            port = int(match.group(1))
+            return proc, ServiceClient(f"http://127.0.0.1:{port}", timeout=120.0), port
     proc.kill()
     raise SystemExit("server did not announce a port within 60 s")
 
@@ -77,6 +81,32 @@ def check(condition: bool, label: str) -> None:
     if not condition:
         raise SystemExit(f"serve-smoke FAILED: {label}")
     print(f"  ok: {label}")
+
+
+def malformed_bodies() -> dict[str, dict]:
+    """Request bodies with a wrongly shaped mapper or fault list."""
+    map_payload = MapRequest(app="vopd").to_dict()
+    bodies = {}
+    for mapper in ([], {}):
+        bodies[f"mapper={mapper!r}"] = {**map_payload, "mapper": mapper}
+        nested = SimRequest(map_request=MapRequest(app="vopd")).to_dict()
+        nested["map_request"]["mapper"] = mapper
+        bodies[f"map_request.mapper={mapper!r}"] = nested
+    for field in ("failed_links", "failed_routers", "degraded_links"):
+        for value in (None, 3, "", {}):
+            bodies[f"faults.{field}={value!r}"] = {**map_payload, "faults": {field: value}}
+    return bodies
+
+
+def post_raw(port: int, body: bytes) -> tuple[int, bytes]:
+    """``POST /v1/jobs`` on a connection of its own, no client library."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        conn.request("POST", "/v1/jobs", body, {"Content-Type": "application/json"})
+        reply = conn.getresponse()
+        return reply.status, reply.read()
+    finally:
+        conn.close()
 
 
 def main() -> None:
@@ -91,7 +121,7 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as store:
         print("== cold server ==")
-        proc, client = boot(store)
+        proc, client, port = boot(store)
         try:
             check(client.health()["status"] == "ok", "health answers ok")
             check(
@@ -166,6 +196,18 @@ def main() -> None:
                 f"{seen['requests']} requests rode {seen['accepted']} connection(s)",
             )
             check(seen["open"] >= 1, "the client's connection is kept open")
+
+            # Raw HTTP, after the connection count above: each body on a
+            # connection of its own.
+            bodies = malformed_bodies()
+            wrong = {}
+            for name, body in bodies.items():
+                status, reply = post_raw(port, json.dumps(body).encode())
+                if status != 400 or b"ApiError" not in reply:
+                    wrong[name] = status
+            check(not wrong, f"{len(bodies)} malformed bodies each a 400 ApiError" + (
+                f"; not: {wrong}" if wrong else ""
+            ))
         finally:
             sigterm_at = time.monotonic()
             proc.send_signal(signal.SIGTERM)
@@ -178,7 +220,7 @@ def main() -> None:
         )
 
         print("== fresh server, same store ==")
-        proc, client = boot(store)
+        proc, client, _ = boot(store)
         try:
             before = client.health()["store"]["executed"]
             ticket = client.submit(sim_request)

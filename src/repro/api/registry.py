@@ -57,7 +57,8 @@ class MapperEntry:
         return self.options_type.from_dict(payload)
 
     def coerce_options(self, options: MapperOptions | None) -> MapperOptions:
-        """Validate a typed options instance against this entry.
+        """The options to run with: defaults for None, else ``options`` itself
+        (checked when it was built) when it is this entry's type.
 
         Raises:
             ApiError: when ``options`` is of another mapper's type.
@@ -69,7 +70,6 @@ class MapperEntry:
                 f"mapper {self.name!r} takes {self.options_type.__name__}, "
                 f"got {type(options).__name__}"
             )
-        options.validate()
         return options
 
     def run(

@@ -6,11 +6,11 @@ and any future service) speaks these four payloads:
 * :class:`MapRequest` -> :class:`MapResponse` — run one mapping algorithm.
 * :class:`SimRequest` -> :class:`SimResponse` — map, then simulate packets.
 
-All of them are frozen dataclasses with ``to_dict``/``from_dict`` that
-round-trip losslessly through ``json.dumps``; payloads carry a schema
-version so cached/logged responses stay readable as the format evolves.
-Option payloads are validated when the request is *built* (typos fail
-before a batch fans out, not minutes into it).
+All of them are :class:`repro.codec.Payload` dataclasses (field annotations
+and metadata are the schema) whose ``to_dict``/``from_dict`` round-trip
+losslessly through ``json.dumps`` under a schema version, and each is
+checked when it is *built* (typos fail before a batch fans out, not minutes
+into it).
 
 :class:`TopologySpec` is the serializable description of the NoC — it
 parses the CLI's ``--topology`` strings (``"mesh:4x4"``, ``"torus:8x8"``,
@@ -22,79 +22,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Literal
 
 from repro.api.options import MapperOptions, check_partitioner
 from repro.api.registry import get_mapper, with_seed
+from repro.codec import SCHEMA_VERSION, Payload, decode_kind  # noqa: F401 (re-export)
 from repro.errors import ApiError
 from repro.faults.spec import FaultSpec
 from repro.graphs.core_graph import CoreGraph
 from repro.graphs.topology import NoCTopology
 
-#: Version stamped into every serialized payload.
-SCHEMA_VERSION = 1
-
-_TOPOLOGY_KINDS = ("auto", "mesh", "torus")
-
-
-def _encode_float(value: float) -> float | str:
-    """JSON-safe float: infinities become the string ``"inf"``."""
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
+#: Payload kinds a client may submit, and kinds a completed job slot carries.
+REQUEST_KINDS = ("map-request", "sim-request")
+RESPONSE_KINDS = ("map-response", "sim-response", "error-response")
 
 
-def _decode_float(value: Any) -> float:
-    if value == "inf":
-        return float("inf")
-    if value == "-inf":
-        return float("-inf")
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ApiError(f"expected a number, got {value!r}")
-    return float(value)
+def _decode_mapper_options(raw: Any, earlier: dict[str, Any]) -> MapperOptions | None:
+    """``options`` read as the options class of the ``mapper`` decoded before it."""
+    return None if raw is None else get_mapper(earlier["mapper"]).options_type.from_dict(raw)
 
 
-def _is_real(value: Any, above: float) -> bool:
-    """A finite ``int`` / ``float`` (never a ``bool``) greater than ``above``."""
-    real = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return real and math.isfinite(value) and value > above
-
-
-def _check_int(value: Any, name: str, minimum: int | None = None) -> None:
-    """Reject anything but an ``int`` (``bool`` excluded) of at least ``minimum``."""
-    if type(value) is not int or (minimum is not None and value < minimum):
-        floor = "" if minimum is None else f" >= {minimum}"
-        raise ApiError(f"{name} must be an int{floor}, got {value!r}")
-
-
-def _check_envelope(payload: Any, kind: str) -> dict[str, Any]:
-    """Validate the ``schema``/``kind`` envelope shared by every payload."""
-    if not isinstance(payload, dict):
-        raise ApiError(f"{kind} payload must be a dict, got {type(payload).__name__}")
-    schema = payload.get("schema")
-    if schema != SCHEMA_VERSION:
-        raise ApiError(
-            f"unsupported {kind} schema {schema!r}; this build reads "
-            f"schema {SCHEMA_VERSION}"
-        )
-    if payload.get("kind") != kind:
-        raise ApiError(f"expected kind {kind!r}, got {payload.get('kind')!r}")
-    return payload
-
-
-def _required(data: dict[str, Any], key: str, kind: str) -> Any:
-    """A required payload field, or :class:`ApiError` naming what's missing."""
-    try:
-        return data[key]
-    except KeyError:
-        raise ApiError(f"{kind} payload is missing required field {key!r}") from None
-
-
-# ----------------------------------------------------------------------
-# topology
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(Payload):
     """Serializable description of the NoC topology to map onto.
 
     Attributes:
@@ -106,29 +55,23 @@ class TopologySpec:
             paper's pure-cost comparison regime).
     """
 
-    kind: str = "auto"
-    width: int | None = None
-    height: int | None = None
-    link_bandwidth: float | None = None
+    NOUN = "topology"
 
-    def __post_init__(self) -> None:
-        if self.kind not in _TOPOLOGY_KINDS:
-            raise ApiError(
-                f"topology kind must be one of {', '.join(_TOPOLOGY_KINDS)}, "
-                f"got {self.kind!r}"
-            )
+    kind: Literal["auto", "mesh", "torus"] = field(
+        default="auto", metadata={"label": "topology kind"}
+    )
+    width: int | None = field(default=None, metadata={"ge": 1})
+    height: int | None = field(default=None, metadata={"ge": 1})
+    link_bandwidth: float | None = field(
+        default=None, metadata={"gt": 0, "label": "link bandwidth"}
+    )
+
+    def validate(self) -> None:
         if self.kind == "auto":
             if self.width is not None or self.height is not None:
                 raise ApiError("auto topology must not carry explicit dimensions")
-        else:
-            if self.width is None or self.height is None:
-                raise ApiError(f"{self.kind} topology needs explicit width and height")
-            _check_int(self.width, "topology width", 1)
-            _check_int(self.height, "topology height", 1)
-        if self.link_bandwidth is not None and not _is_real(self.link_bandwidth, 0):
-            raise ApiError(
-                f"link bandwidth must be finite and positive, got {self.link_bandwidth!r}"
-            )
+        elif self.width is None or self.height is None:
+            raise ApiError(f"{self.kind} topology needs explicit width and height")
 
     @classmethod
     def parse(cls, text: str, link_bandwidth: float | None = None) -> "TopologySpec":
@@ -145,15 +88,11 @@ class TopologySpec:
                 f"topology must look like 'auto', 'mesh:4x4' or 'torus:8x8', "
                 f"got {text!r}"
             )
-        width_str, sep, height_str = dims.partition("x")
+        width_str, _, height_str = dims.partition("x")  # no "x": height_str == ""
         try:
             width, height = int(width_str), int(height_str)
         except ValueError:
-            raise ApiError(
-                f"topology dimensions must look like '4x4', got {dims!r}"
-            ) from None
-        if not sep:
-            raise ApiError(f"topology dimensions must look like '4x4', got {dims!r}")
+            raise ApiError(f"topology dimensions must look like '4x4', got {dims!r}") from None
         return cls(kind=kind, width=width, height=height, link_bandwidth=link_bandwidth)
 
     def describe(self) -> str:
@@ -196,34 +135,9 @@ class TopologySpec:
             link_bandwidth=topology.min_link_bandwidth(),
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "width": self.width,
-            "height": self.height,
-            "link_bandwidth": self.link_bandwidth,
-        }
 
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "TopologySpec":
-        if not isinstance(payload, dict):
-            raise ApiError(f"topology payload must be a dict, got {payload!r}")
-        unknown = sorted(set(payload) - {"kind", "width", "height", "link_bandwidth"})
-        if unknown:
-            raise ApiError(f"unknown topology field(s): {', '.join(unknown)}")
-        return cls(
-            kind=payload.get("kind", "auto"),
-            width=payload.get("width"),
-            height=payload.get("height"),
-            link_bandwidth=payload.get("link_bandwidth"),
-        )
-
-
-# ----------------------------------------------------------------------
-# mapping
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class MapRequest:
+class MapRequest(Payload):
     """One mapping job: application x topology x algorithm (+ options).
 
     Attributes:
@@ -251,38 +165,31 @@ class MapRequest:
             correlation).
     """
 
+    KIND = "map-request"
+
     app: str | dict[str, Any]
     mapper: str = "nmap"
     topology: TopologySpec = field(default_factory=TopologySpec)
-    options: MapperOptions | None = None
+    options: MapperOptions | None = field(
+        default=None, metadata={"decode": _decode_mapper_options}
+    )
     seed: int | None = None
     price_bandwidth: bool = True
     faults: FaultSpec | None = None
     tag: str | None = None
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         if isinstance(self.app, dict):
             if self.app.get("kind") != "core-graph":
                 raise ApiError(
                     "inline app payload must have kind 'core-graph' "
                     "(see repro.graphs.io.core_graph_to_dict)"
                 )
-        elif not isinstance(self.app, str) or not self.app:
+        elif not self.app:
             raise ApiError(f"app must be a name, path or payload, got {self.app!r}")
-        if self.faults is not None and not isinstance(self.faults, FaultSpec):
-            raise ApiError(
-                f"faults must be a FaultSpec, got {type(self.faults).__name__}"
-            )
-        if self.seed is not None:
-            _check_int(self.seed, "seed")
-        if type(self.price_bandwidth) is not bool:
-            raise ApiError(
-                f"price_bandwidth must be a bool, got {self.price_bandwidth!r}"
-            )
-        if self.tag is not None and not isinstance(self.tag, str):
-            raise ApiError(f"tag must be a str or None, got {self.tag!r}")
         entry = get_mapper(self.mapper)  # raises ApiError for unknown names
-        entry.coerce_options(self.options)
+        if self.options is not None:
+            entry.coerce_options(self.options)
         if self.seed is not None and not entry.seedable:
             raise ApiError(
                 f"mapper {self.mapper!r} is deterministic and takes no seed"
@@ -296,41 +203,9 @@ class MapRequest:
             options = with_seed(options, self.seed)
         return options
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema": SCHEMA_VERSION,
-            "kind": "map-request",
-            "app": self.app,
-            "mapper": self.mapper,
-            "topology": self.topology.to_dict(),
-            "options": None if self.options is None else self.options.to_dict(),
-            "seed": self.seed,
-            "price_bandwidth": self.price_bandwidth,
-            "faults": None if self.faults is None else self.faults.to_dict(),
-            "tag": self.tag,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "MapRequest":
-        data = _check_envelope(payload, "map-request")
-        mapper = data.get("mapper", "nmap")
-        entry = get_mapper(mapper)
-        raw_options = data.get("options")
-        raw_faults = data.get("faults")
-        return cls(
-            app=_required(data, "app", "map-request"),
-            mapper=mapper,
-            topology=TopologySpec.from_dict(data.get("topology", {"kind": "auto"})),
-            options=None if raw_options is None else entry.options_from_dict(raw_options),
-            seed=data.get("seed"),
-            price_bandwidth=data.get("price_bandwidth", True),
-            faults=None if raw_faults is None else FaultSpec.from_dict(raw_faults),
-            tag=data.get("tag"),
-        )
-
 
 @dataclass(frozen=True)
-class MapResponse:
+class MapResponse(Payload):
     """Outcome of one :class:`MapRequest`, fully serializable.
 
     Attributes:
@@ -349,58 +224,26 @@ class MapResponse:
         stats: algorithm counters (swaps tried, LPs solved, ...).
     """
 
+    KIND = "map-response"
+
     request: MapRequest
     app_name: str
     algorithm: str
     topology: TopologySpec
-    comm_cost: float
+    #: ±inf travels as the string "inf" / "-inf" (JSON has no infinity).
+    comm_cost: float = field(metadata={
+        "encode": lambda cost: str(cost) if math.isinf(cost) else cost,
+        "decode": lambda raw, _: float(raw) if raw in ("inf", "-inf") else raw,
+    })
     feasible: bool
     placement: dict[str, int]
     min_bw_single: float | None = None
     min_bw_split: float | None = None
     stats: dict[str, Any] = field(default_factory=dict)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema": SCHEMA_VERSION,
-            "kind": "map-response",
-            "request": self.request.to_dict(),
-            "app_name": self.app_name,
-            "algorithm": self.algorithm,
-            "topology": self.topology.to_dict(),
-            "comm_cost": _encode_float(self.comm_cost),
-            "feasible": self.feasible,
-            "placement": dict(self.placement),
-            "min_bw_single": self.min_bw_single,
-            "min_bw_split": self.min_bw_split,
-            "stats": dict(self.stats),
-        }
 
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "MapResponse":
-        data = _check_envelope(payload, "map-response")
-        return cls(
-            request=MapRequest.from_dict(_required(data, "request", "map-response")),
-            app_name=_required(data, "app_name", "map-response"),
-            algorithm=_required(data, "algorithm", "map-response"),
-            topology=TopologySpec.from_dict(_required(data, "topology", "map-response")),
-            comm_cost=_decode_float(_required(data, "comm_cost", "map-response")),
-            feasible=bool(_required(data, "feasible", "map-response")),
-            placement={
-                str(core): int(node)
-                for core, node in _required(data, "placement", "map-response").items()
-            },
-            min_bw_single=data.get("min_bw_single"),
-            min_bw_split=data.get("min_bw_split"),
-            stats=dict(data.get("stats", {})),
-        )
-
-
-# ----------------------------------------------------------------------
-# simulation
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class SimOptions:
+class SimOptions(Payload):
     """The simulation-substrate knobs: which engine, traffic and router.
 
     Grouped separately from :class:`SimRequest`'s workload parameters so
@@ -435,15 +278,17 @@ class SimOptions:
     before the knobs existed.
     """
 
+    NOUN = "sim options"
+
     engine: str = "cycle"
     traffic: str = "trace"
-    injection_rate: float | None = None
-    num_vcs: int = 1
-    vc_buffer_depth: int | None = None
-    shards: int | None = None
-    partitioner: str | None = None
+    injection_rate: float | None = field(default=None, metadata={"gt": 0})
+    num_vcs: int = field(default=1, metadata={"ge": 1})
+    vc_buffer_depth: int | None = field(default=None, metadata={"ge": 2})
+    shards: int | None = field(default=None, metadata={"ge": 1, "omit_none": True})
+    partitioner: str | None = field(default=None, metadata={"omit_none": True})
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         from repro.simnoc import list_engines, list_traffic_patterns
 
         if self.engine not in list_engines():
@@ -462,77 +307,29 @@ class SimOptions:
                     "trace traffic derives rates from the core graph; "
                     "injection_rate must be None"
                 )
-        elif not _is_real(self.injection_rate, 0):
+        elif self.injection_rate is None:
             raise ApiError(
                 f"synthetic traffic {self.traffic!r} needs a finite positive "
-                f"injection_rate (flits/cycle per node), got {self.injection_rate!r}"
+                f"injection_rate (flits/cycle per node), got None"
             )
-        _check_int(self.num_vcs, "num_vcs", 1)
-        if self.vc_buffer_depth is not None:
-            if self.num_vcs == 1:
-                raise ApiError(
-                    "vc_buffer_depth only applies to the VC router; set "
-                    "num_vcs >= 2 (the plain wormhole router uses the "
-                    "global buffer_depth)"
-                )
-            _check_int(self.vc_buffer_depth, "vc_buffer_depth", 2)
+        if self.vc_buffer_depth is not None and self.num_vcs == 1:
+            raise ApiError(
+                "vc_buffer_depth only applies to the VC router; set "
+                "num_vcs >= 2 (the plain wormhole router uses the "
+                "global buffer_depth)"
+            )
         if self.engine != "sharded":
             if self.shards is not None or self.partitioner is not None:
                 raise ApiError(
                     "shards/partitioner only apply to the sharded engine, "
                     f"got engine={self.engine!r}"
                 )
-        else:
-            if self.shards is not None:
-                _check_int(self.shards, "shards", 1)
-            if self.partitioner is not None:
-                check_partitioner(self.partitioner)
-
-    def to_dict(self) -> dict[str, Any]:
-        payload = {
-            "engine": self.engine,
-            "traffic": self.traffic,
-            "injection_rate": self.injection_rate,
-            "num_vcs": self.num_vcs,
-            "vc_buffer_depth": self.vc_buffer_depth,
-        }
-        # Emitted only when set: pre-sharding requests keep their exact
-        # canonical blob (and content-addressed cache entries).
-        if self.shards is not None:
-            payload["shards"] = self.shards
-        if self.partitioner is not None:
-            payload["partitioner"] = self.partitioner
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "SimOptions":
-        if not isinstance(payload, dict):
-            raise ApiError(f"sim options payload must be a dict, got {payload!r}")
-        known = {
-            "engine",
-            "traffic",
-            "injection_rate",
-            "num_vcs",
-            "vc_buffer_depth",
-            "shards",
-            "partitioner",
-        }
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ApiError(f"unknown sim option(s): {', '.join(unknown)}")
-        return cls(
-            engine=payload.get("engine", "cycle"),
-            traffic=payload.get("traffic", "trace"),
-            injection_rate=payload.get("injection_rate"),
-            num_vcs=payload.get("num_vcs", 1),
-            vc_buffer_depth=payload.get("vc_buffer_depth"),
-            shards=payload.get("shards"),
-            partitioner=payload.get("partitioner"),
-        )
+        elif self.partitioner is not None:
+            check_partitioner(self.partitioner)
 
 
 @dataclass(frozen=True)
-class SimRequest:
+class SimRequest(Payload):
     """One packet-level simulation job over a mapped application.
 
     Attributes:
@@ -557,48 +354,28 @@ class SimRequest:
         options: engine/traffic/router-model knobs (:class:`SimOptions`).
     """
 
-    map_request: MapRequest
-    measure_cycles: int = 20_000
-    warmup_cycles: int = 2_000
-    drain_cycles: int = 5_000
-    mean_burst_packets: float = 4.0
-    sim_seed: int = 1
-    routing: str = "auto"
-    faults: FaultSpec | None = None
-    options: SimOptions = field(default_factory=SimOptions)
+    KIND = "sim-request"
 
-    def __post_init__(self) -> None:
-        if self.routing not in ("auto", "min-path", "xy"):
-            raise ApiError(
-                f"routing must be auto, min-path or xy, got {self.routing!r}"
-            )
-        _check_int(self.measure_cycles, "measure_cycles", 1)
-        _check_int(self.warmup_cycles, "warmup_cycles", 0)
-        _check_int(self.drain_cycles, "drain_cycles", 0)
-        _check_int(self.sim_seed, "sim_seed")
-        if not _is_real(self.mean_burst_packets, 0) or self.mean_burst_packets < 1:
-            raise ApiError(
-                "mean_burst_packets must be a finite number >= 1, "
-                f"got {self.mean_burst_packets!r}"
-            )
-        if not isinstance(self.options, SimOptions):
-            raise ApiError(
-                f"options must be a SimOptions, got {type(self.options).__name__}"
-            )
+    map_request: MapRequest
+    measure_cycles: int = field(default=20_000, metadata={"ge": 1})
+    warmup_cycles: int = field(default=2_000, metadata={"ge": 0})
+    drain_cycles: int = field(default=5_000, metadata={"ge": 0})
+    mean_burst_packets: float = field(default=4.0, metadata={"ge": 1})
+    sim_seed: int = 1
+    routing: Literal["auto", "min-path", "xy"] = "auto"
+    faults: FaultSpec | None = None
+    options: SimOptions = field(default_factory=SimOptions, metadata={
+        "decode": lambda raw, _: SimOptions() if raw is None else SimOptions.from_dict(raw),
+    })
+
+    def validate(self) -> None:
         if self.options.traffic != "trace" and self.routing != "auto":
             raise ApiError(
                 f"synthetic traffic {self.options.traffic!r} always routes XY; "
                 f"routing must stay 'auto', got {self.routing!r}"
             )
-        if self.faults is not None and not isinstance(self.faults, FaultSpec):
-            raise ApiError(
-                f"faults must be a FaultSpec, got {type(self.faults).__name__}"
-            )
-        has_faults = (self.faults is not None and not self.faults.is_empty) or (
-            self.map_request.faults is not None
-            and not self.map_request.faults.is_empty
-        )
-        if has_faults:
+        faults = (self.faults, self.map_request.faults)
+        if any(spec is not None and not spec.is_empty for spec in faults):
             if self.options.traffic != "trace":
                 raise ApiError(
                     "fault scenarios require trace traffic; synthetic "
@@ -611,46 +388,9 @@ class SimRequest:
                     "'auto' or 'min-path'"
                 )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema": SCHEMA_VERSION,
-            "kind": "sim-request",
-            "map_request": self.map_request.to_dict(),
-            "measure_cycles": self.measure_cycles,
-            "warmup_cycles": self.warmup_cycles,
-            "drain_cycles": self.drain_cycles,
-            "mean_burst_packets": self.mean_burst_packets,
-            "sim_seed": self.sim_seed,
-            "routing": self.routing,
-            "faults": None if self.faults is None else self.faults.to_dict(),
-            "options": self.options.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "SimRequest":
-        data = _check_envelope(payload, "sim-request")
-        raw_options = data.get("options")
-        raw_faults = data.get("faults")
-        return cls(
-            map_request=MapRequest.from_dict(
-                _required(data, "map_request", "sim-request")
-            ),
-            measure_cycles=data.get("measure_cycles", 20_000),
-            warmup_cycles=data.get("warmup_cycles", 2_000),
-            drain_cycles=data.get("drain_cycles", 5_000),
-            mean_burst_packets=data.get("mean_burst_packets", 4.0),
-            sim_seed=data.get("sim_seed", 1),
-            routing=data.get("routing", "auto"),
-            faults=None if raw_faults is None else FaultSpec.from_dict(raw_faults),
-            options=(
-                SimOptions() if raw_options is None
-                else SimOptions.from_dict(raw_options)
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class SimResponse:
+class SimResponse(Payload):
     """Latency/utilization summary of one :class:`SimRequest`.
 
     ``link_utilization``/``link_flits`` key directed links as
@@ -663,6 +403,8 @@ class SimResponse:
     enough to ship for every flow yet detailed enough for saturation and
     tail analysis.
     """
+
+    KIND = "sim-response"
 
     request: SimRequest
     map_response: MapResponse
@@ -694,62 +436,9 @@ class SimResponse:
         flow = max(self.per_flow, key=lambda key: self.per_flow[key]["mean"])
         return flow, self.per_flow[flow]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema": SCHEMA_VERSION,
-            "kind": "sim-response",
-            "request": self.request.to_dict(),
-            "map_response": self.map_response.to_dict(),
-            "packets_measured": self.packets_measured,
-            "latency_mean": self.latency_mean,
-            "latency_mean_network": self.latency_mean_network,
-            "latency_p50": self.latency_p50,
-            "latency_p95": self.latency_p95,
-            "latency_p99": self.latency_p99,
-            "latency_max": self.latency_max,
-            "packets_created": self.packets_created,
-            "packets_delivered": self.packets_delivered,
-            "cycles": self.cycles,
-            "link_utilization": dict(self.link_utilization),
-            "link_flits": dict(self.link_flits),
-            "per_flow": {flow: dict(stats) for flow, stats in self.per_flow.items()},
-        }
 
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "SimResponse":
-        data = _check_envelope(payload, "sim-response")
-        need = lambda key: _required(data, key, "sim-response")
-        return cls(
-            request=SimRequest.from_dict(need("request")),
-            map_response=MapResponse.from_dict(need("map_response")),
-            packets_measured=int(need("packets_measured")),
-            latency_mean=float(need("latency_mean")),
-            latency_mean_network=float(need("latency_mean_network")),
-            latency_p50=float(need("latency_p50")),
-            latency_p95=float(need("latency_p95")),
-            latency_p99=float(need("latency_p99")),
-            latency_max=float(need("latency_max")),
-            packets_created=int(need("packets_created")),
-            packets_delivered=int(need("packets_delivered")),
-            cycles=int(need("cycles")),
-            link_utilization={
-                str(k): float(v) for k, v in data.get("link_utilization", {}).items()
-            },
-            link_flits={
-                str(k): int(v) for k, v in data.get("link_flits", {}).items()
-            },
-            per_flow={
-                str(flow): dict(stats)
-                for flow, stats in data.get("per_flow", {}).items()
-            },
-        )
-
-
-# ----------------------------------------------------------------------
-# batch failure reporting
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ErrorResponse:
+class ErrorResponse(Payload):
     """A failed batch slot, holding its place so the batch stays aligned.
 
     :func:`repro.api.run_batch` never lets one bad request abort the whole
@@ -767,47 +456,18 @@ class ErrorResponse:
             in processes.
     """
 
-    request: MapRequest | SimRequest
+    KIND = "error-response"
+
+    request: MapRequest | SimRequest = field(metadata={
+        "decode": lambda raw, _: decode_kind(raw, REQUEST_KINDS, "error-response request"),
+    })
     error: str
     message: str
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.request, (MapRequest, SimRequest)):
-            raise ApiError(
-                f"request must be a MapRequest or SimRequest, "
-                f"got {type(self.request).__name__}"
-            )
-        if not self.error or not isinstance(self.error, str):
+    def validate(self) -> None:
+        if not self.error:
             raise ApiError(f"error must be an exception class name, got {self.error!r}")
-        if not isinstance(self.message, str):
-            raise ApiError(f"message must be a string, got {self.message!r}")
 
     def describe(self) -> str:
         """One-line human-readable summary (``FaultError: ...``)."""
         return f"{self.error}: {self.message}"
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema": SCHEMA_VERSION,
-            "kind": "error-response",
-            "request": self.request.to_dict(),
-            "error": self.error,
-            "message": self.message,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ErrorResponse":
-        data = _check_envelope(payload, "error-response")
-        raw_request = _required(data, "request", "error-response")
-        if not isinstance(raw_request, dict):
-            raise ApiError(f"error-response request must be a dict, got {raw_request!r}")
-        request: MapRequest | SimRequest
-        if raw_request.get("kind") == "sim-request":
-            request = SimRequest.from_dict(raw_request)
-        else:
-            request = MapRequest.from_dict(raw_request)
-        return cls(
-            request=request,
-            error=_required(data, "error", "error-response"),
-            message=_required(data, "message", "error-response"),
-        )

@@ -7,9 +7,9 @@ link failures drawn from ``fault_seed`` via :func:`repro.seeding
 .derive_seed`, so resilience sweeps can enumerate seeded scenarios without
 shipping explicit link lists.
 
-Like every payload of the typed API it is a frozen dataclass with a
-lossless ``to_dict``/``from_dict`` JSON round-trip; content errors raise
-:class:`~repro.errors.ApiError` at *build* time (malformed values) or
+Like every payload of the typed API it is a :class:`repro.codec.Payload`
+with a lossless ``to_dict``/``from_dict`` JSON round-trip; content errors
+raise :class:`~repro.errors.ApiError` at *build* time (malformed values) or
 :class:`~repro.errors.FaultError` at *apply* time (the spec names links or
 routers the concrete topology does not have, or asks for more random
 failures than there are candidate links).
@@ -17,9 +17,10 @@ failures than there are candidate links).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
+from repro.codec import Payload
 from repro.errors import ApiError, FaultError
 from repro.seeding import derive_seed
 
@@ -31,27 +32,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 FAULT_STREAM = 0xFA177
 
 
-def _check_node(value: Any, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ApiError(f"{what} must be a non-negative node id, got {value!r}")
-    return value
-
-
-def _normalize_pair(pair: Any, what: str) -> tuple[int, int]:
+def _link(a: int, b: int, what: str) -> tuple[int, int]:
     """An undirected link as a canonical ``(low, high)`` node pair."""
-    try:
-        a, b = pair
-    except (TypeError, ValueError):
-        raise ApiError(f"{what} must be a (node, node) pair, got {pair!r}") from None
-    a = _check_node(a, f"{what} endpoint")
-    b = _check_node(b, f"{what} endpoint")
     if a == b:
         raise ApiError(f"{what} cannot connect node {a} to itself")
     return (a, b) if a < b else (b, a)
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Payload):
     """What is broken: the serializable description of one fault scenario.
 
     Attributes:
@@ -72,63 +61,35 @@ class FaultSpec:
             function of the spec — independent of process or worker count.
     """
 
-    failed_links: tuple[tuple[int, int], ...] = ()
-    failed_routers: tuple[int, ...] = ()
-    degraded_links: tuple[tuple[int, int, float], ...] = ()
-    random_link_failures: int = 0
+    NOUN = "fault"
+
+    failed_links: tuple[tuple[int, int], ...] = field(default=(), metadata={"ge": 0})
+    failed_routers: tuple[int, ...] = field(default=(), metadata={"ge": 0})
+    degraded_links: tuple[tuple[int, int, float], ...] = field(default=(), metadata={"ge": 0})
+    random_link_failures: int = field(default=0, metadata={"ge": 0})
     fault_seed: int = 0
 
-    def __post_init__(self) -> None:
-        links = tuple(sorted({
-            _normalize_pair(pair, "failed link") for pair in self.failed_links
-        }))
-        object.__setattr__(self, "failed_links", links)
-
-        routers = tuple(sorted({
-            _check_node(node, "failed router") for node in self.failed_routers
-        }))
-        object.__setattr__(self, "failed_routers", routers)
-
+    def validate(self) -> None:
+        links = tuple(sorted({_link(a, b, "failed link") for a, b in self.failed_links}))
         degraded: dict[tuple[int, int], float] = {}
-        for entry in self.degraded_links:
-            try:
-                a, b, factor = entry
-            except (TypeError, ValueError):
-                raise ApiError(
-                    f"degraded link must be (node, node, factor), got {entry!r}"
-                ) from None
-            pair = _normalize_pair((a, b), "degraded link")
-            if isinstance(factor, bool) or not isinstance(factor, (int, float)):
-                raise ApiError(f"degrade factor must be a number, got {factor!r}")
+        for a, b, factor in self.degraded_links:
+            pair = _link(a, b, "degraded link")
+            where = f"link {pair[0]}-{pair[1]}"
             if not (0.0 < factor < 1.0):
-                raise ApiError(
-                    f"degrade factor must be in (0, 1), got {factor} "
-                    f"for link {pair[0]}-{pair[1]}"
-                )
-            if pair in degraded and degraded[pair] != float(factor):
-                raise ApiError(
-                    f"link {pair[0]}-{pair[1]} degraded twice with different factors"
-                )
-            degraded[pair] = float(factor)
+                raise ApiError(f"degrade factor must be in (0, 1), got {factor} for {where}")
+            if degraded.setdefault(pair, float(factor)) != float(factor):
+                raise ApiError(f"{where} degraded twice with different factors")
         overlap = set(degraded) & set(links)
         if overlap:
             a, b = min(overlap)
             raise ApiError(f"link {a}-{b} cannot be both failed and degraded")
+        object.__setattr__(self, "failed_links", links)
+        object.__setattr__(self, "failed_routers", tuple(sorted(set(self.failed_routers))))
         object.__setattr__(
             self,
             "degraded_links",
             tuple((a, b, degraded[(a, b)]) for a, b in sorted(degraded)),
         )
-
-        if isinstance(self.random_link_failures, bool) or not isinstance(
-            self.random_link_failures, int
-        ) or self.random_link_failures < 0:
-            raise ApiError(
-                f"random_link_failures must be a non-negative int, "
-                f"got {self.random_link_failures!r}"
-            )
-        if isinstance(self.fault_seed, bool) or not isinstance(self.fault_seed, int):
-            raise ApiError(f"fault_seed must be an int, got {self.fault_seed!r}")
 
     # ------------------------------------------------------------------
     # queries
@@ -260,43 +221,6 @@ class FaultSpec:
         return masked
 
     # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "failed_links": [list(pair) for pair in self.failed_links],
-            "failed_routers": list(self.failed_routers),
-            "degraded_links": [list(entry) for entry in self.degraded_links],
-            "random_link_failures": self.random_link_failures,
-            "fault_seed": self.fault_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "FaultSpec":
-        if not isinstance(payload, dict):
-            raise ApiError(f"fault payload must be a dict, got {payload!r}")
-        known = {
-            "failed_links", "failed_routers", "degraded_links",
-            "random_link_failures", "fault_seed",
-        }
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ApiError(f"unknown fault field(s): {', '.join(unknown)}")
-        return cls(
-            failed_links=tuple(
-                tuple(pair) if isinstance(pair, (list, tuple)) else pair
-                for pair in payload.get("failed_links", ())
-            ),
-            failed_routers=tuple(payload.get("failed_routers", ())),
-            degraded_links=tuple(
-                tuple(entry) if isinstance(entry, (list, tuple)) else entry
-                for entry in payload.get("degraded_links", ())
-            ),
-            random_link_failures=payload.get("random_link_failures", 0),
-            fault_seed=payload.get("fault_seed", 0),
-        )
-
-    # ------------------------------------------------------------------
     # CLI parsing helpers
     # ------------------------------------------------------------------
     @staticmethod
@@ -306,11 +230,12 @@ class FaultSpec:
         try:
             if not sep:
                 raise ValueError
-            return _normalize_pair((int(a_str), int(b_str)), "failed link")
+            a, b = int(a_str), int(b_str)
         except ValueError:
             raise ApiError(
                 f"link spec must look like '3-4', got {text!r}"
             ) from None
+        return _link(a, b, "failed link")
 
     @staticmethod
     def parse_degraded(text: str) -> tuple[int, int, float]:

@@ -26,62 +26,35 @@ from typing import Any
 
 import repro.errors as _errors
 from repro.api.specs import (
+    REQUEST_KINDS,
+    RESPONSE_KINDS,
     ErrorResponse,
     MapRequest,
     MapResponse,
     SimRequest,
     SimResponse,
 )
-from repro.errors import ApiError
-
-#: Payload kinds accepted by ``POST /v1/jobs``.
-REQUEST_KINDS = ("map-request", "sim-request")
-
-#: Payload kinds a completed job slot may carry.
-RESPONSE_KINDS = ("map-response", "sim-response", "error-response")
+from repro.codec import decode_kind
 
 
 def parse_request(payload: Any) -> MapRequest | SimRequest:
     """Typed request from a wire payload, dispatched on ``kind``.
 
     Raises:
-        ApiError: for non-dict payloads, unknown kinds, or any payload
-            validation failure inside ``from_dict`` — all of which the
-            server answers with HTTP 400 at submission time, before the
-            request can reach a worker.
+        ApiError: for non-dict payloads, unknown kinds, or any malformed
+            field — all of which the server answers with HTTP 400 at
+            submission time, before the request can reach a worker.
     """
-    if not isinstance(payload, dict):
-        raise ApiError(
-            f"request payload must be a dict, got {type(payload).__name__}"
-        )
-    kind = payload.get("kind")
-    if kind == "map-request":
-        return MapRequest.from_dict(payload)
-    if kind == "sim-request":
-        return SimRequest.from_dict(payload)
-    raise ApiError(
-        f"request payload kind must be one of {', '.join(REQUEST_KINDS)}, "
-        f"got {kind!r}"
-    )
+    return decode_kind(payload, REQUEST_KINDS, "request")
 
 
 def parse_response(payload: Any) -> MapResponse | SimResponse | ErrorResponse:
-    """Typed response from a wire payload, dispatched on ``kind``."""
-    if not isinstance(payload, dict):
-        raise ApiError(
-            f"response payload must be a dict, got {type(payload).__name__}"
-        )
-    kind = payload.get("kind")
-    if kind == "map-response":
-        return MapResponse.from_dict(payload)
-    if kind == "sim-response":
-        return SimResponse.from_dict(payload)
-    if kind == "error-response":
-        return ErrorResponse.from_dict(payload)
-    raise ApiError(
-        f"response payload kind must be one of {', '.join(RESPONSE_KINDS)}, "
-        f"got {kind!r}"
-    )
+    """Typed response from a wire payload, dispatched on ``kind``.
+
+    Raises:
+        ApiError: for non-dict payloads, unknown kinds or any malformed field.
+    """
+    return decode_kind(payload, RESPONSE_KINDS, "response")
 
 
 def canonical_response_bytes(

@@ -150,6 +150,19 @@ class TestMapRequest:
             MapRequest.from_dict({"schema": SCHEMA_VERSION, "kind": "map-request"})
 
 
+class TestPayloadsBuiltInPython:
+    """A payload built in Python meets the checks the wire applies: one that
+    would be a 400 on the wire cannot be built, run or keyed."""
+
+    def test_a_string_annealing_seed_is_refused(self):
+        with pytest.raises(ApiError, match="^seed must be an int, got 'x'$"):
+            MapRequest(app="pip", mapper="annealing", options=AnnealingOptions(seed="x"))
+
+    def test_a_fractional_pbb_queue_is_refused(self):
+        with pytest.raises(ApiError, match="^max_queue must be an int >= 1, got 2.5$"):
+            PbbOptions(max_queue=2.5)
+
+
 class TestMapResponse:
     def _response(self, comm_cost=1234.0, feasible=True):
         return MapResponse(

@@ -29,6 +29,7 @@ from repro.errors import ServiceError
 from repro.service import NocService, ServiceClient, ServiceConfig
 from repro.service import jobs as jobs_module
 from tests.service.test_store import fail_writes
+from tests.service.test_wire import malformed_request_bodies
 
 MAP_REQUEST = MapRequest(app="vopd", price_bandwidth=False)
 
@@ -164,6 +165,20 @@ class TestSubmissionValidation:
         )
         assert status == 400
         assert b"ApiError" in reply and b"width" in reply
+
+    def test_malformed_bodies_are_400_with_an_api_error(self, service_pair):
+        """Bodies whose parse once escaped as a ``TypeError`` (HTTP 500), or
+        read a malformed fault list as "no faults", each alone and inside a
+        batch."""
+        import json as json_module
+
+        _, client = service_pair
+        for name, payload in malformed_request_bodies().items():
+            for body in (payload, {"requests": [MAP_REQUEST.to_dict(), payload]}):
+                status, reply = client._request(
+                    "POST", "/v1/jobs", json_module.dumps(body).encode()
+                )
+                assert (status, b"ApiError" in reply) == (400, True), (name, reply)
 
     def test_empty_batch_is_400(self, service_pair):
         _, client = service_pair

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
 
-from repro.api import ErrorResponse, MapRequest, SimOptions, SimRequest, TopologySpec, run_map
+from repro.api import (
+    ErrorResponse,
+    FaultSpec,
+    MapRequest,
+    SimOptions,
+    SimRequest,
+    TopologySpec,
+    run_map,
+    run_sim,
+)
 from repro.service.wire import (
     canonical_response_bytes,
     parse_request,
@@ -45,6 +55,36 @@ class TestParseRequest:
 
 
 NAN, INF = float("nan"), float("inf")
+
+
+def malformed_request_bodies() -> dict[str, dict]:
+    """Request bodies whose parse once raised a ``TypeError`` (an HTTP 500)
+    or read a malformed fault list as "no faults"; every one is an
+    ``ApiError`` (HTTP 400) now."""
+    map_payload = MapRequest(app="vopd").to_dict()
+    sim_payload = SimRequest(map_request=MapRequest(app="vopd")).to_dict()
+    bodies = {}
+    for mapper in ([], {}):
+        bodies[f"mapper={mapper!r}"] = {**map_payload, "mapper": mapper}
+        nested = copy.deepcopy(sim_payload)
+        nested["map_request"]["mapper"] = mapper
+        bodies[f"map_request.mapper={mapper!r}"] = nested
+    for field in ("failed_links", "failed_routers", "degraded_links"):
+        for value in (None, 3, "", {}):
+            bodies[f"faults.{field}={value!r}"] = {**map_payload, "faults": {field: value}}
+    return bodies
+
+
+class TestMalformedBodies:
+    @pytest.mark.parametrize("name", sorted(malformed_request_bodies()))
+    def test_is_an_api_error(self, name):
+        with pytest.raises(ApiError):
+            parse_request(malformed_request_bodies()[name])
+
+    def test_an_empty_fault_list_still_means_no_faults(self):
+        payload = MapRequest(app="vopd").to_dict()
+        payload["faults"] = {"failed_links": [], "failed_routers": []}
+        assert parse_request(payload).faults == FaultSpec()
 
 
 def _sim_payload(traffic="trace"):
@@ -175,6 +215,60 @@ class TestParseResponse:
             parse_response(MapRequest(app="vopd").to_dict())
         with pytest.raises(ApiError):
             parse_response({"kind": "nope"})
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("map_response", "placement"), [1, 2]),
+            (("map_response", "placement"), "x"),
+            (("map_response", "placement", "idct"), 1.5),
+            (("map_response", "feasible"), "x"),
+            (("map_response", "comm_cost"), "NaN"),
+            (("map_response", "stats"), None),
+            (("link_flits",), [1]),
+            (("link_flits", "0->1"), "3"),
+            (("link_utilization",), 0.5),
+            (("link_utilization", "0->1"), None),
+            (("per_flow",), [1]),
+            (("per_flow", "0"), 1),
+            (("latency_mean",), "12.5"),
+            (("latency_p99",), None),
+            (("cycles",), 1.5),
+            (("packets_measured",), True),
+        ],
+    )
+    def test_malformed_sim_response_is_an_api_error(self, sim_response, path, value):
+        """A response body is outside bytes to the client: a wrong shape is
+        an ``ApiError``, never a ``TypeError`` / ``AttributeError`` or a
+        silent coercion (``feasible: "x"`` read as True, ``cycles: 1.5``
+        as 1)."""
+        payload = json.loads(json.dumps(sim_response.to_dict()))
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ApiError):
+            parse_response(payload)
+
+    def test_sim_response_round_trips(self, sim_response):
+        payload = json.loads(json.dumps(sim_response.to_dict()))
+        assert parse_response(payload) == sim_response
+
+
+@pytest.fixture(scope="module")
+def sim_response():
+    """A small real simulation response (every table filled)."""
+    response = run_sim(
+        SimRequest(
+            map_request=MapRequest(app="vopd", price_bandwidth=False),
+            measure_cycles=300,
+            warmup_cycles=30,
+            drain_cycles=90,
+        )
+    )
+    assert "0->1" in response.link_flits and "0" in response.per_flow
+    assert "idct" in response.map_response.placement
+    return response
 
 
 class TestCanonicalBytes:
