@@ -59,8 +59,9 @@ smoke:
 # Fault-injection smoke: map and simulate through injected faults on a mesh
 # and a torus (failed router, failed link, degraded link) — PMAP with its
 # corner seed's router dead and the split-traffic swap loop with an interior
-# one dead both used to raise — then the crash-injected batch demo: a
-# process worker dies mid-batch and every other slot still completes
+# one dead both used to raise — then the crash-proof batch demo: a custom
+# mapper registered through the plugin API kills the process worker that
+# runs it, and every other slot still completes
 # (examples/fault_tolerance.py asserts it).
 fault-smoke:
 	$(PYTHON) -m repro.cli map --app vopd --topology mesh:5x4 --fail-router 5

@@ -8,10 +8,12 @@ Three demos, smoke-sized (this script is part of ``make fault-smoke``):
 2. **Reroute around a failed link** — the same fault spec on a *sim*
    request leaves the pristine placement alone and detours its traffic
    over surviving minimal paths (deadlock-freedom re-checked).
-3. **A crash cannot abort a batch** — a process-pool batch where one
-   worker is made to die mid-request still returns a response for every
-   slot: the victims are retried, the crasher comes back as a typed
-   :class:`ErrorResponse`, and the neighbours' payloads match a clean run.
+3. **A crash cannot abort a batch** — a custom mapper, registered through
+   the plugin API, kills the worker process that runs it.  A process-pool
+   batch with one such request still returns a response for every slot:
+   the dead worker is replaced, the crasher is retried and comes back as a
+   typed :class:`ErrorResponse`, and the neighbours' payloads match a
+   clean run.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ import os
 from repro.api import (
     ErrorResponse,
     FaultSpec,
+    MapperOptions,
     MapRequest,
     SimRequest,
     TopologySpec,
+    register_mapper,
     run,
     run_batch,
 )
@@ -58,18 +62,20 @@ def reroute_around_failed_link() -> None:
           f"{rerouted.latency_mean:.1f} cycles on the surviving paths")
 
 
+@register_mapper("crash", options=MapperOptions)
+def crash(core_graph, topology):
+    """Die the way a segfaulting native kernel does: no cleanup, no traceback."""
+    os._exit(23)
+
+
 def crash_proof_batch() -> None:
     good = MapRequest(app="pip", mapper="nmap", price_bandwidth=False)
-    crasher = MapRequest(
-        app="pip", mapper="nmap", price_bandwidth=False, tag="crash-me"
+    crasher = MapRequest(app="pip", mapper="crash", price_bandwidth=False)
+    # The pool forks its workers now, after the registration above, so
+    # they know the "crash" mapper too.
+    responses = run_batch(
+        [good, crasher, good], workers=2, executor="process", retries=1
     )
-    os.environ["REPRO_CRASH_TAG"] = "crash-me"  # test hook: worker os._exit
-    try:
-        responses = run_batch(
-            [good, crasher, good], workers=2, executor="process", retries=1
-        )
-    finally:
-        del os.environ["REPRO_CRASH_TAG"]
     kinds = [type(r).__name__ for r in responses]
     assert kinds == ["MapResponse", "ErrorResponse", "MapResponse"], kinds
     assert responses[0].to_dict() == run(good).to_dict()

@@ -18,6 +18,12 @@ script proves the crash-durability contract the write-ahead journal ships:
   request is replaced and the job completes through the retry — and when
   the server itself is SIGKILLed, no pool worker outlives it.
 
+Every request maps with ``chaos-slow``, NMAP after a 0.8 s stall, so the
+SIGKILLs land mid-batch.  It is a mapper this script registers through the
+plugin API (``register_mapper``); the server is this script too —
+``chaos_smoke.py --serve <repro serve flags>`` registers it, then runs
+``repro serve``, whose forked pool workers inherit it.
+
 Exits non-zero on the first violated contract.  Run via ``make
 chaos-smoke``; wired into ``make check``.
 """
@@ -35,34 +41,34 @@ import time
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
-from repro.api import MapRequest, run_map  # noqa: E402
+from repro import cli  # noqa: E402
+from repro.api import MapperOptions, MapRequest, register_mapper, run_map  # noqa: E402
+from repro.mapping.nmap import nmap_single_path  # noqa: E402
 from repro.service import ServiceClient, canonical_response_bytes  # noqa: E402
 
 ANNOUNCE = re.compile(r"listening on http://[\d.]+:(\d+)")
-SLOW_TAG = "chaos-slow"
+SLOW_MAPPER = "chaos-slow"
+
+
+@register_mapper(SLOW_MAPPER, options=MapperOptions)
+def slow_nmap(core_graph, topology):
+    """NMAP after a 0.8 s stall: job 1 done, job 2 executing at the kill."""
+    time.sleep(0.8)
+    return nmap_single_path(core_graph, topology)
 
 
 def boot(
     store: str, executor: str = "serial"
 ) -> tuple[subprocess.Popen, ServiceClient]:
-    env = dict(
-        os.environ,
-        PYTHONPATH=os.path.join(REPO, "src"),
-        # Every matching slot sleeps, so the SIGKILL below lands
-        # deterministically mid-batch (job 1 done, job 2 executing).
-        REPRO_SLOW_TAG=SLOW_TAG,
-        REPRO_SLOW_SECONDS="0.8",
-    )
     proc = subprocess.Popen(
         [
-            sys.executable, "-m", "repro.cli", "serve",
+            sys.executable, os.path.abspath(__file__), "--serve",
             "--port", "0", "--store", store,
             "--executor", executor, "--workers", "1",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
-        env=env,
     )
     deadline = time.monotonic() + 60
     assert proc.stdout is not None
@@ -151,7 +157,7 @@ def pool_worker_leg(store: str, request: MapRequest, reference: bytes) -> None:
 
 def main() -> None:
     requests = [
-        MapRequest(app=app, price_bandwidth=False, tag=SLOW_TAG)
+        MapRequest(app=app, mapper=SLOW_MAPPER, price_bandwidth=False)
         for app in ("vopd", "dsp", "pip")
     ]
     # The ground truth the recovered results must match byte-for-byte.
@@ -242,4 +248,6 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--serve"]:
+        sys.exit(cli.main(["serve", *sys.argv[2:]]))
     main()

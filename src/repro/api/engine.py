@@ -395,54 +395,6 @@ def run(request: MapRequest | SimRequest) -> MapResponse | SimResponse:
 #: Executors ``run_batch`` can fan out over.
 BATCH_EXECUTORS = ("serial", "thread", "process", "replica")
 
-#: Environment hooks for chaos testing the batch engine itself.  When a
-#: request's tag matches ``REPRO_CRASH_TAG``, the worker hard-exits before
-#: running it (simulating a segfaulting native kernel or an OOM kill); with
-#: ``REPRO_CRASH_ONCE`` set to a sentinel path, only the first worker to
-#: claim the sentinel crashes, so retries succeed.  ``REPRO_SLOW_TAG`` makes
-#: the matching request sleep ``REPRO_SLOW_SECONDS`` first (deterministic
-#: timeout testing).  These are test instruments: they act only when the
-#: variables are set, which no production surface does.
-_CRASH_TAG_ENV = "REPRO_CRASH_TAG"
-_CRASH_ONCE_ENV = "REPRO_CRASH_ONCE"
-_SLOW_TAG_ENV = "REPRO_SLOW_TAG"
-_SLOW_SECONDS_ENV = "REPRO_SLOW_SECONDS"
-
-
-def _request_tag(request: MapRequest | SimRequest) -> str | None:
-    """The batch-correlation tag of a request (sim requests inherit it)."""
-    if isinstance(request, SimRequest):
-        return request.map_request.tag
-    return request.tag
-
-
-def _claim_once(sentinel: str | None) -> bool:
-    """Whether a "crash only once" hook may fire: always without a sentinel
-    path, else only for the one process that creates the file."""
-    if not sentinel:
-        return True
-    try:
-        fd = os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return False  # already crashed once; let the retry succeed
-    os.close(fd)
-    return True
-
-
-def _inject_batch_chaos(request: MapRequest | SimRequest) -> None:
-    """Honor the crash/slow test hooks for a matching request tag."""
-    tag = _request_tag(request)
-    if tag is None:
-        return
-    if os.environ.get(_CRASH_TAG_ENV) == tag:
-        if not _claim_once(os.environ.get(_CRASH_ONCE_ENV)):
-            return
-        # A real crash, not an exception: no cleanup, no pickled traceback.
-        os._exit(23)
-    if os.environ.get(_SLOW_TAG_ENV) == tag:
-        time.sleep(float(os.environ.get(_SLOW_SECONDS_ENV, "1.0")))
-
-
 def _timeout_message(timeout: float) -> str:
     return f"request did not complete within {timeout} s"
 
@@ -460,7 +412,6 @@ def _guarded_run(
     front-end reports when it stops waiting.
     """
     start = time.monotonic()
-    _inject_batch_chaos(request)
     try:
         response: MapResponse | SimResponse | ErrorResponse = run(request)
     except Exception as exc:  # noqa: BLE001 — slot isolation is the contract
@@ -497,7 +448,6 @@ def _run_replica_batch(
         if not isinstance(request, SimRequest):
             results[index] = _guarded_run(request, None)
             continue
-        _inject_batch_chaos(request)
         try:
             simulator, map_response = _prepare_sim(request)
             engine = simulator.engine_name
@@ -597,10 +547,9 @@ def run_batch(
         retries: extra attempts for a slot whose process worker died.
         isolate: force pool dispatch even for singleton / single-worker
             batches, which otherwise degrade to in-process serial
-            execution.  A long-lived embedder (the job service) sets this
-            so every ``executor="process"`` request keeps crash isolation
-            — a request that kills its worker must not kill the host.
-            No effect with ``executor="serial"``.
+            execution, so every ``executor="process"`` request keeps crash
+            isolation — a request that kills its worker must not kill the
+            caller.  No effect with ``executor="serial"``.
 
     Raises:
         ApiError: for a non-positive worker count, unknown executor,

@@ -522,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(skips idle time), vector (structure-of-arrays; runs on a "
             "compiled numba/C kernel when one is available — see "
             "'list-engines', disable with REPRO_NO_JIT=1) or auto "
-            "(vector for the built-in router models, cycle otherwise)"
+            "(always vector)"
         ),
     )
     p_sim.add_argument(
@@ -664,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--executor",
         default="process",
-        choices=BATCH_EXECUTORS,
+        choices=("serial", "thread", "process"),
         help="run_batch executor for job slots (default: process)",
     )
     p_serve.add_argument(

@@ -48,7 +48,6 @@ from collections import OrderedDict
 from typing import Callable
 
 from repro.api import canonical_request_key, run_batch
-from repro.api.engine import _claim_once, _request_tag
 from repro.api.pool import WorkerPool
 from repro.api.specs import ErrorResponse, MapRequest, SimRequest
 from repro.errors import ApiError, ServiceError
@@ -80,15 +79,9 @@ MAX_BATCH = 1024
 #: Completed jobs the registry keeps for status and result queries.
 JOB_HISTORY = 256
 
-#: Chaos hooks mirroring the batch engine's ``REPRO_CRASH_*`` style: when
-#: a job carries a slot whose tag matches ``REPRO_SERVICE_CRASH_TAG``, the
-#: dispatch worker thread dies (``SystemExit``) after claiming the job's
-#: store keys — the worst possible moment, with claims held and slots
-#: pending.  With ``REPRO_SERVICE_CRASH_ONCE`` set to a sentinel path only
-#: the first matching worker dies, so the retry path can be observed.
-#: Test instruments only: inert unless the variables are set.
-_SERVICE_CRASH_TAG_ENV = "REPRO_SERVICE_CRASH_TAG"
-_SERVICE_CRASH_ONCE_ENV = "REPRO_SERVICE_CRASH_ONCE"
+#: The ``run_batch`` executors a runner can fan owned misses out over
+#: (``replica`` is not one: it takes no per-request timeout).
+EXECUTORS = ("serial", "thread", "process")
 
 
 class OverloadedError(ServiceError):
@@ -318,6 +311,10 @@ class JobRunner:
             raise ApiError(f"workers must be >= 1, got {workers}")
         if client_quota is not None and client_quota < 1:
             raise ApiError(f"client_quota must be >= 1, got {client_quota}")
+        if executor not in EXECUTORS:
+            raise ApiError(
+                f"executor must be one of {', '.join(EXECUTORS)}, got {executor!r}"
+            )
         self._store = store
         self._registry = registry
         self._queue: "queue.Queue[Job | None]" = queue.Queue(maxsize=queue_limit)
@@ -569,8 +566,8 @@ class JobRunner:
         """Run the worker loop; if the thread dies, replace it.
 
         A worker thread can be killed by something harsher than the
-        ``Exception`` handling inside (``SystemExit`` from a chaos hook, a
-        ``MemoryError``, ...).  The shell guarantees two things: the dying
+        ``Exception`` handling inside (a ``SystemExit`` raised by a mapper,
+        a ``MemoryError``, ...).  The shell guarantees two things: the dying
         thread's job has already failed its pending slots and abandoned
         its claims (see :meth:`_worker`), and — unless the service is
         draining — a replacement worker is spawned so queued jobs never
@@ -615,15 +612,6 @@ class JobRunner:
                 )
                 job.record(index, canonical_response_bytes(response), cached=False)
 
-    def _inject_worker_chaos(self, job: Job) -> None:
-        """Honor the worker-death test hook for a matching job tag."""
-        tag = os.environ.get(_SERVICE_CRASH_TAG_ENV)
-        if not tag or all(_request_tag(s.request) != tag for s in job.slots):
-            return
-        if not _claim_once(os.environ.get(_SERVICE_CRASH_ONCE_ENV)):
-            return
-        raise SystemExit(f"service chaos hook: worker dying on tag {tag!r}")
-
     def _execute(self, requests: list[MapRequest | SimRequest]) -> list:
         """Run owned misses on the configured executor; one response each."""
         if self._pool is not None:
@@ -656,8 +644,6 @@ class JobRunner:
                     owned.append(key)
                 else:
                     waiting.append(key)
-
-            self._inject_worker_chaos(job)
 
             chunk_size = max(1, min(len(owned), os.cpu_count() or 1))
             for chunk in _chunks(owned, chunk_size):

@@ -41,9 +41,9 @@ poison the cache for future submissions.  A result the store cannot write
 (read-only root, full disk: :class:`~repro.errors.StoreError`) is published
 the same way and counted as ``write_errors``.
 
-Deadlock discipline for direct ``claim``/``publish`` users (the job
-runner): never ``wait`` on a key before publishing or abandoning every key
-you own, and claim each distinct key at most once per job.
+Deadlock discipline for ``claim``/``publish`` users (the job runner):
+never ``wait`` on a key before publishing or abandoning every key you
+own, and claim each distinct key at most once per job.
 """
 
 from __future__ import annotations
@@ -406,34 +406,6 @@ class ResultStore:
         if entry.data is not None:
             return entry.data
         return self._read(key)
-
-    def get_or_compute(
-        self, key: str, compute: Callable[[], tuple[bytes, bool]]
-    ) -> tuple[bytes, str]:
-        """The full dedup protocol for single-key callers.
-
-        ``compute`` returns ``(data, cacheable)``.  The result is the entry
-        bytes plus their origin: ``"hit"`` (store), ``"inflight"`` (another
-        caller's computation) or ``"computed"`` (this call executed it).
-        """
-        while True:
-            state, data = self.claim(key)
-            if state == "hit":
-                assert data is not None
-                return data, "hit"
-            if state == "owned":
-                try:
-                    data, cacheable = compute()
-                except BaseException:
-                    self.abandon(key)
-                    raise
-                self.publish(key, data, cache=cacheable)
-                return data, "computed"
-            data = self.wait(key)
-            if data is not None:
-                return data, "inflight"
-            # Owner abandoned (crash) or served an uncached error that is
-            # already gone — loop and claim it ourselves.
 
     def stats(self) -> dict[str, int]:
         """Counter snapshot (served via ``GET /v1/health``)."""

@@ -13,9 +13,9 @@ The contract under test (ARCHITECTURE.md, "batch failure semantics"):
   runs out: the late process worker is killed and replaced;
 * a retried transient crash reproduces the clean run's payload exactly.
 
-The crash/slow instruments are env-var hooks honored inside the worker
-(``REPRO_CRASH_TAG`` et al.); the start method is ``fork`` on Linux, so
-``monkeypatch.setenv`` reaches process-pool workers.
+Crashes and stalls come from the ``test-fault`` mapper
+(tests/fault_injection.py), which the ``fault_mapper`` fixture registers
+before any pool worker is forked.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import time
 import pytest
 
 from repro.api import (
-    AnnealingOptions,
     BATCH_EXECUTORS,
     ErrorResponse,
     MapRequest,
@@ -37,8 +36,9 @@ from repro.api import (
 )
 from repro.api.pool import WorkerPool
 from repro.errors import ApiError
+from tests.fault_injection import faulty
 
-#: A tiny request the chaos hooks leave alone.
+#: A tiny request that neither faults nor raises.
 GOOD = MapRequest(app="pip", mapper="nmap", price_bandwidth=False)
 #: A request whose app payload cannot resolve: raises inside the worker
 #: with the same exception class and message on every executor.
@@ -77,13 +77,11 @@ class TestSlotIsolation:
             assert _payloads(batches[executor]) == reference
 
 
+@pytest.mark.usefixtures("fault_mapper")
 class TestWorkerCrash:
-    def test_crash_mid_batch_breaks_only_its_slot(self, monkeypatch):
+    def test_crash_mid_batch_breaks_only_its_slot(self):
         """Regression: a dying process worker used to abort the whole batch."""
-        monkeypatch.setenv("REPRO_CRASH_TAG", "boom")
-        crasher = MapRequest(
-            app="pip", mapper="nmap", price_bandwidth=False, tag="boom"
-        )
+        crasher = faulty(crash=True)
         responses = run_batch(
             [GOOD, crasher, GOOD], workers=2, executor="process", retries=1
         )
@@ -100,37 +98,25 @@ class TestWorkerCrash:
         assert responses[0].to_dict() == clean.to_dict()
         assert responses[2].to_dict() == clean.to_dict()
 
-    def test_isolate_keeps_a_singleton_crasher_off_the_host(self, monkeypatch):
+    def test_isolate_keeps_a_singleton_crasher_off_the_host(self):
         """``isolate=True`` forces the pool even for a one-request batch.
 
         Without it the singleton short-circuit would run the request in
-        this very process and ``os._exit`` would take the host down — the
-        exact hazard a long-lived embedder (the job service) uses the flag
-        to rule out.
+        this very process and ``os._exit`` would take the caller down —
+        the hazard the flag rules out.
         """
-        monkeypatch.setenv("REPRO_CRASH_TAG", "boom")
-        crasher = MapRequest(
-            app="pip", mapper="nmap", price_bandwidth=False, tag="boom"
-        )
         responses = run_batch(
-            [crasher], executor="process", retries=1, isolate=True
+            [faulty(crash=True)], executor="process", retries=1, isolate=True
         )
         assert isinstance(responses[0], ErrorResponse)
         assert responses[0].error == "BatchError"
         assert "worker process died" in responses[0].message
 
-    def test_crash_plus_timeout_acceptance(self, monkeypatch):
+    def test_crash_plus_timeout_acceptance(self):
         """One crashing + one timing-out request: every other slot survives,
         and the raise/timeout payloads are executor-independent."""
-        monkeypatch.setenv("REPRO_CRASH_TAG", "boom")
-        monkeypatch.setenv("REPRO_SLOW_TAG", "slow")
-        monkeypatch.setenv("REPRO_SLOW_SECONDS", "2.0")
-        crasher = MapRequest(
-            app="pip", mapper="nmap", price_bandwidth=False, tag="boom"
-        )
-        laggard = MapRequest(
-            app="pip", mapper="nmap", price_bandwidth=False, tag="slow"
-        )
+        crasher = faulty(crash=True)
+        laggard = faulty(sleep=2.0)
         requests = [GOOD, crasher, laggard, RAISING, GOOD]
         responses = run_batch(
             requests, workers=2, executor="process", timeout=0.8, retries=1
@@ -145,8 +131,8 @@ class TestWorkerCrash:
         assert responses[0].to_dict() == responses[4].to_dict()
 
         # the executor-portable failures (timeout, raise) must produce the
-        # same payloads on serial and thread executors too (the crash hook
-        # is process-only: os._exit has no in-process analogue)
+        # same payloads on serial and thread executors too (the crash is
+        # process-only: os._exit has no in-process analogue)
         portable = [GOOD, laggard, RAISING, GOOD]
         want = run_batch(portable, executor="serial", timeout=0.8)
         got = run_batch(portable, workers=2, executor="thread", timeout=0.8)
@@ -156,23 +142,15 @@ class TestWorkerCrash:
         assert want[2].error == "FileNotFoundError"
 
 
+@pytest.mark.usefixtures("fault_mapper")
 class TestTimeoutFreesTheCaller:
     """Regression: leaving the per-call ``ProcessPoolExecutor`` joined the
     late worker, so a 0.5 s budget answered after the full 3 s run."""
 
-    @pytest.fixture(autouse=True)
-    def slow_hook(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SLOW_TAG", "slow")
-        monkeypatch.setenv("REPRO_SLOW_SECONDS", "3")
-
-    LAGGARD = MapRequest(
-        app="pip", mapper="nmap", price_bandwidth=False, tag="slow"
-    )
-
     def test_run_batch_returns_when_the_budget_runs_out(self):
         start = time.monotonic()
         responses = run_batch(
-            [self.LAGGARD], executor="process", timeout=0.5, isolate=True
+            [faulty(sleep=3.0)], executor="process", timeout=0.5, isolate=True
         )
         assert time.monotonic() - start < 0.5 + 0.5
         assert responses[0].error == "BatchError"
@@ -182,7 +160,7 @@ class TestTimeoutFreesTheCaller:
         with WorkerPool(1) as pool:
             (late_pid,) = pool.stats()["pids"]
             start = time.monotonic()
-            response = pool.run(self.LAGGARD, timeout=0.5)
+            response = pool.run(faulty(sleep=3.0), timeout=0.5)
             assert time.monotonic() - start < 0.5 + 0.5
             assert response.message == "request did not complete within 0.5 s"
             stats = pool.stats()
@@ -191,29 +169,26 @@ class TestTimeoutFreesTheCaller:
             assert pool.run(GOOD).to_dict() == run(GOOD).to_dict()
 
 
+@pytest.mark.usefixtures("fault_mapper")
 class TestRetryDeterminism:
-    def test_retried_transient_crash_reproduces_clean_run(
-        self, monkeypatch, tmp_path
-    ):
-        """Satellite: a retried transient failure is byte-identical to a
-        clean run — all randomness derives from the request payload."""
-        flaky = MapRequest(
-            app="pip",
-            mapper="annealing",
-            options=AnnealingOptions(seed=7),
-            price_bandwidth=False,
-            tag="flaky",
+    def test_retried_transient_crash_reproduces_clean_run(self, tmp_path):
+        """A retried transient failure is byte-identical to a clean run —
+        all randomness (here: the simulation's traffic) derives from the
+        request payload."""
+        sentinel = tmp_path / "crashed.once"
+        flaky = SimRequest(
+            map_request=faulty(crash=True, once=str(sentinel)),
+            measure_cycles=2_000,
+            sim_seed=7,
         )
         requests = [GOOD, flaky, GOOD]
-        clean = run_batch(requests, executor="serial")
-
-        monkeypatch.setenv("REPRO_CRASH_TAG", "flaky")
-        monkeypatch.setenv("REPRO_CRASH_ONCE", str(tmp_path / "crashed.once"))
         retried = run_batch(
             requests, workers=2, executor="process", retries=2
         )
-        assert (tmp_path / "crashed.once").exists()  # it really crashed
+        assert sentinel.exists()  # it really crashed
         assert not any(isinstance(r, ErrorResponse) for r in retried)
+        # The sentinel is spent, so this in-process run is the clean one.
+        clean = run_batch(requests, executor="serial")
         assert _payloads(retried) == _payloads(clean)
 
 

@@ -19,6 +19,7 @@ import pytest
 from repro.api import ErrorResponse, MapRequest, run
 from repro.api.pool import WorkerPool
 from repro.errors import ApiError
+from tests.fault_injection import faulty
 
 GOOD = MapRequest(app="pip", mapper="nmap", price_bandwidth=False)
 
@@ -40,18 +41,16 @@ def wait_until_gone(pids, timeout: float) -> list[int]:
     return [pid for pid in pids if process_alive(pid)]
 
 
-def test_crasher_is_replaced_while_an_innocent_runs_once(monkeypatch):
+@pytest.mark.usefixtures("fault_mapper")
+def test_crasher_is_replaced_while_an_innocent_runs_once():
     """A dying worker takes down its own slot only.
 
     The innocent request sleeps on the other worker while the crasher
     kills two workers in a row (first attempt + one retry): it is answered
     by the worker it started on, and the only respawns are the crasher's.
     """
-    monkeypatch.setenv("REPRO_CRASH_TAG", "boom")
-    monkeypatch.setenv("REPRO_SLOW_TAG", "innocent")
-    monkeypatch.setenv("REPRO_SLOW_SECONDS", "0.6")
-    innocent = MapRequest(app="pip", price_bandwidth=False, tag="innocent")
-    crasher = MapRequest(app="pip", price_bandwidth=False, tag="boom")
+    innocent = faulty(sleep=0.6)
+    crasher = faulty(crash=True)
     with WorkerPool(2) as pool:
         before = pool.stats()["pids"]
         responses = pool.map([innocent, crasher], retries=1)
@@ -96,12 +95,12 @@ def test_workers_are_reused_and_joined_on_close():
     pool.close()  # idempotent
 
 
-def test_concurrent_callers_keep_the_books_straight(monkeypatch):
+@pytest.mark.usefixtures("fault_mapper")
+def test_concurrent_callers_keep_the_books_straight():
     """More caller threads than workers, more workers than cores, crashers
     mixed in: every request is answered, every death is replaced exactly
     once, and no counter loses an update."""
-    monkeypatch.setenv("REPRO_CRASH_TAG", "boom")
-    crasher = MapRequest(app="pip", price_bandwidth=False, tag="boom")
+    crasher = faulty(crash=True)
     plan = [crasher if index % 5 == 0 else GOOD for index in range(10)]
     answers: list[list] = [[] for _ in range(8)]
     interval = sys.getswitchinterval()

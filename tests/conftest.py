@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
+from repro.api import clear_request_caches, register_mapper
+from repro.api.registry import MAPPERS
 from repro.graphs.commodities import Commodity
 from repro.graphs.core_graph import CoreGraph
 from repro.graphs.topology import NoCTopology
 from repro.routing.base import RoutingResult
 from repro.simnoc import SimConfig, build_network
+from tests.fault_injection import FAULT_MAPPER, FaultOptions, map_with_fault
 
 
 @pytest.fixture
@@ -79,3 +84,23 @@ def deadlocking_ring():
         return build_network(topology, commodities, routing, config)
 
     return make
+
+
+@pytest.fixture
+def fault_mapper():
+    """The ``test-fault`` mapper (tests/fault_injection.py), for one test.
+
+    Pool workers must inherit the registration, which only ``fork`` gives
+    them: under ``spawn`` or ``forkserver`` a worker re-imports ``repro``
+    and has never heard of ``test-fault``.  The request caches are cleared
+    on both sides, so no mapping cached before (or by) the test skips a
+    fault or outlives the mapper.
+    """
+    assert multiprocessing.get_start_method() == "fork", (
+        "pool workers inherit the test-fault mapper only when forked"
+    )
+    register_mapper(FAULT_MAPPER, options=FaultOptions)(map_with_fault)
+    clear_request_caches()
+    yield
+    MAPPERS.remove(FAULT_MAPPER)
+    clear_request_caches()

@@ -3,8 +3,8 @@
 The HTTP suite (test_server.py) covers the wire path; here the
 :class:`JobRunner` is driven directly so the refusal ladder can be pinned
 deterministically (no workers draining the queue mid-assert) and the
-worker-death chaos hook can kill a dispatch thread at the worst moment —
-claims held, slots pending — without a subprocess.
+``test-fault`` mapper (tests/fault_injection.py) can kill a dispatch thread
+at the worst moment — claims held, slots pending — without a subprocess.
 """
 
 from __future__ import annotations
@@ -22,13 +22,16 @@ from repro.service import (
     JobJournal,
     JobRegistry,
     JobRunner,
+    NocService,
     OverloadedError,
     QuotaExceededError,
     ResultStore,
+    ServiceConfig,
 )
 from repro.service import jobs as jobs_module
 from repro.service.jobs import JOB_DONE, Job
 from repro.service.wire import canonical_response_bytes
+from tests.fault_injection import faulty
 
 
 def request(tag: str | None = None) -> MapRequest:
@@ -152,6 +155,18 @@ class TestAdmissionLadder:
         with pytest.raises(ApiError):
             runner.submit([request()], batch=False, priority="urgent")
 
+    @pytest.mark.parametrize(
+        "config", [{"executor": "bogus"}, {"executor": "replica", "timeout": 5.0}]
+    )
+    def test_a_service_does_not_boot_on_an_executor_it_cannot_run(self, config):
+        """Regression: both configs booted, then answered every job with a
+        ``ServiceError`` slot and HTTP 500."""
+        message = "executor must be one of serial, thread, process"
+        with pytest.raises(ApiError, match=message):
+            make_runner(**config)
+        with pytest.raises(ApiError, match=message):
+            NocService(ServiceConfig(**config))
+
     def test_draining_refuses_with_a_hint(self):
         runner = make_runner()
         runner.begin_drain()
@@ -235,28 +250,26 @@ class TestDurableAdmission:
 
 
 @pytest.mark.filterwarnings(
-    # The chaos hook kills worker threads on purpose; the SystemExit
+    # The fault mapper kills worker threads on purpose; the SystemExit
     # escaping them is the behavior under test, not a defect.
     "ignore::pytest.PytestUnhandledThreadExceptionWarning"
 )
+@pytest.mark.usefixtures("fault_mapper")
 class TestWorkerHardening:
-    def test_dying_worker_abandons_claims_and_fails_slots(
-        self, tmp_path, monkeypatch
-    ):
-        """Regression: a worker killed mid-claim (after claiming store keys,
-        before executing) must answer every slot, release every claim, and
-        be replaced — queued work and dedup waiters never hang."""
-        monkeypatch.setenv("REPRO_SERVICE_CRASH_TAG", "die-here")
-        monkeypatch.setenv(
-            "REPRO_SERVICE_CRASH_ONCE", str(tmp_path / "died.sentinel")
-        )
+    def test_dying_worker_abandons_claims_and_fails_slots(self, tmp_path):
+        """Regression: a worker killed after claiming its store keys (the
+        serial executor runs the mapper on the dispatch thread) must answer
+        every slot, release every claim, and be replaced — queued work and
+        dedup waiters never hang."""
+        sentinel = tmp_path / "died.sentinel"
+        doomed_request = faulty(exit_thread=True, once=str(sentinel))
         store = ResultStore(None)
         runner = JobRunner(
             store, JobRegistry(), queue_limit=8, workers=1, executor="serial"
         )
         runner.start()
 
-        doomed = runner.submit([request(tag="die-here")], batch=False)
+        doomed = runner.submit([doomed_request], batch=False)
         assert doomed.wait_done(timeout=60)
         # The dying worker answered the slot with a typed failure...
         assert doomed.slots[0].error == "ServiceError"
@@ -264,46 +277,39 @@ class TestWorkerHardening:
         state, _ = store.claim(doomed.slots[0].key)
         assert state == "owned"
         store.abandon(doomed.slots[0].key)
-        assert (tmp_path / "died.sentinel").exists()
+        assert sentinel.exists()
 
         # The respawned worker (workers=1, so it must be a replacement)
         # completes the same request successfully — the store was not
         # poisoned by the crash.
-        retry = runner.submit([request(tag="die-here")], batch=False)
+        retry = runner.submit([doomed_request], batch=False)
         assert retry.wait_done(timeout=60)
         assert retry.slots[0].error is None
+        assert retry.slots[0].data == canonical_response_bytes(run(doomed_request))
         runner.drain()
 
-    def test_chaos_hook_is_inert_without_matching_tag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_CRASH_TAG", "other-tag")
-        runner = make_runner()
-        runner.start()
-        job = runner.submit([request(tag="unrelated")], batch=False)
-        assert job.wait_done(timeout=60)
-        assert job.slots[0].error is None
-        runner.drain()
-
-    def test_dedup_waiter_survives_owner_death(self, monkeypatch, tmp_path):
+    def test_dedup_waiter_survives_owner_death(self, tmp_path):
         """A job waiting on a key whose owner dies recomputes the slot
         instead of hanging or failing."""
-        monkeypatch.setenv("REPRO_SERVICE_CRASH_TAG", "owner-dies")
-        monkeypatch.setenv(
-            "REPRO_SERVICE_CRASH_ONCE", str(tmp_path / "owner.sentinel")
+        owner_dies = faulty(
+            exit_thread=True, sleep=0.5, once=str(tmp_path / "owner.sentinel")
         )
         store = ResultStore(None)
         runner = JobRunner(
             store, JobRegistry(), queue_limit=8, workers=2, executor="serial"
         )
         runner.start()
-        # Two identical submissions race: whichever worker claims first
-        # dies (once); the other must still produce a real result.
-        first = runner.submit([request(tag="owner-dies")], batch=False)
-        second = runner.submit([request(tag="owner-dies")], batch=False)
+        # Two identical submissions: the first worker claims the key and
+        # stalls before it dies (once), so the second waits on the claim.
+        first = runner.submit([owner_dies], batch=False)
+        assert wait_for(lambda: store.stats()["inflight"] == 1)
+        second = runner.submit([owner_dies], batch=False)
         assert first.wait_done(timeout=60) and second.wait_done(timeout=60)
-        outcomes = {first.slots[0].error, second.slots[0].error}
-        # One job was on the dying thread (typed failure); at least one
-        # real result must exist and nothing may hang.
-        assert None in outcomes or outcomes == {"ServiceError"}
+        assert store.stats()["inflight_waits"] == 1
+        # The owner's slot is a typed failure; the waiter computed its own.
+        assert first.slots[0].error == "ServiceError"
+        assert second.slots[0].error is None
+        assert second.slots[0].data == canonical_response_bytes(run(owner_dies))
         runner.drain()
 
 

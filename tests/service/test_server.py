@@ -28,15 +28,25 @@ from repro.api import (
 from repro.errors import ServiceError
 from repro.service import NocService, ServiceClient, ServiceConfig
 from repro.service import jobs as jobs_module
+from tests.fault_injection import faulty
 from tests.service.test_store import fail_writes
 from tests.service.test_wire import malformed_request_bodies
 
 MAP_REQUEST = MapRequest(app="vopd", price_bandwidth=False)
 
 
-def small_sim(rate: float = 0.05, tag: str | None = None) -> SimRequest:
+def small_sim(
+    rate: float = 0.05, tag: str | None = None, sleep: float | None = None
+) -> SimRequest:
+    """A short VOPD simulation; ``sleep`` stalls its mapping that long
+    (the ``test-fault`` mapper: the test needs the ``fault_mapper``
+    fixture)."""
+    if sleep is None:
+        map_request = MapRequest(app="vopd", price_bandwidth=False, tag=tag)
+    else:
+        map_request = faulty(app="vopd", tag=tag, sleep=sleep)
     return SimRequest(
-        map_request=MapRequest(app="vopd", price_bandwidth=False, tag=tag),
+        map_request=map_request,
         measure_cycles=400,
         warmup_cycles=100,
         drain_cycles=200,
@@ -286,17 +296,15 @@ class TestBatchAndStreaming:
 
 
 class TestAdmissionControl:
-    def test_queue_overflow_is_429(self, make_service, monkeypatch):
-        monkeypatch.setenv("REPRO_SLOW_TAG", "slow")
-        monkeypatch.setenv("REPRO_SLOW_SECONDS", "1.5")
+    def test_queue_overflow_is_429(self, fault_mapper, make_service):
         _, client = make_service(queue_limit=1, workers=1)
-        first = client.submit(small_sim(rate=0.02, tag="slow"))
+        first = client.submit(small_sim(rate=0.02, tag="slow", sleep=1.5))
         # Wait until the worker owns job 1, so job 2 deterministically
         # occupies the single queue slot and job 3 overflows.
         assert wait_for(
             lambda: client.status(first.id)["status"] == "running"
         )
-        client.submit(small_sim(rate=0.03, tag="slow"))
+        client.submit(small_sim(rate=0.03, tag="slow", sleep=1.5))
         with pytest.raises(ServiceError, match="429"):
             client.submit(small_sim(rate=0.04))
 
@@ -363,14 +371,13 @@ class TestErrorPropagation:
         assert service.store.get(ticket.keys[0]) is None
 
     def test_worker_crash_surfaces_as_batch_error_504(
-        self, make_service, monkeypatch
+        self, fault_mapper, make_service
     ):
-        # The PR-6 chaos hook: the process worker hard-exits on this tag;
-        # run_batch retries, the crash repeats, and the slot reports a
-        # typed BatchError that must survive the HTTP round trip as a 504.
-        monkeypatch.setenv("REPRO_CRASH_TAG", "crashme")
+        # The process worker hard-exits in the mapper; the pool retries,
+        # the crash repeats, and the slot reports a typed BatchError that
+        # must survive the HTTP round trip as a 504.
         _, client = make_service(executor="process", timeout=60.0)
-        request = MapRequest(app="vopd", price_bandwidth=False, tag="crashme")
+        request = faulty(app="vopd", crash=True)
         ticket = client.submit(request)
         response = client.wait(ticket.id, timeout=120)
         assert isinstance(response, ErrorResponse)
@@ -382,12 +389,10 @@ class TestErrorPropagation:
 
 class TestDrain:
     def test_drain_finishes_accepted_work_and_refuses_new(
-        self, make_service, monkeypatch
+        self, fault_mapper, make_service
     ):
-        monkeypatch.setenv("REPRO_SLOW_TAG", "drainslow")
-        monkeypatch.setenv("REPRO_SLOW_SECONDS", "0.8")
         service, client = make_service(workers=1)
-        ticket = client.submit(small_sim(rate=0.02, tag="drainslow"))
+        ticket = client.submit(small_sim(rate=0.02, tag="drainslow", sleep=0.8))
         assert wait_for(lambda: client.status(ticket.id)["status"] == "running")
         service.request_shutdown()
         with pytest.raises(ServiceError, match="503"):
@@ -399,11 +404,9 @@ class TestDrain:
         assert job.slots[0].kind == "sim-response"
         assert service.store.get(ticket.keys[0]) is not None
 
-    def test_health_reports_draining(self, make_service, monkeypatch):
-        monkeypatch.setenv("REPRO_SLOW_TAG", "drainslow2")
-        monkeypatch.setenv("REPRO_SLOW_SECONDS", "0.8")
+    def test_health_reports_draining(self, fault_mapper, make_service):
         service, client = make_service(workers=1)
-        ticket = client.submit(small_sim(rate=0.021, tag="drainslow2"))
+        ticket = client.submit(small_sim(rate=0.021, tag="drainslow2", sleep=0.8))
         assert wait_for(lambda: client.status(ticket.id)["status"] == "running")
         service.request_shutdown()
         assert client.health()["status"] == "draining"
@@ -429,23 +432,19 @@ class TestClientTransport:
 class TestOverloadSignaling:
     """Refusals carry machine-readable back-off and identity semantics."""
 
-    def test_429_carries_retry_after(self, make_service, monkeypatch):
-        monkeypatch.setenv("REPRO_SLOW_TAG", "hintslow")
-        monkeypatch.setenv("REPRO_SLOW_SECONDS", "1.5")
+    def test_429_carries_retry_after(self, fault_mapper, make_service):
         _, client = make_service(queue_limit=1, workers=1)
-        first = client.submit(small_sim(rate=0.02, tag="hintslow"))
+        first = client.submit(small_sim(rate=0.02, tag="hintslow", sleep=1.5))
         assert wait_for(lambda: client.status(first.id)["status"] == "running")
-        client.submit(small_sim(rate=0.03, tag="hintslow"))
+        client.submit(small_sim(rate=0.03, tag="hintslow", sleep=1.5))
         with pytest.raises(ServiceError, match="429") as excinfo:
             client.submit(small_sim(rate=0.04))
         assert excinfo.value.retry_after is not None
         assert excinfo.value.retry_after >= 1.0
 
-    def test_draining_503_carries_retry_after(self, make_service, monkeypatch):
-        monkeypatch.setenv("REPRO_SLOW_TAG", "hintdrain")
-        monkeypatch.setenv("REPRO_SLOW_SECONDS", "0.8")
+    def test_draining_503_carries_retry_after(self, fault_mapper, make_service):
         service, client = make_service(workers=1)
-        ticket = client.submit(small_sim(rate=0.022, tag="hintdrain"))
+        ticket = client.submit(small_sim(rate=0.022, tag="hintdrain", sleep=0.8))
         assert wait_for(lambda: client.status(ticket.id)["status"] == "running")
         service.request_shutdown()
         with pytest.raises(ServiceError, match="503") as excinfo:
@@ -454,22 +453,20 @@ class TestOverloadSignaling:
         service.shutdown(timeout=120)
 
     def test_client_quota_is_enforced_over_http(
-        self, make_service, monkeypatch
+        self, fault_mapper, make_service
     ):
-        monkeypatch.setenv("REPRO_SLOW_TAG", "quotaslow")
-        monkeypatch.setenv("REPRO_SLOW_SECONDS", "1.5")
         service, _ = make_service(client_quota=1, workers=1)
         alice = ServiceClient(
             f"http://127.0.0.1:{service.port}", client_id="alice"
         )
         bob = ServiceClient(f"http://127.0.0.1:{service.port}", client_id="bob")
-        first = alice.submit(small_sim(rate=0.02, tag="quotaslow"))
+        first = alice.submit(small_sim(rate=0.02, tag="quotaslow", sleep=1.5))
         assert wait_for(lambda: alice.status(first.id)["status"] == "running")
         with pytest.raises(ServiceError, match="QuotaExceededError") as excinfo:
-            alice.submit(small_sim(rate=0.03, tag="quotaslow"))
+            alice.submit(small_sim(rate=0.03, tag="quotaslow", sleep=1.5))
         assert excinfo.value.retry_after is not None
         # Bob's identity has its own quota: his submission lands.
-        bob.submit(small_sim(rate=0.04, tag="quotaslow"))
+        bob.submit(small_sim(rate=0.04, tag="quotaslow", sleep=1.5))
 
     def test_invalid_priority_header_is_400(self, make_service):
         service, _ = make_service()
@@ -493,14 +490,12 @@ class TestOverloadSignaling:
         assert envelope["recovered"] is False
 
     def test_retrying_client_rides_out_a_full_queue(
-        self, make_service, monkeypatch
+        self, fault_mapper, make_service
     ):
-        monkeypatch.setenv("REPRO_SLOW_TAG", "rideout")
-        monkeypatch.setenv("REPRO_SLOW_SECONDS", "0.6")
         service, client = make_service(queue_limit=1, workers=1)
-        first = client.submit(small_sim(rate=0.02, tag="rideout"))
+        first = client.submit(small_sim(rate=0.02, tag="rideout", sleep=0.6))
         assert wait_for(lambda: client.status(first.id)["status"] == "running")
-        client.submit(small_sim(rate=0.03, tag="rideout"))
+        client.submit(small_sim(rate=0.03, tag="rideout", sleep=0.6))
         # The queue is now full; a retrying client backs off (honoring
         # Retry-After) until a slot frees and the submission lands.
         patient = ServiceClient(

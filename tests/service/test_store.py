@@ -88,9 +88,8 @@ class TestCorruptionFallback:
         path = store.path_for(KEY)
         path.parent.mkdir(parents=True)
         path.write_bytes(b"garbage{{{")
-        data, origin = store.get_or_compute(KEY, lambda: (entry_bytes(), True))
-        assert origin == "computed"
-        assert data == entry_bytes()
+        assert store.claim(KEY) == ("owned", None)  # a miss: recompute
+        store.publish(KEY, entry_bytes())
         assert store.get(KEY) == entry_bytes()  # repaired on disk
 
 
@@ -128,13 +127,15 @@ class TestInFlightDedup:
         results: list[bytes] = []
         lock = threading.Lock()
 
-        def compute():
-            calls.append(1)
-            return entry_bytes("computed-once"), True
-
         def submit():
             barrier.wait()
-            data, _ = store.get_or_compute(KEY, compute)
+            state, data = store.claim(KEY)
+            if state == "owned":
+                calls.append(1)
+                data = entry_bytes("computed-once")
+                store.publish(KEY, data)
+            elif state == "wait":
+                data = store.wait(KEY, timeout=30)
             with lock:
                 results.append(data)
 
@@ -154,24 +155,18 @@ class TestInFlightDedup:
         published; owning it anyway would execute the request twice.
         """
         store = ResultStore(tmp_path)
-        calls: list[str] = []
         real_get = store.get
 
         def racing_get(key):
             data = real_get(key)
             if store.get is racing_get:  # A's first read only
                 store.get = real_get
-                store.get_or_compute(
-                    key, lambda: (calls.append("B") or entry_bytes("once"), True)
-                )
+                assert store.claim(key) == ("owned", None)  # B
+                store.publish(key, entry_bytes("once"))
             return data
 
         store.get = racing_get
-        data, origin = store.get_or_compute(
-            KEY, lambda: (calls.append("A") or entry_bytes("twice"), True)
-        )
-        assert calls == ["B"]
-        assert (data, origin) == (entry_bytes("once"), "hit")
+        assert store.claim(KEY) == ("hit", entry_bytes("once"))  # A
         assert store.stats()["executed"] == 1
         assert store.stats()["inflight"] == 0
 

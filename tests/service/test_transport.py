@@ -116,13 +116,15 @@ class TestStreamWakesOnEvents:
         assert wait_for(lambda: job._watchers == [])
 
     def test_a_client_hanging_up_mid_stream_leaves_no_watcher(
-        self, make_service, monkeypatch
+        self, fault_mapper, make_service
     ):
-        monkeypatch.setenv("REPRO_SLOW_TAG", "hangup")
-        monkeypatch.setenv("REPRO_SLOW_SECONDS", "0.5")
         service, client = make_service(workers=1)
         ticket = client.submit(
-            [sim_request(0.02), sim_request(0.03, tag="hangup"), sim_request(0.04)]
+            [
+                sim_request(0.02),
+                sim_request(0.03, tag="hangup", sleep=0.5),
+                sim_request(0.04),
+            ]
         )
         job = service.registry.get(ticket.id)
         with socket.create_connection(("127.0.0.1", service.port)) as sock:
@@ -310,12 +312,10 @@ class TestPersistentConnections:
         assert len(client._idle) == 1
 
     def test_wait_timeout_is_typed_and_the_client_stays_usable(
-        self, make_service, monkeypatch
+        self, fault_mapper, make_service
     ):
-        monkeypatch.setenv("REPRO_SLOW_TAG", "slow-wait")
-        monkeypatch.setenv("REPRO_SLOW_SECONDS", "0.8")
         _, client = make_service(workers=1)
-        ticket = client.submit(sim_request(0.02, tag="slow-wait"))
+        ticket = client.submit(sim_request(0.02, tag="slow-wait", sleep=0.8))
         with pytest.raises(
             ServiceError,
             match=r"did not complete within 0.2 s \(status running, 0/1 slots\)",
@@ -368,12 +368,10 @@ class TestDrainWithKeptConnections:
         assert time.monotonic() - started < server_module.DRAIN_GRACE + 1.0
 
     def test_nothing_is_kept_alive_once_the_drain_began(
-        self, make_service, monkeypatch
+        self, fault_mapper, make_service
     ):
-        monkeypatch.setenv("REPRO_SLOW_TAG", "drain-keep")
-        monkeypatch.setenv("REPRO_SLOW_SECONDS", "0.6")
         service, client = make_service(workers=1)
-        ticket = client.submit(sim_request(0.02, tag="drain-keep"))
+        ticket = client.submit(sim_request(0.02, tag="drain-keep", sleep=0.6))
         service.request_shutdown()
         assert client.health()["status"] == "draining"
         assert client._idle == []  # the reply said Connection: close

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.service import ServiceConfig
+from repro.service.jobs import EXECUTORS
 
 
 class TestListApps:
@@ -319,21 +320,36 @@ class TestCompare:
         assert "--executor" in capsys.readouterr().err
 
 
+def serve_actions() -> list[argparse.Action]:
+    subcommands = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return subcommands.choices["serve"]._actions
+
+
 class TestServe:
     def test_every_service_config_field_is_a_serve_flag(self):
         """A field no deployment can set is an option nobody uses."""
-        subcommands = next(
-            action
-            for action in build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        )
         renamed = {"store": "store_root", "journal": "journal_path"}
         flags = {
             renamed.get(action.dest, action.dest)
-            for action in subcommands.choices["serve"]._actions
+            for action in serve_actions()
             if action.dest != "help"
         }
         assert flags == {field.name for field in fields(ServiceConfig)}
+
+    def test_serve_offers_only_the_executors_a_service_runs(self, capsys):
+        """Regression: ``--executor replica`` booted a service that answered
+        every job with HTTP 500."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--executor", "replica"])
+        assert "invalid choice: 'replica'" in capsys.readouterr().err
+        (executor,) = (
+            action for action in serve_actions() if action.dest == "executor"
+        )
+        assert tuple(executor.choices) == EXECUTORS
 
 
 class TestExperiment:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -74,6 +76,21 @@ class TestPackageSurface:
         for module in (apps, graphs, mapping, metrics, routing, simnoc):
             for name in module.__all__:
                 assert getattr(module, name) is not None, f"{module.__name__}.{name}"
+
+    def test_src_reads_only_the_four_ladder_switches(self):
+        """Every ``REPRO_*`` environment switch in ``src/`` picks a rung
+        (kill, pin, cache dir); a test instrument belongs in the tests.
+
+        Any string constant that is a ``REPRO_*`` name counts, a bare
+        ``"REPRO_"`` prefix (an f-string or a concatenation) included.
+        """
+        read = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    if re.fullmatch(r"REPRO_[A-Z0-9_]*", node.value):
+                        read.add(node.value)
+        assert read == {"REPRO_NO_JIT", "REPRO_JIT", "REPRO_JIT_CACHE", "REPRO_NO_METIS"}
 
 
 class TestColdStart:
