@@ -15,6 +15,9 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -97,6 +100,39 @@ MIN_PATH_100_CORES_BUDGET_S = 0.005
 #: ``json.dumps`` is most of it), the hand-written ``to_dict`` /
 #: ``from_dict`` pairs it replaced 27-41 ms.
 WIRE_ROUND_TRIP_BUDGET_S = 0.05
+
+
+#: Seconds for ``repro map --app vopd`` in a fresh interpreter, best of three:
+#: imports, NMAP, both prices (the split one an LP) and the printout.  On a
+#: 2-CPU host loading only scipy's HiGHS core reads 0.39-0.51 s; importing
+#: ``scipy.optimize`` and ``scipy.sparse`` to reach it read 0.89-0.97 s.
+CLI_MAP_VOPD_COLD_BUDGET_S = 0.7
+
+#: MB of peak RSS one ``nmap-ta`` request on ``pip`` (MCF1 / MCF2 programs
+#: through HiGHS) adds to a fresh interpreter that imported ``repro.api``:
+#: 0-6 with the core loaded by path, 30-46 when the first LP imported
+#: ``scipy.optimize`` and ``scipy.sparse``.
+NMAP_TA_RSS_GROWTH_BUDGET_MB = 15
+
+#: Prints the MB of peak RSS one ``nmap-ta`` request adds.
+_NMAP_TA_RSS_GROWTH = """
+import resource
+from repro.api import MapRequest, run
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert run(MapRequest(app="pip", mapper="nmap-ta")).feasible
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a new interpreter on this one's import path."""
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
 
 
 def _workloads():
@@ -354,3 +390,22 @@ def test_runtime_wire_round_trip(benchmark):
     body, parsed = benchmark.pedantic(round_trip, rounds=10, warmup_rounds=1)
     assert canonical_response_bytes(parsed) == body
     assert benchmark.stats.stats.min < WIRE_ROUND_TRIP_BUDGET_S
+
+
+def test_runtime_cli_map_vopd_cold(benchmark):
+    """A fresh process per round: what a ``repro map`` user waits for, the
+    first LP's module loading included."""
+    result = benchmark.pedantic(
+        _fresh_python, args=("-m", "repro.cli", "map", "--app", "vopd"), rounds=3
+    )
+    assert "vopd" in result.stdout
+    assert benchmark.stats.stats.min < CLI_MAP_VOPD_COLD_BUDGET_S
+
+
+def test_runtime_nmap_ta_rss_growth(benchmark):
+    """What the first LP costs in memory: a pool worker or a CLI run pays it
+    once, on its first priced or split-traffic request."""
+    result = benchmark.pedantic(_fresh_python, args=("-c", _NMAP_TA_RSS_GROWTH), rounds=1)
+    growth = float(result.stdout)
+    benchmark.extra_info["rss_growth_mb"] = growth
+    assert growth < NMAP_TA_RSS_GROWTH_BUDGET_MB

@@ -29,8 +29,10 @@ setup(
         "numpy>=1.22",
         "networkx>=2.6",
         # The LP/MILP back end (repro.lp.solve) drives scipy's bundled HiGHS
-        # core, scipy.optimize._highspy._core, which first shipped in 1.15
-        # (CI's check-scipy-floor job installs exactly this floor).
+        # core, scipy.optimize._highspy._core, which first shipped in 1.15;
+        # repro.lp.highs_core loads that one extension by its path under the
+        # installed scipy, without importing scipy.optimize (CI's
+        # check-scipy-floor job installs exactly this floor).
         "scipy>=1.15",
     ],
     extras_require={

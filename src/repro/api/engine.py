@@ -103,7 +103,7 @@ def _build_map_response(
     """The one place a MappingResult becomes a serializable response."""
     min_bw_single = min_bw_split = None
     if price_bandwidth and result.feasible:
-        min_bw_single = min_bandwidth_min_path(result.mapping)[0]
+        min_bw_single = min_bandwidth_min_path(result.mapping, result.routing)[0]
         min_bw_split = min_bandwidth_split(result.mapping)[0]
     return MapResponse(
         request=request,

@@ -105,13 +105,20 @@ class TopologySpec(Payload):
         """Materialize the concrete topology for ``app``.
 
         Raises:
-            ApiError: when the grid is too small for the application.
+            ApiError: when the grid is too small for the application, or when
+                ``link_bandwidth`` is unset and the application has no
+                traffic to derive it from.
         """
         bandwidth = (
             self.link_bandwidth
             if self.link_bandwidth is not None
             else app.total_bandwidth()
         )
+        if bandwidth <= 0:
+            raise ApiError(
+                f"{app.name!r} has no traffic, so the default link bandwidth "
+                "(the application's total bandwidth) is 0: set link_bandwidth"
+            )
         if self.kind == "auto":
             return NoCTopology.smallest_mesh_for(app.num_cores, link_bandwidth=bandwidth)
         assert self.width is not None and self.height is not None

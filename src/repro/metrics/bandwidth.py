@@ -27,10 +27,26 @@ def min_bandwidth_xy(mapping: Mapping) -> tuple[float, RoutingResult]:
     return routing.max_link_load(), routing
 
 
-def min_bandwidth_min_path(mapping: Mapping) -> tuple[float, RoutingResult]:
-    """Min uniform capacity under the load-balancing quadrant heuristic."""
+def min_bandwidth_min_path(
+    mapping: Mapping, routed: RoutingResult | None = None
+) -> tuple[float, RoutingResult]:
+    """Min uniform capacity under the load-balancing quadrant heuristic.
+
+    Args:
+        routed: a routing already run (a mapper's ``MappingResult.routing``);
+            reused when it is this mapping's min-path routing — same
+            topology, same commodities — and routed afresh otherwise.
+    """
     commodities = build_commodities(mapping.core_graph, mapping)
-    routing = min_path_routing(mapping.topology, commodities)
+    if (
+        routed is not None
+        and routed.algorithm == "min-path"
+        and routed.topology is mapping.topology
+        and routed.commodities == commodities
+    ):
+        routing = routed
+    else:
+        routing = min_path_routing(mapping.topology, commodities)
     return routing.max_link_load(), routing
 
 

@@ -19,7 +19,7 @@ packet.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from repro.routing.base import LinkKey, RoutingResult, path_links
 from repro.routing.tables import build_routing_tables
@@ -28,8 +28,39 @@ if TYPE_CHECKING:
     import networkx as nx
 
 
+def _dependencies(routing: RoutingResult) -> Iterator[tuple[LinkKey, LinkKey]]:
+    """Every CDG edge ``(held, wanted)``, in the order the routing yields
+    them (repeats included): ``(a, b) -> (b, c)`` means some packet may hold
+    link ``(a, b)`` while requesting ``(b, c)``."""
+    if routing.paths is not None:
+        for path in routing.paths.values():
+            links = path_links(path)
+            yield from zip(links, links[1:])
+        return
+    # Fractional flows: dependencies follow the per-node next-hop tables —
+    # a packet of commodity k holding (a, b) may request any (b, c) that
+    # the table at b lists for k.
+    tables = build_routing_tables(routing)
+    for commodity in routing.commodities:
+        for (a, b) in routing.flows.get(commodity.index, {}):
+            for c, _weight in tables[b].next_hops(commodity.index):
+                yield (a, b), (b, c)
+
+
+def _successors(routing: RoutingResult) -> dict[LinkKey, dict[LinkKey, None]]:
+    """The CDG as an adjacency of insertion-ordered dicts: the node order and
+    per-node successor order of :func:`channel_dependency_graph`'s DiGraph."""
+    successors: dict[LinkKey, dict[LinkKey, None]] = {
+        link: {} for link in routing.topology.link_keys()
+    }
+    for held, wanted in _dependencies(routing):
+        successors.setdefault(held, {})[wanted] = None
+        successors.setdefault(wanted, {})
+    return successors
+
+
 def channel_dependency_graph(routing: RoutingResult) -> nx.DiGraph:
-    """Build the CDG of a routing result.
+    """Build the CDG of a routing result as a :class:`networkx.DiGraph`.
 
     Nodes are directed physical links ``(u, v)``; an edge
     ``(a, b) -> (b, c)`` means some packet may hold link ``(a, b)`` while
@@ -38,27 +69,8 @@ def channel_dependency_graph(routing: RoutingResult) -> nx.DiGraph:
     import networkx as nx
 
     graph = nx.DiGraph()
-    for link in routing.topology.link_keys():
-        graph.add_node(link)
-
-    def add_path_dependencies(path: list[int]) -> None:
-        links = path_links(path)
-        for held, wanted in zip(links, links[1:]):
-            graph.add_edge(held, wanted)
-
-    if routing.paths is not None:
-        for path in routing.paths.values():
-            add_path_dependencies(path)
-        return graph
-
-    # Fractional flows: dependencies follow the per-node next-hop tables —
-    # a packet of commodity k holding (a, b) may request any (b, c) that
-    # the table at b lists for k.
-    tables = build_routing_tables(routing)
-    for commodity in routing.commodities:
-        for (a, b) in routing.flows.get(commodity.index, {}):
-            for c, _weight in tables[b].next_hops(commodity.index):
-                graph.add_edge((a, b), (b, c))
+    graph.add_nodes_from(routing.topology.link_keys())
+    graph.add_edges_from(_dependencies(routing))
     return graph
 
 
@@ -67,16 +79,50 @@ def find_cycle(routing: RoutingResult) -> list[LinkKey] | None:
 
     The returned list is the cycle's links in order (last depends on
     first) — directly actionable when debugging a deadlock report from the
-    simulator.
+    simulator.  It is the cycle ``networkx.find_cycle(
+    channel_dependency_graph(routing), orientation="original")`` names: the
+    same edge-by-edge depth-first search from each unexplored node in turn,
+    which never descends into an explored node (everything reachable from
+    one is explored, so networkx skips every edge it would find there).
     """
-    import networkx as nx
-
-    graph = channel_dependency_graph(routing)
-    try:
-        cycle_edges = nx.find_cycle(graph, orientation="original")
-    except nx.NetworkXNoCycle:
-        return None
-    return [edge[0] for edge in cycle_edges]
+    successors = _successors(routing)
+    explored: set[LinkKey] = set()
+    for start in successors:
+        if start in explored:
+            continue
+        pending = {start: iter(successors[start])}
+        stack = [start]
+        edges: list[tuple[LinkKey, LinkKey]] = []  # the active path
+        seen, active = {start}, {start}
+        previous_head = None
+        while stack:
+            tail = stack[-1]
+            head = next(pending[tail], None)
+            if head is None:
+                stack.pop()
+                continue
+            if head in explored:
+                continue
+            if head not in pending:
+                pending[head] = iter(successors[head])
+            stack.append(head)
+            if previous_head is not None and tail != previous_head:
+                # Backtracked: drop the path's edges down to one ending at tail.
+                while edges:
+                    active.remove(edges.pop()[1])
+                    if edges and edges[-1][1] == tail:
+                        break
+                else:
+                    active = {tail}
+            edges.append((tail, head))
+            if head in active:
+                first = next(i for i, (link, _) in enumerate(edges) if link == head)
+                return [link for link, _ in edges[first:]]
+            seen.add(head)
+            active.add(head)
+            previous_head = head
+        explored |= seen
+    return None
 
 
 def is_deadlock_free(routing: RoutingResult) -> bool:
@@ -86,4 +132,4 @@ def is_deadlock_free(routing: RoutingResult) -> bool:
 
 def count_dependencies(routing: RoutingResult) -> int:
     """Number of CDG edges — a complexity measure of the routing."""
-    return channel_dependency_graph(routing).number_of_edges()
+    return sum(len(wanted) for wanted in _successors(routing).values())

@@ -17,7 +17,7 @@ from repro.errors import RoutingError
 from repro.graphs.commodities import Commodity
 from repro.graphs.quadrant import enumerate_minimal_paths
 from repro.graphs.topology import NoCTopology
-from repro.lp import solve
+from repro.lp import Coo, solve
 from repro.routing.base import RoutingResult, path_links
 
 
@@ -41,8 +41,6 @@ def ilp_single_path_routing(
         RoutingError: when the MILP fails (should not happen: selecting any
             path per commodity is always feasible).
     """
-    from scipy import sparse
-
     if not commodities:
         raise RoutingError("cannot route zero commodities")
     # Columns: one binary pick per (commodity, candidate path), commodity-
@@ -58,20 +56,12 @@ def ilp_single_path_routing(
     terms = [(link, p) for p, (_k, path) in enumerate(picks) for link in path_links(path)]
     row_of = {link: row for row, link in enumerate(sorted({link for link, _p in terms}))}
     lam, loads = len(picks), list(range(len(row_of)))
-    a_ub = sparse.csr_matrix(
-        (
-            [commodities[picks[p][0]].value for _link, p in terms] + [-1.0] * len(loads),
-            (
-                [row_of[link] for link, _p in terms] + loads,
-                [p for _link, p in terms] + [lam] * len(loads),
-            ),
-        ),
-        shape=(len(loads), lam + 1),
+    a_ub = Coo(
+        [row_of[link] for link, _p in terms] + loads,
+        [p for _link, p in terms] + [lam] * len(loads),
+        [commodities[picks[p][0]].value for _link, p in terms] + [-1.0] * len(loads),
     )
-    a_eq = sparse.csr_matrix(
-        (np.ones(lam), ([k for k, _path in picks], range(lam))),
-        shape=(len(commodities), lam + 1),
-    )
+    a_eq = Coo([k for k, _path in picks], np.arange(lam), np.ones(lam))
     cost = np.zeros(lam + 1)
     cost[lam] = 1.0
     bounds = np.array([(0.0, 1.0)] * lam + [(0.0, np.inf)])

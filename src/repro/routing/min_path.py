@@ -140,7 +140,8 @@ def min_path_routing(
     can pass arbitrary orders.
 
     Returns:
-        A :class:`RoutingResult` with one explicit path per commodity.  The
+        A :class:`RoutingResult` with one explicit path per commodity,
+        labelled ``"min-path"`` at the default ``base_weight``.  The
         caller decides feasibility via :meth:`RoutingResult.is_feasible`
         (``shortestpath()`` returns ``maxvalue`` as the cost in that case —
         that policy lives in the mapping layer).
@@ -155,4 +156,6 @@ def min_path_routing(
         paths[commodity.index] = path
         for link in path_links(path):
             loads[link] = loads.get(link, 0.0) + commodity.value
-    return RoutingResult.from_paths(topology, commodities, paths, algorithm="min-path")
+    # Only the default weight is "min-path": the routing a priced response reuses.
+    algorithm = "min-path" if base_weight == 1.0 else f"min-path(base_weight={base_weight:g})"
+    return RoutingResult.from_paths(topology, commodities, paths, algorithm=algorithm)

@@ -39,7 +39,7 @@ from repro.errors import RoutingError
 from repro.graphs.commodities import Commodity
 from repro.graphs.quadrant import quadrant_links
 from repro.graphs.topology import NoCTopology
-from repro.lp import Solution, solve
+from repro.lp import Coo, Solution, solve
 from repro.routing.base import FLOW_EPSILON, RoutingResult
 
 
@@ -50,7 +50,7 @@ class McfAssembly:
     Attributes:
         var_commodity: per flow variable, its commodity's list position.
         var_link: per flow variable, its link's ``link_keys()`` position.
-        eq: the conservation matrix as COO ``(data, (rows, cols))``.
+        eq: the conservation rows (Equation 5), as the program's ``A_eq``.
         b_eq: its right-hand side: +value at source rows, -value at destination rows.
         cap_links: ``link_keys()`` positions of the capacity rows' links.
         cap_row: per flow variable, the capacity row of its link.
@@ -60,7 +60,7 @@ class McfAssembly:
     commodities: list[Commodity]
     var_commodity: np.ndarray
     var_link: np.ndarray
-    eq: tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]
+    eq: Coo
     b_eq: np.ndarray
     cap_links: np.ndarray
     cap_row: np.ndarray
@@ -71,18 +71,13 @@ class McfAssembly:
         ``extra`` is ``(rows, cols, data)``: what the other columns (slacks,
         ``lambda``) contribute to the link-incidence capacity rows.
         """
-        from scipy import sparse  # lazily: most requests never reach an LP
-
         n, flow_vars = len(cost), len(self.var_link)
-        ub = (self.cap_row, np.arange(flow_vars), np.ones(flow_vars))
+        a_ub = Coo(self.cap_row, np.arange(flow_vars), np.ones(flow_vars))
         if extra is not None:
-            ub = tuple(np.concatenate(both) for both in zip(ub, extra))
-        rows, cols, data = ub
-        a_ub = sparse.csr_matrix((data, (rows, cols)), shape=(len(self.cap_links), n))
-        a_eq = sparse.csr_matrix(self.eq, shape=(len(self.b_eq), n))
+            a_ub = Coo(*(np.concatenate(both) for both in zip(a_ub, extra)))
         bounds = np.zeros((n, 2))
         bounds[:, 1] = np.inf
-        return solve(cost, a_ub, b_ub, a_eq, self.b_eq, bounds)
+        return solve(cost, a_ub, b_ub, self.eq, self.b_eq, bounds)
 
     def routing(self, x: np.ndarray, algorithm: str) -> RoutingResult:
         """Turn an optimal solution's flow variables into a RoutingResult."""
@@ -157,9 +152,10 @@ def assemble_mcf(
         commodities=list(commodities),
         var_commodity=var_commodity,
         var_link=var_link,
-        eq=(
+        eq=Coo(
+            row[np.concatenate([tails, heads])],
+            np.tile(np.arange(len(var_link)), 2),
             np.repeat([1.0, -1.0], len(var_link)),
-            (row[np.concatenate([tails, heads])], np.tile(np.arange(len(var_link)), 2)),
         ),
         b_eq=b_eq,
         cap_links=cap_links,
@@ -171,6 +167,12 @@ def _split_name(quadrant_only: bool) -> str:
     return "mcf-split-minpath" if quadrant_only else "mcf-split"
 
 
+def _no_traffic(topology: NoCTopology, algorithm: str) -> RoutingResult:
+    """The routing of an application without flows: nothing on any link,
+    so slack, cost and lambda are all 0 without an LP."""
+    return RoutingResult(topology=topology, commodities=[], flows={}, algorithm=algorithm)
+
+
 def solve_mcf1(
     topology: NoCTopology, commodities: list[Commodity], quadrant_only: bool = False
 ) -> tuple[float, RoutingResult]:
@@ -179,12 +181,14 @@ def solve_mcf1(
     Returns:
         ``(total_slack, routing)``.  ``total_slack == 0`` (up to LP
         tolerance) means the mapping satisfies the bandwidth constraints
-        with split-traffic routing.
+        with split-traffic routing; no commodities need no slack.
 
     Raises:
         RoutingError: if the LP is not optimal (conservation alone is always
             feasible with enough slack, so this indicates a modeling bug).
     """
+    if not commodities:
+        return 0.0, _no_traffic(topology, _split_name(quadrant_only))
     model = assemble_mcf(topology, commodities, quadrant_only)
     flow_vars, links = len(model.var_link), len(model.cap_links)
     slack = np.arange(links)  # one slack column per capacity row, after the flows
@@ -205,8 +209,10 @@ def solve_mcf2(
     Returns:
         ``(total_flow_cost, routing)`` when a capacity-feasible split routing
         exists, else None (the caller — ``mappingwithsplitting()`` — treats
-        that as cost ``maxvalue``).
+        that as cost ``maxvalue``).  No commodities cost 0.
     """
+    if not commodities:
+        return 0.0, _no_traffic(topology, _split_name(quadrant_only))
     model = assemble_mcf(topology, commodities, quadrant_only)
     capacities = topology.link_arrays()[2][model.cap_links]
     solution = model.solve(np.ones(len(model.var_link)), capacities)
@@ -235,8 +241,10 @@ def solve_min_congestion(
             value is unchanged.
 
     Returns:
-        ``(lambda_star, routing)``.
+        ``(lambda_star, routing)``; no commodities need ``lambda_star == 0``.
     """
+    if not commodities:
+        return 0.0, _no_traffic(topology, "min-congestion")
     model = assemble_mcf(topology, commodities, quadrant_only)
     flow_vars, links = len(model.var_link), len(model.cap_links)
     cost = np.zeros(flow_vars + 1)

@@ -5,8 +5,10 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from repro.api import (
+    FaultSpec,
     MapRequest,
     MapResponse,
     SimOptions,
@@ -19,8 +21,10 @@ from repro.api import (
     run,
     run_batch,
 )
-from repro.errors import ApiError
+from repro.api.engine import execute_map
+from repro.errors import ApiError, ReproError
 from repro.graphs.io import core_graph_to_dict
+from repro.metrics.bandwidth import min_bandwidth_min_path
 
 
 class TestRunMap:
@@ -85,6 +89,75 @@ class TestRunMap:
     def test_run_rejects_unknown_payload(self):
         with pytest.raises(ApiError):
             run("map please")
+
+
+def _idle_app() -> dict:
+    """Three cores and no flows."""
+    return {"schema": 1, "kind": "core-graph", "name": "idle", "cores": ["a", "b", "c"],
+            "flows": []}  # fmt: skip
+
+
+class TestAnAppWithoutTraffic:
+    """Nothing to route is routed at no cost: every LP path answers 0
+    without building an MCF over zero commodities."""
+
+    @pytest.mark.parametrize("price", [False, True])
+    @pytest.mark.parametrize("name", list_mappers())
+    def test_every_mapper_maps_it_at_cost_zero(self, name, price):
+        response = run(
+            MapRequest(
+                app=_idle_app(),
+                mapper=name,
+                topology=TopologySpec.parse("mesh:2x2", link_bandwidth=100.0),
+                price_bandwidth=price,
+            )
+        )
+        assert (response.comm_cost, response.feasible) == (0.0, True)
+        assert (response.min_bw_single, response.min_bw_split) == (
+            (0.0, 0.0) if price else (None, None)
+        )
+
+
+#: Fault scenarios the pricing property draws from: none, a failed link, a
+#: failed router, a degraded link.
+_FAULTS = [
+    None,
+    FaultSpec(failed_links=((1, 2),)),
+    FaultSpec(failed_routers=(4,)),
+    FaultSpec(degraded_links=((0, 1, 0.5),)),
+]
+
+
+class TestPricingReusesTheMappersRouting:
+    """A priced response reads ``min_bw_single`` off the min-path routing
+    the mapper already ran; it must be the value a fresh routing gives."""
+
+    @given(
+        st.sampled_from(["pip", "mwa", "vopd"]),
+        st.sampled_from(list_mappers()),
+        st.sampled_from(_FAULTS),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_the_priced_value_is_a_fresh_routing_s(self, app, mapper, faults):
+        request = MapRequest(
+            app=app, mapper=mapper, topology=TopologySpec.parse("mesh:4x4"), faults=faults
+        )
+        try:
+            response = run(request)
+        except ReproError:
+            reject()  # too few routers left, or nothing feasible to price
+        if not response.feasible:
+            reject()
+        _topology, result = execute_map(request)
+        assert response.min_bw_single == min_bandwidth_min_path(result.mapping)[0]
+        reused = min_bandwidth_min_path(result.mapping, result.routing)[1] is result.routing
+        assert reused is (mapper not in ("nmap-ta", "nmap-tm"))  # single-path mappers
+
+    def test_a_split_routing_is_routed_afresh(self):
+        _topology, result = execute_map(MapRequest(app="pip", mapper="nmap-ta"))
+        value, routing = min_bandwidth_min_path(result.mapping, result.routing)
+        assert routing is not result.routing and routing.algorithm == "min-path"
+        assert value == min_bandwidth_min_path(result.mapping)[0]
 
 
 class TestRunBatch:

@@ -18,6 +18,7 @@ from repro.api import (
     TopologySpec,
 )
 from repro.errors import ApiError
+from repro.graphs.core_graph import CoreGraph
 
 
 def json_cycle(payload):
@@ -72,6 +73,18 @@ class TestTopologySpec:
         topology = TopologySpec.parse("torus:2x2").build(tiny_graph)
         assert topology.torus
         assert topology.num_nodes == 4
+
+    @pytest.mark.parametrize("text", ["auto", "mesh:2x2", "torus:2x2"])
+    def test_an_app_without_traffic_needs_a_link_bandwidth(self, text):
+        """The default link bandwidth is the app's total bandwidth: 0 for an
+        app without flows, which no fabric can carry.  The error names the
+        field to set, not a graph-level bandwidth the user never wrote."""
+        idle = CoreGraph(name="idle")
+        for core in "abc":
+            idle.add_core(core)
+        with pytest.raises(ApiError, match="no traffic.*set link_bandwidth"):
+            TopologySpec.parse(text).build(idle)
+        assert TopologySpec.parse(text, link_bandwidth=100.0).build(idle).num_nodes == 4
 
 
 class TestMapRequest:

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import subprocess
+import sys
 import types
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+from repro import lp
 from repro.errors import SolverError
-from repro.lp import SolveStatus, solve
+from repro.lp import Coo, SolveStatus, solve
 
 INF = np.inf
 
@@ -38,8 +45,20 @@ class TestLinearPrograms:
         )
         assert solution.x.tolist() == pytest.approx([0.0, 10.0])
 
+    def test_coo_rows_and_bounds_array(self):
+        """The form ``routing.split`` hands over: COO triples, (n, 2) bounds."""
+        a_ub = Coo(np.array([0, 0]), np.array([0, 1]), np.array([1.0, 1.0]))
+        a_eq = Coo(np.array([0, 0]), np.array([0, 1]), np.array([1.0, -1.0]))
+        bounds = np.zeros((2, 2))
+        bounds[:, 1] = INF
+        solution = solve(
+            np.array([-1.0, -1.0]), a_ub, np.array([6.0]), a_eq, np.array([2.0]), bounds
+        )
+        assert solution.objective == pytest.approx(-6.0)
+        assert solution.x.tolist() == pytest.approx([4.0, 2.0])
+
     def test_sparse_rows_and_bounds_array(self):
-        """The form ``routing.split`` hands over: CSR float64, (n, 2) bounds."""
+        """scipy sparse rows, read through ``tocoo()``: CSR float64."""
         a_ub = sparse.csr_matrix(([1.0, 1.0], ([0, 0], [0, 1])), shape=(1, 2))
         a_eq = sparse.csr_matrix(([1.0, -1.0], ([0, 0], [0, 1])), shape=(1, 2))
         bounds = np.zeros((2, 2))
@@ -149,9 +168,21 @@ class TestHighsCore:
         with pytest.raises(SolverError, match=f"^{name} must"):
             solve(*program)
 
-    def test_mismatched_shapes_are_rejected(self):
+    @pytest.mark.parametrize(
+        "a_ub, b_ub",
+        [
+            ([[1.0, 1.0]], [1.0, 2.0]),  # one row, two right-hand sides
+            ([[1.0, 1.0, 1.0]], [1.0]),  # three columns, two variables
+            (None, [1.0]),  # a right-hand side without its row
+            (Coo([1], [0], [1.0]), [1.0]),  # an entry below the last row
+            (Coo([0], [2], [1.0]), [1.0]),  # an entry right of the last column
+            (Coo([0, 0], [0], [1.0]), [1.0]),  # triples of unequal length
+            (sparse.csr_matrix([[1.0, 1.0]]), [1.0, 2.0]),
+        ],
+    )
+    def test_mismatched_shapes_are_rejected(self, a_ub, b_ub):
         with pytest.raises(SolverError, match="do not fit together"):
-            solve([1.0, 1.0], [[1.0, 1.0]], [1.0, 2.0], None, None, [(0.0, INF)] * 2)
+            solve([1.0, 1.0], a_ub, b_ub, None, None, [(0.0, INF)] * 2)
 
     @pytest.mark.parametrize(
         "status", ["kUnboundedOrInfeasible", "kTimeLimit", "kIterationLimit", "kSolveError"]
@@ -189,3 +220,133 @@ class TestHighsCore:
             solve(*self.EQUALITY)
         monkeypatch.undo()
         assert solve(*self.EQUALITY).x.tolist() == [0.0, 10.0]
+
+
+@st.composite
+def constraint_blocks(draw):
+    """``(n, ub_rows, eq_rows, A_ub, A_eq)``: each block None (no rows), a
+    :class:`Coo`, dense, or scipy COO / CSR; entries drawn with repeats and
+    zeros, so duplicates, explicit zeros, empty blocks and empty columns all
+    occur.  Values are small integers, so a sum of duplicates is exact in
+    any order."""
+    n = draw(st.integers(1, 5))
+    values = st.integers(-2, 2).map(float)
+
+    def block(rows):
+        kinds = ["coo", "dense", "scipy-coo", "scipy-csr"] + ["none"] * (rows == 0)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "none":
+            return None
+        if kind == "dense":
+            cells = draw(st.lists(values, min_size=rows * n, max_size=rows * n))
+            return np.array(cells).reshape(rows, n)
+        entry = st.tuples(st.integers(0, rows - 1), st.integers(0, n - 1), values)
+        entries = draw(st.lists(entry, max_size=12)) if rows else []
+        row, col, data = (
+            np.array([entry[i] for entry in entries], dtype=dtype)
+            for i, dtype in enumerate((int, int, float))
+        )
+        if kind == "coo":
+            return Coo(row, col, data)
+        coo = sparse.coo_array((data, (row, col)), shape=(rows, n))
+        return coo if kind == "scipy-coo" else sparse.csr_array(coo)
+
+    ub_rows, eq_rows = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return n, ub_rows, eq_rows, block(ub_rows), block(eq_rows)
+
+
+def _scipy_columns(n, ub_rows, eq_rows, a_ub, a_eq):
+    """What ``solve`` handed HiGHS while it stacked the blocks with scipy:
+    ``csc_array(vstack(...))``, a :class:`Coo` read as ``coo_array``."""
+    blocks = [
+        np.zeros((0, n))
+        if block is None
+        else sparse.coo_array((block.data, (block.row, block.col)), shape=(rows, n))
+        if isinstance(block, Coo)
+        else block
+        for block, rows in ((a_ub, ub_rows), (a_eq, eq_rows))
+    ]
+    if any(sparse.issparse(block) for block in blocks):
+        stacked = sparse.vstack(blocks)
+    else:
+        stacked = np.vstack(blocks)
+    matrix = sparse.csc_array(stacked, dtype=np.float64)
+    return matrix.indptr, matrix.indices, matrix.data
+
+
+class TestColumns:
+    """``solve`` builds the column-wise matrix with numpy; HiGHS must be
+    handed the arrays scipy's ``csc_array`` of the stacked blocks held."""
+
+    @given(constraint_blocks())
+    @settings(max_examples=400, deadline=None)
+    def test_the_csc_arrays_are_scipy_s(self, drawn):
+        n, ub_rows, eq_rows, a_ub, a_eq = drawn
+        produced = lp._columns(a_ub, a_eq, ub_rows, eq_rows, n)
+        for mine, theirs in zip(produced, _scipy_columns(*drawn)):
+            assert mine.tolist() == theirs.tolist()
+
+
+#: Prints whether ``highs_core()`` and scipy's own import of the core are one
+#: module, whichever loaded first, and that ``linprog`` still solves.
+_LOAD_ORDER = """
+import sys
+from repro.lp import highs_core
+if sys.argv[1] == "scipy-first":
+    import scipy.optimize
+    core = highs_core()
+else:
+    core = highs_core()
+    assert "scipy.optimize" not in sys.modules and "scipy" not in sys.modules
+    import scipy.optimize
+from scipy.optimize._highspy import _core
+assert scipy.optimize.linprog([1.0], bounds=[(2.0, 3.0)], method="highs").x.tolist() == [2.0]
+print(core is _core is sys.modules["scipy.optimize._highspy._core"])
+"""
+
+
+class TestHighsLoader:
+    """``highs_core`` loads scipy's HiGHS extension by path, without running
+    ``scipy.optimize/__init__``, under its canonical module name."""
+
+    @pytest.mark.parametrize("order", ["scipy-first", "core-first"])
+    def test_one_module_whichever_loads_first(self, order):
+        result = subprocess.run(
+            [sys.executable, "-c", _LOAD_ORDER, order],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "True"
+
+    def test_this_process_shares_scipy_s_module(self):
+        from scipy.optimize._highspy import _core
+
+        assert lp.highs_core() is _core
+
+    def _without_core(self, monkeypatch, scipy_root):
+        monkeypatch.delitem(sys.modules, lp._CORE)
+        spec = None if scipy_root is None else types.SimpleNamespace(
+            submodule_search_locations=[str(scipy_root)]
+        )
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: spec)
+
+    def test_no_scipy_is_a_solver_error(self, monkeypatch):
+        self._without_core(monkeypatch, None)
+        with pytest.raises(SolverError, match="needs scipy >= 1.15"):
+            solve(*TestHighsCore.EQUALITY)
+
+    def test_a_scipy_without_the_core_is_a_solver_error(self, monkeypatch, tmp_path):
+        self._without_core(monkeypatch, tmp_path)
+        with pytest.raises(SolverError, match="needs scipy >= 1.15"):
+            solve(*TestHighsCore.EQUALITY)
+
+    def test_a_core_that_fails_to_load_is_a_solver_error(self, monkeypatch, tmp_path):
+        broken = tmp_path / "optimize" / "_highspy" / f"_core{EXTENSION_SUFFIXES[0]}"
+        broken.parent.mkdir(parents=True)
+        broken.write_bytes(b"not a shared object")
+        self._without_core(monkeypatch, tmp_path)
+        with pytest.raises(SolverError, match="failed to load"):
+            solve(*TestHighsCore.EQUALITY)
+        assert lp._CORE not in sys.modules

@@ -27,6 +27,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
+from scipy import sparse
 
 from repro.apps import all_apps, pip, vopd
 from repro.errors import ReproError, RoutingError
@@ -36,7 +37,7 @@ from repro.graphs.core_graph import CoreGraph
 from repro.graphs.quadrant import quadrant_links
 from repro.graphs.random_graphs import random_core_graph
 from repro.graphs.topology import NoCTopology
-from repro.lp import solve as lp_solve
+from repro.lp import Coo, _columns as lp_columns, solve as lp_solve
 from repro.mapping import (
     annealing_mapping,
     gmap,
@@ -423,6 +424,22 @@ _LP_SHAPES = [
 ]
 
 
+def _columns_are_scipys(program):
+    """The CSC arrays ``solve`` builds from a caller's :class:`Coo` blocks ==
+    ``csc_array(vstack(...))`` of the CSR matrices the callers built from
+    the same triples while ``solve`` stacked them with scipy."""
+    c, a_ub, b_ub, a_eq, b_eq = program[:5]
+    rows = (len(b_ub), len(b_eq))
+    stacked = sparse.vstack([
+        sparse.csr_matrix((block.data, (block.row, block.col)), shape=(m, len(c)))
+        for block, m in zip((a_ub, a_eq), rows)
+    ])  # fmt: skip
+    reference = sparse.csc_array(stacked, dtype=np.float64)
+    produced = lp_columns(a_ub, a_eq, *rows, len(c))
+    for mine, theirs in zip(produced, (reference.indptr, reference.indices, reference.data)):
+        assert mine.tolist() == theirs.tolist()
+
+
 def _answers_as_scipy(program):
     """``repro.lp.solve`` == the ``linprog`` / ``milp`` call it replaced:
     same status, the same objective and the same ``x``, bit for bit."""
@@ -454,9 +471,12 @@ class TestMcfAssembly:
                 object_lp.matrices(expected.pop(0)(calls["lambda"]).program)
             )
             for produced, reference in ((a_ub, want_a_ub), (a_eq, want_a_eq)):
-                assert produced.format == "csr" and produced.dtype == np.float64
-                assert produced.shape == reference.shape
-                assert (produced != reference).nnz == 0
+                assert isinstance(produced, Coo)
+                matrix = sparse.csr_matrix(
+                    (produced.data, (produced.row, produced.col)), shape=reference.shape
+                )
+                assert matrix.dtype == np.float64
+                assert (matrix != reference).nnz == 0
             for produced, reference in (
                 (c, want_c), (b_ub, want_b_ub), (b_eq, want_b_eq), (bounds, want_bounds),
             ):  # fmt: skip
@@ -531,6 +551,7 @@ class TestMcfAssembly:
             programs += self._programs(ilp, ilp.ilp_single_path_routing, fabric, commodities)
         assert programs
         for program in programs:
+            _columns_are_scipys(program)
             _answers_as_scipy(program)
 
     @pytest.mark.parametrize("program", _LP_SHAPES)

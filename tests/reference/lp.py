@@ -29,7 +29,7 @@ from repro.errors import RoutingError, SolverError
 from repro.graphs.commodities import Commodity
 from repro.graphs.quadrant import quadrant_links
 from repro.graphs.topology import NoCTopology
-from repro.lp import Solution, SolveStatus, solve
+from repro.lp import Coo, Solution, SolveStatus, solve
 from repro.routing.base import FLOW_EPSILON, LinkKey, RoutingResult
 
 
@@ -258,11 +258,21 @@ _STATUS = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE, 3: SolveStatus.UNB
 
 
 def linprog_solve(c, A_ub, b_ub, A_eq, b_eq, bounds, integrality=None) -> Solution:  # noqa: N803
-    """``repro.lp.solve`` through :func:`scipy.optimize.linprog` / ``milp``."""
+    """``repro.lp.solve`` through :func:`scipy.optimize.linprog` / ``milp``.
+
+    A :class:`~repro.lp.Coo` block is handed over as the CSR matrix the
+    callers built from the same triples before ``solve`` took them.
+    """
     from scipy import optimize
 
     if len(c) == 0:
         raise SolverError("program has no variables")
+    A_ub, A_eq = (  # noqa: N806
+        sparse.csr_matrix((block.data, (block.row, block.col)), shape=(len(rhs), len(c)))
+        if isinstance(block, Coo)
+        else block
+        for block, rhs in ((A_ub, b_ub), (A_eq, b_eq))
+    )
     bounds = np.asarray(bounds, dtype=np.float64)
     if integrality is not None and np.any(integrality):
         constraints = []

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
-import pytest
+import dataclasses
 
+import networkx as nx
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.errors import FaultError
+from repro.faults import reroute
 from repro.graphs.commodities import Commodity, build_commodities
+from repro.graphs.topology import NoCTopology
 from repro.routing.base import RoutingResult
 from repro.routing.deadlock import (
     channel_dependency_graph,
@@ -161,3 +168,86 @@ class TestSplitRoutingAudit:
         # the audit must complete and report a concrete verdict
         verdict = is_deadlock_free(routing)
         assert isinstance(verdict, bool)
+
+
+def _networkx_cycle(routing):
+    """The oracle: networkx's own search over the CDG's DiGraph."""
+    try:
+        edges = nx.find_cycle(channel_dependency_graph(routing), orientation="original")
+    except nx.NetworkXNoCycle:
+        return None
+    return [edge[0] for edge in edges]
+
+
+@st.composite
+def walked_routings(draw):
+    """A few commodities on a small (possibly damaged) mesh or torus, each on
+    a random simple walk — cyclic CDGs are common — and sometimes handed
+    over as fractional flows, so the routing-table branch is searched too."""
+    width, height = draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    fabric = NoCTopology(width, height, torus=draw(st.booleans()))
+    if draw(st.booleans()):
+        fabric = fabric.with_failed_links(
+            draw(st.lists(st.sampled_from(fabric.link_keys()), max_size=2))
+        )
+    adjacency = fabric.adjacency()
+    commodities, paths = [], {}
+    for k in range(draw(st.integers(1, 7))):
+        walk = [draw(st.sampled_from(fabric.healthy_nodes()))]
+        for _ in range(draw(st.integers(1, 6))):
+            options = [v for v in adjacency[walk[-1]] if fabric.has_link(walk[-1], v)]
+            options = [v for v in options if v not in walk]
+            if not options:
+                break
+            walk.append(draw(st.sampled_from(options)))
+        if len(walk) > 1:
+            commodities.append(Commodity(k, f"s{k}", f"d{k}", walk[0], walk[-1], 10.0))
+            paths[k] = walk
+    routing = RoutingResult.from_paths(fabric, commodities, paths, "walked")
+    return dataclasses.replace(routing, paths=None) if draw(st.booleans()) else routing
+
+
+_RING = RoutingResult.from_paths(
+    NoCTopology.mesh(2, 2),
+    [_commodity(0, 0, 3), _commodity(1, 1, 2), _commodity(2, 3, 0), _commodity(3, 2, 1)],
+    {0: [0, 1, 3], 1: [1, 3, 2], 2: [3, 2, 0], 3: [2, 0, 1]},
+    "ring",
+)
+
+
+class TestFindCycleIsNetworkx:
+    """``find_cycle`` searches a plain adjacency, not networkx; it must name
+    the cycle ``networkx.find_cycle`` names, so a ``FaultError`` reads the
+    same character for character."""
+
+    @given(walked_routings())
+    @example(_RING)
+    @settings(max_examples=300, deadline=None)
+    def test_the_cycle_is_networkx_s_and_so_is_the_fault_text(self, routing):
+        expected = _networkx_cycle(routing)
+        assert find_cycle(routing) == expected
+        assert is_deadlock_free(routing) is (expected is None)
+        assert count_dependencies(routing) == channel_dependency_graph(routing).number_of_edges()
+
+        def message(search):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(reroute, "find_cycle", search)
+                try:
+                    reroute.verify_deadlock_free(routing)
+                except FaultError as error:
+                    return str(error)
+            return None
+
+        assert message(find_cycle) == message(_networkx_cycle)
+
+    def test_the_draws_hold_both_verdicts(self):
+        """The property above sees cyclic and acyclic routings alike."""
+        verdicts = set()
+
+        @given(walked_routings())
+        @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+        def collect(routing):
+            verdicts.add(find_cycle(routing) is None)
+
+        collect()
+        assert verdicts == {True, False}

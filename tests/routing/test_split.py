@@ -58,7 +58,7 @@ class TestMcfAssembly:
         model = assemble_mcf(degraded, [_commodity(0, 0, 8, 5.0)])
         assert len(model.b_eq) == 8  # node 4 touches no link: no row
         assert model.b_eq.tolist() == [5.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -5.0]
-        rows, columns = model.eq[1]
+        rows, columns, _data = model.eq
         src, dst, _bandwidth = degraded.link_arrays()
         row_of_node = [0, 1, 2, 3, None, 4, 5, 6, 7]
         assert rows.tolist() == [row_of_node[n] for n in src.tolist() + dst.tolist()]
@@ -74,6 +74,14 @@ class TestMcfAssembly:
     def test_empty_commodities_rejected(self, mesh2x2):
         with pytest.raises(RoutingError):
             assemble_mcf(mesh2x2, [])
+
+    @pytest.mark.parametrize("quadrant_only", [False, True])
+    def test_no_commodities_need_no_lp(self, mesh2x2, quadrant_only):
+        """An app without flows: slack, cost and lambda are 0, nothing routed."""
+        for solver in (solve_mcf1, solve_mcf2, solve_min_congestion):
+            value, routing = solver(mesh2x2, [], quadrant_only)
+            assert value == 0.0
+            assert (routing.commodities, routing.flows, routing.max_link_load()) == ([], {}, 0.0)
 
 
 class TestMcf1:

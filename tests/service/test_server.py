@@ -335,6 +335,22 @@ class TestErrorPropagation:
         envelope = client.status(ticket.id)
         assert envelope["slots"][0]["error"] == "ApiError"
 
+    def test_an_app_without_traffic_on_a_default_bandwidth_is_a_400(self, service_pair):
+        """No flows, no ``link_bandwidth``: the derived default is 0, and the
+        worker's ApiError names the field to set."""
+        _, client = service_pair
+        request = MapRequest(
+            app={"schema": 1, "kind": "core-graph", "name": "idle", "cores": ["a", "b"],
+                 "flows": []},
+            topology=TopologySpec.parse("mesh:2x2"),
+        )  # fmt: skip
+        ticket = client.submit(request)
+        response = client.wait(ticket.id, timeout=60)
+        assert isinstance(response, ErrorResponse)
+        assert response.error == "ApiError" and "set link_bandwidth" in response.message
+        status, _ = client._request("GET", f"/v1/jobs/{ticket.id}/result")
+        assert status == 400
+
     def test_pbb_over_surviving_capacity_is_a_422(self, service_pair):
         """pip's 8 cores on the 7 routers left of a 3x3 mesh: PBB answers
         with a typed MappingError, not an internal error."""

@@ -113,6 +113,68 @@ class TestColdStart:
         )
         assert result.stdout.strip() == "[]"
 
+    def test_lps_and_a_faulted_simulation_load_neither_scipy_nor_networkx(self):
+        """Priced NMAP, NMAPTA and NMAPTM, the single-path ILP and a
+        simulation with a failed link (the deadlock re-check) load scipy's
+        HiGHS core by path and search a plain adjacency: the only scipy
+        modules loaded are that core's, and networkx stays out."""
+        script = (
+            "import sys\n"
+            "from repro.api import FaultSpec, MapRequest, SimRequest, execute_map, run\n"
+            "from repro.graphs.commodities import build_commodities\n"
+            "from repro.routing.ilp import ilp_single_path_routing\n"
+            "for mapper in ('nmap', 'nmap-ta', 'nmap-tm'):\n"
+            "    assert run(MapRequest(app='pip', mapper=mapper)).min_bw_split > 0\n"
+            "topology, result = execute_map(MapRequest(app='pip', price_bandwidth=False))\n"
+            "commodities = build_commodities(result.mapping.core_graph, result.mapping)\n"
+            "assert ilp_single_path_routing(topology, commodities)[0] > 0\n"
+            "sim = SimRequest(map_request=MapRequest(app='pip'), measure_cycles=300,\n"
+            "                 faults=FaultSpec(failed_links=((3, 4),)))\n"
+            "assert run(sim).packets_delivered > 0\n"
+            "loaded = [m for m in sys.modules if m.partition('.')[0] in ('scipy', 'networkx')]\n"
+            "print([m for m in loaded if not m.startswith('scipy.optimize._highspy._core')])\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            check=True,
+        )
+        assert result.stdout.strip() == "[]"
+
+    def test_src_imports_scipy_and_networkx_only_in_the_graph_exports(self):
+        """An ``ast`` walk: outside ``if TYPE_CHECKING:`` blocks, ``src/``
+        imports scipy or networkx only inside the lazy public exports that
+        hand back a networkx graph."""
+        importers = set()
+
+        def walk(node, function, path):
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                return
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            for name in names:
+                if name.partition(".")[0] in ("scipy", "networkx"):
+                    importers.add((path, function, name))
+            for child in ast.iter_child_nodes(node):
+                walk(child, function, path)
+
+        root = Path(repro.__file__).parent
+        for path in root.rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            walk(tree, None, path.relative_to(root).as_posix())
+        assert importers == {
+            ("graphs/core_graph.py", "to_networkx", "networkx"),
+            ("graphs/topology.py", "to_networkx", "networkx"),
+            ("routing/deadlock.py", "channel_dependency_graph", "networkx"),
+        }
+
     @pytest.mark.parametrize("subpackage", SUBPACKAGES)
     def test_every_subpackage_imports_first(self, subpackage):
         """No subpackage needs another imported before it: ``repro.metrics``
