@@ -49,7 +49,7 @@ from repro.graphs.topology import NoCTopology
 from repro.mapping.base import Mapping, MappingResult
 from repro.metrics.bandwidth import min_bandwidth_min_path, min_bandwidth_split
 from repro.routing.dimension_ordered import xy_routing
-from repro.routing.min_path import min_path_routing
+from repro.routing.min_path import is_min_path_routing_of, min_path_routing
 from repro.simnoc import SimConfig
 from repro.simnoc.network import build_network, build_synthetic_network
 from repro.simnoc.simulator import SimulationReport, Simulator
@@ -294,17 +294,23 @@ def _prepare_sim(request: SimRequest):
             # The split variants' own fractional routing is the point of
             # those mappers; everything else is priced with minimum paths.
             routing = result.routing
-        else:
-            # Derived routing tables are pure functions of (mapping,
-            # routing mode), so sweep points share one computation.
-            routing_key = (_map_cache_key(request.map_request), request.routing, None)
+        elif request.routing == "xy":
+            # XY tables are a pure function of the mapping: sweep points
+            # share one computation.
+            routing_key = (_map_cache_key(request.map_request), "xy", None)
             routing = _routing_cache.get(routing_key)
             if routing is None:
-                if request.routing == "xy":
-                    routing = xy_routing(topology, commodities)
-                else:  # "min-path" or the "auto" default
-                    routing = min_path_routing(topology, commodities)
+                routing = xy_routing(topology, commodities)
                 _routing_cache.put(routing_key, routing)
+        elif is_min_path_routing_of(result.routing, topology, commodities):
+            # The mapper's own min-path routing ("min-path" or the "auto"
+            # default): read (and, when the mapper deferred it, computed)
+            # once on the cached result, so sweep points share it.
+            routing = result.routing
+        else:
+            # A mapper whose routing is not min-path (a split mapper under
+            # routing="min-path") is routed afresh.
+            routing = min_path_routing(topology, commodities)
         network = build_network(sim_topology, commodities, routing, config)
     else:
         # Synthetic patterns drive the mapped topology directly (XY

@@ -7,14 +7,17 @@ moves of NMAP's improvement loop may move a core onto an empty node.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 import numpy as np
 
 from repro.errors import MappingError
+from repro.graphs.commodities import build_commodities
 from repro.graphs.core_graph import CoreGraph
 from repro.graphs.topology import NoCTopology
+from repro.routing.min_path import min_path_routing
 
 
 def require_capacity(core_graph: CoreGraph, topology: NoCTopology) -> None:
@@ -288,6 +291,40 @@ class Mapping:
         return "\n".join(rows)
 
 
+class Deferred(enum.Enum):
+    ROUTING = "deferred"
+
+
+#: The ``routing`` of a :class:`MappingResult` whose mapper did not route:
+#: the result computes the final mapping's min-path routing on first read.
+DEFERRED = Deferred.ROUTING
+
+
+class _RoutingSlot:
+    """``MappingResult.routing``: the routing the mapper handed over or, for
+    :data:`DEFERRED`, ``min_path_routing`` of the final mapping, computed on
+    the first read and kept.
+
+    The value lives in the instance ``__dict__``, so a result pickles before
+    and after the read alike; two threads racing the first read at worst
+    route twice, to equal results.
+    """
+
+    def __get__(self, result: "MappingResult | None", owner: type | None = None) -> Any:
+        if result is None:
+            return None  # the dataclass field's default
+        routing = result.__dict__["routing"]
+        if routing is DEFERRED:
+            mapping = result.mapping
+            routing = result.__dict__["routing"] = min_path_routing(
+                mapping.topology, build_commodities(mapping.core_graph, mapping)
+            )
+        return routing
+
+    def __set__(self, result: "MappingResult", routing: Any) -> None:
+        result.__dict__["routing"] = routing
+
+
 @dataclass
 class MappingResult:
     """Outcome of a mapping algorithm run.
@@ -299,7 +336,9 @@ class MappingResult:
         feasible: True when the reported routing satisfies Inequality 3.
         algorithm: name of the producing algorithm (e.g. ``"nmap"``).
         routing: the routing evidence backing ``feasible`` (a
-            :class:`repro.routing.base.RoutingResult`) or None.
+            :class:`repro.routing.base.RoutingResult`) or None.  A mapper
+            that needed no routing to decide ``feasible`` passes
+            :data:`DEFERRED`, and the first read routes the final mapping.
         stats: algorithm-specific counters (swaps tried, LPs solved, ...).
     """
 
@@ -307,7 +346,7 @@ class MappingResult:
     comm_cost: float
     feasible: bool
     algorithm: str
-    routing: Any = None
+    routing: Any = _RoutingSlot()
     stats: dict[str, Any] = field(default_factory=dict)
 
     def __repr__(self) -> str:

@@ -36,22 +36,35 @@ from repro.api.registry import register_mapper
 from repro.graphs.commodities import build_commodities
 from repro.graphs.core_graph import CoreGraph
 from repro.graphs.topology import NoCTopology
-from repro.mapping.base import Mapping, MappingResult
+from repro.mapping.base import DEFERRED, Deferred, Mapping, MappingResult
 from repro.mapping.initializer import initial_mapping
 from repro.metrics.comm_cost import MAXVALUE, SwapGains, comm_cost
 from repro.routing.base import RoutingResult
 from repro.routing.min_path import min_path_routing
 
 
-def evaluate_single_path(mapping: Mapping) -> tuple[float, RoutingResult, bool]:
+def evaluate_single_path(mapping: Mapping) -> tuple[float, RoutingResult | Deferred, bool]:
     """The ``shortestpath()`` evaluation of one complete mapping.
+
+    On a pristine fabric whose every link carries at least the
+    application's total traffic no routing can break a capacity, so none is
+    run: the routing comes back :data:`~repro.mapping.base.DEFERRED`, which
+    a :class:`MappingResult` routes on first read.  A degraded fabric is
+    always routed here, so a fault that disconnects a commodity fails at
+    map time.
 
     Returns:
         ``(cost, routing, feasible)`` where ``cost`` is Equation 7 when the
         routed loads satisfy every link capacity and ``maxvalue`` otherwise.
+        ``routing`` is the min-path :class:`RoutingResult` or, in the
+        pristine trivially-feasible case, :data:`DEFERRED` (not a routing:
+        hand it to a :class:`MappingResult` and read ``result.routing``).
     """
+    topology = mapping.topology
+    if not topology.is_degraded and _trivially_feasible(mapping.core_graph, topology):
+        return comm_cost(mapping), DEFERRED, True
     commodities = build_commodities(mapping.core_graph, mapping)
-    routing = min_path_routing(mapping.topology, commodities)
+    routing = min_path_routing(topology, commodities)
     feasible = routing.is_feasible()
     cost = comm_cost(mapping) if feasible else MAXVALUE
     return cost, routing, feasible
@@ -177,15 +190,10 @@ def nmap_single_path(
         stats["expected_fault_cost"] = comm_cost(mapping) / ensemble_size
         mapping = Mapping(core_graph, topology, mapping.placement)
 
-    final_cost, routing, feasible = (
-        (comm_cost(mapping), None, True) if skip_routing else evaluate_single_path(mapping)
-    )
-    if skip_routing:
-        commodities = build_commodities(core_graph, mapping)
-        routing = min_path_routing(topology, commodities)
+    final_cost, routing, feasible = evaluate_single_path(mapping)
     return MappingResult(
         mapping=mapping,
-        comm_cost=final_cost if feasible else MAXVALUE,
+        comm_cost=final_cost,
         feasible=feasible,
         algorithm="nmap",
         routing=routing,

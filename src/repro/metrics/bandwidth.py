@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 from repro.graphs.commodities import build_commodities
 from repro.routing.base import RoutingResult
 from repro.routing.dimension_ordered import xy_routing
-from repro.routing.min_path import min_path_routing
+from repro.routing.min_path import is_min_path_routing_of, min_path_routing
 from repro.routing.split import solve_min_congestion
 
 if TYPE_CHECKING:  # annotations only: repro.mapping imports repro.metrics
@@ -38,12 +38,7 @@ def min_bandwidth_min_path(
             topology, same commodities — and routed afresh otherwise.
     """
     commodities = build_commodities(mapping.core_graph, mapping)
-    if (
-        routed is not None
-        and routed.algorithm == "min-path"
-        and routed.topology is mapping.topology
-        and routed.commodities == commodities
-    ):
+    if is_min_path_routing_of(routed, mapping.topology, commodities):
         routing = routed
     else:
         routing = min_path_routing(mapping.topology, commodities)

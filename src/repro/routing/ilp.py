@@ -35,14 +35,15 @@ def ilp_single_path_routing(
             against huge quadrants; a 7-hop quadrant already has 35 paths).
 
     Returns:
-        ``(max_link_load, routing)`` at the ILP optimum.
+        ``(max_link_load, routing)`` at the ILP optimum; no commodities
+        load nothing, ``(0.0, empty routing)`` without a solve.
 
     Raises:
         RoutingError: when the MILP fails (should not happen: selecting any
             path per commodity is always feasible).
     """
     if not commodities:
-        raise RoutingError("cannot route zero commodities")
+        return 0.0, RoutingResult.from_paths(topology, [], {}, algorithm="ilp-single-path")
     # Columns: one binary pick per (commodity, candidate path), commodity-
     # major, then lambda.  Rows: each commodity picks exactly one path; each
     # used link, in sorted order, carries at most lambda.

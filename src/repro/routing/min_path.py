@@ -159,3 +159,18 @@ def min_path_routing(
     # Only the default weight is "min-path": the routing a priced response reuses.
     algorithm = "min-path" if base_weight == 1.0 else f"min-path(base_weight={base_weight:g})"
     return RoutingResult.from_paths(topology, commodities, paths, algorithm=algorithm)
+
+
+def is_min_path_routing_of(
+    routing: RoutingResult | None, topology: NoCTopology, commodities: list[Commodity]
+) -> bool:
+    """True when ``routing`` is what ``min_path_routing(topology,
+    commodities)`` returns: the default-weight router, on this very topology
+    object, over equal commodities.  The one rule for reusing a routing that
+    was already run (a mapper's ``MappingResult.routing``)."""
+    return (
+        routing is not None
+        and routing.algorithm == "min-path"
+        and routing.topology is topology
+        and routing.commodities == commodities
+    )

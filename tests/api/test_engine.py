@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -21,10 +22,12 @@ from repro.api import (
     run,
     run_batch,
 )
-from repro.api.engine import execute_map
-from repro.errors import ApiError, ReproError
+from repro.api.engine import execute_map, resolve_app
+from repro.errors import ApiError, FaultError, ReproError
 from repro.graphs.io import core_graph_to_dict
 from repro.metrics.bandwidth import min_bandwidth_min_path
+from repro.routing import min_path
+from repro.routing.base import RoutingResult
 
 
 class TestRunMap:
@@ -158,6 +161,101 @@ class TestPricingReusesTheMappersRouting:
         value, routing = min_bandwidth_min_path(result.mapping, result.routing)
         assert routing is not result.routing and routing.algorithm == "min-path"
         assert value == min_bandwidth_min_path(result.mapping)[0]
+
+
+#: The registered mappers that route with minimum paths (all but the split pair).
+_SINGLE_PATH = [name for name in list_mappers() if name not in ("nmap-ta", "nmap-tm")]
+
+
+@pytest.fixture
+def routing_calls(monkeypatch):
+    """Every ``min_path_routing`` call any ``repro`` module makes, counted."""
+    calls = []
+    original = min_path.min_path_routing
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "min_path_routing", None) is original:
+            monkeypatch.setattr(module, "min_path_routing", counted)
+    clear_request_caches()
+    yield calls
+    clear_request_caches()
+
+
+class TestARoutingRunsOnlyWhenRead:
+    """A single-path mapper on a pristine fabric whose every link carries the
+    app's total traffic leaves its routing deferred: only a reader routes."""
+
+    @staticmethod
+    def _map(app, mapper, price):
+        request = MapRequest(app=app, mapper=mapper, price_bandwidth=price)
+        graph = resolve_app(app)
+        fabric = request.topology.build(graph)
+        assert fabric.min_link_bandwidth() >= graph.total_bandwidth()  # trivially feasible
+        return request
+
+    @pytest.mark.parametrize("mapper", _SINGLE_PATH)
+    def test_an_unpriced_request_routes_nothing(self, routing_calls, mapper):
+        run(self._map("pip", mapper, price=False))
+        assert len(routing_calls) == 0
+
+    @pytest.mark.parametrize("mapper", _SINGLE_PATH)
+    def test_a_priced_request_routes_once(self, routing_calls, mapper):
+        response = run(self._map("pip", mapper, price=True))
+        assert len(routing_calls) == 1 and response.min_bw_single is not None
+
+    def test_a_trace_simulation_routes_once(self, routing_calls):
+        run(SimRequest(map_request=MapRequest(app="vopd"), measure_cycles=300,
+                       warmup_cycles=50, drain_cycles=100))  # fmt: skip
+        assert len(routing_calls) == 1
+
+    def test_three_sweep_points_route_once_together(self, routing_calls):
+        run_batch(
+            [
+                SimRequest(map_request=MapRequest(app="vopd", price_bandwidth=False),
+                           measure_cycles=300, warmup_cycles=50, drain_cycles=100,
+                           sim_seed=seed)
+                for seed in (1, 2, 3)
+            ],
+            workers=1,
+        )  # fmt: skip
+        assert len(routing_calls) == 1
+
+
+def _ring() -> dict:
+    """Four cores in a directed ring: any placement on a 2x2 crosses every side."""
+    flows = [{"src": a, "dst": b, "bandwidth": 10} for a, b in ("ab", "bc", "cd", "da")]
+    return {"schema": 1, "kind": "core-graph", "name": "ring", "cores": list("abcd"),
+            "flows": flows}  # fmt: skip
+
+
+class TestFaultsStillFailAtMapTime:
+    """A degraded fabric is routed eagerly, trivially feasible or not, so a
+    fault that disconnects a commodity fails the map request itself."""
+
+    @pytest.mark.parametrize("bandwidth", [1000.0, 15.0])  # trivially feasible, tight
+    @pytest.mark.parametrize("mapper", _SINGLE_PATH)
+    def test_a_disconnecting_fault_is_a_fault_error(self, mapper, bandwidth):
+        request = MapRequest(
+            app=_ring(),
+            mapper=mapper,
+            topology=TopologySpec.parse("mesh:2x2", link_bandwidth=bandwidth),
+            faults=FaultSpec(failed_links=((0, 1), (2, 3))),  # two 2-node halves
+            price_bandwidth=False,
+        )
+        with pytest.raises(FaultError, match="is disconnected"):
+            run(request)
+
+    @pytest.mark.parametrize("faults", _FAULTS[1:3])  # a failed link, a failed router
+    @pytest.mark.parametrize("mapper", _SINGLE_PATH)
+    def test_a_degraded_fabric_is_routed_by_the_mapper(self, mapper, faults):
+        _topology, result = execute_map(
+            MapRequest(app="pip", mapper=mapper, faults=faults, price_bandwidth=False)
+        )
+        assert isinstance(vars(result)["routing"], RoutingResult)
 
 
 class TestRunBatch:
@@ -311,10 +409,11 @@ class TestRequestCaches:
             cold.append(run(request).to_dict())
         assert warm == cold
 
-    def test_trace_routing_cache_matches_cold(self):
+    @pytest.mark.parametrize("mapper", ["nmap", "nmap-ta"])  # single-path, split
+    def test_trace_routing_cache_matches_cold(self, mapper):
         def request(routing):
             return SimRequest(
-                map_request=MapRequest(app="dsp", price_bandwidth=False),
+                map_request=MapRequest(app="dsp", mapper=mapper, price_bandwidth=False),
                 measure_cycles=800,
                 warmup_cycles=200,
                 drain_cycles=300,

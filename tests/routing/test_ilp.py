@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import RoutingError
 from repro.graphs.commodities import Commodity
+from repro.graphs.topology import NoCTopology
 from repro.routing.base import path_links
 from repro.routing.ilp import ilp_single_path_routing
 from repro.routing.min_path import min_path_routing
@@ -63,6 +63,11 @@ class TestIlpRouting:
         with pytest.raises(Exception):  # GraphError via enumerate limit
             ilp_single_path_routing(mesh4x4, [_commodity(0, 0, 15, 1.0)], path_limit=3)
 
-    def test_empty_rejected(self, mesh3x3):
-        with pytest.raises(RoutingError):
-            ilp_single_path_routing(mesh3x3, [])
+    def test_no_commodities_load_nothing(self):
+        # As the MCF solvers answer an app without traffic: 0, no solve.
+        mesh = NoCTopology.mesh(2, 2)
+        load, routing = ilp_single_path_routing(mesh, [])
+        assert load == 0.0
+        assert (routing.topology, routing.commodities) == (mesh, [])
+        assert (routing.flows, routing.paths) == ({}, {})
+        assert routing.max_link_load() == 0.0

@@ -369,6 +369,25 @@ class TestErrorPropagation:
         status, _ = client._request("GET", f"/v1/jobs/{ticket.id}/result")
         assert status == 422
 
+    def test_a_disconnecting_fault_on_ample_links_is_a_422(self, service_pair):
+        """Links far above the app's traffic, two halves of a 2x2 cut apart:
+        the mapper still routes the degraded fabric and fails at map time."""
+        _, client = service_pair
+        request = MapRequest(
+            app={"schema": 1, "kind": "core-graph", "name": "ring", "cores": list("abcd"),
+                 "flows": [{"src": a, "dst": b, "bandwidth": 10}
+                           for a, b in ("ab", "bc", "cd", "da")]},
+            topology=TopologySpec.parse("mesh:2x2", link_bandwidth=1000.0),
+            faults=FaultSpec(failed_links=((0, 1), (2, 3))),
+            price_bandwidth=False,
+        )  # fmt: skip
+        ticket = client.submit(request)
+        response = client.wait(ticket.id, timeout=60)
+        assert isinstance(response, ErrorResponse)
+        assert response.error == "FaultError" and "is disconnected" in response.message
+        status, _ = client._request("GET", f"/v1/jobs/{ticket.id}/result")
+        assert status == 422
+
     def test_convenience_helpers_raise_with_typed_payload(self, service_pair):
         _, client = service_pair
         request = MapRequest(app="vopd", topology=TopologySpec.parse("mesh:2x2"))
