@@ -43,9 +43,11 @@ from repro.service.wire import canonical_response_bytes, parse_request, parse_re
 from repro.simnoc import SimConfig, Simulator, build_network
 
 #: Seconds one golden-seed ``map_suite`` round may spend assembling its MCF
-#: programs and reading their flows back.  The array assembly reads ~0.02 s
-#: on the reference host, the object-built one it replaced 0.24 s.
-MCF_ASSEMBLY_BUDGET_S = 0.1
+#: programs and reading their flows back.  The array assembly read ~0.02 s
+#: on the reference host for the round's 30 programs, the object-built one
+#: it replaced 0.24 s.  The 7 programs left read 3.2 ms on a 2-CPU host,
+#: where the 30 read 15 ms.
+MCF_ASSEMBLY_BUDGET_S = 0.02
 
 #: Seconds for NMAP on the 100-core graph of the golden-seed ``map_suite``
 #: round (24 750 swaps tried over five passes).  Gathering each row from the
@@ -64,28 +66,36 @@ NMAP_100_CORES_BUDGET_S = 0.03
 #: routed the 100 cores' quadrant DAGs at the end.
 PMAP_100_CORES_BUDGET_S = 0.005
 
+#: Seconds for NMAPTA on the seed-7 ``random_core_graph`` of 49 and of 100
+#: cores, each on its ``auto`` mesh (links at the graph's total traffic):
+#: no capacity can bind, so the 8 / 28 MCF1 / MCF2 candidates the search
+#: prices are priced in closed form, a swap its Manhattan bound prunes
+#: builds no candidate mapping, and the final MCF2 waits for a reader.  Min
+#: of three reads 6.5-6.9 ms and 17.7-18.1 ms on a 2-CPU host, where
+#: handing every program to HiGHS read 1.6-1.8 s and 60-67 s.
+NMAP_TA_49_CORES_BUDGET_S = 0.02
+NMAP_TA_100_CORES_BUDGET_S = 0.05
+
 #: Seconds for one 2 700-cycle VOPD trace run on the ``cycle`` engine (the
 #: network built fresh each round, outside the timing).  Port lists and
 #: next hops cached per packet read 64-88 ms on the reference host, the
 #: step that re-read every head and re-resolved every hop 146-175 ms.
 CYCLE_VOPD_TRACE_BUDGET_S = 0.12
 
-#: MCF programs one golden-seed ``map_suite`` round hands HiGHS: the NMAPTM /
-#: NMAPTA searches' and each priced ``nmap`` request's min-congestion first
-#: phase.  Pricing reads only lambda*, phase 1's objective, so it skips the
-#: flow-minimizing second phase (seven more programs, 37, when it did not).
-GOLDEN_ROUND_PROGRAMS = 30
+#: MCF programs one golden-seed ``map_suite`` round hands HiGHS: each priced
+#: ``nmap`` request's min-congestion first phase.  Pricing reads only
+#: lambda*, phase 1's objective, so it skips the flow-minimizing second
+#: phase (seven more programs when it did not).  Every NMAPTM / NMAPTA
+#: request runs on links that carry its app's total traffic, where the
+#: search prices in closed form (23 more programs, 30, when it did not).
+GOLDEN_ROUND_PROGRAMS = 7
 
-#: Seconds to solve the 30 MCF programs of one golden-seed ``map_suite``
-#: round through ``repro.lp.solve``, arrays prebuilt.  Unlike the budgets
-#: above this one is set on a host ~2.3-2.6x slower than the reference
-#: host (the e2e bench's ``host.slowdown``): there, driving scipy's bundled
-#: HiGHS core directly read 229-250 ms over the 37 programs a round had
-#: with pricing's second phase, and the ``linprog`` / ``milp`` call it
-#: replaced 322-400 ms (HiGHS's own ``run`` is ~115 ms of either).  The
-#: budget is 0.28 s scaled to 30 programs; the reference host reads the 30
-#: in 87-104 ms.
-LP_GOLDEN_ROUND_BUDGET_S = 0.23
+#: Seconds to solve the 7 MCF programs of one golden-seed ``map_suite``
+#: round through ``repro.lp.solve``, arrays prebuilt.  Like the budget of
+#: the 30 programs the round had before the split searches priced in
+#: closed form (0.23 s), this one is set on a host slower than the
+#: reference host: there the 7 read 51-62 ms and the 30 read 152-193 ms.
+LP_GOLDEN_ROUND_BUDGET_S = 0.1
 
 #: Seconds for PBB on ``pip`` (8 cores, 3x3 mesh, a 2 000-deep queue, ~7.6 k
 #: partials).  A tree level branched, bounded and pruned as arrays reads
@@ -125,12 +135,16 @@ CLI_MAP_VOPD_COLD_BUDGET_S = 0.7
 #: ``scipy.optimize`` and ``scipy.sparse``.
 NMAP_TA_RSS_GROWTH_BUDGET_MB = 15
 
-#: Prints the MB of peak RSS one ``nmap-ta`` request adds.
+#: Prints the MB of peak RSS one ``nmap-ta`` request adds.  Its links are
+#: below pip's 768 MB/s total, so the search hands its MCF1 / MCF2 programs
+#: to HiGHS (at or above it, it prices in closed form and loads nothing).
 _NMAP_TA_RSS_GROWTH = """
 import resource
-from repro.api import MapRequest, run
+from repro.api import MapRequest, TopologySpec, run
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-assert run(MapRequest(app="pip", mapper="nmap-ta")).feasible
+bound = TopologySpec.parse("auto", link_bandwidth=700.0)
+response = run(MapRequest(app="pip", mapper="nmap-ta", topology=bound, price_bandwidth=False))
+assert response.feasible and response.stats["mcf2_solved"] > 0
 print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
 """
 
@@ -221,6 +235,25 @@ def test_runtime_nmap_100_cores(benchmark):
     )
     assert result.stats["swaps_tried"] == 24_750
     assert benchmark.stats.stats.min < NMAP_100_CORES_BUDGET_S
+
+
+def test_runtime_nmap_ta_49_cores(benchmark):
+    """1 176 candidates, 8 of them priced, none through HiGHS."""
+    result = benchmark.pedantic(
+        nmap_with_splitting, setup=lambda: _random_instance(49, 7), rounds=3
+    )
+    assert result.feasible and result.stats["mcf2_solved"] == 7
+    assert benchmark.stats.stats.min < NMAP_TA_49_CORES_BUDGET_S
+
+
+def test_runtime_nmap_ta_100_cores(benchmark):
+    """4 950 candidates, 28 of them priced (1 MCF1, 27 MCF2), none through
+    HiGHS: ROADMAP item 11's cliff, where every one was an LP."""
+    result = benchmark.pedantic(
+        nmap_with_splitting, setup=lambda: _random_instance(100, 7), rounds=3
+    )
+    assert result.feasible and result.stats["mcf2_solved"] == 27
+    assert benchmark.stats.stats.min < NMAP_TA_100_CORES_BUDGET_S
 
 
 def test_runtime_min_path_routing_100_cores(benchmark):
@@ -315,7 +348,7 @@ def test_runtime_nmap_split_dsp(benchmark):
 
 
 def test_runtime_mcf_assembly_map_suite_round(benchmark, monkeypatch):
-    """The 30 MCF programs of a golden-seed ``map_suite`` round: everything
+    """The 7 MCF programs of a golden-seed ``map_suite`` round: everything
     ``routing.split`` does around HiGHS — assembly, matrices, read-back —
     on each request's own cold topology, under a fixed budget."""
     requests = _golden_map_suite()
@@ -360,7 +393,7 @@ def test_runtime_mcf_assembly_map_suite_round(benchmark, monkeypatch):
 
 
 def test_runtime_lp_golden_round(benchmark, monkeypatch):
-    """The 30 HiGHS programs of a golden-seed ``map_suite`` round, captured
+    """The 7 HiGHS programs of a golden-seed ``map_suite`` round, captured
     as ``routing.split`` hands them over and solved again under a budget."""
     programs = []
 

@@ -103,7 +103,7 @@ def _build_map_response(
     """The one place a MappingResult becomes a serializable response."""
     min_bw_single = min_bw_split = None
     if price_bandwidth and result.feasible:
-        min_bw_single = min_bandwidth_min_path(result.mapping, result.routing)[0]
+        min_bw_single = min_bandwidth_min_path(result.mapping, result.min_path_candidate)[0]
         min_bw_split = min_bandwidth_split(result.mapping)[0]
     return MapResponse(
         request=request,
@@ -288,8 +288,10 @@ def _prepare_sim(request: SimRequest):
             if routing is None:
                 routing = fault_reroute(sim_topology, commodities)
                 _routing_cache.put(routing_key, routing)
-        elif result.routing is not None and request.routing == "auto" and (
-            request.map_request.mapper.startswith("nmap-t")
+        elif (
+            request.routing == "auto"
+            and request.map_request.mapper.startswith("nmap-t")
+            and result.routing is not None
         ):
             # The split variants' own fractional routing is the point of
             # those mappers; everything else is priced with minimum paths.
@@ -302,14 +304,15 @@ def _prepare_sim(request: SimRequest):
             if routing is None:
                 routing = xy_routing(topology, commodities)
                 _routing_cache.put(routing_key, routing)
-        elif is_min_path_routing_of(result.routing, topology, commodities):
+        elif is_min_path_routing_of(result.min_path_candidate, topology, commodities):
             # The mapper's own min-path routing ("min-path" or the "auto"
             # default): read (and, when the mapper deferred it, computed)
             # once on the cached result, so sweep points share it.
             routing = result.routing
         else:
             # A mapper whose routing is not min-path (a split mapper under
-            # routing="min-path") is routed afresh.
+            # routing="min-path", its deferred MCF2 left unsolved) is
+            # routed afresh.
             routing = min_path_routing(topology, commodities)
         network = build_network(sim_topology, commodities, routing, config)
     else:

@@ -18,6 +18,7 @@ from repro.graphs.commodities import build_commodities
 from repro.graphs.core_graph import CoreGraph
 from repro.graphs.topology import NoCTopology
 from repro.routing.min_path import min_path_routing
+from repro.routing.split import solve_mcf2
 
 
 def require_capacity(core_graph: CoreGraph, topology: NoCTopology) -> None:
@@ -291,19 +292,49 @@ class Mapping:
         return "\n".join(rows)
 
 
+def no_capacity_can_bind(core_graph: CoreGraph, topology: NoCTopology) -> bool:
+    """True on a pristine fabric whose every link carries at least the
+    application's total traffic.  There no routing, single-path or split,
+    can break a capacity: Inequality 3 holds for any placement, MCF1's
+    optimum is 0 and MCF2's is Equation 7's cost, so a mapper prices
+    without routing and hands its routing over :class:`Deferred`."""
+    return (
+        not topology.is_degraded
+        and topology.min_link_bandwidth() >= core_graph.total_bandwidth()
+    )
+
+
 class Deferred(enum.Enum):
-    ROUTING = "deferred"
+    """A routing a mapper did not run, named by the algorithm it stands for.
+
+    A :class:`MappingResult` computes it for the final mapping on the first
+    read of ``routing``: ``MIN_PATH`` is ``min_path_routing``; the split
+    pair is the MCF2 routing (Equation 9) over all links (NMAPTA) or each
+    commodity's quadrant only (NMAPTM), the program the search would have
+    solved for that mapping.  The value is the routing's ``algorithm``.
+    """
+
+    MIN_PATH = "min-path"
+    MCF_SPLIT = "mcf-split"
+    MCF_SPLIT_MINPATH = "mcf-split-minpath"
+
+    def route(self, mapping: Mapping) -> Any:
+        commodities = build_commodities(mapping.core_graph, mapping)
+        if self is Deferred.MIN_PATH:
+            return min_path_routing(mapping.topology, commodities)
+        quadrant_only = self is Deferred.MCF_SPLIT_MINPATH
+        return solve_mcf2(mapping.topology, commodities, quadrant_only=quadrant_only)[1]
 
 
 #: The ``routing`` of a :class:`MappingResult` whose mapper did not route:
 #: the result computes the final mapping's min-path routing on first read.
-DEFERRED = Deferred.ROUTING
+DEFERRED = Deferred.MIN_PATH
 
 
 class _RoutingSlot:
     """``MappingResult.routing``: the routing the mapper handed over or, for
-    :data:`DEFERRED`, ``min_path_routing`` of the final mapping, computed on
-    the first read and kept.
+    a :class:`Deferred`, the routing it stands for, computed on the first
+    read and kept.
 
     The value lives in the instance ``__dict__``, so a result pickles before
     and after the read alike; two threads racing the first read at worst
@@ -314,11 +345,8 @@ class _RoutingSlot:
         if result is None:
             return None  # the dataclass field's default
         routing = result.__dict__["routing"]
-        if routing is DEFERRED:
-            mapping = result.mapping
-            routing = result.__dict__["routing"] = min_path_routing(
-                mapping.topology, build_commodities(mapping.core_graph, mapping)
-            )
+        if isinstance(routing, Deferred):
+            routing = result.__dict__["routing"] = routing.route(result.mapping)
         return routing
 
     def __set__(self, result: "MappingResult", routing: Any) -> None:
@@ -337,8 +365,9 @@ class MappingResult:
         algorithm: name of the producing algorithm (e.g. ``"nmap"``).
         routing: the routing evidence backing ``feasible`` (a
             :class:`repro.routing.base.RoutingResult`) or None.  A mapper
-            that needed no routing to decide ``feasible`` passes
-            :data:`DEFERRED`, and the first read routes the final mapping.
+            that needed no routing to decide ``feasible`` passes a
+            :class:`Deferred`, and the first read computes it for the final
+            mapping: min paths, or one MCF2 program for a split mapper.
         stats: algorithm-specific counters (swaps tried, LPs solved, ...).
     """
 
@@ -348,6 +377,17 @@ class MappingResult:
     algorithm: str
     routing: Any = _RoutingSlot()
     stats: dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def min_path_candidate(self) -> Any:
+        """``routing`` for a reuse check against min paths
+        (``is_min_path_routing_of``), read only where it can pass: a
+        deferred split routing is never min-path, so it comes back None
+        unsolved rather than as an MCF2 solved to be thrown away."""
+        held = self.__dict__["routing"]
+        if isinstance(held, Deferred) and held is not Deferred.MIN_PATH:
+            return None
+        return self.routing
 
     def __repr__(self) -> str:
         cost = "inf" if self.comm_cost == float("inf") else f"{self.comm_cost:.1f}"

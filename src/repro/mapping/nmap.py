@@ -36,7 +36,7 @@ from repro.api.registry import register_mapper
 from repro.graphs.commodities import build_commodities
 from repro.graphs.core_graph import CoreGraph
 from repro.graphs.topology import NoCTopology
-from repro.mapping.base import DEFERRED, Deferred, Mapping, MappingResult
+from repro.mapping.base import DEFERRED, Deferred, Mapping, MappingResult, no_capacity_can_bind
 from repro.mapping.initializer import initial_mapping
 from repro.metrics.comm_cost import MAXVALUE, SwapGains, comm_cost
 from repro.routing.base import RoutingResult
@@ -61,7 +61,7 @@ def evaluate_single_path(mapping: Mapping) -> tuple[float, RoutingResult | Defer
         hand it to a :class:`MappingResult` and read ``result.routing``).
     """
     topology = mapping.topology
-    if not topology.is_degraded and _trivially_feasible(mapping.core_graph, topology):
+    if no_capacity_can_bind(mapping.core_graph, topology):
         return comm_cost(mapping), DEFERRED, True
     commodities = build_commodities(mapping.core_graph, mapping)
     routing = min_path_routing(topology, commodities)

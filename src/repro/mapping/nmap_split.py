@@ -15,7 +15,20 @@ Control flow follows the pseudo-code:
 Fast path (identical results): MCF2's optimum is lower-bounded by
 Equation 7's Manhattan cost (every unit of flow crosses at least
 ``dist(src, dst)`` links), so in the cost phase candidates whose Manhattan
-bound already exceeds the best cost skip the LP.
+bound already reaches the best cost are neither built nor priced.
+
+Closed form: on a pristine fabric whose every link carries at least the
+application's total traffic (:func:`~repro.mapping.base.no_capacity_can_bind`)
+no capacity can bind, so MCF1's optimum is 0 and MCF2's is that Manhattan
+bound, which any min-path routing reaches.  There every candidate is priced
+without an LP: the search runs the same steps and counts the same programs
+(``mcf1_solved`` / ``mcf2_solved`` count MCF programs priced, in closed
+form or by HiGHS), and the final mapping's MCF2 routing is left
+:class:`~repro.mapping.base.Deferred`, solved on the first read of
+``result.routing``.  The cost is then exactly Equation 7 of the placement,
+where HiGHS's objective can differ from it in the last bits on
+non-integral bandwidths.  Degraded fabrics and links below the total
+traffic solve every program.
 
 ``quadrant_only=True`` restricts every commodity to its minimum paths
 (Equation 10) — the low-jitter NMAPTM variant; False is NMAPTA.
@@ -28,7 +41,7 @@ from repro.api.registry import register_mapper
 from repro.graphs.commodities import build_commodities
 from repro.graphs.core_graph import CoreGraph
 from repro.graphs.topology import NoCTopology
-from repro.mapping.base import Mapping, MappingResult
+from repro.mapping.base import Deferred, Mapping, MappingResult, no_capacity_can_bind
 from repro.mapping.initializer import initial_mapping
 from repro.metrics.comm_cost import MAXVALUE, SwapGains, comm_cost
 from repro.routing.split import solve_mcf1, solve_mcf2
@@ -37,12 +50,21 @@ from repro.routing.split import solve_mcf1, solve_mcf2
 SLACK_TOLERANCE = 1e-6
 
 
-def _mcf1_slack(mapping: Mapping, quadrant_only: bool) -> tuple[float, object]:
+def _mcf1_slack(
+    mapping: Mapping, quadrant_only: bool, closed_form: bool
+) -> tuple[float, object]:
+    if closed_form:
+        return 0.0, None
     commodities = build_commodities(mapping.core_graph, mapping)
     return solve_mcf1(mapping.topology, commodities, quadrant_only=quadrant_only)
 
 
-def _mcf2_cost(mapping: Mapping, quadrant_only: bool) -> tuple[float, object] | None:
+def _mcf2_cost(
+    mapping: Mapping, quadrant_only: bool, closed_form: bool
+) -> tuple[float, object] | None:
+    if closed_form:
+        deferred = Deferred.MCF_SPLIT_MINPATH if quadrant_only else Deferred.MCF_SPLIT
+        return comm_cost(mapping), deferred
     commodities = build_commodities(mapping.core_graph, mapping)
     return solve_mcf2(mapping.topology, commodities, quadrant_only=quadrant_only)
 
@@ -64,19 +86,23 @@ def nmap_with_splitting(
     Returns:
         :class:`MappingResult` whose ``routing`` holds the fractional MCF2
         flows of the final mapping (or the MCF1 flows when no feasible
-        mapping was found, for diagnosis).
+        mapping was found, for diagnosis); in the closed-form regime they
+        are solved on first read.  ``stats["mcf1_solved"]`` and
+        ``stats["mcf2_solved"]`` count the MCF programs priced, in closed
+        form or by HiGHS.
     """
     algorithm = "nmap-tm" if quadrant_only else "nmap-ta"
+    closed_form = no_capacity_can_bind(core_graph, topology)
     mapping = initial_mapping(core_graph, topology)
     stats = {"swaps_tried": 0, "swaps_accepted": 0, "mcf1_solved": 0, "mcf2_solved": 0}
 
-    best_slack, slack_routing = _mcf1_slack(mapping, quadrant_only)
+    best_slack, slack_routing = _mcf1_slack(mapping, quadrant_only, closed_form)
     stats["mcf1_solved"] += 1
     bw_satisfied = best_slack <= SLACK_TOLERANCE
     best_cost = MAXVALUE
     best_routing = slack_routing
     if bw_satisfied:
-        priced = _mcf2_cost(mapping, quadrant_only)
+        priced = _mcf2_cost(mapping, quadrant_only, closed_form)
         stats["mcf2_solved"] += 1
         if priced is None:  # pragma: no cover - zero slack implies feasible
             bw_satisfied = False
@@ -96,13 +122,15 @@ def nmap_with_splitting(
             lower_bounds = comm_cost(mapping) + gains.deltas(nodes[i], nodes[i + 1 :])
             for j, lower_bound in enumerate(lower_bounds.tolist(), start=i + 1):
                 stats["swaps_tried"] += 1
+                if bw_satisfied and lower_bound >= swap_cost:
+                    continue  # its Manhattan bound cannot beat the incumbent
                 candidate = mapping.swapped(nodes[i], nodes[j])
                 if not bw_satisfied:
-                    slack, routing = _mcf1_slack(candidate, quadrant_only)
+                    slack, routing = _mcf1_slack(candidate, quadrant_only, closed_form)
                     stats["mcf1_solved"] += 1
                     if slack <= SLACK_TOLERANCE:
                         # Feasibility reached: price it and enter the cost phase.
-                        priced = _mcf2_cost(candidate, quadrant_only)
+                        priced = _mcf2_cost(candidate, quadrant_only, closed_form)
                         stats["mcf2_solved"] += 1
                         if priced is not None:
                             bw_satisfied = True
@@ -114,9 +142,7 @@ def nmap_with_splitting(
                         swap_slack = slack
                         swap_routing = routing
                 else:
-                    if lower_bound >= swap_cost:
-                        continue
-                    priced = _mcf2_cost(candidate, quadrant_only)
+                    priced = _mcf2_cost(candidate, quadrant_only, closed_form)
                     stats["mcf2_solved"] += 1
                     if priced is None:
                         continue

@@ -78,11 +78,10 @@ def evaluate_mapping(
     """
     mapping.validate()
     topology = mapping.topology
-    commodities = build_commodities(mapping.core_graph, mapping)
-    split_routing = min_path_routing(topology, commodities)
+    min_path = min_path_routing(topology, build_commodities(mapping.core_graph, mapping))
 
     xy_bw, xy_result = min_bandwidth_xy(mapping)
-    mp_bw, _ = min_bandwidth_min_path(mapping)
+    mp_bw, _ = min_bandwidth_min_path(mapping, min_path)
     tm_bw, _ = min_bandwidth_split(mapping, quadrant_only=True)
     ta_bw, _ = min_bandwidth_split(mapping, quadrant_only=False)
 
@@ -97,6 +96,6 @@ def evaluate_mapping(
         min_bw_split_min_paths=tm_bw,
         min_bw_split_all_paths=ta_bw,
         energy_mw=communication_energy(mapping, energy_model),
-        table_overhead_ratio=table_overhead_ratio(split_routing),
+        table_overhead_ratio=table_overhead_ratio(min_path),
         xy_deadlock_free=is_deadlock_free(xy_result),
     )

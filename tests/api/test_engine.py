@@ -24,6 +24,7 @@ from repro.api import (
 )
 from repro.api.engine import execute_map, resolve_app
 from repro.errors import ApiError, FaultError, ReproError
+from repro import lp
 from repro.graphs.io import core_graph_to_dict
 from repro.metrics.bandwidth import min_bandwidth_min_path
 from repro.routing import min_path
@@ -212,6 +213,11 @@ class TestARoutingRunsOnlyWhenRead:
                        warmup_cycles=50, drain_cycles=100))  # fmt: skip
         assert len(routing_calls) == 1
 
+    def test_an_xy_trace_simulation_routes_no_min_paths(self, routing_calls):
+        run(SimRequest(map_request=MapRequest(app="vopd"), measure_cycles=300,
+                       warmup_cycles=50, drain_cycles=100, routing="xy"))  # fmt: skip
+        assert len(routing_calls) == 0
+
     def test_three_sweep_points_route_once_together(self, routing_calls):
         run_batch(
             [
@@ -223,6 +229,58 @@ class TestARoutingRunsOnlyWhenRead:
             workers=1,
         )  # fmt: skip
         assert len(routing_calls) == 1
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Every program any ``repro`` module hands ``repro.lp.solve``, counted."""
+    calls = []
+    original = lp.solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "solve", None) is original:
+            monkeypatch.setattr(module, "solve", counted)
+    clear_request_caches()
+    yield calls
+    clear_request_caches()
+
+
+class TestASplitMapperSolvesOnlyWhereACapacityCanBind:
+    """On a pristine fabric whose every link carries the app's total traffic
+    the split mappers price in closed form and defer the final MCF2: only a
+    reader of the split routing solves it, and pricing is not one."""
+
+    @pytest.mark.parametrize("mapper", ["nmap-ta", "nmap-tm"])
+    def test_an_unpriced_request_solves_nothing(self, lp_calls, mapper):
+        response = run(TestARoutingRunsOnlyWhenRead._map("pip", mapper, price=False))
+        assert len(lp_calls) == 0 and response.stats["mcf2_solved"] > 0
+
+    @pytest.mark.parametrize("mapper", ["nmap-ta", "nmap-tm"])
+    def test_a_priced_request_solves_the_min_congestion_phase_only(self, lp_calls, mapper):
+        response = run(TestARoutingRunsOnlyWhenRead._map("pip", mapper, price=True))
+        assert len(lp_calls) == 1 and response.min_bw_split is not None
+
+    def test_a_trace_simulation_solves_the_final_mcf2(self, lp_calls):
+        run(SimRequest(map_request=MapRequest(app="pip", mapper="nmap-ta"), measure_cycles=300,
+                       warmup_cycles=50, drain_cycles=100))  # fmt: skip
+        assert len(lp_calls) == 1
+
+    @pytest.mark.parametrize(
+        "topology,faults",
+        [
+            (TopologySpec.parse("auto", link_bandwidth=700.0), None),  # below pip's 768
+            (TopologySpec.parse("auto"), FaultSpec(failed_links=((1, 2),))),
+        ],
+    )
+    def test_a_capacity_that_can_bind_solves_every_program(self, lp_calls, topology, faults):
+        request = MapRequest(app="pip", mapper="nmap-ta", topology=topology, faults=faults,
+                             price_bandwidth=False)  # fmt: skip
+        response = run(request)
+        assert len(lp_calls) == response.stats["mcf1_solved"] + response.stats["mcf2_solved"]
 
 
 def _ring() -> dict:

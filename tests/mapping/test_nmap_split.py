@@ -9,6 +9,7 @@ from repro.graphs.topology import NoCTopology
 from repro.mapping.nmap import nmap_single_path
 from repro.mapping.nmap_split import nmap_with_splitting
 from repro.metrics.comm_cost import comm_cost
+from repro.routing.split import solve_mcf2
 
 
 class TestNmapSplit:
@@ -89,3 +90,67 @@ class TestNmapSplit:
         )
         assert result.feasible
         assert result.routing.max_link_load() <= 400.0 + 1e-6
+
+
+def _fractional_star() -> CoreGraph:
+    """Five fractional flows around core c1: Equation 7 sums them to
+    76.99999999999999, HiGHS's MCF2 objective for the same placement to
+    77.0."""
+    graph = CoreGraph()
+    for src, dst, bandwidth in (
+        ("c1", "c2", 39.4),
+        ("c1", "c0", 6.7),
+        ("c1", "c3", 8.2),
+        ("c0", "c1", 12.1),
+        ("c3", "c1", 10.6),
+    ):
+        graph.add_traffic(src, dst, bandwidth)
+    return graph
+
+
+class TestClosedFormPricing:
+    """On a pristine fabric whose every link carries the app's total traffic
+    no capacity can bind: MCF1 is 0 and MCF2 is Equation 7, priced without
+    an LP, and the final split routing is solved on first read."""
+
+    @pytest.mark.parametrize("quadrant_only", [False, True])
+    def test_fractional_bandwidths_report_equation_7(self, quadrant_only):
+        # An LP objective off from Equation 7 in the last bits made the
+        # Manhattan-bound scan solve four more MCF2s that "improved" only by
+        # round-off, and reported 77.0 for a placement NMAP prices lower.
+        graph = _fractional_star()
+        mesh = NoCTopology.mesh(3, 2, link_bandwidth=1000.0)
+        result = nmap_with_splitting(graph, mesh, quadrant_only=quadrant_only)
+        single = nmap_single_path(graph, mesh)
+        assert result.mapping == single.mapping
+        assert result.comm_cost == comm_cost(result.mapping) == single.comm_cost
+        assert result.stats == {
+            "swaps_tried": 15,
+            "swaps_accepted": 0,
+            "mcf1_solved": 1,
+            "mcf2_solved": 1,
+        }
+
+    @pytest.mark.parametrize("quadrant_only", [False, True])
+    def test_the_routing_is_solved_on_first_read(self, monkeypatch, quadrant_only):
+        from repro.mapping import base, nmap_split
+
+        solved = []
+
+        def counted(*args, **kwargs):
+            solved.append(kwargs["quadrant_only"])
+            return solve_mcf2(*args, **kwargs)
+
+        monkeypatch.setattr(nmap_split, "solve_mcf1", None)  # never called
+        monkeypatch.setattr(nmap_split, "solve_mcf2", None)
+        monkeypatch.setattr(base, "solve_mcf2", counted)
+        result = nmap_with_splitting(_fractional_star(), NoCTopology.mesh(3, 2, 1000.0),
+                                     quadrant_only=quadrant_only)  # fmt: skip
+        assert solved == []
+        routing = result.routing
+        assert solved == [quadrant_only] and result.routing is routing
+        assert routing.algorithm == ("mcf-split-minpath" if quadrant_only else "mcf-split")
+        assert routing.is_feasible()
+        assert sum(load for load in routing.link_loads().values()) == pytest.approx(
+            result.comm_cost
+        )

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.errors import MappingError
+from repro.graphs.commodities import build_commodities
 from repro.mapping.base import Mapping
+from repro.metrics.bandwidth import min_bandwidth_min_path
 from repro.metrics.report import evaluate_mapping
+from repro.routing import min_path
+from repro.routing.tables import table_overhead_ratio
 
 
 @pytest.fixture
@@ -52,3 +58,30 @@ class TestEvaluateMapping:
 
     def test_energy_positive(self, vopd_report):
         assert vopd_report.energy_mw > 0
+
+    def test_one_min_path_routing_serves_both_fields(self, monkeypatch, mesh4x4):
+        """The table overhead and the min-path bandwidth read one routing:
+        a VOPD NMAP report routes once, and both fields are what routing
+        each afresh gives."""
+        from repro.apps import vopd
+        from repro.mapping import nmap_single_path
+
+        mapping = nmap_single_path(vopd(), mesh4x4.with_uniform_bandwidth(10000.0)).mapping
+        fresh = min_path.min_path_routing(
+            mapping.topology, build_commodities(mapping.core_graph, mapping)
+        )
+        calls = []
+        original = min_path.min_path_routing
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, "min_path_routing", None) is original:
+                monkeypatch.setattr(module, "min_path_routing", counted)
+        report = evaluate_mapping(mapping)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert report.table_overhead_ratio == table_overhead_ratio(fresh)
+        assert report.min_bw_min_path == min_bandwidth_min_path(mapping)[0]

@@ -573,7 +573,9 @@ class TestMcfAssembly:
     @pytest.mark.parametrize("quadrant_only", [False, True])
     def test_nmap_split_keeps_the_object_built_search(self, monkeypatch, quadrant_only):
         """nmap-ta / nmap-tm on the seven built-in apps and two degraded
-        fabrics: stats, cost and the final flows, float for float."""
+        fabrics: stats, cost and the final flows, float for float.  The
+        reference solves every program: pip's links at 1000 MB/s carry its
+        768 MB/s total, where the search prices in closed form."""
         cases = [
             (app, NoCTopology.smallest_mesh_for(app.num_cores, 1000.0))
             for app in all_apps().values()
@@ -594,6 +596,7 @@ class TestMcfAssembly:
             with monkeypatch.context() as patch:
                 patch.setattr(nmap_split, "solve_mcf1", counted("mcf1", object_lp.object_built_mcf1))
                 patch.setattr(nmap_split, "solve_mcf2", counted("mcf2", object_lp.object_built_mcf2))
+                patch.setattr(nmap_split, "no_capacity_can_bind", lambda *_: False)
                 reference = nmap_with_splitting(app, fabric, quadrant_only=quadrant_only)
             assert calls["mcf1"] == reference.stats["mcf1_solved"] > 0
             assert calls["mcf2"] == reference.stats["mcf2_solved"]

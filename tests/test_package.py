@@ -114,17 +114,25 @@ class TestColdStart:
         assert result.stdout.strip() == "[]"
 
     def test_lps_and_a_faulted_simulation_load_neither_scipy_nor_networkx(self):
-        """Priced NMAP, NMAPTA and NMAPTM, the single-path ILP and a
-        simulation with a failed link (the deadlock re-check) load scipy's
-        HiGHS core by path and search a plain adjacency: the only scipy
-        modules loaded are that core's, and networkx stays out."""
+        """Priced NMAP, NMAPTA and NMAPTM, both split searches on links
+        below pip's total traffic (their MCF1 / MCF2 programs), the
+        single-path ILP and a simulation with a failed link (the deadlock
+        re-check) load scipy's HiGHS core by path and search a plain
+        adjacency: the only scipy modules loaded are that core's, and
+        networkx stays out."""
         script = (
             "import sys\n"
             "from repro.api import FaultSpec, MapRequest, SimRequest, execute_map, run\n"
+            "from repro.api import TopologySpec\n"
             "from repro.graphs.commodities import build_commodities\n"
             "from repro.routing.ilp import ilp_single_path_routing\n"
             "for mapper in ('nmap', 'nmap-ta', 'nmap-tm'):\n"
             "    assert run(MapRequest(app='pip', mapper=mapper)).min_bw_split > 0\n"
+            "bound = TopologySpec.parse('auto', link_bandwidth=700.0)\n"
+            "for mapper in ('nmap-ta', 'nmap-tm'):\n"
+            "    stats = run(MapRequest(app='pip', mapper=mapper, topology=bound,\n"
+            "                           price_bandwidth=False)).stats\n"
+            "    assert stats['mcf1_solved'] + stats['mcf2_solved'] > 1\n"
             "topology, result = execute_map(MapRequest(app='pip', price_bandwidth=False))\n"
             "commodities = build_commodities(result.mapping.core_graph, result.mapping)\n"
             "assert ilp_single_path_routing(topology, commodities)[0] > 0\n"
