@@ -22,8 +22,8 @@ test:
 test-properties:
 	$(PYTHON) -m pytest -q tests/properties
 
-# The C rung against one compiler (CI runs this once per CC, with no numba
-# installed, so nothing else can stand in for it): the rung must resolve,
+# The C rung against one compiler (CI runs this once per CC; `check` runs
+# the rung under `auto` with the default cc only): the rung must resolve,
 # the ladder / emitter / equivalence tests run with it pinned, and the C
 # emitted from the kernel twin must compile clean under the strictest
 # warnings — the rung itself builds with plain -O2, so a warning there

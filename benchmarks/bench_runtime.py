@@ -129,23 +129,28 @@ WIRE_ROUND_TRIP_BUDGET_S = 0.05
 #: ``scipy.optimize`` and ``scipy.sparse`` to reach it read 0.89-0.97 s.
 CLI_MAP_VOPD_COLD_BUDGET_S = 0.7
 
-#: MB of peak RSS one ``nmap-ta`` request on ``pip`` (MCF1 / MCF2 programs
-#: through HiGHS) adds to a fresh interpreter that imported ``repro.api``:
-#: 0-6 with the core loaded by path, 30-46 when the first LP imported
-#: ``scipy.optimize`` and ``scipy.sparse``.
+#: MB of resident memory one ``nmap-ta`` request on ``pip`` (MCF1 / MCF2
+#: programs through HiGHS) adds to a fresh interpreter that imported
+#: ``repro.api``: 6.2 on a 2-CPU host with the core loaded by path, 45-46
+#: when the first LP imports ``scipy.optimize`` and ``scipy.sparse``.
 NMAP_TA_RSS_GROWTH_BUDGET_MB = 15
 
-#: Prints the MB of peak RSS one ``nmap-ta`` request adds.  Its links are
-#: below pip's 768 MB/s total, so the search hands its MCF1 / MCF2 programs
-#: to HiGHS (at or above it, it prices in closed form and loads nothing).
+#: Prints the MB of resident memory one ``nmap-ta`` request adds.  Its links
+#: are below pip's 768 MB/s total, so the search hands its MCF1 / MCF2
+#: programs to HiGHS (at or above it, it prices in closed form and loads
+#: nothing).  Current RSS (``VmRSS``), not the ``ru_maxrss`` high-water
+#: mark: a transient peak during ``import repro.api`` would raise the mark
+#: above what the request adds and read the growth as 0.
 _NMAP_TA_RSS_GROWTH = """
-import resource
+def rss_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmRSS:"))
 from repro.api import MapRequest, TopologySpec, run
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = rss_kb()
 bound = TopologySpec.parse("auto", link_bandwidth=700.0)
 response = run(MapRequest(app="pip", mapper="nmap-ta", topology=bound, price_bandwidth=False))
 assert response.feasible and response.stats["mcf2_solved"] > 0
-print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+print((rss_kb() - before) / 1024)
 """
 
 

@@ -9,7 +9,7 @@ cycles per host second of the ``cycle`` engine.  The smoke size reads
 re-resolving every head's route each cycle) and the interpreted sweep
 ~1.3–1.9x, so losing the backend fails loudly.
 Skips, saying why, where no compiled rung resolves (``REPRO_NO_JIT=1``, no
-numba and no ``cc``).
+``cc``).
 
 Exits non-zero when the floor is broken or the benchmark fails.  Run via
 ``make bench-smoke``; wired into ``make check``.

@@ -35,14 +35,6 @@ setup(
         # check-scipy-floor job installs exactly this floor).
         "scipy>=1.15",
     ],
-    extras_require={
-        # The vector engine's compiled kernel tier (repro.simnoc.engines.jit).
-        # Optional: without it the engine steps down to the C tier (system
-        # cc) or the interpreted numpy loops, bit-identically.  0.57 is the
-        # first numba with py3.11 support and the cache=True behavior the
-        # warm-up hygiene contract relies on.
-        "jit": ["numba>=0.57"],
-    },
     entry_points={
         "console_scripts": [
             "nmap-noc=repro.cli:main",

@@ -366,8 +366,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store_max_bytes=args.store_max_bytes,
         result_ttl=args.result_ttl,
         journal_path=args.journal,
-        recover=args.recover,
-        client_quota=args.client_quota,
     )
     service = NocService(config)
     service.serve_forever(install_signals=True, announce=print)
@@ -391,13 +389,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             raise ApiError("submit needs either --json FILE(s) or --app ...")
         requests.append(_map_request(args))
 
-    client = ServiceClient(
-        args.url,
-        timeout=args.timeout,
-        retries=args.retries,
-        client_id=args.client_id,
-        priority=args.priority,
-    )
+    client = ServiceClient(args.url, timeout=args.timeout, retries=args.retries)
     ticket = client.submit(requests if len(requests) > 1 else requests[0])
     print(f"job {ticket.id} submitted ({ticket.slots} slot(s))", file=sys.stderr)
     if args.no_wait:
@@ -520,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "simulation backend: cycle (bit-exact reference), event "
             "(skips idle time), vector (structure-of-arrays; runs on a "
-            "compiled numba/C kernel when one is available — see "
+            "compiled C kernel when one is available — see "
             "'list-engines', disable with REPRO_NO_JIT=1) or auto "
             "(always vector)"
         ),
@@ -678,14 +670,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="write-ahead job journal path (default: <store>/journal.ndjson "
-        "when --store is set; '' disables journaling)",
-    )
-    p_serve.add_argument(
-        "--recover",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="replay unfinished journaled jobs at startup so a kill -9 "
-        "mid-batch loses nothing (--no-recover starts fresh)",
+        "when --store is set; '' disables journaling); unfinished journaled "
+        "jobs replay at startup, so a kill -9 mid-batch loses nothing",
     )
     p_serve.add_argument(
         "--store-max-bytes",
@@ -701,14 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="evict store entries idle longer than this (default: never)",
-    )
-    p_serve.add_argument(
-        "--client-quota",
-        type=int,
-        default=None,
-        metavar="N",
-        help="max queued/running jobs per client identity (X-Repro-Client "
-        "header); submissions beyond it get HTTP 429 (default: none)",
     )
 
     p_submit = sub.add_parser(
@@ -767,18 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="extra attempts for transport failures and 429/503 rejections, "
         "with exponential backoff honoring the server's Retry-After "
         "(safe: submissions dedup on the canonical request key)",
-    )
-    p_submit.add_argument(
-        "--client-id",
-        default=None,
-        help="identity sent as X-Repro-Client (server quotas account "
-        "against it)",
-    )
-    p_submit.add_argument(
-        "--priority",
-        default=None,
-        choices=("low", "normal", "high"),
-        help="X-Repro-Priority class; low is shed first under overload",
     )
     return parser
 

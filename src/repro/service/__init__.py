@@ -28,12 +28,10 @@ Or from the shell: ``repro serve`` / ``repro submit`` (see the CLI).
 
 from repro.service.client import JobTicket, ServiceClient, StreamEvent
 from repro.service.jobs import (
-    PRIORITIES,
     DrainingError,
     JobRegistry,
     JobRunner,
     OverloadedError,
-    QuotaExceededError,
 )
 from repro.service.journal import JobJournal
 from repro.service.server import NocService, ServiceConfig
@@ -46,7 +44,6 @@ from repro.service.wire import (
 )
 
 __all__ = [
-    "PRIORITIES",
     "DrainingError",
     "JobJournal",
     "JobRegistry",
@@ -54,7 +51,6 @@ __all__ = [
     "JobTicket",
     "NocService",
     "OverloadedError",
-    "QuotaExceededError",
     "ResultStore",
     "ServiceClient",
     "ServiceConfig",

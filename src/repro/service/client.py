@@ -113,11 +113,6 @@ class ServiceClient:
         breaker_cooldown: seconds the breaker stays open; while open,
             calls raise :class:`~repro.errors.CircuitOpenError` without
             touching the network.
-        client_id: sent as ``X-Repro-Client`` — the identity the server's
-            per-client quotas account against.
-        priority: sent as ``X-Repro-Priority`` (``low``/``normal``/
-            ``high``) — where this client's work sits in the server's
-            shedding ladder.
         rng: randomness source for jitter (tests inject a seeded one).
     """
 
@@ -132,8 +127,6 @@ class ServiceClient:
         backoff_max: float = 8.0,
         breaker_threshold: int = 5,
         breaker_cooldown: float = 15.0,
-        client_id: str | None = None,
-        priority: str | None = None,
         rng: random.Random | None = None,
     ) -> None:
         if "//" not in base_url:
@@ -156,8 +149,6 @@ class ServiceClient:
         self._backoff_max = backoff_max
         self._breaker_threshold = breaker_threshold
         self._breaker_cooldown = breaker_cooldown
-        self._client_id = client_id
-        self._priority = priority
         self._rng = rng or random.Random()
         # Connections whose last reply was read to its end, ready for the
         # next request of whichever thread asks first.
@@ -218,16 +209,6 @@ class ServiceClient:
             connection.sock.settimeout(self._timeout)
         return connection
 
-    def _headers(self, body: bytes | None) -> dict[str, str]:
-        headers: dict[str, str] = {}
-        if body is not None:
-            headers["Content-Type"] = "application/json"
-        if self._client_id is not None:
-            headers["X-Repro-Client"] = self._client_id
-        if self._priority is not None:
-            headers["X-Repro-Priority"] = self._priority
-        return headers
-
     def _delay(self, attempt: int, retry_after: str | None) -> float:
         """Jittered exponential backoff, raised to the server's hint."""
         nominal = min(self._backoff_max, self._backoff * (2.0 ** attempt))
@@ -262,9 +243,8 @@ class ServiceClient:
             if connection is None:
                 connection = self._open()
             try:
-                connection.request(
-                    method, path, body=body, headers=self._headers(body)
-                )
+                headers = {} if body is None else {"Content-Type": "application/json"}
+                connection.request(method, path, body=body, headers=headers)
                 return connection, connection.sock, connection.getresponse()
             except BaseException as exc:
                 connection.close()

@@ -1,14 +1,10 @@
 """Job lifecycle: admission control, registry, and the dispatch workers.
 
 A *job* is one submission — a single request or a batch — broken into
-per-request *slots*.  Admission is a degradation ladder, cheapest refusal
-first: a draining service rejects everything new (503); a client over its
-quota of concurrently active jobs is rejected (429) before it can starve
-the others; under queue pressure, ``low``-priority work is shed first and
-``normal`` next (429), so ``high``-priority submissions keep landing
-until the queue is genuinely full; and a full queue rejects everyone
-(429) instead of letting latency grow without bound.  Every refusal
-carries a ``retry_after`` hint sized to the backlog, surfaced upstream as
+per-request *slots*.  Admission is one bounded queue with two refusals: a
+draining service rejects everything new (503), and a full queue rejects
+the submission (429) instead of letting latency grow without bound.  Both
+carry a ``retry_after`` hint sized to the backlog, surfaced upstream as
 the ``Retry-After`` header.
 
 With a :class:`~repro.service.journal.JobJournal` attached, admission is
@@ -64,15 +60,6 @@ JOB_DONE = "done"
 SLOT_PENDING = "pending"
 SLOT_DONE = "done"
 
-#: Priority classes, shed-first order: under queue pressure ``low`` work
-#: is refused first, then ``normal``; ``high`` is admitted until the
-#: queue is genuinely full.
-PRIORITIES = ("low", "normal", "high")
-
-#: Queue-fill fraction from which each sheddable priority class is refused
-#: (429 with ``Retry-After``); ``high`` is refused only by a full queue.
-SHED_AT = {"low": 0.5, "normal": 0.85}
-
 #: Slots one job may carry; a larger batch is refused (400).
 MAX_BATCH = 1024
 
@@ -85,11 +72,7 @@ EXECUTORS = ("serial", "thread", "process")
 
 
 class OverloadedError(ServiceError):
-    """The admission ladder refused the submission (HTTP 429)."""
-
-
-class QuotaExceededError(OverloadedError):
-    """The client is over its quota of concurrently active jobs (429)."""
+    """The admission queue is full (HTTP 429)."""
 
 
 class DrainingError(ServiceError):
@@ -129,14 +112,10 @@ class Job:
         job_id: str,
         requests: list[MapRequest | SimRequest],
         batch: bool,
-        client: str = "anonymous",
-        priority: str = "normal",
         recovered: bool = False,
     ) -> None:
         self.id = job_id
         self.batch = batch
-        self.client = client
-        self.priority = priority
         self.recovered = recovered
         self.slots = [JobSlot(request) for request in requests]
         self.status = JOB_QUEUED
@@ -205,8 +184,6 @@ class Job:
                 "id": self.id,
                 "status": self.status,
                 "batch": self.batch,
-                "client": self.client,
-                "priority": self.priority,
                 "recovered": self.recovered,
                 "total": len(self.slots),
                 "done": done,
@@ -227,19 +204,10 @@ class JobRegistry:
         self,
         requests: list[MapRequest | SimRequest],
         batch: bool,
-        client: str = "anonymous",
-        priority: str = "normal",
         job_id: str | None = None,
         recovered: bool = False,
     ) -> Job:
-        job = Job(
-            job_id or uuid.uuid4().hex[:12],
-            requests,
-            batch,
-            client=client,
-            priority=priority,
-            recovered=recovered,
-        )
+        job = Job(job_id or uuid.uuid4().hex[:12], requests, batch, recovered)
         with self._lock:
             self._jobs[job.id] = job
             excess = len(self._jobs) - JOB_HISTORY
@@ -271,15 +239,6 @@ class JobRegistry:
             )
         return {"total": total, "active": active}
 
-    def active_for(self, client: str) -> int:
-        """How many of ``client``'s jobs are queued or running (quotas)."""
-        with self._lock:
-            return sum(
-                1
-                for job in self._jobs.values()
-                if job.client == client and job.status != JOB_DONE
-            )
-
 
 def _chunks(items: list, size: int):
     iterator = iter(items)
@@ -303,14 +262,11 @@ class JobRunner:
         executor: str = "process",
         timeout: float | None = None,
         journal: JobJournal | None = None,
-        client_quota: int | None = None,
     ) -> None:
         if queue_limit < 1:
             raise ApiError(f"queue_limit must be >= 1, got {queue_limit}")
         if workers < 1:
             raise ApiError(f"workers must be >= 1, got {workers}")
-        if client_quota is not None and client_quota < 1:
-            raise ApiError(f"client_quota must be >= 1, got {client_quota}")
         if executor not in EXECUTORS:
             raise ApiError(
                 f"executor must be one of {', '.join(EXECUTORS)}, got {executor!r}"
@@ -322,7 +278,6 @@ class JobRunner:
         self._executor = executor
         self._timeout = timeout
         self._journal = journal
-        self._client_quota = client_quota
         self._threads: list[threading.Thread] = []
         self._feeders: list[threading.Thread] = []
         self._thread_lock = threading.Lock()
@@ -405,30 +360,18 @@ class JobRunner:
         depth = self._queue.qsize()
         return min(30.0, 1.0 + 2.0 * depth / self._workers)
 
-    def submit(
-        self,
-        requests: list[MapRequest | SimRequest],
-        batch: bool,
-        client: str = "anonymous",
-        priority: str = "normal",
-    ) -> Job:
-        """Admit one job through the degradation ladder, or refuse loudly.
+    def submit(self, requests: list[MapRequest | SimRequest], batch: bool) -> Job:
+        """Admit one job into the bounded queue, or refuse loudly.
 
         Raises:
             DrainingError: the service is shutting down (HTTP 503).
-            QuotaExceededError: ``client`` is over its active-job quota
-                (HTTP 429).
-            OverloadedError: the queue is full, or pressure shed this
-                priority class (HTTP 429).  Both carry ``retry_after``.
-            ApiError: empty submission, unknown priority, or batch larger
-                than :data:`MAX_BATCH`.
+            OverloadedError: the queue is full (HTTP 429).  Both carry
+                ``retry_after``.
+            ApiError: empty submission, or batch larger than
+                :data:`MAX_BATCH`.
         """
         if not requests:
             raise ApiError("a job needs at least one request")
-        if priority not in PRIORITIES:
-            raise ApiError(
-                f"priority must be one of {', '.join(PRIORITIES)}, got {priority!r}"
-            )
         if len(requests) > MAX_BATCH:
             raise ApiError(
                 f"batch of {len(requests)} exceeds the service limit of "
@@ -439,24 +382,7 @@ class JobRunner:
                 "service is draining and accepts no new jobs",
                 retry_after=self.retry_after_hint(),
             )
-        if (
-            self._client_quota is not None
-            and self._registry.active_for(client) >= self._client_quota
-        ):
-            raise QuotaExceededError(
-                f"client {client!r} already has {self._client_quota} active "
-                f"job(s); finish or await them first",
-                retry_after=self.retry_after_hint(),
-            )
-        fill = self._queue.qsize() / self._queue.maxsize
-        threshold = SHED_AT.get(priority)
-        if threshold is not None and fill >= threshold:
-            raise OverloadedError(
-                f"shedding {priority}-priority work: queue at "
-                f"{fill:.0%} of {self._queue.maxsize}; retry later",
-                retry_after=self.retry_after_hint(),
-            )
-        job = self._registry.create(requests, batch, client=client, priority=priority)
+        job = self._registry.create(requests, batch)
         self._journal_accepted(job)
         try:
             self._queue.put_nowait(job)
@@ -482,11 +408,7 @@ class JobRunner:
             return
         try:
             self._journal.record_accepted(
-                job.id,
-                [slot.request.to_dict() for slot in job.slots],
-                job.batch,
-                client=job.client,
-                priority=job.priority,
+                job.id, [slot.request.to_dict() for slot in job.slots], job.batch
             )
         except OSError as exc:
             self._registry.discard(job.id)
@@ -514,8 +436,8 @@ class JobRunner:
         Every record is registered immediately (clients polling pre-crash
         job ids see them ``queued`` right away); the actual enqueue happens
         on a feeder thread with a *blocking* put, because recovered work
-        was already accepted once and must not be shed by the admission
-        ladder — even when there are more recovered jobs than queue slots.
+        was already accepted once and must not be refused by a full
+        queue — even when there are more recovered jobs than queue slots.
         Records whose requests no longer parse (e.g. a schema change
         across the restart) are tombstoned and skipped with a warning.
         """
@@ -540,8 +462,6 @@ class JobRunner:
                 self._registry.create(
                     requests,
                     bool(record.get("batch")),
-                    client=str(record.get("client", "anonymous")),
-                    priority=str(record.get("priority", "normal")),
                     job_id=str(record["job"]),
                     recovered=True,
                 )

@@ -124,21 +124,12 @@ class JobJournal:
         if durable:
             os.fsync(handle.fileno())
 
-    def record_accepted(
-        self,
-        job_id: str,
-        requests: list[dict],
-        batch: bool,
-        client: str = "anonymous",
-        priority: str = "normal",
-    ) -> None:
+    def record_accepted(self, job_id: str, requests: list[dict], batch: bool) -> None:
         """Journal an admitted job (fsync'd) — call before the 202."""
         record = {
             "type": RECORD_ACCEPTED,
             "job": job_id,
             "batch": batch,
-            "client": client,
-            "priority": priority,
             "requests": requests,
         }
         with self._lock:

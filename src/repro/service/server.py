@@ -39,9 +39,9 @@ the connections left idle, then exits.  No accepted job's results are lost.
 
 Hard crashes are covered too: with a store root (or explicit
 ``journal_path``), every admitted job is journaled before its 202 and
-replayed on the next start (``recover=True``), so ``kill -9`` mid-batch
-loses nothing either — see :mod:`repro.service.journal`.  Overload is a
-degradation ladder (per-client quotas, priority shedding, 429/503 with
+replayed on the next start, so ``kill -9`` mid-batch loses nothing
+either — see :mod:`repro.service.journal`.  Overload is refused, never
+queued without bound (429 for a full queue, 503 while draining, both with
 ``Retry-After``) and the store is bounded (``store_max_bytes`` LRU cap,
 ``result_ttl`` expiry) — see :mod:`repro.service.jobs` and
 :mod:`repro.service.store`.
@@ -62,7 +62,6 @@ from repro.api.specs import SCHEMA_VERSION
 from repro.errors import ApiError, ServiceError
 from repro.service.jobs import (
     JOB_DONE,
-    PRIORITIES,
     SLOT_DONE,
     DrainingError,
     JobRegistry,
@@ -121,11 +120,8 @@ class ServiceConfig:
         journal_path: write-ahead job journal location.  None derives
             ``<store_root>/journal.ndjson`` when a store root is set (the
             durable default); an empty string disables journaling even
-            with a store root.
-        recover: replay unfinished journaled jobs on startup (on by
-            default — a ``kill -9`` mid-batch loses nothing).
-        client_quota: max queued+running jobs per client id (the
-            ``X-Repro-Client`` header); beyond it submissions get 429.
+            with a store root.  A journal is always replayed on startup,
+            so a ``kill -9`` mid-batch loses nothing.
     """
 
     host: str = "127.0.0.1"
@@ -138,8 +134,6 @@ class ServiceConfig:
     store_max_bytes: int | None = None
     result_ttl: float | None = None
     journal_path: str | None = None
-    recover: bool = True
-    client_quota: int | None = None
 
 
 class _HttpError(Exception):
@@ -229,7 +223,6 @@ class NocService:
             executor=self.config.executor,
             timeout=self.config.timeout,
             journal=self.journal,
-            client_quota=self.config.client_quota,
         )
         self.port: int | None = None
         # Touched on the loop thread only: the connections now open, and the
@@ -249,7 +242,7 @@ class NocService:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         self.runner.start()
-        if self.journal is not None and self.config.recover:
+        if self.journal is not None:
             # Replay the durable promise before the socket opens: every
             # journaled-but-unfinished job re-enters the queue under its
             # original id, then the journal is compacted down to exactly
@@ -367,11 +360,11 @@ class NocService:
                     conn.idle = False
                 if parsed is None:
                     return
-                method, path, headers, body, keep_alive = parsed
+                method, path, body, keep_alive = parsed
                 self._requests += 1
                 conn.keep_alive = keep_alive and not self.runner.draining
                 try:
-                    await self._dispatch(conn, method, path, headers, body)
+                    await self._dispatch(conn, method, path, body)
                 except _HttpError as exc:
                     # Refused by a handler: the body was read, the socket
                     # sits at a request boundary, the connection is kept.
@@ -404,7 +397,7 @@ class NocService:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, dict[str, str], bytes, bool] | None:
+    ) -> tuple[str, str, bytes, bool] | None:
         """One request off the socket, or None at EOF.
 
         The last element is whether the peer allows the connection to be
@@ -442,7 +435,7 @@ class NocService:
             version.upper() == "HTTP/1.1"
             and "close" not in headers.get("connection", "").lower()
         )
-        return method.upper(), path, headers, body, keep_alive
+        return method.upper(), path, body, keep_alive
 
     async def _send_bytes(
         self,
@@ -486,12 +479,7 @@ class NocService:
 
     # -- routing --------------------------------------------------------
     async def _dispatch(
-        self,
-        conn: _Connection,
-        method: str,
-        path: str,
-        headers: dict[str, str],
-        body: bytes,
+        self, conn: _Connection, method: str, path: str, body: bytes
     ) -> None:
         if path == "/v1/health" and method == "GET":
             await self._handle_health(conn)
@@ -500,7 +488,7 @@ class NocService:
             await self._handle_mappers(conn)
             return
         if path == "/v1/jobs" and method == "POST":
-            await self._handle_submit(conn, headers, body)
+            await self._handle_submit(conn, body)
             return
         if path.startswith("/v1/jobs/") and method == "GET":
             rest = path[len("/v1/jobs/"):]
@@ -561,9 +549,7 @@ class NocService:
             },
         )
 
-    async def _handle_submit(
-        self, conn: _Connection, headers: dict[str, str], body: bytes
-    ) -> None:
+    async def _handle_submit(self, conn: _Connection, body: bytes) -> None:
         try:
             payload = json.loads(body)
         except ValueError:
@@ -580,24 +566,12 @@ class NocService:
                 batch = False
         except ApiError as exc:
             raise _HttpError(400, "ApiError", str(exc)) from None
-        client = headers.get("x-repro-client", "anonymous") or "anonymous"
-        priority = headers.get("x-repro-priority", "normal") or "normal"
-        if priority not in PRIORITIES:
-            raise _HttpError(
-                400,
-                "ApiError",
-                f"X-Repro-Priority must be one of {', '.join(PRIORITIES)}, "
-                f"got {priority!r}",
-            )
         try:
-            job = self.runner.submit(
-                requests, batch, client=client, priority=priority
-            )
+            job = self.runner.submit(requests, batch)
         except OverloadedError as exc:
-            # QuotaExceededError included: both are 429 with a back-off hint.
             raise _HttpError(
                 429,
-                type(exc).__name__,
+                "OverloadedError",
                 str(exc),
                 headers=_retry_after_headers(exc),
             ) from None

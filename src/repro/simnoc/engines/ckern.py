@@ -1,8 +1,8 @@
 """The C rung: the kernel twin emitted as C99 and compiled on demand.
 
-numba is the first rung of the JIT ladder, but plenty of deployment
-environments (CI fallback jobs, slim containers) have a C toolchain and no
-numba wheels.  This module holds no sweep of its own: :func:`source` reads
+The JIT ladder's one compiled rung: it needs nothing but a C compiler,
+which CI runners and any host with a build toolchain already have.  This
+module holds no sweep of its own: :func:`source` reads
 ``advance_plain`` / ``advance_vc`` out of
 :mod:`repro.simnoc.engines.kernels` with :mod:`ast` and prints them as two
 C functions, so changing the sweep means editing the twin and nothing

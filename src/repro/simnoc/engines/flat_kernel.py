@@ -2,7 +2,7 @@
 
 A :class:`KernelProgram` is the bridge between the object model and the
 kernels in :mod:`repro.simnoc.engines.kernels`, in whichever form a rung
-runs them (CPython, numba, or the C emitted from them).  Building one
+runs them (CPython, or the C emitted from them).  Building one
 
 1. reuses :class:`repro.simnoc.engines.sweep._FlatState` for the wiring
    flatten (the fabric's port indexing, credits and rates — the exact
@@ -12,8 +12,8 @@ runs them (CPython, numba, or the C emitted from them).  Building one
    and ``measured`` flags to the polling engines' — and freezes it into
    per-packet tables and per-node flit streams with array expressions, then
 3. converts everything to int64/float64 numpy arrays in the canonical
-   :data:`ARG_FIELDS` order — the twin's parameter list, and so numba's
-   and the emitted C's.
+   :data:`ARG_FIELDS` order — the twin's parameter list, and so the
+   emitted C's.
 
 After a backend has advanced the program, :meth:`KernelProgram.finish`
 hands the observable effects back: trace events to the recorder, and the

@@ -1,12 +1,11 @@
 """The vector engine's per-cycle sweep as typed array kernels.
 
-These functions are the one *source* of the compiled tier: numba compiles
-them with ``@njit``, :mod:`repro.simnoc.engines.ckern` reads them with
-:mod:`ast` and prints them as C99, and ``REPRO_JIT=py`` runs them as they
-stand.  They advance one flattened replica from cycle 0 to
-``total_cycles``, and are written in the subset all three accept — the
-narrower of numba's and the one ``ckern``'s docstring spells out: flat
-int64/float64 arrays, scalar locals that keep one type, ``range`` /
+These functions are the one *source* of the compiled tier:
+:mod:`repro.simnoc.engines.ckern` reads them with :mod:`ast` and prints
+them as C99, and ``REPRO_JIT=py`` runs them as they stand.  They advance
+one flattened replica from cycle 0 to ``total_cycles``, and are written in
+the subset ``ckern``'s docstring spells out: flat int64/float64 arrays,
+scalar locals that keep one type, ``range`` /
 ``while`` / ``if``, ``break`` / ``continue`` / bare ``return``, one
 ``np.empty`` scratch array, ``%`` only on non-negative values.  A
 construct outside it makes the C rung unavailable (the ladder steps down,

@@ -14,8 +14,8 @@ whole network is flattened into structure-of-arrays state
 form of the per-cycle sweep this host can run:
 
 * **compiled** — when :func:`repro.simnoc.engines.jit.resolve_backend`
-  finds a backend (the kernel twin compiled by numba, or emitted as C and
-  compiled by the system ``cc``), ``run`` flattens the simulation —
+  finds a backend (the kernel twin emitted as C and compiled by the
+  system ``cc``), ``run`` flattens the simulation —
   including the precomputed open-loop injection schedule — into a
   :class:`~repro.simnoc.engines.flat_kernel.KernelProgram` and advances it
   in one compiled call;

@@ -399,12 +399,11 @@ def jit_mode(request, monkeypatch):
 class TestKernelTierEquivalence:
     """Every rung of the JIT ladder is bit-identical to the cycle engine.
 
-    ``off`` pins the interpreted ranged sweep (what a numba-less,
-    compiler-less machine runs, in-process over the one-shard plan);
-    ``py`` executes the kernel twin as plain Python, so the kernel
-    *algorithm* is property-tested even where no backend compiles; ``c``
-    and ``numba`` are the compiled rungs, each skipped with a reason where
-    its toolchain is missing.
+    ``off`` pins the interpreted ranged sweep (what a compiler-less
+    machine runs, in-process over the one-shard plan); ``py`` executes the
+    kernel twin as plain Python, so the kernel *algorithm* is
+    property-tested even where no backend compiles; ``c`` is the compiled
+    rung, skipped with a reason where no compiler is found.
 
     The scenarios cover both router models at saturation and near idle
     (the interpreted sweep fast-forwards idle gaps), plus the two corners
@@ -413,7 +412,7 @@ class TestKernelTierEquivalence:
     recorder with no room left.
     """
 
-    MODES = ("off", "py", "c", "numba")
+    MODES = ("off", "py", "c")
 
     #: id -> (num_vcs, injection rate, trace recorder pre-filled to its cap)
     SCENARIOS = {

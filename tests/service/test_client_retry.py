@@ -38,22 +38,23 @@ def free_port() -> int:
 
 
 class ScriptedServer:
-    """An HTTP server answering POST /v1/jobs from a per-request script.
+    """An HTTP server answering every request from a per-request script.
 
     Each script entry is ``(status, extra_headers)``; an entry of ``None``
     drops the connection without answering (a transport failure).  Every
-    handled request is appended to ``seen``.
+    handled request's ``Content-Type`` (None without one) is appended to
+    ``seen``.
     """
 
     def __init__(self, script: list) -> None:
         self.script = list(script)
-        self.seen: list[int] = []
+        self.seen: list[str | None] = []
         outer = self
 
         class Handler(http.server.BaseHTTPRequestHandler):
             def do_POST(self):  # noqa: N802 — http.server API
                 step = outer.script.pop(0) if outer.script else (202, {})
-                outer.seen.append(len(outer.seen))
+                outer.seen.append(self.headers.get("Content-Type"))
                 if step is None:
                     self.connection.close()
                     return
@@ -72,6 +73,8 @@ class ScriptedServer:
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)
+
+            do_GET = do_POST  # noqa: N815 — http.server API
 
             def log_message(self, *args):  # silence
                 pass
@@ -200,17 +203,16 @@ class TestRetryLoop:
         assert client._failures == 0
         assert len(server.seen) == 3  # one dial per call, no hidden second
 
-    def test_identity_headers_are_attached(self):
-        client = ServiceClient(
-            "http://127.0.0.1:1", client_id="alice", priority="high"
-        )
-        headers = client._headers(b"{}")
-        assert headers["X-Repro-Client"] == "alice"
-        assert headers["X-Repro-Priority"] == "high"
-        assert headers["Content-Type"] == "application/json"
-        anonymous = ServiceClient("http://127.0.0.1:1")._headers(None)
-        assert "X-Repro-Client" not in anonymous
-        assert "Content-Type" not in anonymous
+
+    def test_only_a_body_is_declared_json(self, scripted):
+        server = scripted([(202, {}), (202, {})])
+        client = ServiceClient(f"http://127.0.0.1:{server.port}", timeout=10.0)
+        client.submit(REQUEST)
+        connection, _, reply = client._exchange("GET", "/v1/jobs/job-1")
+        reply.read()
+        connection.close()
+        client.close()
+        assert server.seen == ["application/json", None]
 
 
 class TestCircuitBreaker:
@@ -265,4 +267,3 @@ class TestCircuitBreaker:
         # faults, never as "unprocessable request content".
         assert status_for_error("CircuitOpenError") == 500
         assert status_for_error("ServiceError") == 500
-        assert status_for_error("QuotaExceededError") == 500

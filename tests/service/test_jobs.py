@@ -1,7 +1,7 @@
-"""The job runner's admission ladder and worker hardening, unit level.
+"""The job runner's admission and worker hardening, unit level.
 
 The HTTP suite (test_server.py) covers the wire path; here the
-:class:`JobRunner` is driven directly so the refusal ladder can be pinned
+:class:`JobRunner` is driven directly so the refusals can be pinned
 deterministically (no workers draining the queue mid-assert) and the
 ``test-fault`` mapper (tests/fault_injection.py) can kill a dispatch thread
 at the worst moment — claims held, slots pending — without a subprocess.
@@ -24,7 +24,6 @@ from repro.service import (
     JobRunner,
     NocService,
     OverloadedError,
-    QuotaExceededError,
     ResultStore,
     ServiceConfig,
 )
@@ -32,6 +31,7 @@ from repro.service import jobs as jobs_module
 from repro.service.jobs import JOB_DONE, Job
 from repro.service.wire import canonical_response_bytes
 from tests.fault_injection import faulty
+from tests.service.test_journal import legacy_accepted_line
 
 
 def request(tag: str | None = None) -> MapRequest:
@@ -119,41 +119,20 @@ class TestRegistryHistory:
         assert survivors == [jobs[i].id for i in (2, 5, 6, 7)]
 
 
-class TestAdmissionLadder:
+class TestAdmission:
     """Workers deliberately not started: the queue holds what we put in."""
 
-    def test_client_quota_is_enforced_per_identity(self):
-        runner = make_runner(client_quota=1)
-        runner.submit([request(tag="a")], batch=False, client="alice")
-        with pytest.raises(QuotaExceededError) as info:
-            runner.submit([request(tag="b")], batch=False, client="alice")
-        assert info.value.retry_after is not None
-        # A different identity is unaffected by alice's quota.
-        runner.submit([request(tag="c")], batch=False, client="bob")
-
-    def test_low_priority_is_shed_first(self):
-        runner = make_runner(queue_limit=8)
-        for index in range(4):
-            runner.submit([request(tag=f"n{index}")], batch=False)
-        # Fill is now 0.5: low is shed, normal still lands.
-        with pytest.raises(OverloadedError):
-            runner.submit([request(tag="low")], batch=False, priority="low")
-        for index in range(4, 7):
-            runner.submit([request(tag=f"n{index}")], batch=False)
-        # Fill is now 0.875 (>= 0.85): normal is shed, high still lands.
-        with pytest.raises(OverloadedError):
-            runner.submit([request(tag="normal")], batch=False)
-        runner.submit([request(tag="high")], batch=False, priority="high")
-        # Queue genuinely full now: even high is refused, with a hint.
+    def test_the_queue_admits_exactly_its_limit(self):
+        """Regression: priority shedding refused a default submission once
+        the queue was 85 % full, so ``queue_limit=20`` admitted 17."""
+        runner = make_runner(queue_limit=20)
+        for index in range(20):
+            runner.submit([request(tag=f"q{index}")], batch=False)
+        assert runner.queue_depth() == 20
         with pytest.raises(OverloadedError) as info:
-            runner.submit([request(tag="over")], batch=False, priority="high")
+            runner.submit([request(tag="over")], batch=False)
         assert "full" in str(info.value)
         assert info.value.retry_after is not None
-
-    def test_unknown_priority_is_an_api_error(self):
-        runner = make_runner()
-        with pytest.raises(ApiError):
-            runner.submit([request()], batch=False, priority="urgent")
 
     @pytest.mark.parametrize(
         "config", [{"executor": "bogus"}, {"executor": "replica", "timeout": 5.0}]
@@ -179,10 +158,9 @@ class TestDurableAdmission:
     def test_accepted_jobs_are_journaled_before_submit_returns(self, tmp_path):
         journal = JobJournal(tmp_path / "journal.ndjson")
         runner = make_runner(journal=journal)
-        job = runner.submit([request(tag="durable")], batch=False, client="alice")
+        job = runner.submit([request(tag="durable")], batch=False)
         (record,) = JobJournal(journal.path).recover()
         assert record["job"] == job.id
-        assert record["client"] == "alice"
         assert record["requests"][0]["tag"] == "durable"
 
     def test_completion_tombstones_the_journal(self, tmp_path):
@@ -223,6 +201,24 @@ class TestDurableAdmission:
         assert job.wait_done(timeout=60)
         assert job.slots[0].error is None
         runner.drain()
+
+    def test_restore_replays_a_record_with_client_and_priority(self, tmp_path):
+        """Journals written while the service kept per-client quotas and
+        priorities carry both keys; such a job still replays."""
+        journal = JobJournal(tmp_path / "journal.ndjson")
+        journal.path.write_bytes(
+            legacy_accepted_line("oldjob", [request(tag="legacy").to_dict()])
+        )
+        records = journal.recover()
+        runner = make_runner(journal=journal)
+        runner.start()
+        (job,) = runner.restore(records)
+        assert job.id == "oldjob"
+        assert job.wait_done(timeout=60)
+        assert job.slots[0].error is None
+        assert "client" not in job.describe()
+        runner.drain()
+        assert journal.recover() == []
 
     def test_restore_skips_unreplayable_records_with_tombstone(self, tmp_path):
         journal = JobJournal(tmp_path / "journal.ndjson")

@@ -29,6 +29,21 @@ def accept(journal: JobJournal, job_id: str, tag: str = "x") -> None:
     journal.record_accepted(job_id, [request_payload(tag)], batch=False)
 
 
+def legacy_accepted_line(job_id: str, requests: list[dict]) -> bytes:
+    """An ``accepted`` line as journals written before the service dropped
+    client quotas and priorities carry it: two more keys, same checksum."""
+    return JobJournal._encode(
+        {
+            "type": "accepted",
+            "job": job_id,
+            "batch": False,
+            "client": "alice",
+            "priority": "high",
+            "requests": requests,
+        }
+    )
+
+
 class TestRoundTrip:
     def test_unfinished_jobs_recover_in_order(self, tmp_path):
         journal = JobJournal(tmp_path / "journal.ndjson")
@@ -45,15 +60,19 @@ class TestRoundTrip:
         assert records[0]["batch"] is False
         assert replay.stats()["recovered"] == 2
 
-    def test_record_carries_client_and_priority(self, tmp_path):
+    def test_record_carries_batch_and_requests_only(self, tmp_path):
         journal = JobJournal(tmp_path / "journal.ndjson")
-        journal.record_accepted(
-            "a", [request_payload()], batch=True, client="alice", priority="high"
-        )
+        journal.record_accepted("a", [request_payload()], batch=True)
         (record,) = JobJournal(journal.path).recover()
-        assert record["client"] == "alice"
-        assert record["priority"] == "high"
+        assert set(record) == {"type", "job", "batch", "requests"}
         assert record["batch"] is True
+
+    def test_a_record_with_client_and_priority_still_recovers(self, tmp_path):
+        path = tmp_path / "journal.ndjson"
+        path.write_bytes(legacy_accepted_line("old", [request_payload()]))
+        (record,) = JobJournal(path).recover()
+        assert record["job"] == "old"
+        assert record["requests"] == [request_payload()]
 
     def test_empty_or_missing_file_recovers_to_nothing(self, tmp_path):
         assert JobJournal(tmp_path / "absent.ndjson").recover() == []

@@ -10,6 +10,8 @@ drain drops nothing) is pinned explicitly.
 
 from __future__ import annotations
 
+import http.client
+import json
 import threading
 import time
 
@@ -111,6 +113,7 @@ class TestSingleJobs:
         assert response.feasible
         envelope = client.status(ticket.id)
         assert envelope["status"] == "done"
+        assert envelope["recovered"] is False
         assert envelope["slots"][0]["kind"] == "map-response"
 
     def test_unknown_job_is_a_service_error(self, service_pair):
@@ -487,42 +490,30 @@ class TestOverloadSignaling:
         assert excinfo.value.retry_after is not None
         service.shutdown(timeout=120)
 
-    def test_client_quota_is_enforced_over_http(
-        self, fault_mapper, make_service
-    ):
-        service, _ = make_service(client_quota=1, workers=1)
-        alice = ServiceClient(
-            f"http://127.0.0.1:{service.port}", client_id="alice"
-        )
-        bob = ServiceClient(f"http://127.0.0.1:{service.port}", client_id="bob")
-        first = alice.submit(small_sim(rate=0.02, tag="quotaslow", sleep=1.5))
-        assert wait_for(lambda: alice.status(first.id)["status"] == "running")
-        with pytest.raises(ServiceError, match="QuotaExceededError") as excinfo:
-            alice.submit(small_sim(rate=0.03, tag="quotaslow", sleep=1.5))
-        assert excinfo.value.retry_after is not None
-        # Bob's identity has its own quota: his submission lands.
-        bob.submit(small_sim(rate=0.04, tag="quotaslow", sleep=1.5))
-
-    def test_invalid_priority_header_is_400(self, make_service):
-        service, _ = make_service()
-        hacker = ServiceClient(
-            f"http://127.0.0.1:{service.port}", priority="urgent"
-        )
-        with pytest.raises(ServiceError, match="400"):
-            hacker.submit(small_sim(rate=0.05))
-
-    def test_job_envelope_reports_client_and_priority(self, make_service):
-        service, _ = make_service()
-        client = ServiceClient(
-            f"http://127.0.0.1:{service.port}",
-            client_id="alice",
-            priority="high",
-        )
-        ticket = client.submit(small_sim(rate=0.051))
-        envelope = client.status(ticket.id)
-        assert envelope["client"] == "alice"
-        assert envelope["priority"] == "high"
-        assert envelope["recovered"] is False
+    def test_identity_and_priority_headers_are_ignored(self, service_pair):
+        """Clients built when the service read ``X-Repro-Client`` and
+        ``X-Repro-Priority`` still send them: a submission carrying both,
+        even a priority the old ladder refused with 400, is admitted."""
+        service, client = service_pair
+        connection = http.client.HTTPConnection("127.0.0.1", service.port)
+        try:
+            connection.request(
+                "POST",
+                "/v1/jobs",
+                body=json.dumps(MAP_REQUEST.to_dict()),
+                headers={
+                    "Content-Type": "application/json",
+                    "X-Repro-Client": "alice",
+                    "X-Repro-Priority": "urgent",
+                },
+            )
+            reply = connection.getresponse()
+            ticket = json.loads(reply.read())
+        finally:
+            connection.close()
+        assert reply.status == 202
+        envelope = client.status(ticket["id"])
+        assert "client" not in envelope and "priority" not in envelope
 
     def test_retrying_client_rides_out_a_full_queue(
         self, fault_mapper, make_service
@@ -591,18 +582,6 @@ class TestCrashRecovery:
         _, client = make_service(store_root=str(store_root))
         with pytest.raises(ServiceError, match="404"):
             client.status("finished")
-
-    def test_no_recover_starts_fresh(self, make_service, tmp_path):
-        from repro.service import JobJournal
-
-        store_root = tmp_path / "store"
-        store_root.mkdir(parents=True, exist_ok=True)
-        journal = JobJournal(store_root / "journal.ndjson")
-        journal.record_accepted("ignored", [MAP_REQUEST.to_dict()], batch=False)
-        journal.close()
-        _, client = make_service(store_root=str(store_root), recover=False)
-        with pytest.raises(ServiceError, match="404"):
-            client.status("ignored")
 
     def test_health_reports_journal_counters(self, service_pair):
         _, client = service_pair

@@ -50,13 +50,13 @@ class TestResolution:
         backend, reason = jit.resolve_backend()
         assert reason
         if backend is not None:
-            assert backend.name in ("numba", "c")
+            assert backend.name == "c"
 
 
 class TestIntrospection:
     def test_rows_cover_every_compiled_rung(self):
         rows = jit.available_backends()
-        assert [row["name"] for row in rows] == ["numba", "c"]
+        assert [row["name"] for row in rows] == ["c"]
         for row in rows:
             assert isinstance(row["available"], bool)
             assert row["reason"]
@@ -80,8 +80,7 @@ class TestWarmupHygiene:
 
     def test_introspection_after_warmup_builds_nothing(self, monkeypatch):
         """``available_backends()`` reports the rungs already probed; it must
-        not build them again (reloading the library, or on a numba host
-        raising ``compile_events()`` although nothing was compiled)."""
+        not build them again (reloading the library)."""
         from repro.simnoc.engines import ckern
 
         jit.warmup()

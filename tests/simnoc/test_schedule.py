@@ -273,7 +273,7 @@ def _run(pattern, engine, num_vcs=1, shards=None):
 
 
 class TestPollingAdapter:
-    JIT_MODES = ("off", "py", "c", "numba")
+    JIT_MODES = ("off", "py", "c")
 
     @pytest.mark.parametrize("mode", JIT_MODES)
     @pytest.mark.parametrize("num_vcs", [1, 2])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import os
 import re
@@ -91,6 +92,65 @@ class TestPackageSurface:
                     if re.fullmatch(r"REPRO_[A-Z0-9_]*", node.value):
                         read.add(node.value)
         assert read == {"REPRO_NO_JIT", "REPRO_JIT", "REPRO_JIT_CACHE", "REPRO_NO_METIS"}
+
+
+class TestNoKnobWithoutACaller:
+    """The service's and the JIT ladder's options, pinned by name.
+
+    Per-client quotas, priority shedding, ``--no-recover`` and a numba rung
+    went because nothing outside the tests used them; bringing one back
+    (or adding another) takes an edit here.
+    """
+
+    @staticmethod
+    def flags(command: str) -> set[str]:
+        from repro.cli import build_parser
+
+        (subparsers,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        return {
+            option
+            for action in subparsers.choices[command]._actions
+            for option in action.option_strings
+        } - {"-h", "--help"}
+
+    def test_service_config_fields(self):
+        from dataclasses import fields
+
+        from repro.service import ServiceConfig
+
+        assert [field.name for field in fields(ServiceConfig)] == [
+            "host", "port", "store_root", "queue_limit", "workers", "executor",
+            "timeout", "store_max_bytes", "result_ttl", "journal_path",
+        ]
+
+    def test_serve_and_submit_flags(self):
+        assert self.flags("serve") == {
+            "--host", "--port", "--store", "--queue-limit", "--workers",
+            "--executor", "--timeout", "--journal", "--store-max-bytes",
+            "--result-ttl",
+        }
+        assert self.flags("submit") == {
+            "--url", "--json", "--app", "--algorithm", "--topology",
+            "--link-bw", "--seed", "--mapper-opt", "--no-wait", "--stream",
+            "--timeout", "--retries",
+        }
+
+    def test_the_service_reads_no_repro_header(self):
+        service = Path(repro.__file__).parent / "service"
+        for path in service.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    assert not node.value.lower().startswith("x-repro"), path
+
+    def test_jit_ladder_rungs(self):
+        from repro.simnoc.engines import jit
+
+        assert jit.LADDER.order == ("c",)
+        assert set(jit.LADDER.probes) == {"c", "py"}
 
 
 class TestColdStart:

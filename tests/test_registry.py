@@ -152,7 +152,7 @@ def test_a_switch_set_off_leaves_the_rungs_own_reason(monkeypatch, switch, value
 def test_a_switch_set_on_names_itself(monkeypatch, switch, value):
     monkeypatch.setenv(switch, value)
     reasons = _reasons()
-    killed = ["numba", "c"] if switch == "REPRO_NO_JIT" else ["metis"]
+    killed = ["c"] if switch == "REPRO_NO_JIT" else ["metis"]
     for rung in killed:
         assert reasons[rung] == f"disabled by {switch}"
     for rung in set(reasons) - set(killed):
