@@ -43,9 +43,10 @@ bench-smoke:
 	$(PYTHON) scripts/bench_smoke.py
 
 # End-to-end smoke: the quickstart example plus one torus mapping, one
-# event-engine synthetic simulation and one auto-resolved (vector) run at
-# high load through the CLI — proves the repro.api facade, torus routing
-# and the engine/traffic plumbing stay wired up.
+# synthetic simulation named by the `event` alias (it runs the cycle
+# engine; the name must keep parsing and running) and one auto-resolved
+# (vector) run at high load through the CLI — proves the repro.api facade,
+# torus routing and the engine/traffic plumbing stay wired up.
 smoke:
 	$(PYTHON) examples/quickstart.py
 	$(PYTHON) -m repro.cli list-engines

@@ -69,7 +69,7 @@ def main() -> None:
                 warmup_cycles=100,
                 drain_cycles=200,
                 options=SimOptions(
-                    traffic="uniform", injection_rate=rate, engine="event"
+                    traffic="uniform", injection_rate=rate, engine="cycle"
                 ),
             )
             for rate in (0.02, 0.05, 0.08)

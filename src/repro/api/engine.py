@@ -238,13 +238,14 @@ def _cached_execute_map(request: MapRequest) -> tuple[NoCTopology, MappingResult
     return value
 
 
-def _prepare_sim(request: SimRequest):
-    """Map, route and build the simulator for a request — without running it.
+def run_sim(request: SimRequest) -> SimResponse:
+    """Execute one simulation request (map, route, simulate, summarize).
 
-    Returns ``(simulator, map_response)``.  :func:`run_sim` is this plus
-    ``simulator.run()``; the ``replica`` batch executor splits the two so
-    it can hand many prepared simulators to
-    :func:`repro.simnoc.engines.vector.run_replicas` at once.
+    Every RNG stream of the run derives from the request's own seeds
+    (``sim_seed`` for traffic, the map request's ``seed`` for stochastic
+    mappers) plus a stable per-component stream index — never from shared
+    global state — so the response is a pure function of the request
+    regardless of batch worker counts (see :func:`run_batch`).
     """
     options = request.options
     topology, result = _cached_execute_map(request.map_request)
@@ -329,25 +330,12 @@ def _prepare_sim(request: SimRequest):
     map_response = _build_map_response(
         request.map_request, topology, result, price_bandwidth=False
     )
-    sim = Simulator(
+    simulator = Simulator(
         network,
         engine=options.engine,
         shards=options.shards,
         partitioner=options.partitioner,
     )
-    return sim, map_response
-
-
-def run_sim(request: SimRequest) -> SimResponse:
-    """Execute one simulation request (map, route, simulate, summarize).
-
-    Every RNG stream of the run derives from the request's own seeds
-    (``sim_seed`` for traffic, the map request's ``seed`` for stochastic
-    mappers) plus a stable per-component stream index — never from shared
-    global state — so the response is a pure function of the request
-    regardless of batch worker counts (see :func:`run_batch`).
-    """
-    simulator, map_response = _prepare_sim(request)
     return _build_sim_response(request, map_response, simulator.run())
 
 
@@ -401,7 +389,7 @@ def run(request: MapRequest | SimRequest) -> MapResponse | SimResponse:
     raise ApiError(f"cannot run a {type(request).__name__}")
 
 
-#: Executors ``run_batch`` can fan out over.
+#: Executors ``run_batch`` can fan out over (``replica`` runs ``serial``).
 BATCH_EXECUTORS = ("serial", "thread", "process", "replica")
 
 def _timeout_message(timeout: float) -> str:
@@ -432,72 +420,6 @@ def _guarded_run(
             request=request, error="BatchError", message=_timeout_message(timeout)
         )
     return response
-
-
-def _run_replica_batch(
-    requests: list[MapRequest | SimRequest],
-) -> list[MapResponse | SimResponse | ErrorResponse]:
-    """The ``executor="replica"`` path: prepare every vector sim, then run them.
-
-    Every sim request whose resolved engine is the vector engine is
-    prepared (map, route, network build) up front, then all of them
-    advance through :func:`repro.simnoc.engines.vector.run_replicas` —
-    one compiled call per program when a JIT backend is available,
-    bit-identical interpreted fallback otherwise.  Map
-    requests and sims pinned to other engines run in-process exactly as
-    the serial executor would, so the response list is byte-identical to
-    ``executor="serial"`` in every slot, in request order.
-    """
-    from repro.simnoc.engines.auto import resolve_auto_engine
-    from repro.simnoc.engines.vector import run_replicas
-
-    results: list = [None] * len(requests)
-    prepared: list[tuple[int, SimRequest, Simulator, MapResponse]] = []
-    for index, request in enumerate(requests):
-        if not isinstance(request, SimRequest):
-            results[index] = _guarded_run(request, None)
-            continue
-        try:
-            simulator, map_response = _prepare_sim(request)
-            engine = simulator.engine_name
-            if engine == "auto":
-                engine = resolve_auto_engine(simulator.network)
-        except Exception as exc:  # noqa: BLE001 — slot isolation, as serial
-            results[index] = ErrorResponse(
-                request=request, error=type(exc).__name__, message=str(exc)
-            )
-            continue
-        if engine != "vector":
-            # Pinned to cycle/event/sharded: the replica kernel cannot
-            # batch it, so the slot runs like a serial one.
-            try:
-                report = simulator.run()
-                results[index] = _build_sim_response(request, map_response, report)
-            except Exception as exc:  # noqa: BLE001
-                results[index] = ErrorResponse(
-                    request=request, error=type(exc).__name__, message=str(exc)
-                )
-            continue
-        prepared.append((index, request, simulator, map_response))
-
-    if prepared:
-        errors = run_replicas([simulator for _, _, simulator, _ in prepared])
-        for (index, request, simulator, map_response), error in zip(
-            prepared, errors
-        ):
-            if error is not None:
-                results[index] = ErrorResponse(
-                    request=request, error=type(error).__name__, message=str(error)
-                )
-                continue
-            try:
-                report = simulator._build_report()
-                results[index] = _build_sim_response(request, map_response, report)
-            except Exception as exc:  # noqa: BLE001
-                results[index] = ErrorResponse(
-                    request=request, error=type(exc).__name__, message=str(exc)
-                )
-    return results
 
 
 def run_batch(
@@ -538,14 +460,10 @@ def run_batch(
             mapping jobs), ``"process"`` (true multi-core for
             Python-bound jobs — high-load simulation sweeps above all;
             requests and responses cross the process boundary as pickled
-            frozen payloads) or ``"replica"`` (in-process; sim requests
-            resolving to the vector engine are all prepared and flattened
-            first, then advanced back to back by the compiled kernel —
-            measured at ≈ 1.0x of ``"serial"``, PERFORMANCE.md — while
-            every other slot runs serially.  Responses
-            stay byte-identical to ``"serial"``.  Incompatible with
-            ``timeout``; ``workers``/``retries``/``isolate`` are pool
-            parameters and have no effect).
+            frozen payloads).  ``"replica"`` is an alias of ``"serial"``:
+            the executor of that name, which flattened every vector sim
+            before running any, measured ≈ 1.0x ``"serial"`` and was
+            removed.
         timeout: per-request wall-clock budget in seconds; None disables.
             The process executor kills a late slot's worker and replaces
             it, so the caller is answered when the budget runs out; the
@@ -573,20 +491,13 @@ def run_batch(
         raise ApiError(f"timeout must be positive, got {timeout}")
     if retries < 0:
         raise ApiError(f"retries must be >= 0, got {retries}")
-    if executor == "replica":
-        if timeout is not None:
-            raise ApiError(
-                "the replica executor prepares every slot before it runs "
-                "any; per-request timeouts are not supported"
-            )
-        return _run_replica_batch(requests)
     if not requests:
         return []
     if workers is None:
         workers = min(len(requests), os.cpu_count() or 1)
     if workers < 1:
         raise ApiError(f"workers must be >= 1, got {workers}")
-    if executor == "serial" or (
+    if executor in ("serial", "replica") or (
         not isolate and (workers == 1 or len(requests) == 1)
     ):
         return [_guarded_run(request, timeout) for request in requests]

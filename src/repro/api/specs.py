@@ -259,9 +259,8 @@ class SimOptions(Payload):
 
     Attributes:
         engine: registered engine name — ``"cycle"`` (cycle-accurate
-            reference), ``"event"`` (heap-scheduled; kept as a second,
-            independently scheduled implementation — the slowest engine at
-            every measured load), ``"vector"`` (structure-of-arrays,
+            reference; ``"event"`` is an alias of it), ``"vector"``
+            (structure-of-arrays,
             fastest at every load) or ``"auto"`` (always vector).
             All backends are bit-consistent with ``cycle``.
         traffic: ``"trace"`` replays the mapped core graph's bandwidths;

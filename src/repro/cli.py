@@ -510,8 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="cycle",
         choices=list_engines(),
         help=(
-            "simulation backend: cycle (bit-exact reference), event "
-            "(skips idle time), vector (structure-of-arrays; runs on a "
+            "simulation backend: cycle (bit-exact reference; event is an "
+            "alias of it), vector (structure-of-arrays; runs on a "
             "compiled C kernel when one is available — see "
             "'list-engines', disable with REPRO_NO_JIT=1) or auto "
             "(always vector)"

@@ -9,15 +9,13 @@ under XY routing and saturates earlier on the same mesh.
 
 Runs on the ``auto`` engine by default, which is the structure-of-arrays
 vector engine at every point: it is the fastest backend from a near-idle
-network to saturation, so no point needs the event-driven engine's dead-
-cycle skipping.  Every engine is bit-consistent with ``cycle`` — the
+network to saturation.  Every engine is bit-consistent with ``cycle`` — the
 equivalence suite under ``tests/properties`` pins that — so an explicit
 ``engine=`` changes wall-clock only.  Every point is a :class:`~repro.api.SimRequest`
 through ``run_batch``, like every other experiment; the mapper run behind
 the points is computed once and shared via the request cache, and
-``executor="process"`` scales a sweep across cores.  ``executor="replica"``
-prepares every vector-engine point first, then advances them back to back,
-one compiled call per point; it measures ≈ 1.0x ``"serial"``.
+``executor="process"`` scales a sweep across cores.  ``engine="event"`` and
+``executor="replica"`` are aliases of ``"cycle"`` and ``"serial"``.
 """
 
 from __future__ import annotations
@@ -58,9 +56,7 @@ def run_latency_sweep(
             (None lets the engine default; rejected for other engines).
         workers: worker count for the request batch.
         executor: ``"thread"``, ``"process"`` (multi-core sweeps) or
-            ``"replica"`` — all vector-engine points are flattened first,
-            then advanced back to back by the compiled kernel (see
-            ``repro.simnoc.engines.jit``), byte-identical results.
+            ``"serial"`` (``"replica"`` is an alias of it).
         service_url: when set, the sweep is submitted as one batch job to
             a running ``repro serve`` instance instead of executing
             locally — same requests, same typed responses, but the

@@ -67,7 +67,7 @@ MAX_BATCH = 1024
 JOB_HISTORY = 256
 
 #: The ``run_batch`` executors a runner can fan owned misses out over
-#: (``replica`` is not one: it takes no per-request timeout).
+#: (``replica``, an alias of ``serial``, is not offered).
 EXECUTORS = ("serial", "thread", "process")
 
 
@@ -382,18 +382,25 @@ class JobRunner:
                 "service is draining and accepts no new jobs",
                 retry_after=self.retry_after_hint(),
             )
+        # Refused before the journal: a 429 costs no fsync and no tombstone.
+        if self._queue.full():
+            raise self._overloaded()
         job = self._registry.create(requests, batch)
         self._journal_accepted(job)
         try:
             self._queue.put_nowait(job)
         except queue.Full:
+            # A recovery feeder took the last slot after the check above.
             self._registry.discard(job.id)
             self._journal_finished(job)
-            raise OverloadedError(
-                f"admission queue is full ({self._queue.maxsize} jobs); retry later",
-                retry_after=self.retry_after_hint(),
-            ) from None
+            raise self._overloaded() from None
         return job
+
+    def _overloaded(self) -> OverloadedError:
+        return OverloadedError(
+            f"admission queue is full ({self._queue.maxsize} jobs); retry later",
+            retry_after=self.retry_after_hint(),
+        )
 
     # -- journal --------------------------------------------------------
     def _journal_accepted(self, job: Job) -> None:

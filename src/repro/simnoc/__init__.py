@@ -9,11 +9,10 @@ equivalent substrate in Python, split into two layers (``ARCHITECTURE.md``):
   pluggable traffic injectors (trace-driven from the mapped core graph, or
   synthetic uniform-random / transpose / bursty on-off patterns);
 * an **engine layer** — interchangeable time-advance backends: the
-  cycle-accurate reference loop (``engine="cycle"``), a heap-scheduled
-  event-driven engine (``engine="event"``) that skips all dead time, a
-  structure-of-arrays ``engine="vector"`` that flattens the network into
-  numpy-backed flat state, and an ``engine="auto"`` policy (always
-  vector) — all producing identical results.
+  cycle-accurate reference loop (``engine="cycle"``, also named
+  ``"event"``), a structure-of-arrays ``engine="vector"`` that flattens the
+  network into numpy-backed flat state, and an ``engine="auto"`` policy
+  (always vector) — all producing identical results.
 
 Key model parameters (:class:`SimConfig`) mirror the paper's Table 3:
 64-byte packets, a 7-cycle switch traversal, and link bandwidths swept in

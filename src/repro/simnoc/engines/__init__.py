@@ -5,10 +5,8 @@ Engines drive the model layer (routers, NIs, traffic sources — see
 component to touch when:
 
 * ``"cycle"`` — the cycle-accurate reference: a per-cycle sweep that skips
-  idle components bit-exactly;
-* ``"event"`` — heap-scheduled event-driven time: components are stepped
-  only at cycles where they can act, and all dead time in between is
-  skipped outright;
+  idle components bit-exactly (``"event"`` is an alias of it: the
+  event-driven engine of that name measured slower and was removed);
 * ``"vector"`` — structure-of-arrays time: the network is flattened into
   preallocated flat/numpy arrays and advanced with no per-object dispatch
   (compiled when a kernel backend resolves, interpreted otherwise), the
@@ -25,7 +23,6 @@ the property suite pins the equivalence; the benches measure the gap.
 from repro.simnoc.engines.auto import AutoEngine, resolve_auto_engine
 from repro.simnoc.engines.base import Engine, get_engine, list_engines
 from repro.simnoc.engines.cycle import DEADLOCK_WINDOW, CycleEngine
-from repro.simnoc.engines.event import EventEngine
 from repro.simnoc.engines.vector import VectorEngine
 
 __all__ = [
@@ -33,7 +30,6 @@ __all__ = [
     "CycleEngine",
     "DEADLOCK_WINDOW",
     "Engine",
-    "EventEngine",
     "VectorEngine",
     "get_engine",
     "list_engines",

@@ -2,18 +2,19 @@
 
 An engine is a strategy object: ``run(sim)`` drives ``sim.network`` from
 cycle 0 to ``sim.config.total_cycles`` and leaves the run's results where
-the report builder reads them.  The object engines (``cycle``, ``event``)
-step the network's routers and NIs, appending packets to
-``sim.all_packets``; the flattened engines (``vector``, ``sharded``) read
-only the fabric's wiring and leave columns: ``sim.packet_log`` and
-``sim.carried``.  The ``sim``
-argument is the :class:`repro.simnoc.simulator.Simulator` acting as the run
-context — it owns the network, the config, the optional trace recorder, the
-global packet-id counter and the report builder.
+the report builder reads them.  The object engine (``cycle``, also
+registered as ``event``) steps the network's routers and NIs, appending
+packets to ``sim.all_packets``; the flattened engines (``vector``,
+``sharded``) read only the fabric's wiring and leave columns:
+``sim.packet_log`` and ``sim.carried``.  The ``sim`` argument is the
+:class:`repro.simnoc.simulator.Simulator` acting as the run context — it
+owns the network, the config, the optional trace recorder, the global
+packet-id counter and the report builder.
 
 Engines self-register with :func:`register_engine`; surfaces resolve them
-by name so ``engine="event"`` can flow from a CLI flag all the way down
-without any dispatch tables in between.
+by name so ``engine="vector"`` can flow from a CLI flag all the way down
+without any dispatch tables in between.  One class may file under two
+names: ``event`` is :class:`~repro.simnoc.engines.cycle.CycleEngine`.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ class Engine(Protocol):
 def _load_engines() -> None:
     import repro.simnoc.engines.auto  # noqa: F401
     import repro.simnoc.engines.cycle  # noqa: F401
-    import repro.simnoc.engines.event  # noqa: F401
     import repro.simnoc.engines.sharded  # noqa: F401
     import repro.simnoc.engines.vector  # noqa: F401
 

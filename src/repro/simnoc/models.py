@@ -5,8 +5,8 @@
 * the **model layer** — routers, network interfaces, links and traffic
   injectors, composable components that define *what* is simulated;
 * the **engine layer** (:mod:`repro.simnoc.engines`) — interchangeable
-  backends that define *how* simulated time advances (cycle-accurate scan
-  or event-driven skipping).
+  backends that define *how* simulated time advances (a cycle-accurate
+  sweep over objects or over flattened arrays).
 
 The router models are a closed set: the paper's wormhole router
 (:mod:`repro.simnoc.router`) and its virtual-channel variant
@@ -34,7 +34,7 @@ class TrafficSource(Protocol):
 
     A source owns one stream of packets entering the network at
     ``src_node``.  Engines poll it with :meth:`packets_for_cycle` at the
-    cycles :attr:`next_event_cycle` names (cycle and event engines).
+    cycles :attr:`next_event_cycle` names (the cycle engine).
 
     The flattened engines (``vector``, ``sharded``) replay each source on
     its own, ahead of time (:mod:`repro.simnoc.schedule`), so a source must

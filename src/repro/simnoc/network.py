@@ -92,7 +92,7 @@ class Network:
 
     ``fabric`` is the wiring every engine reads.  The router and NI objects
     are built from it on first access, so only the engines that step
-    objects (``cycle``, ``event``) pay for them.  A
+    objects (``cycle``) pay for them.  A
     network runs once: :meth:`claim` hands it to one simulator.
     """
 

@@ -43,9 +43,7 @@ def refill_bucket_to(port, cycle: int) -> None:
     token value is exactly what a cycle-by-cycle simulation would have
     produced (floating-point accumulation order matters); the replay stops
     as soon as the bucket saturates, since ``cap`` is a fixpoint of the
-    update.  The event engine's bit-exactness rests on this function and
-    :func:`bucket_tokens_ready_cycle` performing the *same* operation
-    sequence — that is why there is exactly one copy of each.
+    update.
     """
     pending = cycle - port.last_refill
     if pending <= 0:
@@ -60,23 +58,6 @@ def refill_bucket_to(port, cycle: int) -> None:
             tokens = cap
             break
     port.tokens = tokens
-
-
-def bucket_tokens_ready_cycle(port, cycle: int) -> int:
-    """First cycle ``>= cycle`` at which the bucket holds a whole token.
-
-    Replays the exact per-cycle update :func:`refill_bucket_to` will
-    perform (same floating-point operation sequence), so the event engine's
-    prediction lands on precisely the cycle a cycle-by-cycle simulation
-    would first move a flit.
-    """
-    cap = max(1.0, port.rate) + 1.0
-    tokens = port.tokens
-    ready = cycle
-    while tokens < 1.0:
-        tokens = min(tokens + port.rate, cap)
-        ready += 1
-    return ready
 
 
 def resolve_next_hop(node: int, outputs: dict, flit: Flit) -> int:
@@ -175,7 +156,6 @@ class Router:
         "output_order",
         "out_ports",
         "hops",
-        "last_step_released",
     )
 
     def __init__(
@@ -209,12 +189,6 @@ class Router:
         self.output_order = sorted(self.outputs)
         self.out_ports = [self.outputs[key] for key in self.output_order]
         self.hops: dict[int, int] = {}
-        #: True when the last step released an output port (a tail passed).
-        #: The event engine re-wakes the router next cycle exactly then —
-        #: a release is the only post-move state change that enables an
-        #: action no other wake source predicts (re-arbitration of waiting
-        #: heads, including the next head the tail's pop just exposed).
-        self.last_step_released = False
 
     # ------------------------------------------------------------------
     # routing
@@ -255,7 +229,6 @@ class Router:
         (``tests/reference``'s ``every_port_step``).
         """
         moved = 0
-        self.last_step_released = False
         requested = self._probe_requests(cycle)
         for port in self.out_ports:
             if port.owner is None and port.to_key not in requested:
@@ -339,7 +312,6 @@ class Router:
             if flit.sequence == packet.num_flits - 1:
                 port.owner = None
                 port.owner_packet_id = None
-                self.last_step_released = True
                 self.hops.pop(packet_id, None)
                 if queue:
                     enter, flit = queue[0]
@@ -347,15 +319,6 @@ class Router:
                         requested.add(self.next_hop_key(flit))
                 break
         return moved
-
-    def awaits_credit(self, to_key: int) -> bool:
-        """Whether a credit returned on ``to_key`` could unblock a move.
-
-        Credits only gate moves of an *allocated* worm; arbitration ignores
-        them.  The event engine uses this O(1) probe to decide whether a
-        downstream pop must wake this router.
-        """
-        return self.outputs[to_key].owner is not None
 
     def buffered_flits(self) -> int:
         return sum(len(port.queue) for port in self.in_ports)
@@ -375,46 +338,6 @@ class Router:
             if port.owner is not None:
                 return False
         return True
-
-    def next_action_cycle(self, cycle: int) -> int | None:
-        """Earliest cycle after ``cycle`` a step could change state by itself.
-
-        Called by the event engine right after :meth:`step` ran at
-        ``cycle``.  Only two things make a stalled router act again without
-        an external event (arrival or credit return):
-
-        * a queued flit finishing the router pipeline — its head-of-line
-          visibility cycle is ``enter + router_delay``;
-        * an allocated worm waiting for link tokens — the refill schedule
-          is deterministic, so the cycle the bucket reaches one token is
-          :func:`bucket_tokens_ready_cycle`.
-
-        Already-visible-but-blocked heads contribute no candidate: they are
-        waiting on a port release (a move in this router — the engine
-        reschedules after any move), a credit, or an arrival, all of which
-        generate their own wake events.
-        """
-        best: int | None = None
-        delay = self.router_delay
-        for port in self.in_ports:
-            if port.queue:
-                visible = port.queue[0][0] + delay
-                if visible > cycle and (best is None or visible < best):
-                    best = visible
-        horizon = cycle - delay
-        for port in self.out_ports:
-            if port.owner is None or port.tokens >= 1.0 or port.credits < 1.0:
-                continue
-            queue = self.inputs[port.owner].queue
-            if not queue:
-                continue
-            enter, flit = queue[0]
-            if enter > horizon or flit.packet.packet_id != port.owner_packet_id:
-                continue  # waiting on an arrival or the pipeline, not tokens
-            ready = bucket_tokens_ready_cycle(port, cycle)
-            if best is None or ready < best:
-                best = ready
-        return best
 
 
 def build_wormhole_router(

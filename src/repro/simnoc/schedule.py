@@ -2,7 +2,7 @@
 
 Traffic sources are open-loop — a source's packets depend only on the
 cycle and its own RNG — so the flattened engines need not poll them from an
-event heap as the ``cycle`` and ``event`` engines do.  :func:`build_schedule`
+event heap as the ``cycle`` engine does.  :func:`build_schedule`
 replays each source on its own (``schedule(until)``, see
 :class:`~repro.simnoc.models.TrafficSource`, else :func:`_poll`), merges the
 streams by one stable sort on ``(cycle, source index)`` — the heap's pop

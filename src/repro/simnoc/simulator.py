@@ -3,7 +3,7 @@
 The heavy lifting lives in the two layers this module stitches together:
 the **model layer** (routers, NIs, traffic sources — built by
 :mod:`repro.simnoc.network`) and the **engine layer**
-(:mod:`repro.simnoc.engines` — cycle-accurate or event-driven time).
+(:mod:`repro.simnoc.engines` — object or flattened time advance).
 :class:`Simulator` is the run context engines drive: it owns the network,
 the config, the optional trace recorder, the global packet-id counter and
 the statistics aggregation.
@@ -73,8 +73,7 @@ class Simulator:
             given, every flit movement is recorded (bounded by the
             recorder's cap).
         engine: registered engine name — ``"cycle"`` (bit-exact
-            reference), ``"event"`` (heap-scheduled; slower than
-            ``cycle`` at every measured load), ``"vector"``
+            reference; ``"event"`` is an alias of it), ``"vector"``
             (structure-of-arrays, fastest at every load),
             ``"sharded"`` (multi-process over a fabric partition) or
             ``"auto"`` (always vector).

@@ -34,7 +34,6 @@ from repro.errors import SimulationError
 from repro.simnoc.packet import Flit, is_last_flit
 from repro.simnoc.router import (
     LOCAL,
-    bucket_tokens_ready_cycle,
     refill_bucket_to,
     resolve_next_hop,
 )
@@ -116,10 +115,6 @@ class VCOutputPort:
         """Apply every refill owed up to ``cycle`` (:func:`refill_bucket_to`)."""
         refill_bucket_to(self, cycle)
 
-    def tokens_ready_cycle(self, cycle: int) -> int:
-        """First cycle with a whole token (:func:`bucket_tokens_ready_cycle`)."""
-        return bucket_tokens_ready_cycle(self, cycle)
-
 
 class VCRouter:
     """Input-buffered wormhole router with ``num_vcs`` virtual channels."""
@@ -132,7 +127,6 @@ class VCRouter:
         "input_order",
         "outputs",
         "output_order",
-        "last_step_released",
     )
 
     def __init__(
@@ -169,9 +163,6 @@ class VCRouter:
             for key, (rate, credits) in output_specs.items()
         }
         self.output_order = sorted(self.outputs)
-        #: True when the last step released a lane (same event-engine
-        #: contract as :class:`repro.simnoc.router.Router`).
-        self.last_step_released = False
 
     def next_hop_key(self, flit: Flit) -> int:
         """Where this flit's packet goes next from this node."""
@@ -213,7 +204,6 @@ class VCRouter:
         are those of a scan of every port and lane (``tests/reference``).
         """
         moved = 0
-        self.last_step_released = False
         requested = self._probe_requests(cycle)
         for out_key in self.output_order:
             port = self.outputs[out_key]
@@ -279,17 +269,12 @@ class VCRouter:
                 if is_last_flit(flit):
                     port.vc_owner[vc] = None
                     port.vc_owner_packet[vc] = None
-                    self.last_step_released = True
                 port.vc_rr = (vc + 1) % self.num_vcs
                 progressed = True
                 break
             if not progressed:
                 break
         return moved
-
-    def awaits_credit(self, to_key: int) -> bool:
-        """Whether a credit returned on ``to_key`` could unblock a move."""
-        return any(owner is not None for owner in self.outputs[to_key].vc_owner)
 
     def buffered_flits(self) -> int:
         return sum(port.occupancy for port in self.inputs.values())
@@ -303,33 +288,6 @@ class VCRouter:
             if any(owner is not None for owner in port.vc_owner):
                 return False
         return True
-
-    def next_action_cycle(self, cycle: int) -> int | None:
-        """Earliest self-scheduled action cycle (event-engine contract).
-
-        Mirrors :meth:`repro.simnoc.router.Router.next_action_cycle`:
-        pipeline-visibility cycles of queued lane heads, plus token-ready
-        cycles for allocated lanes that are flit-ready and credit-ready but
-        token-starved.
-        """
-        best: int | None = None
-        for port in self.inputs.values():
-            for queue in port.queues:
-                if queue:
-                    visible = queue[0][0] + self.router_delay
-                    if visible > cycle and (best is None or visible < best):
-                        best = visible
-        for out_key in self.output_order:
-            port = self.outputs[out_key]
-            if port.tokens >= 1.0:
-                continue
-            for vc in range(self.num_vcs):
-                if self._movable_flit(port, vc, cycle) is not None:
-                    ready = port.tokens_ready_cycle(cycle)
-                    if best is None or ready < best:
-                        best = ready
-                    break
-        return best
 
 
 def build_vc_router(

@@ -140,9 +140,9 @@ class TestPerFlowStats:
 
     def test_engines_agree_on_per_flow(self):
         cycle = run(_sim_request(engine="cycle"))
-        event = run(_sim_request(engine="event"))
-        assert cycle.per_flow == event.per_flow
-        assert cycle.link_flits == event.link_flits
+        vector = run(_sim_request(engine="vector"))
+        assert cycle.per_flow == vector.per_flow
+        assert cycle.link_flits == vector.link_flits
 
 
 class TestBatchSeedDeterminism:

@@ -21,9 +21,9 @@ class TestLatencySweep:
 
     def test_engines_produce_identical_tables(self):
         kwargs = dict(rates=(0.08,), patterns=("transpose",), measure_cycles=1_500)
-        event = run_latency_sweep(engine="event", **kwargs)
+        vector = run_latency_sweep(engine="vector", **kwargs)
         cycle = run_latency_sweep(engine="cycle", **kwargs)
-        assert event.rows == cycle.rows
+        assert vector.rows == cycle.rows
 
     def test_vcs_flow_through(self):
         table = run_latency_sweep(

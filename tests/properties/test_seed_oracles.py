@@ -66,7 +66,7 @@ from repro.routing import ilp, min_path, split
 from repro.routing.base import RoutingResult
 from repro.routing.min_path import least_loaded_quadrant_path, min_path_routing
 from repro.api import MapRequest, SimOptions, SimRequest
-from repro.api.engine import _prepare_sim
+from repro.api import engine as api_engine
 from repro.errors import SimulationError
 from repro.simnoc import stats
 from repro.simnoc.config import SimConfig
@@ -939,8 +939,8 @@ class TestRouterStep:
     def test_engines_match_the_seed_step(self, drawn, rate, delay, depth, packet_bytes, seed):
         """Reports, flit traces, deadlock and routing messages and the final
         state of every port equal the seed loop's.  ``SimConfig`` floors
-        ``router_delay`` at 1 and ``buffer_depth`` at 2, and the engines'
-        wake schedules rely on the floors; the router has none, so below
+        ``router_delay`` at 1 and ``buffer_depth`` at 2, and the cycle
+        engine's wake schedule relies on the floors; the router has none, so below
         them the production step is held to the seed's under one loop."""
         fabric, commodities = drawn
         try:
@@ -956,7 +956,7 @@ class TestRouterStep:
             drain_cycles=100,
             seed=seed,
         )
-        engines = ("step", "cycle", "event")
+        engines = ("step", "cycle")
         if (delay, depth) != (config.router_delay, config.buffer_depth):
             object.__setattr__(config, "router_delay", delay)
             object.__setattr__(config, "buffer_depth", depth)
@@ -1019,7 +1019,7 @@ class TestRouterStep:
         config = SimConfig(warmup_cycles=0, measure_cycles=400, drain_cycles=0, seed=3)
         outcomes = {
             engine: _router_run(build_network(mesh, commodities, routing, config), engine)
-            for engine in ("seed", "step", "cycle", "event")
+            for engine in ("seed", "step", "cycle")
         }
         reference = outcomes.pop("seed")
         assert re.fullmatch(r"node 0 has no output toward 3 \(packet \d+\)", reference[0])
@@ -1193,6 +1193,12 @@ class TestPacketObjects:
         """The run's sim and report, and how many of each counted class it
         built, network build included."""
         built = Counter()
+        runs = []
+
+        class Recording(Simulator):
+            def run(self):
+                runs.append((self, super().run()))
+                return runs[-1][1]
 
         def counting(klass):
             init = klass.__init__
@@ -1206,8 +1212,9 @@ class TestPacketObjects:
         with monkeypatch.context() as patch:
             for klass in cls.COUNTED:
                 patch.setattr(klass, "__init__", counting(klass))
-            sim, _ = _prepare_sim(_sim_request(engine, **options, **sim_options))
-            report = sim.run()
+            patch.setattr(api_engine, "Simulator", Recording)
+            api_engine.run_sim(_sim_request(engine, **options, **sim_options))
+        ((sim, report),) = runs
         return sim, report, built
 
     @pytest.mark.parametrize("case", CASES)

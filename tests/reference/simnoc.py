@@ -101,7 +101,6 @@ def seed_advance_port(router, port, cycle: int, deliver) -> int:
         if is_last_flit(flit):
             port.owner = None
             port.owner_packet_id = None
-            router.last_step_released = True
     return moved
 
 

@@ -163,6 +163,33 @@ class TestDurableAdmission:
         assert record["job"] == job.id
         assert record["requests"][0]["tag"] == "durable"
 
+    def test_a_refused_submission_is_not_journaled(self, tmp_path):
+        """Regression: every 429 fsynced an ``accepted`` record, then a
+        tombstone — one admitted job and three refused read ``accepted`` 4,
+        ``finished`` 3."""
+        journal = JobJournal(tmp_path / "journal.ndjson")
+        runner = make_runner(journal=journal, queue_limit=1)
+        job = runner.submit([request(tag="in")], batch=False)
+        for index in range(3):
+            with pytest.raises(OverloadedError):
+                runner.submit([request(tag=f"out{index}")], batch=False)
+        stats = journal.stats()
+        assert (stats["accepted"], stats["finished"]) == (1, 0)
+        assert [r["job"] for r in JobJournal(journal.path).recover()] == [job.id]
+
+    def test_a_slot_lost_after_the_check_is_tombstoned(self, tmp_path, monkeypatch):
+        """A recovery feeder may fill the last slot between the full check
+        and the enqueue: the journaled job is refused and tombstoned."""
+        journal = JobJournal(tmp_path / "journal.ndjson")
+        runner = make_runner(journal=journal, queue_limit=1)
+        runner.submit([request(tag="in")], batch=False)
+        monkeypatch.setattr(runner._queue, "full", lambda: False)
+        with pytest.raises(OverloadedError):
+            runner.submit([request(tag="raced")], batch=False)
+        stats = journal.stats()
+        assert (stats["accepted"], stats["finished"]) == (2, 1)
+        assert runner._registry.counts()["active"] == 1
+
     def test_completion_tombstones_the_journal(self, tmp_path):
         journal = JobJournal(tmp_path / "journal.ndjson")
         runner = make_runner(journal=journal)

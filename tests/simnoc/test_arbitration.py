@@ -16,7 +16,7 @@ from repro.routing.min_path import min_path_routing
 from repro.simnoc import SimConfig, Simulator, build_network
 from tests.simnoc.deliveries import deliveries
 
-ENGINES = ("cycle", "event", "vector")
+ENGINES = ("cycle", "vector")
 
 
 def _commodity(index, src, dst, value):

@@ -172,5 +172,5 @@ class TestEndToEnd:
             warmup_cycles=200, measure_cycles=2_000, drain_cycles=500,
             seed=8, num_vcs=2,
         )
-        report = simulate_synthetic(mesh4x4, config, "uniform", 0.1, engine="event")
+        report = simulate_synthetic(mesh4x4, config, "uniform", 0.1, engine="vector")
         assert report.stats.count > 0

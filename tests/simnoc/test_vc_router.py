@@ -116,15 +116,6 @@ class TestCreditFlow:
         downstream.inputs[0].pop(1)
         assert upstream.outputs[1].vc_credits[1] == 2.0
 
-    def test_awaits_credit_tracks_lane_owners(self):
-        router = _router(neighbors=(1,))
-        assert not router.awaits_credit(1)
-        packet = _packet(1, [0, 1], flits=3, vc=0)
-        for flit in make_flits(packet):
-            router.inputs[LOCAL].push(flit, 0)
-        router.step(1, Collector())
-        assert router.awaits_credit(1)
-
 
 class TestEngineContract:
     def test_idle_and_buffered_flits(self):
@@ -134,20 +125,6 @@ class TestEngineContract:
         router.inputs[LOCAL].push(make_flits(_packet(1, [0, 1], flits=1))[0], 0)
         assert not router.is_idle()
         assert router.buffered_flits() == 1
-
-    def test_next_action_cycle_reports_visibility(self):
-        router = _router(delay=5)
-        router.inputs[LOCAL].push(make_flits(_packet(1, [0, 1], flits=1))[0], 3)
-        assert router.next_action_cycle(4) == 8  # enter 3 + delay 5
-
-    def test_next_action_cycle_reports_token_readiness(self):
-        router = _router(rate=0.25, delay=1)
-        for flit in make_flits(_packet(1, [0, 1], flits=3)):
-            router.inputs[LOCAL].push(flit, 0)
-        sink = Collector()
-        router.step(1, sink)  # allocates the lane; tokens may be short
-        nxt = router.next_action_cycle(1)
-        assert nxt is not None and nxt > 1
 
     def test_vcs_build_the_vc_router(self):
         from repro.graphs.topology import NoCTopology

@@ -109,7 +109,7 @@ class TestAutoPolicy:
         self, monkeypatch, rate, no_jit, model
     ):
         """No load threshold, no dependence on the JIT rung and no router
-        model left to fall back for: the event engine is never
+        model left to fall back for: the cycle engine is never
         auto-selected (PERFORMANCE.md, engine ladder)."""
         monkeypatch.setenv("REPRO_NO_JIT", no_jit)
         assert resolve_auto_engine(_network(rate, **model)) == "vector"

@@ -199,7 +199,7 @@ class TestSimulate:
         ) == 0
         assert "latency mean" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("engine", ["event", "vector", "auto"])
+    @pytest.mark.parametrize("engine", ["vector", "auto"])
     def test_simulate_fast_engines_match_cycle(self, engine, capsys):
         assert main(["simulate", "--app", "dsp", "--cycles", "2000",
                      "--engine", "cycle"]) == 0
@@ -230,7 +230,7 @@ class TestSimulate:
         assert main(
             ["simulate", "--app", "vopd", "--cycles", "2000",
              "--traffic", "uniform", "--injection-rate", "0.05",
-             "--engine", "event", "--vcs", "2", "--vc-depth", "4"]
+             "--engine", "cycle", "--vcs", "2", "--vc-depth", "4"]
         ) == 0
         out = capsys.readouterr().out
         assert "uniform @ 0.05" in out

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib
 import os
 import re
 import runpy
@@ -151,6 +152,27 @@ class TestNoKnobWithoutACaller:
 
         assert jit.LADDER.order == ("c",)
         assert set(jit.LADDER.probes) == {"c", "py"}
+
+
+class TestNoImplementationBehindAnAlias:
+    """The event engine and the replica executor measured no win and left;
+    their names stayed, on ``cycle`` and ``serial``.  A second
+    implementation behind either name takes an edit here."""
+
+    def test_engine_names_and_the_event_alias(self):
+        from repro.simnoc.engines import CycleEngine, get_engine, list_engines
+
+        assert list_engines() == ("auto", "cycle", "event", "sharded", "vector")
+        assert type(get_engine("event")) is type(get_engine("cycle")) is CycleEngine
+
+    def test_batch_executors(self):
+        from repro.api.engine import BATCH_EXECUTORS
+
+        assert BATCH_EXECUTORS == ("serial", "thread", "process", "replica")
+
+    def test_the_event_engine_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.simnoc.engines.event")
 
 
 class TestColdStart:
