@@ -421,6 +421,18 @@ class TestReplicaExecutor:
                                                   executor="replica")]
         assert replica == serial
 
+    def test_incompatible_slots_fall_back_in_place(self):
+        """Cycle/event-pinned sims and map requests keep their slots and
+        their exact serial payloads around the vector ones."""
+        requests = self._sweep_requests(engine="vector")[:2]
+        requests += self._sweep_requests(engine="cycle")[:1]
+        requests += self._sweep_requests(engine="event")[1:2]
+        requests.append(MapRequest(app="pip", price_bandwidth=False))
+        serial = [r.to_dict() for r in run_batch(requests, executor="serial")]
+        clear_request_caches()
+        replica = [r.to_dict() for r in run_batch(requests, executor="replica")]
+        assert replica == serial
+
     def test_replica_with_a_timeout_matches_serial(self):
         requests = self._sweep_requests(engine="vector")[:2]
         requests += self._sweep_requests(engine="cycle")[:1]

@@ -1,4 +1,4 @@
-"""The vector engine == cycle engine, for every scenario we ship.
+"""The vector engine and the ``event`` name == cycle engine, for every scenario.
 
 The contract (ARCHITECTURE.md): engines differ only in how simulated time
 advances — never in what happens.  For identical inputs, the
@@ -37,9 +37,10 @@ from repro.simnoc.engines.flat_kernel import MAX_KERNEL_VCS
 from repro.simnoc.trace import TraceRecorder
 from tests.reference import every_port_step, seed_cycle_loop
 
-#: The fast backends, each pinned against the cycle reference (``event``
-#: is an alias of ``cycle``: ``tests/api/test_engine_alias.py``).
-FAST_ENGINES = ("vector",)
+#: The engine names pinned against the cycle reference.  ``event`` is an
+#: alias of ``cycle``: its cells hold that the name reaches the cycle loop
+#: in every scenario (``tests/api/test_engine_alias.py`` pins the bytes).
+FAST_ENGINES = ("event", "vector")
 
 
 def assert_reports_identical(fast, reference):
@@ -455,14 +456,66 @@ class TestKernelTierEquivalence:
         assert fast_events == ref_events
         assert fast_truncated == ref_truncated == recorder_full
 
+    @pytest.mark.parametrize("jit_mode", MODES, indirect=True)
+    def test_replica_batch_matches_one_at_a_time(self, jit_mode):
+        """R programs advanced in one ``backend.run`` call == the same R run
+        singly: identical reports, identical traces, positional order kept.
+        With no backend (``off``) each runs the interpreted sweep."""
+        from repro.simnoc.engines.flat_kernel import KernelProgram
+        from repro.simnoc.engines.jit import resolve_backend
+        from repro.simnoc.engines.sweep import run_in_process
+        from repro.simnoc.engines.vector import VectorEngine
+
+        mesh = NoCTopology.mesh(4, 4, link_bandwidth=1600.0)
+        # Mixed rates, seeds and router models in one batch.
+        variants = [
+            (rate, seed, num_vcs)
+            for rate, seed in ((0.05, 1), (0.22, 2), (0.40, 3))
+            for num_vcs in (1, 2)
+        ]
+
+        def build(rate, seed, num_vcs):
+            config = SimConfig(
+                warmup_cycles=200,
+                measure_cycles=800,
+                drain_cycles=300,
+                seed=seed,
+                num_vcs=num_vcs,
+                vc_buffer_depth=4 if num_vcs > 1 else None,
+            )
+            network = build_synthetic_network(mesh, config, "uniform", rate)
+            recorder = TraceRecorder(max_events=10**6)
+            return Simulator(network, trace=recorder, engine="vector"), recorder
+
+        def vc_mode(sim):
+            return sim.network.config.effective_router_model == "wormhole-vc"
+
+        batched = [build(*v) for v in variants]
+        backend, _ = resolve_backend()
+        if backend is None:
+            for sim, _ in batched:
+                run_in_process(sim, vc_mode(sim))
+        else:
+            programs = [KernelProgram(sim, vc_mode(sim)) for sim, _ in batched]
+            backend.run(programs)
+            for (sim, _), program in zip(batched, programs):
+                program.finish(sim)
+
+        for (sim, recorder), variant in zip(batched, variants):
+            single, single_recorder = build(*variant)
+            VectorEngine().run(single)
+            assert_reports_identical(sim._build_report(), single._build_report())
+            assert recorder.events == single_recorder.events
+
 
 class TestDeadlockExit:
     """A network that stalls for good ends every engine the same way.
 
     The deadlock exit is the kernel twin's only early ``return`` (plus its
     status block) and each engine's only mid-run raise.  ``cycle``, the
-    seed's full-scan loop it is held to, and ``vector`` on every JIT rung
-    must raise the identical ``SimulationError`` text.  ``sharded``
+    seed's full-scan loop it is held to, ``event`` (its alias) and
+    ``vector`` on every JIT rung must raise the identical ``SimulationError``
+    text.  ``sharded``
     detects the stall per shard — whichever worker gives up first reports
     its own flit count inside a worker-failure message — so there only the
     sentence is pinned.
@@ -484,6 +537,11 @@ class TestDeadlockExit:
             self._references[num_vcs] = self._message(ring(num_vcs), "cycle")
             assert re.fullmatch(self.SENTENCE, self._references[num_vcs])
         return self._references[num_vcs]
+
+    @pytest.mark.parametrize("num_vcs", (1, 2))
+    def test_event_matches_cycle(self, deadlocking_ring, num_vcs):
+        message = self._message(deadlocking_ring(num_vcs), "event")
+        assert message == self._reference(deadlocking_ring, num_vcs)
 
     @pytest.mark.parametrize("num_vcs", (1, 2))
     def test_seed_loop_matches_cycle(self, deadlocking_ring, num_vcs):

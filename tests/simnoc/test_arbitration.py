@@ -16,7 +16,9 @@ from repro.routing.min_path import min_path_routing
 from repro.simnoc import SimConfig, Simulator, build_network
 from tests.simnoc.deliveries import deliveries
 
-ENGINES = ("cycle", "vector")
+#: ``event`` is an alias of ``cycle``; its cells hold the name to the same
+#: deliveries.
+ENGINES = ("cycle", "event", "vector")
 
 
 def _commodity(index, src, dst, value):

@@ -199,7 +199,7 @@ class TestSimulate:
         ) == 0
         assert "latency mean" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("engine", ["vector", "auto"])
+    @pytest.mark.parametrize("engine", ["event", "vector", "auto"])
     def test_simulate_fast_engines_match_cycle(self, engine, capsys):
         assert main(["simulate", "--app", "dsp", "--cycles", "2000",
                      "--engine", "cycle"]) == 0
