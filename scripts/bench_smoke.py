@@ -1,35 +1,66 @@
 #!/usr/bin/env python3
-"""CI floor on the compiled kernel rung, read from the benchmark of record.
+"""CI floor on the compiled kernel rung: compiled ``vector`` against the interpreted sweep.
 
-Runs ``benchmarks/e2e/run.py --smoke --trace --workload sim_saturation`` into
-a temporary directory and reads its engine-ladder probe: at saturation the
-compiled ``vector`` rung must advance at least ``FLOOR`` times the simulated
-cycles per host second of the ``cycle`` engine.  The smoke size reads
-9.8–10.8x on the 2-CPU bench host (18–25x before the object router stopped
-re-resolving every head's route each cycle) and the interpreted sweep
-~1.3–1.9x, so losing the backend fails loudly.
+Times the engine ladder's saturation request (an 8x8 mesh, uniform traffic
+at 0.30 flits/cycle/node) on the ``vector`` engine twice over: on the
+compiled rung that resolves here, and under ``REPRO_NO_JIT=1`` on the
+interpreted sweep.  The two legs alternate, ``ROUNDS`` runs each, and the
+best run of each leg counts; the compiled rung must advance at least
+``FLOOR`` times the interpreted sweep's simulated cycles per host second.
+Both legs run in this process moments apart, so a busy host slows both
+alike: the ratio reads 13.6–17.2x on a 2-CPU host, a busy-loop neighbour
+included, while a kernel that stops being compiled reads 1.0x (the
+interpreted sweep on both legs) or 0.2x (the kernel twin as CPython,
+``REPRO_JIT=py``).
 Skips, saying why, where no compiled rung resolves (``REPRO_NO_JIT=1``, no
 ``cc``).
 
-Exits non-zero when the floor is broken or the benchmark fails.  Run via
-``make bench-smoke``; wired into ``make check``.
+Exits non-zero when the floor is broken.  Run via ``make bench-smoke``;
+wired into ``make check``.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import subprocess
 import sys
-import tempfile
+import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
-from repro.simnoc.engines import jit  # noqa: E402
+from repro.graphs.topology import NoCTopology  # noqa: E402
+from repro.simnoc import SimConfig, Simulator, build_synthetic_network  # noqa: E402
+from repro.simnoc.engines import VectorEngine, jit  # noqa: E402
 
 FLOOR = 8.0
-RUNG = "simnoc.engine.{}.cycles_per_s.saturation"
+ROUNDS = 5
+#: The measured window; warmup and drain are a tenth and three tenths of it.
+CYCLES = 600
+MESH = NoCTopology.mesh(8, 8, link_bandwidth=1600.0)
+
+
+def cycles_per_s(interpreted: bool) -> float:
+    """Simulated cycles per host second of one vector run, inside ``run``."""
+    config = SimConfig(
+        warmup_cycles=CYCLES // 10,
+        measure_cycles=CYCLES,
+        drain_cycles=CYCLES * 3 // 10,
+        seed=7,
+    )
+    sim = Simulator(build_synthetic_network(MESH, config, "uniform", 0.30))
+    saved = os.environ.get("REPRO_NO_JIT")
+    if interpreted:
+        os.environ["REPRO_NO_JIT"] = "1"
+    try:
+        start = time.perf_counter()
+        VectorEngine().run(sim)
+        elapsed = time.perf_counter() - start
+    finally:
+        if saved is None:
+            os.environ.pop("REPRO_NO_JIT", None)
+        else:
+            os.environ["REPRO_NO_JIT"] = saved
+    return config.total_cycles / elapsed
 
 
 def main() -> int:
@@ -37,28 +68,22 @@ def main() -> int:
     if backend is None or backend.name == "py":
         print(f"bench-smoke skipped: no compiled kernel rung here ({reason})")
         return 0
-    with tempfile.TemporaryDirectory() as out:
-        result = os.path.join(out, "result.json")
-        subprocess.run(
-            [
-                sys.executable,
-                os.path.join(REPO, "benchmarks", "e2e", "run.py"),
-                "--smoke", "--trace", "--workload", "sim_saturation",
-                "--output", result,
-            ],
-            check=True,
-            stdout=subprocess.DEVNULL,
-        )
-        with open(result) as handle:
-            metrics = json.load(handle)["workloads"]["sim_saturation"]["metrics"]
-    vector, cycle = (metrics[RUNG.format(name)]["value"] for name in ("vector", "cycle"))
-    ratio = vector / cycle
+    compiled, interpreted = [], []
+    for _ in range(ROUNDS):
+        compiled.append(cycles_per_s(interpreted=False))
+        interpreted.append(cycles_per_s(interpreted=True))
+    best_compiled, best_interpreted = max(compiled), max(interpreted)
+    ratio = best_compiled / best_interpreted
     print(
-        f"vector ({backend.name}) {vector:,.0f} vs cycle {cycle:,.0f} simulated "
-        f"cycles/s at saturation: {ratio:.1f}x (floor {FLOOR:g}x)"
+        f"vector ({backend.name}) {best_compiled:,.0f} vs interpreted sweep "
+        f"{best_interpreted:,.0f} simulated cycles/s at saturation, best of "
+        f"{ROUNDS}: {ratio:.1f}x (floor {FLOOR:g}x)"
     )
     if ratio < FLOOR:
-        print(f"FAIL: the compiled vector rung is below {FLOOR:g}x the cycle engine")
+        print(
+            f"FAIL: the compiled vector rung is below {FLOOR:g}x the "
+            "interpreted sweep"
+        )
         return 1
     return 0
 

@@ -330,12 +330,7 @@ def run_sim(request: SimRequest) -> SimResponse:
     map_response = _build_map_response(
         request.map_request, topology, result, price_bandwidth=False
     )
-    simulator = Simulator(
-        network,
-        engine=options.engine,
-        shards=options.shards,
-        partitioner=options.partitioner,
-    )
+    simulator = Simulator(network, engine=options.engine)
     return _build_sim_response(request, map_response, simulator.run())
 
 

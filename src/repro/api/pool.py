@@ -75,6 +75,12 @@ def _serve(conn: Connection, inherited: list[Connection]) -> None:
     # the ends open in its orphans and no worker ever sees EOF.
     for end in inherited:
         end.close()
+    # The parent held ``_lock`` across the fork, so this copy never unlocks:
+    # a request that opens a pool of its own (a nested process batch) gets
+    # a fresh lock and an empty set of ends.
+    global _lock
+    _lock = threading.Lock()
+    _parent_ends.clear()
     # A terminal's Ctrl-C reaches the whole process group; the parent
     # drains, so its workers must finish what they hold.  SIGTERM goes back
     # to the default: a handler inherited from an asyncio parent would
@@ -101,9 +107,11 @@ class WorkerPool:
         self._served = 0
         self._respawned_after_crash = 0
         self._killed_on_timeout = 0
-        # Workers are not daemonic (a request may start processes of its
-        # own: the sharded engine does), so interpreter exit would wait on
-        # them; an unclosed pool is closed there instead.
+        # Workers are not daemonic: a daemonic process may not start
+        # children, and a request may start worker processes of its own (a
+        # registered mapper that runs ``run_batch(executor="process")``).
+        # Interpreter exit would wait on them, so an unclosed pool is
+        # closed there instead.
         atexit.register(self.close)
         with _lock:
             for _ in range(size):

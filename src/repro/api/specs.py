@@ -260,9 +260,9 @@ class SimOptions(Payload):
     Attributes:
         engine: registered engine name — ``"cycle"`` (cycle-accurate
             reference; ``"event"`` is an alias of it), ``"vector"``
-            (structure-of-arrays,
-            fastest at every load) or ``"auto"`` (always vector).
-            All backends are bit-consistent with ``cycle``.
+            (structure-of-arrays, fastest at every load; ``"sharded"`` is an
+            alias of it) or ``"auto"`` (always vector).  All backends are
+            bit-consistent with ``cycle``.
         traffic: ``"trace"`` replays the mapped core graph's bandwidths;
             ``"uniform"``, ``"transpose"`` and ``"onoff"`` are synthetic
             patterns driven per node (see :mod:`repro.simnoc.synthetic`).
@@ -273,15 +273,16 @@ class SimOptions(Payload):
             router.
         vc_buffer_depth: per-VC input FIFO depth; None shares the global
             ``buffer_depth``.
-        shards: worker-process count for the ``sharded`` engine; rejected
-            for every other engine.  None lets the engine default (2).
-        partitioner: fabric partitioner for the ``sharded`` engine
-            (``"auto"`` walks the metis -> greedy-edge -> round-robin
-            ladder); rejected for every other engine.
+        shards: a shard count (>= 1) for the ``sharded`` name; rejected for
+            every other engine.  Echoed in the request, read by no engine:
+            the multi-process engine that used it was removed.
+        partitioner: a partitioner name (``"auto"`` or one of
+            :func:`repro.partition.list_partitioners`) for the ``sharded``
+            name; rejected for every other engine, and likewise unread.
 
-    The two sharding knobs serialize only when set, so requests that do
-    not use them keep their canonical key (and cached results) from
-    before the knobs existed.
+    The two knobs serialize only when set, so requests that do not use
+    them keep their canonical key (and cached results) from before the
+    knobs existed; requests that do keep theirs too.
     """
 
     NOUN = "sim options"

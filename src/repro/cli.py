@@ -13,8 +13,8 @@ Subcommands:
   figures; optional JSON/DOT output.
 * ``simulate`` — run the packet-level simulator on a mapped application and
   report latency statistics.
-* ``partition`` — cut a fabric into shards (for the sharded engine and the
-  hmap mapper) and report edge-cut/balance statistics.
+* ``partition`` — cut a fabric into shards (the regions the hmap mapper
+  clusters cores into) and report edge-cut/balance statistics.
 * ``design`` — compile the mapped NoC and emit the SystemC-style netlist.
 * ``compare`` — run several algorithms on one app; optional JSON output.
 * ``experiment`` — regenerate a paper table/figure (or ``all``).
@@ -142,7 +142,7 @@ def _cmd_list_engines(_args: argparse.Namespace) -> int:
         print(f"  {name:8s} available   {summary}")
     for title, ladder, rungs in (
         ("vector-engine kernel backends", jit.LADDER, None),
-        ("sharded-engine partitioners", LADDER, list_partitioners()),
+        ("fabric partitioners (hmap, partition)", LADDER, list_partitioners()),
     ):
         active, _, reason = ladder.resolve()
         print(f"{title} (active: {active or 'none'}; {reason}):")
@@ -238,8 +238,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             injection_rate=args.injection_rate,
             num_vcs=args.vcs,
             vc_buffer_depth=args.vc_depth,
-            shards=args.shards,
-            partitioner=args.partitioner,
         ),
     )
     response = run_sim(request)
@@ -513,8 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
             "simulation backend: cycle (bit-exact reference; event is an "
             "alias of it), vector (structure-of-arrays; runs on a "
             "compiled C kernel when one is available — see "
-            "'list-engines', disable with REPRO_NO_JIT=1) or auto "
-            "(always vector)"
+            "'list-engines', disable with REPRO_NO_JIT=1; sharded is an "
+            "alias of it) or auto (always vector)"
         ),
     )
     p_sim.add_argument(
@@ -540,19 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="per-VC buffer depth in flits (default: the global buffer depth)",
-    )
-    p_sim.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="worker-process count for --engine sharded (default: 2)",
-    )
-    p_sim.add_argument(
-        "--partitioner",
-        default=None,
-        help="fabric partitioner for --engine sharded: auto (default; "
-        "metis -> greedy-edge -> round-robin ladder) or a name from "
-        "'list-engines'",
     )
     p_sim.add_argument(
         "--out-json", default=None, help="write the SimResponse JSON here"

@@ -14,8 +14,9 @@ equivalence suite under ``tests/properties`` pins that — so an explicit
 ``engine=`` changes wall-clock only.  Every point is a :class:`~repro.api.SimRequest`
 through ``run_batch``, like every other experiment; the mapper run behind
 the points is computed once and shared via the request cache, and
-``executor="process"`` scales a sweep across cores.  ``engine="event"`` and
-``executor="replica"`` are aliases of ``"cycle"`` and ``"serial"``.
+``executor="process"`` scales a sweep across cores.  ``engine="event"``,
+``engine="sharded"`` and ``executor="replica"`` are aliases of ``"cycle"``,
+``"vector"`` and ``"serial"``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ def run_latency_sweep(
     measure_cycles: int = 4_000,
     engine: str = "auto",
     num_vcs: int = 1,
-    shards: int | None = None,
     workers: int | None = None,
     executor: str = "thread",
     service_url: str | None = None,
@@ -47,13 +47,8 @@ def run_latency_sweep(
         mesh: topology spec string for the fabric under test.
         measure_cycles: measurement window per point.
         engine: simulation backend for every point (``"auto"`` runs
-            the vector engine;
-            ``"sharded"`` fans each point across shard workers — pair it
-            with serial-ish executors, not ``"process"``, to avoid
-            oversubscribing cores).
+            the vector engine).
         num_vcs: virtual channels per link (1 = the paper's router).
-        shards: shard-worker count per point for the ``sharded`` engine
-            (None lets the engine default; rejected for other engines).
         workers: worker count for the request batch.
         executor: ``"thread"``, ``"process"`` (multi-core sweeps) or
             ``"serial"`` (``"replica"`` is an alias of it).
@@ -85,7 +80,6 @@ def run_latency_sweep(
                 traffic=pattern,
                 injection_rate=rate,
                 num_vcs=num_vcs,
-                shards=shards,
             ),
         )
         for pattern in patterns

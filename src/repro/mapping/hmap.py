@@ -2,7 +2,7 @@
 
 Divide and conquer over the fabric partition: the topology is cut into
 ``regions`` contiguous regions by :func:`repro.partition.partition_topology`
-(the same specs the sharded engine consumes), cores are clustered into as
+(the specs ``repro partition`` prints), cores are clustered into as
 many groups by communication affinity, clusters are matched to regions so
 heavily-communicating cluster pairs land on nearby regions, and finally
 each core is placed greedily *within* its cluster's region.  The local
@@ -12,9 +12,8 @@ community lives, the greedy step decides exactly where.
 
 The payoff is scoped search: on large fabrics the greedy baseline scans
 every free node per core, while HMAP scans one region — and the clustering
-keeps chatty cores inside one region, which is also precisely the traffic
-shape that minimizes boundary crossings under the sharded engine's
-partition of the same fabric.
+keeps chatty cores inside one region, so most traffic stays off the
+links the partition cuts.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Graph partitioning for sharded simulation and hierarchical mapping.
+"""Graph partitioning of a fabric into regions, for hierarchical mapping.
 
 ``partition_topology(topology, num_shards, method)`` is the front door;
 ``method="auto"`` walks the metis -> greedy-edge -> round-robin ladder
 (:mod:`repro.partition.registry`).  The result is a frozen, JSON-round-
 trippable :class:`~repro.partition.spec.PartitionSpec` consumed by the
-``sharded`` engine, the ``hmap`` mapper and ``repro partition``.
+``hmap`` mapper and ``repro partition``.
 """
 
 from repro.partition.registry import (

@@ -4,8 +4,9 @@ The ladder follows fpgagraphlib's ``CoreConfig`` (see SNIPPETS.md): a real
 graph partitioner when the optional dependency is installed, a greedy
 edge-affinity region grower as the always-available quality rung, and
 round-robin as the trivially correct floor.  Every partitioner is
-deterministic — same topology, same shard count, same cut — because the
-sharded engine's bit-identity contract extends to anything that feeds it.
+deterministic — same topology, same shard count, same cut — because
+``hmap``'s mappings, and so every result built on them, must be
+reproducible.
 """
 
 from __future__ import annotations

@@ -1,12 +1,11 @@
 """The frozen, JSON-round-trippable result of partitioning a fabric.
 
 A :class:`PartitionSpec` is the contract between the partitioning layer and
-everything that consumes a cut: the sharded engine (one worker process per
-shard), the hierarchical mapper (clusters onto shard regions) and the CLI's
-cut-quality inspector.  It records the shard assignment of every router,
-the cut edges, and enough denominators (node/edge counts) that balance and
-edge-cut quality survive a JSON round trip without re-deriving the
-topology.
+everything that consumes a cut: the hierarchical mapper (clusters onto
+shard regions) and the CLI's cut-quality inspector.  It records the shard
+assignment of every router, the cut edges, and enough denominators
+(node/edge counts) that balance and edge-cut quality survive a JSON round
+trip without re-deriving the topology.
 """
 
 from __future__ import annotations

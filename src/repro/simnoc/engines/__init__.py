@@ -11,8 +11,8 @@ component to touch when:
   preallocated flat/numpy arrays and advanced with no per-object dispatch
   (compiled when a kernel backend resolves, interpreted otherwise), the
   fastest backend at every measured load;
-* ``"sharded"`` — the interpreted vector sweep, one worker process per
-  fabric shard;
+  ``"sharded"`` is an alias of it: the multi-process engine of that name
+  measured slower than the one-process loop it ran and was removed;
 * ``"auto"`` — a policy, not a backend: always ``"vector"``, which
   flattens both router models.
 

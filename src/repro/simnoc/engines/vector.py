@@ -19,11 +19,13 @@ form of the per-cycle sweep this host can run:
 * **interpreted** — with no backend (``REPRO_NO_JIT=1``, no toolchain) or
   in a corner the kernels do not cover (more lanes than
   ``MAX_KERNEL_VCS``, an already-full trace recorder), ``run`` calls
-  :func:`repro.simnoc.engines.sweep.run_in_process`: the same ranged loops
-  the ``sharded`` engine's workers run, over the plan that owns every node.
+  :func:`repro.simnoc.engines.sweep.run_in_process`, the interpreted
+  per-cycle loops over every node, in the calling process.
 
 Both forms are bit-identical to the cycle engine on reports and flit traces
-(``tests/properties``).
+(``tests/properties``).  ``engine="sharded"`` names this class too: the
+multi-process engine of that name was removed, and its ``shards`` /
+``partitioner`` options are still accepted but read by no engine.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repro.simnoc.engines.sweep import run_in_process
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simnoc.simulator import Simulator
 
+@register_engine("sharded")
 @register_engine("vector")
 class VectorEngine:
     """Structure-of-arrays backend for both wormhole router models."""

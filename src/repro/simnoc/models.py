@@ -36,7 +36,7 @@ class TrafficSource(Protocol):
     ``src_node``.  Engines poll it with :meth:`packets_for_cycle` at the
     cycles :attr:`next_event_cycle` names (the cycle engine).
 
-    The flattened engines (``vector``, ``sharded``) replay each source on
+    The flattened engine (``vector``) replays each source on
     its own, ahead of time (:mod:`repro.simnoc.schedule`), so a source must
     be open-loop: no dependence on the network or on another source.  It
     may offer the optional batch method ``schedule(until)``: every packet

@@ -74,15 +74,10 @@ class Simulator:
             recorder's cap).
         engine: registered engine name — ``"cycle"`` (bit-exact
             reference; ``"event"`` is an alias of it), ``"vector"``
-            (structure-of-arrays, fastest at every load),
-            ``"sharded"`` (multi-process over a fabric partition) or
-            ``"auto"`` (always vector).
-        shards: worker count for the ``sharded`` engine (ignored by every
-            other engine; defaults to 2 when the sharded engine runs
-            without one).
-        partitioner: partitioner name for the ``sharded`` engine
-            (``"auto"`` walks the metis -> greedy-edge -> round-robin
-            ladder; ignored by every other engine).
+            (structure-of-arrays, fastest at every load; ``"sharded"`` is
+            an alias of it) or ``"auto"`` (always vector).
+        shards, partitioner: accepted for callers written against the
+            removed multi-process ``sharded`` engine; no engine reads them.
     """
 
     def __init__(
@@ -98,8 +93,6 @@ class Simulator:
         self.config = network.config
         self.trace = trace
         self.engine_name = engine
-        self.shards = shards
-        self.partitioner = partitioner
         self._packet_counter = 0
         #: The object engines' packets, in creation order.
         self.all_packets: list[Packet] = []

@@ -1,10 +1,11 @@
-"""``engine="event"`` is an alias of the cycle engine.
+"""``engine="event"`` is an alias of the cycle engine, ``"sharded"`` of vector.
 
 The heap-scheduled event engine ran slower than ``cycle`` at every measured
-load and was removed; the name stayed, so every request naming it gets the
-bytes it always got.  Each pin below runs one request on both names and
-wants the same canonical response bytes once the request echo (the only
-field naming the engine) is swapped.
+load, and the multi-process sharded engine slower than the one-process
+loop it ran; both were removed and their names stayed, so every request
+naming them gets the bytes it always got.  Each pin below runs one request
+on both names and wants the same canonical response bytes once the request
+echo (the only field naming the engine, and the sharded knobs) is swapped.
 """
 
 from __future__ import annotations
@@ -15,11 +16,15 @@ import pytest
 
 from repro.api import MapRequest, SimOptions, SimRequest, TopologySpec, run
 from repro.service.wire import canonical_response_bytes
-from repro.simnoc.engines import CycleEngine, get_engine
+from repro.simnoc.engines import CycleEngine, VectorEngine, get_engine
 
 
 def test_event_resolves_to_the_cycle_engine():
     assert isinstance(get_engine("event"), CycleEngine)
+
+
+def test_sharded_resolves_to_the_vector_engine():
+    assert isinstance(get_engine("sharded"), VectorEngine)
 
 
 CASES = {
@@ -42,21 +47,37 @@ CASES = {
 }
 
 
+def _request(case, engine, **knobs):
+    return SimRequest(
+        map_request=CASES[case]["map_request"],
+        warmup_cycles=200,
+        measure_cycles=1_000,
+        drain_cycles=300,
+        sim_seed=5,
+        options=SimOptions(engine=engine, **CASES[case]["options"], **knobs),
+    )
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_event_requests_get_the_cycle_bytes(case):
-    def request(engine):
-        return SimRequest(
-            map_request=CASES[case]["map_request"],
-            warmup_cycles=200,
-            measure_cycles=1_000,
-            drain_cycles=300,
-            sim_seed=5,
-            options=SimOptions(engine=engine, **CASES[case]["options"]),
-        )
-
-    cycle = run(request("cycle"))
-    event = run(request("event"))
+    cycle = run(_request(case, "cycle"))
+    event = run(_request(case, "event"))
     assert event.request.options.engine == "event"
     swapped = dataclasses.replace(event, request=cycle.request)
     assert canonical_response_bytes(swapped) == canonical_response_bytes(cycle)
     assert cycle.packets_delivered > 0
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [{}, dict(shards=4), dict(shards=2, partitioner="round-robin")],
+    ids=["bare", "shards", "shards-partitioner"],
+)
+@pytest.mark.parametrize("case", CASES)
+def test_sharded_requests_get_the_vector_bytes(case, knobs):
+    vector = run(_request(case, "vector"))
+    sharded = run(_request(case, "sharded", **knobs))
+    assert sharded.request == _request(case, "sharded", **knobs)
+    swapped = dataclasses.replace(sharded, request=vector.request)
+    assert canonical_response_bytes(swapped) == canonical_response_bytes(vector)
+    assert vector.packets_delivered > 0

@@ -16,9 +16,20 @@ import time
 
 import pytest
 
-from repro.api import ErrorResponse, MapRequest, run
+from repro.api import (
+    ErrorResponse,
+    MapperOptions,
+    MapRequest,
+    MapResponse,
+    clear_request_caches,
+    register_mapper,
+    run,
+    run_batch,
+)
 from repro.api.pool import WorkerPool
+from repro.api.registry import MAPPERS
 from repro.errors import ApiError
+from repro.mapping.nmap import nmap_single_path
 from tests.fault_injection import faulty
 
 GOOD = MapRequest(app="pip", mapper="nmap", price_bandwidth=False)
@@ -136,6 +147,34 @@ def test_concurrent_callers_keep_the_books_straight():
 def test_size_is_validated():
     with pytest.raises(ApiError, match="workers"):
         WorkerPool(0)
+
+
+def _map_after_a_process_batch(core_graph, topology):
+    """A plugin mapper that runs a process batch of its own first."""
+    (inner,) = run_batch([GOOD], executor="process", isolate=True)
+    assert isinstance(inner, MapResponse), inner
+    return nmap_single_path(core_graph, topology)
+
+
+def test_a_request_may_start_worker_processes_of_its_own():
+    """Workers are not daemonic, because a daemonic process may not start
+    children and a registered mapper may run ``executor="process"``; and a
+    worker's pool lock is its own, or the nested pool waits forever on the
+    copy of the lock the parent held when it forked the worker."""
+    register_mapper("test-nested-batch", options=MapperOptions)(
+        _map_after_a_process_batch
+    )
+    clear_request_caches()
+    try:
+        with WorkerPool(1) as pool:
+            response = pool.run(
+                MapRequest(app="pip", mapper="test-nested-batch", price_bandwidth=False),
+                timeout=60,
+            )
+    finally:
+        MAPPERS.remove("test-nested-batch")
+        clear_request_caches()
+    assert isinstance(response, MapResponse), response
 
 
 _ORPHAN_SCRIPT = """

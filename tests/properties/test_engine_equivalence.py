@@ -19,7 +19,6 @@ deadlock exit.
 
 from __future__ import annotations
 
-import multiprocessing
 import re
 
 import pytest
@@ -401,8 +400,8 @@ def jit_mode(request, monkeypatch):
 class TestKernelTierEquivalence:
     """Every rung of the JIT ladder is bit-identical to the cycle engine.
 
-    ``off`` pins the interpreted ranged sweep (what a compiler-less
-    machine runs, in-process over the one-shard plan); ``py`` executes the
+    ``off`` pins the interpreted sweep (what a compiler-less machine
+    runs); ``py`` executes the
     kernel twin as plain Python, so the kernel *algorithm* is
     property-tested even where no backend compiles; ``c`` is the compiled
     rung, skipped with a reason where no compiler is found.
@@ -515,10 +514,7 @@ class TestDeadlockExit:
     status block) and each engine's only mid-run raise.  ``cycle``, the
     seed's full-scan loop it is held to, ``event`` (its alias) and
     ``vector`` on every JIT rung must raise the identical ``SimulationError``
-    text.  ``sharded``
-    detects the stall per shard — whichever worker gives up first reports
-    its own flit count inside a worker-failure message — so there only the
-    sentence is pinned.
+    text.
     """
 
     SENTENCE = r"deadlock: no flit moved since cycle \d+ with \d+ flits buffered"
@@ -527,9 +523,9 @@ class TestDeadlockExit:
     _references: dict = {}
 
     @staticmethod
-    def _message(network, engine, **kwargs):
+    def _message(network, engine):
         with pytest.raises(SimulationError) as raised:
-            Simulator(network, engine=engine, **kwargs).run()
+            Simulator(network, engine=engine).run()
         return str(raised.value)
 
     def _reference(self, ring, num_vcs):
@@ -555,22 +551,14 @@ class TestDeadlockExit:
         message = self._message(deadlocking_ring(num_vcs), "vector")
         assert message == self._reference(deadlocking_ring, num_vcs)
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="sharded engine requires the fork start method",
-    )
-    def test_sharded_workers_report_the_stall(self, deadlocking_ring):
-        message = self._message(deadlocking_ring(), "sharded", shards=2)
-        assert re.search(self.SENTENCE, message)
-
 
 #: (topology kind, num_vcs, rate) -> (report, trace events) from the cycle
-#: engine — each reference is shared by the shards={1,2,4} sharded runs.
-_SHARDED_REFS: dict = {}
+#: engine, one per cell of the interpreted-sweep matrix.
+_SWEEP_REFS: dict = {}
 
 
-def _sharded_scenario(topo_kind, num_vcs, rate):
-    """Network + config for one cell of the sharded equivalence matrix."""
+def _sweep_scenario(topo_kind, num_vcs, rate):
+    """Network + config for one cell of the interpreted-sweep matrix."""
     if topo_kind == "mesh":
         fabric = NoCTopology.mesh(8, 8, link_bandwidth=1600.0)
     else:
@@ -586,22 +574,15 @@ def _sharded_scenario(topo_kind, num_vcs, rate):
     return build_synthetic_network(fabric, config, "uniform", rate)
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="sharded engine needs the fork start method",
-)
-class TestShardedEngineEquivalence:
-    """The sharded engine == cycle engine for ANY shard count.
+class TestInterpretedSweepEquivalence:
+    """The interpreted sweep == cycle engine on 8x8 fabrics, idle to saturated.
 
-    The conservative barrier protocol (ARCHITECTURE.md) promises that
-    splitting the fabric across worker processes changes wall-clock
-    behaviour only: reports and flit traces stay byte-identical to the
-    single-process reference for every shard count, both router models,
-    and loads from near idle to above the saturation knee.  Shards=1 pins
-    the in-process route (no worker, no boundary traffic — near idle it
-    fast-forwards the gaps between injections, while any worker with
-    channel peers must never skip a cycle); shards=4 on the torus cuts
-    wrap-around links, the hardest boundary pattern.
+    ``vector`` under ``REPRO_NO_JIT=1`` runs :mod:`repro.simnoc.engines.sweep`
+    in the calling process: reports and flit traces must match the cycle
+    engine's for both router models, on the mesh and on the torus (whose
+    wrap-around links close rings), at loads from near idle (where the
+    sweep fast-forwards the gaps between injections) to above the
+    saturation knee.
     """
 
     RATES = (0.002, 0.05, 0.22, 0.40)
@@ -609,51 +590,26 @@ class TestShardedEngineEquivalence:
     @staticmethod
     def _cycle_reference(topo_kind, num_vcs, rate):
         key = (topo_kind, num_vcs, rate)
-        if key not in _SHARDED_REFS:
-            network = _sharded_scenario(*key)
+        if key not in _SWEEP_REFS:
+            network = _sweep_scenario(*key)
             recorder = TraceRecorder(max_events=10**6)
             report = Simulator(network, trace=recorder, engine="cycle").run()
-            _SHARDED_REFS[key] = (report, recorder.events)
-        return _SHARDED_REFS[key]
+            _SWEEP_REFS[key] = (report, recorder.events)
+        return _SWEEP_REFS[key]
 
-    @pytest.mark.parametrize("shards", (1, 2, 4))
     @pytest.mark.parametrize("num_vcs", (1, 2))
     @pytest.mark.parametrize("topo_kind", ("mesh", "torus"))
     @pytest.mark.parametrize("rate", RATES)
-    def test_reports_and_traces_match_cycle(self, topo_kind, num_vcs, rate, shards):
-        network = _sharded_scenario(topo_kind, num_vcs, rate)
+    def test_reports_and_traces_match_cycle(
+        self, monkeypatch, topo_kind, num_vcs, rate
+    ):
+        monkeypatch.setenv("REPRO_NO_JIT", "1")
+        network = _sweep_scenario(topo_kind, num_vcs, rate)
         recorder = TraceRecorder(max_events=10**6)
-        report = Simulator(
-            network,
-            trace=recorder,
-            engine="sharded",
-            shards=shards,
-            partitioner="greedy-edge",
-        ).run()
+        report = Simulator(network, trace=recorder, engine="vector").run()
         ref_report, ref_events = self._cycle_reference(topo_kind, num_vcs, rate)
         assert_reports_identical(report, ref_report)
         assert recorder.events == ref_events
-
-    def test_round_robin_single_node_segments(self):
-        """Round-robin gives every node its own segment — all traffic is
-        boundary traffic, the protocol's worst case."""
-        mesh = NoCTopology.mesh(4, 4, link_bandwidth=1600.0)
-        config = SimConfig(
-            warmup_cycles=200, measure_cycles=1_000, drain_cycles=400, seed=3
-        )
-
-        def run(name, **kwargs):
-            network = build_synthetic_network(mesh, config, "uniform", 0.25)
-            recorder = TraceRecorder(max_events=10**6)
-            report = Simulator(network, trace=recorder, engine=name, **kwargs).run()
-            return report, recorder.events
-
-        fast_report, fast_events = run(
-            "sharded", shards=4, partitioner="round-robin"
-        )
-        ref_report, ref_events = run("cycle")
-        assert_reports_identical(fast_report, ref_report)
-        assert fast_events == ref_events
 
 
 class TestFaultScenarioEquivalence:

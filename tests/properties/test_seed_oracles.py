@@ -72,7 +72,6 @@ from repro.simnoc import stats
 from repro.simnoc.config import SimConfig
 from repro.simnoc.engines import flat_kernel
 from repro.simnoc.engines.flat_kernel import ARG_FIELDS, KernelProgram
-from repro.simnoc.engines.jit import resolve_backend
 from repro.simnoc.engines.sweep import _FlatState
 from repro.simnoc.network import build_network
 from repro.simnoc.ni import NetworkInterface
@@ -1189,7 +1188,7 @@ class TestPacketObjects:
     COUNTED = (Packet, Router, VCRouter, NetworkInterface)
 
     @classmethod
-    def _run(cls, monkeypatch, engine, options, **sim_options):
+    def _run(cls, monkeypatch, engine, options):
         """The run's sim and report, and how many of each counted class it
         built, network build included."""
         built = Counter()
@@ -1213,7 +1212,7 @@ class TestPacketObjects:
             for klass in cls.COUNTED:
                 patch.setattr(klass, "__init__", counting(klass))
             patch.setattr(api_engine, "Simulator", Recording)
-            api_engine.run_sim(_sim_request(engine, **options, **sim_options))
+            api_engine.run_sim(_sim_request(engine, **options))
         ((sim, report),) = runs
         return sim, report, built
 
@@ -1236,15 +1235,12 @@ class TestPacketObjects:
         assert list(reference.per_flow) == list(packet_walk_flow_stats(delivered))
         assert reference.stats == packet_walk_latency_stats(delivered)
 
-        flat_runs = [("vector", {}, {}), ("sharded", {"shards": 1}, {})]
-        if resolve_backend()[0] is not None:
-            flat_runs.append(("vector", {}, {"REPRO_NO_JIT": "1"}))
-        for engine, sim_options, env in flat_runs:
+        for env in ({}, {"REPRO_NO_JIT": "1"}):
             with monkeypatch.context() as patch:
                 for name, value in env.items():
                     patch.setenv(name, value)
-                sim, report, built = self._run(monkeypatch, engine, options, **sim_options)
-            assert not built and sim.all_packets == [], (engine, env)
+                sim, report, built = self._run(monkeypatch, "vector", options)
+            assert not built and sim.all_packets == [], env
             assert sim.packet_log is not None
             assert report == reference
             assert list(report.per_flow) == list(reference.per_flow)

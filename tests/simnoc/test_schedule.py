@@ -173,18 +173,15 @@ class TestScheduleEqualsHeapPolledReplay:
         assert program.ni_ptr.tolist() == program.ni_off[:-1].tolist()
 
     @pytest.mark.parametrize("scenario", ["uniform-mesh", "trace-mpeg4-nmap-tm"])
-    def test_replay_sources_slices_the_same_schedule(self, scenario):
+    def test_replay_sources_lists_the_same_schedule(self, scenario):
         polled = heap_polled(Simulator(SCENARIOS[scenario](3, 2)), 2)
         sim = Simulator(SCENARIOS[scenario](3, 2))
         outputs = sim.network.fabric.outputs
         out_index = {spec: p for p, spec in enumerate(outputs)}
         schedule = build_schedule(sim, True, outputs)
-        chunks = list(replay_sources(schedule, sim.config.total_cycles, 128))
+        specs = replay_sources(schedule)
         assert sim.all_packets == []  # the interpreted loops register no object
-        assert len(chunks) == -(-sim.config.total_cycles // 128)
-        for k, chunk in enumerate(chunks):
-            assert all(k * 128 <= cycle < (k + 1) * 128 for cycle, _ in chunk)
-        assert [spec for chunk in chunks for spec in chunk] == [
+        assert specs == [
             (
                 p.created_cycle,
                 (
@@ -264,11 +261,11 @@ def third_party_patterns():
     TRAFFIC_PATTERNS.remove("test-mixed")
 
 
-def _run(pattern, engine, num_vcs=1, shards=None):
+def _run(pattern, engine, num_vcs=1):
     topology = NoCTopology.mesh(4, 4, link_bandwidth=1600.0)
     network = build_synthetic_network(topology, _config(5, num_vcs), pattern, 0.2)
     recorder = TraceRecorder(max_events=10**6)
-    report = Simulator(network, trace=recorder, engine=engine, shards=shards).run()
+    report = Simulator(network, trace=recorder, engine=engine).run()
     return report, recorder.events
 
 
@@ -289,14 +286,6 @@ class TestPollingAdapter:
         if mode != "off" and backend is None:
             pytest.skip(f"JIT backend {mode!r} unavailable here: {reason}")
         assert _run(pattern, "vector", num_vcs) == _run(pattern, "cycle", num_vcs)
-
-    @pytest.mark.parametrize("pattern", ["test-poll-only", "test-mixed"])
-    def test_sharded_matches_cycle(self, third_party_patterns, pattern):
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("sharded engine needs fork")
-        assert _run(pattern, "sharded", 2, shards=2) == _run(pattern, "cycle", 2)
 
     def test_the_mro_decides(self, third_party_patterns):
         from repro.simnoc.schedule import _batch_method
@@ -347,13 +336,12 @@ class TestScheduleEdges:
         return network, source, far
 
     @pytest.mark.parametrize("fabric", ["mesh", "torus", "degraded"])
-    @pytest.mark.parametrize("engine", ["vector", "sharded"])
-    def test_missing_output_names_node_hop_and_first_packet(self, engine, fabric):
+    def test_missing_output_names_node_hop_and_first_packet(self, fabric):
         network, source, far = self._broken_network(fabric)
         polled = heap_polled(Simulator(self._broken_network(fabric)[0]), 1)
         first = next(p for p in polled if p.commodity_index == source.commodity_index)
         with pytest.raises(SimulationError) as caught:
-            Simulator(network, engine=engine, shards=2).run()
+            Simulator(network, engine="vector").run()
         assert str(caught.value) == (
             f"node {source.src_node} has no output toward {far} "
             f"(packet {first.packet_id})"
@@ -375,11 +363,11 @@ class TestScheduleEdges:
         lengths = {name: len(getattr(schedule, name)) for name in schedule._fields[1:]}
         assert lengths.pop("route_off") == 1 and set(lengths.values()) == {0}
         assert sim.next_packet_id() == 1
-        assert list(replay_sources(schedule, config.total_cycles, 1)) == [[], []]
+        assert replay_sources(schedule) == []
         # Every engine runs the empty schedule to the same end.
         errors = []
-        for engine in ("vector", "sharded", "cycle"):
+        for engine in ("vector", "cycle"):
             with pytest.raises(SimulationError, match="no measured packets") as caught:
-                Simulator(quiet_network(), engine=engine, shards=1).run()
+                Simulator(quiet_network(), engine=engine).run()
             errors.append(str(caught.value))
         assert len(set(errors)) == 1

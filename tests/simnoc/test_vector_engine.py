@@ -1,9 +1,10 @@
-"""Vector-engine specifics, the sharded start-method guard and ``auto``.
+"""Vector-engine specifics, the ``sharded`` alias and ``auto``.
 
 The heavy bit-identity guarantees live in ``tests/properties``; this file
 covers the engine-layer plumbing around them: registry exposure, the
-one-run-per-network guard, the observables a flattened run leaves, which
-shard counts need ``fork``, and ``auto``'s one answer.
+one-run-per-network guard, the observables a flattened run leaves, the
+``sharded`` name running ``vector`` in the calling process, and ``auto``'s
+one answer.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.simnoc import (
     build_synthetic_network,
     list_engines,
 )
+from repro.simnoc.engines import VectorEngine, get_engine
 from repro.simnoc.engines.auto import resolve_auto_engine
 from repro.simnoc.trace import TraceRecorder
 from tests.simnoc.deliveries import deliveries
@@ -46,10 +48,10 @@ class TestANetworkRunsOnce:
     @pytest.mark.parametrize("engine", list_engines())
     def test_a_second_run_raises(self, engine):
         network = _network(0.05)
-        first = Simulator(network, engine=engine, shards=2).run()
+        first = Simulator(network, engine=engine).run()
         assert first == Simulator(_network(0.05), engine="cycle").run()
         with pytest.raises(SimulationError, match="freshly built"):
-            Simulator(network, engine=engine, shards=2).run()
+            Simulator(network, engine=engine).run()
 
     def test_a_second_run_on_another_engine_raises(self):
         network = _network(0.05)
@@ -78,25 +80,30 @@ class TestVectorEngineObservables:
         assert sum(runs["vector"][0].link_flits.values()) > 0
 
 
-class TestShardedStartMethod:
-    """Only a run that needs worker processes needs ``fork``."""
+@pytest.fixture
+def no_fork(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
 
-    @pytest.fixture
-    def no_fork(self, monkeypatch):
-        monkeypatch.setattr(
-            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
-        )
 
-    def test_two_shards_without_fork_is_a_typed_error(self, no_fork):
-        sim = Simulator(_network(0.1), engine="sharded", shards=2)
-        with pytest.raises(SimulationError, match="'fork' start method"):
-            sim.run()
+class TestShardedAlias:
+    """``sharded`` names the vector engine: the multi-process engine of that
+    name was removed, and its ``shards`` / ``partitioner`` options are
+    accepted and read by nothing."""
 
-    def test_one_shard_runs_without_fork(self, no_fork):
-        report = Simulator(_network(0.1, seed=3), engine="sharded", shards=1).run()
-        reference = Simulator(_network(0.1, seed=3), engine="cycle").run()
-        assert report == reference
-        assert not multiprocessing.active_children()
+    def test_sharded_runs_vector_in_process_without_fork(self, no_fork):
+        assert isinstance(get_engine("sharded"), VectorEngine)
+        runs = {}
+        for engine, options in (
+            ("sharded", dict(shards=2, partitioner="round-robin")),
+            ("vector", {}),
+        ):
+            recorder = TraceRecorder(max_events=10**6)
+            sim = Simulator(
+                _network(0.1, seed=3), trace=recorder, engine=engine, **options
+            )
+            runs[engine] = (sim.run(), deliveries(sim), recorder.events)
+            assert not multiprocessing.active_children()
+        assert runs["sharded"] == runs["vector"]
 
 
 class TestAutoPolicy:

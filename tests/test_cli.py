@@ -180,7 +180,7 @@ class TestPartition:
     def test_list_engines_shows_partitioners(self, capsys):
         assert main(["list-engines"]) == 0
         out = capsys.readouterr().out
-        assert "sharded" in out
+        assert "fabric partitioners (hmap, partition)" in out
         for name in ("metis", "greedy-edge", "round-robin"):
             assert name in out
 

@@ -155,24 +155,32 @@ class TestNoKnobWithoutACaller:
 
 
 class TestNoImplementationBehindAnAlias:
-    """The event engine and the replica executor measured no win and left;
-    their names stayed, on ``cycle`` and ``serial``.  A second
-    implementation behind either name takes an edit here."""
+    """The event and sharded engines and the replica executor measured no
+    win and left; their names stayed, on ``cycle``, ``vector`` and
+    ``serial``.  A second implementation behind any of them takes an edit
+    here."""
 
-    def test_engine_names_and_the_event_alias(self):
-        from repro.simnoc.engines import CycleEngine, get_engine, list_engines
+    def test_engine_names_and_their_aliases(self):
+        from repro.simnoc.engines import (
+            CycleEngine,
+            VectorEngine,
+            get_engine,
+            list_engines,
+        )
 
         assert list_engines() == ("auto", "cycle", "event", "sharded", "vector")
         assert type(get_engine("event")) is type(get_engine("cycle")) is CycleEngine
+        assert type(get_engine("sharded")) is type(get_engine("vector")) is VectorEngine
 
     def test_batch_executors(self):
         from repro.api.engine import BATCH_EXECUTORS
 
         assert BATCH_EXECUTORS == ("serial", "thread", "process", "replica")
 
-    def test_the_event_engine_module_is_gone(self):
+    @pytest.mark.parametrize("module", ["event", "sharded"])
+    def test_the_removed_engine_modules_are_gone(self, module):
         with pytest.raises(ModuleNotFoundError):
-            importlib.import_module("repro.simnoc.engines.event")
+            importlib.import_module(f"repro.simnoc.engines.{module}")
 
 
 class TestColdStart:
