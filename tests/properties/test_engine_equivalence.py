@@ -1,4 +1,4 @@
-"""The vector engine and the ``event`` name == cycle engine, for every scenario.
+"""The vector engine and the ``event`` and ``sharded`` names == cycle engine.
 
 The contract (ARCHITECTURE.md): engines differ only in how simulated time
 advances — never in what happens.  For identical inputs, the
@@ -512,8 +512,9 @@ class TestDeadlockExit:
 
     The deadlock exit is the kernel twin's only early ``return`` (plus its
     status block) and each engine's only mid-run raise.  ``cycle``, the
-    seed's full-scan loop it is held to, ``event`` (its alias) and
-    ``vector`` on every JIT rung must raise the identical ``SimulationError``
+    seed's full-scan loop it is held to, ``event`` (its alias), ``vector``
+    on every JIT rung and ``sharded`` (``vector``'s alias, whatever its
+    ``shards`` option says) must raise the identical ``SimulationError``
     text.
     """
 
@@ -523,9 +524,9 @@ class TestDeadlockExit:
     _references: dict = {}
 
     @staticmethod
-    def _message(network, engine):
+    def _message(network, engine, **kwargs):
         with pytest.raises(SimulationError) as raised:
-            Simulator(network, engine=engine).run()
+            Simulator(network, engine=engine, **kwargs).run()
         return str(raised.value)
 
     def _reference(self, ring, num_vcs):
@@ -551,9 +552,14 @@ class TestDeadlockExit:
         message = self._message(deadlocking_ring(num_vcs), "vector")
         assert message == self._reference(deadlocking_ring, num_vcs)
 
+    def test_sharded_workers_report_the_stall(self, deadlocking_ring):
+        message = self._message(deadlocking_ring(), "sharded", shards=2)
+        assert message == self._reference(deadlocking_ring, 1)
+
 
 #: (topology kind, num_vcs, rate) -> (report, trace events) from the cycle
-#: engine, one per cell of the interpreted-sweep matrix.
+#: engine, one per cell of the interpreted-sweep matrix, shared by the
+#: ``sharded`` alias cells.
 _SWEEP_REFS: dict = {}
 
 
@@ -610,6 +616,59 @@ class TestInterpretedSweepEquivalence:
         ref_report, ref_events = self._cycle_reference(topo_kind, num_vcs, rate)
         assert_reports_identical(report, ref_report)
         assert recorder.events == ref_events
+
+
+class TestShardedEngineEquivalence:
+    """``sharded`` == cycle engine on the same matrix, for any shard count.
+
+    The multi-process engine of that name is gone; the name runs ``vector``
+    on its default JIT rung and ``shards`` / ``partitioner`` are accepted
+    and read by nothing.  Every cell of the interpreted-sweep matrix runs
+    here under the name with shards 1, 2 and 4, so a report or flit trace
+    that moves with those options, or a second implementation behind the
+    name, fails against the same cycle references.
+    """
+
+    @pytest.mark.parametrize("shards", (1, 2, 4))
+    @pytest.mark.parametrize("num_vcs", (1, 2))
+    @pytest.mark.parametrize("topo_kind", ("mesh", "torus"))
+    @pytest.mark.parametrize("rate", TestInterpretedSweepEquivalence.RATES)
+    def test_reports_and_traces_match_cycle(self, topo_kind, num_vcs, rate, shards):
+        network = _sweep_scenario(topo_kind, num_vcs, rate)
+        recorder = TraceRecorder(max_events=10**6)
+        report = Simulator(
+            network,
+            trace=recorder,
+            engine="sharded",
+            shards=shards,
+            partitioner="greedy-edge",
+        ).run()
+        ref_report, ref_events = TestInterpretedSweepEquivalence._cycle_reference(
+            topo_kind, num_vcs, rate
+        )
+        assert_reports_identical(report, ref_report)
+        assert recorder.events == ref_events
+
+    def test_round_robin_single_node_segments(self):
+        """Round-robin, which once gave every node its own segment, runs
+        the alias to the cycle engine's report and trace."""
+        mesh = NoCTopology.mesh(4, 4, link_bandwidth=1600.0)
+        config = SimConfig(
+            warmup_cycles=200, measure_cycles=1_000, drain_cycles=400, seed=3
+        )
+
+        def run(name, **kwargs):
+            network = build_synthetic_network(mesh, config, "uniform", 0.25)
+            recorder = TraceRecorder(max_events=10**6)
+            report = Simulator(network, trace=recorder, engine=name, **kwargs).run()
+            return report, recorder.events
+
+        fast_report, fast_events = run(
+            "sharded", shards=4, partitioner="round-robin"
+        )
+        ref_report, ref_events = run("cycle")
+        assert_reports_identical(fast_report, ref_report)
+        assert fast_events == ref_events
 
 
 class TestFaultScenarioEquivalence:

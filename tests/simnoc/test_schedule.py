@@ -261,11 +261,11 @@ def third_party_patterns():
     TRAFFIC_PATTERNS.remove("test-mixed")
 
 
-def _run(pattern, engine, num_vcs=1):
+def _run(pattern, engine, num_vcs=1, shards=None):
     topology = NoCTopology.mesh(4, 4, link_bandwidth=1600.0)
     network = build_synthetic_network(topology, _config(5, num_vcs), pattern, 0.2)
     recorder = TraceRecorder(max_events=10**6)
-    report = Simulator(network, trace=recorder, engine=engine).run()
+    report = Simulator(network, trace=recorder, engine=engine, shards=shards).run()
     return report, recorder.events
 
 
@@ -286,6 +286,12 @@ class TestPollingAdapter:
         if mode != "off" and backend is None:
             pytest.skip(f"JIT backend {mode!r} unavailable here: {reason}")
         assert _run(pattern, "vector", num_vcs) == _run(pattern, "cycle", num_vcs)
+
+    @pytest.mark.parametrize("pattern", ["test-poll-only", "test-mixed"])
+    def test_sharded_matches_cycle(self, third_party_patterns, pattern):
+        """``sharded`` is an alias of ``vector``; its ``shards`` option is
+        accepted and changes nothing."""
+        assert _run(pattern, "sharded", 2, shards=2) == _run(pattern, "cycle", 2)
 
     def test_the_mro_decides(self, third_party_patterns):
         from repro.simnoc.schedule import _batch_method
@@ -336,12 +342,13 @@ class TestScheduleEdges:
         return network, source, far
 
     @pytest.mark.parametrize("fabric", ["mesh", "torus", "degraded"])
-    def test_missing_output_names_node_hop_and_first_packet(self, fabric):
+    @pytest.mark.parametrize("engine", ["vector", "sharded"])
+    def test_missing_output_names_node_hop_and_first_packet(self, engine, fabric):
         network, source, far = self._broken_network(fabric)
         polled = heap_polled(Simulator(self._broken_network(fabric)[0]), 1)
         first = next(p for p in polled if p.commodity_index == source.commodity_index)
         with pytest.raises(SimulationError) as caught:
-            Simulator(network, engine="vector").run()
+            Simulator(network, engine=engine, shards=2).run()
         assert str(caught.value) == (
             f"node {source.src_node} has no output toward {far} "
             f"(packet {first.packet_id})"

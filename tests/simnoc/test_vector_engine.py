@@ -85,10 +85,16 @@ def no_fork(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
 
 
-class TestShardedAlias:
-    """``sharded`` names the vector engine: the multi-process engine of that
-    name was removed, and its ``shards`` / ``partitioner`` options are
-    accepted and read by nothing."""
+class TestShardedStartMethod:
+    """``sharded`` names the vector engine and needs no ``fork``: the
+    multi-process engine of that name was removed, and its ``shards`` /
+    ``partitioner`` options are accepted and read by nothing."""
+
+    def test_one_shard_runs_without_fork(self, no_fork):
+        report = Simulator(_network(0.1, seed=3), engine="sharded", shards=1).run()
+        reference = Simulator(_network(0.1, seed=3), engine="cycle").run()
+        assert report == reference
+        assert not multiprocessing.active_children()
 
     def test_sharded_runs_vector_in_process_without_fork(self, no_fork):
         assert isinstance(get_engine("sharded"), VectorEngine)
