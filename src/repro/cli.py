@@ -131,8 +131,8 @@ def _cmd_list_mappers(_args: argparse.Namespace) -> int:
 
 
 def _cmd_list_engines(_args: argparse.Namespace) -> int:
-    from repro.partition import list_partitioners
-    from repro.partition.registry import LADDER
+    from repro.partition import list_partitioners, resolve_partitioner
+    from repro.partition.registry import PARTITIONERS
     from repro.simnoc.engines import get_engine, jit
 
     print("simulation engines:")
@@ -140,15 +140,14 @@ def _cmd_list_engines(_args: argparse.Namespace) -> int:
         doc = (type(get_engine(name)).__doc__ or "").strip().splitlines()
         summary = doc[0] if doc else ""
         print(f"  {name:8s} available   {summary}")
-    for title, ladder, rungs in (
-        ("vector-engine kernel backends", jit.LADDER, None),
-        ("fabric partitioners (hmap, partition)", LADDER, list_partitioners()),
-    ):
-        active, _, reason = ladder.resolve()
-        print(f"{title} (active: {active or 'none'}; {reason}):")
-        for row in ladder.rows(rungs):
-            status = "available  " if row["available"] else "unavailable"
-            print(f"  {row['name']:12s} {status} {row['reason']}")
+    active, reason = jit.warmup()
+    print(f"vector-engine kernel backends (active: {active}; {reason}):")
+    for row in jit.available_backends():
+        status = "available  " if row["available"] else "unavailable"
+        print(f"  {row['name']:12s} {status} {row['reason']}")
+    print(f"fabric partitioners (hmap, partition; auto: {resolve_partitioner()[0]}):")
+    for name in list_partitioners():
+        print(f"  {name:12s} {PARTITIONERS.get(name)[1]}")
     return 0
 
 
@@ -558,8 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_part.add_argument(
         "--method",
         default="auto",
-        help="partitioner name or 'auto' (metis -> greedy-edge -> "
-        "round-robin ladder)",
+        help="partitioner: greedy-edge, round-robin, or 'auto' "
+        "(= greedy-edge)",
     )
     p_part.add_argument(
         "--json",

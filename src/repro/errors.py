@@ -26,12 +26,11 @@ class MappingError(ReproError):
 
 
 class PartitionError(ReproError):
-    """A fabric partition is malformed or a partitioner cannot run.
+    """A fabric partition is malformed or cannot be made.
 
     Raised by :mod:`repro.partition` for invalid shard counts (non-positive,
-    or more shards than routers), malformed :class:`PartitionSpec` payloads,
-    unknown partitioner names, and explicitly requested partitioners whose
-    optional dependency (metis) is not installed.
+    or more shards than routers), malformed :class:`PartitionSpec` payloads
+    and unknown partitioner names.
     """
 
 

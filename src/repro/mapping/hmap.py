@@ -172,8 +172,8 @@ def hmap(
         regions: partition size; None picks ``min(4, |V|, |U|)`` so small
             instances degrade gracefully to fewer (or one) region(s).
         partitioner: partitioner name fed to
-            :func:`repro.partition.partition_topology` (``"auto"`` walks
-            the metis -> greedy-edge -> round-robin ladder).
+            :func:`repro.partition.partition_topology` (``"auto"`` is
+            ``greedy-edge``; ``"round-robin"`` is the other).
         refine: greedy pairwise refinement of the cluster-to-region
             matching (off = the deterministic identity matching).
 

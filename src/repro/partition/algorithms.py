@@ -1,64 +1,17 @@
-"""The three partitioners: metis (optional), greedy-edge, round-robin.
+"""The two partitioners: greedy-edge and round-robin.
 
-The ladder follows fpgagraphlib's ``CoreConfig`` (see SNIPPETS.md): a real
-graph partitioner when the optional dependency is installed, a greedy
-edge-affinity region grower as the always-available quality rung, and
-round-robin as the trivially correct floor.  Every partitioner is
-deterministic — same topology, same shard count, same cut — because
-``hmap``'s mappings, and so every result built on them, must be
-reproducible.
+They follow the greedy and round-robin halves of fpgagraphlib's
+``CoreConfig`` (see SNIPPETS.md): a greedy edge-affinity region grower
+for cut quality, and round-robin as the trivially correct floor.  Every
+partitioner is deterministic — same topology, same shard count, same
+cut — because ``hmap``'s mappings, and so every result built on them,
+must be reproducible.
 """
 
 from __future__ import annotations
 
-from repro.errors import PartitionError
-from repro.partition.registry import LADDER, register_partitioner
+from repro.partition.registry import register_partitioner
 from repro.partition.spec import PartitionSpec, spec_from_assignment
-
-
-def _compact_labels(membership, num_shards: int) -> list[int]:
-    """Renumber arbitrary part labels to dense 0..k-1 by first appearance.
-
-    METIS may label parts arbitrarily (and, rarely, leave one empty); the
-    :class:`PartitionSpec` contract wants dense non-empty shard ids.  An
-    empty part is a hard error here — the caller asked for ``num_shards``
-    workers and silently running fewer would skew the balance story.
-    """
-    remap: dict[int, int] = {}
-    compact = []
-    for label in membership:
-        if label not in remap:
-            remap[label] = len(remap)
-        compact.append(remap[label])
-    if len(remap) != num_shards:
-        raise PartitionError(
-            f"metis produced {len(remap)} non-empty parts, "
-            f"{num_shards} were requested"
-        )
-    return compact
-
-
-@register_partitioner(
-    "metis", summary="multilevel k-way graph partitioning (optional dep)"
-)
-def partition_metis(topology, num_shards: int) -> PartitionSpec:
-    """K-way cut via METIS, through whichever python binding is installed."""
-    _, module, reason = LADDER.probe("metis")
-    if module is None:
-        raise PartitionError(f"metis partitioner unavailable: {reason}")
-    if num_shards == 1:
-        # METIS bindings reject nparts < 2; the 1-shard cut is trivial.
-        return spec_from_assignment(
-            topology, [0] * topology.num_nodes, "metis"
-        )
-    adjacency = [sorted(topology.neighbors(node)) for node in topology.nodes]
-    if module.__name__ == "pymetis":
-        _, membership = module.part_graph(num_shards, adjacency=adjacency)
-    else:
-        _, membership = module.part_graph(adjacency, num_shards)
-    return spec_from_assignment(
-        topology, _compact_labels(membership, num_shards), "metis"
-    )
 
 
 @register_partitioner(

@@ -1,52 +1,30 @@
-"""Partitioner registry and the metis -> greedy-edge -> round-robin ladder.
+"""Partitioner registry: greedy-edge, then round-robin.
 
-Partitioners register by name in a :class:`~repro.registry.Registry` and
-resolve down a :class:`~repro.registry.Ladder`: ``metis`` is probed once
-per process, the pure-python rungs are always available, and
-``REPRO_NO_METIS=1`` pins them for CI's fallback-rot guard.
+Partitioners register by name in a :class:`~repro.registry.Registry`;
+``auto`` is ``greedy-edge``, the contiguous region grower.  Both
+partitioners are pure python and always run.
 """
 
 from __future__ import annotations
 
-import importlib
-import logging
 from typing import Callable
 
 from repro.errors import PartitionError
 from repro.partition.spec import PartitionSpec
-from repro.registry import Ladder, Registry
+from repro.registry import Registry
+
 
 def _load_partitioners() -> None:
     import repro.partition.algorithms  # noqa: F401
 
 
-def metis_module() -> tuple[object | None, str]:
-    """The metis rung's probe: ``(module, reason)`` for the first binding
-    that imports — ``pymetis`` (adjacency-list API), then ``metis``
-    (networkx-flavoured) — or ``(None, reason)``."""
-    for binding in ("pymetis", "metis"):
-        try:
-            return importlib.import_module(binding), f"{binding} importable"
-        except ImportError:
-            pass
-    return None, (
-        "optional dependency not installed (no 'pymetis' or 'metis' module importable)"
-    )
-
-
-#: ``auto`` takes the best cut quality first.
-LADDER = Ladder(
-    "partitioner",
-    {"metis": metis_module},
-    ("metis", "greedy-edge", "round-robin"),
-    kill="REPRO_NO_METIS",
-    logger=logging.getLogger("repro.partition"),
-)
-
-#: name -> ``(fn(topology, num_shards) -> PartitionSpec, summary)``, listed
-#: in ladder order.
+#: name -> ``(fn(topology, num_shards) -> PartitionSpec, summary)``, the
+#: best cut first.
 PARTITIONERS = Registry(
-    "partitioner", PartitionError, _load_partitioners, order=LADDER.order
+    "partitioner",
+    PartitionError,
+    _load_partitioners,
+    order=("greedy-edge", "round-robin"),
 )
 
 
@@ -55,34 +33,20 @@ def register_partitioner(name: str, *, summary: str = "") -> Callable:
     return PARTITIONERS.register(name, lambda fn: (fn, summary))
 
 
-#: All registered partitioner names, ladder order first.
+#: All registered partitioner names, the best cut first.
 list_partitioners = PARTITIONERS.names
 
 
-def partitioner_availability(name: str) -> tuple[bool, str]:
-    """Whether ``name`` can run here, with the reason it can't."""
-    PARTITIONERS.get(name)
-    available, _, reason = LADDER.probe(name)
-    return available, reason
-
-
-def available_partitioners() -> list[dict]:
-    """Ladder introspection rows, shaped like ``jit.available_backends``."""
-    return LADDER.rows(list_partitioners())
-
-
 def resolve_partitioner(name: str = "auto") -> tuple[str, str]:
-    """Resolve ``name`` to a runnable partitioner: ``(name, reason)``.
+    """Resolve ``name`` to a registered partitioner: ``(name, reason)``.
 
-    ``"auto"`` takes the first available rung; a concrete name resolves to
-    itself when available and raises otherwise.
+    ``"auto"`` is ``greedy-edge``; any other name resolves to itself, and
+    an unknown one raises :class:`~repro.errors.PartitionError`.
     """
-    if name != "auto":
-        PARTITIONERS.get(name)
-    resolved, _, reason = LADDER.resolve(name)
-    if resolved is None:  # a named rung only: auto ends on a pure-python one
-        raise PartitionError(f"partitioner {name!r} unavailable: {reason}")
-    return resolved, reason
+    if name == "auto":
+        return "greedy-edge", "auto: the contiguous region grower"
+    PARTITIONERS.get(name)
+    return name, "requested explicitly"
 
 
 def partition_topology(
@@ -91,9 +55,8 @@ def partition_topology(
     """Partition ``topology`` into ``num_shards`` shards.
 
     Raises:
-        PartitionError: for a non-positive or oversubscribed shard count,
-            an unknown method, or an explicitly requested but unavailable
-            one.
+        PartitionError: for a non-positive or oversubscribed shard count
+            or an unknown method.
     """
     if num_shards < 1:
         raise PartitionError(f"num_shards must be >= 1, got {num_shards}")

@@ -276,9 +276,11 @@ class ServiceClient:
         retry for every endpoint: reads are idempotent and submissions
         dedup on the canonical request key server-side.
         """
+        # Once per logical request: the retries the caller asked for run
+        # even if their failures open the breaker for the next call.
+        self._breaker_preflight()
         attempt = 0
         while True:
-            self._breaker_preflight()
             try:
                 connection, _, reply = self._exchange(method, path, body)
                 try:

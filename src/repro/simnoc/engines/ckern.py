@@ -1,7 +1,8 @@
 """The C rung: the kernel twin emitted as C99 and compiled on demand.
 
-The JIT ladder's one compiled rung: it needs nothing but a C compiler,
-which CI runners and any host with a build toolchain already have.  This
+The one compiled kernel rung (:mod:`repro.simnoc.engines.jit`): it needs
+nothing but a C compiler, which CI runners and any host with a build
+toolchain already have.  This
 module holds no sweep of its own: :func:`source` reads
 ``advance_plain`` / ``advance_vc`` out of
 :mod:`repro.simnoc.engines.kernels` with :mod:`ast` and prints them as two
@@ -32,8 +33,8 @@ The accepted Python subset is exactly what the twin is written in:
 
 Anything else, or a twin whose source cannot be read, raises
 :class:`BackendUnavailable` naming the function and line — as do a missing
-compiler, a failed build and a failed load — and the JIT ladder steps down
-to the interpreted sweep.
+compiler, a failed build and a failed load — and the vector engine runs
+the interpreted sweep.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
-"""The JIT ladder: pick the fastest available kernel backend.
+"""The kernel backends: the vector engine's compiled sweep, if one runs here.
 
 The vector engine's compiled sweep has one source, the *kernel twin*
 (``advance_plain`` / ``advance_vc`` in :mod:`repro.simnoc.engines.kernels`),
-and :data:`LADDER` (a :class:`~repro.registry.Ladder`) has one compiled
-rung made from it: **c**, the twin emitted as C99 by
+and two rungs made from it: **c**, the twin emitted as C99 by
 :mod:`repro.simnoc.engines.ckern`, compiled once with the system ``cc``
-and cached as a shared object.
+and cached as a shared object, and **py**, the twin run as it stands.
 
 Without a compiler, ``resolve_backend`` returns no backend and the vector
 engine runs the one interpreted sweep, :mod:`repro.simnoc.engines.sweep`.
@@ -14,12 +13,13 @@ forked pool workers inherit a loaded library and introspection never
 recompiles.  Switches, read on every resolution (a reason that names a
 switch names the one that fired):
 
-* ``REPRO_NO_JIT=1`` disables every backend: the vector engine runs the
-  interpreted sweep (the A/B and fallback-rot guard; CI runs a job so).
-* ``REPRO_JIT=c|py|off`` pins one rung.  ``py`` runs the twin as
-  plain CPython, 5–6x slower than the interpreted sweep (PERFORMANCE.md,
-  "Closed decisions"); it exists so the kernel algorithm is
-  property-testable with no toolchain at all.
+* ``REPRO_NO_JIT=1`` (or ``true`` / ``yes`` / ``on``) disables every
+  backend: the vector engine runs the interpreted sweep (the A/B and
+  fallback-rot guard; CI runs a job so).
+* ``REPRO_JIT=c|py`` picks the rung, ``c`` by default.  ``py`` runs the
+  twin as plain CPython, 5–6x slower than the interpreted sweep
+  (PERFORMANCE.md, "Closed decisions"); it exists so the kernel algorithm
+  is property-testable with no toolchain at all.
 
 Every rung is bit-identical to the cycle engine (reports and flit traces;
 ``tests/properties/test_engine_equivalence.py``).  :func:`warmup` builds
@@ -30,18 +30,17 @@ counts actual compilations for the warm-up hygiene test.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from repro.registry import Ladder
 from repro.simnoc.engines import ckern, kernels
 from repro.simnoc.engines.ckern import BackendUnavailable
 from repro.simnoc.engines.flat_kernel import ARG_DTYPES
 
 __all__ = [
-    "LADDER",
     "BackendUnavailable",
     "available_backends",
     "compile_events",
@@ -58,7 +57,7 @@ def compile_events() -> int:
 
 @dataclass(frozen=True)
 class Backend:
-    """One rung of the ladder: the kernel twin's two functions, runnable."""
+    """One rung: the kernel twin's two functions, runnable."""
 
     name: str
     plain_fn: Callable[..., None]
@@ -78,8 +77,8 @@ def _zero_cycle_calls(backend: Backend) -> None:
         fn(*(np.zeros(kernels.NUM_PARAMS, dtype) for dtype in ARG_DTYPES))
 
 
-# Each builder is a ladder probe: ``(backend, description)``, or
-# ``(None, why)`` when the rung cannot run here.
+# Each builder returns ``(backend, description)``, or ``(None, why)`` when
+# the rung cannot run here.
 def _build_py() -> tuple[Backend, str]:
     backend = Backend("py", kernels.advance_plain, kernels.advance_vc)
     return backend, "kernel twin interpreted by CPython (testing only)"
@@ -93,26 +92,42 @@ def _build_c() -> tuple[Backend | None, str]:
     backend = Backend("c", lib.advance_plain, lib.advance_vc)
     try:
         _zero_cycle_calls(backend)
-    except Exception as exc:  # loaded but does not run: step down
+    except Exception as exc:  # loaded but does not run
         return None, f"C kernel library failed self-test: {exc}"
     return backend, "kernel twin emitted as C, compiled with the system cc (cached .so)"
 
 
-#: ``auto`` tries C; ``py`` runs only when pinned.
-LADDER = Ladder(
-    "kernel backend",
-    {"c": _build_c, "py": _build_py},
-    ("c",),
-    kill="REPRO_NO_JIT",
-    pin="REPRO_JIT",
-)
+#: rung -> builder; ``c`` is the default, ``py`` runs only when pinned.
+RUNGS = {"c": _build_c, "py": _build_py}
+
+#: rung -> its builder's ``(backend, reason)``, built at most once per process.
+_BUILT: dict[str, tuple[Backend | None, str]] = {}
+
+
+def _build(rung: str) -> tuple[Backend | None, str]:
+    if rung not in _BUILT:
+        _BUILT[rung] = RUNGS[rung]()
+    return _BUILT[rung]
+
+
+def _disabled() -> bool:
+    """``REPRO_NO_JIT`` is set to ``1``, ``true``, ``yes`` or ``on``."""
+    switch = os.environ.get("REPRO_NO_JIT", "").strip().lower()
+    return switch in ("1", "true", "yes", "on")
 
 
 def resolve_backend() -> tuple[Backend | None, str]:
     """``(backend, reason)`` for the current environment; ``backend`` is
-    ``None`` when no rung can run or JIT is disabled (the interpreted sweep
-    runs instead)."""
-    _, backend, reason = LADDER.resolve()
+    ``None`` when the rung cannot run or JIT is disabled (the interpreted
+    sweep runs instead)."""
+    if _disabled():
+        return None, "disabled by REPRO_NO_JIT"
+    pinned = os.environ.get("REPRO_JIT", "").strip().lower()
+    if pinned and pinned not in RUNGS:
+        return None, f"unknown REPRO_JIT mode {pinned!r}"
+    backend, reason = _build(pinned or "c")
+    if backend is not None and pinned:
+        reason = f"pinned by REPRO_JIT={pinned}"
     return backend, reason
 
 
@@ -124,5 +139,7 @@ def warmup() -> tuple[str, str]:
     return ("none" if backend is None else backend.name), reason
 
 
-#: ``{name, available, reason}`` rows for the compiled rungs.
-available_backends = LADDER.rows
+def available_backends() -> list[dict]:
+    """``{name, available, reason}`` rows for the compiled rungs."""
+    backend, reason = (None, "disabled by REPRO_NO_JIT") if _disabled() else _build("c")
+    return [{"name": "c", "available": backend is not None, "reason": reason}]

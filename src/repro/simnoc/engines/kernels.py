@@ -8,8 +8,8 @@ the subset ``ckern``'s docstring spells out: flat int64/float64 arrays,
 scalar locals that keep one type, ``range`` /
 ``while`` / ``if``, ``break`` / ``continue`` / bare ``return``, one
 ``np.empty`` scratch array, ``%`` only on non-negative values.  A
-construct outside it makes the C rung unavailable (the ladder steps down,
-naming the line) — so to change the compiled sweep, edit these functions
+construct outside it makes the C rung unavailable (the reason names the
+line) — so to change the compiled sweep, edit these functions
 and nothing else.  ``tests/properties`` pins every tier against the cycle
 engine.
 

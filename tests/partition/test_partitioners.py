@@ -1,7 +1,7 @@
-"""The partition subsystem: registry ladder, spec contract, JSON round-trip.
+"""The partition subsystem: registry, spec contract, JSON round-trip.
 
-Partition specs feed the sharded engine's bit-identity contract, so the
-guarantees pinned here are strict: deterministic assignments, dense
+Partition specs feed ``hmap``'s mappings, which must be reproducible, so
+the guarantees pinned here are strict: deterministic assignments, dense
 non-empty shards, cut edges that really cross, and lossless JSON.
 """
 
@@ -11,17 +11,16 @@ import json
 
 import pytest
 
-from repro.errors import PartitionError
+from repro.errors import ApiError, PartitionError
 from repro.graphs.topology import NoCTopology
 from repro.partition import (
     PartitionSpec,
-    available_partitioners,
     list_partitioners,
     partition_topology,
-    partitioner_availability,
     resolve_partitioner,
     spec_from_assignment,
 )
+from repro.partition import registry
 
 
 def mesh(width=4, height=4):
@@ -29,52 +28,27 @@ def mesh(width=4, height=4):
 
 
 class TestRegistry:
-    def test_ladder_order_first(self):
-        names = list_partitioners()
-        assert names[:3] == ("metis", "greedy-edge", "round-robin")
-
-    def test_availability_rows_shape(self):
-        rows = available_partitioners()
-        assert [row["name"] for row in rows][:3] == [
-            "metis",
-            "greedy-edge",
-            "round-robin",
-        ]
-        for row in rows:
-            assert isinstance(row["available"], bool)
-            assert row["reason"]
-
-    def test_pure_python_rungs_always_available(self):
-        for name in ("greedy-edge", "round-robin"):
-            available, reason = partitioner_availability(name)
-            assert available, reason
+    def test_best_cut_first(self):
+        assert list_partitioners()[:2] == ("greedy-edge", "round-robin")
 
     def test_unknown_partitioner_rejected(self):
         with pytest.raises(PartitionError, match="unknown partitioner"):
-            partitioner_availability("metis2")
+            resolve_partitioner("metis2")
         with pytest.raises(PartitionError, match="unknown partitioner"):
             partition_topology(mesh(), 2, "kl")
 
-    def test_auto_resolves_to_an_available_rung(self):
-        name, reason = resolve_partitioner("auto")
-        available, _ = partitioner_availability(name)
-        assert available
-        assert "auto ladder" in reason
+    def test_auto_is_greedy_edge(self):
+        mesh4 = mesh()
+        specs = {partition_topology(mesh4, 2) for _ in range(5)}
+        assert specs == {partition_topology(mesh4, 2, "greedy-edge")}
+        for _ in range(5):
+            name, reason = resolve_partitioner("auto")
+            assert name == "greedy-edge" and reason
 
     def test_explicit_resolution(self):
         name, reason = resolve_partitioner("round-robin")
         assert name == "round-robin"
         assert reason == "requested explicitly"
-
-    def test_no_metis_env_pins_pure_python(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_METIS", "1")
-        available, reason = partitioner_availability("metis")
-        assert not available
-        assert "REPRO_NO_METIS" in reason
-        name, _ = resolve_partitioner("auto")
-        assert name == "greedy-edge"
-        with pytest.raises(PartitionError, match="unavailable"):
-            partition_topology(mesh(), 2, "metis")
 
     def test_shard_count_bounds(self):
         with pytest.raises(PartitionError, match=">= 1"):
@@ -124,22 +98,43 @@ class TestAlgorithms:
         spec = partition_topology(mesh(), 3, "round-robin")
         assert spec.assignment == tuple(i % 3 for i in range(16))
 
-    def test_metis_when_available_else_skip(self):
-        available, reason = partitioner_availability("metis")
-        if not available:
-            with pytest.raises(PartitionError, match="unavailable"):
-                partition_topology(mesh(), 2, "metis")
-            pytest.skip(f"metis unavailable here: {reason}")
-        spec = partition_topology(mesh(8, 8), 4, "metis")
-        assert spec.num_shards == 4
-        assert sum(spec.shard_sizes) == 64
-
     def test_one_shard_is_trivial_everywhere(self):
         for method in ("greedy-edge", "round-robin"):
             spec = partition_topology(mesh(), 1, method)
             assert spec.assignment == (0,) * 16
             assert spec.edge_cut == 0
             assert spec.balance == 1.0
+
+
+class TestMetisIsRefusedAtParseTime:
+    """No metis rung: every surface that names a partitioner refuses it
+    before anything is partitioned, listing the two that exist."""
+
+    KNOWN = "greedy-edge, round-robin"
+
+    @pytest.fixture(autouse=True)
+    def _no_cut(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a partitioner ran")
+
+        for name in list_partitioners():
+            monkeypatch.setitem(registry.PARTITIONERS._entries, name, (refuse, ""))
+
+    def test_hmap_options(self):
+        from repro.api.options import HmapOptions
+
+        with pytest.raises(ApiError, match=f"one of {self.KNOWN}, got 'metis'"):
+            HmapOptions(partitioner="metis")
+
+    def test_sim_options(self):
+        from repro.api import SimOptions
+
+        with pytest.raises(ApiError, match=f"one of {self.KNOWN}, got 'metis'"):
+            SimOptions(engine="sharded", partitioner="metis")
+
+    def test_partition_topology(self):
+        with pytest.raises(PartitionError, match=f"known: {self.KNOWN}$"):
+            partition_topology(mesh(), 2, "metis")
 
 
 class TestPartitionSpec:

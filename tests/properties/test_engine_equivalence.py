@@ -385,12 +385,17 @@ class TestAutoEngineEquivalence:
 
 @pytest.fixture
 def jit_mode(request, monkeypatch):
-    """Pin ``REPRO_JIT`` to the parametrized rung; skip where it cannot run."""
+    """Pin ``REPRO_JIT`` to the parametrized rung (``off``: set
+    ``REPRO_NO_JIT=1``); skip where it cannot run."""
     from repro.simnoc.engines.jit import resolve_backend
 
     mode = request.param
-    monkeypatch.delenv("REPRO_NO_JIT", raising=False)
-    monkeypatch.setenv("REPRO_JIT", mode)
+    if mode == "off":
+        monkeypatch.delenv("REPRO_JIT", raising=False)
+        monkeypatch.setenv("REPRO_NO_JIT", "1")
+    else:
+        monkeypatch.delenv("REPRO_NO_JIT", raising=False)
+        monkeypatch.setenv("REPRO_JIT", mode)
     backend, reason = resolve_backend()
     if mode != "off" and backend is None:
         pytest.skip(f"JIT backend {mode!r} unavailable here: {reason}")
@@ -398,10 +403,10 @@ def jit_mode(request, monkeypatch):
 
 
 class TestKernelTierEquivalence:
-    """Every rung of the JIT ladder is bit-identical to the cycle engine.
+    """Every kernel rung is bit-identical to the cycle engine.
 
-    ``off`` pins the interpreted sweep (what a compiler-less machine
-    runs); ``py`` executes the
+    ``off`` (``REPRO_NO_JIT=1``) runs the interpreted sweep (what a
+    compiler-less machine runs); ``py`` executes the
     kernel twin as plain Python, so the kernel *algorithm* is
     property-tested even where no backend compiles; ``c`` is the compiled
     rung, skipped with a reason where no compiler is found.

@@ -255,6 +255,32 @@ class TestCircuitBreaker:
         assert client._failures == 0
         assert client._open_until == 0.0
 
+    def test_the_breaker_leaves_the_asked_retries_to_run(self, monkeypatch):
+        """``retries=8`` past the default threshold of 5 still makes 9
+        attempts; only the next call fails fast, without dialling."""
+        client = ServiceClient(
+            f"http://127.0.0.1:{free_port()}",
+            connect_timeout=0.2,
+            retries=8,
+            backoff=0.001,
+            backoff_max=0.002,
+        )
+        dials = []
+        dial = client._open
+
+        def counted():
+            dials.append(1)
+            return dial()
+
+        monkeypatch.setattr(client, "_open", counted)
+        with pytest.raises(ServiceError) as info:
+            client.health()
+        assert not isinstance(info.value, CircuitOpenError)
+        assert len(dials) == 9
+        with pytest.raises(CircuitOpenError):
+            client.health()
+        assert len(dials) == 9
+
     def test_disabled_breaker_never_opens(self):
         client = self.make_client(free_port(), breaker_threshold=0, retries=0)
         for _ in range(4):

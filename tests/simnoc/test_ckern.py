@@ -102,7 +102,7 @@ class TestUnsupportedTwin:
         namespace: dict = {}
         exec("def advance_vc(*args):\n    pass", namespace)
         monkeypatch.setattr(kernels, "advance_vc", namespace["advance_vc"])
-        monkeypatch.setattr(jit.LADDER, "cache", {})
+        monkeypatch.setattr(jit, "_BUILT", {})
         monkeypatch.delenv("REPRO_NO_JIT", raising=False)
         monkeypatch.setenv("REPRO_JIT", "c")
 

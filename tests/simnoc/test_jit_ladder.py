@@ -1,4 +1,4 @@
-"""The JIT ladder's plumbing: resolution, switches, warm-up hygiene.
+"""The kernel backends' plumbing: resolution, switches, warm-up hygiene.
 
 Bit-identity of the kernels themselves is property-tested in
 ``tests/properties/test_engine_equivalence.py``; this file covers the
@@ -157,7 +157,7 @@ class TestCorruptCacheEntry:
             pytest.skip("no C compiler on PATH")
         monkeypatch.setenv("REPRO_JIT", "c")
         monkeypatch.setenv("REPRO_JIT_CACHE", str(tmp_path))
-        monkeypatch.setattr(jit.LADDER, "cache", {})
+        monkeypatch.setattr(jit, "_BUILT", {})
         entry = ckern.library_path(ckern.source(), ckern._find_compiler())
         assert entry.parent == tmp_path
         entry.write_bytes(b"\x7fELF truncated")

@@ -280,8 +280,12 @@ class TestPollingAdapter:
     ):
         from repro.simnoc.engines.jit import resolve_backend
 
-        monkeypatch.delenv("REPRO_NO_JIT", raising=False)
-        monkeypatch.setenv("REPRO_JIT", mode)
+        if mode == "off":
+            monkeypatch.delenv("REPRO_JIT", raising=False)
+            monkeypatch.setenv("REPRO_NO_JIT", "1")
+        else:
+            monkeypatch.delenv("REPRO_NO_JIT", raising=False)
+            monkeypatch.setenv("REPRO_JIT", mode)
         backend, reason = resolve_backend()
         if mode != "off" and backend is None:
             pytest.skip(f"JIT backend {mode!r} unavailable here: {reason}")

@@ -167,22 +167,27 @@ class TestPartition:
         assert main(["partition", "--topology", "auto", "--shards", "2"]) == 2
         assert "explicit dimensions" in capsys.readouterr().err
 
-    def test_partition_unknown_method(self, capsys):
+    @pytest.mark.parametrize("method", ["kl", "metis"])
+    def test_partition_unknown_method(self, capsys, method):
         assert (
             main([
                 "partition", "--topology", "mesh:4x4",
-                "--shards", "2", "--method", "kl",
+                "--shards", "2", "--method", method,
             ])
             == 2
         )
-        assert "unknown partitioner" in capsys.readouterr().err
+        assert (
+            f"unknown partitioner {method!r}; known: greedy-edge, round-robin"
+            in capsys.readouterr().err
+        )
 
     def test_list_engines_shows_partitioners(self, capsys):
         assert main(["list-engines"]) == 0
         out = capsys.readouterr().out
-        assert "fabric partitioners (hmap, partition)" in out
-        for name in ("metis", "greedy-edge", "round-robin"):
-            assert name in out
+        assert "fabric partitioners (hmap, partition; auto: greedy-edge)" in out
+        for name in ("greedy-edge", "round-robin"):
+            assert f"  {name:12s} " in out
+        assert "metis" not in out
 
 
 class TestSimulate:

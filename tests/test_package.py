@@ -79,9 +79,9 @@ class TestPackageSurface:
             for name in module.__all__:
                 assert getattr(module, name) is not None, f"{module.__name__}.{name}"
 
-    def test_src_reads_only_the_four_ladder_switches(self):
-        """Every ``REPRO_*`` environment switch in ``src/`` picks a rung
-        (kill, pin, cache dir); a test instrument belongs in the tests.
+    def test_src_reads_only_the_three_jit_switches(self):
+        """Every ``REPRO_*`` environment switch in ``src/`` picks a kernel
+        rung (kill, pin, cache dir); a test instrument belongs in the tests.
 
         Any string constant that is a ``REPRO_*`` name counts, a bare
         ``"REPRO_"`` prefix (an f-string or a concatenation) included.
@@ -92,7 +92,7 @@ class TestPackageSurface:
                 if isinstance(node, ast.Constant) and isinstance(node.value, str):
                     if re.fullmatch(r"REPRO_[A-Z0-9_]*", node.value):
                         read.add(node.value)
-        assert read == {"REPRO_NO_JIT", "REPRO_JIT", "REPRO_JIT_CACHE", "REPRO_NO_METIS"}
+        assert read == {"REPRO_NO_JIT", "REPRO_JIT", "REPRO_JIT_CACHE"}
 
 
 class TestNoKnobWithoutACaller:
@@ -150,8 +150,8 @@ class TestNoKnobWithoutACaller:
     def test_jit_ladder_rungs(self):
         from repro.simnoc.engines import jit
 
-        assert jit.LADDER.order == ("c",)
-        assert set(jit.LADDER.probes) == {"c", "py"}
+        assert list(jit.RUNGS) == ["c", "py"]
+        assert [row["name"] for row in jit.available_backends()] == ["c"]
 
 
 class TestNoImplementationBehindAnAlias:

@@ -1,15 +1,13 @@
-"""The two plug-in classes: every registry is a ``Registry``, every ladder a ``Ladder``.
+"""Every registry is a ``Registry``; the JIT's switches and its build cache.
 
 One parametrized test holds the four name registries to one contract
 (duplicate refused with the registry's own error type, unknown name
 answered with the known ones in presentation order); the rest pin the
-ladders' switches — one parser for every kill switch, reasons that name
-the switch that fired — and the once-per-process probe.
+kernel backends' switches — one parser for the kill switch, reasons that
+name the switch that fired — and the once-per-process build.
 """
 
 from __future__ import annotations
-
-import logging
 
 import pytest
 
@@ -17,17 +15,13 @@ from repro.api import NmapOptions, list_mappers
 from repro.api import registry as mapper_registry
 from repro.api.registry import get_mapper, register_mapper
 from repro.errors import ApiError, PartitionError, SimulationError
-from repro.graphs.topology import NoCTopology
 from repro.partition import (
-    available_partitioners,
     list_partitioners,
-    partition_topology,
-    partitioner_availability,
     register_partitioner,
     resolve_partitioner,
 )
 from repro.partition import registry as partition_registry
-from repro.registry import Ladder, Registry
+from repro.registry import Registry
 from repro.simnoc import models
 from repro.simnoc.engines import base as engine_base
 from repro.simnoc.engines import jit
@@ -63,8 +57,8 @@ REGISTRIES = {
     "partitioner": (
         partition_registry.PARTITIONERS,
         PartitionError,
-        lambda: register_partitioner("metis")(_noop),
-        partitioner_availability,
+        lambda: register_partitioner("greedy-edge")(_noop),
+        resolve_partitioner,
         list_partitioners,
     ),
 }
@@ -74,14 +68,14 @@ LEADING = {
     "engine": (),
     "traffic pattern": ("trace",),
     "mapper": ("nmap", "nmap-tm", "nmap-ta", "pmap", "gmap", "pbb", "annealing", "hmap"),
-    "partitioner": ("metis", "greedy-edge", "round-robin"),
+    "partitioner": ("greedy-edge", "round-robin"),
 }
 
 EXISTING = {
     "engine": "cycle",
     "traffic pattern": "uniform",
     "mapper": "nmap",
-    "partitioner": "metis",
+    "partitioner": "greedy-edge",
 }
 
 
@@ -125,55 +119,33 @@ def test_a_removed_entry_leaves_the_listing():
 
 
 # ----------------------------------------------------------------------
-# ladders
+# kernel-backend switches
 # ----------------------------------------------------------------------
 @pytest.fixture(autouse=True)
 def _clean_switches(monkeypatch):
-    for switch in ("REPRO_NO_JIT", "REPRO_JIT", "REPRO_NO_METIS"):
+    for switch in ("REPRO_NO_JIT", "REPRO_JIT"):
         monkeypatch.delenv(switch, raising=False)
 
 
-def test_both_ladders_are_one_class():
-    assert isinstance(jit.LADDER, Ladder)
-    assert isinstance(partition_registry.LADDER, Ladder)
-
-
 @pytest.mark.parametrize("value", ["0", "false", ""])
-@pytest.mark.parametrize("switch", ["REPRO_NO_JIT", "REPRO_NO_METIS"])
-def test_a_switch_set_off_leaves_the_rungs_own_reason(monkeypatch, switch, value):
+def test_a_switch_set_off_leaves_the_rungs_own_reason(monkeypatch, value):
     own = _reasons()
-    monkeypatch.setenv(switch, value)
+    monkeypatch.setenv("REPRO_NO_JIT", value)
     assert _reasons() == own
-    assert not any(switch in reason for reason in own)
+    assert not any("REPRO_NO_JIT" in reason for reason in own.values())
 
 
-@pytest.mark.parametrize("value", ["1", "true", "TRUE "])
-@pytest.mark.parametrize("switch", ["REPRO_NO_JIT", "REPRO_NO_METIS"])
-def test_a_switch_set_on_names_itself(monkeypatch, switch, value):
-    monkeypatch.setenv(switch, value)
-    reasons = _reasons()
-    killed = ["c"] if switch == "REPRO_NO_JIT" else ["metis"]
-    for rung in killed:
-        assert reasons[rung] == f"disabled by {switch}"
-    for rung in set(reasons) - set(killed):
-        assert "disabled" not in reasons[rung]
+@pytest.mark.parametrize("value", ["1", "true", "TRUE ", " Yes", "on"])
+def test_a_switch_set_on_names_itself(monkeypatch, value):
+    monkeypatch.setenv("REPRO_NO_JIT", value)
+    assert _reasons() == {"c": "disabled by REPRO_NO_JIT"}
 
 
 def _reasons() -> dict[str, str]:
-    rows = jit.available_backends() + available_partitioners()
-    return {row["name"]: row["reason"] for row in rows}
+    return {row["name"]: row["reason"] for row in jit.available_backends()}
 
 
 class TestTheReasonNamesTheSwitchThatFired:
-    def test_repro_jit_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JIT", "off")
-        backend, reason = jit.resolve_backend()
-        assert backend is None
-        assert reason == "disabled by REPRO_JIT=off"
-        for row in jit.available_backends():
-            assert row["reason"] == "disabled by REPRO_JIT=off"
-        assert jit.warmup() == ("none", "disabled by REPRO_JIT=off")
-
     def test_repro_no_jit(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_JIT", "1")
         backend, reason = jit.resolve_backend()
@@ -181,10 +153,11 @@ class TestTheReasonNamesTheSwitchThatFired:
         assert reason == "disabled by REPRO_NO_JIT"
         for row in jit.available_backends():
             assert row["reason"] == "disabled by REPRO_NO_JIT"
+        assert jit.warmup() == ("none", "disabled by REPRO_NO_JIT")
 
-    def test_kill_wins_over_off(self, monkeypatch):
+    def test_kill_wins_over_a_pin(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_JIT", "1")
-        monkeypatch.setenv("REPRO_JIT", "off")
+        monkeypatch.setenv("REPRO_JIT", "py")
         assert jit.resolve_backend() == (None, "disabled by REPRO_NO_JIT")
 
     def test_a_pinned_rung_says_it_was_pinned(self, monkeypatch):
@@ -193,103 +166,34 @@ class TestTheReasonNamesTheSwitchThatFired:
         assert backend.name == "py"
         assert reason == "pinned by REPRO_JIT=py"
 
+    @pytest.mark.parametrize("mode", ["off", "auto", "numba"])
+    def test_any_other_mode_is_unknown(self, monkeypatch, mode):
+        monkeypatch.setenv("REPRO_JIT", mode)
+        assert jit.resolve_backend() == (None, f"unknown REPRO_JIT mode {mode!r}")
+        assert jit.warmup() == ("none", f"unknown REPRO_JIT mode {mode!r}")
 
-class TestPartitionerRungsAreProbedOncePerProcess:
-    def test_n_resolutions_build_the_metis_rung_once(self, monkeypatch):
-        ladder = partition_registry.LADDER
+
+class TestKernelRungsAreBuiltOncePerProcess:
+    def test_n_resolutions_build_the_c_rung_once(self, monkeypatch):
         calls = []
-        probe = ladder.probes["metis"]
+        build = jit.RUNGS["c"]
 
         def counted():
             calls.append(1)
-            return probe()
+            return build()
 
-        monkeypatch.setitem(ladder.probes, "metis", counted)
-        monkeypatch.setattr(ladder, "cache", {})
-        mesh = NoCTopology.mesh(4, 4)
-        specs = [partition_topology(mesh, 2) for _ in range(5)]
+        monkeypatch.setitem(jit.RUNGS, "c", counted)
+        monkeypatch.setattr(jit, "_BUILT", {})
+        backends = []
         for _ in range(5):
-            resolve_partitioner("auto")
-            partitioner_availability("metis")
-            available_partitioners()
+            backends.append(jit.resolve_backend()[0])
+            jit.available_backends()
+            jit.warmup()
+        monkeypatch.setenv("REPRO_JIT", "c")
+        backends.append(jit.resolve_backend()[0])
         assert len(calls) == 1
-        assert len(set(specs)) == 1
+        assert all(backend is backends[0] for backend in backends)
 
-        monkeypatch.setenv("REPRO_NO_METIS", "1")
-        assert partitioner_availability("metis") == (False, "disabled by REPRO_NO_METIS")
-        assert resolve_partitioner("auto")[0] == "greedy-edge"
-        with pytest.raises(PartitionError, match="unavailable: disabled by REPRO_NO_METIS"):
-            partition_topology(mesh, 2, "metis")
+        monkeypatch.setenv("REPRO_NO_JIT", "1")
+        assert jit.resolve_backend() == (None, "disabled by REPRO_NO_JIT")
         assert len(calls) == 1
-
-
-class TestLadder:
-    """The class itself, over stub probes."""
-
-    @staticmethod
-    def ladder(calls, logger=None):
-        def probe(value, reason):
-            def run():
-                calls.append(reason)
-                return value, reason
-
-            return run
-
-        return Ladder(
-            "widget",
-            {"fast": probe(None, "fast is missing"), "slow": probe("S", "slow ok")},
-            ("fast", "slow", "floor"),
-            kill="TEST_NO_WIDGET",
-            pin="TEST_WIDGET",
-            logger=logger,
-        )
-
-    def test_auto_falls_through_and_warns_once(self, monkeypatch, caplog):
-        monkeypatch.delenv("TEST_NO_WIDGET", raising=False)
-        monkeypatch.delenv("TEST_WIDGET", raising=False)
-        calls = []
-        ladder = self.ladder(calls, logging.getLogger("test.widget"))
-        with caplog.at_level(logging.WARNING, logger="test.widget"):
-            for _ in range(3):
-                assert ladder.resolve() == (
-                    "slow", "S", "auto ladder (skipped: fast (fast is missing))"
-                )
-        assert calls == ["fast is missing", "slow ok"]
-        assert [r.getMessage() for r in caplog.records] == [
-            "widget auto-ladder: fast (fast is missing) unavailable, "
-            "falling back to slow"
-        ]
-
-    def test_kill_leaves_the_pure_rungs(self, monkeypatch):
-        monkeypatch.setenv("TEST_NO_WIDGET", "yes")
-        ladder = self.ladder([])
-        assert ladder.resolve() == (
-            "floor",
-            None,
-            "auto ladder (skipped: fast (disabled by TEST_NO_WIDGET), "
-            "slow (disabled by TEST_NO_WIDGET))",
-        )
-        assert ladder.rows()[2] == {
-            "name": "floor",
-            "available": True,
-            "reason": "pure python, always available",
-        }
-
-    def test_pin(self, monkeypatch):
-        ladder = self.ladder([])
-        monkeypatch.setenv("TEST_WIDGET", "fast")
-        assert ladder.resolve() == (None, None, "fast is missing")
-        monkeypatch.setenv("TEST_WIDGET", "Slow")
-        assert ladder.resolve() == ("slow", "S", "pinned by TEST_WIDGET=slow")
-        monkeypatch.setenv("TEST_WIDGET", "gpu")
-        assert ladder.resolve() == (None, None, "unknown TEST_WIDGET mode 'gpu'")
-        monkeypatch.setenv("TEST_WIDGET", "auto")
-        assert ladder.resolve()[0] == "slow"
-
-    def test_nothing_available_dedupes_reasons(self, monkeypatch):
-        monkeypatch.setenv("TEST_WIDGET", "off")
-        probe = lambda: ("A", "a")  # noqa: E731
-        ladder = Ladder(
-            "widget", {"a": probe, "b": probe}, ("a", "b"), kill="X", pin="TEST_WIDGET"
-        )
-        assert ladder.resolve() == (None, None, "disabled by TEST_WIDGET=off")
