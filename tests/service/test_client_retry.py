@@ -255,13 +255,14 @@ class TestCircuitBreaker:
         assert client._failures == 0
         assert client._open_until == 0.0
 
-    def test_the_breaker_leaves_the_asked_retries_to_run(self, monkeypatch):
-        """``retries=8`` past the default threshold of 5 still makes 9
-        attempts; only the next call fails fast, without dialling."""
+    @staticmethod
+    def dead_client(monkeypatch, retries: int) -> tuple[ServiceClient, list]:
+        """A client at the default breaker threshold (5) against a port
+        nothing listens on, and the list its dials append to."""
         client = ServiceClient(
             f"http://127.0.0.1:{free_port()}",
             connect_timeout=0.2,
-            retries=8,
+            retries=retries,
             backoff=0.001,
             backoff_max=0.002,
         )
@@ -273,6 +274,31 @@ class TestCircuitBreaker:
             return dial()
 
         monkeypatch.setattr(client, "_open", counted)
+        return client, dials
+
+    @pytest.mark.parametrize("retries", [2, 4])
+    def test_retries_up_to_the_threshold_make_every_attempt(self, monkeypatch, retries):
+        """``retries + 1`` attempts; the breaker opens for the next call
+        only once the default threshold of 5 failures is reached."""
+        client, dials = self.dead_client(monkeypatch, retries)
+        with pytest.raises(ServiceError) as info:
+            client.health()
+        assert not isinstance(info.value, CircuitOpenError)
+        assert len(dials) == retries + 1
+        if retries + 1 >= 5:
+            with pytest.raises(CircuitOpenError):
+                client.health()
+            assert len(dials) == retries + 1
+        else:
+            with pytest.raises(ServiceError) as info:
+                client.health()
+            assert not isinstance(info.value, CircuitOpenError)
+            assert len(dials) > retries + 1
+
+    def test_the_breaker_leaves_the_asked_retries_to_run(self, monkeypatch):
+        """``retries=8`` past the default threshold of 5 still makes 9
+        attempts; only the next call fails fast, without dialling."""
+        client, dials = self.dead_client(monkeypatch, 8)
         with pytest.raises(ServiceError) as info:
             client.health()
         assert not isinstance(info.value, CircuitOpenError)

@@ -166,6 +166,32 @@ class TestTheReasonNamesTheSwitchThatFired:
         assert backend.name == "py"
         assert reason == "pinned by REPRO_JIT=py"
 
+    def test_a_pin_is_read_case_and_space_insensitive(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JIT", " PY ")
+        backend, reason = jit.resolve_backend()
+        assert backend.name == "py"
+        assert reason == "pinned by REPRO_JIT=py"
+
+    def test_the_default_is_the_c_rung(self, monkeypatch):
+        backend = jit.Backend("c", _noop, _noop)
+        monkeypatch.setitem(jit.RUNGS, "c", lambda: (backend, "stub c"))
+        monkeypatch.setattr(jit, "_BUILT", {})
+        assert jit.resolve_backend() == (backend, "stub c")
+        assert jit.warmup() == ("c", "stub c")
+        monkeypatch.setenv("REPRO_JIT", "c")
+        assert jit.resolve_backend() == (backend, "pinned by REPRO_JIT=c")
+
+    def test_a_rung_that_cannot_run_gives_its_own_reason(self, monkeypatch):
+        monkeypatch.setitem(jit.RUNGS, "c", lambda: (None, "no cc here"))
+        monkeypatch.setattr(jit, "_BUILT", {})
+        assert jit.resolve_backend() == (None, "no cc here")
+        assert jit.warmup() == ("none", "no cc here")
+        assert jit.available_backends() == [
+            {"name": "c", "available": False, "reason": "no cc here"}
+        ]
+        monkeypatch.setenv("REPRO_JIT", "c")
+        assert jit.resolve_backend() == (None, "no cc here")
+
     @pytest.mark.parametrize("mode", ["off", "auto", "numba"])
     def test_any_other_mode_is_unknown(self, monkeypatch, mode):
         monkeypatch.setenv("REPRO_JIT", mode)
@@ -197,3 +223,25 @@ class TestKernelRungsAreBuiltOncePerProcess:
         monkeypatch.setenv("REPRO_NO_JIT", "1")
         assert jit.resolve_backend() == (None, "disabled by REPRO_NO_JIT")
         assert len(calls) == 1
+
+    def test_n_pinned_resolutions_build_the_py_rung_once(self, monkeypatch):
+        calls = {"c": 0, "py": 0}
+        builds = dict(jit.RUNGS)
+
+        def counted(rung):
+            def build():
+                calls[rung] += 1
+                return builds[rung]()
+
+            return build
+
+        for rung in builds:
+            monkeypatch.setitem(jit.RUNGS, rung, counted(rung))
+        monkeypatch.setattr(jit, "_BUILT", {})
+        monkeypatch.setenv("REPRO_JIT", "py")
+        backends = []
+        for _ in range(5):
+            backends.append(jit.resolve_backend()[0])
+            assert jit.warmup() == ("py", "pinned by REPRO_JIT=py")
+        assert calls == {"c": 0, "py": 1}
+        assert all(backend is backends[0] for backend in backends)
