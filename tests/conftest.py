@@ -104,3 +104,25 @@ def fault_mapper():
     yield
     MAPPERS.remove(FAULT_MAPPER)
     clear_request_caches()
+
+
+#: The test-only engine name the object-model oracle is filed under.
+OBJECT_ENGINE = "object"
+
+
+@pytest.fixture(scope="module")
+def object_engine():
+    """The object-model simulator, registered as ``object`` for one module.
+
+    It steps router, lane and network-interface objects cycle by cycle — the
+    model the flattened engine transliterates — and is what every engine
+    name is compared against.  Module scope lets hypothesis tests take it;
+    the name is filed through the public ``register_engine`` and taken out
+    again, so ``list_engines()`` outside the module is unchanged.
+    """
+    from repro.simnoc.engines.base import ENGINES, register_engine
+    from repro.simnoc.engines.cycle import CycleEngine
+
+    register_engine(OBJECT_ENGINE)(CycleEngine)
+    yield OBJECT_ENGINE
+    ENGINES.remove(OBJECT_ENGINE)

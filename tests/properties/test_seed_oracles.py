@@ -188,14 +188,17 @@ class TestCostKernels:
 
 
 @st.composite
-def fabrics(draw):
-    """Mesh, torus or 1xN line — pristine, or with failed links or routers."""
+def fabrics(draw, damaged=True):
+    """Mesh, torus or 1xN line — pristine, or (``damaged``) with failed links
+    or routers."""
     kind = draw(st.sampled_from(["mesh", "torus", "line"]))
     if kind == "line":
         width, height = draw(st.integers(3, 9)), 1
     else:
         width, height = draw(st.integers(2, 5)), draw(st.integers(2, 5))
     fabric = NoCTopology(width, height, torus=kind == "torus")
+    if not damaged:
+        return fabric
     damage = draw(st.sampled_from(["none", "links", "routers"]))
     if damage == "links":
         links = draw(
@@ -235,10 +238,12 @@ def core_graphs(draw, max_cores=12):
 
 
 @st.composite
-def placements(draw, complete):
-    """A mapping onto the healthy nodes of a fabric with room to spare more
-    often than not (|V| < |U|); ``complete=False`` leaves some cores out."""
-    fabric = draw(fabrics())
+def placements(draw, complete, fabric=None):
+    """A mapping onto the healthy nodes of a fabric (drawn by :func:`fabrics`
+    unless given) with room to spare more often than not (|V| < |U|);
+    ``complete=False`` leaves some cores out."""
+    if fabric is None:
+        fabric = draw(fabrics())
     healthy = fabric.healthy_nodes()
     graph = draw(core_graphs(max_cores=min(12, len(healthy))))
     nodes = draw(st.permutations(healthy))
