@@ -4,9 +4,10 @@ export PYTHONPATH := src
 .PHONY: check check-cc test test-properties bench-smoke bench-pairs smoke fault-smoke serve-smoke chaos-smoke loc
 
 # What CI runs on every push: the equivalence property suite first (its own
-# stage, so an engine or kernel diverging from the cycle reference or the
-# seed oracles fails loudly and early), then the tier-1 suite, the compiled
-# rung's speed floor, and the example/CLI/service smokes.
+# stage, so an engine name or kernel rung diverging from the object-model
+# oracle in tests/reference or the seed oracles fails loudly and early),
+# then the tier-1 suite, the compiled rung's speed floor, and the
+# example/CLI/service smokes.
 check: test-properties test bench-smoke smoke fault-smoke serve-smoke chaos-smoke
 
 # tests/properties is excluded here only because `check` already ran it in
@@ -14,8 +15,10 @@ check: test-properties test bench-smoke smoke fault-smoke serve-smoke chaos-smok
 test:
 	$(PYTHON) -m pytest -x -q --ignore=tests/properties
 
-# The equivalence contracts, isolated: every engine is bit-identical to the
-# cycle engine, and the cycle engine, the router step and the numpy cost and
+# The equivalence contracts, isolated: every engine name on every JIT rung is
+# bit-identical to the object-model oracle in tests/reference
+# (test_differential.py draws the cases, test_engine_equivalence.py pins the
+# known ones), and the oracle, the router step and the numpy cost and
 # routing kernels to the seed's oracles under tests/reference — among them
 # test_gain_table_matches_the_per_pair_scan (NMAP's swap-gain table) and
 # test_level_sweep_picks_the_dijkstra_path (min-path's quadrant sweep).
@@ -24,14 +27,15 @@ test-properties:
 
 # The C rung against one compiler (CI runs this once per CC; `check` runs
 # the rung under `auto` with the default cc only): the rung must resolve,
-# the ladder / emitter / equivalence tests run with it pinned, and the C
-# emitted from the kernel twin must compile clean under the strictest
-# warnings — the rung itself builds with plain -O2, so a warning there
-# would otherwise go unseen.
+# the ladder / emitter / differential / equivalence tests run with it
+# pinned, and the C emitted from the kernel twin must compile clean under
+# the strictest warnings — the rung itself builds with plain -O2, so a
+# warning there would otherwise go unseen.
 check-cc: export REPRO_JIT := c
 check-cc:
 	$(PYTHON) -c "from repro.simnoc.engines import jit; b, why = jit.resolve_backend(); assert b is not None and b.name == 'c', why"
-	$(PYTHON) -m pytest -q tests/properties/test_engine_equivalence.py tests/simnoc/test_jit_ladder.py tests/simnoc/test_ckern.py
+	$(PYTHON) -m pytest -q tests/properties/test_differential.py tests/properties/test_engine_equivalence.py \
+		tests/simnoc/test_jit_ladder.py tests/simnoc/test_ckern.py
 	$(PYTHON) -c "from repro.simnoc.engines import ckern; print(ckern.source())" \
 		| $${CC:-cc} -x c -std=c99 -O2 -Wall -Wextra -Werror -c -o /dev/null -
 
@@ -44,7 +48,7 @@ bench-smoke:
 	$(PYTHON) scripts/bench_smoke.py
 
 # End-to-end smoke: the quickstart example plus one torus mapping, one
-# synthetic simulation named by the `event` alias (it runs the cycle
+# synthetic simulation named by the `event` alias (it runs the vector
 # engine; the name must keep parsing and running) and one auto-resolved
 # (vector) run at high load through the CLI — proves the repro.api facade,
 # torus routing and the engine/traffic plumbing stay wired up.

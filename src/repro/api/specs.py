@@ -258,11 +258,10 @@ class SimOptions(Payload):
     model by swapping one sub-payload.
 
     Attributes:
-        engine: registered engine name — ``"cycle"`` (cycle-accurate
-            reference; ``"event"`` is an alias of it), ``"vector"``
-            (structure-of-arrays, fastest at every load; ``"sharded"`` is an
-            alias of it) or ``"auto"`` (always vector).  All backends are
-            bit-consistent with ``cycle``.
+        engine: registered engine name — ``"vector"`` (structure-of-arrays;
+            ``"cycle"``, the default, ``"event"`` and ``"sharded"`` are
+            names of it) or ``"auto"`` (always vector).  Every name gives
+            the same bytes; the response echoes the name given.
         traffic: ``"trace"`` replays the mapped core graph's bandwidths;
             ``"uniform"``, ``"transpose"`` and ``"onoff"`` are synthetic
             patterns driven per node (see :mod:`repro.simnoc.synthetic`).

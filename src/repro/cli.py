@@ -507,11 +507,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="cycle",
         choices=list_engines(),
         help=(
-            "simulation backend: cycle (bit-exact reference; event is an "
-            "alias of it), vector (structure-of-arrays; runs on a "
+            "simulation backend: vector (structure-of-arrays; runs on a "
             "compiled C kernel when one is available — see "
-            "'list-engines', disable with REPRO_NO_JIT=1; sharded is an "
-            "alias of it) or auto (always vector)"
+            "'list-engines', disable with REPRO_NO_JIT=1); cycle, event "
+            "and sharded are names of it, and auto always picks it"
         ),
     )
     p_sim.add_argument(

@@ -99,18 +99,6 @@ class StoreError(ServiceError):
     """
 
 
-class CircuitOpenError(ServiceError):
-    """The client's circuit breaker is open; the call failed fast.
-
-    After ``breaker_threshold`` consecutive transport failures,
-    :class:`repro.service.client.ServiceClient` stops hammering a server
-    that stays down and fails every call immediately for the cooldown
-    window instead of eating a connect timeout per call.  ``retry_after``
-    is the remaining cooldown in seconds; the first call after it elapses
-    probes the server again (half-open) and closes the breaker on success.
-    """
-
-
 class SimulationError(ReproError):
     """The cycle-level NoC simulator was configured or driven incorrectly."""
 

@@ -8,15 +8,11 @@ random is the standard benchmark pattern; transpose stresses the diagonal
 under XY routing and saturates earlier on the same mesh.
 
 Runs on the ``auto`` engine by default, which is the structure-of-arrays
-vector engine at every point: it is the fastest backend from a near-idle
-network to saturation.  Every engine is bit-consistent with ``cycle`` — the
-equivalence suite under ``tests/properties`` pins that — so an explicit
-``engine=`` changes wall-clock only.  Every point is a :class:`~repro.api.SimRequest`
+vector engine at every point, as every other engine name is.  Every point is a :class:`~repro.api.SimRequest`
 through ``run_batch``, like every other experiment; the mapper run behind
 the points is computed once and shared via the request cache, and
-``executor="process"`` scales a sweep across cores.  ``engine="event"``,
-``engine="sharded"`` and ``executor="replica"`` are aliases of ``"cycle"``,
-``"vector"`` and ``"serial"``.
+``executor="process"`` scales a sweep across cores.  ``executor="replica"``
+is an alias of ``"serial"``.
 """
 
 from __future__ import annotations

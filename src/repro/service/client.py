@@ -19,8 +19,8 @@ The transport is production-grade:
   and a stream abandoned part-way closes its connection.  A *kept*
   connection that fails before any response byte (the server restarted,
   or closed it at its idle limit) is re-dialled **once, silently**: that
-  is not a transport failure, so it neither advances the breaker nor
-  consumes a retry.  A failure on a *fresh* connection counts as below.
+  is not a transport failure, so it does not consume a retry.  A failure
+  on a *fresh* connection counts as below.
 * **Timeouts** — a separate connect timeout (fail fast on a dead host)
   and read timeout (budget for a slow reply) per attempt.
 * **Idempotent retries** — with ``retries > 0``, transport failures
@@ -30,12 +30,6 @@ The transport is production-grade:
   submission is safe *by construction*: jobs are keyed on the canonical
   request, so a duplicate submission dedups into the same store entry —
   exactly-one execution no matter how many retries it took.
-* **Circuit breaker** — after ``breaker_threshold`` consecutive transport
-  failures, calls fail fast with a typed
-  :class:`~repro.errors.CircuitOpenError` for ``breaker_cooldown``
-  seconds instead of each eating a connect timeout; the first call after
-  the cooldown probes the server (half-open) and closes the breaker on
-  success.
 """
 
 from __future__ import annotations
@@ -58,7 +52,7 @@ from repro.api.specs import (
     SimRequest,
     SimResponse,
 )
-from repro.errors import CircuitOpenError, ServiceError
+from repro.errors import ServiceError
 from repro.service.wire import RESPONSE_KINDS, parse_response
 
 #: HTTP statuses that are safe and useful to retry: back-pressure
@@ -108,11 +102,6 @@ class ServiceClient:
         backoff/backoff_max: exponential backoff base and cap in seconds;
             each delay is jittered to half..full of its nominal value and
             raised to the server's ``Retry-After`` when one was sent.
-        breaker_threshold: consecutive transport failures that open the
-            circuit breaker; 0 disables the breaker.
-        breaker_cooldown: seconds the breaker stays open; while open,
-            calls raise :class:`~repro.errors.CircuitOpenError` without
-            touching the network.
         rng: randomness source for jitter (tests inject a seeded one).
     """
 
@@ -125,8 +114,6 @@ class ServiceClient:
         retries: int = 0,
         backoff: float = 0.25,
         backoff_max: float = 8.0,
-        breaker_threshold: int = 5,
-        breaker_cooldown: float = 15.0,
         rng: random.Random | None = None,
     ) -> None:
         if "//" not in base_url:
@@ -147,16 +134,11 @@ class ServiceClient:
         self._retries = max(0, retries)
         self._backoff = backoff
         self._backoff_max = backoff_max
-        self._breaker_threshold = breaker_threshold
-        self._breaker_cooldown = breaker_cooldown
         self._rng = rng or random.Random()
         # Connections whose last reply was read to its end, ready for the
         # next request of whichever thread asks first.
         self._idle: list[http.client.HTTPConnection] = []
         self._idle_lock = threading.Lock()
-        self._breaker_lock = threading.Lock()
-        self._failures = 0
-        self._open_until = 0.0
 
     @property
     def base_url(self) -> str:
@@ -168,35 +150,6 @@ class ServiceClient:
             idle, self._idle = self._idle, []
         for connection in idle:
             connection.close()
-
-    # -- circuit breaker ------------------------------------------------
-    def _breaker_preflight(self) -> None:
-        """Fail fast while the breaker is open; allow one half-open probe."""
-        with self._breaker_lock:
-            remaining = self._open_until - time.monotonic()
-            if remaining > 0:
-                raise CircuitOpenError(
-                    f"circuit breaker open for service at {self.base_url}: "
-                    f"{self._failures} consecutive transport failures; "
-                    f"retry in {remaining:.1f} s",
-                    retry_after=remaining,
-                )
-            # Past the cooldown: this call is the half-open probe.
-            self._open_until = 0.0
-
-    def _breaker_failure(self) -> None:
-        with self._breaker_lock:
-            self._failures += 1
-            if (
-                self._breaker_threshold > 0
-                and self._failures >= self._breaker_threshold
-            ):
-                self._open_until = time.monotonic() + self._breaker_cooldown
-
-    def _breaker_success(self) -> None:
-        with self._breaker_lock:
-            self._failures = 0
-            self._open_until = 0.0
 
     # -- transport ------------------------------------------------------
     def _open(self) -> http.client.HTTPConnection:
@@ -270,15 +223,12 @@ class ServiceClient:
     def _request_full(
         self, method: str, path: str, body: bytes | None = None
     ) -> tuple[int, str | None, bytes]:
-        """One logical request: retries, backoff, breaker accounting.
+        """One logical request: retries and backoff.
 
         Returns ``(status, retry_after_header, body_bytes)``.  Safe to
         retry for every endpoint: reads are idempotent and submissions
         dedup on the canonical request key server-side.
         """
-        # Once per logical request: the retries the caller asked for run
-        # even if their failures open the breaker for the next call.
-        self._breaker_preflight()
         attempt = 0
         while True:
             try:
@@ -290,7 +240,6 @@ class ServiceClient:
                     connection.close()
                     raise
             except (OSError, http.client.HTTPException) as exc:
-                self._breaker_failure()
                 if attempt >= self._retries:
                     raise ServiceError(
                         f"cannot reach service at {self.base_url}: {exc}"
@@ -299,7 +248,6 @@ class ServiceClient:
                 attempt += 1
                 continue
             self._keep(connection, reply)
-            self._breaker_success()
             retry_after = reply.getheader("Retry-After")
             if reply.status in RETRY_STATUSES and attempt < self._retries:
                 time.sleep(self._delay(attempt, retry_after))
@@ -379,7 +327,6 @@ class ServiceClient:
                 sent.  With ``retries`` set, 429/503 and transport
                 failures are retried (idempotent: submissions dedup on
                 the canonical request key) before this is raised.
-            CircuitOpenError: the breaker is open; nothing was sent.
         """
         if isinstance(requests, (MapRequest, SimRequest)):
             payload: dict = requests.to_dict()
@@ -462,11 +409,9 @@ class ServiceClient:
         """Yield per-slot results as the server completes them (NDJSON).
 
         Streaming is not retried — a consumer observing a half-delivered
-        stream must decide for itself whether to re-stream — but the
-        breaker still counts connection failures, and an open breaker
-        fails fast here too.  A stream read to its end hands its
-        connection back for the next call; one abandoned part-way closes
-        it.
+        stream must decide for itself whether to re-stream.  A stream read
+        to its end hands its connection back for the next call; one
+        abandoned part-way closes it.
         """
         # closing(): abandoning this generator abandons the one under it
         # now, not whenever it is collected.
@@ -488,17 +433,14 @@ class ServiceClient:
         ``budget()`` is the socket timeout of the next line's read; a line
         that overruns it raises ``TimeoutError``.
         """
-        self._breaker_preflight()
         try:
             connection, sock, reply = self._exchange(
                 "GET", f"/v1/jobs/{job_id}/events"
             )
         except (OSError, http.client.HTTPException) as exc:
-            self._breaker_failure()
             raise ServiceError(
                 f"cannot reach service at {self.base_url}: {exc}"
             ) from exc
-        self._breaker_success()
         dropped = (
             f"job {job_id} event stream ended without a done marker "
             f"(server dropped mid-stream?)"

@@ -78,7 +78,7 @@ _STATUS_BY_ERROR = {"ApiError": 400, "BatchError": 504}
 #: Every other library error class means "well-formed request that cannot
 #: be satisfied on that input" — 422.  Derived from the live exception
 #: hierarchy so new subsystem errors classify themselves.  ServiceError
-#: and its whole subtree (overload/draining/quota/circuit-breaker) are
+#: and its whole subtree (overload, draining, transport) are
 #: excluded: those describe the service or the client's transport, never
 #: the request content, so an unexpected one surfaces as a 500.
 _CONTENT_ERRORS = frozenset(

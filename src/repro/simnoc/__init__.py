@@ -4,15 +4,16 @@ The paper validates NMAP by generating a SystemC NoC with ×pipes macros and
 simulating it cycle-accurately (§7.2, Figure 5c).  This package is the
 equivalent substrate in Python, split into two layers (``ARCHITECTURE.md``):
 
-* a **model layer** — two routers (the paper's wormhole switch, plus a
-  virtual-channel variant), network interfaces, credit-flow links and
-  pluggable traffic injectors (trace-driven from the mapped core graph, or
-  synthetic uniform-random / transpose / bursty on-off patterns);
-* an **engine layer** — interchangeable time-advance backends: the
-  cycle-accurate reference loop (``engine="cycle"``, also named
-  ``"event"``), a structure-of-arrays ``engine="vector"`` that flattens the
-  network into numpy-backed flat state, and an ``engine="auto"`` policy
-  (always vector) — all producing identical results.
+* a **model layer** — the fabric's wiring for two router models (the
+  paper's wormhole switch, plus a virtual-channel variant), credit-flow
+  links and pluggable traffic injectors (trace-driven from the mapped core
+  graph, or synthetic uniform-random / transpose / bursty on-off
+  patterns);
+* an **engine layer** — one time-advance backend, ``engine="vector"``,
+  which flattens the network into numpy-backed flat state (``"cycle"``,
+  ``"event"`` and ``"sharded"`` are names of it, and ``"auto"`` a policy
+  that picks it).  The object model it transliterates — router, lane and
+  network-interface objects — is the test oracle under ``tests/reference``.
 
 Key model parameters (:class:`SimConfig`) mirror the paper's Table 3:
 64-byte packets, a 7-cycle switch traversal, and link bandwidths swept in
@@ -37,7 +38,6 @@ from repro.simnoc.simulator import (
 from repro.simnoc.stats import FlowStats, LatencyStats
 from repro.simnoc.trace import TraceEvent, TraceRecorder
 from repro.simnoc.traffic import BurstyTrafficSource
-from repro.simnoc.vc_router import VCRouter
 
 __all__ = [
     "BurstyTrafficSource",
@@ -53,7 +53,6 @@ __all__ = [
     "TraceEvent",
     "TraceRecorder",
     "TrafficSource",
-    "VCRouter",
     "build_network",
     "build_synthetic_network",
     "get_engine",

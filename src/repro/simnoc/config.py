@@ -10,6 +10,15 @@ from repro.errors import SimulationError
 #: other two (:attr:`SimConfig.effective_router_model`).
 _ROUTER_MODEL_NAMES = ("auto", "wormhole", "wormhole-vc")
 
+#: Port key for the local (core-side) injection/ejection direction.
+LOCAL = -1
+
+#: Cycles without any flit movement (while flits are in flight) that count
+#: as a deadlock: wormhole switching over arbitrary multi-path source routes
+#: is not provably deadlock-free, and a silent hang must not pass for a
+#: result.
+DEADLOCK_WINDOW = 50_000
+
 
 @dataclass(frozen=True)
 class SimConfig:

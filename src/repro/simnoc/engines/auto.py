@@ -2,12 +2,11 @@
 
 ``auto`` is a policy, not a backend.  Measured on every host class this
 repository benches (PERFORMANCE.md, "The engine ladder"), the vector
-engine — compiled, or interpreted under ``REPRO_NO_JIT=1`` — is at least
-as fast as the ``cycle`` reference from a near-idle network to
-saturation.  Both router models a run can name flatten, so there is
-no load threshold and no fallback: ``auto`` runs ``vector``.  Every engine
-is bit-identical to the cycle reference (property-tested), so the choice
-can never change a statistic, only how fast it arrives.
+engine — compiled, or interpreted under ``REPRO_NO_JIT=1`` — was at least
+as fast as the object-model engine it replaced from a near-idle network
+to saturation.  Both router models a run can name flatten, so there is
+no load threshold and no fallback: ``auto`` runs ``vector``, which every
+other engine name also runs.
 """
 
 from __future__ import annotations

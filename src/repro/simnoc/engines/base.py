@@ -1,21 +1,20 @@
 """Engine protocol and registry.
 
 An engine is a strategy object: ``run(sim)`` drives ``sim.network`` from
-cycle 0 to ``sim.config.total_cycles`` and leaves the run's results where
-the report builder reads them.  The object engine (``cycle``, also
-registered as ``event``) steps the network's routers and NIs, appending
-packets to ``sim.all_packets``; the flattened engine (``vector``, also
-registered as ``sharded``) reads only the fabric's wiring and leaves
-columns: ``sim.packet_log`` and ``sim.carried``.  The ``sim`` argument is the
+cycle 0 to ``sim.config.total_cycles`` and leaves the run's results as
+columns where the report builder reads them: ``sim.packet_log`` and
+``sim.carried``.  The ``sim`` argument is the
 :class:`repro.simnoc.simulator.Simulator` acting as the run context — it
 owns the network, the config, the optional trace recorder, the global
-packet-id counter and the report builder.
+packet-id counter and the report builder.  A traffic source is polled or
+replayed ahead of time, so it must be open-loop: it never reads network
+state (:class:`repro.simnoc.models.TrafficSource`).
 
 Engines self-register with :func:`register_engine`; surfaces resolve them
 by name so ``engine="vector"`` can flow from a CLI flag all the way down
-without any dispatch tables in between.  One class may file under two
-names: ``event`` is :class:`~repro.simnoc.engines.cycle.CycleEngine` and
-``sharded`` is :class:`~repro.simnoc.engines.vector.VectorEngine`.
+without any dispatch tables in between.  One class may file under several
+names: ``cycle``, ``event`` and ``sharded`` are
+:class:`~repro.simnoc.engines.vector.VectorEngine`.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ class Engine(Protocol):
 
 def _load_engines() -> None:
     import repro.simnoc.engines.auto  # noqa: F401
-    import repro.simnoc.engines.cycle  # noqa: F401
     import repro.simnoc.engines.vector  # noqa: F401
 
 

@@ -30,10 +30,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.simnoc.config import DEADLOCK_WINDOW
 from repro.simnoc.engines import kernels
-from repro.simnoc.engines.cycle import DEADLOCK_WINDOW
-from repro.simnoc.engines.sweep import _FlatState
+from repro.simnoc.engines.sweep import _FlatState, deadlock_error
 from repro.simnoc.schedule import build_schedule
 from repro.simnoc.stats import PacketLog
 from repro.simnoc.trace import TraceEvent
@@ -250,15 +249,11 @@ class KernelProgram:
 
         Raises:
             SimulationError: on kernel-detected deadlock (identical message
-                to the interpreted engines; nothing is handed over, matching
-                their behavior of raising mid-run).
+                to the interpreted sweep), once the flit trace up to the
+                stall is on the recorder, as a loop recording each move
+                live would have left it.
         """
         result = self.result.tolist()
-        if result[0] == kernels.STATUS_DEADLOCK:
-            raise SimulationError(
-                f"deadlock: no flit moved since cycle {result[1]} "
-                f"with {result[2]} flits buffered"
-            )
         schedule = self.schedule
 
         trace = sim.trace
@@ -270,6 +265,8 @@ class KernelProgram:
             trace.events.extend(map(TraceEvent, *(c.tolist() for c in columns)))
             if result[5]:
                 trace.truncated = True
+        if result[0] == kernels.STATUS_DEADLOCK:
+            raise deadlock_error(result[1], result[2])
 
         sim.packet_log = PacketLog(
             schedule.first_id,

@@ -21,8 +21,9 @@ switch names the one that fired):
   (PERFORMANCE.md, "Closed decisions"); it exists so the kernel algorithm
   is property-testable with no toolchain at all.
 
-Every rung is bit-identical to the cycle engine (reports and flit traces;
-``tests/properties/test_engine_equivalence.py``).  :func:`warmup` builds
+Every rung is bit-identical to the object-model oracle under
+``tests/reference`` (reports and flit traces;
+``tests/properties/test_differential.py``).  :func:`warmup` builds
 the resolved backend ahead of time, so service first requests and
 benchmark medians never include compilation; :func:`compile_events`
 counts actual compilations for the warm-up hygiene test.

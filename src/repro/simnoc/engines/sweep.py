@@ -13,7 +13,8 @@ This module is what runs when no compiled kernel does.  It holds
     ``t = min(t + rate, cap)`` of *all* ports is two in-place ufunc calls
     (idle gaps replay the same update per skipped cycle, stopping once
     every bucket saturates at its cap, a fixpoint of the update —
-    bit-identical to :func:`repro.simnoc.router.refill_bucket_to`);
+    bit-identical to the object model's ``refill_bucket_to`` in
+    ``tests/reference/router.py``);
   * head-of-line state (enter cycle, packet slot, sequence, hop position)
     is mirrored into flat arrays maintained on push/pop, so the visibility
     probe reads two ints instead of unpacking a deque head;
@@ -21,7 +22,7 @@ This module is what runs when no compiled kernel does.  It holds
     counters are flat Python lists indexed by those same port ids;
   * each packet is registered once with its *resolved route*, a per-hop
     list of flat output-port indices (resolved by the injection schedule),
-    so the cycle engine's per-probe ``path.index`` search becomes one
+    so the object router's per-probe ``path.index`` search becomes one
     indexed load;
 
 * :func:`sweep_plain` / :func:`sweep_vc` — the per-cycle advance, one per
@@ -37,12 +38,12 @@ A fully idle network fast-forwards to the next scheduled injection.
 
 Wormhole arbitration is irreducibly sequential (router order within a
 cycle is observable through same-cycle credit returns), so the movement
-phase replays the cycle engine's exact sweep discipline — ascending node
+phase replays the object model's exact sweep discipline — ascending node
 id, mid-cycle insertion of downstream receivers, round-robin pointers
 updated only on successful arbitration — with zero per-flit method calls.
 
 One deliberate relaxation keeps the request bookkeeping cheap: after a
-port moves flits, the cycle engine recomputes the full request set; the
+port moves flits, the object router recomputes the full request set; the
 loops only re-examine the input lanes that were popped.  The maintained
 set is therefore a *superset* of the true one (entries for already-consumed
 heads linger), which is harmless by construction — the set only gates
@@ -51,8 +52,9 @@ actual requesting head fails without mutating any state (round-robin
 pointers move on success only).
 
 Equivalence contract (property-tested in ``tests/properties``): identical
-reports *and* identical flit traces to the cycle engine, for both router
-models, below, at and above saturation.
+reports *and* identical flit traces to the object-model oracle
+(``tests/reference``), for both router models, below, at and above
+saturation.
 """
 
 from __future__ import annotations
@@ -65,8 +67,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.simnoc.engines.cycle import DEADLOCK_WINDOW
-from repro.simnoc.router import LOCAL
+from repro.simnoc.config import DEADLOCK_WINDOW, LOCAL
 from repro.simnoc.schedule import build_schedule
 from repro.simnoc.stats import PacketLog
 from repro.simnoc.trace import TraceEvent
@@ -173,15 +174,17 @@ def replay_sources(schedule) -> list:
 def sweep_plain(state: _FlatState, config, specs: list, trace_cap: int) -> tuple:
     """The plain-wormhole advance loop over every node.
 
-    This is the cycle engine's active-set sweep on the flat state: packets
+    This is the object model's active-set sweep on the flat state: packets
     register from ``specs`` (:func:`replay_sources`; registration order is
     creation order, which numbers the packet slots) and the movement phase
     sweeps the active routers in ascending node id.
 
-    Returns ``(injected, delivered, trace_events, trace_attempts)`` for
-    :func:`run_in_process`: first-flit injection cycles by packet slot,
-    per-node ``(slot, cycle)`` deliveries in ejection order, and the trace
-    stream bounded by ``trace_cap`` with the count of events it wanted.
+    Returns ``(injected, delivered, trace_events, trace_attempts, stall)``
+    for :func:`run_in_process`: first-flit injection cycles by packet slot,
+    per-node ``(slot, cycle)`` deliveries in ejection order, the trace
+    stream bounded by ``trace_cap`` with the count of events it wanted, and
+    ``(last_progress, buffered)`` when the deadlock watchdog stopped the
+    run (``None`` otherwise).
     """
     delay = config.router_delay
     total_cycles = config.total_cycles
@@ -218,6 +221,7 @@ def sweep_plain(state: _FlatState, config, specs: list, trace_cap: int) -> tuple
     delivered: list = [[] for _ in range(len(node_ins))]
     trace_events: list[tuple] = []
     trace_attempts = 0
+    stall = None
 
     np_add = np.add
     np_minimum = np.minimum
@@ -251,7 +255,7 @@ def sweep_plain(state: _FlatState, config, specs: list, trace_cap: int) -> tuple
             active_nis.add(src)
 
         # (2) NI phase — node-local state only, so running every node up
-        #     front matches the cycle engine's NI pass.
+        #     front matches the object model's NI pass.
         moved = 0
         if active_nis:
             drained = None
@@ -447,13 +451,11 @@ def sweep_plain(state: _FlatState, config, specs: list, trace_cap: int) -> tuple
         if moved:
             last_progress = cycle
         elif cycle - last_progress > DEADLOCK_WINDOW and buffered_total > 0:
-            raise SimulationError(
-                f"deadlock: no flit moved since cycle {last_progress} "
-                f"with {buffered_total} flits buffered"
-            )
+            stall = (last_progress, buffered_total)
+            break
         cycle += 1
 
-    return injected_by_slot, delivered, trace_events, trace_attempts
+    return injected_by_slot, delivered, trace_events, trace_attempts, stall
 
 
 def sweep_vc(state: _FlatState, config, specs: list, trace_cap: int) -> tuple:
@@ -502,6 +504,7 @@ def sweep_vc(state: _FlatState, config, specs: list, trace_cap: int) -> tuple:
     delivered: list = [[] for _ in range(len(node_ins))]
     trace_events: list[tuple] = []
     trace_attempts = 0
+    stall = None
 
     np_add = np.add
     np_minimum = np.minimum
@@ -755,13 +758,19 @@ def sweep_vc(state: _FlatState, config, specs: list, trace_cap: int) -> tuple:
         if moved:
             last_progress = cycle
         elif cycle - last_progress > DEADLOCK_WINDOW and buffered_total > 0:
-            raise SimulationError(
-                f"deadlock: no flit moved since cycle {last_progress} "
-                f"with {buffered_total} flits buffered"
-            )
+            stall = (last_progress, buffered_total)
+            break
         cycle += 1
 
-    return injected_by_slot, delivered, trace_events, trace_attempts
+    return injected_by_slot, delivered, trace_events, trace_attempts, stall
+
+
+def deadlock_error(last_progress: int, buffered: int) -> SimulationError:
+    """The watchdog's error: no flit moved for ``DEADLOCK_WINDOW`` cycles."""
+    return SimulationError(
+        f"deadlock: no flit moved since cycle {last_progress} "
+        f"with {buffered} flits buffered"
+    )
 
 
 def run_in_process(sim: "Simulator", vc_mode: bool) -> None:
@@ -772,6 +781,10 @@ def run_in_process(sim: "Simulator", vc_mode: bool) -> None:
     schedule (deliveries grouped by node in ascending id, each node's in
     ejection order), the per-port flit counts as ``sim.carried``, and the
     bounded flit trace on the recorder.
+
+    Raises:
+        SimulationError: on a stall of ``DEADLOCK_WINDOW`` cycles, once the
+            flit trace up to the stall is on the recorder.
     """
     fabric = sim.network.fabric
     schedule = build_schedule(sim, vc_mode, fabric.outputs)
@@ -779,9 +792,16 @@ def run_in_process(sim: "Simulator", vc_mode: bool) -> None:
     sweep = sweep_vc if vc_mode else sweep_plain
     recorder = sim.trace
     trace_cap = recorder.max_events if recorder is not None else 0
-    injected_by_slot, delivered_by_node, events, attempts = sweep(
+    injected_by_slot, delivered_by_node, events, attempts, stall = sweep(
         state, sim.config, replay_sources(schedule), trace_cap
     )
+    if recorder is not None:
+        room = recorder.max_events - len(recorder.events)
+        recorder.events.extend(starmap(TraceEvent, events[: max(0, room)]))
+        if attempts > room:
+            recorder.truncated = True
+    if stall is not None:
+        raise deadlock_error(*stall)
 
     count = len(schedule.cycle)
     injected = np.full(count, -1, dtype=np.int64)
@@ -808,9 +828,3 @@ def run_in_process(sim: "Simulator", vc_mode: bool) -> None:
         slots,
     )
     sim.carried = state.carried
-
-    if recorder is not None:
-        room = recorder.max_events - len(recorder.events)
-        recorder.events.extend(starmap(TraceEvent, events[: max(0, room)]))
-        if attempts > room:
-            recorder.truncated = True

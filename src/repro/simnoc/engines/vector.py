@@ -1,8 +1,8 @@
 """The vector engine: the network flattened to arrays, swept without objects.
 
-The cycle engine is object-oriented: every step is a cascade of method
-calls, dict lookups and attribute chains over ``Router``/``InputPort``/
-``OutputPort`` instances, and the hottest probe of all — "where does this
+The object model (router, lane and NI objects, kept as the test oracle
+under ``tests/reference``) pays a cascade of method calls, dict lookups
+and attribute chains per step, and its hottest probe — "where does this
 head flit go next?" — is an ``O(path length)`` ``list.index`` search per
 look.  Saturation sweeps are exactly where the paper's bandwidth-constraint
 story lives, and there no cycle is idle, so this engine attacks the
@@ -22,10 +22,11 @@ form of the per-cycle sweep this host can run:
   :func:`repro.simnoc.engines.sweep.run_in_process`, the interpreted
   per-cycle loops over every node, in the calling process.
 
-Both forms are bit-identical to the cycle engine on reports and flit traces
-(``tests/properties``).  ``engine="sharded"`` names this class too: the
-multi-process engine of that name was removed, and its ``shards`` /
-``partitioner`` options are still accepted but read by no engine.
+Both forms are bit-identical to the object-model oracle on reports and
+flit traces (``tests/properties``).  ``cycle``, ``event`` and ``sharded``
+name this class too: the engines that once answered to them gave the same
+bytes and were removed, and ``sharded``'s ``shards`` / ``partitioner``
+options are still accepted but read by no engine.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simnoc.simulator import Simulator
 
 @register_engine("sharded")
+@register_engine("event")
+@register_engine("cycle")
 @register_engine("vector")
 class VectorEngine:
     """Structure-of-arrays backend for both wormhole router models."""

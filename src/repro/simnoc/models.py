@@ -2,16 +2,16 @@
 
 ``simnoc`` is split into two layers (see ``ARCHITECTURE.md``):
 
-* the **model layer** — routers, network interfaces, links and traffic
-  injectors, composable components that define *what* is simulated;
-* the **engine layer** (:mod:`repro.simnoc.engines`) — interchangeable
-  backends that define *how* simulated time advances (a cycle-accurate
-  sweep over objects or over flattened arrays).
+* the **model layer** — the fabric's wiring and the traffic injectors,
+  which define *what* is simulated;
+* the **engine layer** (:mod:`repro.simnoc.engines`) — the backend that
+  defines *how* simulated time advances (a per-cycle sweep over flattened
+  arrays).
 
-The router models are a closed set: the paper's wormhole router
-(:mod:`repro.simnoc.router`) and its virtual-channel variant
-(:mod:`repro.simnoc.vc_router`), which the network builder calls directly
-and the flattened engines transliterate.  Traffic patterns stay pluggable:
+The router models are a closed set: the paper's wormhole router and its
+virtual-channel variant, whose object model lives under
+``tests/reference`` and which the flattened engine transliterates.
+Traffic patterns stay pluggable:
 this module holds the structural protocol the engines poll a source
 through, plus the registry that makes adding an injector one decorator,
 not an edit to the network builder or the engines.
@@ -33,12 +33,13 @@ class TrafficSource(Protocol):
     """What every traffic injector must expose to the engines.
 
     A source owns one stream of packets entering the network at
-    ``src_node``.  Engines poll it with :meth:`packets_for_cycle` at the
-    cycles :attr:`next_event_cycle` names (the cycle engine).
+    ``src_node``.  It can be polled with :meth:`packets_for_cycle` at the
+    cycles :attr:`next_event_cycle` names.
 
-    The flattened engine (``vector``) replays each source on
-    its own, ahead of time (:mod:`repro.simnoc.schedule`), so a source must
-    be open-loop: no dependence on the network or on another source.  It
+    The engine replays each source on its own, ahead of time
+    (:mod:`repro.simnoc.schedule`), so a source must be open-loop: no
+    dependence on the network or on another source.  This is the one
+    contract every engine name relies on.  It
     may offer the optional batch method ``schedule(until)``: every packet
     polling its event cycles below ``until`` would create, as ``(cycles,
     commodities, dsts, paths)`` — per-packet lists in creation order,

@@ -6,8 +6,8 @@ picked by the config's ``num_vcs``/``router_model``) along the
 topology's links into a :class:`Fabric` record, and creates one bursty
 traffic source per commodity, with the source's weighted path set taken
 from the routing result (single path, or a flow decomposition of the MCF
-solution for split traffic).  The router and NI objects are built from the
-record on first use; the flattened engines never ask for them.
+solution for split traffic).  The engine flattens the record into arrays;
+no router or NI object is ever built.
 
 ``build_synthetic_network`` builds the same fabric but drives it with a
 registered synthetic traffic pattern (uniform/transpose/onoff) instead of
@@ -25,12 +25,9 @@ from repro.errors import SimulationError
 from repro.graphs.commodities import Commodity
 from repro.graphs.topology import NoCTopology
 from repro.routing.base import RoutingResult, decompose_flows
-from repro.simnoc.config import SimConfig
+from repro.simnoc.config import LOCAL, SimConfig
 from repro.simnoc.models import TrafficSource, get_traffic_pattern
-from repro.simnoc.ni import NetworkInterface
-from repro.simnoc.router import LOCAL, Router, build_wormhole_router
 from repro.simnoc.traffic import BurstyTrafficSource
-from repro.simnoc.vc_router import VCRouter, build_vc_router
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,33 +64,14 @@ class Fabric:
         """``(node, to_key)`` -> flat output index."""
         return {spec: p for p, spec in enumerate(self.outputs)}
 
-    def build_routers(self) -> dict[int, Router | VCRouter]:
-        """One router of the wired model per node, credit loops connected."""
-        build = build_vc_router if self.model == "wormhole-vc" else build_wormhole_router
-        out_index = self.out_index
-        routers: dict[int, Router | VCRouter] = {}
-        for node in self.nodes:
-            keys = [LOCAL, *self.topology.neighbors(node)]
-            ports = [out_index[node, key] for key in keys]
-            specs = {
-                key: (self.rates[p], self.credits[p]) for key, p in zip(keys, ports)
-            }
-            routers[node] = build(node, keys, specs, self.config)
-        # Each input port knows the output port feeding it.
-        for node, router in routers.items():
-            for neighbor in self.topology.neighbors(node):
-                router.inputs[neighbor].feeder = routers[neighbor].outputs[node]
-        return routers
-
 
 @dataclass(eq=False)
 class Network:
     """All simulator components of one NoC instance.
 
-    ``fabric`` is the wiring every engine reads.  The router and NI objects
-    are built from it on first access, so only the engines that step
-    objects (``cycle``) pay for them.  A
-    network runs once: :meth:`claim` hands it to one simulator.
+    ``fabric`` is the wiring the engine reads and ``sources`` the traffic
+    it replays.  A network runs once: :meth:`claim` hands it to one
+    simulator.
     """
 
     fabric: Fabric
@@ -112,19 +90,6 @@ class Network:
     def link_rates(self) -> dict[tuple[int, int], float]:
         return self.fabric.link_rates
 
-    @cached_property
-    def routers(self) -> dict[int, Router | VCRouter]:
-        return self.fabric.build_routers()
-
-    @cached_property
-    def interfaces(self) -> dict[int, NetworkInterface]:
-        routers = self.routers
-        num_vcs = self.config.num_vcs
-        return {
-            node: NetworkInterface(node, routers[node], num_vcs=num_vcs)
-            for node in self.fabric.nodes
-        }
-
     def claim(self) -> None:
         """Take the network for one run.
 
@@ -138,9 +103,6 @@ class Network:
                 "was already given to a Simulator"
             )
         self.claimed = True
-
-    def total_buffered_flits(self) -> int:
-        return sum(router.buffered_flits() for router in self.routers.values())
 
 
 def commodity_paths(

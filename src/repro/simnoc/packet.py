@@ -85,20 +85,3 @@ class Flit:
             f"{self.packet.src_node}->{self.packet.dst_node})"
         )
 
-
-def make_flits(packet: Packet) -> list[Flit]:
-    """Materialize a packet's flit train (head, bodies, tail).
-
-    A one-flit packet gets a single flit that is both head and tail — we
-    mark it HEAD and the router treats a head that is also the last
-    sequence as tail via :func:`is_last_flit`.
-    """
-    kinds = [FlitKind.BODY] * packet.num_flits
-    kinds[-1] = FlitKind.TAIL
-    kinds[0] = FlitKind.HEAD
-    return [Flit(packet, kind, sequence) for sequence, kind in enumerate(kinds)]
-
-
-def is_last_flit(flit: Flit) -> bool:
-    """True when this flit ends its packet (tail, or single-flit head)."""
-    return flit.sequence == flit.packet.num_flits - 1

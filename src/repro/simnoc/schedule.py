@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.routing.dimension_ordered import xy_paths
-from repro.simnoc.router import LOCAL
+from repro.simnoc.config import LOCAL
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simnoc.simulator import Simulator

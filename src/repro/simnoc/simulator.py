@@ -1,12 +1,12 @@
 """The simulation front door: pick an engine, run it, build the report.
 
 The heavy lifting lives in the two layers this module stitches together:
-the **model layer** (routers, NIs, traffic sources — built by
+the **model layer** (the fabric's wiring and the traffic sources — built by
 :mod:`repro.simnoc.network`) and the **engine layer**
-(:mod:`repro.simnoc.engines` — object or flattened time advance).
-:class:`Simulator` is the run context engines drive: it owns the network,
-the config, the optional trace recorder, the global packet-id counter and
-the statistics aggregation.
+(:mod:`repro.simnoc.engines` — the flattened time advance, under four
+names).  :class:`Simulator` is the run context the engine drives: it owns
+the network, the config, the optional trace recorder, the global packet-id
+counter and the statistics aggregation.
 
 Packets created during warmup or drain are excluded from statistics.  Every
 engine raises :class:`~repro.errors.SimulationError` on detected deadlock
@@ -23,16 +23,8 @@ from repro.graphs.topology import NoCTopology
 from repro.routing.base import RoutingResult
 from repro.simnoc.config import SimConfig
 from repro.simnoc.engines.base import get_engine
-from repro.simnoc.engines.cycle import DEADLOCK_WINDOW  # noqa: F401  (re-export)
 from repro.simnoc.network import Network, build_network, build_synthetic_network
-from repro.simnoc.packet import Packet
-from repro.simnoc.stats import (
-    FlowStats,
-    LatencyStats,
-    PacketLog,
-    packet_columns,
-    per_flow_stats,
-)
+from repro.simnoc.stats import FlowStats, LatencyStats, PacketLog, per_flow_stats
 
 
 @dataclass
@@ -72,10 +64,10 @@ class Simulator:
         trace: optional :class:`repro.simnoc.trace.TraceRecorder`; when
             given, every flit movement is recorded (bounded by the
             recorder's cap).
-        engine: registered engine name — ``"cycle"`` (bit-exact
-            reference; ``"event"`` is an alias of it), ``"vector"``
-            (structure-of-arrays, fastest at every load; ``"sharded"`` is
-            an alias of it) or ``"auto"`` (always vector).
+        engine: registered engine name — ``"vector"`` (the network
+            flattened to arrays; ``"cycle"``, ``"event"`` and ``"sharded"``
+            are names of the same engine, kept for the requests that give
+            them) or ``"auto"`` (always vector).
         shards, partitioner: accepted for callers written against the
             removed multi-process ``sharded`` engine; no engine reads them.
     """
@@ -94,11 +86,9 @@ class Simulator:
         self.trace = trace
         self.engine_name = engine
         self._packet_counter = 0
-        #: The object engines' packets, in creation order.
-        self.all_packets: list[Packet] = []
-        #: The flattened engines' packets: columns, never objects.
+        #: The run's packets: columns, never objects.
         self.packet_log: PacketLog | None = None
-        #: The flattened engines' flits per output port, in flat port order.
+        #: The run's flits per output port, in flat port order.
         self.carried: list[int] | None = None
 
     def next_packet_id(self, count: int = 1) -> int:
@@ -110,8 +100,9 @@ class Simulator:
     def run(self) -> SimulationReport:
         """Simulate warmup + measurement + drain and aggregate statistics.
 
-        Every engine produces an identical report for identical inputs (the
-        property suite pins this); they differ only in wall-clock time.
+        Every engine name gives the same report for identical inputs: they
+        all run the flattened engine, which the property suite holds to the
+        object-model oracle under ``tests/reference``.
 
         Raises:
             SimulationError: on detected deadlock, when no measured packet
@@ -123,26 +114,9 @@ class Simulator:
     def _build_report(self) -> SimulationReport:
         network = self.network
         config = self.config
-        # The flattened engines left columns; the object engines left
-        # packets in the NIs and counters on the ports, gathered here into
-        # the same columns.
         log = self.packet_log
-        if log is None:
-            delivered = [
-                packet
-                for ni in network.interfaces.values()
-                for packet in ni.delivered_packets
-            ]
-            created, ejected = len(self.all_packets), len(delivered)
-            columns = packet_columns(delivered)
-            carried = [
-                network.routers[node].outputs[key].flits_carried
-                for node, key in network.fabric.outputs
-            ]
-        else:
-            created, ejected = len(log.created), len(log.dlv_slot)
-            columns = log.measured_columns()
-            carried = self.carried
+        columns = log.measured_columns()
+        carried = self.carried
         stats = LatencyStats.from_columns(*columns)
 
         utilization = {}
@@ -159,8 +133,8 @@ class Simulator:
         return SimulationReport(
             stats=stats,
             per_commodity_latency={i: f.mean for i, f in per_flow.items()},
-            packets_created=created,
-            packets_delivered=ejected,
+            packets_created=len(log.created),
+            packets_delivered=len(log.dlv_slot),
             cycles=config.total_cycles,
             link_utilization=utilization,
             per_commodity_jitter={i: f.jitter for i, f in per_flow.items()},

@@ -2,9 +2,8 @@
 
 The measured, delivered packets arrive as parallel int64 arrays
 ``(commodity, created, injected, delivered)`` in *report order*: the network
-interfaces in node order, delivery order within one.  A flattened run is
-already columns (:class:`PacketLog`); :func:`packet_columns` gathers the
-object engines' packets.  Latencies are integer cycles, so counts, sums and
+interfaces in node order, delivery order within one, read off the run's
+:class:`PacketLog`.  Latencies are integer cycles, so counts, sums and
 order statistics are exact however reduced; ``std`` and ``jitter`` go through
 :func:`_std`'s Python ``sum`` — a numpy reduction would move their last bit.
 """
@@ -12,17 +11,15 @@ order statistics are exact however reduced; ``std`` and ``jitter`` go through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.simnoc.packet import Packet
 
 
 class PacketLog(NamedTuple):
-    """What a flattened run leaves on the simulator in place of packet objects.
+    """What an engine run leaves on the simulator in place of packet objects.
 
     Slot ``k`` is the packet with id ``first_id + k``; ``injected`` and
     ``delivered`` hold ``-1`` for "never".  ``dlv_node[j]`` ejected slot
@@ -44,15 +41,6 @@ class PacketLog(NamedTuple):
         slots = slots[self.measured[slots]]
         columns = (self.commodity, self.created, self.injected, self.delivered)
         return tuple(column[slots] for column in columns)
-
-
-def packet_columns(packets: list[Packet]) -> tuple:
-    """The columns of the measured, delivered packets of a list, in its order."""
-    kept = [p for p in packets if p.measured and p.delivered_cycle is not None]
-    fields = ("commodity_index", "created_cycle", "injected_cycle", "delivered_cycle")
-    return tuple(
-        np.fromiter(map(attrgetter(name), kept), np.int64, len(kept)) for name in fields
-    )
 
 
 def _rank(fraction: float, counts):
@@ -104,11 +92,6 @@ class LatencyStats:
             mean_network=int((delivered - injected).sum()) / count,
         )
 
-    @classmethod
-    def from_packets(cls, packets: list[Packet]) -> "LatencyStats":
-        """:meth:`from_columns` over the measured packets of a list."""
-        return cls.from_columns(*packet_columns(packets))
-
 
 @dataclass(frozen=True)
 class FlowStats:
@@ -120,7 +103,9 @@ class FlowStats:
         p50/p95: latency percentiles.
         std: sample standard deviation of latencies.
         jitter: std of gaps between adjacent deliveries (the paper's
-            definition — see :func:`per_commodity_jitter`).
+            definition: "the time between the delivery of adjacent
+            packets"; NMAPTM's equal-hop split exists for low-jitter
+            flows).
         histogram: power-of-two latency histogram: bin ``i`` counts
             ``[2**i, 2**(i+1))`` and bin 0 also takes latency 0.
             Exponential bins keep the payload tiny (a 1M-cycle tail still
@@ -188,31 +173,3 @@ def _std(values: list[float]) -> float:
         return 0.0
     mean = sum(values) / len(values)
     return (sum((v - mean) ** 2 for v in values) / (len(values) - 1)) ** 0.5
-
-
-def _flow_view(packets: list[Packet], figure: str) -> dict:
-    flows = per_flow_stats(*packet_columns(packets))
-    return {index: getattr(flow, figure) for index, flow in flows.items()}
-
-
-def per_commodity_means(packets: list[Packet]) -> dict[int, float]:
-    """Mean latency per commodity index (a view of :func:`per_flow_stats`)."""
-    return _flow_view(packets, "mean")
-
-
-def per_commodity_jitter(packets: list[Packet]) -> dict[int, float]:
-    """Delivery jitter per commodity: std of gaps between adjacent deliveries.
-
-    The paper defines jitter as "the time between the delivery of adjacent
-    packets" and motivates NMAPTM (split across equal-hop minimum paths)
-    for low-jitter traffic — packets taking paths of different lengths
-    arrive unevenly.  A view of :func:`per_flow_stats`, which computes it.
-    """
-    return _flow_view(packets, "jitter")
-
-
-def per_commodity_latency_std(packets: list[Packet]) -> dict[int, float]:
-    """Latency standard deviation per commodity (path-length mixing shows
-    up here even when delivery gaps stay regular).  A view of
-    :func:`per_flow_stats`."""
-    return _flow_view(packets, "std")

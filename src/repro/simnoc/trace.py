@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
+from repro.simnoc.config import LOCAL
 from repro.simnoc.packet import Flit
-from repro.simnoc.router import LOCAL
 
 
 @dataclass(frozen=True)

@@ -208,8 +208,8 @@ class BurstyTrafficSource:
     def next_event_cycle(self) -> int:
         """First integer cycle at which :meth:`packets_for_cycle` can fire.
 
-        The cycle engine keeps sources in a priority queue keyed by
-        this value so fully idle stretches between injections can be skipped
+        A polling loop keeps sources in a priority queue keyed by this
+        value so fully idle stretches between injections can be skipped
         without calling every source every cycle.
         """
         return max(0, math.ceil(self._next_time))

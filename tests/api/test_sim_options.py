@@ -138,8 +138,8 @@ class TestPerFlowStats:
         flow, stats = response.worst_flow()
         assert stats["mean"] == max(s["mean"] for s in response.per_flow.values())
 
-    def test_engines_agree_on_per_flow(self):
-        cycle = run(_sim_request(engine="cycle"))
+    def test_engines_agree_on_per_flow(self, object_engine):
+        cycle = run(_sim_request(engine=object_engine))
         vector = run(_sim_request(engine="vector"))
         assert cycle.per_flow == vector.per_flow
         assert cycle.link_flits == vector.link_flits

@@ -106,23 +106,20 @@ def fault_mapper():
     clear_request_caches()
 
 
-#: The test-only engine name the object-model oracle is filed under.
-OBJECT_ENGINE = "object"
-
-
 @pytest.fixture(scope="module")
 def object_engine():
     """The object-model simulator, registered as ``object`` for one module.
 
     It steps router, lane and network-interface objects cycle by cycle — the
-    model the flattened engine transliterates — and is what every engine
-    name is compared against.  Module scope lets hypothesis tests take it;
+    model the flattened engine transliterates, kept under
+    ``tests/reference`` — and is what every engine name is compared
+    against.  Module scope lets hypothesis tests take it;
     the name is filed through the public ``register_engine`` and taken out
     again, so ``list_engines()`` outside the module is unchanged.
     """
     from repro.simnoc.engines.base import ENGINES, register_engine
-    from repro.simnoc.engines.cycle import CycleEngine
+    from tests.reference.object_engine import OBJECT_ENGINE, ObjectEngine
 
-    register_engine(OBJECT_ENGINE)(CycleEngine)
+    register_engine(OBJECT_ENGINE)(ObjectEngine)
     yield OBJECT_ENGINE
     ENGINES.remove(OBJECT_ENGINE)

@@ -19,10 +19,10 @@ class TestLatencySweep:
         assert high[1] > low[1]
         assert high[2] >= low[2]
 
-    def test_engines_produce_identical_tables(self):
+    def test_engines_produce_identical_tables(self, object_engine):
         kwargs = dict(rates=(0.08,), patterns=("transpose",), measure_cycles=1_500)
         vector = run_latency_sweep(engine="vector", **kwargs)
-        cycle = run_latency_sweep(engine="cycle", **kwargs)
+        cycle = run_latency_sweep(engine=object_engine, **kwargs)
         assert vector.rows == cycle.rows
 
     def test_vcs_flow_through(self):

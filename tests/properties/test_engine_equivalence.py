@@ -1,9 +1,10 @@
-"""The vector engine and the ``event`` and ``sharded`` names == cycle engine.
+"""The vector engine and its ``event`` and ``sharded`` names == the object model.
 
-The contract (ARCHITECTURE.md): engines differ only in how simulated time
-advances — never in what happens.  For identical inputs, the
+The contract (ARCHITECTURE.md): the engine decides how simulated time
+advances — never what happens.  For identical inputs, the
 structure-of-arrays vector engine must produce *identical* reports to
-the cycle-accurate reference: same delivered-flit counts, same per-flow
+the object-model oracle (``tests/reference/object_engine.py``, filed under
+``OBJECT_ENGINE`` by the ``object_engine`` fixture): same delivered-flit counts, same per-flow
 latency statistics (down to the histogram), same link utilization, same
 packet totals.  Plain ``==`` on every field is the right assertion; any
 tolerance would hide a scheduling divergence.
@@ -12,7 +13,7 @@ Scenarios cover the seed's workloads (VOPD mesh, DSP slow-link mesh, torus)
 plus everything the model/engine split made pluggable: synthetic traffic
 patterns, the VC wormhole router — and, because the vector engine exists
 precisely for saturation, a dedicated injection-rate matrix below, at and
-above the saturation knee.  The cycle reference itself is held to the
+above the saturation knee.  The object model itself is held to the
 seed's full-scan loop (``tests/reference``): reports, flit traces and the
 deadlock exit.
 """
@@ -35,10 +36,16 @@ from repro.simnoc import SimConfig, Simulator, build_network, build_synthetic_ne
 from repro.simnoc.engines.flat_kernel import MAX_KERNEL_VCS
 from repro.simnoc.trace import TraceRecorder
 from tests.reference import every_port_step, seed_cycle_loop
+from tests.reference.object_engine import OBJECT_ENGINE
 
-#: The engine names pinned against the cycle reference.  ``event`` is an
-#: alias of ``cycle``: its cells hold that the name reaches the cycle loop
-#: in every scenario (``tests/api/test_engine_alias.py`` pins the bytes).
+#: The object-model engine is filed under ``OBJECT_ENGINE`` while this
+#: module's tests run.
+pytestmark = pytest.mark.usefixtures("object_engine")
+
+#: The engine names pinned against the object model.  ``event`` (like
+#: ``cycle``) is a name of ``vector``: its cells hold that the name reaches
+#: the same loop in every scenario (``tests/api/test_engine_alias.py`` and
+#: ``test_differential.py`` pin the other names).
 FAST_ENGINES = ("event", "vector")
 
 
@@ -86,7 +93,7 @@ class TestTraceTrafficEquivalence:
             )
             return Simulator(network, engine=name).run()
 
-        assert_reports_identical(run(engine), run("cycle"))
+        assert_reports_identical(run(engine), run(OBJECT_ENGINE))
 
     @pytest.mark.parametrize("engine", FAST_ENGINES)
     @pytest.mark.parametrize("bandwidth_scale", [0.05, 0.3, 1.0])
@@ -107,7 +114,7 @@ class TestTraceTrafficEquivalence:
             )
             return Simulator(network, engine=name).run()
 
-        assert_reports_identical(run(engine), run("cycle"))
+        assert_reports_identical(run(engine), run(OBJECT_ENGINE))
 
     @pytest.mark.parametrize("engine", FAST_ENGINES)
     def test_torus(self, engine):
@@ -127,11 +134,11 @@ class TestTraceTrafficEquivalence:
             network = build_network(mesh, commodities, routing, config)
             return Simulator(network, engine=name).run()
 
-        assert_reports_identical(run(engine), run("cycle"))
+        assert_reports_identical(run(engine), run(OBJECT_ENGINE))
 
     @pytest.mark.parametrize("engine", FAST_ENGINES)
     def test_fast_engines_match_seed_reference_loop(self, engine):
-        """Not only the cycle engine: each fast engine == the seed's loop."""
+        """Not only the object model: each fast engine == the seed's loop."""
         app = dsp_filter()
         mesh, commodities, routing, config = _trace_setup(
             app,
@@ -155,7 +162,7 @@ class TestTraceTrafficEquivalence:
     @pytest.mark.parametrize("engine", FAST_ENGINES + ("seed-loop",))
     def test_flit_traces_identical(self, engine):
         """Not just aggregates: the exact flit-movement sequence matches —
-        the fast engines' the cycle engine's, and the cycle engine's the
+        the fast engines' the object model's, and the object model's the
         seed loop's."""
         app = vopd()
         mesh = NoCTopology.smallest_mesh_for(16, link_bandwidth=app.total_bandwidth())
@@ -180,7 +187,7 @@ class TestTraceTrafficEquivalence:
                 Simulator(network, trace=recorder, engine=name).run()
             return recorder.events
 
-        assert run(engine) == run("cycle")
+        assert run(engine) == run(OBJECT_ENGINE)
 
 
 class TestSyntheticTrafficEquivalence:
@@ -196,7 +203,7 @@ class TestSyntheticTrafficEquivalence:
             network = build_synthetic_network(mesh, config, pattern, 0.08)
             return Simulator(network, engine=name).run()
 
-        assert_reports_identical(run(engine), run("cycle"))
+        assert_reports_identical(run(engine), run(OBJECT_ENGINE))
 
     @pytest.mark.parametrize("engine", FAST_ENGINES)
     def test_uniform_near_saturation(self, engine):
@@ -210,7 +217,7 @@ class TestSyntheticTrafficEquivalence:
             network = build_synthetic_network(mesh, config, "uniform", 0.3)
             return Simulator(network, engine=name).run()
 
-        assert_reports_identical(run(engine), run("cycle"))
+        assert_reports_identical(run(engine), run(OBJECT_ENGINE))
 
 
 class TestSaturationMatrix:
@@ -237,7 +244,7 @@ class TestSaturationMatrix:
             network = build_synthetic_network(mesh, config, "uniform", rate)
             return Simulator(network, engine=name).run()
 
-        assert_reports_identical(run(engine), run("cycle"))
+        assert_reports_identical(run(engine), run(OBJECT_ENGINE))
 
     @pytest.mark.parametrize("engine", FAST_ENGINES)
     @pytest.mark.parametrize("rate", (0.05, 0.30))
@@ -253,7 +260,7 @@ class TestSaturationMatrix:
             network = build_synthetic_network(mesh, config, "transpose", rate)
             return Simulator(network, engine=name).run()
 
-        assert_reports_identical(run(engine), run("cycle"))
+        assert_reports_identical(run(engine), run(OBJECT_ENGINE))
 
     @pytest.mark.parametrize("engine", FAST_ENGINES)
     @pytest.mark.parametrize("rate", (0.05, 0.35))
@@ -273,7 +280,7 @@ class TestSaturationMatrix:
             network = build_synthetic_network(mesh, config, "uniform", rate)
             return Simulator(network, engine=name).run()
 
-        assert_reports_identical(run(engine), run("cycle"))
+        assert_reports_identical(run(engine), run(OBJECT_ENGINE))
 
     def test_vector_trace_identical_at_saturation(self):
         """Flit-for-flit identity in the regime the engine was built for."""
@@ -288,7 +295,7 @@ class TestSaturationMatrix:
             Simulator(network, trace=recorder, engine=name).run()
             return recorder.events
 
-        assert run("vector") == run("cycle")
+        assert run("vector") == run(OBJECT_ENGINE)
 
 
 class TestVCRouterEquivalence:
@@ -314,7 +321,7 @@ class TestVCRouterEquivalence:
             )
             return Simulator(network, engine=name).run()
 
-        assert_reports_identical(run(engine), run("cycle"))
+        assert_reports_identical(run(engine), run(OBJECT_ENGINE))
 
     @pytest.mark.parametrize("num_vcs", [2, 4])
     def test_vc_flit_traces_identical(self, num_vcs):
@@ -340,7 +347,7 @@ class TestVCRouterEquivalence:
             Simulator(network, trace=recorder, engine=name).run()
             return recorder.events
 
-        assert run("vector") == run("cycle")
+        assert run("vector") == run(OBJECT_ENGINE)
 
     @pytest.mark.parametrize("num_vcs", [1, 2])
     def test_router_skip_scan_matches_every_port_scan(self, num_vcs):
@@ -380,7 +387,7 @@ class TestAutoEngineEquivalence:
             network = build_synthetic_network(mesh, config, "uniform", rate)
             return Simulator(network, engine=name).run()
 
-        assert_reports_identical(run("auto"), run("cycle"))
+        assert_reports_identical(run("auto"), run(OBJECT_ENGINE))
 
 
 @pytest.fixture
@@ -403,7 +410,7 @@ def jit_mode(request, monkeypatch):
 
 
 class TestKernelTierEquivalence:
-    """Every kernel rung is bit-identical to the cycle engine.
+    """Every kernel rung is bit-identical to the object model.
 
     ``off`` (``REPRO_NO_JIT=1``) runs the interpreted sweep (what a
     compiler-less machine runs); ``py`` executes the
@@ -455,7 +462,7 @@ class TestKernelTierEquivalence:
             return report, recorder.events, recorder.truncated
 
         fast_report, fast_events, fast_truncated = run("vector")
-        ref_report, ref_events, ref_truncated = run("cycle")
+        ref_report, ref_events, ref_truncated = run(OBJECT_ENGINE)
         assert_reports_identical(fast_report, ref_report)
         assert fast_events == ref_events
         assert fast_truncated == ref_truncated == recorder_full
@@ -516,16 +523,15 @@ class TestDeadlockExit:
     """A network that stalls for good ends every engine the same way.
 
     The deadlock exit is the kernel twin's only early ``return`` (plus its
-    status block) and each engine's only mid-run raise.  ``cycle``, the
-    seed's full-scan loop it is held to, ``event`` (its alias), ``vector``
-    on every JIT rung and ``sharded`` (``vector``'s alias, whatever its
-    ``shards`` option says) must raise the identical ``SimulationError``
-    text.
+    status block) and each engine's only mid-run raise.  The object model,
+    the seed's full-scan loop it is held to, ``vector`` on every JIT rung,
+    and its ``event`` and ``sharded`` names (whatever ``shards`` says) must
+    raise the identical ``SimulationError`` text.
     """
 
     SENTENCE = r"deadlock: no flit moved since cycle \d+ with \d+ flits buffered"
 
-    #: num_vcs -> the cycle engine's message, shared by every cell below.
+    #: num_vcs -> the object model's message, shared by every cell below.
     _references: dict = {}
 
     @staticmethod
@@ -536,7 +542,7 @@ class TestDeadlockExit:
 
     def _reference(self, ring, num_vcs):
         if num_vcs not in self._references:
-            self._references[num_vcs] = self._message(ring(num_vcs), "cycle")
+            self._references[num_vcs] = self._message(ring(num_vcs), OBJECT_ENGINE)
             assert re.fullmatch(self.SENTENCE, self._references[num_vcs])
         return self._references[num_vcs]
 
@@ -557,13 +563,31 @@ class TestDeadlockExit:
         message = self._message(deadlocking_ring(num_vcs), "vector")
         assert message == self._reference(deadlocking_ring, num_vcs)
 
+    @pytest.mark.parametrize("num_vcs", (1, 2))
+    @pytest.mark.parametrize("jit_mode", TestKernelTierEquivalence.MODES, indirect=True)
+    def test_the_trace_up_to_the_stall_reaches_the_recorder(
+        self, jit_mode, deadlocking_ring, num_vcs
+    ):
+        """A recorder is what one debugs a deadlock with: every rung hands
+        over the flit moves made before the stall, as the object model
+        records them live, then raises its message."""
+        traces = []
+        for engine in ("vector", OBJECT_ENGINE):
+            recorder = TraceRecorder(max_events=10**6)
+            with pytest.raises(SimulationError) as raised:
+                Simulator(deadlocking_ring(num_vcs), trace=recorder, engine=engine).run()
+            assert str(raised.value) == self._reference(deadlocking_ring, num_vcs)
+            traces.append((recorder.events, recorder.truncated))
+        assert traces[0] == traces[1]
+        assert traces[0][0], "worms moved before the ring locked"
+
     def test_sharded_workers_report_the_stall(self, deadlocking_ring):
         message = self._message(deadlocking_ring(), "sharded", shards=2)
         assert message == self._reference(deadlocking_ring, 1)
 
 
-#: (topology kind, num_vcs, rate) -> (report, trace events) from the cycle
-#: engine, one per cell of the interpreted-sweep matrix, shared by the
+#: (topology kind, num_vcs, rate) -> (report, trace events) from the object
+#: model, one per cell of the interpreted-sweep matrix, shared by the
 #: ``sharded`` alias cells.
 _SWEEP_REFS: dict = {}
 
@@ -586,11 +610,11 @@ def _sweep_scenario(topo_kind, num_vcs, rate):
 
 
 class TestInterpretedSweepEquivalence:
-    """The interpreted sweep == cycle engine on 8x8 fabrics, idle to saturated.
+    """The interpreted sweep == the object model on 8x8 fabrics, idle to saturated.
 
     ``vector`` under ``REPRO_NO_JIT=1`` runs :mod:`repro.simnoc.engines.sweep`
-    in the calling process: reports and flit traces must match the cycle
-    engine's for both router models, on the mesh and on the torus (whose
+    in the calling process: reports and flit traces must match the object
+    model's for both router models, on the mesh and on the torus (whose
     wrap-around links close rings), at loads from near idle (where the
     sweep fast-forwards the gaps between injections) to above the
     saturation knee.
@@ -604,7 +628,7 @@ class TestInterpretedSweepEquivalence:
         if key not in _SWEEP_REFS:
             network = _sweep_scenario(*key)
             recorder = TraceRecorder(max_events=10**6)
-            report = Simulator(network, trace=recorder, engine="cycle").run()
+            report = Simulator(network, trace=recorder, engine=OBJECT_ENGINE).run()
             _SWEEP_REFS[key] = (report, recorder.events)
         return _SWEEP_REFS[key]
 
@@ -624,14 +648,14 @@ class TestInterpretedSweepEquivalence:
 
 
 class TestShardedEngineEquivalence:
-    """``sharded`` == cycle engine on the same matrix, for any shard count.
+    """``sharded`` == the object model on the same matrix, for any shard count.
 
     The multi-process engine of that name is gone; the name runs ``vector``
     on its default JIT rung and ``shards`` / ``partitioner`` are accepted
     and read by nothing.  Every cell of the interpreted-sweep matrix runs
     here under the name with shards 1, 2 and 4, so a report or flit trace
     that moves with those options, or a second implementation behind the
-    name, fails against the same cycle references.
+    name, fails against the same object-model references.
     """
 
     @pytest.mark.parametrize("shards", (1, 2, 4))
@@ -656,7 +680,7 @@ class TestShardedEngineEquivalence:
 
     def test_round_robin_single_node_segments(self):
         """Round-robin, which once gave every node its own segment, runs
-        the alias to the cycle engine's report and trace."""
+        the alias to the object model's report and trace."""
         mesh = NoCTopology.mesh(4, 4, link_bandwidth=1600.0)
         config = SimConfig(
             warmup_cycles=200, measure_cycles=1_000, drain_cycles=400, seed=3
@@ -671,7 +695,7 @@ class TestShardedEngineEquivalence:
         fast_report, fast_events = run(
             "sharded", shards=4, partitioner="round-robin"
         )
-        ref_report, ref_events = run("cycle")
+        ref_report, ref_events = run(OBJECT_ENGINE)
         assert_reports_identical(fast_report, ref_report)
         assert fast_events == ref_events
 
@@ -721,7 +745,7 @@ class TestFaultScenarioEquivalence:
             )
             return Simulator(network, engine=name).run()
 
-        assert_reports_identical(run(engine), run("cycle"))
+        assert_reports_identical(run(engine), run(OBJECT_ENGINE))
 
     @pytest.mark.parametrize("engine", FAST_ENGINES)
     def test_failed_router_on_torus(self, engine):
@@ -735,7 +759,7 @@ class TestFaultScenarioEquivalence:
             )
             return Simulator(network, engine=name).run()
 
-        assert_reports_identical(run(engine), run("cycle"))
+        assert_reports_identical(run(engine), run(OBJECT_ENGINE))
 
     @pytest.mark.parametrize("engine", FAST_ENGINES)
     def test_fault_flit_traces_identical(self, engine):
@@ -754,4 +778,4 @@ class TestFaultScenarioEquivalence:
             Simulator(network, trace=recorder, engine=name).run()
             return recorder.events
 
-        assert run(engine) == run("cycle")
+        assert run(engine) == run(OBJECT_ENGINE)

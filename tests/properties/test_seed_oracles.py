@@ -73,13 +73,11 @@ from repro.simnoc.config import SimConfig
 from repro.simnoc.engines import flat_kernel
 from repro.simnoc.engines.flat_kernel import ARG_FIELDS, KernelProgram
 from repro.simnoc.engines.sweep import _FlatState
+from repro.simnoc.config import LOCAL
 from repro.simnoc.network import build_network
-from repro.simnoc.ni import NetworkInterface
-from repro.simnoc.packet import Packet, make_flits
-from repro.simnoc.router import LOCAL, Router, refill_bucket_to
+from repro.simnoc.packet import Packet
 from repro.simnoc.simulator import Simulator
 from repro.simnoc.trace import TraceRecorder
-from repro.simnoc.vc_router import VCRouter
 from tests.reference import (
     PerMoveSwapMirror,
     dijkstra_quadrant_path,
@@ -102,6 +100,21 @@ from tests.reference import (
     summed_affinity_clusters,
 )
 from tests.reference import lp as object_lp
+from tests.reference.ni import NetworkInterface
+from tests.reference.object_engine import OBJECT_ENGINE, objects
+from tests.reference.router import Router, make_flits, refill_bucket_to
+from tests.reference.simnoc import (
+    latency_stats,
+    packet_columns,
+    per_commodity_jitter,
+    per_commodity_latency_std,
+    per_commodity_means,
+)
+from tests.reference.vc_router import VCRouter
+
+#: The object-model engine is filed under ``OBJECT_ENGINE`` while this
+#: module's tests run.
+pytestmark = pytest.mark.usefixtures("object_engine")
 
 
 def _workloads():
@@ -874,7 +887,8 @@ class TestSimulatorEquivalence:
             return Simulator(
                 build_network(
                     mesh, commodities, routing, config, bandwidth_scale=bandwidth_scale
-                )
+                ),
+                engine=OBJECT_ENGINE,
             )
 
         assert simulator().run() == seed_cycle_loop(simulator())
@@ -899,7 +913,7 @@ def _router_run(network, engine):
     """
     recorder = TraceRecorder(max_events=1_000_000)
     seeded = engine in ("seed", "step")
-    sim = Simulator(network, trace=recorder, engine="cycle" if seeded else engine)
+    sim = Simulator(network, trace=recorder, engine=OBJECT_ENGINE if seeded else engine)
     try:
         if engine == "seed":
             outcome = seed_cycle_loop(sim)
@@ -910,8 +924,9 @@ def _router_run(network, engine):
     except SimulationError as error:
         outcome = str(error)
     state = []
-    for node in sorted(network.routers):
-        router = network.routers[node]
+    routers = objects(network).routers
+    for node in sorted(routers):
+        router = routers[node]
         for key in router.output_order:
             port = router.outputs[key]
             refill_bucket_to(port, network.config.total_cycles)
@@ -960,7 +975,7 @@ class TestRouterStep:
             drain_cycles=100,
             seed=seed,
         )
-        engines = ("step", "cycle")
+        engines = ("step", OBJECT_ENGINE)
         if (delay, depth) != (config.router_delay, config.buffer_depth):
             object.__setattr__(config, "router_delay", delay)
             object.__setattr__(config, "buffer_depth", depth)
@@ -1023,7 +1038,7 @@ class TestRouterStep:
         config = SimConfig(warmup_cycles=0, measure_cycles=400, drain_cycles=0, seed=3)
         outcomes = {
             engine: _router_run(build_network(mesh, commodities, routing, config), engine)
-            for engine in ("seed", "step", "cycle")
+            for engine in ("seed", "step", OBJECT_ENGINE)
         }
         reference = outcomes.pop("seed")
         assert re.fullmatch(r"node 0 has no output toward 3 \(packet \d+\)", reference[0])
@@ -1080,23 +1095,23 @@ class TestStatisticsColumns:
     @example(packets=[_flow(3, 5, 6), _flow(3, 5, 6)])  # two, tied, latency 1
     @example(packets=[_flow(2, 0, 9), _flow(1, 0, 4), _flow(2, 1, 9), _flow(2, 0, 2)])
     def test_column_stats_equal_the_packet_walks(self, packets):
-        flows = stats.per_flow_stats(*stats.packet_columns(packets))
+        flows = stats.per_flow_stats(*packet_columns(packets))
         walked = packet_walk_flow_stats(packets)
         # count, mean, p50, p95, std, jitter and histogram of every flow ...
         assert flows == walked
         # ... in the order the flows first appear.
         assert list(flows) == list(walked)
         for view, figure in (
-            (stats.per_commodity_means, "mean"),
-            (stats.per_commodity_jitter, "jitter"),
-            (stats.per_commodity_latency_std, "std"),
+            (per_commodity_means, "mean"),
+            (per_commodity_jitter, "jitter"),
+            (per_commodity_latency_std, "std"),
         ):
             assert view(packets) == {i: getattr(f, figure) for i, f in walked.items()}
 
         # The walk raises on a measured packet still in flight; the gather
         # drops it, as the report builder (which only sees deliveries) does.
         landed = [p for p in packets if p.delivered_cycle is not None]
-        summaries = (stats.LatencyStats.from_packets, packet_walk_latency_stats)
+        summaries = (latency_stats, packet_walk_latency_stats)
         if any(p.measured for p in landed):
             assert summaries[0](packets) == summaries[1](landed)
         else:
@@ -1226,14 +1241,14 @@ class TestPacketObjects:
         options = self.CASES[case]
         monkeypatch.delenv("REPRO_NO_JIT", raising=False)
         monkeypatch.delenv("REPRO_JIT", raising=False)
-        cycle_sim, reference, built = self._run(monkeypatch, "cycle", options)
+        cycle_sim, reference, built = self._run(monkeypatch, OBJECT_ENGINE, options)
         assert built["Packet"] == reference.packets_created > 100
         router = "VCRouter" if options.get("num_vcs", 1) > 1 else "Router"
         assert built[router] == built["NetworkInterface"] == 16
 
         # The substitution took: whole-run statistics == the walk over the
         # cycle engine's packet objects.
-        interfaces = cycle_sim.network.interfaces.values()
+        interfaces = objects(cycle_sim.network).interfaces.values()
         delivered = [p for ni in interfaces for p in ni.delivered_packets]
         assert reference.packets_delivered == len(delivered)
         assert reference.per_flow == packet_walk_flow_stats(delivered)
@@ -1245,7 +1260,7 @@ class TestPacketObjects:
                 for name, value in env.items():
                     patch.setenv(name, value)
                 sim, report, built = self._run(monkeypatch, "vector", options)
-            assert not built and sim.all_packets == [], env
+            assert not built, env
             assert sim.packet_log is not None
             assert report == reference
             assert list(report.per_flow) == list(reference.per_flow)

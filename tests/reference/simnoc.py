@@ -5,7 +5,8 @@ refills and advances every output port (every lane, on the VC router)
 whether or not anything requests it.  The plain router's port logic is the
 seed's own (:func:`seed_advance_port`): it re-reads each head's pipeline
 visibility and re-resolves each flit's next hop on every visit, where
-``Router`` caches both.  The ``cycle`` engine skips idle components and
+``Router`` caches both.  The object engine
+(:mod:`tests.reference.object_engine`) skips idle components and
 unrequested ports; it must not move a single flit differently.
 
 The flattened engines walked the built router objects back into arrays
@@ -19,24 +20,27 @@ The statistics walked ``list[Packet]`` — one dict of lists per flow, one
 ``sorted`` each — until ``repro.simnoc.stats`` went to columns;
 :func:`packet_walk_latency_stats` and :func:`packet_walk_flow_stats` are
 those bodies, and the column functions must equal them field for field,
-key order included.
+key order included.  :func:`packet_columns` and the ``per_commodity_*``
+views feed a list of packets to those column functions.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from operator import attrgetter
 from types import SimpleNamespace
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.simnoc.engines.cycle import DEADLOCK_WINDOW
-from repro.simnoc.ni import NetworkInterface
-from repro.simnoc.packet import FlitKind, Packet, is_last_flit
-from repro.simnoc.router import LOCAL, build_wormhole_router, resolve_next_hop
-from repro.simnoc.stats import FlowStats, LatencyStats
-from repro.simnoc.vc_router import build_vc_router
+from repro.simnoc.config import DEADLOCK_WINDOW, LOCAL
+from repro.simnoc.packet import FlitKind, Packet
+from repro.simnoc.stats import FlowStats, LatencyStats, per_flow_stats
+from tests.reference.ni import NetworkInterface
+from tests.reference.object_engine import objects, write_columns
+from tests.reference.router import build_wormhole_router, is_last_flit, resolve_next_hop
+from tests.reference.vc_router import build_vc_router
 
 
 def seed_visible_head(port, cycle: int, router_delay: int):
@@ -138,8 +142,10 @@ def seed_cycle_loop(sim, step=every_port_step):
     engine's component skipping.
     """
     network = sim.network
+    model = objects(network)
     config = sim.config
     trace = sim.trace
+    created = []
     measure_start = config.warmup_cycles
     measure_end = config.warmup_cycles + config.measure_cycles
     last_progress = 0
@@ -148,33 +154,69 @@ def seed_cycle_loop(sim, step=every_port_step):
         if trace is not None:
             trace.record(from_node, to_key, flit, cycle)
         if to_key == LOCAL:
-            network.interfaces[from_node].eject(flit, cycle)
+            model.interfaces[from_node].eject(flit, cycle)
         else:
-            network.routers[to_key].inputs[from_node].push(flit, cycle)
+            model.routers[to_key].inputs[from_node].push(flit, cycle)
 
     for cycle in range(config.total_cycles):
         moved = 0
         for source in network.sources:
             for packet in source.packets_for_cycle(cycle, sim.next_packet_id):
                 packet.measured = measure_start <= cycle < measure_end
-                sim.all_packets.append(packet)
-                network.interfaces[packet.src_node].offer_packet(packet)
-        for node in sorted(network.interfaces):
-            moved += network.interfaces[node].inject(cycle, LOCAL)
-        for node in sorted(network.routers):
-            moved += step(network.routers[node], cycle, deliver)
+                created.append(packet)
+                model.interfaces[packet.src_node].offer_packet(packet)
+        for node in sorted(model.interfaces):
+            moved += model.interfaces[node].inject(cycle, LOCAL)
+        for node in sorted(model.routers):
+            moved += step(model.routers[node], cycle, deliver)
 
         if moved:
             last_progress = cycle
         elif (
             cycle - last_progress > DEADLOCK_WINDOW
-            and network.total_buffered_flits() > 0
+            and model.total_buffered_flits() > 0
         ):
             raise SimulationError(
                 f"deadlock: no flit moved since cycle {last_progress} "
-                f"with {network.total_buffered_flits()} flits buffered"
+                f"with {model.total_buffered_flits()} flits buffered"
             )
+    write_columns(sim, created)
     return sim._build_report()
+
+
+def packet_columns(packets: list[Packet]) -> tuple:
+    """The columns of the measured, delivered packets of a list, in its order."""
+    kept = [p for p in packets if p.measured and p.delivered_cycle is not None]
+    fields = ("commodity_index", "created_cycle", "injected_cycle", "delivered_cycle")
+    return tuple(
+        np.fromiter(map(attrgetter(name), kept), np.int64, len(kept)) for name in fields
+    )
+
+
+def latency_stats(packets: list[Packet]) -> LatencyStats:
+    """:meth:`LatencyStats.from_columns` over the measured packets of a list."""
+    return LatencyStats.from_columns(*packet_columns(packets))
+
+
+def _flow_view(packets: list[Packet], figure: str) -> dict:
+    flows = per_flow_stats(*packet_columns(packets))
+    return {index: getattr(flow, figure) for index, flow in flows.items()}
+
+
+def per_commodity_means(packets: list[Packet]) -> dict[int, float]:
+    """Mean latency per commodity index (a view of ``per_flow_stats``)."""
+    return _flow_view(packets, "mean")
+
+
+def per_commodity_jitter(packets: list[Packet]) -> dict[int, float]:
+    """Delivery jitter per commodity: std of gaps between adjacent deliveries
+    (the paper's definition; a view of ``per_flow_stats``)."""
+    return _flow_view(packets, "jitter")
+
+
+def per_commodity_latency_std(packets: list[Packet]) -> dict[int, float]:
+    """Latency standard deviation per commodity (a view of ``per_flow_stats``)."""
+    return _flow_view(packets, "std")
 
 
 def packet_walk_latency_stats(packets) -> LatencyStats:

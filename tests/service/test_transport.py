@@ -348,7 +348,6 @@ class TestStaleConnections:
             # retries=0: were the dead kept connection counted as a
             # transport failure, this call would raise.
             assert client.map(REQUEST) == cold
-            assert client._failures == 0
             assert second.store.stats()["executed"] == 0  # the same store
         finally:
             client.close()

@@ -14,11 +14,16 @@ from repro.graphs.commodities import Commodity
 from repro.graphs.topology import NoCTopology
 from repro.routing.min_path import min_path_routing
 from repro.simnoc import SimConfig, Simulator, build_network
+from tests.reference.object_engine import OBJECT_ENGINE
 from tests.simnoc.deliveries import deliveries
 
-#: ``event`` is an alias of ``cycle``; its cells hold the name to the same
-#: deliveries.
-ENGINES = ("cycle", "event", "vector")
+#: The object-model engine is filed under ``OBJECT_ENGINE`` while this
+#: module's tests run.
+pytestmark = pytest.mark.usefixtures("object_engine")
+
+#: The object model and the names of ``vector``: ``cycle`` and ``event``
+#: cells hold those names to the same deliveries.
+ENGINES = (OBJECT_ENGINE, "cycle", "event", "vector")
 
 
 def _commodity(index, src, dst, value):
@@ -116,7 +121,7 @@ class TestFullBufferBackpressure:
             mesh, commodities, config, engine, link_rate_flits_per_cycle=0.25
         )
         _n2, reference = _run(
-            mesh, commodities, config, "cycle", link_rate_flits_per_cycle=0.25
+            mesh, commodities, config, OBJECT_ENGINE, link_rate_flits_per_cycle=0.25
         )
         assert fast.stats == reference.stats
         assert fast.per_flow == reference.per_flow

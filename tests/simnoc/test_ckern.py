@@ -23,6 +23,11 @@ from repro.simnoc import SimConfig, Simulator, build_synthetic_network
 from repro.simnoc.engines import ckern, jit, kernels
 from repro.simnoc.engines.flat_kernel import ARG_FIELDS, KernelProgram
 from repro.simnoc.trace import TraceRecorder
+from tests.reference.object_engine import OBJECT_ENGINE
+
+#: The object-model engine is filed under ``OBJECT_ENGINE`` while this
+#: module's tests run.
+pytestmark = pytest.mark.usefixtures("object_engine")
 
 
 class TestEmission:
@@ -120,7 +125,7 @@ class TestUnsupportedTwin:
             Simulator(
                 build_synthetic_network(mesh, config, "uniform", 0.2), engine=engine
             ).run()
-            for engine in ("vector", "cycle")
+            for engine in ("vector", OBJECT_ENGINE)
         ]
         assert reports[0] == reports[1]
 

@@ -6,7 +6,8 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.simnoc.config import SimConfig
-from repro.simnoc.packet import FlitKind, Packet, is_last_flit, make_flits
+from repro.simnoc.packet import FlitKind, Packet
+from tests.reference.router import is_last_flit, make_flits
 
 
 class TestSimConfig:

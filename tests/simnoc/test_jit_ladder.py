@@ -13,6 +13,11 @@ from __future__ import annotations
 import pytest
 
 from repro.simnoc.engines import jit
+from tests.reference.object_engine import OBJECT_ENGINE
+
+#: The object-model engine is filed under ``OBJECT_ENGINE`` while this
+#: module's tests run.
+pytestmark = pytest.mark.usefixtures("object_engine")
 
 
 @pytest.fixture(autouse=True)
@@ -173,6 +178,6 @@ class TestCorruptCacheEntry:
             simulate_synthetic(
                 NoCTopology(4, 4, 1000.0), config, "uniform", 0.2, engine=engine
             )
-            for engine in ("vector", "cycle")
+            for engine in ("vector", OBJECT_ENGINE)
         ]
         assert reports[0] == reports[1]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.simnoc.packet import Packet
-from repro.simnoc.stats import per_commodity_jitter, per_commodity_latency_std
+from tests.reference.simnoc import per_commodity_jitter, per_commodity_latency_std
 
 
 def _delivered(commodity, delivered_cycle, created=0):

@@ -1,8 +1,8 @@
 """The batched injection schedule == the engines' heap-polled replay.
 
 ``build_schedule`` replays every open-loop source in bulk and merges the
-streams by one sort; the ``cycle`` and ``event`` engines poll
-``packets_for_cycle`` from a ``(next_event_cycle, index)`` heap.  Both must
+streams by one sort; the object-model oracle polls ``packets_for_cycle``
+from a ``(next_event_cycle, index)`` heap.  Both must
 register the same packets — ids, cycles, flags, lanes, paths, order — and
 leave every source in the same state, or the flattened engines stop being
 bit-identical to the oracle.  The schedule holds them as columns and builds
@@ -30,16 +30,22 @@ from repro.simnoc.engines.flat_kernel import KernelProgram
 from repro.simnoc.engines.sweep import replay_sources
 from repro.simnoc.models import TRAFFIC_PATTERNS, register_traffic_pattern
 from repro.simnoc.network import commodity_paths
+from repro.simnoc.config import LOCAL
 from repro.simnoc.packet import Packet
-from repro.simnoc.router import LOCAL
 from repro.simnoc.schedule import build_schedule
 from repro.simnoc.synthetic import UniformRandomSource
 from repro.simnoc.trace import TraceRecorder
+from tests.reference.object_engine import OBJECT_ENGINE
 from tests.reference.simnoc import schedule_packets
+
+#: The object-model engine is filed under ``OBJECT_ENGINE`` while this
+#: module's tests run.
+pytestmark = pytest.mark.usefixtures("object_engine")
 
 
 def heap_polled(sim, lanes):
     """The polling engines' injection discipline, packets registered in order."""
+    polled = []
     config = sim.network.config
     sources = sim.network.sources
     measure_end = config.warmup_cycles + config.measure_cycles
@@ -50,9 +56,9 @@ def heap_polled(sim, lanes):
         for packet in sources[index].packets_for_cycle(cycle, sim.next_packet_id):
             packet.measured = config.warmup_cycles <= cycle < measure_end
             packet.vc = packet.commodity_index % lanes
-            sim.all_packets.append(packet)
+            polled.append(packet)
         heapq.heappush(heap, (sources[index].next_event_cycle, index))
-    return sim.all_packets
+    return polled
 
 
 def _config(seed, num_vcs, **overrides):
@@ -132,7 +138,6 @@ class TestScheduleEqualsHeapPolledReplay:
         # Dataclass equality: id, commodity, endpoints, path, flits,
         # created cycle, measured and vc of every packet, in order.
         assert schedule_packets(schedule) == polled
-        assert sim.all_packets == []  # the compiled path registers no object
         assert schedule.first_id == polled[0].packet_id
         for column, field in (
             ("commodity", "commodity_index"),
@@ -180,7 +185,6 @@ class TestScheduleEqualsHeapPolledReplay:
         out_index = {spec: p for p, spec in enumerate(outputs)}
         schedule = build_schedule(sim, True, outputs)
         specs = replay_sources(schedule)
-        assert sim.all_packets == []  # the interpreted loops register no object
         assert specs == [
             (
                 p.created_cycle,
@@ -289,13 +293,13 @@ class TestPollingAdapter:
         backend, reason = resolve_backend()
         if mode != "off" and backend is None:
             pytest.skip(f"JIT backend {mode!r} unavailable here: {reason}")
-        assert _run(pattern, "vector", num_vcs) == _run(pattern, "cycle", num_vcs)
+        assert _run(pattern, "vector", num_vcs) == _run(pattern, OBJECT_ENGINE, num_vcs)
 
     @pytest.mark.parametrize("pattern", ["test-poll-only", "test-mixed"])
     def test_sharded_matches_cycle(self, third_party_patterns, pattern):
         """``sharded`` is an alias of ``vector``; its ``shards`` option is
         accepted and changes nothing."""
-        assert _run(pattern, "sharded", 2, shards=2) == _run(pattern, "cycle", 2)
+        assert _run(pattern, "sharded", 2, shards=2) == _run(pattern, OBJECT_ENGINE, 2)
 
     def test_the_mro_decides(self, third_party_patterns):
         from repro.simnoc.schedule import _batch_method
@@ -377,7 +381,7 @@ class TestScheduleEdges:
         assert replay_sources(schedule) == []
         # Every engine runs the empty schedule to the same end.
         errors = []
-        for engine in ("vector", "cycle"):
+        for engine in ("vector", OBJECT_ENGINE):
             with pytest.raises(SimulationError, match="no measured packets") as caught:
                 Simulator(quiet_network(), engine=engine).run()
             errors.append(str(caught.value))

@@ -15,7 +15,8 @@ from repro.routing.split import solve_min_congestion
 from repro.simnoc.config import SimConfig
 from repro.simnoc.network import build_network, commodity_paths
 from repro.simnoc.simulator import Simulator, simulate_mapping
-from repro.simnoc.stats import LatencyStats, per_commodity_means
+from tests.reference.object_engine import objects
+from tests.reference.simnoc import latency_stats, per_commodity_means
 
 
 def _commodity(index, src, dst, value):
@@ -89,8 +90,9 @@ class TestBuildNetwork:
         commodities = [_commodity(0, 0, 8, 100.0)]
         routing = _single_path_routing(mesh3x3, commodities)
         network = build_network(mesh3x3, commodities, routing, small_config)
-        assert len(network.routers) == 9
-        assert len(network.interfaces) == 9
+        assert len(network.fabric.nodes) == 9
+        assert len(objects(network).routers) == 9
+        assert len(objects(network).interfaces) == 9
         assert len(network.sources) == 1
 
     def test_link_rates_from_topology(self, small_config):
@@ -216,7 +218,7 @@ class TestStats:
             packet.injected_cycle = 2
             packet.delivered_cycle = latency
             packets.append(packet)
-        stats = LatencyStats.from_packets(packets)
+        stats = latency_stats(packets)
         assert stats.count == 5
         assert stats.mean == 30.0
         assert stats.p50 == 30.0
@@ -231,13 +233,13 @@ class TestStats:
         good.delivered_cycle = 10
         skipped = Packet(2, 0, 0, 1, [0, 1], 4, created_cycle=0, measured=False)
         skipped.delivered_cycle = 99999
-        stats = LatencyStats.from_packets([good, skipped])
+        stats = latency_stats([good, skipped])
         assert stats.count == 1
         assert stats.maximum == 10.0
 
     def test_empty_raises(self):
         with pytest.raises(SimulationError):
-            LatencyStats.from_packets([])
+            latency_stats([])
 
     def test_per_commodity_means(self):
         from repro.simnoc.packet import Packet

@@ -7,9 +7,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.graphs.commodities import Commodity
 from repro.routing.min_path import min_path_routing
-from repro.simnoc.config import SimConfig
+from repro.simnoc.config import LOCAL, SimConfig
 from repro.simnoc.network import build_network
-from repro.simnoc.router import LOCAL
 from repro.simnoc.simulator import Simulator
 from repro.simnoc.trace import TraceRecorder
 

@@ -24,7 +24,12 @@ from repro.simnoc import (
 from repro.simnoc.engines import VectorEngine, get_engine
 from repro.simnoc.engines.auto import resolve_auto_engine
 from repro.simnoc.trace import TraceRecorder
+from tests.reference.object_engine import OBJECT_ENGINE
 from tests.simnoc.deliveries import deliveries
+
+#: The object-model engine is filed under ``OBJECT_ENGINE`` while this
+#: module's tests run.
+pytestmark = pytest.mark.usefixtures("object_engine")
 
 
 def _network(rate: float, **config_kwargs):
@@ -41,21 +46,20 @@ class TestRegistry:
 
 
 class TestANetworkRunsOnce:
-    """A run consumes its network's sources (and, on the object engines,
-    leaves its packets in the NIs), so a second simulator on the same
-    network must fail loudly rather than report another run's state."""
+    """A run consumes its network's sources, so a second simulator on the
+    same network must fail loudly rather than report another run's state."""
 
     @pytest.mark.parametrize("engine", list_engines())
     def test_a_second_run_raises(self, engine):
         network = _network(0.05)
         first = Simulator(network, engine=engine).run()
-        assert first == Simulator(_network(0.05), engine="cycle").run()
+        assert first == Simulator(_network(0.05), engine=OBJECT_ENGINE).run()
         with pytest.raises(SimulationError, match="freshly built"):
             Simulator(network, engine=engine).run()
 
     def test_a_second_run_on_another_engine_raises(self):
         network = _network(0.05)
-        Simulator(network, engine="cycle").run()
+        Simulator(network, engine=OBJECT_ENGINE).run()
         with pytest.raises(SimulationError, match="freshly built"):
             Simulator(network, engine="vector").run()
 
@@ -64,19 +68,19 @@ class TestVectorEngineObservables:
     @pytest.mark.parametrize("no_jit", ("", "1"))
     def test_leaves_what_the_cycle_engine_leaves(self, monkeypatch, no_jit):
         """The report builder reads the deliveries and the per-port flit
-        counts: columns after a flattened run, the NIs and ports after an
-        object-engine run.  Both rungs of a vector run must leave the
-        reports, deliveries and flit traces of the cycle engine."""
+        counts as columns, which the object model leaves too.  Both rungs of
+        a vector run must leave the reports, deliveries and flit traces of
+        the object model."""
         monkeypatch.setenv("REPRO_NO_JIT", no_jit)
         runs = {}
-        for engine in ("vector", "cycle"):
+        for engine in ("vector", OBJECT_ENGINE):
             recorder = TraceRecorder(max_events=10**6)
             sim = Simulator(_network(0.1, seed=3), trace=recorder, engine=engine)
             report = sim.run()
             # (node, packet id, ...) per delivery: per-NI order included.
             runs[engine] = (report, deliveries(sim), recorder.events)
-            assert (sim.packet_log is None) == (engine == "cycle")
-        assert runs["vector"] == runs["cycle"]
+            assert sim.packet_log is not None
+        assert runs["vector"] == runs[OBJECT_ENGINE]
         assert sum(runs["vector"][0].link_flits.values()) > 0
 
 
@@ -92,7 +96,7 @@ class TestShardedStartMethod:
 
     def test_one_shard_runs_without_fork(self, no_fork):
         report = Simulator(_network(0.1, seed=3), engine="sharded", shards=1).run()
-        reference = Simulator(_network(0.1, seed=3), engine="cycle").run()
+        reference = Simulator(_network(0.1, seed=3), engine=OBJECT_ENGINE).run()
         assert report == reference
         assert not multiprocessing.active_children()
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 from dataclasses import fields
 
@@ -204,10 +205,10 @@ class TestSimulate:
         ) == 0
         assert "latency mean" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("engine", ["event", "vector", "auto"])
-    def test_simulate_fast_engines_match_cycle(self, engine, capsys):
+    @pytest.mark.parametrize("engine", ["cycle", "event", "vector", "auto"])
+    def test_simulate_fast_engines_match_cycle(self, engine, capsys, object_engine):
         assert main(["simulate", "--app", "dsp", "--cycles", "2000",
-                     "--engine", "cycle"]) == 0
+                     "--engine", object_engine]) == 0
         cycle_out = capsys.readouterr().out
         assert main(["simulate", "--app", "dsp", "--cycles", "2000",
                      "--engine", engine]) == 0
@@ -261,6 +262,26 @@ class TestSimulate:
         response = SimResponse.from_dict(payload)
         assert response.per_flow
         assert response.request.options.engine == "event"
+
+    def test_simulate_cycle_out_json_is_the_vector_json(self, tmp_path):
+        """``cycle`` names the vector engine: the written response equals
+        ``--engine vector``'s once the echoed engine name is swapped."""
+        from repro.api import SimResponse
+        from repro.service.wire import canonical_response_bytes
+
+        responses = {}
+        for engine in ("cycle", "vector"):
+            out_path = tmp_path / f"{engine}.json"
+            assert main(
+                ["simulate", "--app", "dsp", "--cycles", "2000",
+                 "--engine", engine, "--out-json", str(out_path)]
+            ) == 0
+            responses[engine] = SimResponse.from_dict(json.loads(out_path.read_text()))
+        cycle, vector = responses["cycle"], responses["vector"]
+        assert cycle.request.options.engine == "cycle"
+        swapped = dataclasses.replace(cycle, request=vector.request)
+        assert canonical_response_bytes(swapped) == canonical_response_bytes(vector)
+        assert vector.packets_delivered > 0
 
 
 class TestDesign:

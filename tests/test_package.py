@@ -155,21 +155,28 @@ class TestNoKnobWithoutACaller:
 
 
 class TestNoImplementationBehindAnAlias:
-    """The event and sharded engines and the replica executor measured no
-    win and left; their names stayed, on ``cycle``, ``vector`` and
-    ``serial``.  A second implementation behind any of them takes an edit
-    here."""
+    """The object-model (``cycle``), event and sharded engines and the
+    replica executor left ``src/``; their names stayed, on ``vector`` and
+    ``serial``, and the object model is the test oracle under
+    ``tests/reference``.  A second implementation behind any of them takes
+    an edit here."""
 
     def test_engine_names_and_the_event_alias(self):
-        from repro.simnoc.engines import CycleEngine, get_engine, list_engines
+        from repro.simnoc.engines import VectorEngine, get_engine, list_engines
 
         assert list_engines() == ("auto", "cycle", "event", "sharded", "vector")
-        assert type(get_engine("event")) is type(get_engine("cycle")) is CycleEngine
+        assert type(get_engine("event")) is type(get_engine("cycle")) is VectorEngine
 
     def test_the_sharded_alias(self):
         from repro.simnoc.engines import VectorEngine, get_engine
 
         assert type(get_engine("sharded")) is type(get_engine("vector")) is VectorEngine
+
+    def test_four_names_resolve_to_one_class(self):
+        from repro.simnoc.engines import get_engine
+
+        names = ("cycle", "event", "sharded", "vector")
+        assert len({type(get_engine(name)) for name in names}) == 1
 
     def test_batch_executors(self):
         from repro.api.engine import BATCH_EXECUTORS
@@ -183,6 +190,34 @@ class TestNoImplementationBehindAnAlias:
     def test_the_sharded_engine_module_is_gone(self):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.simnoc.engines.sharded")
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.simnoc.engines.cycle",
+            "repro.simnoc.router",
+            "repro.simnoc.vc_router",
+            "repro.simnoc.ni",
+        ],
+    )
+    def test_the_object_model_modules_are_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    def test_no_src_module_imports_tests(self):
+        """The oracle lives under ``tests/``; nothing shipped may reach it."""
+        offenders = []
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name == "tests" or name.startswith("tests.") for name in names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
 
 
 class TestColdStart:
