@@ -33,7 +33,8 @@ This module is what runs when no compiled kernel does.  It holds
   on the simulator, as the compiled rung does.
 
 The ``vector`` engine calls :func:`run_in_process` when no compiled kernel
-runs (and ``sharded``, an alias of ``vector``, reaches it the same way).
+runs (``cycle``, ``event`` and ``sharded``, its other names, reach it the
+same way).
 A fully idle network fast-forwards to the next scheduled injection.
 
 Wormhole arbitration is irreducibly sequential (router order within a
