@@ -1,4 +1,10 @@
-"""The seed's scalar kernels, kept as oracles the tests compare against.
+"""The seed's scalar kernels and the object-model simulator, kept as oracles.
+
+The object model — ``router.py``, ``vc_router.py``, ``ni.py`` and
+``object_engine.py``'s ``ObjectEngine`` — is what every engine name in
+``src/`` is held to, report and flit trace; tests file it under a
+test-only engine name through ``tests/conftest.py``'s ``object_engine``
+fixture.
 
 Production code under ``src/`` has one path per kernel and cannot select
 any of these at run time.  ``tests/properties/test_seed_oracles.py`` calls
